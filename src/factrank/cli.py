@@ -250,6 +250,8 @@ def render_metrics_table(records: list[dict]) -> str:
 
 
 def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: bool) -> int:
+    import numpy as np
+
     from .dataio import FOLDS, split_fold
     from .encoders import load_classifier
     from .pipeline import FVQA_REFERENCE, FVQA_REFERENCE_TOLERANCE, PipelineModels, average_metrics, evaluate
@@ -296,6 +298,7 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
             oracle_relation=gt_relation,
             oracle_source=gt_source,
             tie_break=cfg.tie_break,
+            rng=np.random.default_rng(cfg.seed),
         )
         label = fold if fold is not None else "all"
         per_fold[label] = metrics
@@ -320,6 +323,8 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
 
 
 def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
+    import numpy as np
+
     from .encoders import load_classifier
     from .pipeline import PipelineModels, answer_question
     from .scorer import load_scorer
@@ -340,7 +345,7 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     concepts = store.concept(image_id)
     prediction = answer_question(
         models, kb, feat, concepts, question, k=cfg.k, question_id="cli", image_id=image_id,
-        tie_break=cfg.tie_break,
+        tie_break=cfg.tie_break, rng=np.random.default_rng(cfg.seed),
     )
     print(f"status: {prediction.status}")
     print(f"relation: {prediction.relation.value}")
@@ -368,7 +373,7 @@ def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
         distractor_concepts=args.distractor_concepts,
         wordvec_dim=args.wordvec_dim,
         feature_dim=args.feature_dim,
-        concept_labels=args.concept_labels,
+        concept_labels=args.concept_label_count,
     )
     paths = generate_synthetic(synth_cfg, cfg.out)
     for name, path in paths.items():
@@ -465,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--distractor-concepts", type=int, default=5)
     p_synth.add_argument("--wordvec-dim", type=int, default=100)
     p_synth.add_argument("--feature-dim", type=int, default=2048)
-    p_synth.add_argument("--concept-labels", type=int, default=1176)
+    p_synth.add_argument("--concept-label-count", type=int, default=1176)
 
     p_stats = sub.add_parser("kb-stats", help="summarize a knowledge base file")
     _add_common(p_stats)

@@ -1,15 +1,21 @@
-"""LSTM question encoder plus the relation and answer-source classifiers.
+"""LSTM question encoder, the relation and answer-source classifiers, and
+the one minibatch training loop.
 
 Both classifiers embed and encode a question one token at a time with an
 LSTM, then linearly map the final hidden state to logits: a 13-way softmax
 for the relation, a single sigmoid logit for the answer source. They are
 trained separately with Adam on cross-entropy / binary cross-entropy.
+
+:func:`fit` is the training loop of every model, these two classifiers and
+the fact scorer alike: per epoch it permutes the examples, pads each
+minibatch of token ids, asks a loss callback for the batch loss on a fresh
+tape, then back-propagates, clips and takes one optimizer step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -17,7 +23,7 @@ from . import checkpoint as ckpt
 from .errors import DataError, UsageError
 from .kb import AnswerSource, Relation
 from .numerics import Tape, Tensor, constant, parameter
-from .optim import clip_gradients, make_optimizer, step
+from .optim import OptimizerState, clip_gradients, make_optimizer, step
 from .text import tokenize
 
 Array = np.ndarray
@@ -63,17 +69,22 @@ class Vocabulary:
         return ckpt.vocab_sha256(self.tokens)
 
 
+def _pad(encoded: Sequence[Sequence[int]]) -> tuple[Array, Array]:
+    """Right-padded id matrix plus true lengths."""
+    lengths = np.array([len(e) for e in encoded], dtype=np.intp)
+    ids = np.full((len(encoded), int(lengths.max())), PAD_ID, dtype=np.intp)
+    for i, e in enumerate(encoded):
+        ids[i, : len(e)] = e
+    return ids, lengths
+
+
 def encode_batch(vocab: Vocabulary, questions: Sequence[str], max_tokens: int) -> tuple[Array, Array]:
     """Right-padded id matrix plus true lengths; an empty question is an error."""
     encoded = [vocab.encode(q, max_tokens) for q in questions]
     for q, ids in zip(questions, encoded):
         if not ids:
             raise UsageError(f"question {q!r} has no tokens")
-    lengths = np.array([len(e) for e in encoded], dtype=np.intp)
-    ids = np.full((len(encoded), int(lengths.max())), PAD_ID, dtype=np.intp)
-    for i, e in enumerate(encoded):
-        ids[i, : len(e)] = e
-    return ids, lengths
+    return _pad(encoded)
 
 
 @dataclass
@@ -142,21 +153,6 @@ def lstm_hidden(
             c = tape.add(tape.mul(keep_new, c_new), tape.mul(keep_old, c))
             h = tape.add(tape.mul(keep_new, h_new), tape.mul(keep_old, h))
     return h
-
-
-def lstm_forward(
-    tape: Tape,
-    params: LSTMParams,
-    token_ids: Sequence[int],
-    train: bool = False,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> Tensor:
-    """Final hidden state of one sequence, shape (1, hidden)."""
-    ids = np.asarray(token_ids, dtype=np.intp)
-    if ids.ndim != 1 or ids.size == 0:
-        raise UsageError("lstm_forward needs a non-empty token id sequence")
-    return lstm_hidden(tape, params, ids[None, :], np.array([ids.size]), train, dropout_rate, rng)
 
 
 # ----------------------------------------------------------------------
@@ -367,41 +363,67 @@ def train_source_classifier(
     return clf, history
 
 
-def _train_loop(clf, questions, labels, cfg, heldout, kind) -> list[dict]:
-    params = clf.named_params()
-    opt = make_optimizer("adam", cfg.lr)
-    rng = np.random.default_rng([cfg.seed, 13])
-    encoded = [clf.vocab.encode(q, clf.max_tokens) for q in questions]
-    n = len(questions)
+def fit(
+    params: dict[str, Tensor],
+    encoded: Sequence[Sequence[int]],
+    opt: OptimizerState,
+    rng: np.random.Generator,
+    epochs: int,
+    batch_size: int,
+    clip_norm: float | None,
+    batch_loss: Callable[[Tape, int, Array, Array, Array], Tensor],
+    epoch_record: Callable[[int, float], dict],
+) -> list[dict]:
+    """Minibatch training over the token-id sequences ``encoded``.
+
+    Per epoch: draw a permutation from ``rng``, then for each batch pad its
+    ids and call ``batch_loss(tape, epoch, batch, ids, lengths)``, where
+    ``batch`` indexes ``encoded``; back-propagate the returned scalar, clip
+    the global gradient norm to ``clip_norm`` (when set) and step ``opt``.
+    ``epoch_record(epoch, mean_loss)`` gives the epoch's history record.
+    The permutation is drawn before any draw the callback makes from the
+    same generator, so a fixed seed fixes the whole run.
+    """
+    n = len(encoded)
     history: list[dict] = []
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         losses = []
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            lengths = np.array([len(encoded[i]) for i in batch], dtype=np.intp)
-            ids = np.full((len(batch), int(lengths.max())), PAD_ID, dtype=np.intp)
-            for row, i in enumerate(batch):
-                ids[row, : len(encoded[i])] = encoded[i]
+        for start in range(0, n, batch_size):
+            batch = order[start : start + batch_size]
+            ids, lengths = _pad([encoded[i] for i in batch])
             tape = Tape()
-            logits = _head_logits(tape, clf, ids, lengths, True, rng)
-            if kind == "relation":
-                loss = tape.softmax_cross_entropy(logits, labels[batch])
-            else:
-                loss = tape.binary_cross_entropy(logits, labels[batch])
+            loss = batch_loss(tape, epoch, batch, ids, lengths)
             tape.backward(loss)
-            if cfg.clip_norm:
-                clip_gradients(params, cfg.clip_norm)
+            if clip_norm:
+                clip_gradients(params, clip_norm)
             step(params, opt)
             losses.append(loss.item())
-        record = {"epoch": epoch, "loss": float(np.mean(losses))}
+        history.append(epoch_record(epoch, float(np.mean(losses))))
+    return history
+
+
+def _train_loop(clf, questions, labels, cfg, heldout, kind) -> list[dict]:
+    rng = np.random.default_rng([cfg.seed, 13])
+
+    def batch_loss(tape, epoch, batch, ids, lengths):
+        logits = _head_logits(tape, clf, ids, lengths, True, rng)
+        if kind == "relation":
+            return tape.softmax_cross_entropy(logits, labels[batch])
+        return tape.binary_cross_entropy(logits, labels[batch])
+
+    def epoch_record(epoch, loss):
+        record = {"epoch": epoch, "loss": loss}
         if heldout is not None:
             if kind == "relation":
                 record["heldout_top1"] = relation_accuracy(clf, heldout, 1)
             else:
                 record["heldout_acc"] = source_accuracy(clf, heldout)
-        history.append(record)
-    return history
+        return record
+
+    encoded = [clf.vocab.encode(q, clf.max_tokens) for q in questions]
+    return fit(clf.named_params(), encoded, make_optimizer("adam", cfg.lr), rng, cfg.epochs, cfg.batch_size,
+               cfg.clip_norm, batch_loss, epoch_record)
 
 
 def relation_accuracy(clf: RelationClassifier, pairs: Sequence[tuple[str, Relation]], k: int = 1) -> float:

@@ -81,11 +81,6 @@ class Fact:
         object.__setattr__(self, "object_norm", normalize_phrase(self.obj))
 
 
-def rel(fact: Fact) -> Relation:
-    """The relation of a fact triplet."""
-    return fact.relation
-
-
 class KnowledgeBase:
     """Immutable fact store with an id index and a relation index."""
 

@@ -361,38 +361,14 @@ class Tape:
 
         return self._emit(scores, (x,), backward)
 
-    def hinge(self, scores: Tensor, gt_index: int, margin: float = 1.0) -> Tensor:
-        """Structured hinge over one candidate set.
-
-        ``max_j(task_loss_j + s_j) - s_gt`` with task loss ``margin`` for every
-        candidate except the groundtruth (task loss 0 there), so the result is
-        never negative. The subgradient touches only the argmax candidate and
-        the groundtruth entry.
-        """
-        if scores.ndim != 1:
-            raise ShapeError(f"hinge needs a 1-d score vector, got {scores.shape}")
-        n = scores.shape[0]
-        if not 0 <= gt_index < n:
-            raise UsageError(f"gt_index {gt_index} out of range for {n} candidates")
-        if not np.isfinite(scores.values[gt_index]):
-            raise DegenerateInputError("groundtruth candidate has a non-finite score")
-        aug = scores.values + margin
-        aug[gt_index] = scores.values[gt_index]
-        j = int(np.argmax(aug))
-        values = np.asarray(aug[j] - scores.values[gt_index])
-
-        def backward(g: Array) -> None:
-            if scores.requires_grad:
-                gs = float(g)
-                d = np.zeros(n)
-                d[j] += gs
-                d[gt_index] -= gs
-                _accumulate(scores, d)
-
-        return self._emit(values, (scores,), backward)
-
     def hinge_mean(self, scores: Tensor, gt_indices, margin: float = 1.0) -> Tensor:
-        """Mean structured hinge over a batch of candidate rows."""
+        """Mean structured hinge over a batch of candidate rows.
+
+        Per row, ``max_j(task_loss_j + s_j) - s_gt`` with task loss ``margin``
+        for every candidate except the groundtruth (task loss 0 there), so the
+        result is never negative. The subgradient touches only each row's
+        argmax candidate and its groundtruth entry.
+        """
         gts = np.asarray(gt_indices, dtype=np.intp)
         if scores.ndim != 2:
             raise ShapeError(f"hinge_mean needs a 2-d score matrix, got {scores.shape}")
@@ -442,12 +418,3 @@ class Tape:
             if out.grad is not None:
                 bwd(out.grad)
 
-
-def zero_grads(params) -> None:
-    """Reset gradient buffers of an iterable or mapping of tensors."""
-    values = params.values() if hasattr(params, "values") else params
-    for p in values:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.values)
-        else:
-            p.grad[...] = 0.0

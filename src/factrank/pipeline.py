@@ -6,6 +6,10 @@ bucket by cosine against the image-question embedding, and the source
 classifier decides whether the top fact's subject or object is the
 answer. An empty relation bucket is a reported "no_fact" outcome, never a
 crash, and counts as wrong during evaluation.
+
+One private core, :func:`_predict`, runs this for a batch of questions:
+:func:`evaluate` calls it on a dataset fold and tallies the metrics, and
+:func:`answer_question` calls it on a batch of one.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .encoders import (
 )
 from .errors import UsageError
 from .kb import AnswerSource, Fact, KnowledgeBase, Relation
-from .scorer import ScorerParams, embed_batch, embed_image_question, rank_candidates
+from .scorer import ScorerParams, embed_batch, rank_candidates
 from .wordvec import FactMatrix
 
 Array = np.ndarray
@@ -119,11 +123,65 @@ def answers_match(predicted: str | None, expected: str, normalize: bool = True) 
     return predicted == expected
 
 
-def _candidate_ids(kb: KnowledgeBase, relations: Sequence[Relation]) -> list[str]:
-    ids: list[str] = []
-    for r in relations:
-        ids.extend(kb.ids_with_relation(r))
-    return ids
+def _predict(
+    models: PipelineModels,
+    kb: KnowledgeBase,
+    questions: Sequence[str],
+    feats: Array,
+    concepts: Array,
+    ids: Sequence[tuple[str, str]],
+    oracle_relations: Sequence[Relation] | None,
+    oracle_sources: Sequence[AnswerSource] | None,
+    k: int,
+    tie_break: str,
+    rng: np.random.Generator | None,
+) -> list[tuple[Prediction, list[tuple[str, float]]]]:
+    """Predict a batch of questions; ``ids`` holds (question id, image id).
+
+    Returns each question's prediction, whose ``top_facts`` keeps ``k``
+    entries, together with its top ``max(k, 3)`` ranked facts, so metrics
+    at 3 never depend on ``k``. Oracle sequences replace the corresponding
+    classifier's predictions.
+    """
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
+    if oracle_relations is not None:
+        ranked_relations = [[(r, 1.0)] for r in oracle_relations]
+    else:
+        if models.relation is None:
+            raise UsageError("no relation classifier loaded and no oracle relation given")
+        ranked_relations = []
+        for row in predict_relation_batch(models.relation, questions):
+            order = sorted(range(len(RELATIONS)), key=lambda j: (-row[j], j))
+            ranked_relations.append([(RELATIONS[j], float(row[j])) for j in order[:3]])
+    if oracle_sources is not None:
+        sources = [(s, 1.0) for s in oracle_sources]
+    else:
+        if models.source is None:
+            raise UsageError("no source classifier loaded and no oracle source given")
+        sources = [
+            (AnswerSource.IMAGE if p >= 0.5 else AnswerSource.KNOWLEDGE_BASE, float(p))
+            for p in predict_source_batch(models.source, questions)
+        ]
+    iq_mat = embed_batch(models.scorer, feats, concepts, questions)
+
+    out = []
+    for (question_id, image_id), relations, (source, source_prob), iq in zip(ids, ranked_relations, sources, iq_mat):
+        pool = kb.ids_with_relation(relations[0][0])
+        top = rank_candidates(iq, pool, models.fact_matrix, max(k, 3), tie_break, rng) if pool else []
+        prediction = Prediction(
+            question_id=question_id,
+            image_id=image_id,
+            status="ok" if top else "no_fact",
+            relation=relations[0][0],
+            relation_probs=relations,
+            source=source,
+            source_prob=source_prob,
+            top_facts=top[:k],
+            answer=extract_answer(kb.fact(top[0][0]), source) if top else None,
+        )
+        out.append((prediction, top))
+    return out
 
 
 def answer_question(
@@ -137,63 +195,28 @@ def answer_question(
     image_id: str = "",
     oracle_relation: Relation | None = None,
     oracle_source: AnswerSource | None = None,
-    top_m_relations: int = 1,
     tie_break: str = "id",
     rng: np.random.Generator | None = None,
 ) -> Prediction:
     """Answer one question with the frozen model bundle.
 
-    The candidate pool is the top predicted relation's bucket; passing
-    ``top_m_relations > 1`` widens it to the union of the top-m buckets.
-    Oracle arguments replace the corresponding classifier's prediction.
+    The candidate pool is the top predicted relation's bucket. Oracle
+    arguments replace the corresponding classifier's prediction.
     """
-    if top_m_relations < 1:
-        raise UsageError("top_m_relations must be >= 1")
-    if oracle_relation is not None:
-        ranked_relations = [(oracle_relation, 1.0)]
-    else:
-        if models.relation is None:
-            raise UsageError("no relation classifier loaded and no oracle relation given")
-        probs = predict_relation_batch(models.relation, [question])[0]
-        order = sorted(range(len(RELATIONS)), key=lambda i: (-probs[i], i))
-        ranked_relations = [(RELATIONS[i], float(probs[i])) for i in order]
-    if oracle_source is not None:
-        source, source_prob = oracle_source, 1.0
-    else:
-        if models.source is None:
-            raise UsageError("no source classifier loaded and no oracle source given")
-        p = float(predict_source_batch(models.source, [question])[0])
-        source = AnswerSource.IMAGE if p >= 0.5 else AnswerSource.KNOWLEDGE_BASE
-        source_prob = p
-
-    relation_hat = ranked_relations[0][0]
-    pool = _candidate_ids(kb, [r for r, _ in ranked_relations[:top_m_relations]])
-    if not pool:
-        return Prediction(
-            question_id=question_id,
-            image_id=image_id,
-            status="no_fact",
-            relation=relation_hat,
-            relation_probs=ranked_relations[:3],
-            source=source,
-            source_prob=source_prob,
-            top_facts=[],
-            answer=None,
-        )
-    iq = embed_image_question(models.scorer, feat, concepts, question)
-    top = rank_candidates(iq, pool, models.fact_matrix, k, tie_break, rng)
-    answer = extract_answer(kb.fact(top[0][0]), source)
-    return Prediction(
-        question_id=question_id,
-        image_id=image_id,
-        status="ok",
-        relation=relation_hat,
-        relation_probs=ranked_relations[:3],
-        source=source,
-        source_prob=source_prob,
-        top_facts=top,
-        answer=answer,
+    [(prediction, _)] = _predict(
+        models,
+        kb,
+        [question],
+        np.asarray(feat)[None, :],
+        np.asarray(concepts)[None, :],
+        [(question_id, image_id)],
+        None if oracle_relation is None else [oracle_relation],
+        None if oracle_source is None else [oracle_source],
+        k,
+        tie_break,
+        rng,
     )
+    return prediction
 
 
 def evaluate(
@@ -210,98 +233,47 @@ def evaluate(
 ) -> tuple[Metrics, list[Prediction]]:
     """Score a dataset fold and return per-question predictions.
 
-    Relation and source predictions run batched; ranking uses the exact
-    per-candidate cosine path. With the default deterministic tie-break the
-    whole evaluation is a pure function of its inputs. Oracle switches feed
-    the groundtruth relation and/or source through the pipeline instead of
-    the classifier predictions.
+    Relation, source and embedding predictions run batched; ranking uses
+    the exact per-candidate cosine path. With the default deterministic
+    tie-break the whole evaluation is a pure function of its inputs. Oracle
+    switches feed the groundtruth relation and/or source through the
+    pipeline instead of the classifier predictions.
 
     Top-3 answer accuracy derives one answer from each of the top three
-    facts using the single predicted source.
+    facts using the single predicted source. Every metric comes from the
+    top three facts whatever ``k``, which only sets how many facts each
+    prediction lists.
     """
     if not instances:
         raise UsageError("evaluate needs at least one instance")
-    questions = [i.question for i in instances]
-    if oracle_relation:
-        relation_orders = [[RELATIONS.index(i.relation)] for i in instances]
-        relation_probs = None
-    else:
-        if models.relation is None:
-            raise UsageError("no relation classifier loaded; use oracle_relation=True")
-        relation_probs = predict_relation_batch(models.relation, questions)
-        relation_orders = [
-            sorted(range(len(RELATIONS)), key=lambda j: (-relation_probs[i, j], j))
-            for i in range(len(instances))
-        ]
-    if oracle_source:
-        sources = [i.source for i in instances]
-        source_probs = [1.0] * len(instances)
-    else:
-        if models.source is None:
-            raise UsageError("no source classifier loaded; use oracle_source=True")
-        source_probs = predict_source_batch(models.source, questions)
-        sources = [
-            AnswerSource.IMAGE if p >= 0.5 else AnswerSource.KNOWLEDGE_BASE for p in source_probs
-        ]
-
     feats, cons = store.stack([i.image_id for i in instances])
-    iq_mat = embed_batch(models.scorer, feats, cons, questions)
-
-    predictions: list[Prediction] = []
+    results = _predict(
+        models,
+        kb,
+        [i.question for i in instances],
+        feats,
+        cons,
+        [(i.question_id, i.image_id) for i in instances],
+        [i.relation for i in instances] if oracle_relation else None,
+        [i.source for i in instances] if oracle_source else None,
+        k,
+        tie_break,
+        rng,
+    )
     ans1 = ans3 = fact1 = fact3 = rel1 = rel3 = src = no_fact = 0
-    for idx, inst in enumerate(instances):
-        order = relation_orders[idx]
-        relation_hat = RELATIONS[order[0]]
-        ranked_rel = [
-            (RELATIONS[j], 1.0 if relation_probs is None else float(relation_probs[idx, j]))
-            for j in order[:3]
-        ]
-        if inst.relation in (r for r, _ in ranked_rel[:1]):
-            rel1 += 1
-        if inst.relation in (r for r, _ in ranked_rel[:3]):
-            rel3 += 1
-        if sources[idx] is inst.source:
-            src += 1
-        pool = kb.ids_with_relation(relation_hat)
-        if not pool:
+    for inst, (p, top) in zip(instances, results):
+        rel1 += p.relation is inst.relation
+        rel3 += inst.relation in [r for r, _ in p.relation_probs]
+        src += p.source is inst.source
+        if not top:
             no_fact += 1
-            predictions.append(
-                Prediction(
-                    question_id=inst.question_id,
-                    image_id=inst.image_id,
-                    status="no_fact",
-                    relation=relation_hat,
-                    relation_probs=ranked_rel,
-                    source=sources[idx],
-                    source_prob=float(source_probs[idx]),
-                    top_facts=[],
-                    answer=None,
-                )
-            )
             continue
-        top = rank_candidates(iq_mat[idx], pool, models.fact_matrix, k, tie_break, rng)
-        answers = [extract_answer(kb.fact(fid), sources[idx]) for fid, _ in top[:3]]
-        if top[0][0] == inst.fact_id:
-            fact1 += 1
-        if inst.fact_id in [fid for fid, _ in top[:3]]:
-            fact3 += 1
-        if answers and answers_match(answers[0], inst.answer, normalize_answers):
-            ans1 += 1
-        if any(answers_match(a, inst.answer, normalize_answers) for a in answers):
-            ans3 += 1
-        predictions.append(
-            Prediction(
-                question_id=inst.question_id,
-                image_id=inst.image_id,
-                status="ok",
-                relation=relation_hat,
-                relation_probs=ranked_rel,
-                source=sources[idx],
-                source_prob=float(source_probs[idx]),
-                top_facts=top,
-                answer=answers[0] if answers else None,
-            )
-        )
+        top3 = [fid for fid, _ in top[:3]]
+        answers = [extract_answer(kb.fact(fid), p.source) for fid in top3]
+        fact1 += top3[0] == inst.fact_id
+        fact3 += inst.fact_id in top3
+        ans1 += answers_match(answers[0], inst.answer, normalize_answers)
+        ans3 += any(answers_match(a, inst.answer, normalize_answers) for a in answers)
     n = len(instances)
     metrics = Metrics(
         answer_at1=ans1 / n,
@@ -314,31 +286,7 @@ def evaluate(
         count=n,
         no_fact_count=no_fact,
     )
-    return metrics, predictions
-
-
-def ablate(
-    models: PipelineModels,
-    kb: KnowledgeBase,
-    instances: Sequence[QAInstance],
-    store: FeatureStore,
-    variant,
-    **kwargs,
-) -> tuple[Metrics, list[Prediction]]:
-    """Evaluate with the scorer's input masking forced to ``variant``.
-
-    The scorer should normally have been trained with the same variant;
-    this override exists for masking-behaviour checks.
-    """
-    from dataclasses import replace
-
-    swapped = PipelineModels(
-        scorer=replace(models.scorer, variant=variant),
-        fact_matrix=models.fact_matrix,
-        relation=models.relation,
-        source=models.source,
-    )
-    return evaluate(swapped, kb, instances, store, **kwargs)
+    return metrics, [p for p, _ in results]
 
 
 def average_metrics(per_fold: dict[int, Metrics]) -> dict:

@@ -174,9 +174,7 @@ def iq_embedding_batch(
 
 def embed_image_question(params: ScorerParams, feat: Array, concepts: Array, question: str) -> Array:
     """Evaluation-mode embedding of one (image, question) pair."""
-    ids, lengths = encode_batch(params.vocab, [question], params.max_tokens)
-    out = iq_embedding_batch(Tape(), params, np.asarray(feat)[None, :], np.asarray(concepts)[None, :], ids, lengths)
-    return out.values[0].copy()
+    return embed_batch(params, np.asarray(feat)[None, :], np.asarray(concepts)[None, :], [question])[0]
 
 
 def embed_batch(params: ScorerParams, feats: Array, concepts: Array, questions: Sequence[str], chunk: int = 256) -> Array:
@@ -257,22 +255,6 @@ def rank_candidates(
     else:
         raise UsageError(f"unknown tie_break {tie_break!r}")
     return [(candidate_ids[i], float(scores[i])) for i in order[:k]]
-
-
-def rank_facts(
-    params: ScorerParams,
-    candidate_ids: Sequence[str],
-    fact_matrix: FactMatrix,
-    feat: Array,
-    concepts: Array,
-    question: str,
-    k: int,
-    tie_break: str = "id",
-    rng: np.random.Generator | None = None,
-) -> list[tuple[str, float]]:
-    """Embed the (image, question) pair and rank the candidates against it."""
-    iq = embed_image_question(params, feat, concepts, question)
-    return rank_candidates(iq, candidate_ids, fact_matrix, k, tie_break, rng)
 
 
 def score_matrix(iq_mat: Array, fact_matrix: FactMatrix) -> Array:

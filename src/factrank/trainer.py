@@ -9,10 +9,12 @@ negatives. Within an iteration the structured hinge
 
     max_f { task_loss(f*, f) + S(f) } - S(f*)
 
-is minimized by minibatch Adam with decoupled weight decay. The
-groundtruth fact sits inside the max with task loss 0, so the loss is
-never negative. Weights carry over between iterations by default; a
-fresh-start mode is available behind a switch.
+is minimized by minibatch Adam with decoupled weight decay, one run of
+:func:`encoders.fit` per iteration; its loss callback gathers each batch's
+candidate rows, applies ``Tape.hinge_mean`` and harvests the mining
+pools. The groundtruth fact sits inside the max with task loss 0, so the
+loss is never negative. Weights carry over between iterations by default;
+a fresh-start mode is available behind a switch.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import numpy as np
 from .dataio import FeatureStore, QAInstance
 from .errors import DataError, UsageError
 from .kb import KnowledgeBase
-from .numerics import Tape
-from .optim import clip_gradients, make_optimizer, step
+from .optim import make_optimizer
 from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, score_matrix
-from .encoders import PAD_ID, Vocabulary
+from .encoders import Vocabulary, fit
 from .wordvec import FactMatrix, WordVectorTable
 
 Array = np.ndarray
@@ -92,23 +93,6 @@ class MiningState:
         return sum(len(p) for p in self.pools.values())
 
 
-def hinge_loss(scores: Sequence[float], gt_index: int, margin: float = 1.0) -> float:
-    """Structured hinge over one candidate score vector (no gradients).
-
-    The groundtruth enters the max with task loss 0 and every other
-    candidate with task loss ``margin``, so the result is >= 0 and equals 0
-    exactly when every negative clears the margin.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise UsageError("hinge_loss needs a non-empty 1-d score vector")
-    if not 0 <= gt_index < s.size:
-        raise UsageError(f"gt_index {gt_index} out of range for {s.size} candidates")
-    aug = s + margin
-    aug[gt_index] = s[gt_index]
-    return float(aug.max() - s[gt_index])
-
-
 def build_initial_dataset(
     instances: Sequence[QAInstance],
     kb: KnowledgeBase,
@@ -138,24 +122,26 @@ def build_initial_dataset(
 
 
 def mine_hard_negatives(
+    pools: dict[str, dict[str, float]],
     state: MiningState,
     current: Sequence[CandidateSet],
     kb: KnowledgeBase,
     negatives: int,
     rng: np.random.Generator,
 ) -> list[CandidateSet]:
-    """Next-iteration candidate sets from the mined pools.
+    """Next-iteration candidate sets from the previous iteration's ``pools``.
 
     Per key: the highest-scoring pooled wrong facts, topped up with uniform
-    random negatives when the pool is short (an empty pool falls back to
-    all-random and is counted on the state). The groundtruth is always kept
-    and never appears among the negatives.
+    random negatives when the pool is short. An empty pool falls back to
+    all-random and is counted on ``state``, the state of the iteration the
+    new sets are for. The groundtruth is always kept and never appears
+    among the negatives.
     """
     all_ids = kb.fact_ids()
     new_sets = []
     for cs in current:
         n = min(negatives, len(all_ids) - 1)
-        pool = state.pools.get(cs.question_id, {})
+        pool = pools.get(cs.question_id, {})
         entries = [(fid, s) for fid, s in pool.items() if fid != cs.gt_fact_id]
         entries.sort(key=lambda e: (-e[1], e[0]))
         chosen = [fid for fid, _ in entries[:n]]
@@ -241,7 +227,6 @@ def train_scorer(
         max_tokens=config.max_question_tokens,
     )
 
-    n = len(train_instances)
     feats, cons = store.stack([i.image_id for i in train_instances])
     encoded = [vocab.encode(i.question, config.max_question_tokens) for i in train_instances]
     for inst, ids in zip(train_instances, encoded):
@@ -254,12 +239,12 @@ def train_scorer(
     sets: list[CandidateSet] = []
 
     for t in range(config.iterations + 1):
+        state = MiningState(iteration=t)
         if t == 0:
             sets = build_initial_dataset(train_instances, kb, config.negatives, config.seed)
         else:
-            sets = mine_hard_negatives(mining_states[-1], sets, kb, config.negatives, rng_mine)
+            sets = mine_hard_negatives(mining_states[-1].pools, state, sets, kb, config.negatives, rng_mine)
         candidate_history.append(sets)
-        state = MiningState(iteration=t)
         if config.reinitialize_each_iteration and t > 0:
             params = ScorerParams.init(
                 vocab,
@@ -269,45 +254,26 @@ def train_scorer(
                 variant=config.variant,
                 max_tokens=config.max_question_tokens,
             )
-        named = params.named_params()
-        opt = make_optimizer("adam", config.lr, weight_decay=config.weight_decay)
         cand_idx = np.array(
             [[fact_matrix.row_of[fid] for fid in cs.candidate_ids()] for cs in sets], dtype=np.intp
         )
 
-        for epoch in range(1, config.epochs_per_iteration + 1):
-            harvest = epoch % config.mining_period == 0
-            order = rng_train.permutation(n)
-            losses = []
-            for start in range(0, n, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                lengths = np.array([len(encoded[i]) for i in batch], dtype=np.intp)
-                ids = np.full((len(batch), int(lengths.max())), PAD_ID, dtype=np.intp)
-                for row, i in enumerate(batch):
-                    ids[row, : len(encoded[i])] = encoded[i]
-                tape = Tape()
-                iq = iq_embedding_batch(
-                    tape, params, feats[batch], cons[batch], ids, lengths, train=True, rng=rng_train
-                )
-                scores = tape.cosine_rows(iq, fact_matrix.rows[cand_idx[batch]])
-                loss = tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
-                tape.backward(loss)
-                if config.clip_norm:
-                    clip_gradients(named, config.clip_norm)
-                step(named, opt)
-                losses.append(loss.item())
-                if harvest:
-                    _harvest_pools(state, sets, batch, scores.values, config.margin)
-            record = {
-                "type": "epoch",
-                "iteration": t,
-                "epoch": epoch,
-                "loss": float(np.mean(losses)),
-                "pool_size": state.pool_total(),
-            }
+        def batch_loss(tape, epoch, batch, ids, lengths):
+            iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, train=True, rng=rng_train)
+            scores = tape.cosine_rows(iq, fact_matrix.rows[cand_idx[batch]])
+            if epoch % config.mining_period == 0:
+                _harvest_pools(state, sets, batch, scores.values, config.margin)
+            return tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
+
+        def epoch_record(epoch, loss):
+            record = {"type": "epoch", "iteration": t, "epoch": epoch, "loss": loss, "pool_size": state.pool_total()}
             if heldout:
                 record.update(fact_precision(params, heldout, store, fact_matrix))
-            metrics.append(record)
+            return record
+
+        opt = make_optimizer("adam", config.lr, weight_decay=config.weight_decay)
+        metrics += fit(params.named_params(), encoded, opt, rng_train, config.epochs_per_iteration,
+                       config.batch_size, config.clip_norm, batch_loss, epoch_record)
         summary = {
             "type": "iteration",
             "iteration": t,

@@ -137,13 +137,3 @@ class FactMatrix:
 
     def row(self, fact_id: str) -> Array:
         return self.rows[self.row_of[fact_id]]
-
-    def gather(self, fact_ids) -> Array:
-        """Rows for a sequence (or nested sequence) of fact ids."""
-        idx = np.asarray(
-            [[self.row_of[f] for f in row] for row in fact_ids]
-            if fact_ids and isinstance(fact_ids[0], (list, tuple))
-            else [self.row_of[f] for f in fact_ids],
-            dtype=np.intp,
-        )
-        return self.rows[idx]

@@ -14,7 +14,6 @@ from factrank.encoders import (
     Vocabulary,
     encode_batch,
     load_classifier,
-    lstm_forward,
     lstm_hidden,
     predict_relation,
     predict_relation_batch,
@@ -101,30 +100,30 @@ def test_lstm_zero_weights_gives_zero_hidden():
     params = LSTMParams.init(np.random.default_rng(0), 6, 3, 4)
     for t in params.named_params().values():
         t.values[...] = 0.0
-    out = lstm_forward(Tape(), params, [1, 2, 3])
+    out = lstm_hidden(Tape(), params, np.array([[1, 2, 3]]), np.array([3]))
     np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
 
 
 def test_lstm_sequence_length_changes_state():
     params = LSTMParams.init(np.random.default_rng(1), 6, 3, 4)
-    h1 = lstm_forward(Tape(), params, [2]).values
-    h2 = lstm_forward(Tape(), params, [2, 2]).values
+    h1 = lstm_hidden(Tape(), params, np.array([[2]]), np.array([1])).values
+    h2 = lstm_hidden(Tape(), params, np.array([[2, 2]]), np.array([2])).values
     assert not np.allclose(h1, h2)
 
 
 def test_lstm_empty_sequence_rejected():
     params = LSTMParams.init(np.random.default_rng(2), 6, 3, 4)
     with pytest.raises(UsageError):
-        lstm_forward(Tape(), params, [])
+        lstm_hidden(Tape(), params, np.zeros((1, 0), dtype=np.intp), np.array([0]))
 
 
 def test_lstm_grad_matches_finite_differences():
     params = LSTMParams.init(np.random.default_rng(3), 7, 3, 4)
-    ids = [2, 5, 1]
+    ids = np.array([[2, 5, 1]])
 
     def forward():
         t = Tape()
-        return t.tensor_sum(t.tanh(lstm_forward(t, params, ids)))
+        return t.tensor_sum(t.tanh(lstm_hidden(t, params, ids, np.array([3]))))
 
     assert check_grads(forward, params.named_params(), tol=1e-4) <= 1e-4
 
@@ -138,11 +137,11 @@ def test_lstm_grad_matches_finite_differences():
 def test_property_lstm_grads(seq_len, hidden, seed):
     rng = np.random.default_rng(seed)
     params = LSTMParams.init(rng, 9, 4, hidden)
-    ids = rng.integers(0, 9, size=seq_len)
+    ids = rng.integers(0, 9, size=(1, seq_len))
 
     def forward():
         t = Tape()
-        return t.tensor_sum(lstm_forward(t, params, ids))
+        return t.tensor_sum(lstm_hidden(t, params, ids, np.array([seq_len])))
 
     check_grads(forward, params.named_params(), tol=1e-4)
 
@@ -162,7 +161,7 @@ def test_lstm_batch_rows_match_single_runs():
         ids[i, : len(s)] = s
     batch = lstm_hidden(Tape(), params, ids, np.array([3, 1, 2])).values
     for i, s in enumerate(seqs):
-        single = lstm_forward(Tape(), params, s).values[0]
+        single = lstm_hidden(Tape(), params, np.array([s]), np.array([len(s)])).values[0]
         np.testing.assert_allclose(batch[i], single, atol=1e-12)
 
 

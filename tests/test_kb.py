@@ -10,7 +10,6 @@ from factrank.kb import (
     Relation,
     kb_stats,
     parse_kb,
-    rel,
     serialize_kb,
 )
 
@@ -94,14 +93,6 @@ def test_parse_kb_comparative_folds_suffix_into_object(tmp_path):
     fact = parse_kb(path).fact("f1")
     assert fact.relation is Relation.COMPARATIVE
     assert fact.obj == "LargerThan Ant"
-
-
-def test_rel_returns_relation_and_is_pure():
-    cat = Fact("f1", "Cat", Relation.CAPABLE_OF, "Climbing")
-    dog = Fact("f2", "Dog", Relation.IS_A, "Pet")
-    assert rel(cat) is Relation.CAPABLE_OF
-    assert rel(dog) is Relation.IS_A
-    assert rel(cat) is rel(cat)
 
 
 def test_facts_with_relation_filters(tiny_kb):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrank.errors import DegenerateInputError, ShapeError, UsageError
-from factrank.numerics import Tape, Tensor, constant, parameter, zero_grads
+from factrank.numerics import Tape, Tensor, constant, parameter
 from gradcheck import check_grads, fd_grad, rel_err
 
 
@@ -305,28 +305,28 @@ def test_slice_cols_grad():
 
 def test_hinge_margin_satisfied_is_zero():
     t = Tape()
-    loss = t.hinge(constant([0.9, -0.1]), gt_index=0, margin=1.0)
+    loss = t.hinge_mean(constant([[0.9, -0.1]]), [0], margin=1.0)
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hinge_violated_margin_value():
     t = Tape()
-    loss = t.hinge(constant([0.2, 0.5]), gt_index=0, margin=1.0)
+    loss = t.hinge_mean(constant([[0.2, 0.5]]), [0], margin=1.0)
     assert loss.item() == pytest.approx(1.3, abs=1e-12)
 
 
 def test_hinge_single_candidate_is_zero():
     t = Tape()
-    assert t.hinge(constant([0.37]), gt_index=0).item() == 0.0
+    assert t.hinge_mean(constant([[0.37]]), [0]).item() == 0.0
 
 
 def test_hinge_grad_matches_finite_differences():
     rng = np.random.default_rng(10)
-    scores = parameter(rng.standard_normal(5))
+    scores = parameter(rng.standard_normal((1, 5)))
 
     def forward():
         t = Tape()
-        return t.hinge(scores, gt_index=2, margin=1.0)
+        return t.hinge_mean(scores, [2], margin=1.0)
 
     assert check_grads(forward, {"scores": scores}, tol=1e-6) <= 1e-6
 
@@ -337,7 +337,7 @@ def test_hinge_mean_matches_per_row_hinges():
     gts = rng.integers(0, 7, size=6)
     t = Tape()
     batched = t.hinge_mean(constant(scores), gts).item()
-    rows = [Tape().hinge(constant(scores[i]), int(gts[i])).item() for i in range(6)]
+    rows = [Tape().hinge_mean(constant(scores[i : i + 1]), gts[i : i + 1]).item() for i in range(6)]
     assert batched == pytest.approx(np.mean(rows), abs=1e-12)
 
 
@@ -420,14 +420,6 @@ def test_property_forward_outputs_finite(seed):
     z = constant(rng.standard_normal(6) * 500.0)
     y = rng.integers(0, 2, size=6).astype(float)
     assert np.isfinite(Tape().binary_cross_entropy(z, y).item())
-
-
-def test_zero_grads_resets_buffers():
-    x = parameter(np.ones(3))
-    t = Tape()
-    t.backward(t.tensor_sum(x))
-    zero_grads({"x": x})
-    np.testing.assert_array_equal(x.grad, np.zeros(3))
 
 
 def test_tensor_invariants():

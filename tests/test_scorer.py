@@ -18,7 +18,6 @@ from factrank.scorer import (
     iq_embedding_batch,
     load_scorer,
     rank_candidates,
-    rank_facts,
     save_scorer,
     score,
     score_matrix,
@@ -274,11 +273,10 @@ def test_rank_facts_end_to_end(tiny_fact_matrix, tiny_kb):
                    mlp1=6, mlp2=4, concept_dim=6, concept_proj=4, output_dim=8),
     )
     rng = np.random.default_rng(24)
-    top = rank_facts(
-        params, tiny_kb.fact_ids(), tiny_fact_matrix,
-        rng.standard_normal(8), (rng.random(6) < 0.5).astype(float),
-        "what is shade used for", k=3,
+    iq = embed_image_question(
+        params, rng.standard_normal(8), (rng.random(6) < 0.5).astype(float), "what is shade used for"
     )
+    top = rank_candidates(iq, tiny_kb.fact_ids(), tiny_fact_matrix, k=3)
     assert len(top) == 3
     assert top[0][1] >= top[1][1] >= top[2][1]
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from factrank.dataio import load_dataset, split_fold
 from factrank.errors import DataError, UsageError
 from factrank.kb import Fact, KnowledgeBase, Relation
+from factrank.numerics import Tape, constant
 from factrank.scorer import Variant, embed_batch, rank_candidates
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.trainer import (
@@ -14,7 +15,6 @@ from factrank.trainer import (
     MiningState,
     build_initial_dataset,
     fact_precision,
-    hinge_loss,
     mine_hard_negatives,
     train_scorer,
 )
@@ -43,8 +43,12 @@ def tiny_synth(tmp_path_factory):
 
 
 # ----------------------------------------------------------------------
-# hinge loss
+# hinge loss (the training loss, Tape.hinge_mean, on one candidate row)
 # ----------------------------------------------------------------------
+
+
+def hinge_loss(scores, gt_index, margin=1.0):
+    return Tape().hinge_mean(constant([scores]), [gt_index], margin).item()
 
 
 def test_hinge_loss_margin_exactly_satisfied():
@@ -123,8 +127,7 @@ def test_mining_selects_top_scored_pool_entries():
     current = [CandidateSet("q0", "i0", "f000", [f"f{i:03d}" for i in range(1, 100)])]
     rng = np.random.default_rng(2)
     pool = {f"f{i:03d}": float(300 - i) for i in range(1, 201)}  # 200 wrong facts, descending score
-    state = MiningState(iteration=0, pools={"q0": pool})
-    mined = mine_hard_negatives(state, current, kb, negatives=99, rng=rng)
+    mined = mine_hard_negatives({"q0": pool}, MiningState(iteration=1), current, kb, negatives=99, rng=rng)
     assert mined[0].gt_fact_id == "f000"
     assert mined[0].negative_ids == [f"f{i:03d}" for i in range(1, 100)]  # the 99 best scores
     assert len(mined[0].candidate_ids()) == 100
@@ -134,8 +137,8 @@ def test_mining_never_inserts_groundtruth():
     kb = _chain_kb(50)
     current = [CandidateSet("q0", "i0", "f007", [f"f{i:03d}" for i in range(1, 5) if i != 7])]
     pool = {"f007": 99.0, "f001": 1.0}  # gt sneaks into the pool with a top score
-    state = MiningState(iteration=0, pools={"q0": pool})
-    mined = mine_hard_negatives(state, current, kb, negatives=10, rng=np.random.default_rng(3))
+    mined = mine_hard_negatives({"q0": pool}, MiningState(iteration=1), current, kb, negatives=10,
+                                rng=np.random.default_rng(3))
     assert "f007" not in mined[0].negative_ids
     assert mined[0].gt_fact_id == "f007"
 
@@ -143,8 +146,8 @@ def test_mining_never_inserts_groundtruth():
 def test_mining_empty_pool_falls_back_to_random():
     kb = _chain_kb(40)
     current = [CandidateSet("q0", "i0", "f000", ["f001", "f002"])]
-    state = MiningState(iteration=0, pools={})
-    mined = mine_hard_negatives(state, current, kb, negatives=5, rng=np.random.default_rng(4))
+    state = MiningState(iteration=1)
+    mined = mine_hard_negatives({}, state, current, kb, negatives=5, rng=np.random.default_rng(4))
     assert state.empty_pool_fallbacks == 1
     assert len(mined[0].negative_ids) == 5
     assert "f000" not in mined[0].negative_ids
@@ -199,6 +202,18 @@ def test_train_scorer_structural_invariants(tiny_synth):
             assert len(cs.candidate_ids()) == 16
     iteration_records = [m for m in result.metrics if m["type"] == "iteration"]
     assert len(iteration_records) == 3
+
+
+def test_train_scorer_counts_fallbacks_on_the_iteration_they_fill(tiny_synth):
+    instances, store, kb, table = tiny_synth
+    # no epoch reaches the mining period, so every pool stays empty and all of
+    # iteration 1's candidate sets fall back to random negatives
+    cfg = MarginConfig(iterations=1, epochs_per_iteration=1, mining_period=2,
+                       negatives=5, batch_size=5, seed=6)
+    result = train_scorer(instances, kb, store, table, cfg)
+    summaries = [m for m in result.metrics if m["type"] == "iteration"]
+    assert [s["empty_pool_fallbacks"] for s in summaries] == [0, len(instances)]
+    assert [s.empty_pool_fallbacks for s in result.mining_states] == [0, len(instances)]
 
 
 def test_train_scorer_bitwise_deterministic(tiny_synth):
