@@ -21,6 +21,7 @@ import numpy as np
 from .errors import LoadError
 
 MAGIC = b"FRCKPT1\n"
+_HEADER_KEYS = ("format_version", "kind", "dims", "vocab", "vocab_sha256", "tensors")
 
 Array = np.ndarray
 
@@ -36,6 +37,25 @@ class Checkpoint:
     vocab: list[str]
     tensors: dict[str, Array]
     meta: dict
+    path: str = ""
+
+    def dim(self, name: str, kind: type = int):
+        """Header dimension ``name`` as ``kind``; LoadError naming the file if absent or malformed."""
+        try:
+            return kind(self.dims[name])
+        except (KeyError, TypeError, ValueError):
+            raise LoadError(f"{self.path}: header dims lack a valid {name!r}") from None
+
+    def check_shapes(self, shapes: dict[str, tuple[int, ...]]) -> None:
+        """LoadError naming the file unless the tensors are exactly ``shapes``."""
+        missing = sorted(set(shapes) - set(self.tensors))
+        extra = sorted(set(self.tensors) - set(shapes))
+        if missing or extra:
+            raise LoadError(f"{self.path}: missing tensors {missing}, unexpected tensors {extra}")
+        for name, shape in shapes.items():
+            got = self.tensors[name].shape
+            if got != tuple(shape):
+                raise LoadError(f"{self.path}: tensor {name!r} has shape {got}, expected {tuple(shape)}")
 
 
 def save_checkpoint(
@@ -74,33 +94,51 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint; any malformed, truncated or over-long file raises LoadError naming it."""
     path = Path(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise LoadError(f"{path}: not a checkpoint file (bad magic)")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
+        size = fh.read(8)
+        if len(size) != 8:
+            raise LoadError(f"{path}: truncated checkpoint header")
+        (header_len,) = struct.unpack("<Q", size)
+        blob = fh.read(header_len)
+        if len(blob) != header_len:
+            raise LoadError(f"{path}: truncated checkpoint header")
         try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
+            header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise LoadError(f"{path}: corrupt checkpoint header: {exc}") from None
-        if header.get("format_version") != 1:
-            raise LoadError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+        missing = [key for key in _HEADER_KEYS if not isinstance(header, dict) or key not in header]
+        if missing:
+            raise LoadError(f"{path}: checkpoint header lacks {missing}")
+        if header["format_version"] != 1:
+            raise LoadError(f"{path}: unsupported checkpoint version {header['format_version']}")
         vocab = list(header["vocab"])
         if vocab_sha256(vocab) != header["vocab_sha256"]:
             raise LoadError(f"{path}: vocabulary hash mismatch")
         tensors: dict[str, Array] = {}
         for rec in header["tensors"]:
-            shape = tuple(int(s) for s in rec["shape"])
+            try:
+                name, shape = str(rec["name"]), tuple(int(s) for s in rec["shape"])
+                if any(s < 0 for s in shape):
+                    raise ValueError(shape)
+            except (KeyError, TypeError, ValueError):
+                raise LoadError(f"{path}: malformed tensor record {rec!r}") from None
             count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * 8)
             if len(buf) != count * 8:
-                raise LoadError(f"{path}: truncated tensor {rec['name']!r}")
-            tensors[rec["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+                raise LoadError(f"{path}: truncated tensor {name!r}")
+            tensors[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        if fh.read(1):
+            raise LoadError(f"{path}: trailing bytes after the last tensor")
     return Checkpoint(
         kind=header["kind"],
         dims=header["dims"],
         vocab=vocab,
         tensors=tensors,
         meta=header.get("meta", {}),
+        path=str(path),
     )

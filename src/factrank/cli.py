@@ -1,14 +1,19 @@
 """Command-line entry point.
 
 Subcommands: train (relation | source | scorer), evaluate, answer, synth,
-kb-stats, convert-fvqa. Options come from an optional JSON config file
-with command-line flags taking precedence. Every command is deterministic
-given its config and seed; outputs are written atomically and embed the
-config hash, seed, and package version. Exit codes: 0 success, 1 runtime
+kb-stats, convert-fvqa. :class:`RunConfig` is the one option table: each
+of its fields is a key of the optional JSON ``--config`` file and a
+``--field-name`` flag (``-k`` for ``k``), and a flag overrides the file.
+A field's annotation is the type that both must have, its metadata gives
+the allowed choices and the subcommands that take the flag (every one,
+``train`` only or ``synth`` only). Every command is deterministic given
+its config and seed; outputs are written atomically and embed the config
+hash, seed, and package version. Exit codes: 0 success, 1 runtime
 failure, 2 usage or configuration error.
 
-Heavy imports happen inside the command handlers so a ``--threads`` cap
-can set the BLAS thread environment before numpy loads.
+Heavy imports happen inside the command handlers so that ``threads``,
+from a flag or the config file, sets the BLAS thread environment before
+numpy loads.
 """
 
 from __future__ import annotations
@@ -19,16 +24,25 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import __version__
 from .errors import FactrankError, UsageError
 
-VERSION = "0.1.0"
+_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _opt(default, scope: str = "all", choices: tuple | None = None):
+    """A table field whose flag only ``scope`` takes ("all", "train" or "synth")."""
+    return field(default=default, metadata={"scope": scope, "choices": choices})
 
 
 @dataclass
 class RunConfig:
+    """The one option table of the CLI (see the module docstring)."""
+
     # input and output paths
     kb: str | None = None
     qa: str | None = None
@@ -41,35 +55,46 @@ class RunConfig:
     # shared knobs
     seed: int = 0
     fold: int | None = None
-    variant: str = "q+i+vc"
+    variant: str = _opt("q+i+vc", choices=("q+i", "q+vc", "q+i+vc"))
     threads: int | None = None
-    tie_break: str = "id"
+    tie_break: str = _opt("id", choices=("id", "random"))
     k: int = 3
-    max_question_tokens: int = 30
+    max_question_tokens: int = _opt(30, "train")
     # relation classifier
-    relation_epochs: int = 50
-    relation_batch_size: int = 100
-    relation_lr: float = 1e-3
-    relation_dropout: float = 0.7
+    relation_epochs: int = _opt(50, "train")
+    relation_batch_size: int = _opt(100, "train")
+    relation_lr: float = _opt(1e-3, "train")
+    relation_dropout: float = _opt(0.7, "train")
     # source classifier
-    source_epochs: int = 50
-    source_batch_size: int = 100
-    source_lr: float = 1e-3
-    source_dropout: float = 0.5
+    source_epochs: int = _opt(50, "train")
+    source_batch_size: int = _opt(100, "train")
+    source_lr: float = _opt(1e-3, "train")
+    source_dropout: float = _opt(0.5, "train")
     # scorer / margin training
-    margin: float = 1.0
-    weight_decay: float = 1e-4
-    negatives: int = 99
+    margin: float = _opt(1.0, "train")
+    weight_decay: float = _opt(1e-4, "train")
+    negatives: int = _opt(99, "train")
     iterations: int = 2
-    epochs_per_iteration: int = 50
-    mining_period: int = 10
-    scorer_batch_size: int = 100
-    scorer_lr: float = 1e-3
-    scorer_dropout: float = 0.5
-    reinit_each_iteration: bool = False
+    epochs_per_iteration: int = _opt(50, "train")
+    mining_period: int = _opt(10, "train")
+    scorer_batch_size: int = _opt(100, "train")
+    scorer_lr: float = _opt(1e-3, "train")
+    scorer_dropout: float = _opt(0.5, "train")
+    reinit_each_iteration: bool = _opt(False, "train")
+    # synthetic corpus, with SyntheticConfig's defaults
+    vocab_size: int = _opt(60, "synth")
+    facts_per_relation: int = _opt(46, "synth")
+    qa_pairs: int = _opt(1000, "synth")
+    concept_signal: float = _opt(1.0, "synth")
+    image_answer_fraction: float = _opt(0.5, "synth")
+    distractor_concepts: int = _opt(2, "synth")
+    wordvec_dim: int = _opt(100, "synth")
+    feature_dim: int = _opt(2048, "synth")
+    concept_label_count: int = _opt(1176, "synth")
 
     @classmethod
     def load(cls, config_path: str | None, overrides: dict) -> "RunConfig":
+        """The config file's values, type-checked against the table, under the non-None ``overrides``."""
         values: dict = {}
         if config_path:
             path = Path(config_path)
@@ -79,11 +104,13 @@ class RunConfig:
                 loaded = json.loads(path.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
                 raise UsageError(f"--config: {path} is not valid JSON: {exc}") from None
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = sorted(set(loaded) - known)
+            if not isinstance(loaded, dict):
+                raise UsageError(f"--config: {path} must hold a JSON object")
+            fields = {f.name: f for f in dataclasses.fields(cls)}
+            unknown = sorted(set(loaded) - set(fields))
             if unknown:
                 raise UsageError(f"--config: unknown keys {unknown}")
-            values.update(loaded)
+            values.update({key: _checked(fields[key], value) for key, value in loaded.items()})
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
@@ -92,7 +119,28 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def meta(self) -> dict:
-        return {"config_hash": self.hash(), "seed": self.seed, "version": VERSION}
+        return {"config_hash": self.hash(), "seed": self.seed, "version": __version__}
+
+
+def _field_type(f: dataclasses.Field) -> tuple[type, bool]:
+    """(base type, whether None is allowed) of a table field's annotation."""
+    base, _, rest = f.type.partition(" | ")
+    return _TYPES[base], rest == "None"
+
+
+def _checked(f: dataclasses.Field, value):
+    """A config-file value of field ``f``; an int stands for a float, None only for an optional field."""
+    kind, optional = _field_type(f)
+    if value is None and optional:
+        return None
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise UsageError(f"--config: {f.name!r} must be {kind.__name__}{' or null' if optional else ''}, got {value!r}")
+    choices = f.metadata.get("choices")
+    if choices and value not in choices:
+        raise UsageError(f"--config: {f.name!r} must be one of {list(choices)}, got {value!r}")
+    return value
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -110,12 +158,15 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
     os.replace(tmp, path)
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-
-
 def _suffix(fold: int | None) -> str:
     return f"_fold{fold}" if fold is not None else ""
+
+
+def _checkpoint(ckpt_dir: Path, name: str, fold: int | None) -> Path:
+    path = ckpt_dir / f"{name}{_suffix(fold)}.ckpt"
+    if not path.exists():
+        raise UsageError(f"--checkpoints: missing checkpoint {path}")
+    return path
 
 
 def _load_bundle(cfg: RunConfig):
@@ -130,20 +181,13 @@ def _load_bundle(cfg: RunConfig):
     return instances, store, kb, table
 
 
-def _split(cfg: RunConfig, instances):
-    from .dataio import split_fold
-
-    if cfg.fold is None:
-        return instances, None
-    return split_fold(instances, cfg.fold)
-
-
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 
 
 def cmd_train(cfg: RunConfig, kind: str) -> int:
+    from .dataio import split_fold
     from .encoders import (
         EncoderTrainConfig,
         relation_accuracy,
@@ -156,46 +200,38 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
     from .trainer import MarginConfig, train_scorer
 
     instances, store, kb, table = _load_bundle(cfg)
-    train_set, heldout = _split(cfg, instances)
+    train_set, heldout = (instances, None) if cfg.fold is None else split_fold(instances, cfg.fold)
     out_dir = Path(cfg.checkpoints)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_dir = Path(cfg.out)
     metrics_dir.mkdir(parents=True, exist_ok=True)
     meta = cfg.meta()
 
-    if kind == "relation":
-        pairs = [(i.question, i.relation) for i in train_set]
-        held = [(i.question, i.relation) for i in heldout] if heldout else None
+    if kind in ("relation", "source"):
+        # the classifier knobs are the table fields relation_* and source_*
+        knob = lambda name: getattr(cfg, f"{kind}_{name}")
+        pairs = [(i.question, getattr(i, kind)) for i in train_set]
+        held = [(i.question, getattr(i, kind)) for i in heldout] if heldout else None
         enc_cfg = EncoderTrainConfig(
-            epochs=cfg.relation_epochs,
-            batch_size=cfg.relation_batch_size,
-            lr=cfg.relation_lr,
-            dropout=cfg.relation_dropout,
+            epochs=knob("epochs"),
+            batch_size=knob("batch_size"),
+            lr=knob("lr"),
+            dropout=knob("dropout"),
             seed=cfg.seed,
             max_tokens=cfg.max_question_tokens,
         )
-        clf, history = train_relation_classifier(pairs, enc_cfg, held)
-        save_classifier(out_dir / f"relation{_suffix(cfg.fold)}.ckpt", clf, meta)
-        summary = {"type": "summary", "train_top1": relation_accuracy(clf, pairs, 1)}
-        if held:
-            summary["heldout_top1"] = relation_accuracy(clf, held, 1)
-            summary["heldout_top3"] = relation_accuracy(clf, held, 3)
-    elif kind == "source":
-        pairs = [(i.question, i.source) for i in train_set]
-        held = [(i.question, i.source) for i in heldout] if heldout else None
-        enc_cfg = EncoderTrainConfig(
-            epochs=cfg.source_epochs,
-            batch_size=cfg.source_batch_size,
-            lr=cfg.source_lr,
-            dropout=cfg.source_dropout,
-            seed=cfg.seed,
-            max_tokens=cfg.max_question_tokens,
-        )
-        clf, history = train_source_classifier(pairs, enc_cfg, held)
-        save_classifier(out_dir / f"source{_suffix(cfg.fold)}.ckpt", clf, meta)
-        summary = {"type": "summary", "train_acc": source_accuracy(clf, pairs)}
-        if held:
-            summary["heldout_acc"] = source_accuracy(clf, held)
+        train = train_relation_classifier if kind == "relation" else train_source_classifier
+        clf, history = train(pairs, enc_cfg, held)
+        save_classifier(out_dir / f"{kind}{_suffix(cfg.fold)}.ckpt", clf, meta)
+        if kind == "relation":
+            summary = {"type": "summary", "train_top1": relation_accuracy(clf, pairs, 1)}
+            if held:
+                summary["heldout_top1"] = relation_accuracy(clf, held, 1)
+                summary["heldout_top3"] = relation_accuracy(clf, held, 3)
+        else:
+            summary = {"type": "summary", "train_acc": source_accuracy(clf, pairs)}
+            if held:
+                summary["heldout_acc"] = source_accuracy(clf, held)
     elif kind == "scorer":
         margin_cfg = MarginConfig(
             margin=cfg.margin,
@@ -233,19 +269,13 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
     return 0
 
 
-def _metric_row(record: dict) -> str:
-    keys = ("answer_at1", "answer_at3", "fact_at1", "fact_at3", "relation_at1", "relation_at3", "source_acc")
-    cells = " ".join(f"{record[k]:.6f}" for k in keys)
-    return f"fold={record['fold']:<4} {cells}"
-
-
 def render_metrics_table(records: list[dict]) -> str:
-    """Human-readable table rendered from parsed metrics records."""
-    header = "fold      ans@1    ans@3    fact@1   fact@3   rel@1    rel@3    source"
-    lines = [header]
+    """Human-readable table of the fold and average metrics records."""
+    keys = ("answer_at1", "answer_at3", "fact_at1", "fact_at3", "relation_at1", "relation_at3", "source_acc")
+    lines = ["fold      ans@1    ans@3    fact@1   fact@3   rel@1    rel@3    source"]
     for rec in records:
-        if rec.get("type") == "fold" or rec.get("type") == "average":
-            lines.append(_metric_row(rec))
+        if rec.get("type") in ("fold", "average"):
+            lines.append(f"fold={rec['fold']:<4} " + " ".join(f"{rec[k]:.6f}" for k in keys))
     return "\n".join(lines)
 
 
@@ -259,7 +289,6 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
     from .wordvec import FactMatrix
 
     instances, store, kb, table = _load_bundle(cfg)
-    fact_matrix = FactMatrix.build(kb, table)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = Path(cfg.checkpoints)
@@ -268,51 +297,38 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
     if cfg.fold is None and not folds:
         # single un-folded checkpoint evaluated on the whole dataset
         folds = [None]
+    paths = {
+        fold: (
+            _checkpoint(ckpt_dir, "scorer", fold),
+            None if gt_relation else _checkpoint(ckpt_dir, "relation", fold),
+            None if gt_source else _checkpoint(ckpt_dir, "source", fold),
+        )
+        for fold in folds
+    }
+    fact_matrix = FactMatrix.build(kb, table)
 
     per_fold = {}
     records: list[dict] = [{"type": "meta", **cfg.meta(), "gt_relation": gt_relation, "gt_source": gt_source}]
-    for fold in folds:
-        scorer_path = ckpt_dir / f"scorer{_suffix(fold)}.ckpt"
-        if not scorer_path.exists():
-            raise UsageError(f"--checkpoints: missing checkpoint {scorer_path}")
+    for fold, (scorer_path, rel_path, src_path) in paths.items():
         scorer = load_scorer(scorer_path)
-        relation = source = None
-        if not gt_relation:
-            rel_path = ckpt_dir / f"relation{_suffix(fold)}.ckpt"
-            if not rel_path.exists():
-                raise UsageError(f"--checkpoints: missing checkpoint {rel_path}")
-            relation = load_classifier(rel_path)
-        if not gt_source:
-            src_path = ckpt_dir / f"source{_suffix(fold)}.ckpt"
-            if not src_path.exists():
-                raise UsageError(f"--checkpoints: missing checkpoint {src_path}")
-            source = load_classifier(src_path)
+        relation = load_classifier(rel_path) if rel_path else None
+        source = load_classifier(src_path) if src_path else None
         models = PipelineModels(scorer=scorer, fact_matrix=fact_matrix, relation=relation, source=source)
         subset = instances if fold is None else split_fold(instances, fold)[1]
         metrics, predictions = evaluate(
-            models,
-            kb,
-            subset,
-            store,
-            k=cfg.k,
-            oracle_relation=gt_relation,
-            oracle_source=gt_source,
-            tie_break=cfg.tie_break,
-            rng=np.random.default_rng(cfg.seed),
+            models, kb, subset, store, k=cfg.k, oracle_relation=gt_relation, oracle_source=gt_source,
+            tie_break=cfg.tie_break, rng=np.random.default_rng(cfg.seed),
         )
         label = fold if fold is not None else "all"
         per_fold[label] = metrics
         records.append({"type": "fold", "fold": label, **metrics.as_dict()})
-        _write_jsonl(
-            out_dir / f"predictions{_suffix(fold)}.jsonl",
-            [p.as_record() for p in predictions],
-        )
+        _write_jsonl(out_dir / f"predictions{_suffix(fold)}.jsonl", [p.as_record() for p in predictions])
     if len(per_fold) > 1:
         records.append({"type": "average", "fold": "mean", **average_metrics(per_fold)})
 
     metrics_path = out_dir / "evaluate_metrics.jsonl"
     _write_jsonl(metrics_path, records)
-    print(render_metrics_table(_read_jsonl(metrics_path)))
+    print(render_metrics_table(records))
     print(f"wrote {metrics_path}")
     if reference:
         print("reference results on the full FVQA release (percent, +/- "
@@ -332,20 +348,16 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
 
     instances, store, kb, table = _load_bundle(cfg)
     ckpt_dir = Path(cfg.checkpoints)
-    for name in ("scorer", "relation", "source"):
-        if not (ckpt_dir / f"{name}{_suffix(cfg.fold)}.ckpt").exists():
-            raise UsageError(f"--checkpoints: missing checkpoint {ckpt_dir / name}{_suffix(cfg.fold)}.ckpt")
+    scorer, relation, source = (_checkpoint(ckpt_dir, name, cfg.fold) for name in ("scorer", "relation", "source"))
     models = PipelineModels(
-        scorer=load_scorer(ckpt_dir / f"scorer{_suffix(cfg.fold)}.ckpt"),
+        scorer=load_scorer(scorer),
         fact_matrix=FactMatrix.build(kb, table),
-        relation=load_classifier(ckpt_dir / f"relation{_suffix(cfg.fold)}.ckpt"),
-        source=load_classifier(ckpt_dir / f"source{_suffix(cfg.fold)}.ckpt"),
+        relation=load_classifier(relation),
+        source=load_classifier(source),
     )
-    feat = store.feature(image_id)
-    concepts = store.concept(image_id)
     prediction = answer_question(
-        models, kb, feat, concepts, question, k=cfg.k, question_id="cli", image_id=image_id,
-        tie_break=cfg.tie_break, rng=np.random.default_rng(cfg.seed),
+        models, kb, store.feature(image_id), store.concept(image_id), question, k=cfg.k, question_id="cli",
+        image_id=image_id, tie_break=cfg.tie_break, rng=np.random.default_rng(cfg.seed),
     )
     print(f"status: {prediction.status}")
     print(f"relation: {prediction.relation.value}")
@@ -360,20 +372,20 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     return 0
 
 
-def cmd_synth(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_synth(cfg: RunConfig) -> int:
     from .synth import SyntheticConfig, generate_synthetic
 
     synth_cfg = SyntheticConfig(
         seed=cfg.seed,
-        vocab_size=args.vocab_size,
-        facts_per_relation=args.facts_per_relation,
-        qa_pairs=args.qa_pairs,
-        concept_signal=args.concept_signal,
-        image_answer_fraction=args.image_answer_fraction,
-        distractor_concepts=args.distractor_concepts,
-        wordvec_dim=args.wordvec_dim,
-        feature_dim=args.feature_dim,
-        concept_labels=args.concept_label_count,
+        vocab_size=cfg.vocab_size,
+        facts_per_relation=cfg.facts_per_relation,
+        qa_pairs=cfg.qa_pairs,
+        concept_signal=cfg.concept_signal,
+        image_answer_fraction=cfg.image_answer_fraction,
+        distractor_concepts=cfg.distractor_concepts,
+        wordvec_dim=cfg.wordvec_dim,
+        feature_dim=cfg.feature_dim,
+        concept_labels=cfg.concept_label_count,
     )
     paths = generate_synthetic(synth_cfg, cfg.out)
     for name, path in paths.items():
@@ -411,27 +423,18 @@ def cmd_convert_fvqa(cfg: RunConfig, questions: str, facts: str) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
+    """``--config`` plus one flag per table field that ``command`` takes."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--fold", type=int)
-    parser.add_argument("--variant", choices=["q+i", "q+vc", "q+i+vc"])
-    parser.add_argument("--iterations", type=int)
-    parser.add_argument("--threads", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--tie-break", dest="tie_break", choices=["id", "random"])
-    parser.add_argument("-k", type=int, dest="k")
-    for flag in ("kb", "qa", "features", "concepts", "concept-labels", "wordvec", "checkpoints"):
-        parser.add_argument(f"--{flag}", dest=flag.replace("-", "_"))
-
-
-_OVERRIDE_KEYS = (
-    "kb qa features concepts concept_labels wordvec checkpoints out seed fold variant threads "
-    "tie_break k iterations relation_epochs source_epochs epochs_per_iteration mining_period "
-    "negatives margin weight_decay scorer_lr relation_lr source_lr scorer_batch_size "
-    "relation_batch_size source_batch_size scorer_dropout relation_dropout source_dropout "
-    "max_question_tokens reinit_each_iteration"
-).split()
+    for f in dataclasses.fields(RunConfig):
+        if f.metadata.get("scope", "all") not in ("all", command):
+            continue
+        flag = "-k" if f.name == "k" else "--" + f.name.replace("_", "-")
+        kind, _ = _field_type(f)
+        if kind is bool:
+            parser.add_argument(flag, dest=f.name, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, dest=f.name, type=kind, choices=f.metadata.get("choices"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -440,68 +443,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train one of the three models")
     p_train.add_argument("kind", choices=["relation", "source", "scorer"])
-    _add_common(p_train)
-    for flag in ("relation-epochs", "source-epochs", "epochs-per-iteration", "mining-period", "negatives",
-                 "relation-batch-size", "source-batch-size", "scorer-batch-size", "max-question-tokens"):
-        p_train.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int)
-    for flag in ("margin", "weight-decay", "scorer-lr", "relation-lr", "source-lr",
-                 "scorer-dropout", "relation-dropout", "source-dropout"):
-        p_train.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=float)
-    p_train.add_argument("--reinit-each-iteration", dest="reinit_each_iteration", action="store_const", const=True)
+    _add_options(p_train, "train")
 
     p_eval = sub.add_parser("evaluate", help="score a dataset fold (or all folds) with trained checkpoints")
-    _add_common(p_eval)
+    _add_options(p_eval, "evaluate")
     p_eval.add_argument("--gt-relation", action="store_true", help="use groundtruth relations instead of the classifier")
     p_eval.add_argument("--gt-source", action="store_true", help="use groundtruth answer sources instead of the classifier")
     p_eval.add_argument("--reference", action="store_true", help="also print full-dataset reference results")
 
     p_answer = sub.add_parser("answer", help="answer a single question")
-    _add_common(p_answer)
+    _add_options(p_answer, "answer")
     p_answer.add_argument("--image-id", required=True)
     p_answer.add_argument("--question", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate the synthetic fixture files")
-    _add_common(p_synth)
-    p_synth.add_argument("--vocab-size", type=int, default=60)
-    p_synth.add_argument("--facts-per-relation", type=int, default=46)
-    p_synth.add_argument("--qa-pairs", type=int, default=1000)
-    p_synth.add_argument("--concept-signal", type=float, default=1.0)
-    p_synth.add_argument("--image-answer-fraction", type=float, default=0.5)
-    p_synth.add_argument("--distractor-concepts", type=int, default=5)
-    p_synth.add_argument("--wordvec-dim", type=int, default=100)
-    p_synth.add_argument("--feature-dim", type=int, default=2048)
-    p_synth.add_argument("--concept-label-count", type=int, default=1176)
-
-    p_stats = sub.add_parser("kb-stats", help="summarize a knowledge base file")
-    _add_common(p_stats)
+    _add_options(sub.add_parser("synth", help="generate the synthetic fixture files"), "synth")
+    _add_options(sub.add_parser("kb-stats", help="summarize a knowledge base file"), "kb-stats")
 
     p_conv = sub.add_parser("convert-fvqa", help="convert original-release JSON dictionaries")
-    _add_common(p_conv)
+    _add_options(p_conv, "convert-fvqa")
     p_conv.add_argument("--questions", required=True)
     p_conv.add_argument("--facts", required=True)
 
     return parser
 
 
-def _set_thread_env(argv: list[str]) -> None:
-    if "--threads" not in argv:
-        return
-    idx = argv.index("--threads")
-    if idx + 1 >= len(argv):
-        return
-    value = argv[idx + 1]
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, value)
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _set_thread_env(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-        cfg = RunConfig.load(getattr(args, "config", None), overrides)
+        cfg = RunConfig.load(args.config, {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)})
+        if cfg.threads is not None:
+            # before any handler imports numpy, so BLAS starts with this many threads
+            os.environ.update({var: str(cfg.threads) for var in _THREAD_VARS})
         if args.command == "train":
             return cmd_train(cfg, args.kind)
         if args.command == "evaluate":
@@ -509,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "answer":
             return cmd_answer(cfg, args.image_id, args.question)
         if args.command == "synth":
-            return cmd_synth(cfg, args)
+            return cmd_synth(cfg)
         if args.command == "kb-stats":
             return cmd_kb_stats(cfg)
         if args.command == "convert-fvqa":
@@ -518,10 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FactrankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FactrankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -277,6 +277,16 @@ def _first_key(record: dict, keys, where: str):
     raise LoadError(f"{where}: none of the keys {keys} present")
 
 
+def _read_json_object(path: str | Path) -> dict:
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise LoadError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise LoadError(f"{path}: expected a JSON object keyed by id")
+    return data
+
+
 def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: str | Path) -> dict[str, Path]:
     """One-shot converter from the original release's JSON dictionaries to
     this package's KB/QA files.
@@ -294,7 +304,7 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    facts_raw = json.loads(Path(facts_path).read_text(encoding="utf-8"))
+    facts_raw = _read_json_object(facts_path)
     kb_lines = []
     for fid in sorted(facts_raw):
         rec = facts_raw[fid]
@@ -306,7 +316,7 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     kb_path.write_text("\n".join(kb_lines) + "\n", encoding="utf-8")
     kb = parse_kb(kb_path)
 
-    questions_raw = json.loads(Path(questions_path).read_text(encoding="utf-8"))
+    questions_raw = _read_json_object(questions_path)
     image_fold: dict[str, int] = {}
     qa_lines = []
     skipped = 0

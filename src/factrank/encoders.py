@@ -106,6 +106,15 @@ class LSTMParams:
         b[hidden_dim : 2 * hidden_dim] = 1.0  # forget-gate bias aids early recurrence
         return cls(input_dim, hidden_dim, embed, w, parameter(b))
 
+    @staticmethod
+    def shapes(vocab_size: int, input_dim: int, hidden_dim: int, prefix: str = "") -> dict[str, tuple[int, ...]]:
+        """Tensor shapes of :meth:`named_params` for the given sizes."""
+        return {
+            f"{prefix}embed": (vocab_size, input_dim),
+            f"{prefix}w_gates": (input_dim + hidden_dim, 4 * hidden_dim),
+            f"{prefix}b_gates": (4 * hidden_dim,),
+        }
+
     def named_params(self, prefix: str = "") -> dict[str, Tensor]:
         return {
             f"{prefix}embed": self.embed,
@@ -468,20 +477,19 @@ def load_classifier(path) -> RelationClassifier | SourceClassifier:
     data = ckpt.load_checkpoint(path)
     if data.kind not in ("relation", "source"):
         raise UsageError(f"{path}: checkpoint kind {data.kind!r} is not a classifier")
-    vocab = Vocabulary(data.vocab)
-    lstm = LSTMParams(
-        int(data.dims["embed_dim"]),
-        int(data.dims["hidden_dim"]),
-        parameter(data.tensors["lstm.embed"]),
-        parameter(data.tensors["lstm.w_gates"]),
-        parameter(data.tensors["lstm.b_gates"]),
-    )
+    embed_dim, hidden_dim = data.dim("embed_dim"), data.dim("hidden_dim")
+    outputs = len(RELATIONS) if data.kind == "relation" else 1
+    shapes = LSTMParams.shapes(len(data.vocab), embed_dim, hidden_dim, "lstm.")
+    shapes.update(w_out=(hidden_dim, outputs), b_out=(outputs,))
+    data.check_shapes(shapes)
+    t = {name: parameter(arr) for name, arr in data.tensors.items()}
+    lstm = LSTMParams(embed_dim, hidden_dim, t["lstm.embed"], t["lstm.w_gates"], t["lstm.b_gates"])
     cls = RelationClassifier if data.kind == "relation" else SourceClassifier
     return cls(
-        vocab,
+        Vocabulary(data.vocab),
         lstm,
-        parameter(data.tensors["w_out"]),
-        parameter(data.tensors["b_out"]),
-        dropout=float(data.dims["dropout"]),
-        max_tokens=int(data.dims["max_tokens"]),
+        t["w_out"],
+        t["b_out"],
+        dropout=data.dim("dropout", float),
+        max_tokens=data.dim("max_tokens"),
     )

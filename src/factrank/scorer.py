@@ -15,7 +15,7 @@ default, used by tests and evaluation) and seeded random.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -291,18 +291,21 @@ def load_scorer(path) -> ScorerParams:
     data = ckpt.load_checkpoint(path)
     if data.kind != "scorer":
         raise UsageError(f"{path}: checkpoint kind {data.kind!r} is not a scorer")
-    d = data.dims
-    dims = ScorerDims(
-        image_dim=int(d["image_dim"]),
-        image_proj=int(d["image_proj"]),
-        question_embed=int(d["question_embed"]),
-        question_hidden=int(d["question_hidden"]),
-        mlp1=int(d["mlp1"]),
-        mlp2=int(d["mlp2"]),
-        concept_dim=int(d["concept_dim"]),
-        concept_proj=int(d["concept_proj"]),
-        output_dim=int(d["output_dim"]),
+    dims = ScorerDims(**{f.name: data.dim(f.name) for f in fields(ScorerDims)})
+    shapes = LSTMParams.shapes(len(data.vocab), dims.question_embed, dims.question_hidden, "lstm.")
+    shapes.update(
+        w_img=(dims.image_dim, dims.image_proj),
+        b_img=(dims.image_proj,),
+        w_mlp1=(dims.image_proj + dims.question_hidden, dims.mlp1),
+        b_mlp1=(dims.mlp1,),
+        w_mlp2=(dims.mlp1, dims.mlp2),
+        b_mlp2=(dims.mlp2,),
+        w_con=(dims.concept_dim, dims.concept_proj),
+        b_con=(dims.concept_proj,),
+        w_fuse=(dims.mlp2 + dims.concept_proj, dims.output_dim),
+        b_fuse=(dims.output_dim,),
     )
+    data.check_shapes(shapes)
     t = {name: parameter(arr) for name, arr in data.tensors.items()}
     lstm = LSTMParams(dims.question_embed, dims.question_hidden, t["lstm.embed"], t["lstm.w_gates"], t["lstm.b_gates"])
     return ScorerParams(
@@ -319,7 +322,7 @@ def load_scorer(path) -> ScorerParams:
         b_con=t["b_con"],
         w_fuse=t["w_fuse"],
         b_fuse=t["b_fuse"],
-        dropout=float(d["dropout"]),
-        variant=Variant.parse(d["variant"]),
-        max_tokens=int(d["max_tokens"]),
+        dropout=data.dim("dropout", float),
+        variant=Variant.parse(data.dim("variant", str)),
+        max_tokens=data.dim("max_tokens"),
     )

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factrank.errors import DataError, UsageError
+from factrank.checkpoint import load_checkpoint, save_checkpoint
+from factrank.errors import DataError, LoadError, UsageError
 from factrank.encoders import (
     PAD_ID,
     UNK_ID,
@@ -309,3 +310,15 @@ def test_source_checkpoint_round_trip(tmp_path):
     loaded = load_classifier(path)
     assert isinstance(loaded, SourceClassifier)
     assert source_accuracy(loaded, pairs) == source_accuracy(clf, pairs)
+
+
+def test_classifier_checkpoint_with_wrong_head_shape_raises_load_error(tmp_path):
+    clf = RelationClassifier.init(Vocabulary.build(["what is it used for"]), np.random.default_rng(3), 4, 5)
+    path = tmp_path / "relation.ckpt"
+    save_classifier(path, clf)
+    data = load_checkpoint(path)
+    data.tensors["w_out"] = data.tensors["w_out"][:, :12]  # a 12-way head where the relation head has 13
+    save_checkpoint(path, data.kind, data.dims, data.vocab, data.tensors)
+    with pytest.raises(LoadError, match=r"tensor 'w_out' has shape \(5, 12\), expected \(5, 13\)") as err:
+        load_classifier(path)
+    assert str(path) in str(err.value)

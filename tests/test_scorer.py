@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factrank.checkpoint import save_checkpoint
 from factrank.encoders import Vocabulary, encode_batch
-from factrank.errors import ShapeError, UsageError
+from factrank.errors import LoadError, ShapeError, UsageError
 from factrank.kb import Fact, KnowledgeBase, Relation
 from factrank.numerics import Tape
 from factrank.scorer import (
@@ -296,3 +297,49 @@ def test_scorer_checkpoint_round_trip(tmp_path):
     assert loaded.variant is Variant.Q_VC
     after = embed_image_question(loaded, feat, concepts, "what is shown here")
     np.testing.assert_array_equal(before, after)
+
+
+def _spoil_truncate(path, dims, vocab, tensors):
+    path.write_bytes(path.read_bytes()[:10])
+
+
+def _spoil_drop_w_fuse(path, dims, vocab, tensors):
+    del tensors["w_fuse"]
+    save_checkpoint(path, "scorer", dims, vocab, tensors)
+
+
+def _spoil_reshape_w_fuse(path, dims, vocab, tensors):
+    tensors["w_fuse"] = tensors["w_fuse"][:-1]
+    save_checkpoint(path, "scorer", dims, vocab, tensors)
+
+
+def _spoil_trailing_bytes(path, dims, vocab, tensors):
+    path.write_bytes(path.read_bytes() + bytes(8))
+
+
+def _spoil_drop_dim(path, dims, vocab, tensors):
+    del dims["output_dim"]
+    save_checkpoint(path, "scorer", dims, vocab, tensors)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_spoil_truncate, "truncated checkpoint header"),
+        (_spoil_drop_w_fuse, "missing tensors ['w_fuse']"),
+        (_spoil_reshape_w_fuse, "tensor 'w_fuse' has shape (8, 6), expected (9, 6)"),
+        (_spoil_trailing_bytes, "trailing bytes"),
+        (_spoil_drop_dim, "'output_dim'"),
+    ],
+)
+def test_malformed_scorer_checkpoint_raises_load_error_naming_file(tmp_path, spoil, message):
+    params = _toy_scorer(seed=27)
+    path = tmp_path / "scorer.ckpt"
+    save_scorer(path, params)
+    dims = params.dims.as_dict()
+    dims.update(dropout=params.dropout, variant=params.variant.value, max_tokens=params.max_tokens)
+    spoil(path, dims, params.vocab.tokens, {name: t.values for name, t in params.named_params().items()})
+    with pytest.raises(LoadError) as err:
+        load_scorer(path)
+    assert str(path) in str(err.value)
+    assert message in str(err.value)
