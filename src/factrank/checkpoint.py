@@ -46,8 +46,8 @@ class Checkpoint:
         except (KeyError, TypeError, ValueError):
             raise LoadError(f"{self.path}: header dims lack a valid {name!r}") from None
 
-    def check_shapes(self, shapes: dict[str, tuple[int, ...]]) -> None:
-        """LoadError naming the file unless the tensors are exactly ``shapes``."""
+    def checked_tensors(self, shapes: dict[str, tuple[int, ...]]) -> dict[str, Array]:
+        """The tensors in the order of ``shapes``; LoadError naming the file unless they are exactly ``shapes``."""
         missing = sorted(set(shapes) - set(self.tensors))
         extra = sorted(set(self.tensors) - set(shapes))
         if missing or extra:
@@ -56,6 +56,7 @@ class Checkpoint:
             got = self.tensors[name].shape
             if got != tuple(shape):
                 raise LoadError(f"{self.path}: tensor {name!r} has shape {got}, expected {tuple(shape)}")
+        return {name: self.tensors[name] for name in shapes}
 
 
 def save_checkpoint(

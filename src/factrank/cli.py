@@ -188,14 +188,7 @@ def _load_bundle(cfg: RunConfig):
 
 def cmd_train(cfg: RunConfig, kind: str) -> int:
     from .dataio import split_fold
-    from .encoders import (
-        EncoderTrainConfig,
-        relation_accuracy,
-        save_classifier,
-        source_accuracy,
-        train_relation_classifier,
-        train_source_classifier,
-    )
+    from .encoders import EncoderTrainConfig, accuracy, save_classifier, train_classifier
     from .scorer import Variant, save_scorer
     from .trainer import MarginConfig, train_scorer
 
@@ -220,18 +213,17 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
             seed=cfg.seed,
             max_tokens=cfg.max_question_tokens,
         )
-        train = train_relation_classifier if kind == "relation" else train_source_classifier
-        clf, history = train(pairs, enc_cfg, held)
+        clf, history = train_classifier(kind, pairs, enc_cfg, held)
         save_classifier(out_dir / f"{kind}{_suffix(cfg.fold)}.ckpt", clf, meta)
         if kind == "relation":
-            summary = {"type": "summary", "train_top1": relation_accuracy(clf, pairs, 1)}
+            summary = {"type": "summary", "train_top1": accuracy(clf, pairs, 1)}
             if held:
-                summary["heldout_top1"] = relation_accuracy(clf, held, 1)
-                summary["heldout_top3"] = relation_accuracy(clf, held, 3)
+                summary["heldout_top1"] = accuracy(clf, held, 1)
+                summary["heldout_top3"] = accuracy(clf, held, 3)
         else:
-            summary = {"type": "summary", "train_acc": source_accuracy(clf, pairs)}
+            summary = {"type": "summary", "train_acc": accuracy(clf, pairs)}
             if held:
-                summary["heldout_acc"] = source_accuracy(clf, held)
+                summary["heldout_acc"] = accuracy(clf, held)
     elif kind == "scorer":
         margin_cfg = MarginConfig(
             margin=cfg.margin,
@@ -270,12 +262,13 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
 
 
 def render_metrics_table(records: list[dict]) -> str:
-    """Human-readable table of the fold and average metrics records."""
-    keys = ("answer_at1", "answer_at3", "fact_at1", "fact_at3", "relation_at1", "relation_at3", "source_acc")
-    lines = ["fold      ans@1    ans@3    fact@1   fact@3   rel@1    rel@3    source"]
+    """Human-readable table of the rates in the fold and average metrics records."""
+    from .pipeline import RATE_FIELDS
+
+    lines = ["fold      " + "".join(f"{f.metadata['label']:<9}" for f in RATE_FIELDS).rstrip()]
     for rec in records:
         if rec.get("type") in ("fold", "average"):
-            lines.append(f"fold={rec['fold']:<4} " + " ".join(f"{rec[k]:.6f}" for k in keys))
+            lines.append(f"fold={rec['fold']:<4} " + " ".join(f"{rec[f.name]:.6f}" for f in RATE_FIELDS))
     return "\n".join(lines)
 
 

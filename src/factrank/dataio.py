@@ -277,6 +277,14 @@ def _first_key(record: dict, keys, where: str):
     raise LoadError(f"{where}: none of the keys {keys} present")
 
 
+def _json_record(records: dict, record_id: str, path: str | Path) -> dict:
+    """Record ``record_id`` of an id-keyed file; LoadError naming both unless it is a JSON object."""
+    rec = records[record_id]
+    if not isinstance(rec, dict):
+        raise LoadError(f"{path}: record {record_id!r} is not a JSON object")
+    return rec
+
+
 def _read_json_object(path: str | Path) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -307,10 +315,11 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     facts_raw = _read_json_object(facts_path)
     kb_lines = []
     for fid in sorted(facts_raw):
-        rec = facts_raw[fid]
-        subject = str(_first_key(rec, _FVQA_SUBJECT_KEYS, f"fact {fid}"))
-        relation = str(_first_key(rec, _FVQA_RELATION_KEYS, f"fact {fid}"))
-        obj = str(_first_key(rec, _FVQA_OBJECT_KEYS, f"fact {fid}"))
+        rec = _json_record(facts_raw, fid, facts_path)
+        where = f"{facts_path}: fact {fid!r}"
+        subject = str(_first_key(rec, _FVQA_SUBJECT_KEYS, where))
+        relation = str(_first_key(rec, _FVQA_RELATION_KEYS, where))
+        obj = str(_first_key(rec, _FVQA_OBJECT_KEYS, where))
         kb_lines.append("\t".join([fid, subject, relation, obj]))
     kb_path = out_dir / "kb.tsv"
     kb_path.write_text("\n".join(kb_lines) + "\n", encoding="utf-8")
@@ -321,7 +330,7 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     qa_lines = []
     skipped = 0
     for qid in sorted(questions_raw):
-        rec = questions_raw[qid]
+        rec = _json_record(questions_raw, qid, questions_path)
         fact_ref = rec.get("fact", rec.get("fact_id"))
         if isinstance(fact_ref, list):
             fact_ref = fact_ref[0] if fact_ref else None

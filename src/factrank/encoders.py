@@ -1,12 +1,16 @@
 """LSTM question encoder, the relation and answer-source classifiers, and
 the one minibatch training loop.
 
-Both classifiers embed and encode a question one token at a time with an
-LSTM, then linearly map the final hidden state to logits: a 13-way softmax
-for the relation, a single sigmoid logit for the answer source. They are
-trained separately with Adam on cross-entropy / binary cross-entropy.
+Both classifiers are one model, :class:`Classifier`: an LSTM encodes the
+question one token at a time and a linear head maps its final hidden state
+to logits. The classifier's ``kind`` picks its row of :data:`KINDS`, which
+holds all that differs: labels and head width (a 13-way softmax for the
+relation, one sigmoid logit for the answer source), default sizes and
+dropout, the loss and the held-out metric. Every model keeps its tensors in
+one dict named and shaped by one ``shapes`` table, which initialization,
+checkpoints and their loaders follow.
 
-:func:`fit` is the training loop of every model, these two classifiers and
+:func:`fit` is the training loop of every model, these classifiers and
 the fact scorer alike: per epoch it permutes the examples, pads each
 minibatch of token ids, asks a loss callback for the batch loss on a fresh
 tape, then back-propagates, clips and takes one optimizer step.
@@ -20,9 +24,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import DataError, UsageError
+from .errors import DataError, LoadError, UsageError
 from .kb import AnswerSource, Relation
-from .numerics import Tape, Tensor, constant, parameter
+from .numerics import Tape, Tensor, constant, parameter, stable_sigmoid
 from .optim import OptimizerState, clip_gradients, make_optimizer, step
 from .text import tokenize
 
@@ -33,10 +37,8 @@ UNK_TOKEN = "<unk>"
 PAD_ID = 0
 UNK_ID = 1
 
-RELATIONS: list[Relation] = list(Relation)
-RELATION_INDEX: dict[Relation, int] = {r: i for i, r in enumerate(RELATIONS)}
-
 INIT_SCALE = 0.08  # uniform weight init range shared by all trainable layers
+LSTM_PREFIX = "lstm."  # names of a model's LSTM tensors start with this
 
 
 @dataclass
@@ -65,9 +67,6 @@ class Vocabulary:
         """Token ids, unknown tokens mapped to UNK, truncated to ``max_tokens``."""
         return [self.index.get(t, UNK_ID) for t in tokenize(text)[:max_tokens]]
 
-    def sha256(self) -> str:
-        return ckpt.vocab_sha256(self.tokens)
-
 
 def _pad(encoded: Sequence[Sequence[int]]) -> tuple[Array, Array]:
     """Right-padded id matrix plus true lengths."""
@@ -87,40 +86,53 @@ def encode_batch(vocab: Vocabulary, questions: Sequence[str], max_tokens: int) -
     return _pad(encoded)
 
 
+def init_tensors(rng: np.random.Generator, shapes: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
+    """Fresh parameters for a shape table, made in table order.
+
+    Every matrix is drawn uniform in ``[-INIT_SCALE, INIT_SCALE)`` from
+    ``rng``; every bias starts at zero, except the forget-gate block of an
+    LSTM's ``b_gates``, which starts at 1 to aid early recurrence.
+    """
+    out = {}
+    for name, shape in shapes.items():
+        if len(shape) > 1:
+            out[name] = parameter(rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
+            continue
+        bias = np.zeros(shape)
+        if name.endswith("b_gates"):
+            hidden_dim = shape[0] // 4
+            bias[hidden_dim : 2 * hidden_dim] = 1.0
+        out[name] = parameter(bias)
+    return out
+
+
 @dataclass
 class LSTMParams:
     """Gate weights stored as one fused matrix; column blocks are the
     input, forget, candidate, and output gates in that order."""
 
-    input_dim: int
-    hidden_dim: int
-    embed: Tensor
-    w_gates: Tensor
-    b_gates: Tensor
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, vocab_size: int, input_dim: int, hidden_dim: int) -> "LSTMParams":
-        embed = parameter(rng.uniform(-INIT_SCALE, INIT_SCALE, (vocab_size, input_dim)))
-        w = parameter(rng.uniform(-INIT_SCALE, INIT_SCALE, (input_dim + hidden_dim, 4 * hidden_dim)))
-        b = np.zeros(4 * hidden_dim)
-        b[hidden_dim : 2 * hidden_dim] = 1.0  # forget-gate bias aids early recurrence
-        return cls(input_dim, hidden_dim, embed, w, parameter(b))
+    tensors: dict[str, Tensor]
 
     @staticmethod
     def shapes(vocab_size: int, input_dim: int, hidden_dim: int, prefix: str = "") -> dict[str, tuple[int, ...]]:
-        """Tensor shapes of :meth:`named_params` for the given sizes."""
+        """Tensor names and shapes for the given sizes, names under ``prefix``."""
         return {
             f"{prefix}embed": (vocab_size, input_dim),
             f"{prefix}w_gates": (input_dim + hidden_dim, 4 * hidden_dim),
             f"{prefix}b_gates": (4 * hidden_dim,),
         }
 
-    def named_params(self, prefix: str = "") -> dict[str, Tensor]:
-        return {
-            f"{prefix}embed": self.embed,
-            f"{prefix}w_gates": self.w_gates,
-            f"{prefix}b_gates": self.b_gates,
-        }
+    @classmethod
+    def init(cls, rng: np.random.Generator, vocab_size: int, input_dim: int, hidden_dim: int) -> "LSTMParams":
+        return cls(init_tensors(rng, cls.shapes(vocab_size, input_dim, hidden_dim)))
+
+    @classmethod
+    def part_of(cls, tensors: dict[str, Tensor]) -> "LSTMParams":
+        """The LSTM of a model whose tensor names give it under ``LSTM_PREFIX``; the tensors are shared."""
+        return cls({name[len(LSTM_PREFIX) :]: t for name, t in tensors.items() if name.startswith(LSTM_PREFIX)})
+
+    def named_params(self) -> dict[str, Tensor]:
+        return self.tensors
 
 
 def lstm_hidden(
@@ -137,16 +149,17 @@ def lstm_hidden(
     if ids.ndim != 2:
         raise UsageError(f"ids must be (batch, steps), got shape {ids.shape}")
     b, steps = ids.shape
-    hdim = params.hidden_dim
+    w = params.tensors
+    hdim = w["b_gates"].shape[0] // 4
     if steps == 0 or np.any(lengths < 1):
         raise UsageError("every sequence must have at least one token")
     h = constant(np.zeros((b, hdim)))
     c = constant(np.zeros((b, hdim)))
     for t in range(steps):
-        x = tape.embedding(params.embed, ids[:, t])
+        x = tape.embedding(w["embed"], ids[:, t])
         x = tape.dropout(x, dropout_rate, train, rng)
         xh = tape.concat([x, h])
-        gates = tape.add(tape.matmul(xh, params.w_gates), params.b_gates)
+        gates = tape.add(tape.matmul(xh, w["w_gates"]), w["b_gates"])
         gate_i = tape.sigmoid(tape.slice_cols(gates, 0, hdim))
         gate_f = tape.sigmoid(tape.slice_cols(gates, hdim, 2 * hdim))
         gate_g = tape.tanh(tape.slice_cols(gates, 2 * hdim, 3 * hdim))
@@ -169,66 +182,73 @@ def lstm_hidden(
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ClassifierKind:
+    """Everything that differs between the relation and the source classifier."""
+
+    labels: tuple  # the label of each class index, which is the training target
+    width: int  # head outputs: a softmax over the labels, or one sigmoid logit
+    embed_dim: int
+    hidden_dim: int
+    dropout: float
+    loss: str  # the Tape method that takes (logits, class indices)
+    metric: str  # the epoch record's key for held-out accuracy
+
+
+KINDS: dict[str, ClassifierKind] = {
+    "relation": ClassifierKind(tuple(Relation), len(Relation), 128, 128, 0.7,
+                               "softmax_cross_entropy", "heldout_top1"),
+    # Image is class 1, the positive class of the sigmoid
+    "source": ClassifierKind((AnswerSource.KNOWLEDGE_BASE, AnswerSource.IMAGE), 1, 64, 64, 0.5,
+                             "binary_cross_entropy", "heldout_acc"),
+}
+
+
 @dataclass
-class RelationClassifier:
+class Classifier:
+    """LSTM question encoder with a linear head; ``kind`` names its row of
+    :data:`KINDS`, "relation" or "source"."""
+
+    kind: str
     vocab: Vocabulary
-    lstm: LSTMParams
-    w_out: Tensor
-    b_out: Tensor
-    dropout: float = 0.7
+    embed_dim: int
+    hidden_dim: int
+    tensors: dict[str, Tensor]
+    dropout: float
     max_tokens: int = 30
+
+    @staticmethod
+    def shapes(kind: str, vocab_size: int, embed_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+        """Tensor names and shapes: the LSTM's, then the head's."""
+        shapes = LSTMParams.shapes(vocab_size, embed_dim, hidden_dim, LSTM_PREFIX)
+        width = KINDS[kind].width
+        shapes.update(w_out=(hidden_dim, width), b_out=(width,))
+        return shapes
 
     @classmethod
     def init(
         cls,
+        kind: str,
         vocab: Vocabulary,
         rng: np.random.Generator,
-        embed_dim: int = 128,
-        hidden_dim: int = 128,
-        dropout: float = 0.7,
+        embed_dim: int | None = None,
+        hidden_dim: int | None = None,
+        dropout: float | None = None,
         max_tokens: int = 30,
-    ) -> "RelationClassifier":
-        lstm = LSTMParams.init(rng, len(vocab), embed_dim, hidden_dim)
-        w_out = parameter(rng.uniform(-INIT_SCALE, INIT_SCALE, (hidden_dim, len(RELATIONS))))
-        b_out = parameter(np.zeros(len(RELATIONS)))
-        return cls(vocab, lstm, w_out, b_out, dropout, max_tokens)
+    ) -> "Classifier":
+        """A fresh classifier; sizes and dropout left None take the kind's defaults."""
+        spec = KINDS[kind]
+        embed_dim, hidden_dim = embed_dim or spec.embed_dim, hidden_dim or spec.hidden_dim
+        tensors = init_tensors(rng, cls.shapes(kind, len(vocab), embed_dim, hidden_dim))
+        dropout = spec.dropout if dropout is None else dropout
+        return cls(kind, vocab, embed_dim, hidden_dim, tensors, dropout, max_tokens)
+
+    @property
+    def lstm(self) -> LSTMParams:
+        return LSTMParams.part_of(self.tensors)
 
     def named_params(self) -> dict[str, Tensor]:
-        out = self.lstm.named_params("lstm.")
-        out["w_out"] = self.w_out
-        out["b_out"] = self.b_out
-        return out
-
-
-@dataclass
-class SourceClassifier:
-    vocab: Vocabulary
-    lstm: LSTMParams
-    w_out: Tensor
-    b_out: Tensor
-    dropout: float = 0.5
-    max_tokens: int = 30
-
-    @classmethod
-    def init(
-        cls,
-        vocab: Vocabulary,
-        rng: np.random.Generator,
-        embed_dim: int = 64,
-        hidden_dim: int = 64,
-        dropout: float = 0.5,
-        max_tokens: int = 30,
-    ) -> "SourceClassifier":
-        lstm = LSTMParams.init(rng, len(vocab), embed_dim, hidden_dim)
-        w_out = parameter(rng.uniform(-INIT_SCALE, INIT_SCALE, (hidden_dim, 1)))
-        b_out = parameter(np.zeros(1))
-        return cls(vocab, lstm, w_out, b_out, dropout, max_tokens)
-
-    def named_params(self) -> dict[str, Tensor]:
-        out = self.lstm.named_params("lstm.")
-        out["w_out"] = self.w_out
-        out["b_out"] = self.b_out
-        return out
+        return self.tensors
 
 
 def _head_logits(tape, clf, ids, lengths, train, rng) -> Tensor:
@@ -236,57 +256,55 @@ def _head_logits(tape, clf, ids, lengths, train, rng) -> Tensor:
     # after the final LSTM state
     h = lstm_hidden(tape, clf.lstm, ids, lengths, train, clf.dropout if train else 0.0, rng)
     h = tape.dropout(h, clf.dropout, train, rng)
-    return tape.add(tape.matmul(h, clf.w_out), clf.b_out)
+    return tape.add(tape.matmul(h, clf.tensors["w_out"]), clf.tensors["b_out"])
 
 
-def _softmax(logits: Array) -> Array:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
+def _eval_logits(clf: Classifier, kind: str, questions: Sequence[str], chunk: int = 512) -> Array:
+    """(batch, head width) evaluation-mode logits of a ``kind`` classifier, computed in chunks."""
+    if clf.kind != kind:
+        raise UsageError(f"expected a {kind} classifier, got a {clf.kind} one")
+    out = np.zeros((len(questions), KINDS[kind].width))
+    for start in range(0, len(questions), chunk):
+        ids, lengths = encode_batch(clf.vocab, questions[start : start + chunk], clf.max_tokens)
+        out[start : start + len(ids)] = _head_logits(Tape(), clf, ids, lengths, False, None).values
+    return out
+
+
+def predict_relation_batch(clf: Classifier, questions: Sequence[str]) -> Array:
+    """(batch, 13) softmax probabilities, evaluation mode."""
+    logits = _eval_logits(clf, "relation", questions)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict_relation_batch(clf: RelationClassifier, questions: Sequence[str]) -> Array:
-    """(batch, 13) softmax probabilities, evaluation mode."""
-    probs = np.zeros((len(questions), len(RELATIONS)))
-    for start in range(0, len(questions), 512):
-        chunk = questions[start : start + 512]
-        ids, lengths = encode_batch(clf.vocab, chunk, clf.max_tokens)
-        logits = _head_logits(Tape(), clf, ids, lengths, False, None)
-        probs[start : start + len(chunk)] = _softmax(logits.values)
-    return probs
-
-
-def predict_relation(clf: RelationClassifier, question: str) -> list[tuple[Relation, float]]:
-    """All 13 relations with probabilities, sorted by descending probability.
-
-    Equal probabilities keep the canonical relation order.
-    """
-    if not tokenize(question):
-        raise UsageError("cannot classify an empty question")
-    probs = predict_relation_batch(clf, [question])[0]
-    order = sorted(range(len(RELATIONS)), key=lambda i: (-probs[i], i))
-    return [(RELATIONS[i], float(probs[i])) for i in order]
-
-
-def predict_source_batch(clf: SourceClassifier, questions: Sequence[str]) -> Array:
+def predict_source_batch(clf: Classifier, questions: Sequence[str]) -> Array:
     """(batch,) probability that the answer comes from the image."""
-    from .numerics import stable_sigmoid
-
-    probs = np.zeros(len(questions))
-    for start in range(0, len(questions), 512):
-        chunk = questions[start : start + 512]
-        ids, lengths = encode_batch(clf.vocab, chunk, clf.max_tokens)
-        logits = _head_logits(Tape(), clf, ids, lengths, False, None)
-        probs[start : start + len(chunk)] = stable_sigmoid(logits.values.reshape(-1))
-    return probs
+    return stable_sigmoid(_eval_logits(clf, "source", questions).reshape(-1))
 
 
-def predict_source(clf: SourceClassifier, question: str) -> tuple[AnswerSource, float]:
-    """Answer source and its image probability; an exact 0.5 resolves to Image."""
-    if not tokenize(question):
-        raise UsageError("cannot classify an empty question")
-    p = float(predict_source_batch(clf, [question])[0])
-    return (AnswerSource.IMAGE if p >= 0.5 else AnswerSource.KNOWLEDGE_BASE), p
+def ranked_relations(probs: Array) -> list[tuple[Relation, float]]:
+    """All 13 relations with their probabilities from one row of
+    :func:`predict_relation_batch`, most probable first; equal
+    probabilities keep the canonical relation order."""
+    labels = KINDS["relation"].labels
+    order = sorted(range(len(labels)), key=lambda i: (-probs[i], i))
+    return [(labels[i], float(probs[i])) for i in order]
+
+
+def answer_source(p: float) -> AnswerSource:
+    """The answer source for image probability ``p``; an exact 0.5 resolves to Image."""
+    return AnswerSource.IMAGE if p >= 0.5 else AnswerSource.KNOWLEDGE_BASE
+
+
+def accuracy(clf: Classifier, pairs: Sequence[tuple[str, Relation | AnswerSource]], k: int = 1) -> float:
+    """Fraction of (question, label) pairs whose label is among the top-k
+    predictions; a source classifier predicts a single label."""
+    questions = [q for q, _ in pairs]
+    if clf.kind == "relation":
+        top = [[r for r, _ in ranked_relations(row)[:k]] for row in predict_relation_batch(clf, questions)]
+    else:
+        top = [[answer_source(p)] for p in predict_source_batch(clf, questions)]
+    return sum(label in t for (_, label), t in zip(pairs, top)) / len(pairs)
 
 
 # ----------------------------------------------------------------------
@@ -301,75 +319,10 @@ class EncoderTrainConfig:
     lr: float = 1e-3
     seed: int = 0
     clip_norm: float | None = 5.0
-    embed_dim: int | None = None  # None -> classifier default
+    embed_dim: int | None = None  # None -> the classifier kind's default
     hidden_dim: int | None = None
     dropout: float | None = None
     max_tokens: int = 30
-
-
-def _validate_questions(pairs) -> None:
-    for q, _ in pairs:
-        if not tokenize(q):
-            raise DataError(f"question {q!r} has no tokens")
-
-
-def train_relation_classifier(
-    pairs: Sequence[tuple[str, Relation]],
-    config: EncoderTrainConfig | None = None,
-    heldout: Sequence[tuple[str, Relation]] | None = None,
-) -> tuple[RelationClassifier, list[dict]]:
-    """Train the 13-way relation classifier on (question, relation) pairs.
-
-    Returns the classifier and a per-epoch loss trace (held-out top-1
-    accuracy included when ``heldout`` is given). Deterministic for a fixed
-    config seed.
-    """
-    cfg = config or EncoderTrainConfig()
-    if not pairs:
-        raise DataError("relation training needs at least one example")
-    for _, r in pairs:
-        if not isinstance(r, Relation):
-            raise DataError(f"unknown relation label {r!r}")
-    _validate_questions(pairs)
-    vocab = Vocabulary.build(q for q, _ in pairs)
-    clf = RelationClassifier.init(
-        vocab,
-        np.random.default_rng([cfg.seed, 11]),
-        embed_dim=cfg.embed_dim or 128,
-        hidden_dim=cfg.hidden_dim or 128,
-        dropout=cfg.dropout if cfg.dropout is not None else 0.7,
-        max_tokens=cfg.max_tokens,
-    )
-    labels = np.array([RELATION_INDEX[r] for _, r in pairs], dtype=np.intp)
-    history = _train_loop(clf, [q for q, _ in pairs], labels, cfg, heldout, kind="relation")
-    return clf, history
-
-
-def train_source_classifier(
-    pairs: Sequence[tuple[str, AnswerSource]],
-    config: EncoderTrainConfig | None = None,
-    heldout: Sequence[tuple[str, AnswerSource]] | None = None,
-) -> tuple[SourceClassifier, list[dict]]:
-    """Train the binary answer-source classifier; Image is coded as 1."""
-    cfg = config or EncoderTrainConfig()
-    if not pairs:
-        raise DataError("source training needs at least one example")
-    for _, s in pairs:
-        if not isinstance(s, AnswerSource):
-            raise DataError(f"unknown answer source label {s!r}")
-    _validate_questions(pairs)
-    vocab = Vocabulary.build(q for q, _ in pairs)
-    clf = SourceClassifier.init(
-        vocab,
-        np.random.default_rng([cfg.seed, 11]),
-        embed_dim=cfg.embed_dim or 64,
-        hidden_dim=cfg.hidden_dim or 64,
-        dropout=cfg.dropout if cfg.dropout is not None else 0.5,
-        max_tokens=cfg.max_tokens,
-    )
-    labels = np.array([1.0 if s is AnswerSource.IMAGE else 0.0 for _, s in pairs])
-    history = _train_loop(clf, [q for q, _ in pairs], labels, cfg, heldout, kind="source")
-    return clf, history
 
 
 def fit(
@@ -412,48 +365,64 @@ def fit(
     return history
 
 
-def _train_loop(clf, questions, labels, cfg, heldout, kind) -> list[dict]:
+def train_classifier(
+    kind: str,
+    pairs: Sequence[tuple[str, Relation | AnswerSource]],
+    config: EncoderTrainConfig | None = None,
+    heldout: Sequence[tuple[str, Relation | AnswerSource]] | None = None,
+) -> tuple[Classifier, list[dict]]:
+    """Train a ``kind`` classifier on (question, label) pairs.
+
+    Returns the classifier and a per-epoch loss trace, with the kind's
+    held-out top-1 accuracy when ``heldout`` is given. Deterministic for a
+    fixed config seed.
+    """
+    spec = KINDS[kind]
+    cfg = config or EncoderTrainConfig()
+    if not pairs:
+        raise DataError(f"{kind} training needs at least one example")
+    for q, label in pairs:
+        if label not in spec.labels:
+            raise DataError(f"unknown {kind} label {label!r}")
+        if not tokenize(q):
+            raise DataError(f"question {q!r} has no tokens")
+    vocab = Vocabulary.build(q for q, _ in pairs)
+    clf = Classifier.init(kind, vocab, np.random.default_rng([cfg.seed, 11]), cfg.embed_dim, cfg.hidden_dim,
+                          cfg.dropout, cfg.max_tokens)
+    targets = np.array([spec.labels.index(label) for _, label in pairs], dtype=np.intp)
     rng = np.random.default_rng([cfg.seed, 13])
 
     def batch_loss(tape, epoch, batch, ids, lengths):
-        logits = _head_logits(tape, clf, ids, lengths, True, rng)
-        if kind == "relation":
-            return tape.softmax_cross_entropy(logits, labels[batch])
-        return tape.binary_cross_entropy(logits, labels[batch])
+        return getattr(tape, spec.loss)(_head_logits(tape, clf, ids, lengths, True, rng), targets[batch])
 
     def epoch_record(epoch, loss):
         record = {"epoch": epoch, "loss": loss}
         if heldout is not None:
-            if kind == "relation":
-                record["heldout_top1"] = relation_accuracy(clf, heldout, 1)
-            else:
-                record["heldout_acc"] = source_accuracy(clf, heldout)
+            record[spec.metric] = accuracy(clf, heldout)
         return record
 
-    encoded = [clf.vocab.encode(q, clf.max_tokens) for q in questions]
-    return fit(clf.named_params(), encoded, make_optimizer("adam", cfg.lr), rng, cfg.epochs, cfg.batch_size,
-               cfg.clip_norm, batch_loss, epoch_record)
+    encoded = [vocab.encode(q, clf.max_tokens) for q, _ in pairs]
+    history = fit(clf.named_params(), encoded, make_optimizer("adam", cfg.lr), rng, cfg.epochs, cfg.batch_size,
+                  cfg.clip_norm, batch_loss, epoch_record)
+    return clf, history
 
 
-def relation_accuracy(clf: RelationClassifier, pairs: Sequence[tuple[str, Relation]], k: int = 1) -> float:
-    """Fraction of pairs whose relation is among the top-k predictions."""
-    probs = predict_relation_batch(clf, [q for q, _ in pairs])
-    hits = 0
-    for i, (_, r) in enumerate(pairs):
-        order = sorted(range(len(RELATIONS)), key=lambda j: (-probs[i, j], j))
-        if RELATION_INDEX[r] in order[:k]:
-            hits += 1
-    return hits / len(pairs)
+def train_relation_classifier(
+    pairs: Sequence[tuple[str, Relation]],
+    config: EncoderTrainConfig | None = None,
+    heldout: Sequence[tuple[str, Relation]] | None = None,
+) -> tuple[Classifier, list[dict]]:
+    """Train the 13-way relation classifier on (question, relation) pairs."""
+    return train_classifier("relation", pairs, config, heldout)
 
 
-def source_accuracy(clf: SourceClassifier, pairs: Sequence[tuple[str, AnswerSource]]) -> float:
-    probs = predict_source_batch(clf, [q for q, _ in pairs])
-    hits = 0
-    for i, (_, s) in enumerate(pairs):
-        predicted = AnswerSource.IMAGE if probs[i] >= 0.5 else AnswerSource.KNOWLEDGE_BASE
-        if predicted is s:
-            hits += 1
-    return hits / len(pairs)
+def train_source_classifier(
+    pairs: Sequence[tuple[str, AnswerSource]],
+    config: EncoderTrainConfig | None = None,
+    heldout: Sequence[tuple[str, AnswerSource]] | None = None,
+) -> tuple[Classifier, list[dict]]:
+    """Train the binary answer-source classifier; Image is the positive class."""
+    return train_classifier("source", pairs, config, heldout)
 
 
 # ----------------------------------------------------------------------
@@ -461,35 +430,27 @@ def source_accuracy(clf: SourceClassifier, pairs: Sequence[tuple[str, AnswerSour
 # ----------------------------------------------------------------------
 
 
-def save_classifier(path, clf: RelationClassifier | SourceClassifier, meta: dict | None = None) -> None:
-    kind = "relation" if isinstance(clf, RelationClassifier) else "source"
-    dims = {
-        "embed_dim": clf.lstm.input_dim,
-        "hidden_dim": clf.lstm.hidden_dim,
-        "dropout": clf.dropout,
-        "max_tokens": clf.max_tokens,
-    }
-    tensors = {name: t.values for name, t in clf.named_params().items()}
-    ckpt.save_checkpoint(path, kind, dims, clf.vocab.tokens, tensors, meta)
-
-
-def load_classifier(path) -> RelationClassifier | SourceClassifier:
+def read_model_checkpoint(path, kinds: Sequence[str]) -> tuple[ckpt.Checkpoint, Vocabulary]:
+    """A checkpoint of one of ``kinds`` and its vocabulary; LoadError naming the file otherwise."""
     data = ckpt.load_checkpoint(path)
-    if data.kind not in ("relation", "source"):
-        raise UsageError(f"{path}: checkpoint kind {data.kind!r} is not a classifier")
+    if data.kind not in kinds:
+        raise LoadError(f"{path}: checkpoint kind {data.kind!r} is not one of {list(kinds)}")
+    try:
+        return data, Vocabulary(data.vocab)
+    except UsageError as exc:
+        raise LoadError(f"{path}: {exc}") from None
+
+
+def save_classifier(path, clf: Classifier, meta: dict | None = None) -> None:
+    dims = dict(embed_dim=clf.embed_dim, hidden_dim=clf.hidden_dim, dropout=clf.dropout, max_tokens=clf.max_tokens)
+    tensors = {name: t.values for name, t in clf.tensors.items()}
+    ckpt.save_checkpoint(path, clf.kind, dims, clf.vocab.tokens, tensors, meta)
+
+
+def load_classifier(path) -> Classifier:
+    data, vocab = read_model_checkpoint(path, tuple(KINDS))
     embed_dim, hidden_dim = data.dim("embed_dim"), data.dim("hidden_dim")
-    outputs = len(RELATIONS) if data.kind == "relation" else 1
-    shapes = LSTMParams.shapes(len(data.vocab), embed_dim, hidden_dim, "lstm.")
-    shapes.update(w_out=(hidden_dim, outputs), b_out=(outputs,))
-    data.check_shapes(shapes)
-    t = {name: parameter(arr) for name, arr in data.tensors.items()}
-    lstm = LSTMParams(embed_dim, hidden_dim, t["lstm.embed"], t["lstm.w_gates"], t["lstm.b_gates"])
-    cls = RelationClassifier if data.kind == "relation" else SourceClassifier
-    return cls(
-        Vocabulary(data.vocab),
-        lstm,
-        t["w_out"],
-        t["b_out"],
-        dropout=data.dim("dropout", float),
-        max_tokens=data.dim("max_tokens"),
-    )
+    arrays = data.checked_tensors(Classifier.shapes(data.kind, len(vocab), embed_dim, hidden_dim))
+    tensors = {name: parameter(arr) for name, arr in arrays.items()}
+    return Classifier(data.kind, vocab, embed_dim, hidden_dim, tensors, data.dim("dropout", float),
+                      data.dim("max_tokens"))

@@ -9,24 +9,21 @@ crash, and counts as wrong during evaluation.
 
 One private core, :func:`_predict`, runs this for a batch of questions:
 :func:`evaluate` calls it on a dataset fold and tallies the metrics, and
-:func:`answer_question` calls it on a batch of one.
+:func:`answer_question` calls it on a batch of one. It takes the relation
+order and the source rule from ``encoders.ranked_relations`` and
+``encoders.answer_source``. The fields of :class:`Metrics` are the one list
+of metric names, for records, fold averages and the CLI table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .dataio import FeatureStore, QAInstance
-from .encoders import (
-    RELATIONS,
-    RelationClassifier,
-    SourceClassifier,
-    predict_relation_batch,
-    predict_source_batch,
-)
+from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
 from .errors import UsageError
 from .kb import AnswerSource, Fact, KnowledgeBase, Relation
 from .scorer import ScorerParams, embed_batch, rank_candidates
@@ -54,8 +51,8 @@ FVQA_REFERENCE_TOLERANCE = 3.0
 class PipelineModels:
     scorer: ScorerParams
     fact_matrix: FactMatrix
-    relation: RelationClassifier | None = None
-    source: SourceClassifier | None = None
+    relation: Classifier | None = None
+    source: Classifier | None = None
 
 
 @dataclass
@@ -85,28 +82,24 @@ class Prediction:
 
 @dataclass
 class Metrics:
-    answer_at1: float
-    answer_at3: float
-    fact_at1: float
-    fact_at3: float
-    relation_at1: float
-    relation_at3: float
-    source_acc: float
+    """Rates, each a fraction of the evaluated questions with its table
+    label, then counts; across folds the rates average and the counts add up."""
+
+    answer_at1: float = field(metadata={"label": "ans@1"})
+    answer_at3: float = field(metadata={"label": "ans@3"})
+    fact_at1: float = field(metadata={"label": "fact@1"})
+    fact_at3: float = field(metadata={"label": "fact@3"})
+    relation_at1: float = field(metadata={"label": "rel@1"})
+    relation_at3: float = field(metadata={"label": "rel@3"})
+    source_acc: float = field(metadata={"label": "source"})
     count: int
     no_fact_count: int
 
     def as_dict(self) -> dict:
-        return {
-            "answer_at1": self.answer_at1,
-            "answer_at3": self.answer_at3,
-            "fact_at1": self.fact_at1,
-            "fact_at3": self.fact_at3,
-            "relation_at1": self.relation_at1,
-            "relation_at3": self.relation_at3,
-            "source_acc": self.source_acc,
-            "count": self.count,
-            "no_fact_count": self.no_fact_count,
-        }
+        return asdict(self)
+
+
+RATE_FIELDS = [f for f in fields(Metrics) if "label" in f.metadata]
 
 
 def extract_answer(fact: Fact, source: AnswerSource) -> str:
@@ -114,13 +107,11 @@ def extract_answer(fact: Fact, source: AnswerSource) -> str:
     return fact.subject if source is AnswerSource.IMAGE else fact.obj
 
 
-def answers_match(predicted: str | None, expected: str, normalize: bool = True) -> bool:
-    """Exact string match, by default after casefold and whitespace trim."""
+def answers_match(predicted: str | None, expected: str) -> bool:
+    """Exact string match after casefold and whitespace trim."""
     if predicted is None:
         return False
-    if normalize:
-        return predicted.strip().casefold() == expected.strip().casefold()
-    return predicted == expected
+    return predicted.strip().casefold() == expected.strip().casefold()
 
 
 def _predict(
@@ -146,35 +137,29 @@ def _predict(
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if oracle_relations is not None:
-        ranked_relations = [[(r, 1.0)] for r in oracle_relations]
+        relations = [[(r, 1.0)] for r in oracle_relations]
     else:
         if models.relation is None:
             raise UsageError("no relation classifier loaded and no oracle relation given")
-        ranked_relations = []
-        for row in predict_relation_batch(models.relation, questions):
-            order = sorted(range(len(RELATIONS)), key=lambda j: (-row[j], j))
-            ranked_relations.append([(RELATIONS[j], float(row[j])) for j in order[:3]])
+        relations = [ranked_relations(row)[:3] for row in predict_relation_batch(models.relation, questions)]
     if oracle_sources is not None:
         sources = [(s, 1.0) for s in oracle_sources]
     else:
         if models.source is None:
             raise UsageError("no source classifier loaded and no oracle source given")
-        sources = [
-            (AnswerSource.IMAGE if p >= 0.5 else AnswerSource.KNOWLEDGE_BASE, float(p))
-            for p in predict_source_batch(models.source, questions)
-        ]
+        sources = [(answer_source(p), float(p)) for p in predict_source_batch(models.source, questions)]
     iq_mat = embed_batch(models.scorer, feats, concepts, questions)
 
     out = []
-    for (question_id, image_id), relations, (source, source_prob), iq in zip(ids, ranked_relations, sources, iq_mat):
-        pool = kb.ids_with_relation(relations[0][0])
+    for (question_id, image_id), ranked, (source, source_prob), iq in zip(ids, relations, sources, iq_mat):
+        pool = kb.ids_with_relation(ranked[0][0])
         top = rank_candidates(iq, pool, models.fact_matrix, max(k, 3), tie_break, rng) if pool else []
         prediction = Prediction(
             question_id=question_id,
             image_id=image_id,
             status="ok" if top else "no_fact",
-            relation=relations[0][0],
-            relation_probs=relations,
+            relation=ranked[0][0],
+            relation_probs=ranked,
             source=source,
             source_prob=source_prob,
             top_facts=top[:k],
@@ -229,7 +214,6 @@ def evaluate(
     oracle_source: bool = False,
     tie_break: str = "id",
     rng: np.random.Generator | None = None,
-    normalize_answers: bool = True,
 ) -> tuple[Metrics, list[Prediction]]:
     """Score a dataset fold and return per-question predictions.
 
@@ -272,8 +256,8 @@ def evaluate(
         answers = [extract_answer(kb.fact(fid), p.source) for fid in top3]
         fact1 += top3[0] == inst.fact_id
         fact3 += inst.fact_id in top3
-        ans1 += answers_match(answers[0], inst.answer, normalize_answers)
-        ans3 += any(answers_match(a, inst.answer, normalize_answers) for a in answers)
+        ans1 += answers_match(answers[0], inst.answer)
+        ans3 += any(answers_match(a, inst.answer) for a in answers)
     n = len(instances)
     metrics = Metrics(
         answer_at1=ans1 / n,
@@ -290,11 +274,10 @@ def evaluate(
 
 
 def average_metrics(per_fold: dict[int, Metrics]) -> dict:
-    """Mean of every metric field across folds."""
+    """Mean of every rate and sum of every count across folds."""
     if not per_fold:
         raise UsageError("no fold metrics to average")
-    keys = ["answer_at1", "answer_at3", "fact_at1", "fact_at3", "relation_at1", "relation_at3", "source_acc"]
-    out = {k: float(np.mean([getattr(m, k) for m in per_fold.values()])) for k in keys}
-    out["count"] = int(sum(m.count for m in per_fold.values()))
-    out["no_fact_count"] = int(sum(m.no_fact_count for m in per_fold.values()))
+    out = {f.name: float(np.mean([getattr(m, f.name) for m in per_fold.values()])) for f in RATE_FIELDS}
+    counts = [f for f in fields(Metrics) if f not in RATE_FIELDS]
+    out.update({f.name: int(sum(getattr(m, f.name) for m in per_fold.values())) for f in counts})
     return out

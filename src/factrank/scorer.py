@@ -8,6 +8,10 @@ length. Every affine layer is tanh-activated except the final fusion
 layer, which stays linear. A fact's score is the cosine between its fixed
 embedding and this vector.
 
+The network keeps its tensors in one dict, named and shaped by
+:meth:`ScorerParams.shapes`; initialization, the checkpoint writer and the
+checkpoint loader all follow that table.
+
 Ranking offers two tie-break modes: deterministic fact-id order (the
 default, used by tests and evaluation) and seeded random.
 """
@@ -21,7 +25,15 @@ from typing import Sequence
 import numpy as np
 
 from . import checkpoint as ckpt
-from .encoders import INIT_SCALE, LSTMParams, Vocabulary, encode_batch, lstm_hidden
+from .encoders import (
+    LSTM_PREFIX,
+    LSTMParams,
+    Vocabulary,
+    encode_batch,
+    init_tensors,
+    lstm_hidden,
+    read_model_checkpoint,
+)
 from .errors import ShapeError, UsageError
 from .numerics import Tape, Tensor, constant, parameter
 from .wordvec import FactMatrix
@@ -74,20 +86,28 @@ class ScorerDims:
 class ScorerParams:
     dims: ScorerDims
     vocab: Vocabulary
-    lstm: LSTMParams
-    w_img: Tensor
-    b_img: Tensor
-    w_mlp1: Tensor
-    b_mlp1: Tensor
-    w_mlp2: Tensor
-    b_mlp2: Tensor
-    w_con: Tensor
-    b_con: Tensor
-    w_fuse: Tensor
-    b_fuse: Tensor
+    tensors: dict[str, Tensor]
     dropout: float = 0.5
     variant: Variant = Variant.Q_I_VC
     max_tokens: int = 30
+
+    @staticmethod
+    def shapes(dims: ScorerDims, vocab_size: int) -> dict[str, tuple[int, ...]]:
+        """Tensor names and shapes, in initialization and checkpoint order."""
+        shapes = LSTMParams.shapes(vocab_size, dims.question_embed, dims.question_hidden, LSTM_PREFIX)
+        shapes.update(
+            w_img=(dims.image_dim, dims.image_proj),
+            b_img=(dims.image_proj,),
+            w_mlp1=(dims.image_proj + dims.question_hidden, dims.mlp1),
+            b_mlp1=(dims.mlp1,),
+            w_mlp2=(dims.mlp1, dims.mlp2),
+            b_mlp2=(dims.mlp2,),
+            w_con=(dims.concept_dim, dims.concept_proj),
+            b_con=(dims.concept_proj,),
+            w_fuse=(dims.mlp2 + dims.concept_proj, dims.output_dim),
+            b_fuse=(dims.output_dim,),
+        )
+        return shapes
 
     @classmethod
     def init(
@@ -100,41 +120,14 @@ class ScorerParams:
         max_tokens: int = 30,
     ) -> "ScorerParams":
         d = dims or ScorerDims()
-        u = lambda *shape: parameter(rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
-        return cls(
-            dims=d,
-            vocab=vocab,
-            lstm=LSTMParams.init(rng, len(vocab), d.question_embed, d.question_hidden),
-            w_img=u(d.image_dim, d.image_proj),
-            b_img=parameter(np.zeros(d.image_proj)),
-            w_mlp1=u(d.image_proj + d.question_hidden, d.mlp1),
-            b_mlp1=parameter(np.zeros(d.mlp1)),
-            w_mlp2=u(d.mlp1, d.mlp2),
-            b_mlp2=parameter(np.zeros(d.mlp2)),
-            w_con=u(d.concept_dim, d.concept_proj),
-            b_con=parameter(np.zeros(d.concept_proj)),
-            w_fuse=u(d.mlp2 + d.concept_proj, d.output_dim),
-            b_fuse=parameter(np.zeros(d.output_dim)),
-            dropout=dropout,
-            variant=variant,
-            max_tokens=max_tokens,
-        )
+        return cls(d, vocab, init_tensors(rng, cls.shapes(d, len(vocab))), dropout, variant, max_tokens)
+
+    @property
+    def lstm(self) -> LSTMParams:
+        return LSTMParams.part_of(self.tensors)
 
     def named_params(self) -> dict[str, Tensor]:
-        out = self.lstm.named_params("lstm.")
-        out.update(
-            w_img=self.w_img,
-            b_img=self.b_img,
-            w_mlp1=self.w_mlp1,
-            b_mlp1=self.b_mlp1,
-            w_mlp2=self.w_mlp2,
-            b_mlp2=self.b_mlp2,
-            w_con=self.w_con,
-            b_con=self.b_con,
-            w_fuse=self.w_fuse,
-            b_fuse=self.b_fuse,
-        )
-        return out
+        return self.tensors
 
 
 def _masked_inputs(params: ScorerParams, feats: Array, concepts: Array) -> tuple[Array, Array]:
@@ -163,13 +156,14 @@ def iq_embedding_batch(
 ) -> Tensor:
     """(batch, output_dim) image-question embeddings on the given tape."""
     feats, concepts = _masked_inputs(params, feats, concepts)
-    img = tape.tanh(tape.add(tape.matmul(constant(feats), params.w_img), params.b_img))
+    w = params.tensors
+    img = tape.tanh(tape.add(tape.matmul(constant(feats), w["w_img"]), w["b_img"]))
     q = lstm_hidden(tape, params.lstm, ids, lengths)
-    m1 = tape.tanh(tape.add(tape.matmul(tape.concat([img, q]), params.w_mlp1), params.b_mlp1))
+    m1 = tape.tanh(tape.add(tape.matmul(tape.concat([img, q]), w["w_mlp1"]), w["b_mlp1"]))
     m1 = tape.dropout(m1, params.dropout, train, rng)
-    m2 = tape.tanh(tape.add(tape.matmul(m1, params.w_mlp2), params.b_mlp2))
-    con = tape.tanh(tape.add(tape.matmul(constant(concepts), params.w_con), params.b_con))
-    return tape.add(tape.matmul(tape.concat([m2, con]), params.w_fuse), params.b_fuse)
+    m2 = tape.tanh(tape.add(tape.matmul(m1, w["w_mlp2"]), w["b_mlp2"]))
+    con = tape.tanh(tape.add(tape.matmul(constant(concepts), w["w_con"]), w["b_con"]))
+    return tape.add(tape.matmul(tape.concat([m2, con]), w["w_fuse"]), w["b_fuse"])
 
 
 def embed_image_question(params: ScorerParams, feat: Array, concepts: Array, question: str) -> Array:
@@ -283,46 +277,14 @@ def score_matrix(iq_mat: Array, fact_matrix: FactMatrix) -> Array:
 def save_scorer(path, params: ScorerParams, meta: dict | None = None) -> None:
     dims = params.dims.as_dict()
     dims.update(dropout=params.dropout, variant=params.variant.value, max_tokens=params.max_tokens)
-    tensors = {name: t.values for name, t in params.named_params().items()}
+    tensors = {name: t.values for name, t in params.tensors.items()}
     ckpt.save_checkpoint(path, "scorer", dims, params.vocab.tokens, tensors, meta)
 
 
 def load_scorer(path) -> ScorerParams:
-    data = ckpt.load_checkpoint(path)
-    if data.kind != "scorer":
-        raise UsageError(f"{path}: checkpoint kind {data.kind!r} is not a scorer")
+    data, vocab = read_model_checkpoint(path, ("scorer",))
     dims = ScorerDims(**{f.name: data.dim(f.name) for f in fields(ScorerDims)})
-    shapes = LSTMParams.shapes(len(data.vocab), dims.question_embed, dims.question_hidden, "lstm.")
-    shapes.update(
-        w_img=(dims.image_dim, dims.image_proj),
-        b_img=(dims.image_proj,),
-        w_mlp1=(dims.image_proj + dims.question_hidden, dims.mlp1),
-        b_mlp1=(dims.mlp1,),
-        w_mlp2=(dims.mlp1, dims.mlp2),
-        b_mlp2=(dims.mlp2,),
-        w_con=(dims.concept_dim, dims.concept_proj),
-        b_con=(dims.concept_proj,),
-        w_fuse=(dims.mlp2 + dims.concept_proj, dims.output_dim),
-        b_fuse=(dims.output_dim,),
-    )
-    data.check_shapes(shapes)
-    t = {name: parameter(arr) for name, arr in data.tensors.items()}
-    lstm = LSTMParams(dims.question_embed, dims.question_hidden, t["lstm.embed"], t["lstm.w_gates"], t["lstm.b_gates"])
-    return ScorerParams(
-        dims=dims,
-        vocab=Vocabulary(data.vocab),
-        lstm=lstm,
-        w_img=t["w_img"],
-        b_img=t["b_img"],
-        w_mlp1=t["w_mlp1"],
-        b_mlp1=t["b_mlp1"],
-        w_mlp2=t["w_mlp2"],
-        b_mlp2=t["b_mlp2"],
-        w_con=t["w_con"],
-        b_con=t["b_con"],
-        w_fuse=t["w_fuse"],
-        b_fuse=t["b_fuse"],
-        dropout=data.dim("dropout", float),
-        variant=Variant.parse(data.dim("variant", str)),
-        max_tokens=data.dim("max_tokens"),
-    )
+    arrays = data.checked_tensors(ScorerParams.shapes(dims, len(vocab)))
+    tensors = {name: parameter(arr) for name, arr in arrays.items()}
+    return ScorerParams(dims, vocab, tensors, data.dim("dropout", float), data.dim("variant", Variant),
+                        data.dim("max_tokens"))

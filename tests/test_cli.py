@@ -136,7 +136,7 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, payload
 
 
 def test_table_defaults_are_the_library_defaults():
-    from factrank.encoders import EncoderTrainConfig, RelationClassifier, SourceClassifier
+    from factrank.encoders import KINDS, EncoderTrainConfig
     from factrank.synth import SyntheticConfig
     from factrank.trainer import MarginConfig
 
@@ -144,9 +144,7 @@ def test_table_defaults_are_the_library_defaults():
     for prefix in ("relation", "source"):
         assert (getattr(cfg, f"{prefix}_epochs"), getattr(cfg, f"{prefix}_batch_size"),
                 getattr(cfg, f"{prefix}_lr")) == (enc.epochs, enc.batch_size, enc.lr)
-    dropout = {c: next(f.default for f in dataclasses.fields(c) if f.name == "dropout")
-               for c in (RelationClassifier, SourceClassifier)}
-    assert (cfg.relation_dropout, cfg.source_dropout) == (dropout[RelationClassifier], dropout[SourceClassifier])
+    assert (cfg.relation_dropout, cfg.source_dropout) == (KINDS["relation"].dropout, KINDS["source"].dropout)
     assert cfg.seed == enc.seed == margin.seed
     assert cfg.max_question_tokens == enc.max_tokens == margin.max_question_tokens
     assert (cfg.margin, cfg.weight_decay, cfg.negatives, cfg.iterations, cfg.epochs_per_iteration,
@@ -249,3 +247,16 @@ def test_cli_convert_fvqa_questions_not_json_is_load_error(tmp_path, capsys):
     assert main(["convert-fvqa", "--questions", str(questions), "--facts", str(tmp_path / "facts.json"),
                  "--out", str(tmp_path / "out")]) == 1
     assert str(questions) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("facts, questions, bad, record", [
+    (FVQA_FACTS, {"q1": "oops"}, "questions.json", "'q1'"),
+    ({"f1": "e1_label r e2_label"}, FVQA_QUESTIONS, "facts.json", "'f1'"),
+])
+def test_cli_convert_fvqa_record_not_an_object_is_load_error(tmp_path, capsys, facts, questions, bad, record):
+    (tmp_path / "facts.json").write_text(json.dumps(facts))
+    (tmp_path / "questions.json").write_text(json.dumps(questions))
+    assert main(["convert-fvqa", "--questions", str(tmp_path / "questions.json"), "--facts",
+                 str(tmp_path / "facts.json"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / bad) in err and record in err

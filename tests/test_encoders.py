@@ -9,19 +9,18 @@ from factrank.encoders import (
     PAD_ID,
     UNK_ID,
     EncoderTrainConfig,
+    Classifier,
     LSTMParams,
-    RelationClassifier,
-    SourceClassifier,
     Vocabulary,
+    accuracy,
+    answer_source,
     encode_batch,
     load_classifier,
     lstm_hidden,
-    predict_relation,
     predict_relation_batch,
-    predict_source,
-    relation_accuracy,
+    predict_source_batch,
+    ranked_relations,
     save_classifier,
-    source_accuracy,
     train_relation_classifier,
     train_source_classifier,
 )
@@ -173,10 +172,10 @@ def test_lstm_batch_rows_match_single_runs():
 
 def test_untrained_zero_weight_relation_probs_uniform():
     vocab = Vocabulary.build(["what is this"])
-    clf = RelationClassifier.init(vocab, np.random.default_rng(0))
+    clf = Classifier.init("relation", vocab, np.random.default_rng(0))
     for t in clf.named_params().values():
         t.values[...] = 0.0
-    ranked = predict_relation(clf, "what is this")
+    ranked = ranked_relations(predict_relation_batch(clf, ["what is this"])[0])
     assert len(ranked) == 13
     for _, p in ranked:
         assert p == pytest.approx(1 / 13, abs=1e-12)
@@ -184,8 +183,8 @@ def test_untrained_zero_weight_relation_probs_uniform():
 
 def test_predict_relation_sorted_and_top1_in_top3():
     vocab = Vocabulary.build(["what is this"])
-    clf = RelationClassifier.init(vocab, np.random.default_rng(1))
-    ranked = predict_relation(clf, "what is this")
+    clf = Classifier.init("relation", vocab, np.random.default_rng(1))
+    ranked = ranked_relations(predict_relation_batch(clf, ["what is this"])[0])
     probs = [p for _, p in ranked]
     assert probs == sorted(probs, reverse=True)
     assert ranked[0][0] in [r for r, _ in ranked[:3]]
@@ -193,7 +192,7 @@ def test_predict_relation_sorted_and_top1_in_top3():
 
 def test_relation_probs_sum_to_one():
     vocab = Vocabulary.build(["alpha beta gamma"])
-    clf = RelationClassifier.init(vocab, np.random.default_rng(2))
+    clf = Classifier.init("relation", vocab, np.random.default_rng(2))
     probs = predict_relation_batch(clf, ["alpha beta", "gamma"])
     np.testing.assert_allclose(probs.sum(axis=1), [1.0, 1.0], atol=1e-9)
     assert np.all(probs > 0.0) and np.all(probs < 1.0)
@@ -201,31 +200,32 @@ def test_relation_probs_sum_to_one():
 
 def test_predict_relation_empty_question_rejected():
     vocab = Vocabulary.build(["a"])
-    clf = RelationClassifier.init(vocab, np.random.default_rng(3))
+    clf = Classifier.init("relation", vocab, np.random.default_rng(3))
     with pytest.raises(UsageError):
-        predict_relation(clf, "?!")
+        predict_relation_batch(clf, ["?!"])
 
 
 def test_zero_weight_source_tie_resolves_to_image():
     vocab = Vocabulary.build(["what"])
-    clf = SourceClassifier.init(vocab, np.random.default_rng(4))
+    clf = Classifier.init("source", vocab, np.random.default_rng(4))
     for t in clf.named_params().values():
         t.values[...] = 0.0
-    source, p = predict_source(clf, "what")
+    p = predict_source_batch(clf, ["what"])[0]
+    source = answer_source(p)
     assert p == 0.5
     assert source is AnswerSource.IMAGE
 
 
 def test_source_probability_in_open_interval():
     vocab = Vocabulary.build(["what is"])
-    clf = SourceClassifier.init(vocab, np.random.default_rng(5))
-    _, p = predict_source(clf, "what is")
+    clf = Classifier.init("source", vocab, np.random.default_rng(5))
+    p = predict_source_batch(clf, ["what is"])[0]
     assert 0.0 < p < 1.0
 
 
 def test_eval_predictions_are_deterministic():
     vocab = Vocabulary.build(["what is this thing"])
-    clf = RelationClassifier.init(vocab, np.random.default_rng(6))
+    clf = Classifier.init("relation", vocab, np.random.default_rng(6))
     a = predict_relation_batch(clf, ["what is this thing"])
     b = predict_relation_batch(clf, ["what is this thing"])
     np.testing.assert_array_equal(a, b)
@@ -239,7 +239,7 @@ def test_eval_predictions_are_deterministic():
 def test_relation_training_memorizes_single_example():
     pairs = [("which thing is shown", Relation.USED_FOR)]
     clf, history = train_relation_classifier(pairs, EncoderTrainConfig(epochs=50, seed=0))
-    assert relation_accuracy(clf, pairs, 1) == 1.0
+    assert accuracy(clf, pairs, 1) == 1.0
     assert len(history) == 50
 
 
@@ -253,7 +253,7 @@ def test_relation_training_on_planted_keywords_generalizes():
     train = _planted_relation_pairs(20, seed=2)
     heldout = _planted_relation_pairs(5, seed=3)
     clf, _ = train_relation_classifier(train, EncoderTrainConfig(epochs=40, seed=2))
-    assert relation_accuracy(clf, heldout, 1) >= 0.95
+    assert accuracy(clf, heldout, 1) >= 0.95
 
 
 def test_relation_training_rejects_bad_labels():
@@ -264,14 +264,14 @@ def test_relation_training_rejects_bad_labels():
 def test_source_training_memorizes_single_example():
     pairs = [("what is shown here", AnswerSource.IMAGE)]
     clf, _ = train_source_classifier(pairs, EncoderTrainConfig(epochs=50, seed=4))
-    assert source_accuracy(clf, pairs) == 1.0
+    assert accuracy(clf, pairs) == 1.0
 
 
 def test_source_training_on_planted_cues_generalizes():
     train = _planted_source_pairs(200, seed=5)
     heldout = _planted_source_pairs(60, seed=6)
     clf, _ = train_source_classifier(train, EncoderTrainConfig(epochs=25, seed=5))
-    assert source_accuracy(clf, heldout) >= 0.98
+    assert accuracy(clf, heldout) >= 0.98
 
 
 def test_training_deterministic_under_seed():
@@ -295,7 +295,7 @@ def test_classifier_checkpoint_round_trip(tmp_path):
     path = tmp_path / "relation.ckpt"
     save_classifier(path, clf, meta={"note": "test"})
     loaded = load_classifier(path)
-    assert isinstance(loaded, RelationClassifier)
+    assert loaded.kind == "relation"
     questions = [q for q, _ in pairs]
     np.testing.assert_array_equal(
         predict_relation_batch(clf, questions), predict_relation_batch(loaded, questions)
@@ -308,12 +308,12 @@ def test_source_checkpoint_round_trip(tmp_path):
     path = tmp_path / "source.ckpt"
     save_classifier(path, clf)
     loaded = load_classifier(path)
-    assert isinstance(loaded, SourceClassifier)
-    assert source_accuracy(loaded, pairs) == source_accuracy(clf, pairs)
+    assert loaded.kind == "source"
+    assert accuracy(loaded, pairs) == accuracy(clf, pairs)
 
 
 def test_classifier_checkpoint_with_wrong_head_shape_raises_load_error(tmp_path):
-    clf = RelationClassifier.init(Vocabulary.build(["what is it used for"]), np.random.default_rng(3), 4, 5)
+    clf = Classifier.init("relation", Vocabulary.build(["what is it used for"]), np.random.default_rng(3), 4, 5)
     path = tmp_path / "relation.ckpt"
     save_classifier(path, clf)
     data = load_checkpoint(path)
@@ -322,3 +322,41 @@ def test_classifier_checkpoint_with_wrong_head_shape_raises_load_error(tmp_path)
     with pytest.raises(LoadError, match=r"tensor 'w_out' has shape \(5, 12\), expected \(5, 13\)") as err:
         load_classifier(path)
     assert str(path) in str(err.value)
+
+
+def _wrong_kind(data):
+    data.kind = "scorer"
+
+
+def _no_pad_unk_head(data):
+    data.vocab = ["pad", "unk"] + data.vocab[2:]
+
+
+def _duplicate_token(data):
+    data.vocab = data.vocab[:-1] + data.vocab[-2:-1]
+
+
+def _missing_dim(data):
+    del data.dims["hidden_dim"]
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_wrong_kind, "checkpoint kind 'scorer'"),
+        (_no_pad_unk_head, "vocabulary must start with the PAD and UNK tokens"),
+        (_duplicate_token, "vocabulary tokens must be unique"),
+        (_missing_dim, "'hidden_dim'"),
+    ],
+)
+def test_malformed_classifier_checkpoint_raises_load_error_naming_file(tmp_path, spoil, message):
+    clf = Classifier.init("source", Vocabulary.build(["what is shown here"]), np.random.default_rng(4), 4, 5)
+    path = tmp_path / "source.ckpt"
+    save_classifier(path, clf)
+    data = load_checkpoint(path)
+    spoil(data)
+    save_checkpoint(path, data.kind, data.dims, data.vocab, data.tensors)
+    with pytest.raises(LoadError) as err:
+        load_classifier(path)
+    assert str(path) in str(err.value)
+    assert message in str(err.value)

@@ -322,6 +322,23 @@ def _spoil_drop_dim(path, dims, vocab, tensors):
     save_checkpoint(path, "scorer", dims, vocab, tensors)
 
 
+def _spoil_variant(path, dims, vocab, tensors):
+    dims["variant"] = "zz"
+    save_checkpoint(path, "scorer", dims, vocab, tensors)
+
+
+def _spoil_vocab_head(path, dims, vocab, tensors):
+    save_checkpoint(path, "scorer", dims, ["pad", "unk"] + vocab[2:], tensors)
+
+
+def _spoil_duplicate_token(path, dims, vocab, tensors):
+    save_checkpoint(path, "scorer", dims, vocab[:-1] + vocab[-2:-1], tensors)
+
+
+def _spoil_kind(path, dims, vocab, tensors):
+    save_checkpoint(path, "relation", dims, vocab, tensors)
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -330,6 +347,10 @@ def _spoil_drop_dim(path, dims, vocab, tensors):
         (_spoil_reshape_w_fuse, "tensor 'w_fuse' has shape (8, 6), expected (9, 6)"),
         (_spoil_trailing_bytes, "trailing bytes"),
         (_spoil_drop_dim, "'output_dim'"),
+        (_spoil_variant, "'variant'"),
+        (_spoil_vocab_head, "vocabulary must start with the PAD and UNK tokens"),
+        (_spoil_duplicate_token, "vocabulary tokens must be unique"),
+        (_spoil_kind, "checkpoint kind 'relation'"),
     ],
 )
 def test_malformed_scorer_checkpoint_raises_load_error_naming_file(tmp_path, spoil, message):
