@@ -117,9 +117,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise LoadError(f"{path}: checkpoint header lacks {missing}")
         if header["format_version"] != 1:
             raise LoadError(f"{path}: unsupported checkpoint version {header['format_version']}")
-        vocab = list(header["vocab"])
+        vocab = header["vocab"]
+        if not isinstance(vocab, list) or not all(isinstance(token, str) for token in vocab):
+            raise LoadError(f"{path}: header vocab is not a list of strings")
         if vocab_sha256(vocab) != header["vocab_sha256"]:
             raise LoadError(f"{path}: vocabulary hash mismatch")
+        if not isinstance(header["tensors"], list):
+            raise LoadError(f"{path}: header tensors is not a list of records")
         tensors: dict[str, Array] = {}
         for rec in header["tensors"]:
             try:

@@ -320,6 +320,10 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
         subject = str(_first_key(rec, _FVQA_SUBJECT_KEYS, where))
         relation = str(_first_key(rec, _FVQA_RELATION_KEYS, where))
         obj = str(_first_key(rec, _FVQA_OBJECT_KEYS, where))
+        try:
+            Relation.parse(relation)
+        except UsageError as exc:
+            raise LoadError(f"{where}: {exc}") from None
         kb_lines.append("\t".join([fid, subject, relation, obj]))
     kb_path = out_dir / "kb.tsv"
     kb_path.write_text("\n".join(kb_lines) + "\n", encoding="utf-8")
@@ -342,7 +346,10 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
         answer = str(rec.get("answer", ""))
         source_token = rec.get("answer_source", rec.get("ans_source"))
         if source_token:
-            source = AnswerSource.parse(str(source_token))
+            try:
+                source = AnswerSource.parse(str(source_token))
+            except UsageError as exc:
+                raise LoadError(f"{questions_path}: question {qid!r}: {exc}") from None
         elif normalize_phrase(answer) == fact.subject_norm:
             source = AnswerSource.IMAGE
         elif normalize_phrase(answer) == fact.object_norm:

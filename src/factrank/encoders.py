@@ -131,9 +131,6 @@ class LSTMParams:
         """The LSTM of a model whose tensor names give it under ``LSTM_PREFIX``; the tensors are shared."""
         return cls({name[len(LSTM_PREFIX) :]: t for name, t in tensors.items() if name.startswith(LSTM_PREFIX)})
 
-    def named_params(self) -> dict[str, Tensor]:
-        return self.tensors
-
 
 def lstm_hidden(
     tape: Tape,
@@ -247,9 +244,6 @@ class Classifier:
     def lstm(self) -> LSTMParams:
         return LSTMParams.part_of(self.tensors)
 
-    def named_params(self) -> dict[str, Tensor]:
-        return self.tensors
-
 
 def _head_logits(tape, clf, ids, lengths, train, rng) -> Tensor:
     # dropout after the word embeddings (inside the LSTM loop) and again
@@ -266,7 +260,7 @@ def _eval_logits(clf: Classifier, kind: str, questions: Sequence[str], chunk: in
     out = np.zeros((len(questions), KINDS[kind].width))
     for start in range(0, len(questions), chunk):
         ids, lengths = encode_batch(clf.vocab, questions[start : start + chunk], clf.max_tokens)
-        out[start : start + len(ids)] = _head_logits(Tape(), clf, ids, lengths, False, None).values
+        out[start : start + len(ids)] = _head_logits(Tape(record=False), clf, ids, lengths, False, None).values
     return out
 
 
@@ -402,7 +396,7 @@ def train_classifier(
         return record
 
     encoded = [vocab.encode(q, clf.max_tokens) for q, _ in pairs]
-    history = fit(clf.named_params(), encoded, make_optimizer("adam", cfg.lr), rng, cfg.epochs, cfg.batch_size,
+    history = fit(clf.tensors, encoded, make_optimizer("adam", cfg.lr), rng, cfg.epochs, cfg.batch_size,
                   cfg.clip_norm, batch_loss, epoch_record)
     return clf, history
 

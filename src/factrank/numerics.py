@@ -2,15 +2,18 @@
 
 A :class:`Tape` records every primitive applied to tensors that
 (transitively) require gradients. ``Tape.backward`` walks the records once,
-in reverse, accumulating into ``Tensor.grad``. Tapes are rebuilt for every
+in reverse, accumulating into ``Tensor.grad``. It pops each record as it
+runs and drops that record's output gradient, so intermediates and their
+gradient buffers are freed during the walk. Tapes are rebuilt for every
 forward pass and each tape can be differentiated exactly once; a second
-``backward`` call is rejected.
+``backward`` call is rejected. ``Tape(record=False)`` records nothing and
+its outputs carry no gradient; evaluation forward passes use it.
 
 The primitive set is deliberately small: matrix product, addition with a
 row-broadcast bias, last-axis concatenation and slicing, tanh / sigmoid /
 Hadamard product, embedding-row gather, inverted dropout, softmax and
-binary cross-entropy, cosine similarity (single pair and batched rows),
-and the structured hinge used for margin training.
+binary cross-entropy, batched-row cosine similarity, and the structured
+hinge used for margin training.
 """
 
 from __future__ import annotations
@@ -98,20 +101,28 @@ def stable_sigmoid(z: Array) -> Array:
 
 
 class Tape:
-    """Ordered record of primitive applications for one forward pass."""
+    """Ordered record of primitive applications for one forward pass.
 
-    def __init__(self):
+    With ``record=False`` every output has ``requires_grad`` False and no
+    tape, whatever its inputs. ``len(tape)`` counts every record emitted,
+    also after ``backward`` has released them.
+    """
+
+    def __init__(self, record: bool = True):
         self._records: list[tuple[Tensor, Callable[[Array], None]]] = []
+        self._record = record
+        self._emitted = 0
         self._spent = False
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._emitted
 
     def _emit(self, values: Array, inputs: Sequence[Tensor], backward) -> Tensor:
-        needs = any(i.requires_grad for i in inputs)
+        needs = self._record and any(i.requires_grad for i in inputs)
         out = Tensor(values, requires_grad=needs, tape=self if needs else None)
         if needs:
             self._records.append((out, backward))
+            self._emitted += 1
         return out
 
     # ------------------------------------------------------------------
@@ -311,24 +322,6 @@ class Tape:
 
         return self._emit(values, (logits,), backward)
 
-    def cosine_similarity(self, u: Tensor, v: Tensor) -> Tensor:
-        if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-            raise ShapeError(f"cosine needs matching 1-d tensors, got {u.shape}, {v.shape}")
-        nu = float(np.linalg.norm(u.values))
-        nv = float(np.linalg.norm(v.values))
-        if nu == 0.0 or nv == 0.0:
-            raise DegenerateInputError("cosine similarity of a zero-norm vector")
-        s = float(np.dot(u.values, v.values) / (nu * nv))
-
-        def backward(g: Array) -> None:
-            gs = float(g)
-            if u.requires_grad:
-                _accumulate(u, gs * (v.values / (nu * nv) - s * u.values / (nu * nu)))
-            if v.requires_grad:
-                _accumulate(v, gs * (u.values / (nu * nv) - s * v.values / (nv * nv)))
-
-        return self._emit(np.asarray(s), (u, v), backward)
-
     def cosine_rows(self, x: Tensor, rows: Array) -> Tensor:
         """Cosine of each batch row of ``x`` against a constant candidate block.
 
@@ -402,9 +395,9 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Populate gradients for everything reachable from ``loss``.
 
-        Each record is visited exactly once in reverse order. A tape can be
-        differentiated only once; rebuild the forward pass to differentiate
-        again.
+        Each record runs once, in reverse order, and is then popped with its
+        output's gradient; leaf gradients are kept. A tape can be
+        differentiated only once; rebuild the forward pass to do it again.
         """
         if loss.tape is not self:
             raise UsageError("loss tensor was not produced on this tape")
@@ -414,7 +407,9 @@ class Tape:
             raise UsageError("tape already differentiated; rebuild the forward pass")
         self._spent = True
         loss.grad = np.ones_like(loss.values)
-        for out, bwd in reversed(self._records):
+        while self._records:
+            out, bwd = self._records.pop()
             if out.grad is not None:
                 bwd(out.grad)
+                out.grad = None
 

@@ -126,9 +126,6 @@ class ScorerParams:
     def lstm(self) -> LSTMParams:
         return LSTMParams.part_of(self.tensors)
 
-    def named_params(self) -> dict[str, Tensor]:
-        return self.tensors
-
 
 def _masked_inputs(params: ScorerParams, feats: Array, concepts: Array) -> tuple[Array, Array]:
     feats = np.asarray(feats, dtype=np.float64)
@@ -178,7 +175,8 @@ def embed_batch(params: ScorerParams, feats: Array, concepts: Array, questions: 
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         ids, lengths = encode_batch(params.vocab, list(questions[start:stop]), params.max_tokens)
-        out[start:stop] = iq_embedding_batch(Tape(), params, feats[start:stop], concepts[start:stop], ids, lengths).values
+        tape = Tape(record=False)
+        out[start:stop] = iq_embedding_batch(tape, params, feats[start:stop], concepts[start:stop], ids, lengths).values
     return out
 
 

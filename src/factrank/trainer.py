@@ -285,7 +285,7 @@ def train_scorer(
             return record
 
         opt = make_optimizer("adam", config.lr, weight_decay=config.weight_decay)
-        metrics += fit(params.named_params(), encoded, opt, rng_train, config.epochs_per_iteration,
+        metrics += fit(params.tensors, encoded, opt, rng_train, config.epochs_per_iteration,
                        config.batch_size, config.clip_norm, batch_loss, epoch_record)
         summary = {
             "type": "iteration",

@@ -260,3 +260,18 @@ def test_cli_convert_fvqa_record_not_an_object_is_load_error(tmp_path, capsys, f
                  str(tmp_path / "facts.json"), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert str(tmp_path / bad) in err and record in err
+
+
+@pytest.mark.parametrize("facts, questions, bad, record, label", [
+    (FVQA_FACTS, {"q1": {**FVQA_QUESTIONS["q1"], "answer_source": "Picture"}}, "questions.json", "'q1'", "'Picture'"),
+    ({**FVQA_FACTS, "f2": {"e1_label": "dog", "r": "Likes", "e2_label": "pet"}}, FVQA_QUESTIONS, "facts.json",
+     "'f2'", "'Likes'"),
+])
+def test_cli_convert_fvqa_unknown_label_is_load_error(tmp_path, capsys, facts, questions, bad, record, label):
+    (tmp_path / "facts.json").write_text(json.dumps(facts))
+    (tmp_path / "questions.json").write_text(json.dumps(questions))
+    assert main(["convert-fvqa", "--questions", str(tmp_path / "questions.json"), "--facts",
+                 str(tmp_path / "facts.json"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / bad) in err and record in err and label in err
+    assert "kb.tsv" not in err

@@ -8,6 +8,7 @@ from factrank.errors import DataError, LoadError, UsageError
 from factrank.encoders import (
     PAD_ID,
     UNK_ID,
+    _head_logits,
     EncoderTrainConfig,
     Classifier,
     LSTMParams,
@@ -27,6 +28,7 @@ from factrank.encoders import (
 from factrank.kb import AnswerSource, Relation
 from factrank.numerics import Tape
 from gradcheck import check_grads
+from spoil import rewrite_header
 
 RELATION_KEYWORD = {r: r.value.lower() for r in Relation}
 
@@ -98,7 +100,7 @@ def test_encode_batch_empty_question_rejected():
 
 def test_lstm_zero_weights_gives_zero_hidden():
     params = LSTMParams.init(np.random.default_rng(0), 6, 3, 4)
-    for t in params.named_params().values():
+    for t in params.tensors.values():
         t.values[...] = 0.0
     out = lstm_hidden(Tape(), params, np.array([[1, 2, 3]]), np.array([3]))
     np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
@@ -125,7 +127,7 @@ def test_lstm_grad_matches_finite_differences():
         t = Tape()
         return t.tensor_sum(t.tanh(lstm_hidden(t, params, ids, np.array([3]))))
 
-    assert check_grads(forward, params.named_params(), tol=1e-4) <= 1e-4
+    assert check_grads(forward, params.tensors, tol=1e-4) <= 1e-4
 
 
 @settings(max_examples=10, deadline=None)
@@ -143,7 +145,7 @@ def test_property_lstm_grads(seq_len, hidden, seed):
         t = Tape()
         return t.tensor_sum(lstm_hidden(t, params, ids, np.array([seq_len])))
 
-    check_grads(forward, params.named_params(), tol=1e-4)
+    check_grads(forward, params.tensors, tol=1e-4)
 
 
 def test_lstm_pad_suffix_invariance():
@@ -173,7 +175,7 @@ def test_lstm_batch_rows_match_single_runs():
 def test_untrained_zero_weight_relation_probs_uniform():
     vocab = Vocabulary.build(["what is this"])
     clf = Classifier.init("relation", vocab, np.random.default_rng(0))
-    for t in clf.named_params().values():
+    for t in clf.tensors.values():
         t.values[...] = 0.0
     ranked = ranked_relations(predict_relation_batch(clf, ["what is this"])[0])
     assert len(ranked) == 13
@@ -208,7 +210,7 @@ def test_predict_relation_empty_question_rejected():
 def test_zero_weight_source_tie_resolves_to_image():
     vocab = Vocabulary.build(["what"])
     clf = Classifier.init("source", vocab, np.random.default_rng(4))
-    for t in clf.named_params().values():
+    for t in clf.tensors.values():
         t.values[...] = 0.0
     p = predict_source_batch(clf, ["what"])[0]
     source = answer_source(p)
@@ -229,6 +231,20 @@ def test_eval_predictions_are_deterministic():
     a = predict_relation_batch(clf, ["what is this thing"])
     b = predict_relation_batch(clf, ["what is this thing"])
     np.testing.assert_array_equal(a, b)
+
+
+def test_inference_tape_records_nothing():
+    vocab = Vocabulary.build(["what is this thing used for"])
+    clf = Classifier.init("relation", vocab, np.random.default_rng(7), 4, 5)
+    ids, lengths = encode_batch(vocab, ["what is this thing used for", "what is it"], clf.max_tokens)
+    recorded = _head_logits(Tape(), clf, ids, lengths, False, None)
+    tape = Tape(record=False)
+    logits = _head_logits(tape, clf, ids, lengths, False, None)
+    assert logits.values.tobytes() == recorded.values.tobytes()
+    assert len(tape) == 0
+    assert not logits.requires_grad and logits.tape is None
+    with pytest.raises(UsageError):
+        tape.backward(tape.tensor_sum(logits))
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +296,7 @@ def test_training_deterministic_under_seed():
     a, hist_a = train_relation_classifier(pairs, cfg)
     b, hist_b = train_relation_classifier(pairs, cfg)
     assert hist_a == hist_b
-    for (name, pa), pb in zip(a.named_params().items(), b.named_params().values()):
+    for (name, pa), pb in zip(a.tensors.items(), b.tensors.values()):
         np.testing.assert_array_equal(pa.values, pb.values, err_msg=name)
 
 
@@ -340,6 +356,20 @@ def _missing_dim(data):
     del data.dims["hidden_dim"]
 
 
+# header faults that save_checkpoint would reject: each returns the raw
+# header fields to write over the saved file
+def _token_not_a_string(data):
+    return {"vocab": data.vocab[:2] + [5] + data.vocab[3:]}
+
+
+def _vocab_not_a_list(data):
+    return {"vocab": 5}
+
+
+def _tensors_not_a_list(data):
+    return {"tensors": 5}
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -347,6 +377,9 @@ def _missing_dim(data):
         (_no_pad_unk_head, "vocabulary must start with the PAD and UNK tokens"),
         (_duplicate_token, "vocabulary tokens must be unique"),
         (_missing_dim, "'hidden_dim'"),
+        (_token_not_a_string, "header vocab is not a list of strings"),
+        (_vocab_not_a_list, "header vocab is not a list of strings"),
+        (_tensors_not_a_list, "header tensors is not a list of records"),
     ],
 )
 def test_malformed_classifier_checkpoint_raises_load_error_naming_file(tmp_path, spoil, message):
@@ -354,8 +387,10 @@ def test_malformed_classifier_checkpoint_raises_load_error_naming_file(tmp_path,
     path = tmp_path / "source.ckpt"
     save_classifier(path, clf)
     data = load_checkpoint(path)
-    spoil(data)
+    header = spoil(data)
     save_checkpoint(path, data.kind, data.dims, data.vocab, data.tensors)
+    if header:
+        rewrite_header(path, **header)
     with pytest.raises(LoadError) as err:
         load_classifier(path)
     assert str(path) in str(err.value)

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -177,39 +178,44 @@ def test_bce_grad_matches_finite_differences():
 
 def test_cosine_self_is_one():
     rng = np.random.default_rng(6)
-    v = constant(rng.standard_normal(9))
-    assert Tape().cosine_similarity(v, v).item() == pytest.approx(1.0, abs=1e-12)
+    v = rng.standard_normal(9)
+    assert Tape().cosine_rows(constant(v[None]), v[None, None]).item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_orthogonal_is_zero():
-    out = Tape().cosine_similarity(constant([1.0, 0.0]), constant([0.0, 1.0]))
+    out = Tape().cosine_rows(constant([[1.0, 0.0]]), [[[0.0, 1.0]]])
     assert out.item() == 0.0
 
 
 def test_cosine_zero_norm_rejected():
     with pytest.raises(DegenerateInputError):
-        Tape().cosine_similarity(constant([0.0, 0.0]), constant([1.0, 0.0]))
+        Tape().cosine_rows(constant([[0.0, 0.0]]), [[[1.0, 0.0]]])
 
 
 def test_cosine_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
-    u = parameter(rng.standard_normal(6))
-    v = parameter(rng.standard_normal(6))
+    u = parameter(rng.standard_normal((1, 6)))
+    v = parameter(rng.standard_normal((1, 6)))
 
-    def forward():
-        t = Tape()
-        return t.cosine_similarity(u, v)
+    # cosine_rows differentiates its query only; the cosine is symmetric,
+    # so each vector takes a turn as the query against the other
+    def forward_u():
+        return Tape().cosine_rows(u, v.values[None])
 
-    assert check_grads(forward, {"u": u, "v": v}, tol=1e-5) <= 1e-5
+    def forward_v():
+        return Tape().cosine_rows(v, u.values[None])
+
+    assert check_grads(forward_u, {"u": u}, tol=1e-5) <= 1e-5
+    assert check_grads(forward_v, {"v": v}, tol=1e-5) <= 1e-5
 
 
 def test_cosine_at_maximum_has_zero_grad():
     rng = np.random.default_rng(8)
-    u = parameter(rng.standard_normal(5))
+    u = parameter(rng.standard_normal((1, 5)))
     t = Tape()
-    out = t.cosine_similarity(u, u)
+    out = t.cosine_rows(u, u.values[None])
     t.backward(out)
-    np.testing.assert_allclose(u.grad, np.zeros(5), atol=1e-12)
+    np.testing.assert_allclose(u.grad, np.zeros((1, 5)), atol=1e-12)
 
 
 def test_dropout_rate_zero_and_eval_are_identity():
@@ -274,6 +280,36 @@ def test_backward_foreign_loss_rejected():
     loss = t1.tensor_sum(x)
     with pytest.raises(UsageError):
         Tape().backward(loss)
+
+
+def test_spent_tape_holds_no_record():
+    rng = np.random.default_rng(15)
+    w = parameter(rng.standard_normal((3, 4)))
+    b = parameter(rng.standard_normal(4))
+    x = constant(rng.standard_normal((2, 3)))
+
+    def forward(tape, hidden):
+        h = tape.tanh(tape.add(tape.matmul(x, w), b))
+        hidden.append(h)
+        return tape.tensor_sum(tape.mul(h, h))
+
+    # reference gradients, with the caller holding on to the intermediate
+    kept = []
+    reference = Tape()
+    reference.backward(forward(reference, kept))
+    expected_w, expected_b = w.grad.copy(), b.grad.copy()
+    w.grad[...] = 0.0
+    b.grad[...] = 0.0
+
+    tape = Tape()
+    hidden = []
+    loss = forward(tape, hidden)
+    alive = weakref.ref(hidden.pop().values)
+    tape.backward(loss)
+    assert alive() is None
+    assert len(tape) == 5  # matmul, add, tanh, mul, sum
+    np.testing.assert_array_equal(w.grad, expected_w)
+    np.testing.assert_array_equal(b.grad, expected_b)
 
 
 def test_embedding_gather_and_scatter():
@@ -348,7 +384,8 @@ def test_cosine_rows_matches_single_cosines():
     batched = Tape().cosine_rows(x, rows).values
     for b in range(3):
         for c in range(4):
-            single = Tape().cosine_similarity(constant(x.values[b]), constant(rows[b, c])).item()
+            a, r = x.values[b], rows[b, c]
+            single = float(np.dot(a, r) / (np.linalg.norm(a) * np.linalg.norm(r)))
             assert batched[b, c] == pytest.approx(single, abs=1e-12)
 
 
@@ -405,7 +442,7 @@ def test_property_cosine_in_unit_interval(seed, dim):
     v = rng.standard_normal(dim)
     if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
         return
-    s = Tape().cosine_similarity(constant(u), constant(v)).item()
+    s = Tape().cosine_rows(constant(u[None]), v[None, None]).item()
     assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 

@@ -25,6 +25,7 @@ from factrank.scorer import (
 )
 from factrank.wordvec import FactMatrix, WordVectorTable
 from gradcheck import check_grads
+from spoil import rewrite_header
 
 TOY_DIMS = ScorerDims(
     image_dim=8,
@@ -67,7 +68,7 @@ def _random_fact_matrix(n, dim, seed, zero_rows=()):
 
 def test_zero_weights_give_zero_embedding():
     params = _toy_scorer()
-    for t in params.named_params().values():
+    for t in params.tensors.values():
         t.values[...] = 0.0
     feat, concepts = _toy_inputs()
     out = embed_image_question(params, feat, concepts, "what is shown")
@@ -114,7 +115,22 @@ def test_full_network_grad_matches_finite_differences():
         iq = iq_embedding_batch(t, params, feat[None, :], concepts[None, :], ids, lengths)
         return t.hinge_mean(t.cosine_rows(iq, fact_rows), [1])
 
-    assert check_grads(forward, params.named_params(), tol=1e-4) <= 1e-4
+    assert check_grads(forward, params.tensors, tol=1e-4) <= 1e-4
+
+
+def test_inference_tape_records_nothing():
+    params = _toy_scorer(seed=5)
+    feat, concepts = _toy_inputs(seed=6)
+    feats, cons = np.stack([feat, -feat]), np.stack([concepts, concepts])
+    ids, lengths = encode_batch(params.vocab, ["what is the thing shown", "what is here"], params.max_tokens)
+    recorded = iq_embedding_batch(Tape(), params, feats, cons, ids, lengths)
+    tape = Tape(record=False)
+    out = iq_embedding_batch(tape, params, feats, cons, ids, lengths)
+    assert out.values.tobytes() == recorded.values.tobytes()
+    assert len(tape) == 0
+    assert not out.requires_grad and out.tape is None
+    with pytest.raises(UsageError):
+        tape.backward(tape.tensor_sum(out))
 
 
 def test_variant_masking_ignores_masked_image():
@@ -339,6 +355,18 @@ def _spoil_kind(path, dims, vocab, tensors):
     save_checkpoint(path, "relation", dims, vocab, tensors)
 
 
+def _spoil_token_type(path, dims, vocab, tensors):
+    rewrite_header(path, vocab=vocab[:2] + [5] + vocab[3:])
+
+
+def _spoil_vocab_type(path, dims, vocab, tensors):
+    rewrite_header(path, vocab=5)
+
+
+def _spoil_tensors_type(path, dims, vocab, tensors):
+    rewrite_header(path, tensors=5)
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -351,6 +379,9 @@ def _spoil_kind(path, dims, vocab, tensors):
         (_spoil_vocab_head, "vocabulary must start with the PAD and UNK tokens"),
         (_spoil_duplicate_token, "vocabulary tokens must be unique"),
         (_spoil_kind, "checkpoint kind 'relation'"),
+        (_spoil_token_type, "header vocab is not a list of strings"),
+        (_spoil_vocab_type, "header vocab is not a list of strings"),
+        (_spoil_tensors_type, "header tensors is not a list of records"),
     ],
 )
 def test_malformed_scorer_checkpoint_raises_load_error_naming_file(tmp_path, spoil, message):
@@ -359,7 +390,7 @@ def test_malformed_scorer_checkpoint_raises_load_error_naming_file(tmp_path, spo
     save_scorer(path, params)
     dims = params.dims.as_dict()
     dims.update(dropout=params.dropout, variant=params.variant.value, max_tokens=params.max_tokens)
-    spoil(path, dims, params.vocab.tokens, {name: t.values for name, t in params.named_params().items()})
+    spoil(path, dims, params.vocab.tokens, {name: t.values for name, t in params.tensors.items()})
     with pytest.raises(LoadError) as err:
         load_scorer(path)
     assert str(path) in str(err.value)

@@ -277,7 +277,7 @@ def test_train_scorer_bitwise_deterministic(tiny_synth):
     a = train_scorer(instances, kb, store, table, cfg, heldout=instances)
     b = train_scorer(instances, kb, store, table, cfg, heldout=instances)
     assert a.metrics == b.metrics
-    for (name, pa), pb in zip(a.params.named_params().items(), b.params.named_params().values()):
+    for (name, pa), pb in zip(a.params.tensors.items(), b.params.tensors.values()):
         np.testing.assert_array_equal(pa.values, pb.values, err_msg=name)
     assert [cs.negative_ids for sets in a.candidate_history for cs in sets] == [
         cs.negative_ids for sets in b.candidate_history for cs in sets
