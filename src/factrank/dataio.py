@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, LoadError, UsageError
-from .kb import AnswerSource, KnowledgeBase, Relation, parse_kb
+from .kb import AnswerSource, KnowledgeBase, Relation, parse_fact, parse_kb
 from .text import normalize_phrase, tokenize
 
 logger = logging.getLogger(__name__)
@@ -265,9 +265,9 @@ def split_fold(instances: list[QAInstance], fold_id: int) -> tuple[list[QAInstan
 # converter for the original release layout
 # ----------------------------------------------------------------------
 
-_FVQA_SUBJECT_KEYS = ("e1_label", "e1", "subject", "arg1")
-_FVQA_OBJECT_KEYS = ("e2_label", "e2", "object", "arg2")
-_FVQA_RELATION_KEYS = ("r", "rel", "relation")
+# the keys a fact record may give its subject, relation and object under
+_FVQA_FIELD_KEYS = (("e1_label", "e1", "subject", "arg1"), ("r", "rel", "relation"),
+                    ("e2_label", "e2", "object", "arg2"))
 
 
 def _first_key(record: dict, keys, where: str):
@@ -313,21 +313,27 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     facts_raw = _read_json_object(facts_path)
-    kb_lines = []
+    kb_lines, facts = [], []
     for fid in sorted(facts_raw):
         rec = _json_record(facts_raw, fid, facts_path)
         where = f"{facts_path}: fact {fid!r}"
-        subject = str(_first_key(rec, _FVQA_SUBJECT_KEYS, where))
-        relation = str(_first_key(rec, _FVQA_RELATION_KEYS, where))
-        obj = str(_first_key(rec, _FVQA_OBJECT_KEYS, where))
+        fields = [fid, *(str(_first_key(rec, keys, where)) for keys in _FVQA_FIELD_KEYS)]
+        for name, value in zip(("fact id", "subject", "relation", "object"), fields):
+            if any(c in value for c in "\t\n\r"):
+                raise LoadError(f"{where}: {name} {value!r} contains a tab or a line break")
+        if fid.lstrip().startswith("#"):
+            raise LoadError(f"{where}: a fact id starting with '#' would be read back as a comment line")
         try:
-            Relation.parse(relation)
-        except UsageError as exc:
+            facts.append(parse_fact(fields))
+        except LoadError as exc:
             raise LoadError(f"{where}: {exc}") from None
-        kb_lines.append("\t".join([fid, subject, relation, obj]))
+        kb_lines.append("\t".join(fields))
+    try:
+        kb = KnowledgeBase(facts)
+    except UsageError as exc:  # two ids equal once stripped
+        raise LoadError(f"{facts_path}: {exc}") from None
     kb_path = out_dir / "kb.tsv"
     kb_path.write_text("\n".join(kb_lines) + "\n", encoding="utf-8")
-    kb = parse_kb(kb_path)
 
     questions_raw = _read_json_object(questions_path)
     image_fold: dict[str, int] = {}

@@ -123,10 +123,6 @@ class LSTMParams:
         }
 
     @classmethod
-    def init(cls, rng: np.random.Generator, vocab_size: int, input_dim: int, hidden_dim: int) -> "LSTMParams":
-        return cls(init_tensors(rng, cls.shapes(vocab_size, input_dim, hidden_dim)))
-
-    @classmethod
     def part_of(cls, tensors: dict[str, Tensor]) -> "LSTMParams":
         """The LSTM of a model whose tensor names give it under ``LSTM_PREFIX``; the tensors are shared."""
         return cls({name[len(LSTM_PREFIX) :]: t for name, t in tensors.items() if name.startswith(LSTM_PREFIX)})

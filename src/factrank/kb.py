@@ -124,9 +124,8 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
     """Load a knowledge base from a tab-separated file.
 
     One fact per line: ``fact_id<TAB>subject<TAB>relation<TAB>object``.
-    ``#``-prefixed lines and blank lines are ignored. A ``Comparative-X``
-    relation token maps to the Comparative relation and prepends ``X`` to
-    the object phrase.
+    ``#``-prefixed lines and blank lines are ignored; each line is read by
+    :func:`parse_fact`.
     """
     path = Path(path)
     facts: list[Fact] = []
@@ -139,31 +138,35 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise LoadError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
-            fact_id, subject, rel_token, obj = (p.strip() for p in parts)
-            if not fact_id:
-                raise LoadError(f"{path}:{lineno}: empty fact id")
-            if fact_id in seen:
-                raise LoadError(f"{path}:{lineno}: duplicate fact id {fact_id!r}")
             try:
-                relation, suffix = Relation.parse(rel_token)
-            except UsageError as exc:
+                fact = parse_fact(parts)
+            except LoadError as exc:
                 raise LoadError(f"{path}:{lineno}: {exc}") from None
-            if suffix:
-                obj = f"{suffix} {obj}".strip()
-            if not tokenize(subject):
-                raise LoadError(f"{path}:{lineno}: subject has no tokens")
-            if not tokenize(obj):
-                raise LoadError(f"{path}:{lineno}: object has no tokens")
-            seen.add(fact_id)
-            facts.append(Fact(fact_id, subject, relation, obj))
+            if fact.fact_id in seen:
+                raise LoadError(f"{path}:{lineno}: duplicate fact id {fact.fact_id!r}")
+            seen.add(fact.fact_id)
+            facts.append(fact)
     return KnowledgeBase(facts)
 
 
-def serialize_kb(kb: KnowledgeBase, path: str | Path) -> None:
-    """Write a knowledge base back out in load order."""
-    path = Path(path)
-    lines = [f"{f.fact_id}\t{f.subject}\t{f.relation.value}\t{f.obj}" for f in kb.facts()]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+def parse_fact(fields: list[str]) -> Fact:
+    """A fact from its id, subject, relation and object fields, or a
+    LoadError saying which is invalid. A ``Comparative-X`` relation token
+    maps to the Comparative relation and prepends ``X`` to the object."""
+    fact_id, subject, rel_token, obj = (p.strip() for p in fields)
+    if not fact_id:
+        raise LoadError("empty fact id")
+    try:
+        relation, suffix = Relation.parse(rel_token)
+    except UsageError as exc:
+        raise LoadError(str(exc)) from None
+    if suffix:
+        obj = f"{suffix} {obj}".strip()
+    if not tokenize(subject):
+        raise LoadError("subject has no tokens")
+    if not tokenize(obj):
+        raise LoadError("object has no tokens")
+    return Fact(fact_id, subject, relation, obj)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""SGD and Adam parameter updates with decoupled weight decay.
+"""Adam parameter updates with decoupled weight decay.
 
 Weight decay is applied only to parameters with ndim >= 2 (weight matrices
 and embedding tables), never to bias vectors. Gradient clipping is a
@@ -20,7 +20,6 @@ Array = np.ndarray
 
 @dataclass
 class OptimizerState:
-    kind: str
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -30,19 +29,12 @@ class OptimizerState:
     moments: dict[str, tuple[Array, Array]] = field(default_factory=dict)
 
 
-def make_optimizer(
-    kind: str,
-    lr: float,
-    weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise UsageError(f"unknown optimizer kind {kind!r}; expected 'sgd' or 'adam'")
+def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0) -> OptimizerState:
+    if kind != "adam":
+        raise UsageError(f"unknown optimizer kind {kind!r}; expected 'adam'")
     if lr <= 0:
         raise UsageError(f"learning rate must be positive, got {lr}")
-    return OptimizerState(kind=kind, lr=lr, beta1=beta1, beta2=beta2, eps=eps, weight_decay=weight_decay)
+    return OptimizerState(lr=lr, weight_decay=weight_decay)
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:
@@ -77,19 +69,16 @@ def step(params: dict[str, Tensor], state: OptimizerState) -> None:
         if p.grad is None:
             raise UsageError(f"parameter {name!r} has no gradient; run backward first")
         g = p.grad
-        if state.kind == "sgd":
-            p.values -= state.lr * g
-        else:
-            if name not in state.moments:
-                state.moments[name] = (np.zeros_like(p.values), np.zeros_like(p.values))
-            m, v = state.moments[name]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * g * g
-            m_hat = m / (1.0 - state.beta1**t)
-            v_hat = v / (1.0 - state.beta2**t)
-            p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        if name not in state.moments:
+            state.moments[name] = (np.zeros_like(p.values), np.zeros_like(p.values))
+        m, v = state.moments[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
         if state.weight_decay > 0.0 and p.values.ndim >= 2:
             p.values -= state.lr * state.weight_decay * p.values
     for p in params.values():

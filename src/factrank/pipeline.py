@@ -7,7 +7,8 @@ classifier decides whether the top fact's subject or object is the
 answer. An empty relation bucket is a reported "no_fact" outcome, never a
 crash, and counts as wrong during evaluation.
 
-One private core, :func:`_predict`, runs this for a batch of questions:
+One private core, :func:`_predict`, runs this for a batch of questions,
+ranking each bucket's questions in one ``scorer.rank_rows`` call:
 :func:`evaluate` calls it on a dataset fold and tallies the metrics, and
 :func:`answer_question` calls it on a batch of one. It takes the relation
 order and the source rule from ``encoders.ranked_relations`` and
@@ -26,7 +27,7 @@ from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
 from .errors import UsageError
 from .kb import AnswerSource, Fact, KnowledgeBase, Relation
-from .scorer import ScorerParams, embed_batch, rank_candidates
+from .scorer import ScorerParams, embed_batch, random_tie_break, rank_rows
 from .wordvec import FactMatrix
 
 Array = np.ndarray
@@ -150,10 +151,24 @@ def _predict(
         sources = [(answer_source(p), float(p)) for p in predict_source_batch(models.source, questions)]
     iq_mat = embed_batch(models.scorer, feats, concepts, questions)
 
+    # one kernel call per bucket; random ties draw one jitter per bucket
+    # member for each question, in question order, before grouping
+    fm, top_relation = models.fact_matrix, [ranked[0][0] for ranked in relations]
+    pools = {r: kb.ids_with_relation(r) for r in dict.fromkeys(top_relation)}
+    random_ties = random_tie_break(tie_break, rng)
+    jitter = [rng.random(len(pools[r])) if random_ties and pools[r] else None for r in top_relation]
+    tops: list[list[tuple[str, float]]] = [[] for _ in questions]
+    for relation, pool in pools.items():
+        members = [i for i, r in enumerate(top_relation) if r is relation]
+        # a relation the KB lacks is no_fact, whatever rows the matrix holds
+        bucket = fm.buckets.get(relation, slice(0, 0)) if pool else slice(0, 0)
+        ranked = rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], pool, max(k, 3),
+                           [jitter[i] for i in members] if random_ties else None)
+        for i, top in zip(members, ranked):
+            tops[i] = top
+
     out = []
-    for (question_id, image_id), ranked, (source, source_prob), iq in zip(ids, relations, sources, iq_mat):
-        pool = kb.ids_with_relation(ranked[0][0])
-        top = rank_candidates(iq, pool, models.fact_matrix, max(k, 3), tie_break, rng) if pool else []
+    for (question_id, image_id), ranked, (source, source_prob), top in zip(ids, relations, sources, tops):
         prediction = Prediction(
             question_id=question_id,
             image_id=image_id,
@@ -217,10 +232,14 @@ def evaluate(
 ) -> tuple[Metrics, list[Prediction]]:
     """Score a dataset fold and return per-question predictions.
 
-    Relation, source and embedding predictions run batched; ranking uses
-    the exact per-candidate cosine path. With the default deterministic
-    tie-break the whole evaluation is a pure function of its inputs. Oracle
-    switches feed the groundtruth relation and/or source through the
+    Relation, source and embedding predictions run batched. The questions
+    of each relation bucket, a contiguous block of fact-matrix rows, are
+    scored by one GEMM; only each question's shortlist within rounding of
+    its third-best score is rescored by the scalar cosine, so the ranking
+    is bitwise the exhaustive one. With the default tie-break by fact id
+    evaluation is a pure function of its inputs; random ties draw from
+    ``rng`` question by question, as :func:`answer_question` calls would.
+    Oracle switches feed the groundtruth relation and/or source through the
     pipeline instead of the classifier predictions.
 
     Top-3 answer accuracy derives one answer from each of the top three

@@ -12,8 +12,16 @@ The network keeps its tensors in one dict, named and shaped by
 :meth:`ScorerParams.shapes`; initialization, the checkpoint writer and the
 checkpoint loader all follow that table.
 
-Ranking offers two tie-break modes: deterministic fact-id order (the
-default, used by tests and evaluation) and seeded random.
+Ranking is exact and runs in one kernel, :func:`rank_rows`. It scores a
+contiguous block of fact rows (a relation bucket of the
+:class:`~factrank.wordvec.FactMatrix`, or the whole KB) against a block of
+queries by one GEMM, shortlists every row within a derived rounding bound
+of the k-th best score, and rescores only the shortlist with the scalar
+cosine of :func:`score`, so its top k is bitwise the top k of an exhaustive
+scalar sort. Ties go by fact id (the default, used by tests and
+evaluation) or by a seeded random draw. :func:`rank_candidates`,
+:func:`candidate_scores` and :func:`score_matrix` are thin entry points
+over the same arithmetic.
 """
 
 from __future__ import annotations
@@ -195,11 +203,12 @@ def score(fact_emb: Array, iq_emb: Array) -> float:
     iq_emb = np.asarray(iq_emb, dtype=np.float64)
     if fact_emb.shape != iq_emb.shape or fact_emb.ndim != 1:
         raise ShapeError(f"score needs matching vectors, got {fact_emb.shape} and {iq_emb.shape}")
-    nf = float(np.linalg.norm(fact_emb))
-    nq = float(np.linalg.norm(iq_emb))
-    if nf == 0.0 or nq == 0.0:
-        return NEG_INF
-    return float(np.dot(fact_emb, iq_emb) / (nf * nq))
+    return _cosine(fact_emb, float(np.linalg.norm(fact_emb)), iq_emb, float(np.linalg.norm(iq_emb)))
+
+
+def _cosine(row: Array, nf: float, iq: Array, nq: float) -> float:
+    # the one scalar cosine: every exact score of this module is this arithmetic
+    return NEG_INF if nf == 0.0 or nq == 0.0 else float(np.dot(row, iq) / (nf * nq))
 
 
 def candidate_scores(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix) -> Array:
@@ -207,64 +216,105 @@ def candidate_scores(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: F
     as :func:`score` so exhaustive and ranked paths agree bitwise."""
     iq_emb = np.asarray(iq_emb, dtype=np.float64)
     nq = float(np.linalg.norm(iq_emb))
-    out = np.empty(len(candidate_ids))
-    for i, fid in enumerate(candidate_ids):
-        row_idx = fact_matrix.row_of[fid]
-        nf = float(fact_matrix.norms[row_idx])
-        if nf == 0.0 or nq == 0.0:
-            out[i] = NEG_INF
-        else:
-            out[i] = float(np.dot(fact_matrix.rows[row_idx], iq_emb) / (nf * nq))
-    return out
+    rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
+    return np.array([_cosine(fact_matrix.rows[r], float(fact_matrix.norms[r]), iq_emb, nq) for r in rows])
 
 
-def rank_candidates(
-    iq_emb: Array,
-    candidate_ids: Sequence[str],
-    fact_matrix: FactMatrix,
-    k: int,
-    tie_break: str = "id",
-    rng: np.random.Generator | None = None,
-) -> list[tuple[str, float]]:
-    """Top-k (fact id, score), highest first.
+def random_tie_break(tie_break: str, rng: np.random.Generator | None) -> bool:
+    """Whether ``tie_break`` asks for seeded random ties; rejects unknown modes."""
+    if tie_break not in ("id", "random") or (tie_break == "random" and rng is None):
+        raise UsageError(f"tie_break must be 'id', or 'random' with an rng; got {tie_break!r}")
+    return tie_break == "random"
 
-    ``tie_break='id'`` resolves equal scores by fact-id order regardless of
-    candidate arrival order; ``tie_break='random'`` shuffles ties with the
-    supplied generator.
-    """
+
+def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix, k: int,
+                    tie_break: str = "id", rng: np.random.Generator | None = None) -> list[tuple[str, float]]:
+    """Top-k (fact id, score) of any candidate list, highest first; equal
+    scores go by fact id, or by one ``rng.random(len(candidate_ids))`` draw
+    for ``tie_break='random'``."""
     if not candidate_ids:
         raise UsageError("rank needs at least one candidate")
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    scores = candidate_scores(iq_emb, candidate_ids, fact_matrix)
-    if tie_break == "id":
-        order = sorted(range(len(candidate_ids)), key=lambda i: (-scores[i], candidate_ids[i]))
-    elif tie_break == "random":
-        if rng is None:
-            raise UsageError("tie_break='random' needs an rng")
-        jitter = rng.random(len(candidate_ids))
-        order = sorted(range(len(candidate_ids)), key=lambda i: (-scores[i], jitter[i]))
-    else:
-        raise UsageError(f"unknown tie_break {tie_break!r}")
-    return [(candidate_ids[i], float(scores[i])) for i in order[:k]]
+    jitter = [rng.random(len(candidate_ids))] if random_tie_break(tie_break, rng) else None
+    rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
+    iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
+    return rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows], list(candidate_ids), k, jitter)[0]
 
 
 def score_matrix(iq_mat: Array, fact_matrix: FactMatrix) -> Array:
-    """(pairs, facts) cosine scores via one matrix product.
-
-    Fast path for bulk metrics; agrees with :func:`candidate_scores` to
-    within accumulated rounding (~1e-12), not bitwise. Zero-norm fact rows
-    score ``-inf``.
-    """
+    """(pairs, facts) cosine scores by one matrix product: the approximate
+    scores :func:`rank_rows` shortlists from, within its rounding bound of
+    :func:`candidate_scores`. Zero-norm fact rows score ``-inf``; a
+    zero-norm embedding row is an error."""
     iq_mat = np.asarray(iq_mat, dtype=np.float64)
-    qnorm = np.linalg.norm(iq_mat, axis=1, keepdims=True)
-    if np.any(qnorm == 0.0):
+    qnorms = np.linalg.norm(iq_mat, axis=1)
+    if np.any(qnorms == 0.0):
         raise UsageError("score_matrix got a zero-norm embedding row")
-    valid = fact_matrix.norms > 0.0
-    safe = np.where(valid, fact_matrix.norms, 1.0)
-    scores = (iq_mat @ fact_matrix.rows.T) / (qnorm * safe[None, :])
-    scores[:, ~valid] = NEG_INF
+    return _gemm_cosines(iq_mat, qnorms, fact_matrix.rows, fact_matrix.norms)
+
+
+def _gemm_cosines(iq_block: Array, qnorms: Array, rows: Array, norms: Array) -> Array:
+    scores = iq_block @ rows.T
+    scores /= np.where(qnorms > 0.0, qnorms, 1.0)[:, None]
+    scores /= np.where(norms > 0.0, norms, 1.0)
+    scores[:, norms == 0.0] = NEG_INF
+    scores[qnorms == 0.0] = NEG_INF
     return scores
+
+
+# A block of rows holds at most this many (query, row) scores, 16 MB: the
+# block and its partitioned copy are the kernel's only large temporaries.
+BLOCK_ELEMENTS = 1 << 21
+
+
+def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int,
+              jitter: Sequence[Array] | None = None) -> list[list[tuple[str, float]]]:
+    """Exact top-``k`` ``(id, score)`` of ``rows`` (a relation bucket, the
+    whole KB, or gathered candidates) for each query of ``iq_block``.
+
+    Blocks of rows are scored by one GEMM each against the cached ``norms``;
+    only rows within ``slack`` of a query's k-th best GEMM score are rescored
+    by the scalar :func:`score` arithmetic and ordered by ``(-score, id)``,
+    or ``(-score, jitter[j][row])`` for query ``j``: bitwise the head of an
+    exhaustive scalar sort."""
+    # Any summation order computes a length-d dot x.y within gamma_d |x||y|,
+    # gamma_d = d u / (1 - d u), u = eps / 2 (Higham, Accuracy and Stability
+    # of Numerical Algorithms, 3.1). Both paths divide by the same cached
+    # norms (within gamma_d of |x|, |y|) with two roundings each, so one
+    # row's GEMM and scalar scores differ by e <= 2 gamma_d + 4u ~ (d + 2) eps.
+    # If K is the k-th best GEMM score, k rows score >= K - e exactly, so a
+    # row of the exact top k has a GEMM score >= K - 2e. slack is twice 2e:
+    # 1.8e-13 at d = 200. A zero-norm query scores -inf everywhere: all kept.
+    iq_block = np.ascontiguousarray(iq_block, dtype=np.float64)
+    q, n = len(iq_block), len(rows)
+    if len(ids) != n:
+        raise ShapeError(f"{len(ids)} ids for {n} rows")
+    if not q or not n:
+        return [[] for _ in range(q)]
+    k, slack = min(k, n), 4 * (rows.shape[1] + 2) * np.finfo(np.float64).eps
+    qnorms = np.array([np.linalg.norm(v) for v in iq_block])
+    best = np.full((q, k), NEG_INF)  # the k best GEMM scores so far, the k-th in column 0
+    hits = []
+    step = max(1, BLOCK_ELEMENTS // q)
+    for start in range(0, n, step):
+        block = _gemm_cosines(iq_block, qnorms, rows[start : start + step], norms[start : start + step])
+        top = np.partition(block, -min(k, block.shape[1]), axis=1)[:, -k:]
+        best = np.partition(np.concatenate([best, top], axis=1), -k, axis=1)[:, -k:]
+        query, row = np.nonzero(block >= best[:, :1] - slack)
+        hits.append((query, row + start, block[query, row]))
+    query, row, gemm = (np.concatenate(parts) for parts in zip(*hits))
+    keep = np.flatnonzero(gemm >= best[query, 0] - slack)
+    shortlists: list[list[int]] = [[] for _ in range(q)]
+    for j, r in zip(query[keep].tolist(), row[keep].tolist()):  # each query's rows ascending
+        shortlists[j].append(r)
+    out = []
+    for j, shortlist in enumerate(shortlists):
+        scored = [(_cosine(rows[r], float(norms[r]), iq_block[j], float(qnorms[j])), r) for r in shortlist]
+        tie = ids if jitter is None else jitter[j]
+        scored.sort(key=lambda e: (-e[0], tie[e[1]]))
+        out.append([(ids[r], s) for s, r in scored[:k]])
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .dataio import FeatureStore, QAInstance
 from .errors import DataError, UsageError
 from .kb import KnowledgeBase
 from .optim import make_optimizer
-from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, score_matrix
+from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows
 from .encoders import Vocabulary, fit
 from .wordvec import FactMatrix, WordVectorTable
 
@@ -180,16 +180,19 @@ def fact_precision(
     store: FeatureStore,
     fact_matrix: FactMatrix,
 ) -> dict[str, float]:
-    """Precision@1/@3 of groundtruth-fact retrieval over the whole KB."""
+    """Precision@1/@3 of groundtruth-fact retrieval over the whole KB,
+    ranked exactly (ties by fact id) in row blocks by ``scorer.rank_rows``:
+    no (questions x KB) score matrix is built."""
     feats, cons = store.stack([i.image_id for i in instances])
     iq = embed_batch(params, feats, cons, [i.question for i in instances])
-    scores = score_matrix(iq, fact_matrix)
-    gt_rows = np.array([fact_matrix.row_of[i.fact_id] for i in instances])
-    top1 = scores.argmax(axis=1) == gt_rows
-    k = min(3, scores.shape[1])
-    part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
-    top3 = (part == gt_rows[:, None]).any(axis=1)
-    return {"precision1": float(top1.mean()), "precision3": float(top3.mean())}
+    if np.any(np.linalg.norm(iq, axis=1) == 0.0):
+        raise UsageError("fact_precision got a zero-norm embedding row")
+    tops = rank_rows(iq, fact_matrix.rows, fact_matrix.norms, fact_matrix.fact_ids, 3)
+    found = [[fid for fid, _ in top] for top in tops]
+    return {
+        "precision1": float(np.mean([f[0] == i.fact_id for f, i in zip(found, instances)])),
+        "precision3": float(np.mean([i.fact_id in f for f, i in zip(found, instances)])),
+    }
 
 
 def train_scorer(
@@ -231,14 +234,12 @@ def train_scorer(
     vocab = Vocabulary.build(i.question for i in train_instances)
     rng_train = np.random.default_rng([config.seed, 19])
     rng_mine = np.random.default_rng([config.seed, 23])
-    params = ScorerParams.init(
-        vocab,
-        np.random.default_rng([config.seed, 17]),
-        dims,
-        dropout=config.dropout,
-        variant=config.variant,
-        max_tokens=config.max_question_tokens,
-    )
+
+    def fresh_params(*seed: int) -> ScorerParams:
+        return ScorerParams.init(vocab, np.random.default_rng([config.seed, 17, *seed]), dims, dropout=config.dropout,
+                                 variant=config.variant, max_tokens=config.max_question_tokens)
+
+    params = fresh_params()
 
     feats, cons = store.stack([i.image_id for i in train_instances])
     encoded = [vocab.encode(i.question, config.max_question_tokens) for i in train_instances]
@@ -259,14 +260,7 @@ def train_scorer(
             sets = mine_hard_negatives(mining_states[-1].pools, state, sets, kb, config.negatives, rng_mine)
         candidate_history.append(sets)
         if config.reinitialize_each_iteration and t > 0:
-            params = ScorerParams.init(
-                vocab,
-                np.random.default_rng([config.seed, 17, t]),
-                dims,
-                dropout=config.dropout,
-                variant=config.variant,
-                max_tokens=config.max_question_tokens,
-            )
+            params = fresh_params(t)
         cand_idx = np.array(
             [[fact_matrix.row_of[fid] for fid in cs.candidate_ids()] for cs in sets], dtype=np.intp
         )

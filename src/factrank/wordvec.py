@@ -3,19 +3,20 @@
 A fact embeds as the concatenation of the averaged word vectors of its
 subject and of its object, giving a vector of length ``2 * dim`` that never
 changes during training. The whole knowledge base is embedded once into a
-dense matrix for batched cosine ranking.
+dense :class:`FactMatrix` whose rows are laid out relation bucket after
+relation bucket, so ranking a bucket reads one contiguous block of rows.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateInputError, LoadError
-from .kb import Fact, KnowledgeBase
+from .kb import Fact, KnowledgeBase, Relation
 from .text import tokenize  # re-exported: tokenization is part of this module's API
 
 __all__ = [
@@ -108,28 +109,37 @@ def fact_embedding(fact: Fact, table: WordVectorTable) -> Array:
 
 @dataclass
 class FactMatrix:
-    """Dense (num_facts x 2*dim) embedding of a whole knowledge base."""
+    """Dense (num_facts x 2*dim) embedding of a whole knowledge base.
+
+    :meth:`build` lays the rows out relation by relation, each in KB load
+    order, so ``rows[buckets[r]]`` is relation ``r``'s bucket as a view."""
 
     fact_ids: list[str]
     rows: Array
     norms: Array
     row_of: dict[str, int]
+    buckets: dict[Relation, slice] = field(default_factory=dict)
 
     @classmethod
-    def from_rows(cls, fact_ids: list[str], rows: Array) -> "FactMatrix":
+    def from_rows(cls, fact_ids: list[str], rows: Array, buckets: dict[Relation, slice] | None = None) -> "FactMatrix":
         # per-row scalar norms so ranked scores reproduce single-pair cosines
         # bitwise (the axis-wise reduction differs in the last ulp)
         norms = np.array([np.linalg.norm(r) for r in rows])
         return cls(fact_ids=list(fact_ids), rows=rows, norms=norms,
-                   row_of={fid: i for i, fid in enumerate(fact_ids)})
+                   row_of={fid: i for i, fid in enumerate(fact_ids)}, buckets=buckets or {})
 
     @classmethod
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":
-        facts = kb.facts()
+        facts: list[Fact] = []
+        buckets = {}
+        for relation in Relation:
+            start = len(facts)
+            facts += kb.facts_with_relation(relation)
+            buckets[relation] = slice(start, len(facts))
         rows = np.zeros((len(facts), 2 * table.dim))
         for i, f in enumerate(facts):
             rows[i] = fact_embedding(f, table)
-        return cls.from_rows([f.fact_id for f in facts], rows)
+        return cls.from_rows([f.fact_id for f in facts], rows, buckets)
 
     @property
     def dim(self) -> int:

@@ -275,3 +275,45 @@ def test_cli_convert_fvqa_unknown_label_is_load_error(tmp_path, capsys, facts, q
     err = capsys.readouterr().err
     assert str(tmp_path / bad) in err and record in err and label in err
     assert "kb.tsv" not in err
+
+
+def _convert_bad_fact(tmp_path, capsys, fact, fid="f2"):
+    (tmp_path / "facts.json").write_text(json.dumps({**FVQA_FACTS, fid: fact}))
+    (tmp_path / "questions.json").write_text(json.dumps(FVQA_QUESTIONS))
+    assert main(["convert-fvqa", "--questions", str(tmp_path / "questions.json"), "--facts",
+                 str(tmp_path / "facts.json"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "facts.json") in err and repr(fid) in err
+    assert "kb.tsv" not in err and not (tmp_path / "out" / "kb.tsv").exists()
+    return err
+
+
+@pytest.mark.parametrize("fact", [
+    {"e1_label": "!!", "r": "IsA", "e2_label": "pet"},
+    {"e1_label": "dog", "r": "IsA", "e2_label": "?"},
+])
+def test_cli_convert_fvqa_entity_without_tokens_is_load_error(tmp_path, capsys, fact):
+    assert "has no tokens" in _convert_bad_fact(tmp_path, capsys, fact)
+
+
+@pytest.mark.parametrize("fact", [
+    {"e1_label": "hot\tdog", "r": "IsA", "e2_label": "pet"},
+    {"e1_label": "dog", "r": "IsA", "e2_label": "pet\nanimal"},
+])
+def test_cli_convert_fvqa_tab_or_newline_in_a_field_is_load_error(tmp_path, capsys, fact):
+    assert "contains a tab or a line break" in _convert_bad_fact(tmp_path, capsys, fact)
+
+
+def test_cli_convert_fvqa_comment_like_fact_id_is_load_error(tmp_path, capsys):
+    # kb.tsv would read the line as a comment and lose the fact
+    fact = {"e1_label": "dog", "r": "IsA", "e2_label": "pet"}
+    assert "comment line" in _convert_bad_fact(tmp_path, capsys, fact, fid="#2")
+
+
+def test_cli_convert_fvqa_duplicate_fact_id_is_load_error(tmp_path, capsys):
+    (tmp_path / "facts.json").write_text(json.dumps({**FVQA_FACTS, " f1": FVQA_FACTS["f2"]}))
+    (tmp_path / "questions.json").write_text(json.dumps(FVQA_QUESTIONS))
+    assert main(["convert-fvqa", "--questions", str(tmp_path / "questions.json"), "--facts",
+                 str(tmp_path / "facts.json"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / "facts.json") in err and "duplicate fact id 'f1'" in err

@@ -16,6 +16,7 @@ from factrank.encoders import (
     accuracy,
     answer_source,
     encode_batch,
+    init_tensors,
     load_classifier,
     lstm_hidden,
     predict_relation_batch,
@@ -98,8 +99,12 @@ def test_encode_batch_empty_question_rejected():
 # ----------------------------------------------------------------------
 
 
+def _lstm(rng, vocab_size, input_dim, hidden_dim):
+    return LSTMParams(init_tensors(rng, LSTMParams.shapes(vocab_size, input_dim, hidden_dim)))
+
+
 def test_lstm_zero_weights_gives_zero_hidden():
-    params = LSTMParams.init(np.random.default_rng(0), 6, 3, 4)
+    params = _lstm(np.random.default_rng(0), 6, 3, 4)
     for t in params.tensors.values():
         t.values[...] = 0.0
     out = lstm_hidden(Tape(), params, np.array([[1, 2, 3]]), np.array([3]))
@@ -107,20 +112,20 @@ def test_lstm_zero_weights_gives_zero_hidden():
 
 
 def test_lstm_sequence_length_changes_state():
-    params = LSTMParams.init(np.random.default_rng(1), 6, 3, 4)
+    params = _lstm(np.random.default_rng(1), 6, 3, 4)
     h1 = lstm_hidden(Tape(), params, np.array([[2]]), np.array([1])).values
     h2 = lstm_hidden(Tape(), params, np.array([[2, 2]]), np.array([2])).values
     assert not np.allclose(h1, h2)
 
 
 def test_lstm_empty_sequence_rejected():
-    params = LSTMParams.init(np.random.default_rng(2), 6, 3, 4)
+    params = _lstm(np.random.default_rng(2), 6, 3, 4)
     with pytest.raises(UsageError):
         lstm_hidden(Tape(), params, np.zeros((1, 0), dtype=np.intp), np.array([0]))
 
 
 def test_lstm_grad_matches_finite_differences():
-    params = LSTMParams.init(np.random.default_rng(3), 7, 3, 4)
+    params = _lstm(np.random.default_rng(3), 7, 3, 4)
     ids = np.array([[2, 5, 1]])
 
     def forward():
@@ -138,7 +143,7 @@ def test_lstm_grad_matches_finite_differences():
 )
 def test_property_lstm_grads(seq_len, hidden, seed):
     rng = np.random.default_rng(seed)
-    params = LSTMParams.init(rng, 9, 4, hidden)
+    params = _lstm(rng, 9, 4, hidden)
     ids = rng.integers(0, 9, size=(1, seq_len))
 
     def forward():
@@ -149,14 +154,14 @@ def test_property_lstm_grads(seq_len, hidden, seed):
 
 
 def test_lstm_pad_suffix_invariance():
-    params = LSTMParams.init(np.random.default_rng(4), 7, 3, 5)
+    params = _lstm(np.random.default_rng(4), 7, 3, 5)
     plain = lstm_hidden(Tape(), params, np.array([[2, 5, 1]]), np.array([3])).values
     padded = lstm_hidden(Tape(), params, np.array([[2, 5, 1, PAD_ID, PAD_ID]]), np.array([3])).values
     np.testing.assert_array_equal(plain, padded)
 
 
 def test_lstm_batch_rows_match_single_runs():
-    params = LSTMParams.init(np.random.default_rng(5), 9, 3, 4)
+    params = _lstm(np.random.default_rng(5), 9, 3, 4)
     seqs = [[1, 2, 3], [4], [5, 6]]
     ids = np.full((3, 3), PAD_ID, dtype=np.intp)
     for i, s in enumerate(seqs):

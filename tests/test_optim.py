@@ -6,10 +6,11 @@ from factrank.numerics import Tape, parameter
 from factrank.optim import clip_gradients, global_grad_norm, make_optimizer, step
 
 
-def test_sgd_step():
+def test_step_moves_by_lr_and_clears_gradient():
+    # a gradient far above eps makes Adam's first step lr to the last ulps
     w = parameter(np.array([1.0]))
-    w.grad[...] = 1.0
-    step({"w": w}, make_optimizer("sgd", lr=0.1))
+    w.grad[...] = 1e8
+    step({"w": w}, make_optimizer("adam", lr=0.1))
     assert w.values[0] == pytest.approx(0.9, abs=1e-15)
     assert w.grad[0] == 0.0  # cleared after the update
 
@@ -37,7 +38,7 @@ def test_step_requires_gradients():
     w = parameter(np.ones(2))
     w.grad = None
     with pytest.raises(UsageError):
-        step({"w": w}, make_optimizer("sgd", lr=0.1))
+        step({"w": w}, make_optimizer("adam", lr=0.1))
 
 
 def test_unknown_optimizer_rejected():

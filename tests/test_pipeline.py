@@ -4,7 +4,7 @@ import pytest
 from factrank.encoders import EncoderTrainConfig, train_relation_classifier, train_source_classifier
 from factrank.kb import KnowledgeBase
 from factrank.pipeline import PipelineModels, answer_question, evaluate
-from factrank.scorer import ScorerDims
+from factrank.scorer import ScorerDims, embed_batch, rank_candidates
 from factrank.trainer import MarginConfig, train_scorer
 from factrank.wordvec import FactMatrix
 
@@ -61,3 +61,29 @@ def test_empty_bucket_is_no_fact_on_both_paths(models, small_synth, small_split)
     assert answered == evaluated
     assert (answered.status, answered.top_facts, answered.answer) == ("no_fact", [], None)
     assert (metrics.no_fact_count, metrics.fact_at3, metrics.relation_at1, metrics.source_acc) == (1, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("tie_break", ["id", "random"])
+def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_split, tie_break):
+    # evaluate ranks each bucket once for all its questions; random ties
+    # still draw one jitter per bucket member, question by question
+    _, test = small_split
+    kb, store = small_synth["kb"], small_synth["store"]
+    rng = (lambda: np.random.default_rng(7)) if tie_break == "random" else (lambda: None)
+    _, evaluated = evaluate(models, kb, test, store, k=3, oracle_relation=True, tie_break=tie_break, rng=rng())
+    assert len({p.relation for p in evaluated}) > 1
+    feats, cons = store.stack([i.image_id for i in test])
+    iq = embed_batch(models.scorer, feats, cons, [i.question for i in test])
+    answer_rng, rank_rng = rng(), rng()
+    for inst, e, v in zip(test, evaluated, iq):
+        a = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id), inst.question,
+                            k=3, question_id=inst.question_id, image_id=inst.image_id, oracle_relation=inst.relation,
+                            tie_break=tie_break, rng=answer_rng)
+        # bitwise on evaluate's own embeddings, one question at a time
+        assert rank_candidates(v, kb.ids_with_relation(inst.relation), models.fact_matrix, 3, tie_break,
+                               rank_rng) == e.top_facts
+        # a batch of one embeds within rounding of the batch (see test_lstm_batch_rows_match_single_runs)
+        assert (a.status, a.relation, a.source, a.answer) == (e.status, e.relation, e.source, e.answer)
+        assert [f for f, _ in a.top_facts] == [f for f, _ in e.top_facts]
+        assert [s for _, s in a.top_facts] == pytest.approx([s for _, s in e.top_facts], abs=1e-12)
+        assert a.source_prob == pytest.approx(e.source_prob, abs=1e-12)

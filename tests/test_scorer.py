@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from factrank.checkpoint import save_checkpoint
 from factrank.encoders import Vocabulary, encode_batch
 from factrank.errors import LoadError, ShapeError, UsageError
 from factrank.kb import Fact, KnowledgeBase, Relation
+from factrank import scorer
 from factrank.numerics import Tape
 from factrank.scorer import (
     NEG_INF,
@@ -19,6 +22,7 @@ from factrank.scorer import (
     iq_embedding_batch,
     load_scorer,
     rank_candidates,
+    rank_rows,
     save_scorer,
     score,
     score_matrix,
@@ -188,7 +192,7 @@ def test_score_zero_vector_is_neg_inf_sentinel():
 
 
 def test_rank_k1_is_max_cosine(tiny_fact_matrix):
-    iq = tiny_fact_matrix.rows[2] * 0.5  # aligned with f3
+    iq = tiny_fact_matrix.row("f3") * 0.5  # aligned with f3
     top = rank_candidates(iq, ["f1", "f2", "f3"], tiny_fact_matrix, k=1)
     assert top[0][0] == "f3"
     assert top[0][1] == pytest.approx(1.0, abs=1e-12)
@@ -263,6 +267,66 @@ def test_property_positive_rescaling_preserves_ordering(seed, scale):
     base = [fid for fid, _ in rank_candidates(iq, fm.fact_ids, fm, k=40)]
     scaled = [fid for fid, _ in rank_candidates(scale * iq, fm.fact_ids, fm, k=40)]
     assert base == scaled
+
+
+def _planted_block(seed, n, dim):
+    """Random rows with planted duplicates, zero rows and one-ulp neighbours,
+    named by shuffled ids so id order is not row order."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim))
+    for i in rng.choice(n, size=n // 2):
+        src, kind = rng.integers(n), rng.integers(3)
+        if kind == 0:
+            rows[i] = rows[src]
+        elif kind == 1:
+            rows[i] = 0.0
+        else:
+            rows[i] = np.nextafter(rows[src], np.inf)
+    queries = rng.standard_normal((3, dim))
+    if rng.random() < 0.3:
+        queries[0] = 0.0
+    elif rng.random() < 0.5:
+        queries[0] = rows[rng.integers(n)]
+    return FactMatrix.from_rows([f"f{i:03d}" for i in rng.permutation(n)], rows), queries
+
+
+def _brute_force_scores(fm, iq):
+    # the parent's scalar cosine of every row, zero norms scoring -inf
+    nq = float(np.linalg.norm(iq))
+    out = []
+    for row in fm.rows:
+        nf = float(np.linalg.norm(row))
+        out.append(NEG_INF if nf == 0.0 or nq == 0.0 else float(np.dot(row, iq) / (nf * nq)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40), dim=st.integers(1, 9),
+       block=st.sampled_from([1, 7, 1 << 21]))
+def test_property_rank_rows_is_the_exact_sort(seed, n, dim, block):
+    fm, queries = _planted_block(seed, n, dim)
+    with mock.patch.object(scorer, "BLOCK_ELEMENTS", block):
+        for k in (1, 3, n):
+            got = rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k)
+            for iq, top in zip(queries, got):
+                brute = sorted(zip(fm.fact_ids, _brute_force_scores(fm, iq)), key=lambda e: (-e[1], e[0]))
+                assert top == brute[:k]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40), dim=st.integers(1, 9),
+       block=st.sampled_from([1, 7, 1 << 21]))
+def test_property_rank_rows_random_ties_follow_the_jitter_sort(seed, n, dim, block):
+    fm, queries = _planted_block(seed, n, dim)
+    with mock.patch.object(scorer, "BLOCK_ELEMENTS", block):
+        for k in (1, 3, n):
+            draws = np.random.default_rng(seed + 1)
+            jitter = [draws.random(n) for _ in queries]
+            got = rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k, jitter)
+            for iq, top, jit in zip(queries, got, jitter):
+                scores = _brute_force_scores(fm, iq)
+                order = sorted(range(n), key=lambda i: (-scores[i], jit[i]))
+                assert top == [(fm.fact_ids[i], scores[i]) for i in order[:k]]
 
 
 def test_batched_score_matrix_close_to_per_candidate():

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from factrank.dataio import load_dataset, split_fold
 from factrank.errors import DataError, UsageError
 from factrank.kb import Fact, KnowledgeBase, Relation
 from factrank.numerics import Tape, constant
-from factrank.scorer import Variant, embed_batch, rank_candidates
+from factrank import scorer
+from factrank.scorer import Variant, embed_batch, rank_candidates, score
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.trainer import (
     CandidateSet,
@@ -315,3 +319,58 @@ def test_fact_precision_is_deterministic(tiny_synth):
     a = fact_precision(params, instances, store, fm)
     b = fact_precision(params, instances, store, fm)
     assert a == b
+
+
+def _untrained_scorer(instances, seed=9):
+    from factrank.encoders import Vocabulary
+    from factrank.scorer import ScorerDims, ScorerParams
+
+    return ScorerParams.init(Vocabulary.build(i.question for i in instances), np.random.default_rng(seed),
+                             ScorerDims(image_dim=16, concept_dim=40, output_dim=16))
+
+
+def test_fact_precision_equals_an_exact_dense_reference(tiny_synth):
+    instances, store, kb, table = tiny_synth
+    fm = FactMatrix.build(kb, table)
+    params = _untrained_scorer(instances)
+    feats, cons = store.stack([i.image_id for i in instances])
+    iq = embed_batch(params, feats, cons, [i.question for i in instances])
+    # every (question, fact) scalar cosine, each question's facts sorted by (-score, fact id)
+    ranked = [sorted(kb.fact_ids(), key=lambda f: (-score(fm.row(f), v), f)) for v in iq]
+    # groundtruths placed at ranks 1-4 and 40, so both rates are strictly between 0 and 1
+    placed = [dataclasses.replace(inst, fact_id=r[[0, 1, 2, 3, 39][i % 5]])
+              for i, (inst, r) in enumerate(zip(instances, ranked))]
+    expected = {
+        "precision1": float(np.mean([r[0] == i.fact_id for r, i in zip(ranked, placed)])),
+        "precision3": float(np.mean([i.fact_id in r[:3] for r, i in zip(ranked, placed)])),
+    }
+    assert 0.0 < expected["precision1"] < expected["precision3"] < 1.0
+    assert fact_precision(params, placed, store, fm) == expected
+
+
+def test_fact_precision_holds_no_dense_matrix(tiny_synth, monkeypatch):
+    instances, store, kb, _ = tiny_synth
+    params = _untrained_scorer(instances)
+    # a dense (10 x 20,000) score matrix is 1.6 MB, over five times the
+    # ~0.3 MB the embedding network peaks at for these questions
+    n = 20_000
+    ids = [*kb.fact_ids(), *(f"x{i:05d}" for i in range(n - len(kb)))]
+    fm = FactMatrix.from_rows(ids, np.random.default_rng(10).standard_normal((n, 16)))
+    monkeypatch.setattr(scorer, "BLOCK_ELEMENTS", 2000)  # 200 rows per block: 100 blocks
+    dense_bytes = len(instances) * n * 8
+    tracemalloc.start()
+    try:
+        fact_precision(params, instances, store, fm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes
+
+
+def test_fact_precision_zero_norm_embedding_is_usage_error(tiny_synth):
+    instances, store, kb, table = tiny_synth
+    params = _untrained_scorer(instances)
+    for t in params.tensors.values():
+        t.values[...] = 0.0
+    with pytest.raises(UsageError, match="zero-norm"):
+        fact_precision(params, instances, store, FactMatrix.build(kb, table))

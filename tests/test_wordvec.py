@@ -108,6 +108,17 @@ def test_fact_matrix_rows_match_fact_embeddings(tiny_kb, tiny_table, tiny_fact_m
     assert tiny_fact_matrix.rows.shape == (len(tiny_kb), 8)
 
 
+def test_fact_matrix_lays_out_relation_buckets_as_views(tiny_kb, tiny_fact_matrix):
+    fm = tiny_fact_matrix
+    # Relation order, KB load order within a relation
+    assert fm.fact_ids == ["f4", "f2", "f1", "f3"]
+    for relation in Relation:
+        bucket = fm.buckets[relation]
+        assert fm.fact_ids[bucket] == tiny_kb.ids_with_relation(relation)
+        assert fm.rows[bucket].base is fm.rows
+    assert [fm.row_of[fid] for fid in fm.fact_ids] == [0, 1, 2, 3]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
 def test_property_phrase_norm_bounded_by_max_token_norm(n_tokens, seed):
