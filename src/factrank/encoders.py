@@ -26,7 +26,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .errors import DataError, LoadError, UsageError
 from .kb import AnswerSource, Relation
-from .numerics import Tape, Tensor, constant, parameter, stable_sigmoid
+from .numerics import Tape, Tensor, parameter, stable_sigmoid
 from .optim import OptimizerState, clip_gradients, make_optimizer, step
 from .text import tokenize
 
@@ -137,37 +137,16 @@ def lstm_hidden(
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Final hidden state for each padded row; padding never alters a row's
-    state because finished rows are frozen by a 0/1 mask, not by content."""
+    """Final hidden state for each padded row, computed by one
+    :meth:`~factrank.numerics.Tape.lstm_sequence` record. Padding never
+    alters a row's state because finished rows are frozen by a 0/1 mask,
+    not by content; in training, dropout hits each step's word embeddings."""
     if ids.ndim != 2:
         raise UsageError(f"ids must be (batch, steps), got shape {ids.shape}")
-    b, steps = ids.shape
-    w = params.tensors
-    hdim = w["b_gates"].shape[0] // 4
-    if steps == 0 or np.any(lengths < 1):
+    if ids.shape[1] == 0 or np.any(lengths < 1):
         raise UsageError("every sequence must have at least one token")
-    h = constant(np.zeros((b, hdim)))
-    c = constant(np.zeros((b, hdim)))
-    for t in range(steps):
-        x = tape.embedding(w["embed"], ids[:, t])
-        x = tape.dropout(x, dropout_rate, train, rng)
-        xh = tape.concat([x, h])
-        gates = tape.add(tape.matmul(xh, w["w_gates"]), w["b_gates"])
-        gate_i = tape.sigmoid(tape.slice_cols(gates, 0, hdim))
-        gate_f = tape.sigmoid(tape.slice_cols(gates, hdim, 2 * hdim))
-        gate_g = tape.tanh(tape.slice_cols(gates, 2 * hdim, 3 * hdim))
-        gate_o = tape.sigmoid(tape.slice_cols(gates, 3 * hdim, 4 * hdim))
-        c_new = tape.add(tape.mul(gate_f, c), tape.mul(gate_i, gate_g))
-        h_new = tape.mul(gate_o, tape.tanh(c_new))
-        live = lengths > t
-        if live.all():
-            h, c = h_new, c_new
-        else:
-            keep_new = constant(live.astype(np.float64)[:, None])
-            keep_old = constant((~live).astype(np.float64)[:, None])
-            c = tape.add(tape.mul(keep_new, c_new), tape.mul(keep_old, c))
-            h = tape.add(tape.mul(keep_new, h_new), tape.mul(keep_old, h))
-    return h
+    w = params.tensors
+    return tape.lstm_sequence(w["embed"], w["w_gates"], w["b_gates"], ids, lengths, dropout_rate, train, rng)
 
 
 # ----------------------------------------------------------------------
@@ -332,26 +311,31 @@ def fit(
     ids and call ``batch_loss(tape, epoch, batch, ids, lengths)``, where
     ``batch`` indexes ``encoded``; back-propagate the returned scalar, clip
     the global gradient norm to ``clip_norm`` (when set) and step ``opt``.
-    ``epoch_record(epoch, mean_loss)`` gives the epoch's history record.
+    ``epoch_record(epoch, mean_loss)`` gives the epoch's history record, to
+    which ``fit`` adds the mean and the largest pre-clip global gradient
+    norm of the epoch's batches and the fraction of them that were clipped.
     The permutation is drawn before any draw the callback makes from the
     same generator, so a fixed seed fixes the whole run.
     """
     n = len(encoded)
+    limit = clip_norm or 0.0  # at 0, clip_gradients measures the norm and clips nothing
     history: list[dict] = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
-        losses = []
+        losses, norms = [], []
         for start in range(0, n, batch_size):
             batch = order[start : start + batch_size]
             ids, lengths = _pad([encoded[i] for i in batch])
             tape = Tape()
             loss = batch_loss(tape, epoch, batch, ids, lengths)
             tape.backward(loss)
-            if clip_norm:
-                clip_gradients(params, clip_norm)
+            norms.append(clip_gradients(params, limit))
             step(params, opt)
             losses.append(loss.item())
-        history.append(epoch_record(epoch, float(np.mean(losses))))
+        record = epoch_record(epoch, float(np.mean(losses)))
+        record.update(grad_norm_mean=float(np.mean(norms)), grad_norm_max=max(norms),
+                      clipped_fraction=float(np.mean([g > limit > 0 for g in norms])))
+        history.append(record)
     return history
 
 

@@ -10,10 +10,12 @@ forward pass and each tape can be differentiated exactly once; a second
 its outputs carry no gradient; evaluation forward passes use it.
 
 The primitive set is deliberately small: matrix product, addition with a
-row-broadcast bias, last-axis concatenation and slicing, tanh / sigmoid /
-Hadamard product, embedding-row gather, inverted dropout, softmax and
-binary cross-entropy, batched-row cosine similarity, and the structured
-hinge used for margin training.
+row-broadcast bias, last-axis concatenation, tanh, embedding-row gather,
+inverted dropout, a whole LSTM sequence as one record with a hand-written
+backward through time, softmax and binary cross-entropy, batched-row cosine
+similarity, and the structured hinge used for margin training. Column
+slicing, sigmoid and the Hadamard product have no caller in the library;
+they stay while the benchmark's per-primitive trace names them.
 """
 
 from __future__ import annotations
@@ -90,14 +92,29 @@ def _sum_to_shape(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 def stable_sigmoid(z: Array) -> Array:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function, branch-free.
+
+    ``exp`` sees only ``minimum(z, -z)``, which is ``-|z|`` but keeps a
+    NaN's sign, so it never overflows and each element gets the bits of
+    ``1 / (1 + exp(-z))`` for ``z >= 0`` and ``exp(z) / (1 + exp(z))`` below.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.empty_like(z)
+    np.exp(np.minimum(z, np.negative(z, out=e), out=e), out=e)
+    out = np.where(z >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
     return out
+
+
+def _dropout_mask(shape: tuple[int, ...], rate: float, train: bool, rng: np.random.Generator | None) -> Array | None:
+    """Inverted-dropout mask, survivors scaled by 1/(1-rate); None when dropout is off."""
+    if not 0.0 <= rate < 1.0:
+        raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
+    if not train or rate == 0.0:
+        return None
+    if rng is None:
+        raise UsageError("train-mode dropout needs an rng")
+    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 class Tape:
@@ -117,8 +134,11 @@ class Tape:
     def __len__(self) -> int:
         return self._emitted
 
+    def _tracks(self, inputs: Sequence[Tensor]) -> bool:
+        return self._record and any(i.requires_grad for i in inputs)
+
     def _emit(self, values: Array, inputs: Sequence[Tensor], backward) -> Tensor:
-        needs = self._record and any(i.requires_grad for i in inputs)
+        needs = self._tracks(inputs)
         out = Tensor(values, requires_grad=needs, tape=self if needs else None)
         if needs:
             self._records.append((out, backward))
@@ -264,13 +284,9 @@ class Tape:
 
     def dropout(self, x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
         """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode."""
-        if not 0.0 <= rate < 1.0:
-            raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
-        if not train or rate == 0.0:
+        mask = _dropout_mask(x.shape, rate, train, rng)
+        if mask is None:
             return x
-        if rng is None:
-            raise UsageError("train-mode dropout needs an rng")
-        mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
         values = x.values * mask
 
         def backward(g: Array) -> None:
@@ -278,6 +294,82 @@ class Tape:
                 _accumulate(x, g * mask)
 
         return self._emit(values, (x,), backward)
+
+    def lstm_sequence(self, embed: Tensor, w_gates: Tensor, b_gates: Tensor, ids: Array, lengths: Array,
+                      rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
+        """Final hidden state of an LSTM over right-padded ``ids`` (batch, steps), as one record.
+
+        Step t gathers rows of ``embed``, applies inverted dropout (one draw
+        per step), computes ``concat([x, h]) @ w_gates + b_gates`` (gate
+        blocks: input, forget, candidate, output) and freezes rows with
+        ``lengths <= t`` by a 0/1 mask. Backward is one reverse loop through
+        time that pops each step's cache and runs the arithmetic of the
+        per-step primitives in their record order, so values and gradients
+        are bitwise those of that composition.
+        """
+        b, steps = ids.shape
+        d, hdim = embed.shape[1], b_gates.shape[0] // 4
+        if w_gates.shape != (d + hdim, 4 * hdim):
+            raise ShapeError(f"w_gates shape {w_gates.shape} does not fit input {d} and hidden {hdim}")
+        if ids.size and (ids.min() < 0 or ids.max() >= embed.shape[0]):
+            raise UsageError("embedding id out of range")
+        tracked = self._tracks((embed, w_gates, b_gates))
+        cache = []
+        h = c = np.zeros((b, hdim))
+        for t in range(steps):
+            x = embed.values[ids[:, t]]
+            mask = _dropout_mask(x.shape, rate, train, rng)
+            if mask is not None:
+                x = x * mask
+            xh = np.concatenate([x, h], axis=1)
+            gates = xh @ w_gates.values
+            gates += b_gates.values
+            gif, go = stable_sigmoid(gates[:, : 2 * hdim]), stable_sigmoid(gates[:, 3 * hdim :])
+            gi, gf = gif[:, :hdim], gif[:, hdim:]
+            gg = np.tanh(gates[:, 2 * hdim : 3 * hdim])
+            c_new = gf * c + gi * gg
+            tc = np.tanh(c_new)
+            h_new = go * tc
+            live = lengths > t
+            keep = None if live.all() else (live.astype(np.float64)[:, None], (~live).astype(np.float64)[:, None])
+            if tracked:
+                cache.append((mask, xh, gi, gf, gg, go, c, tc, keep))
+            if keep is None:
+                h, c = h_new, c_new
+            else:
+                c = keep[0] * c_new + keep[1] * c
+                h = keep[0] * h_new + keep[1] * h
+
+        def backward(dh: Array) -> None:
+            dc = None  # the last cell state feeds nothing
+            for t in range(steps - 1, -1, -1):
+                mask, xh, gi, gf, gg, go, c_prev, tc, keep = cache.pop()
+                dh_prev = dc_prev = None
+                if keep is not None:
+                    dh, dh_prev = dh * keep[0], dh * keep[1]
+                    if dc is not None:
+                        dc, dc_prev = dc * keep[0], dc * keep[1]
+                dc_tanh = dh * go * (1.0 - tc * tc)
+                dc = dc_tanh if dc is None else dc + dc_tanh
+                dgates = np.empty((b, 4 * hdim))
+                dgates[:, :hdim] = dc * gg * gi * (1.0 - gi)
+                dgates[:, hdim : 2 * hdim] = dc * c_prev * gf * (1.0 - gf)
+                dgates[:, 2 * hdim : 3 * hdim] = dc * gi * (1.0 - gg * gg)
+                dgates[:, 3 * hdim :] = dh * tc * go * (1.0 - go)
+                if b_gates.requires_grad:
+                    _accumulate(b_gates, dgates.sum(axis=0))
+                if w_gates.requires_grad:
+                    _accumulate(w_gates, xh.T @ dgates)
+                dxh = dgates @ w_gates.values.T
+                if embed.requires_grad:
+                    if embed.grad is None:
+                        embed.grad = np.zeros_like(embed.values)
+                    np.add.at(embed.grad, ids[:, t], dxh[:, :d] if mask is None else dxh[:, :d] * mask)
+                if t:
+                    dh = dxh[:, d:] if dh_prev is None else dh_prev + dxh[:, d:]
+                    dc = dc * gf if dc_prev is None else dc_prev + dc * gf
+
+        return self._emit(h, (embed, w_gates, b_gates), backward)
 
     def softmax_cross_entropy(self, logits: Tensor, labels) -> Tensor:
         """Mean negative log-likelihood of integer class labels."""

@@ -8,7 +8,7 @@ answer. An empty relation bucket is a reported "no_fact" outcome, never a
 crash, and counts as wrong during evaluation.
 
 One private core, :func:`_predict`, runs this for a batch of questions,
-ranking each bucket's questions in one ``scorer.rank_rows`` call:
+shortlisting each bucket's questions in one ``scorer.shortlist_rows`` call:
 :func:`evaluate` calls it on a dataset fold and tallies the metrics, and
 :func:`answer_question` calls it on a batch of one. It takes the relation
 order and the source rule from ``encoders.ranked_relations`` and
@@ -27,7 +27,7 @@ from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
 from .errors import UsageError
 from .kb import AnswerSource, Fact, KnowledgeBase, Relation
-from .scorer import ScorerParams, embed_batch, random_tie_break, rank_rows
+from .scorer import ScorerParams, embed_batch, random_tie_break, shortlist_rows, top_of
 from .wordvec import FactMatrix
 
 Array = np.ndarray
@@ -151,21 +151,24 @@ def _predict(
         sources = [(answer_source(p), float(p)) for p in predict_source_batch(models.source, questions)]
     iq_mat = embed_batch(models.scorer, feats, concepts, questions)
 
-    # one kernel call per bucket; random ties draw one jitter per bucket
-    # member for each question, in question order, before grouping
+    # one kernel call per bucket shortlists its questions' rows; then, in
+    # question order, random ties draw one jitter per bucket member, which is
+    # read at that question's shortlist only and freed before the next draw
     fm, top_relation = models.fact_matrix, [ranked[0][0] for ranked in relations]
     pools = {r: kb.ids_with_relation(r) for r in dict.fromkeys(top_relation)}
     random_ties = random_tie_break(tie_break, rng)
-    jitter = [rng.random(len(pools[r])) if random_ties and pools[r] else None for r in top_relation]
-    tops: list[list[tuple[str, float]]] = [[] for _ in questions]
+    shortlists: list[list[tuple[float, int]]] = [[] for _ in questions]
     for relation, pool in pools.items():
         members = [i for i, r in enumerate(top_relation) if r is relation]
         # a relation the KB lacks is no_fact, whatever rows the matrix holds
         bucket = fm.buckets.get(relation, slice(0, 0)) if pool else slice(0, 0)
-        ranked = rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], pool, max(k, 3),
-                           [jitter[i] for i in members] if random_ties else None)
-        for i, top in zip(members, ranked):
-            tops[i] = top
+        found = shortlist_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], pool, max(k, 3))
+        for i, shortlist in zip(members, found):
+            shortlists[i] = shortlist
+    tops = []
+    for shortlist, relation in zip(shortlists, top_relation):
+        pool = pools[relation]
+        tops.append(top_of(shortlist, pool, max(k, 3), rng.random(len(pool)) if random_ties and pool else pool))
 
     out = []
     for (question_id, image_id), ranked, (source, source_prob), top in zip(ids, relations, sources, tops):

@@ -12,16 +12,16 @@ The network keeps its tensors in one dict, named and shaped by
 :meth:`ScorerParams.shapes`; initialization, the checkpoint writer and the
 checkpoint loader all follow that table.
 
-Ranking is exact and runs in one kernel, :func:`rank_rows`. It scores a
-contiguous block of fact rows (a relation bucket of the
+Ranking is exact and runs in one kernel, :func:`shortlist_rows`. It scores
+a contiguous block of fact rows (a relation bucket of the
 :class:`~factrank.wordvec.FactMatrix`, or the whole KB) against a block of
 queries by one GEMM, shortlists every row within a derived rounding bound
 of the k-th best score, and rescores only the shortlist with the scalar
-cosine of :func:`score`, so its top k is bitwise the top k of an exhaustive
-scalar sort. Ties go by fact id (the default, used by tests and
-evaluation) or by a seeded random draw. :func:`rank_candidates`,
-:func:`candidate_scores` and :func:`score_matrix` are thin entry points
-over the same arithmetic.
+cosine of :func:`score`. :func:`top_of` orders a shortlist, so the top k
+of :func:`rank_rows` is bitwise the top k of an exhaustive scalar sort.
+Ties go by fact id (the default, used by tests and evaluation) or by a
+seeded random draw. :func:`rank_candidates`, :func:`candidate_scores` and
+:func:`score_matrix` are thin entry points over the same arithmetic.
 """
 
 from __future__ import annotations
@@ -268,16 +268,12 @@ def _gemm_cosines(iq_block: Array, qnorms: Array, rows: Array, norms: Array) -> 
 BLOCK_ELEMENTS = 1 << 21
 
 
-def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int,
-              jitter: Sequence[Array] | None = None) -> list[list[tuple[str, float]]]:
-    """Exact top-``k`` ``(id, score)`` of ``rows`` (a relation bucket, the
-    whole KB, or gathered candidates) for each query of ``iq_block``.
-
-    Blocks of rows are scored by one GEMM each against the cached ``norms``;
-    only rows within ``slack`` of a query's k-th best GEMM score are rescored
-    by the scalar :func:`score` arithmetic and ordered by ``(-score, id)``,
-    or ``(-score, jitter[j][row])`` for query ``j``: bitwise the head of an
-    exhaustive scalar sort."""
+def shortlist_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str],
+                   k: int) -> list[list[tuple[float, int]]]:
+    """Each query's rows of ``rows`` (named by ``ids``) that can be in its
+    exact top ``k``, as ``(score, row)`` pairs in row order: blocks of rows
+    are scored by one GEMM each against the cached ``norms``, and the rows
+    within ``slack`` of the k-th best GEMM score rescored by :func:`score`."""
     # Any summation order computes a length-d dot x.y within gamma_d |x||y|,
     # gamma_d = d u / (1 - d u), u = eps / 2 (Higham, Accuracy and Stability
     # of Numerical Algorithms, 3.1). Both paths divide by the same cached
@@ -308,13 +304,25 @@ def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k:
     shortlists: list[list[int]] = [[] for _ in range(q)]
     for j, r in zip(query[keep].tolist(), row[keep].tolist()):  # each query's rows ascending
         shortlists[j].append(r)
-    out = []
-    for j, shortlist in enumerate(shortlists):
-        scored = [(_cosine(rows[r], float(norms[r]), iq_block[j], float(qnorms[j])), r) for r in shortlist]
-        tie = ids if jitter is None else jitter[j]
-        scored.sort(key=lambda e: (-e[0], tie[e[1]]))
-        out.append([(ids[r], s) for s, r in scored[:k]])
-    return out
+    return [[(_cosine(rows[r], float(norms[r]), iq_block[j], float(qnorms[j])), r) for r in shortlist]
+            for j, shortlist in enumerate(shortlists)]
+
+
+def top_of(shortlist: list[tuple[float, int]], ids: Sequence[str], k: int, tie: Sequence) -> list[tuple[str, float]]:
+    """The first ``k`` ``(id, score)`` of a :func:`shortlist_rows` entry in
+    ``(-score, tie[row])`` order."""
+    ordered = sorted(shortlist, key=lambda e: (-e[0], tie[e[1]]))
+    return [(ids[r], s) for s, r in ordered[:k]]
+
+
+def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int,
+              jitter: Sequence[Array] | None = None) -> list[list[tuple[str, float]]]:
+    """Exact top-``k`` ``(id, score)`` of ``rows`` (a relation bucket, the
+    whole KB, or gathered candidates) for each query of ``iq_block``, ordered
+    by ``(-score, id)``, or ``(-score, jitter[j][row])`` for query ``j``:
+    bitwise the head of an exhaustive scalar sort."""
+    shortlists = shortlist_rows(iq_block, rows, norms, ids, k)
+    return [top_of(s, ids, k, ids if jitter is None else jitter[j]) for j, s in enumerate(shortlists)]
 
 
 # ----------------------------------------------------------------------

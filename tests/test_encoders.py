@@ -27,7 +27,7 @@ from factrank.encoders import (
     train_source_classifier,
 )
 from factrank.kb import AnswerSource, Relation
-from factrank.numerics import Tape
+from factrank.numerics import Tape, constant
 from gradcheck import check_grads
 from spoil import rewrite_header
 
@@ -101,6 +101,64 @@ def test_encode_batch_empty_question_rejected():
 
 def _lstm(rng, vocab_size, input_dim, hidden_dim):
     return LSTMParams(init_tensors(rng, LSTMParams.shapes(vocab_size, input_dim, hidden_dim)))
+
+
+def _per_step_lstm(tape, params, ids, lengths, train=False, dropout_rate=0.0, rng=None):
+    """The LSTM as a composition of per-step tape primitives, about 18
+    records a step: the oracle that ``Tape.lstm_sequence`` must reproduce
+    bitwise."""
+    b, steps = ids.shape
+    w = params.tensors
+    hdim = w["b_gates"].shape[0] // 4
+    h = constant(np.zeros((b, hdim)))
+    c = constant(np.zeros((b, hdim)))
+    for t in range(steps):
+        x = tape.embedding(w["embed"], ids[:, t])
+        x = tape.dropout(x, dropout_rate, train, rng)
+        xh = tape.concat([x, h])
+        gates = tape.add(tape.matmul(xh, w["w_gates"]), w["b_gates"])
+        gate_i = tape.sigmoid(tape.slice_cols(gates, 0, hdim))
+        gate_f = tape.sigmoid(tape.slice_cols(gates, hdim, 2 * hdim))
+        gate_g = tape.tanh(tape.slice_cols(gates, 2 * hdim, 3 * hdim))
+        gate_o = tape.sigmoid(tape.slice_cols(gates, 3 * hdim, 4 * hdim))
+        c_new = tape.add(tape.mul(gate_f, c), tape.mul(gate_i, gate_g))
+        h_new = tape.mul(gate_o, tape.tanh(c_new))
+        live = lengths > t
+        if live.all():
+            h, c = h_new, c_new
+        else:
+            keep_new = constant(live.astype(np.float64)[:, None])
+            keep_old = constant((~live).astype(np.float64)[:, None])
+            c = tape.add(tape.mul(keep_new, c_new), tape.mul(keep_old, c))
+            h = tape.add(tape.mul(keep_new, h_new), tape.mul(keep_old, h))
+    return h
+
+
+@pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+@pytest.mark.parametrize("batch, steps, dim, hidden", [(6, 4, 5, 6), (20, 7, 16, 24)])
+def test_lstm_is_bitwise_the_per_step_composition(dropout_rate, batch, steps, dim, hidden):
+    params = _lstm(np.random.default_rng(8), 11, dim, hidden)
+    rng = np.random.default_rng(9)
+    lengths = np.array([steps, 1, *rng.integers(1, steps + 1, batch - 2)])  # full, a single token, mixed
+    ids = rng.integers(2, 11, size=(batch, steps))
+    ids[np.arange(steps) >= lengths[:, None]] = PAD_ID
+    head = constant(rng.standard_normal((hidden, 3)))  # every hidden unit gets its own gradient
+
+    def run(lstm):
+        tape = Tape()
+        h = lstm(tape, params, ids, lengths, True, dropout_rate, np.random.default_rng(10))
+        tape.backward(tape.tensor_sum(tape.tanh(tape.matmul(h, head))))
+        out = [h.values.tobytes()] + [t.grad.tobytes() for t in params.tensors.values()]
+        for t in params.tensors.values():
+            t.grad[...] = 0.0
+        return out, len(tape)
+
+    fused, fused_records = run(lstm_hidden)
+    reference, reference_records = run(_per_step_lstm)
+    assert fused == reference
+    # one record for the whole sequence, against 17 a step (18 with dropout)
+    # and 6 more a step that freezes finished rows; 3 records of loss
+    assert (fused_records, reference_records) == (1 + 3, steps * (17 + (dropout_rate > 0)) + (steps - 1) * 6 + 3)
 
 
 def test_lstm_zero_weights_gives_zero_hidden():
@@ -275,6 +333,20 @@ def test_relation_training_on_planted_keywords_generalizes():
     heldout = _planted_relation_pairs(5, seed=3)
     clf, _ = train_relation_classifier(train, EncoderTrainConfig(epochs=40, seed=2))
     assert accuracy(clf, heldout, 1) >= 0.95
+
+
+def test_epoch_records_report_pre_clip_gradient_norms():
+    pairs = _planted_relation_pairs(2, 0)
+    history = {}
+    for clip_norm in (None, 1e-6):
+        cfg = EncoderTrainConfig(epochs=2, batch_size=len(pairs), lr=1e-2, embed_dim=6, hidden_dim=6, seed=3,
+                                 clip_norm=clip_norm)
+        history[clip_norm] = train_relation_classifier(pairs, cfg)[1]
+    free, clipped = history[None], history[1e-6]
+    # one batch an epoch, and the first is measured before any step: clipping cannot move its norm
+    assert free[0]["grad_norm_mean"] == free[0]["grad_norm_max"] == clipped[0]["grad_norm_max"] > 0.0
+    assert [r["clipped_fraction"] for r in free] == [0.0, 0.0]
+    assert [r["clipped_fraction"] for r in clipped] == [1.0, 1.0]
 
 
 def test_relation_training_rejects_bad_labels():

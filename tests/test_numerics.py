@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrank.errors import DegenerateInputError, ShapeError, UsageError
-from factrank.numerics import Tape, Tensor, constant, parameter
+from factrank.numerics import Tape, Tensor, constant, parameter, stable_sigmoid
 from gradcheck import check_grads, fd_grad, rel_err
 
 
@@ -107,6 +108,24 @@ def test_sigmoid_and_tanh_at_zero():
     t = Tape()
     assert t.sigmoid(constant([0.0])).values[0] == 0.5
     assert t.tanh(constant([0.0])).values[0] == 0.0
+
+
+def _masked_sigmoid(z):
+    # the branching formula: exp of -z where z >= 0, of z elsewhere
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_stable_sigmoid_is_bitwise_the_masked_formula():
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, np.inf, -np.inf, np.nan])
+    z = np.concatenate([z, np.random.default_rng(16).standard_normal(37) * 40.0])
+    assert stable_sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+    assert stable_sigmoid(z[::3]).tobytes() == _masked_sigmoid(z[::3]).tobytes()
+    assert stable_sigmoid(np.asarray(0.0)).shape == ()
 
 
 def test_mul_grad_matches_finite_differences():
@@ -310,6 +329,87 @@ def test_spent_tape_holds_no_record():
     assert len(tape) == 5  # matmul, add, tanh, mul, sum
     np.testing.assert_array_equal(w.grad, expected_w)
     np.testing.assert_array_equal(b.grad, expected_b)
+
+
+# ----------------------------------------------------------------------
+# fused LSTM sequence (its bitwise oracle is in test_encoders.py)
+# ----------------------------------------------------------------------
+
+
+def _lstm_case(seed, batch=3, steps=4, vocab=7, dim=3, hidden=4):
+    rng = np.random.default_rng(seed)
+    tensors = {
+        "embed": parameter(rng.uniform(-0.5, 0.5, (vocab, dim))),
+        "w_gates": parameter(rng.uniform(-0.5, 0.5, (dim + hidden, 4 * hidden))),
+        "b_gates": parameter(rng.uniform(-0.5, 0.5, 4 * hidden)),
+    }
+    lengths = np.array([steps, 1, *rng.integers(1, steps + 1, batch - 2)])
+    ids = rng.integers(1, vocab, (batch, steps))
+    ids[np.arange(steps) >= lengths[:, None]] = 0
+    return tensors, ids, lengths
+
+
+def test_lstm_sequence_grads_match_finite_differences_with_dropout_and_mixed_lengths():
+    tensors, ids, lengths = _lstm_case(17)
+    head = constant(np.random.default_rng(18).standard_normal((4, 2)))
+
+    def forward():
+        t = Tape()
+        h = t.lstm_sequence(*tensors.values(), ids, lengths, 0.4, True, np.random.default_rng(19))
+        return t.tensor_sum(t.tanh(t.matmul(h, head)))
+
+    check_grads(forward, tensors, tol=1e-6)
+
+
+class _ScatterSpy(np.ndarray):
+    """A gradient buffer that calls ``on_scatter`` before each ``np.add.at`` into it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method == "at":
+            self.on_scatter()
+        inputs = [i.view(np.ndarray) if isinstance(i, _ScatterSpy) else i for i in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_spent_lstm_tape_holds_no_step_cache():
+    steps = 5
+    tensors, ids, lengths = _lstm_case(20, steps=steps)
+    tape = Tape()
+    h = tape.lstm_sequence(*tensors.values(), ids, lengths, 0.4, True, np.random.default_rng(21))
+    [(_, backward)] = tape._records
+    [cache] = [cell.cell_contents for cell in backward.__closure__ if isinstance(cell.cell_contents, list)]
+    alive = [[weakref.ref(a) for a in step if isinstance(a, np.ndarray)] for step in cache]
+    assert len(alive) == steps and all(len(refs) >= 7 for refs in alive)
+    del backward, cache
+    # the walk scatters into the embedding once per step, last step first;
+    # by then every later step's cache is gone
+    live_steps = []
+    embed = tensors["embed"]
+    embed.grad = embed.grad.view(_ScatterSpy)
+    embed.grad.on_scatter = lambda: live_steps.append(sum(any(r() is not None for r in refs) for refs in alive))
+    tape.backward(tape.tensor_sum(h))
+    assert live_steps == [steps - i for i in range(steps)]
+    assert all(r() is None for refs in alive for r in refs)
+    assert len(tape) == 2
+
+
+def test_untracked_lstm_sequence_keeps_nothing():
+    tensors, ids, lengths = _lstm_case(22, batch=40, steps=12, hidden=16)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        untracked_tape = Tape(record=False)
+        untracked = untracked_tape.lstm_sequence(*tensors.values(), ids, lengths, 0.0, False)
+        kept_untracked = tracemalloc.get_traced_memory()[0] - start
+        tracked_tape = Tape()
+        tracked = tracked_tape.lstm_sequence(*tensors.values(), ids, lengths, 0.0, False)
+        kept_tracked = tracemalloc.get_traced_memory()[0] - start - kept_untracked
+    finally:
+        tracemalloc.stop()
+    assert untracked.values.tobytes() == tracked.values.tobytes()
+    assert (len(untracked_tape), untracked.requires_grad, untracked.tape) == (0, False, None)
+    # the output alone (40 x 16 floats, 5 kB) against 12 steps of cached gates
+    assert kept_untracked < untracked.values.nbytes + 2048 < kept_tracked
 
 
 def test_embedding_gather_and_scatter():

@@ -1,8 +1,11 @@
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from factrank.encoders import EncoderTrainConfig, train_relation_classifier, train_source_classifier
-from factrank.kb import KnowledgeBase
+from factrank.kb import Fact, KnowledgeBase
 from factrank.pipeline import PipelineModels, answer_question, evaluate
 from factrank.scorer import ScorerDims, embed_batch, rank_candidates
 from factrank.trainer import MarginConfig, train_scorer
@@ -87,3 +90,27 @@ def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_sp
         assert [f for f, _ in a.top_facts] == [f for f, _ in e.top_facts]
         assert [s for _, s in a.top_facts] == pytest.approx([s for _, s in e.top_facts], abs=1e-12)
         assert a.source_prob == pytest.approx(e.source_prob, abs=1e-12)
+
+
+def test_random_ties_hold_one_bucket_of_jitter_at_a_time(models, small_synth):
+    # every question of a bucket draws a jitter as long as the bucket; only
+    # one of them may be alive at a time, whatever the question count
+    relations = [r for r, _ in Counter(i.relation for i in small_synth["instances"]).most_common(3)]
+    instances = [i for i in small_synth["instances"] if i.relation in relations]
+    per_bucket = 4000
+    facts = [Fact(f"r{j}f{n:04d}", f"s{n}", r, f"o{n}") for j, r in enumerate(relations) for n in range(per_bucket)]
+    rows = np.random.default_rng(11).standard_normal((len(facts), models.fact_matrix.dim))
+    buckets = {r: slice(j * per_bucket, (j + 1) * per_bucket) for j, r in enumerate(relations)}
+    three = PipelineModels(models.scorer, FactMatrix.from_rows([f.fact_id for f in facts], rows, buckets))
+    kb = KnowledgeBase(facts)
+    peaks = {}
+    for tie_break in ("id", "random"):
+        tracemalloc.start()
+        try:
+            evaluate(three, kb, instances, small_synth["store"], oracle_relation=True, oracle_source=True,
+                     tie_break=tie_break, rng=np.random.default_rng(12))
+            peaks[tie_break] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(instances) >= 10
+    assert peaks["random"] - peaks["id"] <= per_bucket * 8 + 8192

@@ -10,7 +10,7 @@ from factrank.dataio import load_dataset, split_fold
 from factrank.errors import DataError, UsageError
 from factrank.kb import Fact, KnowledgeBase, Relation
 from factrank.numerics import Tape, constant
-from factrank import scorer
+from factrank import encoders, optim, scorer
 from factrank.scorer import Variant, embed_batch, rank_candidates, score
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.trainer import (
@@ -286,6 +286,29 @@ def test_train_scorer_bitwise_deterministic(tiny_synth):
     assert [cs.negative_ids for sets in a.candidate_history for cs in sets] == [
         cs.negative_ids for sets in b.candidate_history for cs in sets
     ]
+
+
+def test_train_scorer_epoch_records_report_gradient_norms(tiny_synth, monkeypatch):
+    instances, store, kb, table = tiny_synth
+    seen = []  # (pre-clip norm, limit) of every batch, in order
+
+    def recording_clip(params, max_norm):
+        seen.append((optim.clip_gradients(params, max_norm), max_norm))
+        return seen[-1][0]
+
+    monkeypatch.setattr(encoders, "clip_gradients", recording_clip)
+    cfg = MarginConfig(iterations=1, epochs_per_iteration=2, mining_period=1,
+                       negatives=10, batch_size=3, seed=9, clip_norm=5.0)
+    epochs = [m for m in train_scorer(instances, kb, store, table, cfg).metrics if m["type"] == "epoch"]
+    batches = 4  # 10 instances in batches of 3
+    assert len(epochs) == 4 and len(seen) == 4 * batches
+    for i, record in enumerate(epochs):
+        norms = [g for g, _ in seen[i * batches : (i + 1) * batches]]
+        assert all(limit == 5.0 for _, limit in seen)
+        assert record["grad_norm_mean"] == float(np.mean(norms))
+        assert record["grad_norm_max"] == max(norms)
+        assert record["clipped_fraction"] == sum(g > 5.0 for g in norms) / batches
+    assert any(0.0 < r["clipped_fraction"] < 1.0 for r in epochs)
 
 
 def test_train_scorer_fresh_start_mode(tiny_synth):
