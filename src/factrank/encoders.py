@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import DataError, LoadError, UsageError
+from .errors import DataError, DegenerateInputError, FactrankError, LoadError, UsageError
 from .kb import AnswerSource, Relation
 from .numerics import Tape, Tensor, parameter, stable_sigmoid
 from .optim import OptimizerState, clip_gradients, make_optimizer, step
@@ -304,6 +304,7 @@ def fit(
     clip_norm: float | None,
     batch_loss: Callable[[Tape, int, Array, Array, Array], Tensor],
     epoch_record: Callable[[int, float], dict],
+    where: str,
 ) -> list[dict]:
     """Minibatch training over the token-id sequences ``encoded``.
 
@@ -316,7 +317,13 @@ def fit(
     norm of the epoch's batches and the fraction of them that were clipped.
     The permutation is drawn before any draw the callback makes from the
     same generator, so a fixed seed fixes the whole run.
+
+    A non-finite loss raises :class:`FactrankError` before any step on it;
+    its message, and that of a :class:`DegenerateInputError` from the loss,
+    names the epoch and the batch (both from 1) after the ``where`` prefix.
     """
+    if epochs < 1 or batch_size < 1:
+        raise UsageError(f"{where}epochs and batch_size must be >= 1, got {epochs} and {batch_size}")
     n = len(encoded)
     limit = clip_norm or 0.0  # at 0, clip_gradients measures the norm and clips nothing
     history: list[dict] = []
@@ -327,7 +334,13 @@ def fit(
             batch = order[start : start + batch_size]
             ids, lengths = _pad([encoded[i] for i in batch])
             tape = Tape()
-            loss = batch_loss(tape, epoch, batch, ids, lengths)
+            at = f"{where}epoch {epoch}, batch {start // batch_size + 1}"
+            try:
+                loss = batch_loss(tape, epoch, batch, ids, lengths)
+            except DegenerateInputError as exc:  # such as a diverged model's non-finite scores
+                raise DegenerateInputError(f"{at}: {exc}") from None
+            if not np.isfinite(loss.item()):
+                raise FactrankError(f"{at}: non-finite loss {loss.item()}")
             tape.backward(loss)
             norms.append(clip_gradients(params, limit))
             step(params, opt)
@@ -377,7 +390,7 @@ def train_classifier(
 
     encoded = [vocab.encode(q, clf.max_tokens) for q, _ in pairs]
     history = fit(clf.tensors, encoded, make_optimizer("adam", cfg.lr), rng, cfg.epochs, cfg.batch_size,
-                  cfg.clip_norm, batch_loss, epoch_record)
+                  cfg.clip_norm, batch_loss, epoch_record, f"{kind} classifier: ")
     return clf, history
 
 

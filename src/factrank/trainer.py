@@ -5,15 +5,18 @@ question with its groundtruth fact plus N uniformly sampled wrong facts;
 each later iteration rebuilds the candidate sets from the wrong facts the
 model scored highest during the previous iteration (harvested every
 ``mining_period`` epochs), topping up any shortfall with fresh random
-negatives. Within an iteration the structured hinge
+negatives. An iteration's candidate sets are one (questions, 1 + N) array
+of KB positions (indices into ``kb.fact_ids()``, groundtruth in column 0)
+and its pools one (questions, N) array of the best score each negative
+reached above the margin line. Within an iteration the structured hinge
 
     max_f { task_loss(f*, f) + S(f) } - S(f*)
 
 is minimized by minibatch Adam with decoupled weight decay, one run of
 :func:`encoders.fit` per iteration; its loss callback gathers each batch's
-candidate rows, applies ``Tape.hinge_mean`` and harvests the mining
-pools. The groundtruth fact sits inside the max with task loss 0, so the
-loss is never negative. Weights carry over between iterations by default;
+candidate rows, applies ``Tape.hinge_mean`` and updates the pools. The
+groundtruth fact sits inside the max with task loss 0, so the loss is
+never negative. Weights carry over between iterations by default;
 a fresh-start mode is available behind a switch.
 
 The hinge is piecewise linear in the candidate scores, and each epoch takes
@@ -27,13 +30,13 @@ takes below ``1 - dist(0, conv{g - f_j})``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .dataio import FeatureStore, QAInstance
-from .errors import DataError, UsageError
+from .errors import DataError, DegenerateInputError, UsageError
 from .kb import KnowledgeBase
 from .optim import make_optimizer
 from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows
@@ -67,8 +70,8 @@ class MarginConfig:
             raise UsageError(f"negatives must be >= 1, got {self.negatives}")
         if self.iterations < 0:
             raise UsageError(f"iterations must be >= 0, got {self.iterations}")
-        if self.epochs_per_iteration < 1 or self.mining_period < 1 or self.batch_size < 1:
-            raise UsageError("epochs_per_iteration, mining_period and batch_size must be >= 1")
+        if self.mining_period < 1:
+            raise UsageError(f"mining_period must be >= 1, got {self.mining_period}")
         if self.lr <= 0:
             raise UsageError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.dropout < 1.0:
@@ -76,29 +79,27 @@ class MarginConfig:
 
 
 @dataclass
-class CandidateSet:
-    """Groundtruth fact plus sampled negatives for one (image, question) key."""
-
-    question_id: str
-    image_id: str
-    gt_fact_id: str
-    negative_ids: list[str]
-
-    def candidate_ids(self) -> list[str]:
-        """All candidates with the groundtruth at index 0."""
-        return [self.gt_fact_id, *self.negative_ids]
-
-
-@dataclass
 class MiningState:
-    """Per-question pools of wrong facts that scored above the margin line."""
+    """One iteration's hard-negative pools: ``pools[i, j]`` is the best score
+    that negative ``j`` of instance ``i`` (candidate column ``j + 1``) reached
+    above the margin line, and ``-inf`` while it never has."""
 
     iteration: int
-    pools: dict[str, dict[str, float]] = field(default_factory=dict)
+    pools: Array
     empty_pool_fallbacks: int = 0
 
     def pool_total(self) -> int:
-        return sum(len(p) for p in self.pools.values())
+        return int(np.count_nonzero(self.pools > -np.inf))
+
+
+def _candidate_row(gt: int, hard: Array, n: int, kb_size: int, rng: np.random.Generator) -> Array:
+    """``[gt, *hard]`` topped up to ``1 + n`` KB positions by a uniform draw
+    without replacement from the other positions, in KB load order."""
+    free = np.ones(kb_size, dtype=bool)
+    free[gt] = False
+    free[hard] = False
+    draw = rng.choice(kb_size - 1 - len(hard), size=n - len(hard), replace=False)
+    return np.concatenate([[gt], hard, np.flatnonzero(free)[draw]])
 
 
 def build_initial_dataset(
@@ -106,71 +107,60 @@ def build_initial_dataset(
     kb: KnowledgeBase,
     negatives: int = 99,
     seed: int = 0,
-) -> list[CandidateSet]:
-    """Iteration-0 candidate sets: groundtruth plus uniform negatives.
+) -> Array:
+    """Iteration-0 candidate sets: an (instances, 1 + n) array of KB
+    positions (indices into ``kb.fact_ids()``), the groundtruth in column 0
+    and ``n = min(negatives, len(kb) - 1)`` uniform negatives after it.
 
     Negatives are drawn without replacement from the whole knowledge base
     excluding the groundtruth; a KB smaller than ``negatives + 1`` yields
     every non-groundtruth fact. Deterministic for a fixed seed.
     """
     rng = np.random.default_rng([seed, 29])
-    all_ids = kb.fact_ids()
-    index_of = {fid: i for i, fid in enumerate(all_ids)}
-    sets = []
+    position = {fid: i for i, fid in enumerate(kb.fact_ids())}
+    n = min(negatives, len(kb) - 1)
+    rows = []
     for inst in instances:
-        if inst.fact_id not in index_of:
+        if inst.fact_id not in position:
             raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
-        gt_idx = index_of[inst.fact_id]
-        n = min(negatives, len(all_ids) - 1)
-        # sample from a range one short of the KB and shift past the gt slot
-        draw = rng.choice(len(all_ids) - 1, size=n, replace=False)
-        negs = [all_ids[c if c < gt_idx else c + 1] for c in draw]
-        sets.append(CandidateSet(inst.question_id, inst.image_id, inst.fact_id, negs))
-    return sets
+        rows.append(_candidate_row(position[inst.fact_id], np.zeros(0, dtype=np.intp), n, len(kb), rng))
+    return np.array(rows, dtype=np.intp).reshape(len(instances), n + 1)
 
 
 def mine_hard_negatives(
-    pools: dict[str, dict[str, float]],
+    pools: Array,
     state: MiningState,
-    current: Sequence[CandidateSet],
+    current: Array,
     kb: KnowledgeBase,
-    negatives: int,
     rng: np.random.Generator,
-) -> list[CandidateSet]:
-    """Next-iteration candidate sets from the previous iteration's ``pools``.
+) -> Array:
+    """Next-iteration candidate sets from the previous iteration's ``pools``
+    over its candidate array ``current``; the result has the same shape.
 
-    Per key: the highest-scoring pooled wrong facts, topped up with uniform
-    random negatives when the pool is short. An empty pool falls back to
-    all-random and is counted on ``state``, the state of the iteration the
-    new sets are for. The groundtruth is always kept and never appears
-    among the negatives.
+    Per row: the pooled negatives by falling score (ties by fact id),
+    topped up with uniform random negatives when the pool is short. An
+    empty pool falls back to all-random and is counted on ``state``, the
+    state of the iteration the new sets are for. The groundtruth stays in
+    column 0 and never appears among the negatives.
     """
-    all_ids = kb.fact_ids()
-    new_sets = []
-    for cs in current:
-        n = min(negatives, len(all_ids) - 1)
-        pool = pools.get(cs.question_id, {})
-        entries = [(fid, s) for fid, s in pool.items() if fid != cs.gt_fact_id]
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        chosen = [fid for fid, _ in entries[:n]]
-        if not entries:
-            state.empty_pool_fallbacks += 1
-        shortfall = n - len(chosen)
-        if shortfall > 0:
-            excluded = set(chosen)
-            excluded.add(cs.gt_fact_id)
-            remaining = [fid for fid in all_ids if fid not in excluded]
-            draw = rng.choice(len(remaining), size=shortfall, replace=False)
-            chosen += [remaining[i] for i in draw]
-        new_sets.append(CandidateSet(cs.question_id, cs.image_id, cs.gt_fact_id, chosen))
-    return new_sets
+    ids = np.array(kb.fact_ids())
+    order = np.lexsort((ids[current[:, 1:]], -pools))  # -inf, never hard, sorts last
+    pooled = np.count_nonzero(pools > -np.inf, axis=1)
+    state.empty_pool_fallbacks += int(np.count_nonzero(pooled == 0))
+    rows = [_candidate_row(cand[0], cand[1:][o[:k]], current.shape[1] - 1, len(kb), rng)
+            for cand, o, k in zip(current, order, pooled)]
+    return np.array(rows, dtype=np.intp).reshape(current.shape)
 
 
 @dataclass
 class TrainScorerResult:
+    """The trained scorer, its metrics records, and per iteration its
+    candidate array (KB positions, groundtruth in column 0) and its
+    mining state."""
+
     params: ScorerParams
     metrics: list[dict]
-    candidate_history: list[list[CandidateSet]]
+    candidate_history: list[Array]
     mining_states: list[MiningState]
 
 
@@ -185,8 +175,11 @@ def fact_precision(
     no (questions x KB) score matrix is built."""
     feats, cons = store.stack([i.image_id for i in instances])
     iq = embed_batch(params, feats, cons, [i.question for i in instances])
-    if np.any(np.linalg.norm(iq, axis=1) == 0.0):
+    norms = np.linalg.norm(iq, axis=1)
+    if np.any(norms == 0.0):
         raise UsageError("fact_precision got a zero-norm embedding row")
+    if not np.all(np.isfinite(norms)):
+        raise DegenerateInputError("fact_precision got a non-finite embedding row")
     tops = rank_rows(iq, fact_matrix.rows, fact_matrix.norms, fact_matrix.fact_ids, 3)
     found = [[fid for fid, _ in top] for top in tops]
     return {
@@ -248,28 +241,31 @@ def train_scorer(
             raise DataError(f"question {inst.question_id}: question has no tokens")
 
     metrics: list[dict] = []
-    candidate_history: list[list[CandidateSet]] = []
+    candidate_history: list[Array] = []
     mining_states: list[MiningState] = []
-    sets: list[CandidateSet] = []
+    # KB position -> fact-matrix row: buckets reorder the rows by relation
+    row_of_position = np.array([fact_matrix.row_of[fid] for fid in kb.fact_ids()], dtype=np.intp)
+    pool_shape = (len(train_instances), min(config.negatives, len(kb) - 1))
 
     for t in range(config.iterations + 1):
-        state = MiningState(iteration=t)
+        state = MiningState(iteration=t, pools=np.full(pool_shape, -np.inf))
         if t == 0:
             sets = build_initial_dataset(train_instances, kb, config.negatives, config.seed)
         else:
-            sets = mine_hard_negatives(mining_states[-1].pools, state, sets, kb, config.negatives, rng_mine)
+            sets = mine_hard_negatives(mining_states[-1].pools, state, sets, kb, rng_mine)
         candidate_history.append(sets)
         if config.reinitialize_each_iteration and t > 0:
             params = fresh_params(t)
-        cand_idx = np.array(
-            [[fact_matrix.row_of[fid] for fid in cs.candidate_ids()] for cs in sets], dtype=np.intp
-        )
+        cand_idx = row_of_position[sets]
 
         def batch_loss(tape, epoch, batch, ids, lengths):
             iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, train=True, rng=rng_train)
             scores = tape.cosine_rows(iq, fact_matrix.rows[cand_idx[batch]])
             if epoch % config.mining_period == 0:
-                _harvest_pools(state, sets, batch, scores.values, config.margin)
+                # a wrong fact is "hard" when it scores above the groundtruth minus the margin
+                s = scores.values[:, 1:]
+                kept = state.pools[batch]
+                state.pools[batch] = np.where(s > scores.values[:, :1] - config.margin, np.maximum(kept, s), kept)
             return tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
 
         def epoch_record(epoch, loss):
@@ -280,7 +276,7 @@ def train_scorer(
 
         opt = make_optimizer("adam", config.lr, weight_decay=config.weight_decay)
         metrics += fit(params.tensors, encoded, opt, rng_train, config.epochs_per_iteration,
-                       config.batch_size, config.clip_norm, batch_loss, epoch_record)
+                       config.batch_size, config.clip_norm, batch_loss, epoch_record, f"scorer iteration {t}: ")
         summary = {
             "type": "iteration",
             "iteration": t,
@@ -289,24 +285,11 @@ def train_scorer(
             "candidate_set_size": int(cand_idx.shape[1]),
         }
         if heldout:
-            summary.update(fact_precision(params, heldout, store, fact_matrix))
+            # the last epoch record has scored the parameters this iteration ends with
+            summary.update({k: metrics[-1][k] for k in ("precision1", "precision3")})
         metrics.append(summary)
         mining_states.append(state)
 
     return TrainScorerResult(
         params=params, metrics=metrics, candidate_history=candidate_history, mining_states=mining_states
     )
-
-
-def _harvest_pools(state: MiningState, sets, batch, scores: Array, margin: float) -> None:
-    # a wrong fact is "hard" when it scores above the groundtruth minus the margin
-    gt = scores[:, 0]
-    for row, inst_idx in enumerate(batch):
-        cs = sets[inst_idx]
-        pool = state.pools.setdefault(cs.question_id, {})
-        hard = np.nonzero(scores[row, 1:] > gt[row] - margin)[0]
-        for j in hard:
-            fid = cs.negative_ids[j]
-            s = float(scores[row, j + 1])
-            if fid not in pool or s > pool[fid]:
-                pool[fid] = s

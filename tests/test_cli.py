@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -159,6 +160,14 @@ def test_table_defaults_are_the_library_defaults():
         assert getattr(cfg, name) == getattr(synth, "concept_labels" if name == "concept_label_count" else name), name
 
 
+@pytest.mark.parametrize("flag", ["--relation-epochs", "--relation-batch-size"])
+def test_cli_train_with_zero_epochs_or_batch_size_is_usage_error(synth_dir, tmp_path, capsys, flag):
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    assert main(["train", "relation", *flags, flag, "0"]) == 2
+    assert "relation classifier: epochs and batch_size must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt" / "relation.ckpt").exists()
+
+
 # ----------------------------------------------------------------------
 # threads
 # ----------------------------------------------------------------------
@@ -205,6 +214,15 @@ def test_cli_evaluate_truncated_checkpoint_is_load_error(synth_dir, tmp_path, ca
     assert main(["evaluate", *flags, "--gt-relation", "--gt-source"]) == 1
     err = capsys.readouterr().err
     assert str(scorer) in err and "truncated" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverging_scorer_stops_naming_where(synth_dir, tmp_path, capsys):
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    assert main(["train", "scorer", *flags, "--iterations", "0", "--epochs-per-iteration", "3",
+                 "--scorer-lr", "1e200"]) == 1
+    assert re.search(r"scorer iteration 0: epoch \d+, batch \d+: .*non-finite", capsys.readouterr().err)
+    assert not (tmp_path / "ckpt" / "scorer.ckpt").exists()
 
 
 # ----------------------------------------------------------------------

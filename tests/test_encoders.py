@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrank.checkpoint import load_checkpoint, save_checkpoint
-from factrank.errors import DataError, LoadError, UsageError
+from factrank.errors import DataError, FactrankError, LoadError, UsageError
 from factrank.encoders import (
     PAD_ID,
     UNK_ID,
@@ -16,6 +16,7 @@ from factrank.encoders import (
     accuracy,
     answer_source,
     encode_batch,
+    fit,
     init_tensors,
     load_classifier,
     lstm_hidden,
@@ -27,7 +28,8 @@ from factrank.encoders import (
     train_source_classifier,
 )
 from factrank.kb import AnswerSource, Relation
-from factrank.numerics import Tape, constant
+from factrank.numerics import Tape, constant, parameter
+from factrank.optim import make_optimizer
 from gradcheck import check_grads
 from spoil import rewrite_header
 
@@ -375,6 +377,35 @@ def test_training_deterministic_under_seed():
     assert hist_a == hist_b
     for (name, pa), pb in zip(a.tensors.items(), b.tensors.values()):
         np.testing.assert_array_equal(pa.values, pb.values, err_msg=name)
+
+
+def _toy_fit(w, batch_loss, epochs=3, batch_size=3):
+    """``fit`` of the weights ``w`` over ten one-token sequences, four batches an epoch."""
+    return fit({"w": w}, [[1]] * 10, make_optimizer("adam", 0.1), np.random.default_rng(0), epochs, batch_size,
+               None, batch_loss, lambda epoch, loss: {"loss": loss}, "toy: ")
+
+
+def test_fit_stops_on_a_non_finite_loss_before_stepping_on_it():
+    w = parameter(np.ones((1, 2)))
+    seen = []  # the weights at each loss call
+
+    def batch_loss(tape, epoch, batch, ids, lengths):
+        seen.append(w.values.copy())
+        x = np.full((len(batch), 1), np.nan if (epoch, len(seen)) == (2, 7) else 1.0)
+        return tape.softmax_cross_entropy(tape.matmul(constant(x), w), np.zeros(len(batch), dtype=np.intp))
+
+    with pytest.raises(FactrankError, match=r"^toy: epoch 2, batch 3: non-finite loss nan$"):
+        _toy_fit(w, batch_loss)
+    assert len(seen) == 7 and not np.array_equal(seen[-2], seen[-1])  # six steps were taken
+    np.testing.assert_array_equal(w.values, seen[-1])  # and none on the non-finite loss
+
+
+@pytest.mark.parametrize("epochs, batch_size", [(0, 3), (-1, 3), (2, 0)])
+def test_fit_rejects_fewer_than_one_epoch_or_example_a_batch(epochs, batch_size):
+    calls = []
+    with pytest.raises(UsageError, match="^toy: epochs and batch_size must be >= 1"):
+        _toy_fit(parameter(np.ones((1, 2))), lambda *args: calls.append(args), epochs, batch_size)
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

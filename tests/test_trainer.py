@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrank.dataio import load_dataset, split_fold
-from factrank.errors import DataError, UsageError
+from factrank.errors import DataError, DegenerateInputError, UsageError
 from factrank.kb import Fact, KnowledgeBase, Relation
 from factrank.numerics import Tape, constant
-from factrank import encoders, optim, scorer
+from factrank import encoders, optim, scorer, trainer
 from factrank.scorer import Variant, embed_batch, rank_candidates, score
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.trainer import (
-    CandidateSet,
     MarginConfig,
     MiningState,
     build_initial_dataset,
@@ -90,33 +90,135 @@ def test_property_hinge_nonnegative_and_zero_iff_margin(seed, n):
 # ----------------------------------------------------------------------
 
 
+# The id-based sampler that the KB-position arrays replaced, kept as the
+# oracle: candidate sets as fact-id lists, pools as {question_id: {fact_id:
+# score}} dicts filled by a per-row loop.
+
+
+@dataclasses.dataclass
+class OracleSet:
+    question_id: str
+    gt_fact_id: str
+    negative_ids: list[str]
+
+
+def oracle_initial_dataset(instances, kb, negatives, seed):
+    rng = np.random.default_rng([seed, 29])
+    all_ids = kb.fact_ids()
+    index_of = {fid: i for i, fid in enumerate(all_ids)}
+    sets = []
+    for inst in instances:
+        gt_idx = index_of[inst.fact_id]
+        n = min(negatives, len(all_ids) - 1)
+        draw = rng.choice(len(all_ids) - 1, size=n, replace=False)
+        negs = [all_ids[c if c < gt_idx else c + 1] for c in draw]
+        sets.append(OracleSet(inst.question_id, inst.fact_id, negs))
+    return sets
+
+
+def oracle_mine(pools, current, kb, negatives, rng):
+    """(next sets, empty-pool fallbacks)."""
+    all_ids = kb.fact_ids()
+    new_sets, fallbacks = [], 0
+    for cs in current:
+        n = min(negatives, len(all_ids) - 1)
+        pool = pools.get(cs.question_id, {})
+        entries = [(fid, s) for fid, s in pool.items() if fid != cs.gt_fact_id]
+        entries.sort(key=lambda e: (-e[1], e[0]))
+        chosen = [fid for fid, _ in entries[:n]]
+        if not entries:
+            fallbacks += 1
+        shortfall = n - len(chosen)
+        if shortfall > 0:
+            excluded = set(chosen)
+            excluded.add(cs.gt_fact_id)
+            remaining = [fid for fid in all_ids if fid not in excluded]
+            draw = rng.choice(len(remaining), size=shortfall, replace=False)
+            chosen += [remaining[i] for i in draw]
+        new_sets.append(OracleSet(cs.question_id, cs.gt_fact_id, chosen))
+    return new_sets, fallbacks
+
+
+def oracle_harvest(pools, sets, batch, scores, margin):
+    gt = scores[:, 0]
+    for row, inst_idx in enumerate(batch):
+        cs = sets[inst_idx]
+        pool = pools.setdefault(cs.question_id, {})
+        for j in np.nonzero(scores[row, 1:] > gt[row] - margin)[0]:
+            fid = cs.negative_ids[j]
+            s = float(scores[row, j + 1])
+            if fid not in pool or s > pool[fid]:
+                pool[fid] = s
+
+
+def as_ids(sets, kb):
+    """Candidate-array rows as fact-id lists, groundtruth first."""
+    ids = kb.fact_ids()
+    return [[ids[p] for p in row] for row in sets]
+
+
+def oracle_ids(sets):
+    return [[cs.gt_fact_id, *cs.negative_ids] for cs in sets]
+
+
+def oracle_pools(pools, sets, kb):
+    """The array ``pools`` over ``sets`` as the oracle's dicts, keyed by
+    the question ids that :func:`_questions` gives."""
+    ids = kb.fact_ids()
+    return {f"q{i}": {ids[p]: float(s) for p, s in zip(row[1:], pool) if s > -np.inf}
+            for i, (row, pool) in enumerate(zip(sets, pools))}
+
+
 def _chain_kb(n):
     return KnowledgeBase([Fact(f"f{i:03d}", f"s{i}", Relation.IS_A, f"o{i}") for i in range(n)])
+
+
+def _interleaved_kb(n, seed=0):
+    """``n`` facts whose load order cycles through the relations and whose
+    ids are shuffled, so a KB position is neither a fact-matrix row (those
+    go bucket by bucket) nor the id order."""
+    relations = list(Relation)
+    names = np.random.default_rng(seed).permutation(n)
+    return KnowledgeBase([Fact(f"f{names[i]:03d}", f"s{i}", relations[i % len(relations)], f"o{i}")
+                          for i in range(n)])
+
+
+def _questions(kb, count, seed=0):
+    ids = kb.fact_ids()
+    picks = np.random.default_rng(seed).integers(len(ids), size=count)
+    return [SimpleNamespace(question_id=f"q{i}", image_id=f"i{i}", fact_id=ids[p]) for i, p in enumerate(picks)]
 
 
 def test_initial_dataset_sizes(tiny_synth):
     instances, _, kb, _ = tiny_synth
     sets = build_initial_dataset(instances, kb, negatives=30, seed=0)
-    assert len(sets) == len(instances)
-    for cs, inst in zip(sets, instances):
-        assert cs.gt_fact_id == inst.fact_id
-        assert len(cs.candidate_ids()) == 31
-        assert cs.gt_fact_id not in cs.negative_ids
-        assert len(set(cs.negative_ids)) == len(cs.negative_ids)
+    assert sets.shape == (len(instances), 31)
+    for row, inst in zip(as_ids(sets, kb), instances):
+        assert row[0] == inst.fact_id
+        assert inst.fact_id not in row[1:]
+        assert len(set(row)) == 31
 
 
 def test_initial_dataset_kb_exhaustion():
     kb = _chain_kb(8)
-    inst = [type("I", (), {"question_id": "q0", "image_id": "i0", "fact_id": "f003"})()]
-    sets = build_initial_dataset(inst, kb, negatives=7, seed=1)
-    assert sorted(sets[0].negative_ids) == sorted(set(kb.fact_ids()) - {"f003"})
+    sets = build_initial_dataset(_questions(kb, 3), kb, negatives=700, seed=1)
+    assert sets.shape == (3, 8)
+    assert all(sorted(row) == list(range(8)) for row in sets)
+    assert as_ids(sets, kb) == oracle_ids(oracle_initial_dataset(_questions(kb, 3), kb, 700, 1))
 
 
 def test_initial_dataset_deterministic(tiny_synth):
     instances, _, kb, _ = tiny_synth
     a = build_initial_dataset(instances, kb, negatives=20, seed=5)
     b = build_initial_dataset(instances, kb, negatives=20, seed=5)
-    assert [cs.negative_ids for cs in a] == [cs.negative_ids for cs in b]
+    np.testing.assert_array_equal(a, b)
+
+
+def test_initial_dataset_matches_the_id_oracle_on_an_interleaved_kb():
+    kb = _interleaved_kb(60)
+    questions = _questions(kb, 25)
+    sets = build_initial_dataset(questions, kb, negatives=12, seed=3)
+    assert as_ids(sets, kb) == oracle_ids(oracle_initial_dataset(questions, kb, 12, 3))
 
 
 def test_initial_dataset_missing_fact_is_data_error():
@@ -126,35 +228,71 @@ def test_initial_dataset_missing_fact_is_data_error():
         build_initial_dataset(inst, kb, negatives=2, seed=0)
 
 
+@pytest.mark.parametrize("negatives", [12, 700])
+def test_mining_matches_the_id_oracle(negatives):
+    # pools with ties (three score levels), partly and wholly empty rows and
+    # full rows, on a KB whose positions, fact-matrix rows and id order all differ
+    kb = _interleaved_kb(60, seed=1)
+    questions = _questions(kb, 30, seed=2)
+    current = build_initial_dataset(questions, kb, negatives, seed=4)
+    rng = np.random.default_rng(5)
+    pools = np.where(rng.random(current[:, 1:].shape) < 0.3, rng.integers(3, size=current[:, 1:].shape) / 4, -np.inf)
+    pools[3] = -np.inf
+    pools[4] = 0.5
+    state = MiningState(iteration=1, pools=np.full(pools.shape, -np.inf))
+    mined = mine_hard_negatives(pools, state, current, kb, np.random.default_rng(6))
+    expected, fallbacks = oracle_mine(oracle_pools(pools, current, kb), oracle_initial_dataset(questions, kb, negatives, 4),
+                                      kb, negatives, np.random.default_rng(6))
+    assert mined.shape == current.shape
+    assert as_ids(mined, kb) == oracle_ids(expected)
+    assert state.empty_pool_fallbacks == fallbacks >= 1
+
+
 def test_mining_selects_top_scored_pool_entries():
     kb = _chain_kb(300)
-    current = [CandidateSet("q0", "i0", "f000", [f"f{i:03d}" for i in range(1, 100)])]
-    rng = np.random.default_rng(2)
-    pool = {f"f{i:03d}": float(300 - i) for i in range(1, 201)}  # 200 wrong facts, descending score
-    mined = mine_hard_negatives({"q0": pool}, MiningState(iteration=1), current, kb, negatives=99, rng=rng)
-    assert mined[0].gt_fact_id == "f000"
-    assert mined[0].negative_ids == [f"f{i:03d}" for i in range(1, 100)]  # the 99 best scores
-    assert len(mined[0].candidate_ids()) == 100
+    current = np.arange(100)[None, :]  # f000 and the negatives f001..f099
+    pools = (300.0 - np.arange(1, 100))[None, :]  # descending score
+    pools[0, 50:] = pools[0, 49]  # a tie over the tail, broken by fact id
+    pools[0, [60, 70]] = -np.inf
+    mined = mine_hard_negatives(pools, MiningState(iteration=1, pools=pools), current, kb, np.random.default_rng(2))
+    ids = as_ids(mined, kb)[0]
+    assert ids[0] == "f000"
+    assert ids[1:98] == [f"f{i:03d}" for i in range(1, 100) if i not in (61, 71)]
+    assert len(set(ids)) == 100  # topped up from the rest of the KB
+
+
+def test_mining_breaks_ties_by_fact_id_not_kb_position():
+    kb = KnowledgeBase([Fact(f"f{9 - i}", f"s{i}", Relation.IS_A, f"o{i}") for i in range(10)])  # ids in reverse
+    current = np.arange(10)[None, :]
+    pools = np.full((1, 9), 0.25)
+    mined = mine_hard_negatives(pools, MiningState(iteration=1, pools=pools), current, kb, np.random.default_rng(0))
+    assert as_ids(mined, kb) == [["f9", *(f"f{i}" for i in range(9))]]
 
 
 def test_mining_never_inserts_groundtruth():
-    kb = _chain_kb(50)
-    current = [CandidateSet("q0", "i0", "f007", [f"f{i:03d}" for i in range(1, 5) if i != 7])]
-    pool = {"f007": 99.0, "f001": 1.0}  # gt sneaks into the pool with a top score
-    mined = mine_hard_negatives({"q0": pool}, MiningState(iteration=1), current, kb, negatives=10,
-                                rng=np.random.default_rng(3))
-    assert "f007" not in mined[0].negative_ids
-    assert mined[0].gt_fact_id == "f007"
+    # one pooled negative, so the top-up draws all but one of the other facts:
+    # every draw must skip the groundtruth, which sits mid-KB
+    kb = _chain_kb(12)
+    current = np.array([[7, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11]])
+    pools = np.full((1, 10), -np.inf)
+    pools[0, 4] = 0.1
+    for seed in range(20):
+        mined = mine_hard_negatives(pools, MiningState(iteration=1, pools=pools), current, kb, np.random.default_rng(seed))
+        assert mined[0, 0] == 7 and mined[0, 1] == 5
+        assert 7 not in mined[0, 1:] and len(set(mined[0])) == 11
 
 
 def test_mining_empty_pool_falls_back_to_random():
     kb = _chain_kb(40)
-    current = [CandidateSet("q0", "i0", "f000", ["f001", "f002"])]
-    state = MiningState(iteration=1)
-    mined = mine_hard_negatives({}, state, current, kb, negatives=5, rng=np.random.default_rng(4))
+    current = build_initial_dataset(_questions(kb, 2), kb, negatives=5, seed=0)
+    state = MiningState(iteration=1, pools=np.full((2, 5), -np.inf))
+    pools = np.full((2, 5), -np.inf)
+    pools[1, 0] = 0.0
+    mined = mine_hard_negatives(pools, state, current, kb, rng=np.random.default_rng(4))
     assert state.empty_pool_fallbacks == 1
-    assert len(mined[0].negative_ids) == 5
-    assert "f000" not in mined[0].negative_ids
+    assert mined.shape == (2, 6)
+    assert (mined[:, 0] == current[:, 0]).all()
+    assert all(row[0] not in row[1:] for row in mined)
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +377,8 @@ def test_train_scorer_single_example_loss_nonincreasing(tiny_synth):
     result = train_scorer(instances[:1], kb, store, table, cfg)
     losses = [m["loss"] for m in result.metrics if m["type"] == "epoch"]
     fm = FactMatrix.build(kb, table)
-    cs = result.candidate_history[0][0]
-    floor = hinge_floor(fm.row(cs.gt_fact_id), [fm.row(fid) for fid in cs.negative_ids], cfg.margin)
+    gt, *negatives = as_ids(result.candidate_history[0], kb)[0]
+    floor = hinge_floor(fm.row(gt), [fm.row(fid) for fid in negatives], cfg.margin)
     assert all(loss >= floor - 1e-9 for loss in losses)
     assert losses[-1] - floor <= 0.25 * (losses[0] - floor)
 
@@ -252,12 +390,11 @@ def test_train_scorer_structural_invariants(tiny_synth):
     result = train_scorer(instances, kb, store, table, cfg)
     assert len(result.candidate_history) == 3
     for sets in result.candidate_history:
-        by_key = {cs.question_id for cs in sets}
-        assert by_key == {i.question_id for i in instances}
-        for cs, inst in zip(sets, instances):
-            assert cs.gt_fact_id == inst.fact_id
-            assert cs.gt_fact_id not in cs.negative_ids
-            assert len(cs.candidate_ids()) == 16
+        assert sets.shape == (len(instances), 16)
+        for row, inst in zip(as_ids(sets, kb), instances):
+            assert row[0] == inst.fact_id
+            assert inst.fact_id not in row[1:]
+            assert len(set(row)) == 16
     iteration_records = [m for m in result.metrics if m["type"] == "iteration"]
     assert len(iteration_records) == 3
 
@@ -283,9 +420,93 @@ def test_train_scorer_bitwise_deterministic(tiny_synth):
     assert a.metrics == b.metrics
     for (name, pa), pb in zip(a.params.tensors.items(), b.params.tensors.values()):
         np.testing.assert_array_equal(pa.values, pb.values, err_msg=name)
-    assert [cs.negative_ids for sets in a.candidate_history for cs in sets] == [
-        cs.negative_ids for sets in b.candidate_history for cs in sets
-    ]
+    for sa, sb in zip(a.candidate_history, b.candidate_history, strict=True):
+        np.testing.assert_array_equal(sa, sb)
+
+
+def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkeypatch):
+    # Replays the id-based sampler on the scores the run computes, and checks
+    # that each batch scored the fact-matrix rows of the oracle's candidates.
+    # The KB's load order interleaves relations, so a KB position taken for a
+    # fact-matrix row fails the row check.
+    instances, store, kb, table = tiny_synth
+    facts = kb.facts()
+    kb = KnowledgeBase([facts[i] for i in np.random.default_rng(13).permutation(len(facts))])
+    fm = FactMatrix.build(kb, table)
+    cfg = MarginConfig(iterations=3, epochs_per_iteration=2, mining_period=1, negatives=15, batch_size=4,
+                       seed=12, margin=0.02, lr=0.05)
+    rng_mine = np.random.default_rng([cfg.seed, 23])
+    oracle = {"history": [], "pools": [], "fallbacks": []}
+    scored = []  # each batch's (candidate rows, scores), in call order
+
+    def recording_cosine_rows(tape, x, rows, real=Tape.cosine_rows):
+        out = real(tape, x, rows)
+        scored.append((rows, out.values))
+        return out
+
+    def replaying_fit(params, encoded, opt, rng, epochs, batch_size, clip_norm, batch_loss, epoch_record, where,
+                      real=trainer.fit):
+        if oracle["history"]:
+            sets, fallbacks = oracle_mine(oracle["pools"][-1], oracle["history"][-1], kb, cfg.negatives, rng_mine)
+        else:
+            sets, fallbacks = oracle_initial_dataset(instances, kb, cfg.negatives, cfg.seed), 0
+        pools = {}
+        oracle["history"].append(sets)
+        oracle["pools"].append(pools)
+        oracle["fallbacks"].append(fallbacks)
+        rows_of = np.array([[fm.row_of[f] for f in ids] for ids in oracle_ids(sets)])
+
+        def checked_loss(tape, epoch, batch, ids, lengths):
+            loss = batch_loss(tape, epoch, batch, ids, lengths)
+            rows, scores = scored.pop()
+            np.testing.assert_array_equal(rows, fm.rows[rows_of[batch]])
+            if epoch % cfg.mining_period == 0:
+                oracle_harvest(pools, sets, batch, scores, cfg.margin)
+            return loss
+
+        return real(params, encoded, opt, rng, epochs, batch_size, clip_norm, checked_loss, epoch_record, where)
+
+    monkeypatch.setattr(Tape, "cosine_rows", recording_cosine_rows)
+    monkeypatch.setattr(trainer, "fit", replaying_fit)
+    result = train_scorer(instances, kb, store, table, cfg)
+    assert [as_ids(sets, kb) for sets in result.candidate_history] == [oracle_ids(s) for s in oracle["history"]]
+    summaries = [m for m in result.metrics if m["type"] == "iteration"]
+    pool_totals = [sum(len(p) for p in pools.values()) for pools in oracle["pools"]]
+    assert [m["hard_pool_total"] for m in summaries] == pool_totals
+    assert [m["empty_pool_fallbacks"] for m in summaries] == oracle["fallbacks"]
+    # the schedule exercises partial pools and the empty-pool fallback
+    assert 0 < min(pool_totals) and max(pool_totals) < len(instances) * cfg.negatives
+    assert sum(oracle["fallbacks"]) > 0
+
+
+def test_train_scorer_computes_heldout_precision_once_per_epoch(tiny_synth, monkeypatch):
+    instances, store, kb, table = tiny_synth
+    calls = []
+
+    def counting_precision(*args, real=trainer.fact_precision):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(trainer, "fact_precision", counting_precision)
+    cfg = MarginConfig(iterations=1, epochs_per_iteration=2, mining_period=1, negatives=10, batch_size=5, seed=7)
+    metrics = train_scorer(instances, kb, store, table, cfg, heldout=instances).metrics
+    epochs = [m for m in metrics if m["type"] == "epoch"]
+    assert len(calls) == len(epochs) == 4
+    assert [{k: m[k] for k in ("precision1", "precision3")} for m in epochs] == calls
+    # each iteration summary repeats its last epoch's figures
+    for summary in (m for m in metrics if m["type"] == "iteration"):
+        last = [m for m in epochs if m["iteration"] == summary["iteration"]][-1]
+        assert (summary["precision1"], summary["precision3"]) == (last["precision1"], last["precision3"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_scorer_non_finite_loss_names_iteration_epoch_and_batch(tiny_synth):
+    instances, store, kb, table = tiny_synth
+    cfg = MarginConfig(iterations=0, epochs_per_iteration=2, mining_period=1, negatives=5, batch_size=5, seed=3,
+                       lr=1e300, clip_norm=None)
+    # the diverged scores reach the hinge, which rejects a non-finite groundtruth score
+    with pytest.raises(DegenerateInputError, match=r"^scorer iteration 0: epoch 1, batch 2: .*non-finite"):
+        train_scorer(instances, kb, store, table, cfg)
 
 
 def test_train_scorer_epoch_records_report_gradient_norms(tiny_synth, monkeypatch):
@@ -396,4 +617,15 @@ def test_fact_precision_zero_norm_embedding_is_usage_error(tiny_synth):
     for t in params.tensors.values():
         t.values[...] = 0.0
     with pytest.raises(UsageError, match="zero-norm"):
+        fact_precision(params, instances, store, FactMatrix.build(kb, table))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fact_precision_non_finite_embedding_is_degenerate_input_error(tiny_synth):
+    # a diverged scorer: finite weights whose forward pass overflows
+    instances, store, kb, table = tiny_synth
+    params = _untrained_scorer(instances)
+    for t in params.tensors.values():
+        t.values[...] = 1e200
+    with pytest.raises(DegenerateInputError, match="non-finite"):
         fact_precision(params, instances, store, FactMatrix.build(kb, table))
