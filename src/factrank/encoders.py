@@ -389,7 +389,7 @@ def train_classifier(
         return record
 
     encoded = [vocab.encode(q, clf.max_tokens) for q, _ in pairs]
-    history = fit(clf.tensors, encoded, make_optimizer("adam", cfg.lr), rng, cfg.epochs, cfg.batch_size,
+    history = fit(clf.tensors, encoded, make_optimizer(cfg.lr), rng, cfg.epochs, cfg.batch_size,
                   cfg.clip_norm, batch_loss, epoch_record, f"{kind} classifier: ")
     return clf, history
 

@@ -29,9 +29,7 @@ class OptimizerState:
     moments: dict[str, tuple[Array, Array]] = field(default_factory=dict)
 
 
-def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0) -> OptimizerState:
-    if kind != "adam":
-        raise UsageError(f"unknown optimizer kind {kind!r}; expected 'adam'")
+def make_optimizer(lr: float, weight_decay: float = 0.0) -> OptimizerState:
     if lr <= 0:
         raise UsageError(f"learning rate must be positive, got {lr}")
     return OptimizerState(lr=lr, weight_decay=weight_decay)

@@ -42,7 +42,7 @@ from .encoders import (
     lstm_hidden,
     read_model_checkpoint,
 )
-from .errors import ShapeError, UsageError
+from .errors import DegenerateInputError, ShapeError, UsageError
 from .numerics import Tape, Tensor, constant, parameter
 from .wordvec import FactMatrix
 
@@ -177,7 +177,9 @@ def embed_image_question(params: ScorerParams, feat: Array, concepts: Array, que
 
 
 def embed_batch(params: ScorerParams, feats: Array, concepts: Array, questions: Sequence[str], chunk: int = 256) -> Array:
-    """Evaluation-mode embeddings for many pairs, computed in chunks."""
+    """Evaluation-mode embeddings for many pairs, computed in chunks. A row
+    with a non-finite norm, such as a diverged scorer gives, cannot be
+    ranked and is an error."""
     n = len(questions)
     out = np.zeros((n, params.dims.output_dim))
     for start in range(0, n, chunk):
@@ -185,6 +187,9 @@ def embed_batch(params: ScorerParams, feats: Array, concepts: Array, questions: 
         ids, lengths = encode_batch(params.vocab, list(questions[start:stop]), params.max_tokens)
         tape = Tape(record=False)
         out[start:stop] = iq_embedding_batch(tape, params, feats[start:stop], concepts[start:stop], ids, lengths).values
+    bad = np.flatnonzero(~np.isfinite(np.linalg.norm(out, axis=1)))
+    if len(bad):
+        raise DegenerateInputError(f"the scorer gave a non-finite embedding for pair {bad[0]} of {n}")
     return out
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from factrank import cli
 from factrank.cli import RunConfig, build_parser, main
+from factrank.scorer import load_scorer, save_scorer
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,26 @@ def test_cli_diverging_scorer_stops_naming_where(synth_dir, tmp_path, capsys):
                  "--scorer-lr", "1e200"]) == 1
     assert re.search(r"scorer iteration 0: epoch \d+, batch \d+: .*non-finite", capsys.readouterr().err)
     assert not (tmp_path / "ckpt" / "scorer.ckpt").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverged_scorer_checkpoint_exits_1_from_answer_and_evaluate(synth_dir, tmp_path, capsys):
+    # finite weights whose forward pass overflows: every embedding norm is inf
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out") + ["--fold", "1"]
+    assert main(["train", "relation", *flags, "--relation-epochs", "1"]) == 0
+    assert main(["train", "source", *flags, "--source-epochs", "1"]) == 0
+    assert main(["train", "scorer", *flags, "--iterations", "0", "--epochs-per-iteration", "1"]) == 0
+    path = tmp_path / "ckpt" / "scorer_fold1.ckpt"
+    scorer = load_scorer(path)
+    for t in scorer.tensors.values():
+        t.values[...] = 1e200
+    save_scorer(path, scorer)
+    capsys.readouterr()
+    assert main(["evaluate", *flags]) == 1
+    assert "non-finite embedding" in capsys.readouterr().err
+    inst = json.loads((synth_dir / "qa.jsonl").read_text().splitlines()[0])
+    assert main(["answer", *flags, "--image-id", inst["image_id"], "--question", inst["question"]]) == 1
+    assert "non-finite embedding" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -381,7 +381,7 @@ def test_training_deterministic_under_seed():
 
 def _toy_fit(w, batch_loss, epochs=3, batch_size=3):
     """``fit`` of the weights ``w`` over ten one-token sequences, four batches an epoch."""
-    return fit({"w": w}, [[1]] * 10, make_optimizer("adam", 0.1), np.random.default_rng(0), epochs, batch_size,
+    return fit({"w": w}, [[1]] * 10, make_optimizer(0.1), np.random.default_rng(0), epochs, batch_size,
                None, batch_loss, lambda epoch, loss: {"loss": loss}, "toy: ")
 
 

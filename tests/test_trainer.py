@@ -22,7 +22,7 @@ from factrank.trainer import (
     mine_hard_negatives,
     train_scorer,
 )
-from factrank.wordvec import FactMatrix, load_vectors
+from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
 
 TINY_SYNTH = dict(
     seed=21,
@@ -90,9 +90,8 @@ def test_property_hinge_nonnegative_and_zero_iff_margin(seed, n):
 # ----------------------------------------------------------------------
 
 
-# The id-based sampler that the KB-position arrays replaced, kept as the
-# oracle: candidate sets as fact-id lists, pools as {question_id: {fact_id:
-# score}} dicts filled by a per-row loop.
+# The id-based initial sampler, kept as the oracle of build_initial_dataset's
+# KB-position arrays: candidate sets as fact-id lists.
 
 
 @dataclasses.dataclass
@@ -116,39 +115,29 @@ def oracle_initial_dataset(instances, kb, negatives, seed):
     return sets
 
 
-def oracle_mine(pools, current, kb, negatives, rng):
-    """(next sets, empty-pool fallbacks)."""
-    all_ids = kb.fact_ids()
-    new_sets, fallbacks = [], 0
-    for cs in current:
-        n = min(negatives, len(all_ids) - 1)
-        pool = pools.get(cs.question_id, {})
-        entries = [(fid, s) for fid, s in pool.items() if fid != cs.gt_fact_id]
-        entries.sort(key=lambda e: (-e[1], e[0]))
-        chosen = [fid for fid, _ in entries[:n]]
-        if not entries:
-            fallbacks += 1
-        shortfall = n - len(chosen)
-        if shortfall > 0:
-            excluded = set(chosen)
-            excluded.add(cs.gt_fact_id)
-            remaining = [fid for fid in all_ids if fid not in excluded]
-            draw = rng.choice(len(remaining), size=shortfall, replace=False)
-            chosen += [remaining[i] for i in draw]
-        new_sets.append(OracleSet(cs.question_id, cs.gt_fact_id, chosen))
-    return new_sets, fallbacks
+def oracle_mine(iq, gt_ids, fm, n, margin):
+    """Whole-KB mining by brute force, on fact ids: per question every other
+    fact sorted by (twin of the groundtruth, -scalar cosine, fact id), a
+    twin being a fact whose row is bitwise the groundtruth's, and the first
+    ``n`` kept. Returns (id lists, groundtruth first; mined negatives scored
+    above the groundtruth minus ``margin``; questions with none)."""
+    sets, hard = [], []
+    for v, gt in zip(iq, gt_ids):
+        g = fm.row(gt)
+        wrong = sorted((f for f in fm.fact_ids if f != gt),
+                       key=lambda f: (fm.row(f).tobytes() == g.tobytes(), -score(fm.row(f), v), f))[:n]
+        sets.append([gt, *wrong])
+        hard.append(sum(score(fm.row(f), v) > score(g, v) - margin for f in wrong))
+    return sets, sum(hard), sum(h == 0 for h in hard)
 
 
-def oracle_harvest(pools, sets, batch, scores, margin):
-    gt = scores[:, 0]
-    for row, inst_idx in enumerate(batch):
-        cs = sets[inst_idx]
-        pool = pools.setdefault(cs.question_id, {})
-        for j in np.nonzero(scores[row, 1:] > gt[row] - margin)[0]:
-            fid = cs.negative_ids[j]
-            s = float(scores[row, j + 1])
-            if fid not in pool or s > pool[fid]:
-                pool[fid] = s
+def mined_ids(iq, gt_ids, fm, n, margin):
+    """:func:`mine_hard_negatives` in the oracle's terms."""
+    state = MiningState(iteration=1)
+    gt = np.array([fm.row_of[f] for f in gt_ids], dtype=np.intp)
+    sets = mine_hard_negatives(np.asarray(iq, dtype=np.float64), gt, fm, n, margin, state)
+    assert sets.shape == (len(gt_ids), 1 + n)
+    return [[fm.fact_ids[r] for r in row] for row in sets], state.hard_pool_total, state.empty_pool_fallbacks
 
 
 def as_ids(sets, kb):
@@ -159,14 +148,6 @@ def as_ids(sets, kb):
 
 def oracle_ids(sets):
     return [[cs.gt_fact_id, *cs.negative_ids] for cs in sets]
-
-
-def oracle_pools(pools, sets, kb):
-    """The array ``pools`` over ``sets`` as the oracle's dicts, keyed by
-    the question ids that :func:`_questions` gives."""
-    ids = kb.fact_ids()
-    return {f"q{i}": {ids[p]: float(s) for p, s in zip(row[1:], pool) if s > -np.inf}
-            for i, (row, pool) in enumerate(zip(sets, pools))}
 
 
 def _chain_kb(n):
@@ -228,71 +209,89 @@ def test_initial_dataset_missing_fact_is_data_error():
         build_initial_dataset(inst, kb, negatives=2, seed=0)
 
 
+def _twinned_matrix(facts, dim, seed):
+    """Random rows under shuffled ids, where every fifth row repeats an
+    earlier one (a twin) and every seventh is an earlier one scaled by 2,
+    whose cosines tie that row's exactly."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((facts, dim))
+    for i in range(1, facts):
+        if i % 5 == 0:
+            rows[i] = rows[rng.integers(i)]
+        elif i % 7 == 0:
+            rows[i] = 2.0 * rows[rng.integers(i)]
+    return FactMatrix.from_rows([f"f{i:03d}" for i in rng.permutation(facts)], rows)
+
+
 @pytest.mark.parametrize("negatives", [12, 700])
 def test_mining_matches_the_id_oracle(negatives):
-    # pools with ties (three score levels), partly and wholly empty rows and
-    # full rows, on a KB whose positions, fact-matrix rows and id order all differ
-    kb = _interleaved_kb(60, seed=1)
-    questions = _questions(kb, 30, seed=2)
-    current = build_initial_dataset(questions, kb, negatives, seed=4)
-    rng = np.random.default_rng(5)
-    pools = np.where(rng.random(current[:, 1:].shape) < 0.3, rng.integers(3, size=current[:, 1:].shape) / 4, -np.inf)
-    pools[3] = -np.inf
-    pools[4] = 0.5
-    state = MiningState(iteration=1, pools=np.full(pools.shape, -np.inf))
-    mined = mine_hard_negatives(pools, state, current, kb, np.random.default_rng(6))
-    expected, fallbacks = oracle_mine(oracle_pools(pools, current, kb), oracle_initial_dataset(questions, kb, negatives, 4),
-                                      kb, negatives, np.random.default_rng(6))
-    assert mined.shape == current.shape
-    assert as_ids(mined, kb) == oracle_ids(expected)
-    assert state.empty_pool_fallbacks == fallbacks >= 1
+    fm = _twinned_matrix(60, 6, seed=1)
+    rng = np.random.default_rng(2)
+    gt = [fm.fact_ids[r] for r in rng.integers(60, size=30)]
+    iq = rng.standard_normal((30, 6))
+    iq[:10] = [fm.row(f) for f in gt[:10]]  # near their groundtruth: sets with no hard negative
+    n = min(negatives, 59)
+    mined = mined_ids(iq, gt, fm, n, margin=0.3)
+    assert mined == oracle_mine(iq, gt, fm, n, margin=0.3)
+    _, hard, fallbacks = mined
+    assert 0 < fallbacks < 30 and 0 < hard < 30 * n  # partly hard sets and questions with none
 
 
-def test_mining_selects_top_scored_pool_entries():
-    kb = _chain_kb(300)
-    current = np.arange(100)[None, :]  # f000 and the negatives f001..f099
-    pools = (300.0 - np.arange(1, 100))[None, :]  # descending score
-    pools[0, 50:] = pools[0, 49]  # a tie over the tail, broken by fact id
-    pools[0, [60, 70]] = -np.inf
-    mined = mine_hard_negatives(pools, MiningState(iteration=1, pools=pools), current, kb, np.random.default_rng(2))
-    ids = as_ids(mined, kb)[0]
-    assert ids[0] == "f000"
-    assert ids[1:98] == [f"f{i:03d}" for i in range(1, 100) if i not in (61, 71)]
-    assert len(set(ids)) == 100  # topped up from the rest of the KB
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mining_matches_the_whole_kb_oracle(data):
+    # small integer rows and queries: duplicate rows (twins), zero-norm rows
+    # and queries, parallel rows whose cosines tie exactly, and KBs smaller
+    # than negatives + 1; ids are shuffled so row order is not id order
+    facts = data.draw(st.integers(1, 9), label="facts")
+    vectors = st.lists(st.integers(-1, 2), min_size=3, max_size=3)
+    rows = np.array(data.draw(st.lists(vectors, min_size=facts, max_size=facts), label="rows"), dtype=np.float64)
+    order = data.draw(st.permutations(range(facts)), label="ids")
+    fm = FactMatrix.from_rows([f"f{i}" for i in order], rows)
+    iq = np.array(data.draw(st.lists(vectors, min_size=1, max_size=4), label="iq"), dtype=np.float64)
+    gt = data.draw(st.lists(st.sampled_from(fm.fact_ids), min_size=len(iq), max_size=len(iq)), label="gt")
+    n = min(data.draw(st.integers(1, 12), label="negatives"), facts - 1)
+    margin = data.draw(st.sampled_from([0.05, 1.0]), label="margin")
+    assert mined_ids(iq, gt, fm, n, margin) == oracle_mine(iq, gt, fm, n, margin)
+
+
+def test_mining_ranks_relation_twins_after_every_other_wrong_fact():
+    table = WordVectorTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
+                                "c": np.array([1.0, 1.0]), "d": np.array([-1.0, 0.5])})
+    kb = KnowledgeBase([
+        Fact("f5", "a", Relation.IS_A, "b"),  # the groundtruth
+        Fact("f0", "a", Relation.RELATED_TO, "b"),  # its twins: the relation does not embed
+        Fact("f1", "a", Relation.AT_LOCATION, "b"),
+        Fact("f2", "a", Relation.IS_A, "c"),
+        Fact("f3", "c", Relation.IS_A, "b"),
+        Fact("f4", "d", Relation.IS_A, "b"),
+        Fact("f6", "a", Relation.IS_A, "d"),
+    ])
+    fm = FactMatrix.build(kb, table)
+    assert fm.row("f0").tobytes() == fm.row("f1").tobytes() == fm.row("f5").tobytes()
+    iq = fm.row("f5")[None, :]  # the groundtruth's direction: its twins tie it at the top
+    assert mined_ids(iq, ["f5"], fm, 3, 1.0)[0] == [["f5", "f2", "f3", "f6"]]
+    assert mined_ids(iq, ["f5"], fm, 6, 1.0)[0] == [["f5", "f2", "f3", "f6", "f4", "f0", "f1"]]
+    for n in range(1, 7):
+        assert mined_ids(iq, ["f5"], fm, n, 1.0) == oracle_mine(iq, ["f5"], fm, n, 1.0)
 
 
 def test_mining_breaks_ties_by_fact_id_not_kb_position():
-    kb = KnowledgeBase([Fact(f"f{9 - i}", f"s{i}", Relation.IS_A, f"o{i}") for i in range(10)])  # ids in reverse
-    current = np.arange(10)[None, :]
-    pools = np.full((1, 9), 0.25)
-    mined = mine_hard_negatives(pools, MiningState(iteration=1, pools=pools), current, kb, np.random.default_rng(0))
-    assert as_ids(mined, kb) == [["f9", *(f"f{i}" for i in range(9))]]
+    # ten parallel rows score the same cosine, 1, against the query; ids run
+    # against row order, and the groundtruth sits mid-KB
+    fm = FactMatrix.from_rows([f"f{9 - i}" for i in range(10)], np.outer(np.arange(1.0, 11.0), [1.0, 0.0]))
+    assert mined_ids([[1.0, 0.0]], ["f4"], fm, 9, 1.0)[0] == [["f4", *(f"f{i}" for i in range(10) if i != 4)]]
 
 
 def test_mining_never_inserts_groundtruth():
-    # one pooled negative, so the top-up draws all but one of the other facts:
-    # every draw must skip the groundtruth, which sits mid-KB
-    kb = _chain_kb(12)
-    current = np.array([[7, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11]])
-    pools = np.full((1, 10), -np.inf)
-    pools[0, 4] = 0.1
-    for seed in range(20):
-        mined = mine_hard_negatives(pools, MiningState(iteration=1, pools=pools), current, kb, np.random.default_rng(seed))
-        assert mined[0, 0] == 7 and mined[0, 1] == 5
-        assert 7 not in mined[0, 1:] and len(set(mined[0])) == 11
-
-
-def test_mining_empty_pool_falls_back_to_random():
-    kb = _chain_kb(40)
-    current = build_initial_dataset(_questions(kb, 2), kb, negatives=5, seed=0)
-    state = MiningState(iteration=1, pools=np.full((2, 5), -np.inf))
-    pools = np.full((2, 5), -np.inf)
-    pools[1, 0] = 0.0
-    mined = mine_hard_negatives(pools, state, current, kb, rng=np.random.default_rng(4))
-    assert state.empty_pool_fallbacks == 1
-    assert mined.shape == (2, 6)
-    assert (mined[:, 0] == current[:, 0]).all()
-    assert all(row[0] not in row[1:] for row in mined)
+    # every fact in turn as the groundtruth, with twins and ties in the KB
+    # and k reaching past the whole KB
+    fm = _twinned_matrix(12, 3, seed=3)
+    iq = np.random.default_rng(4).standard_normal((12, 3))
+    for n in (1, 5, 11):
+        sets, _, _ = mined_ids(iq, fm.fact_ids, fm, n, 1.0)
+        for gt, row in zip(fm.fact_ids, sets):
+            assert row[0] == gt and gt not in row[1:] and len(set(row)) == 1 + n
 
 
 # ----------------------------------------------------------------------
@@ -401,14 +400,51 @@ def test_train_scorer_structural_invariants(tiny_synth):
 
 def test_train_scorer_counts_fallbacks_on_the_iteration_they_fill(tiny_synth):
     instances, store, kb, table = tiny_synth
-    # no epoch reaches the mining period, so every pool stays empty and all of
-    # iteration 1's candidate sets fall back to random negatives
-    cfg = MarginConfig(iterations=1, epochs_per_iteration=1, mining_period=2,
-                       negatives=5, batch_size=5, seed=6)
+    # iteration 0 never mines and counts nothing; iteration 1 mines once, at
+    # its start. Cosines lie in [-1, 1], so at margin 3 every mined negative
+    # is hard and no question falls back
+    for margin, some_fall_back in ((3.0, False), (0.01, True)):
+        cfg = MarginConfig(iterations=1, epochs_per_iteration=4, mining_period=4,
+                           negatives=5, batch_size=4, seed=12, margin=margin, lr=0.05)
+        result = train_scorer(instances, kb, store, table, cfg)
+        summaries = [m for m in result.metrics if m["type"] == "iteration"]
+        fallbacks = [s["empty_pool_fallbacks"] for s in summaries]
+        hard = [s["hard_pool_total"] for s in summaries]
+        assert fallbacks == [s.empty_pool_fallbacks for s in result.mining_states]
+        assert hard == [s.hard_pool_total for s in result.mining_states]
+        assert fallbacks[0] == hard[0] == 0
+        if some_fall_back:
+            assert 0 < fallbacks[1] < len(instances) and 0 < hard[1] < len(instances) * 5
+        else:
+            assert fallbacks[1] == 0 and hard[1] == len(instances) * 5
+
+
+@pytest.mark.parametrize("period, mined_before", [
+    (1, [(0, 2), (0, 3), (1, 1), (1, 2), (1, 3)]),
+    (2, [(0, 3), (1, 1), (1, 3)]),
+    (3, [(1, 1)]),  # the period is the iteration: one step per iteration boundary
+    (5, [(1, 1)]),
+])
+def test_train_scorer_re_mines_every_period_epochs(tiny_synth, monkeypatch, period, mined_before):
+    instances, store, kb, table = tiny_synth
+    batches, mined = [], []  # batches are counted by their scoring calls
+
+    def counting_cosine_rows(tape, x, rows, real=Tape.cosine_rows):
+        batches.append(len(rows))
+        return real(tape, x, rows)
+
+    def recording_mine(*args, real=trainer.mine_hard_negatives):
+        iteration, epochs_done = divmod(len(batches) // 2, 3)  # 10 instances in batches of 5
+        mined.append((iteration, epochs_done + 1))
+        return real(*args)
+
+    monkeypatch.setattr(Tape, "cosine_rows", counting_cosine_rows)
+    monkeypatch.setattr(trainer, "mine_hard_negatives", recording_mine)
+    cfg = MarginConfig(iterations=1, epochs_per_iteration=3, mining_period=period, negatives=6, batch_size=5, seed=2)
     result = train_scorer(instances, kb, store, table, cfg)
-    summaries = [m for m in result.metrics if m["type"] == "iteration"]
-    assert [s["empty_pool_fallbacks"] for s in summaries] == [0, len(instances)]
-    assert [s.empty_pool_fallbacks for s in result.mining_states] == [0, len(instances)]
+    assert mined == mined_before
+    assert len(batches) == 2 * 3 * 2
+    assert [s["hard_pool_total"] > 0 for s in result.metrics if s["type"] == "iteration"] == [period < 3, True]
 
 
 def test_train_scorer_bitwise_deterministic(tiny_synth):
@@ -425,58 +461,63 @@ def test_train_scorer_bitwise_deterministic(tiny_synth):
 
 
 def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkeypatch):
-    # Replays the id-based sampler on the scores the run computes, and checks
-    # that each batch scored the fact-matrix rows of the oracle's candidates.
-    # The KB's load order interleaves relations, so a KB position taken for a
+    # Replays each mining step of a run through the brute-force oracle, on
+    # the embeddings the run mines from, and checks that each batch scored
+    # the fact-matrix rows of the oracle's candidates and that each
+    # iteration reports the counts and the sets of its last step. The KB's
+    # load order interleaves relations, so a KB position taken for a
     # fact-matrix row fails the row check.
     instances, store, kb, table = tiny_synth
     facts = kb.facts()
     kb = KnowledgeBase([facts[i] for i in np.random.default_rng(13).permutation(len(facts))])
     fm = FactMatrix.build(kb, table)
-    cfg = MarginConfig(iterations=3, epochs_per_iteration=2, mining_period=1, negatives=15, batch_size=4,
-                       seed=12, margin=0.02, lr=0.05)
-    rng_mine = np.random.default_rng([cfg.seed, 23])
-    oracle = {"history": [], "pools": [], "fallbacks": []}
-    scored = []  # each batch's (candidate rows, scores), in call order
+    cfg = MarginConfig(iterations=2, epochs_per_iteration=2, mining_period=1, negatives=15, batch_size=4,
+                       seed=12, margin=0.01, lr=0.05)
+    current = {"sets": oracle_ids(oracle_initial_dataset(instances, kb, cfg.negatives, cfg.seed))}
+    steps = {}  # iteration -> the oracle (sets, hard total, fallbacks) of its last mining step
+    scored = []  # each batch's candidate rows, in call order
 
     def recording_cosine_rows(tape, x, rows, real=Tape.cosine_rows):
-        out = real(tape, x, rows)
-        scored.append((rows, out.values))
-        return out
+        scored.append(rows)
+        return real(tape, x, rows)
+
+    def replaying_mine(iq, gt, fact_matrix, n, margin, state, real=trainer.mine_hard_negatives):
+        np.testing.assert_array_equal(iq, embed_batch(current["params"], *store.stack([i.image_id for i in instances]),
+                                                      [i.question for i in instances]))
+        assert [fm.fact_ids[g] for g in gt] == [i.fact_id for i in instances]
+        steps[state.iteration] = oracle_mine(iq, [i.fact_id for i in instances], fm, n, margin)
+        current["sets"] = steps[state.iteration][0]
+        return real(iq, gt, fact_matrix, n, margin, state)
 
     def replaying_fit(params, encoded, opt, rng, epochs, batch_size, clip_norm, batch_loss, epoch_record, where,
                       real=trainer.fit):
-        if oracle["history"]:
-            sets, fallbacks = oracle_mine(oracle["pools"][-1], oracle["history"][-1], kb, cfg.negatives, rng_mine)
-        else:
-            sets, fallbacks = oracle_initial_dataset(instances, kb, cfg.negatives, cfg.seed), 0
-        pools = {}
-        oracle["history"].append(sets)
-        oracle["pools"].append(pools)
-        oracle["fallbacks"].append(fallbacks)
-        rows_of = np.array([[fm.row_of[f] for f in ids] for ids in oracle_ids(sets)])
-
         def checked_loss(tape, epoch, batch, ids, lengths):
             loss = batch_loss(tape, epoch, batch, ids, lengths)
-            rows, scores = scored.pop()
-            np.testing.assert_array_equal(rows, fm.rows[rows_of[batch]])
-            if epoch % cfg.mining_period == 0:
-                oracle_harvest(pools, sets, batch, scores, cfg.margin)
+            rows_of = np.array([[fm.row_of[f] for f in current["sets"][i]] for i in batch])
+            np.testing.assert_array_equal(scored.pop(), fm.rows[rows_of])
             return loss
 
         return real(params, encoded, opt, rng, epochs, batch_size, clip_norm, checked_loss, epoch_record, where)
 
+    real_init = trainer.ScorerParams.init
+
+    def tracked_init(*args, **kwargs):
+        current["params"] = real_init(*args, **kwargs)
+        return current["params"]
+
     monkeypatch.setattr(Tape, "cosine_rows", recording_cosine_rows)
+    monkeypatch.setattr(trainer, "mine_hard_negatives", replaying_mine)
     monkeypatch.setattr(trainer, "fit", replaying_fit)
+    monkeypatch.setattr(trainer.ScorerParams, "init", tracked_init)
     result = train_scorer(instances, kb, store, table, cfg)
-    assert [as_ids(sets, kb) for sets in result.candidate_history] == [oracle_ids(s) for s in oracle["history"]]
+    # iteration 0 mines before epoch 2, the others before both epochs
+    last = [steps[t] for t in range(3)]
+    assert [as_ids(sets, kb) for sets in result.candidate_history] == [sets for sets, _, _ in last]
     summaries = [m for m in result.metrics if m["type"] == "iteration"]
-    pool_totals = [sum(len(p) for p in pools.values()) for pools in oracle["pools"]]
-    assert [m["hard_pool_total"] for m in summaries] == pool_totals
-    assert [m["empty_pool_fallbacks"] for m in summaries] == oracle["fallbacks"]
-    # the schedule exercises partial pools and the empty-pool fallback
-    assert 0 < min(pool_totals) and max(pool_totals) < len(instances) * cfg.negatives
-    assert sum(oracle["fallbacks"]) > 0
+    assert [(m["hard_pool_total"], m["empty_pool_fallbacks"]) for m in summaries] == [s[1:] for s in last]
+    # the run exercises partly hard sets and questions with no hard negative
+    assert all(0 < hard < len(instances) * cfg.negatives for _, hard, _ in last)
+    assert sum(fallbacks for _, _, fallbacks in last) > 0
 
 
 def test_train_scorer_computes_heldout_precision_once_per_epoch(tiny_synth, monkeypatch):
