@@ -310,7 +310,7 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
         subset = instances if fold is None else split_fold(instances, fold)[1]
         metrics, predictions = evaluate(
             models, kb, subset, store, k=cfg.k, oracle_relation=gt_relation, oracle_source=gt_source,
-            tie_break=cfg.tie_break, rng=np.random.default_rng(cfg.seed),
+            rng=np.random.default_rng(cfg.seed) if cfg.tie_break == "random" else None,
         )
         label = fold if fold is not None else "all"
         per_fold[label] = metrics
@@ -350,7 +350,7 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     )
     prediction = answer_question(
         models, kb, store.feature(image_id), store.concept(image_id), question, k=cfg.k, question_id="cli",
-        image_id=image_id, tie_break=cfg.tie_break, rng=np.random.default_rng(cfg.seed),
+        image_id=image_id, rng=np.random.default_rng(cfg.seed) if cfg.tie_break == "random" else None,
     )
     print(f"status: {prediction.status}")
     print(f"relation: {prediction.relation.value}")

@@ -90,13 +90,13 @@ def load_concept_labels(path: str | Path) -> list[str]:
     return labels
 
 
-def load_features(path: str | Path, cache: bool = True) -> dict[str, Array]:
+def load_features(path: str | Path) -> dict[str, Array]:
     """Parse ``image_id dim v1..v_dim`` rows, with a binary cache keyed to
     the source file's checksum for fast reloads."""
     path = Path(path)
     cache_path = path.with_name(path.name + ".cache.npz")
     checksum = _file_sha256(path)
-    if cache and cache_path.exists():
+    if cache_path.exists():
         try:
             data = np.load(cache_path, allow_pickle=False)
             if str(data["checksum"]) == checksum:
@@ -132,12 +132,11 @@ def load_features(path: str | Path, cache: bool = True) -> dict[str, Array]:
             out[head] = values
     if not out:
         raise LoadError(f"{path}: no feature rows")
-    if cache:
-        ids = list(out.keys())
-        try:
-            np.savez(cache_path, checksum=np.str_(checksum), ids=np.array(ids), matrix=np.stack([out[i] for i in ids]))
-        except OSError:
-            logger.warning("could not write feature cache %s", cache_path)
+    ids = list(out.keys())
+    try:
+        np.savez(cache_path, checksum=np.str_(checksum), ids=np.array(ids), matrix=np.stack([out[i] for i in ids]))
+    except OSError:
+        logger.warning("could not write feature cache %s", cache_path)
     return out
 
 

@@ -39,6 +39,8 @@ UNK_ID = 1
 
 INIT_SCALE = 0.08  # uniform weight init range shared by all trainable layers
 LSTM_PREFIX = "lstm."  # names of a model's LSTM tensors start with this
+CLIP_NORM = 5.0  # every training step clips the global gradient norm to this
+EVAL_CHUNK = 512  # questions per evaluation-mode forward pass
 
 
 @dataclass
@@ -228,13 +230,13 @@ def _head_logits(tape, clf, ids, lengths, train, rng) -> Tensor:
     return tape.add(tape.matmul(h, clf.tensors["w_out"]), clf.tensors["b_out"])
 
 
-def _eval_logits(clf: Classifier, kind: str, questions: Sequence[str], chunk: int = 512) -> Array:
+def _eval_logits(clf: Classifier, kind: str, questions: Sequence[str]) -> Array:
     """(batch, head width) evaluation-mode logits of a ``kind`` classifier, computed in chunks."""
     if clf.kind != kind:
         raise UsageError(f"expected a {kind} classifier, got a {clf.kind} one")
     out = np.zeros((len(questions), KINDS[kind].width))
-    for start in range(0, len(questions), chunk):
-        ids, lengths = encode_batch(clf.vocab, questions[start : start + chunk], clf.max_tokens)
+    for start in range(0, len(questions), EVAL_CHUNK):
+        ids, lengths = encode_batch(clf.vocab, questions[start : start + EVAL_CHUNK], clf.max_tokens)
         out[start : start + len(ids)] = _head_logits(Tape(record=False), clf, ids, lengths, False, None).values
     return out
 
@@ -287,7 +289,6 @@ class EncoderTrainConfig:
     batch_size: int = 100
     lr: float = 1e-3
     seed: int = 0
-    clip_norm: float | None = 5.0
     embed_dim: int | None = None  # None -> the classifier kind's default
     hidden_dim: int | None = None
     dropout: float | None = None
@@ -299,35 +300,35 @@ def fit(
     encoded: Sequence[Sequence[int]],
     opt: OptimizerState,
     rng: np.random.Generator,
-    epochs: int,
+    epochs: range,
     batch_size: int,
-    clip_norm: float | None,
     batch_loss: Callable[[Tape, int, Array, Array, Array], Tensor],
     epoch_record: Callable[[int, float], dict],
     where: str,
 ) -> list[dict]:
-    """Minibatch training over the token-id sequences ``encoded``.
+    """Minibatch training over the token-id sequences ``encoded``, one
+    epoch for each number in ``epochs``.
 
     Per epoch: draw a permutation from ``rng``, then for each batch pad its
     ids and call ``batch_loss(tape, epoch, batch, ids, lengths)``, where
     ``batch`` indexes ``encoded``; back-propagate the returned scalar, clip
-    the global gradient norm to ``clip_norm`` (when set) and step ``opt``.
+    the global gradient norm to :data:`CLIP_NORM` and step ``opt``.
     ``epoch_record(epoch, mean_loss)`` gives the epoch's history record, to
     which ``fit`` adds the mean and the largest pre-clip global gradient
     norm of the epoch's batches and the fraction of them that were clipped.
     The permutation is drawn before any draw the callback makes from the
-    same generator, so a fixed seed fixes the whole run.
+    same generator, so a fixed seed fixes the whole run, also one split
+    into calls on consecutive ranges that share ``opt`` and ``rng``.
 
     A non-finite loss raises :class:`FactrankError` before any step on it;
     its message, and that of a :class:`DegenerateInputError` from the loss,
-    names the epoch and the batch (both from 1) after the ``where`` prefix.
+    names the epoch and the batch (batches from 1) after the ``where`` prefix.
     """
-    if epochs < 1 or batch_size < 1:
-        raise UsageError(f"{where}epochs and batch_size must be >= 1, got {epochs} and {batch_size}")
+    if not epochs or batch_size < 1:
+        raise UsageError(f"{where}epochs and batch_size must be >= 1, got {len(epochs)} and {batch_size}")
     n = len(encoded)
-    limit = clip_norm or 0.0  # at 0, clip_gradients measures the norm and clips nothing
     history: list[dict] = []
-    for epoch in range(1, epochs + 1):
+    for epoch in epochs:
         order = rng.permutation(n)
         losses, norms = [], []
         for start in range(0, n, batch_size):
@@ -342,12 +343,12 @@ def fit(
             if not np.isfinite(loss.item()):
                 raise FactrankError(f"{at}: non-finite loss {loss.item()}")
             tape.backward(loss)
-            norms.append(clip_gradients(params, limit))
+            norms.append(clip_gradients(params, CLIP_NORM))
             step(params, opt)
             losses.append(loss.item())
         record = epoch_record(epoch, float(np.mean(losses)))
         record.update(grad_norm_mean=float(np.mean(norms)), grad_norm_max=max(norms),
-                      clipped_fraction=float(np.mean([g > limit > 0 for g in norms])))
+                      clipped_fraction=float(np.mean([g > CLIP_NORM for g in norms])))
         history.append(record)
     return history
 
@@ -389,8 +390,8 @@ def train_classifier(
         return record
 
     encoded = [vocab.encode(q, clf.max_tokens) for q, _ in pairs]
-    history = fit(clf.tensors, encoded, make_optimizer(cfg.lr), rng, cfg.epochs, cfg.batch_size,
-                  cfg.clip_norm, batch_loss, epoch_record, f"{kind} classifier: ")
+    history = fit(clf.tensors, encoded, make_optimizer(cfg.lr), rng, range(1, cfg.epochs + 1), cfg.batch_size,
+                  batch_loss, epoch_record, f"{kind} classifier: ")
     return clf, history
 
 

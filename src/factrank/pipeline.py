@@ -27,7 +27,7 @@ from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
 from .errors import UsageError
 from .kb import AnswerSource, Fact, KnowledgeBase, Relation
-from .scorer import ScorerParams, embed_batch, random_tie_break, shortlist_rows, top_of
+from .scorer import ScorerParams, embed_batch, shortlist_rows, top_of
 from .wordvec import FactMatrix
 
 Array = np.ndarray
@@ -125,7 +125,6 @@ def _predict(
     oracle_relations: Sequence[Relation] | None,
     oracle_sources: Sequence[AnswerSource] | None,
     k: int,
-    tie_break: str,
     rng: np.random.Generator | None,
 ) -> list[tuple[Prediction, list[tuple[str, float]]]]:
     """Predict a batch of questions; ``ids`` holds (question id, image id).
@@ -133,7 +132,8 @@ def _predict(
     Returns each question's prediction, whose ``top_facts`` keeps ``k``
     entries, together with its top ``max(k, 3)`` ranked facts, so metrics
     at 3 never depend on ``k``. Oracle sequences replace the corresponding
-    classifier's predictions.
+    classifier's predictions. Equal scores go by fact id, or by draws from
+    ``rng`` when one is given.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
@@ -156,7 +156,6 @@ def _predict(
     # read at that question's shortlist only and freed before the next draw
     fm, top_relation = models.fact_matrix, [ranked[0][0] for ranked in relations]
     pools = {r: kb.ids_with_relation(r) for r in dict.fromkeys(top_relation)}
-    random_ties = random_tie_break(tie_break, rng)
     shortlists: list[list[tuple[float, int]]] = [[] for _ in questions]
     for relation, pool in pools.items():
         members = [i for i, r in enumerate(top_relation) if r is relation]
@@ -168,7 +167,7 @@ def _predict(
     tops = []
     for shortlist, relation in zip(shortlists, top_relation):
         pool = pools[relation]
-        tops.append(top_of(shortlist, pool, max(k, 3), rng.random(len(pool)) if random_ties and pool else pool))
+        tops.append(top_of(shortlist, pool, max(k, 3), pool if rng is None or not pool else rng.random(len(pool))))
 
     out = []
     for (question_id, image_id), ranked, (source, source_prob), top in zip(ids, relations, sources, tops):
@@ -198,12 +197,12 @@ def answer_question(
     image_id: str = "",
     oracle_relation: Relation | None = None,
     oracle_source: AnswerSource | None = None,
-    tie_break: str = "id",
     rng: np.random.Generator | None = None,
 ) -> Prediction:
     """Answer one question with the frozen model bundle.
 
-    The candidate pool is the top predicted relation's bucket. Oracle
+    The candidate pool is the top predicted relation's bucket; equal scores
+    go by fact id, or by draws from ``rng`` when one is given. Oracle
     arguments replace the corresponding classifier's prediction.
     """
     [(prediction, _)] = _predict(
@@ -216,7 +215,6 @@ def answer_question(
         None if oracle_relation is None else [oracle_relation],
         None if oracle_source is None else [oracle_source],
         k,
-        tie_break,
         rng,
     )
     return prediction
@@ -230,7 +228,6 @@ def evaluate(
     k: int = 3,
     oracle_relation: bool = False,
     oracle_source: bool = False,
-    tie_break: str = "id",
     rng: np.random.Generator | None = None,
 ) -> tuple[Metrics, list[Prediction]]:
     """Score a dataset fold and return per-question predictions.
@@ -239,8 +236,8 @@ def evaluate(
     of each relation bucket, a contiguous block of fact-matrix rows, are
     scored by one GEMM; only each question's shortlist within rounding of
     its third-best score is rescored by the scalar cosine, so the ranking
-    is bitwise the exhaustive one. With the default tie-break by fact id
-    evaluation is a pure function of its inputs; random ties draw from
+    is bitwise the exhaustive one. Without ``rng`` ties go by fact id and
+    evaluation is a pure function of its inputs; with it, ties draw from
     ``rng`` question by question, as :func:`answer_question` calls would.
     Oracle switches feed the groundtruth relation and/or source through the
     pipeline instead of the classifier predictions.
@@ -263,7 +260,6 @@ def evaluate(
         [i.relation for i in instances] if oracle_relation else None,
         [i.source for i in instances] if oracle_source else None,
         k,
-        tie_break,
         rng,
     )
     ans1 = ans3 = fact1 = fact3 = rel1 = rel3 = src = no_fact = 0

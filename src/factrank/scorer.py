@@ -19,8 +19,8 @@ queries by one GEMM, shortlists every row within a derived rounding bound
 of the k-th best score, and rescores only the shortlist with the scalar
 cosine of :func:`score`. :func:`top_of` orders a shortlist, so the top k
 of :func:`rank_rows` is bitwise the top k of an exhaustive scalar sort.
-Ties go by fact id (the default, used by tests and evaluation) or by a
-seeded random draw. :func:`rank_candidates`, :func:`candidate_scores` and
+Ties go by fact id, or by draws from a seeded generator when one is
+given. :func:`rank_candidates`, :func:`candidate_scores` and
 :func:`score_matrix` are thin entry points over the same arithmetic.
 """
 
@@ -49,6 +49,7 @@ from .wordvec import FactMatrix
 Array = np.ndarray
 
 NEG_INF = float("-inf")
+EMBED_CHUNK = 256  # pairs per evaluation-mode forward pass of embed_batch
 
 
 class Variant(str, enum.Enum):
@@ -176,14 +177,14 @@ def embed_image_question(params: ScorerParams, feat: Array, concepts: Array, que
     return embed_batch(params, np.asarray(feat)[None, :], np.asarray(concepts)[None, :], [question])[0]
 
 
-def embed_batch(params: ScorerParams, feats: Array, concepts: Array, questions: Sequence[str], chunk: int = 256) -> Array:
+def embed_batch(params: ScorerParams, feats: Array, concepts: Array, questions: Sequence[str]) -> Array:
     """Evaluation-mode embeddings for many pairs, computed in chunks. A row
     with a non-finite norm, such as a diverged scorer gives, cannot be
     ranked and is an error."""
     n = len(questions)
     out = np.zeros((n, params.dims.output_dim))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, EMBED_CHUNK):
+        stop = min(start + EMBED_CHUNK, n)
         ids, lengths = encode_batch(params.vocab, list(questions[start:stop]), params.max_tokens)
         tape = Tape(record=False)
         out[start:stop] = iq_embedding_batch(tape, params, feats[start:stop], concepts[start:stop], ids, lengths).values
@@ -225,23 +226,16 @@ def candidate_scores(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: F
     return np.array([_cosine(fact_matrix.rows[r], float(fact_matrix.norms[r]), iq_emb, nq) for r in rows])
 
 
-def random_tie_break(tie_break: str, rng: np.random.Generator | None) -> bool:
-    """Whether ``tie_break`` asks for seeded random ties; rejects unknown modes."""
-    if tie_break not in ("id", "random") or (tie_break == "random" and rng is None):
-        raise UsageError(f"tie_break must be 'id', or 'random' with an rng; got {tie_break!r}")
-    return tie_break == "random"
-
-
 def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix, k: int,
-                    tie_break: str = "id", rng: np.random.Generator | None = None) -> list[tuple[str, float]]:
+                    rng: np.random.Generator | None = None) -> list[tuple[str, float]]:
     """Top-k (fact id, score) of any candidate list, highest first; equal
-    scores go by fact id, or by one ``rng.random(len(candidate_ids))`` draw
-    for ``tie_break='random'``."""
+    scores go by fact id, or, given ``rng``, by one
+    ``rng.random(len(candidate_ids))`` draw."""
     if not candidate_ids:
         raise UsageError("rank needs at least one candidate")
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    jitter = [rng.random(len(candidate_ids))] if random_tie_break(tie_break, rng) else None
+    jitter = None if rng is None else [rng.random(len(candidate_ids))]
     rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
     iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
     return rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows], list(candidate_ids), k, jitter)[0]

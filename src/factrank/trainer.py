@@ -1,26 +1,29 @@
 """Max-margin training of the fact scorer with hard-negative mining.
 
-Training runs in iterations t = 0..T of ``epochs_per_iteration`` epochs.
-Iteration 0 starts by pairing every training question with its groundtruth
-fact plus N uniformly sampled wrong facts. Before epoch e of any iteration
-with ``(e - 1) % mining_period == 0``, except epoch 1 of iteration 0, the
-candidate sets are mined afresh: the training questions are embedded with
-the current parameters (no tape, no dropout) and the whole KB is ranked by
-the exact kernel ``scorer.rank_rows``; each set keeps its groundtruth and
-the N wrong facts that score highest, ties by fact id. Mining draws no
-random number. A wrong fact whose fact-matrix row equals the groundtruth's
-(facts that differ only in relation embed identically) scores as the
-groundtruth does and gives the hinge no gradient, so such twins rank after
-every other wrong fact. Within an iteration the structured hinge
+Training runs in iterations t = 0..T of ``epochs_per_iteration`` epochs,
+written as one loop over mining periods: each iteration's epochs are cut
+into runs of ``mining_period`` (the last may be shorter), and each run is
+one call of :func:`encoders.fit`. Iteration 0 starts by pairing every
+training question with its groundtruth fact plus N uniformly sampled wrong
+facts. Before every other run the candidate sets are mined afresh: the
+training questions are embedded with the current parameters (no tape, no
+dropout), the whole KB is shortlisted by the exact kernel
+``scorer.shortlist_rows``, and each set keeps its groundtruth and the N
+wrong facts that score highest, ties by fact id. Mining draws no random
+number. A wrong fact whose fact-matrix row equals the groundtruth's (facts
+that differ only in relation embed identically) scores as the groundtruth
+does and gives the hinge no gradient, so such twins rank after every other
+wrong fact. Candidate sets are arrays of fact-matrix rows throughout.
+Within an iteration the structured hinge
 
     max_f { task_loss(f*, f) + S(f) } - S(f*)
 
-is minimized by minibatch Adam with decoupled weight decay, one run of
-:func:`encoders.fit` per iteration; its loss callback gathers each batch's
-candidate rows and applies ``Tape.hinge_mean``. The groundtruth fact sits
-inside the max with task loss 0, so the loss is never negative. Weights
-carry over between iterations by default; a fresh-start mode, behind a
-switch, reinitializes them after each iteration's first mining step.
+is minimized by minibatch Adam with decoupled weight decay, one optimizer
+per iteration; the loss callback gathers each batch's candidate rows and
+applies ``Tape.hinge_mean``. The groundtruth fact sits inside the max with
+task loss 0, so the loss is never negative. Weights carry over between
+iterations by default; a fresh-start mode, behind a switch, reinitializes
+them after each iteration's first mining step.
 
 The hinge is piecewise linear in the candidate scores, and each epoch takes
 fixed-size Adam steps on its subgradient: a step that lowers the current
@@ -42,7 +45,7 @@ from .dataio import FeatureStore, QAInstance
 from .errors import DataError, UsageError
 from .kb import KnowledgeBase
 from .optim import make_optimizer
-from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows, score
+from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows, score, shortlist_rows
 from .encoders import Vocabulary, fit
 from .wordvec import FactMatrix, WordVectorTable
 
@@ -60,7 +63,6 @@ class MarginConfig:
     batch_size: int = 100
     lr: float = 1e-3
     seed: int = 0
-    clip_norm: float | None = 5.0
     dropout: float = 0.5
     variant: Variant = Variant.Q_I_VC
     max_question_tokens: int = 30
@@ -73,6 +75,8 @@ class MarginConfig:
             raise UsageError(f"negatives must be >= 1, got {self.negatives}")
         if self.iterations < 0:
             raise UsageError(f"iterations must be >= 0, got {self.iterations}")
+        if self.epochs_per_iteration < 1:
+            raise UsageError(f"epochs_per_iteration must be >= 1, got {self.epochs_per_iteration}")
         if self.mining_period < 1:
             raise UsageError(f"mining_period must be >= 1, got {self.mining_period}")
         if self.lr <= 0:
@@ -125,29 +129,26 @@ def mine_hard_negatives(iq: Array, gt: Array, fact_matrix: FactMatrix, n: int, m
                         state: MiningState) -> Array:
     """Candidate sets mined from the whole KB: a (questions, 1 + n) array of
     fact-matrix rows, row ``gt[i]`` in column 0 and after it the ``n`` other
-    rows that score highest against the embedding ``iq[i]``, ordered as
-    :func:`scorer.rank_rows` orders them (ties by fact id), except that
-    twins of the groundtruth (rows bitwise equal to its row) come after
-    every other wrong fact. Sets ``state``'s counts of mined negatives
-    scored above the groundtruth minus ``margin`` and of questions with
-    none."""
+    rows first in ``(twin of the groundtruth, -score against iq[i], fact
+    id)`` order, a twin being a row bitwise equal to the groundtruth's: the
+    exact top scores, ties by fact id, with twins after every other wrong
+    fact. Sets ``state``'s counts of mined negatives scored above the
+    groundtruth minus ``margin`` and of questions with none."""
     fm = fact_matrix
     groups: dict[bytes, int] = {}
-    twin_group = np.array([groups.setdefault(r.tobytes(), len(groups)) for r in fm.rows], dtype=np.intp)
-    twins = np.bincount(twin_group)[twin_group[gt]] - 1
+    twin_group = [groups.setdefault(r.tobytes(), len(groups)) for r in fm.rows]
+    twins = np.bincount(twin_group)[np.array(twin_group)[gt]] - 1
+    # the exact top k holds the groundtruth, its twins and at least n others
     k = n + 1 + int(twins.max(initial=0))
     sets = np.empty((len(gt), 1 + n), dtype=np.intp)
     hard = np.empty(len(gt), dtype=np.intp)
     for c in range(0, len(gt), 256):  # ranking is per question: chunks bound the shortlists held
-        for i, top in enumerate(rank_rows(iq[c : c + 256], fm.rows, fm.norms, fm.fact_ids, k), start=c):
-            g = gt[i]
-            wrong = [(fm.row_of[fid], s) for fid, s in top if fm.row_of[fid] != g]
-            if twins[i]:
-                wrong.sort(key=lambda e: twin_group[e[0]] == twin_group[g])  # stable: twins last
-            wrong = wrong[:n]
-            sets[i] = [g, *(r for r, _ in wrong)]
+        for i, shortlist in enumerate(shortlist_rows(iq[c : c + 256], fm.rows, fm.norms, fm.fact_ids, k), start=c):
+            g = int(gt[i])
+            wrong = sorted((twin_group[r] == twin_group[g], -s, fm.fact_ids[r], r) for s, r in shortlist if r != g)[:n]
+            sets[i] = [g, *(r for *_, r in wrong)]
             line = score(fm.rows[g], iq[i]) - margin
-            hard[i] = sum(s > line for _, s in wrong)
+            hard[i] = sum(-neg > line for _, neg, _, _ in wrong)
     state.hard_pool_total = int(hard.sum())
     state.empty_pool_fallbacks = int(np.count_nonzero(hard == 0))
     return sets
@@ -156,9 +157,8 @@ def mine_hard_negatives(iq: Array, gt: Array, fact_matrix: FactMatrix, n: int, m
 @dataclass
 class TrainScorerResult:
     """The trained scorer, its metrics records, and per iteration the
-    candidate sets its last epoch trained on (an array of KB positions,
-    indices into ``kb.fact_ids()``, groundtruth in column 0) and its
-    :class:`MiningState`."""
+    candidate sets its last epoch trained on (an array of fact-matrix rows,
+    groundtruth in column 0) and its :class:`MiningState`."""
 
     params: ScorerParams
     metrics: list[dict]
@@ -243,47 +243,41 @@ def train_scorer(
     metrics: list[dict] = []
     candidate_history: list[Array] = []
     mining_states: list[MiningState] = []
-    # KB position <-> fact-matrix row: buckets reorder the rows by relation
+    # KB position -> fact-matrix row: buckets reorder the rows by relation
     row_of_position = np.array([fact_matrix.row_of[fid] for fid in kb.fact_ids()], dtype=np.intp)
-    position_of_row = np.argsort(row_of_position)
     cand = row_of_position[build_initial_dataset(train_instances, kb, config.negatives, config.seed)]
+
+    def batch_loss(tape, epoch, batch, ids, lengths):
+        iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, train=True, rng=rng_train)
+        scores = tape.cosine_rows(iq, fact_matrix.rows[cand[batch]])
+        return tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
+
+    def epoch_record(epoch, loss):
+        record = {"type": "epoch", "iteration": state.iteration, "epoch": epoch, "loss": loss,
+                  "pool_size": state.hard_pool_total}
+        if heldout:
+            record.update(fact_precision(params, heldout, store, fact_matrix))
+        return record
 
     for t in range(config.iterations + 1):
         state = MiningState(iteration=t)
-
-        def mine() -> None:
-            nonlocal cand
-            iq = embed_batch(params, feats, cons, questions)
-            cand = mine_hard_negatives(iq, cand[:, 0], fact_matrix, cand.shape[1] - 1, config.margin, state)
-
-        if t > 0:
-            mine()  # with the parameters the previous iteration ended with
-            if config.reinitialize_each_iteration:
-                params = fresh_params(t)
-
-        def batch_loss(tape, epoch, batch, ids, lengths):
-            iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, train=True, rng=rng_train)
-            scores = tape.cosine_rows(iq, fact_matrix.rows[cand[batch]])
-            return tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
-
-        def epoch_record(epoch, loss):
-            record = {"type": "epoch", "iteration": t, "epoch": epoch, "loss": loss, "pool_size": state.hard_pool_total}
-            if heldout:
-                record.update(fact_precision(params, heldout, store, fact_matrix))
-            if epoch < config.epochs_per_iteration and epoch % config.mining_period == 0:
-                mine()  # for the next epoch
-            return record
-
         opt = make_optimizer(config.lr, weight_decay=config.weight_decay)
-        metrics += fit(params.tensors, encoded, opt, rng_train, config.epochs_per_iteration,
-                       config.batch_size, config.clip_norm, batch_loss, epoch_record, f"scorer iteration {t}: ")
+        for start in range(0, config.epochs_per_iteration, config.mining_period):
+            if t or start:  # iteration 0 starts on the sampled sets
+                iq = embed_batch(params, feats, cons, questions)
+                cand = mine_hard_negatives(iq, cand[:, 0], fact_matrix, cand.shape[1] - 1, config.margin, state)
+                if config.reinitialize_each_iteration and start == 0:
+                    params = fresh_params(t)
+            epochs = range(start + 1, min(start + config.mining_period, config.epochs_per_iteration) + 1)
+            metrics += fit(params.tensors, encoded, opt, rng_train, epochs, config.batch_size, batch_loss,
+                           epoch_record, f"scorer iteration {t}: ")
         summary = {"type": "iteration", "iteration": t, "hard_pool_total": state.hard_pool_total,
                    "empty_pool_fallbacks": state.empty_pool_fallbacks, "candidate_set_size": int(cand.shape[1])}
         if heldout:
             # the last epoch record has scored the parameters this iteration ends with
             summary.update({k: metrics[-1][k] for k in ("precision1", "precision3")})
         metrics.append(summary)
-        candidate_history.append(position_of_row[cand])
+        candidate_history.append(cand)
         mining_states.append(state)
 
     return TrainScorerResult(params, metrics, candidate_history, mining_states)

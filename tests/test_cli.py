@@ -169,6 +169,14 @@ def test_cli_train_with_zero_epochs_or_batch_size_is_usage_error(synth_dir, tmp_
     assert not (tmp_path / "ckpt" / "relation.ckpt").exists()
 
 
+def test_cli_train_scorer_with_zero_epochs_per_iteration_is_usage_error(synth_dir, tmp_path, capsys):
+    # an empty mining period would otherwise train nothing and save the initial weights
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    assert main(["train", "scorer", *flags, "--epochs-per-iteration", "0"]) == 2
+    assert "epochs_per_iteration must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt" / "scorer.ckpt").exists()
+
+
 # ----------------------------------------------------------------------
 # threads
 # ----------------------------------------------------------------------

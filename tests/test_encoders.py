@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factrank import encoders
 from factrank.checkpoint import load_checkpoint, save_checkpoint
 from factrank.errors import DataError, FactrankError, LoadError, UsageError
 from factrank.encoders import (
@@ -337,14 +338,14 @@ def test_relation_training_on_planted_keywords_generalizes():
     assert accuracy(clf, heldout, 1) >= 0.95
 
 
-def test_epoch_records_report_pre_clip_gradient_norms():
+def test_epoch_records_report_pre_clip_gradient_norms(monkeypatch):
     pairs = _planted_relation_pairs(2, 0)
     history = {}
-    for clip_norm in (None, 1e-6):
-        cfg = EncoderTrainConfig(epochs=2, batch_size=len(pairs), lr=1e-2, embed_dim=6, hidden_dim=6, seed=3,
-                                 clip_norm=clip_norm)
+    for clip_norm in (np.inf, 1e-6):
+        monkeypatch.setattr(encoders, "CLIP_NORM", clip_norm)
+        cfg = EncoderTrainConfig(epochs=2, batch_size=len(pairs), lr=1e-2, embed_dim=6, hidden_dim=6, seed=3)
         history[clip_norm] = train_relation_classifier(pairs, cfg)[1]
-    free, clipped = history[None], history[1e-6]
+    free, clipped = history[np.inf], history[1e-6]
     # one batch an epoch, and the first is measured before any step: clipping cannot move its norm
     assert free[0]["grad_norm_mean"] == free[0]["grad_norm_max"] == clipped[0]["grad_norm_max"] > 0.0
     assert [r["clipped_fraction"] for r in free] == [0.0, 0.0]
@@ -381,8 +382,8 @@ def test_training_deterministic_under_seed():
 
 def _toy_fit(w, batch_loss, epochs=3, batch_size=3):
     """``fit`` of the weights ``w`` over ten one-token sequences, four batches an epoch."""
-    return fit({"w": w}, [[1]] * 10, make_optimizer(0.1), np.random.default_rng(0), epochs, batch_size,
-               None, batch_loss, lambda epoch, loss: {"loss": loss}, "toy: ")
+    return fit({"w": w}, [[1]] * 10, make_optimizer(0.1), np.random.default_rng(0), range(1, epochs + 1), batch_size,
+               batch_loss, lambda epoch, loss: {"loss": loss}, "toy: ")
 
 
 def test_fit_stops_on_a_non_finite_loss_before_stepping_on_it():

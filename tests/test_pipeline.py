@@ -47,8 +47,8 @@ def test_answer_question_is_evaluate_on_one_question(models, small_synth, small_
     for inst in test[:6]:
         answered = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id),
                                    inst.question, k=2, question_id=inst.question_id, image_id=inst.image_id,
-                                   tie_break=tie_break, rng=rng())
-        evaluated = evaluate(models, kb, [inst], store, k=2, tie_break=tie_break, rng=rng())[1][0]
+                                   rng=rng())
+        evaluated = evaluate(models, kb, [inst], store, k=2, rng=rng())[1][0]
         assert answered.status == "ok"
         assert answered == evaluated
 
@@ -73,7 +73,7 @@ def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_sp
     _, test = small_split
     kb, store = small_synth["kb"], small_synth["store"]
     rng = (lambda: np.random.default_rng(7)) if tie_break == "random" else (lambda: None)
-    _, evaluated = evaluate(models, kb, test, store, k=3, oracle_relation=True, tie_break=tie_break, rng=rng())
+    _, evaluated = evaluate(models, kb, test, store, k=3, oracle_relation=True, rng=rng())
     assert len({p.relation for p in evaluated}) > 1
     feats, cons = store.stack([i.image_id for i in test])
     iq = embed_batch(models.scorer, feats, cons, [i.question for i in test])
@@ -81,10 +81,9 @@ def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_sp
     for inst, e, v in zip(test, evaluated, iq):
         a = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id), inst.question,
                             k=3, question_id=inst.question_id, image_id=inst.image_id, oracle_relation=inst.relation,
-                            tie_break=tie_break, rng=answer_rng)
+                            rng=answer_rng)
         # bitwise on evaluate's own embeddings, one question at a time
-        assert rank_candidates(v, kb.ids_with_relation(inst.relation), models.fact_matrix, 3, tie_break,
-                               rank_rng) == e.top_facts
+        assert rank_candidates(v, kb.ids_with_relation(inst.relation), models.fact_matrix, 3, rank_rng) == e.top_facts
         # a batch of one embeds within rounding of the batch (see test_lstm_batch_rows_match_single_runs)
         assert (a.status, a.relation, a.source, a.answer) == (e.status, e.relation, e.source, e.answer)
         assert [f for f, _ in a.top_facts] == [f for f, _ in e.top_facts]
@@ -108,7 +107,7 @@ def test_random_ties_hold_one_bucket_of_jitter_at_a_time(models, small_synth):
         tracemalloc.start()
         try:
             evaluate(three, kb, instances, small_synth["store"], oracle_relation=True, oracle_source=True,
-                     tie_break=tie_break, rng=np.random.default_rng(12))
+                     rng=np.random.default_rng(12) if tie_break == "random" else None)
             peaks[tie_break] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

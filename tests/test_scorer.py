@@ -252,11 +252,9 @@ def test_rank_random_tie_break_is_seeded():
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     ids = ["fa", "fb", "fc"]
     fm = FactMatrix.from_rows(ids, rows)
-    a = rank_candidates(np.array([1.0, 0.0]), ids, fm, k=3, tie_break="random", rng=np.random.default_rng(3))
-    b = rank_candidates(np.array([1.0, 0.0]), ids, fm, k=3, tie_break="random", rng=np.random.default_rng(3))
+    a = rank_candidates(np.array([1.0, 0.0]), ids, fm, k=3, rng=np.random.default_rng(3))
+    b = rank_candidates(np.array([1.0, 0.0]), ids, fm, k=3, rng=np.random.default_rng(3))
     assert a == b
-    with pytest.raises(UsageError):
-        rank_candidates(np.array([1.0, 0.0]), ids, fm, k=3, tie_break="random")
 
 
 @settings(max_examples=25, deadline=None)

@@ -140,9 +140,10 @@ def mined_ids(iq, gt_ids, fm, n, margin):
     return [[fm.fact_ids[r] for r in row] for row in sets], state.hard_pool_total, state.empty_pool_fallbacks
 
 
-def as_ids(sets, kb):
-    """Candidate-array rows as fact-id lists, groundtruth first."""
-    ids = kb.fact_ids()
+def as_ids(sets, ids):
+    """Candidate-array rows as fact-id lists, groundtruth first; ``ids``
+    names each index: ``kb.fact_ids()`` for the KB positions of
+    :func:`build_initial_dataset`, ``fm.fact_ids`` for fact-matrix rows."""
     return [[ids[p] for p in row] for row in sets]
 
 
@@ -174,7 +175,7 @@ def test_initial_dataset_sizes(tiny_synth):
     instances, _, kb, _ = tiny_synth
     sets = build_initial_dataset(instances, kb, negatives=30, seed=0)
     assert sets.shape == (len(instances), 31)
-    for row, inst in zip(as_ids(sets, kb), instances):
+    for row, inst in zip(as_ids(sets, kb.fact_ids()), instances):
         assert row[0] == inst.fact_id
         assert inst.fact_id not in row[1:]
         assert len(set(row)) == 31
@@ -185,7 +186,7 @@ def test_initial_dataset_kb_exhaustion():
     sets = build_initial_dataset(_questions(kb, 3), kb, negatives=700, seed=1)
     assert sets.shape == (3, 8)
     assert all(sorted(row) == list(range(8)) for row in sets)
-    assert as_ids(sets, kb) == oracle_ids(oracle_initial_dataset(_questions(kb, 3), kb, 700, 1))
+    assert as_ids(sets, kb.fact_ids()) == oracle_ids(oracle_initial_dataset(_questions(kb, 3), kb, 700, 1))
 
 
 def test_initial_dataset_deterministic(tiny_synth):
@@ -199,7 +200,7 @@ def test_initial_dataset_matches_the_id_oracle_on_an_interleaved_kb():
     kb = _interleaved_kb(60)
     questions = _questions(kb, 25)
     sets = build_initial_dataset(questions, kb, negatives=12, seed=3)
-    assert as_ids(sets, kb) == oracle_ids(oracle_initial_dataset(questions, kb, 12, 3))
+    assert as_ids(sets, kb.fact_ids()) == oracle_ids(oracle_initial_dataset(questions, kb, 12, 3))
 
 
 def test_initial_dataset_missing_fact_is_data_error():
@@ -376,7 +377,7 @@ def test_train_scorer_single_example_loss_nonincreasing(tiny_synth):
     result = train_scorer(instances[:1], kb, store, table, cfg)
     losses = [m["loss"] for m in result.metrics if m["type"] == "epoch"]
     fm = FactMatrix.build(kb, table)
-    gt, *negatives = as_ids(result.candidate_history[0], kb)[0]
+    gt, *negatives = as_ids(result.candidate_history[0], fm.fact_ids)[0]
     floor = hinge_floor(fm.row(gt), [fm.row(fid) for fid in negatives], cfg.margin)
     assert all(loss >= floor - 1e-9 for loss in losses)
     assert losses[-1] - floor <= 0.25 * (losses[0] - floor)
@@ -387,10 +388,11 @@ def test_train_scorer_structural_invariants(tiny_synth):
     cfg = MarginConfig(iterations=2, epochs_per_iteration=2, mining_period=1,
                        negatives=15, batch_size=5, seed=4)
     result = train_scorer(instances, kb, store, table, cfg)
+    fm = FactMatrix.build(kb, table)
     assert len(result.candidate_history) == 3
     for sets in result.candidate_history:
         assert sets.shape == (len(instances), 16)
-        for row, inst in zip(as_ids(sets, kb), instances):
+        for row, inst in zip(as_ids(sets, fm.fact_ids), instances):
             assert row[0] == inst.fact_id
             assert inst.fact_id not in row[1:]
             assert len(set(row)) == 16
@@ -489,7 +491,7 @@ def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkey
         current["sets"] = steps[state.iteration][0]
         return real(iq, gt, fact_matrix, n, margin, state)
 
-    def replaying_fit(params, encoded, opt, rng, epochs, batch_size, clip_norm, batch_loss, epoch_record, where,
+    def replaying_fit(params, encoded, opt, rng, epochs, batch_size, batch_loss, epoch_record, where,
                       real=trainer.fit):
         def checked_loss(tape, epoch, batch, ids, lengths):
             loss = batch_loss(tape, epoch, batch, ids, lengths)
@@ -497,7 +499,7 @@ def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkey
             np.testing.assert_array_equal(scored.pop(), fm.rows[rows_of])
             return loss
 
-        return real(params, encoded, opt, rng, epochs, batch_size, clip_norm, checked_loss, epoch_record, where)
+        return real(params, encoded, opt, rng, epochs, batch_size, checked_loss, epoch_record, where)
 
     real_init = trainer.ScorerParams.init
 
@@ -512,7 +514,7 @@ def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkey
     result = train_scorer(instances, kb, store, table, cfg)
     # iteration 0 mines before epoch 2, the others before both epochs
     last = [steps[t] for t in range(3)]
-    assert [as_ids(sets, kb) for sets in result.candidate_history] == [sets for sets, _, _ in last]
+    assert [as_ids(sets, fm.fact_ids) for sets in result.candidate_history] == [sets for sets, _, _ in last]
     summaries = [m for m in result.metrics if m["type"] == "iteration"]
     assert [(m["hard_pool_total"], m["empty_pool_fallbacks"]) for m in summaries] == [s[1:] for s in last]
     # the run exercises partly hard sets and questions with no hard negative
@@ -541,10 +543,11 @@ def test_train_scorer_computes_heldout_precision_once_per_epoch(tiny_synth, monk
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_train_scorer_non_finite_loss_names_iteration_epoch_and_batch(tiny_synth):
+def test_train_scorer_non_finite_loss_names_iteration_epoch_and_batch(tiny_synth, monkeypatch):
     instances, store, kb, table = tiny_synth
+    monkeypatch.setattr(encoders, "CLIP_NORM", np.inf)
     cfg = MarginConfig(iterations=0, epochs_per_iteration=2, mining_period=1, negatives=5, batch_size=5, seed=3,
-                       lr=1e300, clip_norm=None)
+                       lr=1e300)
     # the diverged scores reach the hinge, which rejects a non-finite groundtruth score
     with pytest.raises(DegenerateInputError, match=r"^scorer iteration 0: epoch 1, batch 2: .*non-finite"):
         train_scorer(instances, kb, store, table, cfg)
@@ -560,25 +563,47 @@ def test_train_scorer_epoch_records_report_gradient_norms(tiny_synth, monkeypatc
 
     monkeypatch.setattr(encoders, "clip_gradients", recording_clip)
     cfg = MarginConfig(iterations=1, epochs_per_iteration=2, mining_period=1,
-                       negatives=10, batch_size=3, seed=9, clip_norm=5.0)
+                       negatives=10, batch_size=3, seed=9)
     epochs = [m for m in train_scorer(instances, kb, store, table, cfg).metrics if m["type"] == "epoch"]
     batches = 4  # 10 instances in batches of 3
     assert len(epochs) == 4 and len(seen) == 4 * batches
     for i, record in enumerate(epochs):
         norms = [g for g, _ in seen[i * batches : (i + 1) * batches]]
-        assert all(limit == 5.0 for _, limit in seen)
+        assert all(limit == encoders.CLIP_NORM == 5.0 for _, limit in seen)
         assert record["grad_norm_mean"] == float(np.mean(norms))
         assert record["grad_norm_max"] == max(norms)
         assert record["clipped_fraction"] == sum(g > 5.0 for g in norms) / batches
     assert any(0.0 < r["clipped_fraction"] < 1.0 for r in epochs)
 
 
-def test_train_scorer_fresh_start_mode(tiny_synth):
+def test_train_scorer_fresh_start_mode(tiny_synth, monkeypatch):
+    # each iteration after the first mines with the parameters the previous
+    # one ended with, then starts over from ScorerParams.init([seed, 17, t])
     instances, store, kb, table = tiny_synth
-    cfg = MarginConfig(iterations=1, epochs_per_iteration=1, mining_period=1,
-                       negatives=5, batch_size=10, seed=8, reinitialize_each_iteration=True)
+    feats, cons = store.stack([i.image_id for i in instances])
+    inits, events = [], []
+
+    def recording_init(vocab, rng, *args, real=trainer.ScorerParams.init, **kwargs):
+        inits.append(real(vocab, rng, *args, **kwargs))
+        events.append(("init", list(rng.bit_generator.seed_seq.entropy)))
+        return inits[-1]
+
+    def recording_mine(iq, *args, real=trainer.mine_hard_negatives):
+        # the initialization whose (trained) parameters embed the questions as mined
+        [used] = [j for j, p in enumerate(inits)
+                  if np.array_equal(iq, embed_batch(p, feats, cons, [i.question for i in instances]))]
+        events.append(("mine", used))
+        return real(iq, *args)
+
+    monkeypatch.setattr(trainer.ScorerParams, "init", recording_init)
+    monkeypatch.setattr(trainer, "mine_hard_negatives", recording_mine)
+    cfg = MarginConfig(iterations=2, epochs_per_iteration=2, mining_period=1,
+                       negatives=5, batch_size=5, seed=8, reinitialize_each_iteration=True)
     result = train_scorer(instances, kb, store, table, cfg)
-    assert len(result.candidate_history) == 2
+    assert len(result.candidate_history) == 3
+    assert events == [("init", [8, 17]), ("mine", 0),
+                      ("mine", 0), ("init", [8, 17, 1]), ("mine", 1),
+                      ("mine", 1), ("init", [8, 17, 2]), ("mine", 2)]
 
 
 def test_margin_config_validation():
@@ -588,6 +613,8 @@ def test_margin_config_validation():
         MarginConfig(negatives=0).validate()
     with pytest.raises(UsageError):
         MarginConfig(iterations=-1).validate()
+    with pytest.raises(UsageError, match="epochs_per_iteration"):
+        MarginConfig(epochs_per_iteration=0).validate()
 
 
 def test_fact_precision_is_deterministic(tiny_synth):
