@@ -175,10 +175,7 @@ def _load_bundle(cfg: RunConfig):
 
     _require(cfg, "kb", "qa", "features", "concepts", "concept-labels", "wordvec")
     instances, store, kb = load_dataset(cfg.kb, cfg.qa, cfg.features, cfg.concepts, cfg.concept_labels)
-    with open(cfg.wordvec, encoding="utf-8") as fh:
-        first = fh.readline().split()
-    table = load_vectors(cfg.wordvec, len(first) - 1)
-    return instances, store, kb, table
+    return instances, store, kb, load_vectors(cfg.wordvec)
 
 
 # ----------------------------------------------------------------------

@@ -367,6 +367,8 @@ def train_classifier(
     """
     spec = KINDS[kind]
     cfg = config or EncoderTrainConfig()
+    if cfg.max_tokens < 1:
+        raise UsageError(f"{kind} classifier: max_tokens must be >= 1, got {cfg.max_tokens}")
     if not pairs:
         raise DataError(f"{kind} training needs at least one example")
     for q, label in pairs:

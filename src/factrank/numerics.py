@@ -106,6 +106,20 @@ def stable_sigmoid(z: Array) -> Array:
     return out
 
 
+def row_norms(rows: Array) -> Array:
+    """Each row's ``np.linalg.norm``, bitwise: the root of one unit-stride dot a row."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def cosines(rows: Array, norms: Array, iq: Array, nq) -> Array:
+    """The one exact cosine ``rows . iq / (norms * nq)`` along the last axis:
+    bitwise the scalar ``np.dot(row, iq) / (nf * nq)`` of contiguous vectors
+    for any batch shape or layout. A zero norm on either side scores -inf."""
+    dots = np.vecdot(np.ascontiguousarray(rows, dtype=np.float64), np.ascontiguousarray(iq, dtype=np.float64))
+    return np.divide(dots, norms * nq, out=np.full(np.shape(dots), -np.inf), where=(norms != 0.0) & (nq != 0.0))
+
+
 def _dropout_mask(shape: tuple[int, ...], rate: float, train: bool, rng: np.random.Generator | None) -> Array | None:
     """Inverted-dropout mask, survivors scaled by 1/(1-rate); None when dropout is off."""
     if not 0.0 <= rate < 1.0:

@@ -25,9 +25,9 @@ import numpy as np
 
 from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .kb import AnswerSource, Fact, KnowledgeBase, Relation
-from .scorer import ScorerParams, embed_batch, shortlist_rows, top_of
+from .scorer import ScorerParams, embed_batch, shortlist_rows
 from .wordvec import FactMatrix
 
 Array = np.ndarray
@@ -156,21 +156,21 @@ def _predict(
     # read at that question's shortlist only and freed before the next draw
     fm, top_relation = models.fact_matrix, [ranked[0][0] for ranked in relations]
     pools = {r: kb.ids_with_relation(r) for r in dict.fromkeys(top_relation)}
-    shortlists: list[list[tuple[float, int]]] = [[] for _ in questions]
+    shortlists = {}
     for relation, pool in pools.items():
         members = [i for i, r in enumerate(top_relation) if r is relation]
         # a relation the KB lacks is no_fact, whatever rows the matrix holds
         bucket = fm.buckets.get(relation, slice(0, 0)) if pool else slice(0, 0)
-        found = shortlist_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], pool, max(k, 3))
-        for i, shortlist in zip(members, found):
-            shortlists[i] = shortlist
-    tops = []
-    for shortlist, relation in zip(shortlists, top_relation):
-        pool = pools[relation]
-        tops.append(top_of(shortlist, pool, max(k, 3), pool if rng is None or not pool else rng.random(len(pool))))
+        if len(fm.norms[bucket]) != len(pool):
+            raise DataError(f"{relation.value}: {len(pool)} facts in the KB, {len(fm.norms[bucket])} fact-matrix rows")
+        shortlists.update(zip(members, shortlist_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], max(k, 3))))
 
     out = []
-    for (question_id, image_id), ranked, (source, source_prob), top in zip(ids, relations, sources, tops):
+    for i, ((question_id, image_id), ranked, (source, source_prob)) in enumerate(zip(ids, relations, sources)):
+        (r, s), pool = shortlists[i], pools[ranked[0][0]]
+        tie = [pool[j] for j in r.tolist()] if rng is None or not pool else rng.random(len(pool))[r]
+        order = np.lexsort((tie, -s))[: max(k, 3)]
+        top = [(pool[j], x) for j, x in zip(r[order].tolist(), s[order].tolist())]
         prediction = Prediction(
             question_id=question_id,
             image_id=image_id,
@@ -235,7 +235,7 @@ def evaluate(
     Relation, source and embedding predictions run batched. The questions
     of each relation bucket, a contiguous block of fact-matrix rows, are
     scored by one GEMM; only each question's shortlist within rounding of
-    its third-best score is rescored by the scalar cosine, so the ranking
+    its third-best score is rescored by the exact cosine, so the ranking
     is bitwise the exhaustive one. Without ``rng`` ties go by fact id and
     evaluation is a pure function of its inputs; with it, ties draw from
     ``rng`` question by question, as :func:`answer_question` calls would.

@@ -16,9 +16,9 @@ Ranking is exact and runs in one kernel, :func:`shortlist_rows`. It scores
 a contiguous block of fact rows (a relation bucket of the
 :class:`~factrank.wordvec.FactMatrix`, or the whole KB) against a block of
 queries by one GEMM, shortlists every row within a derived rounding bound
-of the k-th best score, and rescores only the shortlist with the scalar
-cosine of :func:`score`. :func:`top_of` orders a shortlist, so the top k
-of :func:`rank_rows` is bitwise the top k of an exhaustive scalar sort.
+of the k-th best score, and rescores only the shortlist by the exact
+``numerics.cosines`` of :func:`score`. Each caller orders the shortlist by
+one ``np.lexsort``, so the top k is bitwise that of an exhaustive sort.
 Ties go by fact id, or by draws from a seeded generator when one is
 given. :func:`rank_candidates`, :func:`candidate_scores` and
 :func:`score_matrix` are thin entry points over the same arithmetic.
@@ -43,7 +43,7 @@ from .encoders import (
     read_model_checkpoint,
 )
 from .errors import DegenerateInputError, ShapeError, UsageError
-from .numerics import Tape, Tensor, constant, parameter
+from .numerics import Tape, Tensor, constant, cosines, parameter, row_norms
 from .wordvec import FactMatrix
 
 Array = np.ndarray
@@ -209,21 +209,14 @@ def score(fact_emb: Array, iq_emb: Array) -> float:
     iq_emb = np.asarray(iq_emb, dtype=np.float64)
     if fact_emb.shape != iq_emb.shape or fact_emb.ndim != 1:
         raise ShapeError(f"score needs matching vectors, got {fact_emb.shape} and {iq_emb.shape}")
-    return _cosine(fact_emb, float(np.linalg.norm(fact_emb)), iq_emb, float(np.linalg.norm(iq_emb)))
-
-
-def _cosine(row: Array, nf: float, iq: Array, nq: float) -> float:
-    # the one scalar cosine: every exact score of this module is this arithmetic
-    return NEG_INF if nf == 0.0 or nq == 0.0 else float(np.dot(row, iq) / (nf * nq))
+    return float(cosines(fact_emb, row_norms(fact_emb), iq_emb, row_norms(iq_emb)))
 
 
 def candidate_scores(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix) -> Array:
-    """Per-candidate cosine scores, computed with the same scalar arithmetic
-    as :func:`score` so exhaustive and ranked paths agree bitwise."""
-    iq_emb = np.asarray(iq_emb, dtype=np.float64)
-    nq = float(np.linalg.norm(iq_emb))
+    """Per-candidate cosine scores, by the arithmetic of :func:`score`, so
+    exhaustive and ranked paths agree bitwise."""
     rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
-    return np.array([_cosine(fact_matrix.rows[r], float(fact_matrix.norms[r]), iq_emb, nq) for r in rows])
+    return cosines(fact_matrix.rows[rows], fact_matrix.norms[rows], iq_emb, row_norms(iq_emb))
 
 
 def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix, k: int,
@@ -267,28 +260,24 @@ def _gemm_cosines(iq_block: Array, qnorms: Array, rows: Array, norms: Array) -> 
 BLOCK_ELEMENTS = 1 << 21
 
 
-def shortlist_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str],
-                   k: int) -> list[list[tuple[float, int]]]:
-    """Each query's rows of ``rows`` (named by ``ids``) that can be in its
-    exact top ``k``, as ``(score, row)`` pairs in row order: blocks of rows
-    are scored by one GEMM each against the cached ``norms``, and the rows
-    within ``slack`` of the k-th best GEMM score rescored by :func:`score`."""
+def shortlist_rows(iq_block: Array, rows: Array, norms: Array, k: int) -> list[tuple[Array, Array]]:
+    """Each query's rows of ``rows`` that can be in its exact top ``k``, as
+    ``(rows, scores)`` arrays in row order: blocks of rows are scored by one
+    GEMM each against the cached ``norms``, and the rows within ``slack`` of
+    the k-th best GEMM score rescored exactly by ``numerics.cosines``."""
     # Any summation order computes a length-d dot x.y within gamma_d |x||y|,
     # gamma_d = d u / (1 - d u), u = eps / 2 (Higham, Accuracy and Stability
     # of Numerical Algorithms, 3.1). Both paths divide by the same cached
     # norms (within gamma_d of |x|, |y|) with two roundings each, so one
-    # row's GEMM and scalar scores differ by e <= 2 gamma_d + 4u ~ (d + 2) eps.
+    # row's GEMM and exact scores differ by e <= 2 gamma_d + 4u ~ (d + 2) eps.
     # If K is the k-th best GEMM score, k rows score >= K - e exactly, so a
     # row of the exact top k has a GEMM score >= K - 2e. slack is twice 2e:
     # 1.8e-13 at d = 200. A zero-norm query scores -inf everywhere: all kept.
-    iq_block = np.ascontiguousarray(iq_block, dtype=np.float64)
     q, n = len(iq_block), len(rows)
-    if len(ids) != n:
-        raise ShapeError(f"{len(ids)} ids for {n} rows")
     if not q or not n:
-        return [[] for _ in range(q)]
+        return [(np.empty(0, dtype=np.intp), np.empty(0))] * q
     k, slack = min(k, n), 4 * (rows.shape[1] + 2) * np.finfo(np.float64).eps
-    qnorms = np.array([np.linalg.norm(v) for v in iq_block])
+    qnorms = row_norms(iq_block)
     best = np.full((q, k), NEG_INF)  # the k best GEMM scores so far, the k-th in column 0
     hits = []
     step = max(1, BLOCK_ELEMENTS // q)
@@ -300,18 +289,9 @@ def shortlist_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str
         hits.append((query, row + start, block[query, row]))
     query, row, gemm = (np.concatenate(parts) for parts in zip(*hits))
     keep = np.flatnonzero(gemm >= best[query, 0] - slack)
-    shortlists: list[list[int]] = [[] for _ in range(q)]
-    for j, r in zip(query[keep].tolist(), row[keep].tolist()):  # each query's rows ascending
-        shortlists[j].append(r)
-    return [[(_cosine(rows[r], float(norms[r]), iq_block[j], float(qnorms[j])), r) for r in shortlist]
-            for j, shortlist in enumerate(shortlists)]
-
-
-def top_of(shortlist: list[tuple[float, int]], ids: Sequence[str], k: int, tie: Sequence) -> list[tuple[str, float]]:
-    """The first ``k`` ``(id, score)`` of a :func:`shortlist_rows` entry in
-    ``(-score, tie[row])`` order."""
-    ordered = sorted(shortlist, key=lambda e: (-e[0], tie[e[1]]))
-    return [(ids[r], s) for s, r in ordered[:k]]
+    keep = keep[np.argsort(query[keep], kind="stable")]  # by query, each query's rows ascending
+    shortlists = np.split(row[keep], np.cumsum(np.bincount(query[keep], minlength=q))[:-1])
+    return [(r, cosines(rows[r], norms[r], iq_block[j], qnorms[j])) for j, r in enumerate(shortlists)]
 
 
 def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int,
@@ -320,8 +300,11 @@ def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k:
     whole KB, or gathered candidates) for each query of ``iq_block``, ordered
     by ``(-score, id)``, or ``(-score, jitter[j][row])`` for query ``j``:
     bitwise the head of an exhaustive scalar sort."""
-    shortlists = shortlist_rows(iq_block, rows, norms, ids, k)
-    return [top_of(s, ids, k, ids if jitter is None else jitter[j]) for j, s in enumerate(shortlists)]
+    tops = []
+    for j, (r, s) in enumerate(shortlist_rows(iq_block, rows, norms, k)):
+        order = np.lexsort(([ids[i] for i in r.tolist()] if jitter is None else jitter[j][r], -s))[:k]
+        tops.append([(ids[i], x) for i, x in zip(r[order].tolist(), s[order].tolist())])
+    return tops
 
 
 # ----------------------------------------------------------------------

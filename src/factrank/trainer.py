@@ -10,10 +10,10 @@ training questions are embedded with the current parameters (no tape, no
 dropout), the whole KB is shortlisted by the exact kernel
 ``scorer.shortlist_rows``, and each set keeps its groundtruth and the N
 wrong facts that score highest, ties by fact id. Mining draws no random
-number. A wrong fact whose fact-matrix row equals the groundtruth's (facts
-that differ only in relation embed identically) scores as the groundtruth
-does and gives the hinge no gradient, so such twins rank after every other
-wrong fact. Candidate sets are arrays of fact-matrix rows throughout.
+number. A wrong fact whose row equals the groundtruth's (a twin in
+``FactMatrix.twin_groups``: facts that differ only in relation) scores as
+the groundtruth does and gives the hinge no gradient, so twins rank after
+every other wrong fact. Candidate sets are arrays of fact-matrix rows.
 Within an iteration the structured hinge
 
     max_f { task_loss(f*, f) + S(f) } - S(f*)
@@ -44,8 +44,9 @@ import numpy as np
 from .dataio import FeatureStore, QAInstance
 from .errors import DataError, UsageError
 from .kb import KnowledgeBase
+from .numerics import cosines, row_norms
 from .optim import make_optimizer
-from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows, score, shortlist_rows
+from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows, shortlist_rows
 from .encoders import Vocabulary, fit
 from .wordvec import FactMatrix, WordVectorTable
 
@@ -69,18 +70,13 @@ class MarginConfig:
     reinitialize_each_iteration: bool = False
 
     def validate(self) -> None:
-        if self.margin <= 0:
-            raise UsageError(f"margin must be positive, got {self.margin}")
-        if self.negatives < 1:
-            raise UsageError(f"negatives must be >= 1, got {self.negatives}")
-        if self.iterations < 0:
-            raise UsageError(f"iterations must be >= 0, got {self.iterations}")
-        if self.epochs_per_iteration < 1:
-            raise UsageError(f"epochs_per_iteration must be >= 1, got {self.epochs_per_iteration}")
-        if self.mining_period < 1:
-            raise UsageError(f"mining_period must be >= 1, got {self.mining_period}")
-        if self.lr <= 0:
-            raise UsageError(f"lr must be positive, got {self.lr}")
+        for name in ("margin", "lr"):
+            if getattr(self, name) <= 0:
+                raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
+        lows = dict(negatives=1, iterations=0, epochs_per_iteration=1, mining_period=1, max_question_tokens=1)
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise UsageError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -134,21 +130,20 @@ def mine_hard_negatives(iq: Array, gt: Array, fact_matrix: FactMatrix, n: int, m
     exact top scores, ties by fact id, with twins after every other wrong
     fact. Sets ``state``'s counts of mined negatives scored above the
     groundtruth minus ``margin`` and of questions with none."""
-    fm = fact_matrix
-    groups: dict[bytes, int] = {}
-    twin_group = [groups.setdefault(r.tobytes(), len(groups)) for r in fm.rows]
-    twins = np.bincount(twin_group)[np.array(twin_group)[gt]] - 1
+    fm, twin_group = fact_matrix, fact_matrix.twin_groups
+    twins = np.bincount(twin_group)[twin_group[gt]] - 1
     # the exact top k holds the groundtruth, its twins and at least n others
     k = n + 1 + int(twins.max(initial=0))
+    lines = cosines(fm.rows[gt], fm.norms[gt], iq, row_norms(iq)) - margin
     sets = np.empty((len(gt), 1 + n), dtype=np.intp)
     hard = np.empty(len(gt), dtype=np.intp)
-    for c in range(0, len(gt), 256):  # ranking is per question: chunks bound the shortlists held
-        for i, shortlist in enumerate(shortlist_rows(iq[c : c + 256], fm.rows, fm.norms, fm.fact_ids, k), start=c):
+    for c in range(0, len(gt), 256):  # ranking is per question: chunks bound the GEMM hits held
+        for i, (r, s) in enumerate(shortlist_rows(iq[c : c + 256], fm.rows, fm.norms, k), start=c):
             g = int(gt[i])
-            wrong = sorted((twin_group[r] == twin_group[g], -s, fm.fact_ids[r], r) for s, r in shortlist if r != g)[:n]
-            sets[i] = [g, *(r for *_, r in wrong)]
-            line = score(fm.rows[g], iq[i]) - margin
-            hard[i] = sum(-neg > line for _, neg, _, _ in wrong)
+            r, s = r[r != g], s[r != g]
+            wrong = np.lexsort(([fm.fact_ids[j] for j in r.tolist()], -s, twin_group[r] == twin_group[g]))[:n]
+            sets[i] = [g, *r[wrong]]
+            hard[i] = np.count_nonzero(s[wrong] > lines[i])
     state.hard_pool_total = int(hard.sum())
     state.empty_pool_fallbacks = int(np.count_nonzero(hard == 0))
     return sets

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateInputError, LoadError
 from .kb import Fact, KnowledgeBase, Relation
+from .numerics import row_norms
 from .text import tokenize  # re-exported: tokenization is part of this module's API
 
 __all__ = [
@@ -52,22 +54,23 @@ class WordVectorTable:
         return self.vectors[token]
 
 
-def load_vectors(path: str | Path, dim: int) -> WordVectorTable:
-    """Load ``token v1 ... v_dim`` rows; wrong arity is a load error.
+def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
+    """Load ``token v1 ... v_dim`` rows; wrong arity is a load error, and so
+    is a file with no rows. ``dim`` defaults to the first row's.
 
     A repeated token overwrites the earlier row (last write wins) and is
     counted on the returned table.
     """
     path = Path(path)
-    table = WordVectorTable(dim)
+    table = WordVectorTable(dim or 0)
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
+            parts = raw.split()
+            if not parts:
                 continue
-            parts = line.split()
-            if len(parts) != dim + 1:
-                raise LoadError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}")
+            table.dim = table.dim or max(len(parts) - 1, 1)
+            if len(parts) != table.dim + 1:
+                raise LoadError(f"{path}:{lineno}: expected {table.dim + 1} fields, got {len(parts)}")
             token = parts[0]
             if token in table.vectors:
                 table.duplicate_count += 1
@@ -77,6 +80,8 @@ def load_vectors(path: str | Path, dim: int) -> WordVectorTable:
             except ValueError:
                 raise LoadError(f"{path}:{lineno}: non-numeric vector component") from None
             table.vectors[token] = vec
+    if not table.vectors:
+        raise LoadError(f"{path}: no word vectors")
     return table
 
 
@@ -122,10 +127,8 @@ class FactMatrix:
 
     @classmethod
     def from_rows(cls, fact_ids: list[str], rows: Array, buckets: dict[Relation, slice] | None = None) -> "FactMatrix":
-        # per-row scalar norms so ranked scores reproduce single-pair cosines
-        # bitwise (the axis-wise reduction differs in the last ulp)
-        norms = np.array([np.linalg.norm(r) for r in rows])
-        return cls(fact_ids=list(fact_ids), rows=rows, norms=norms,
+        # numerics.cosines' norms: cached and fresh scores agree bitwise
+        return cls(fact_ids=list(fact_ids), rows=rows, norms=row_norms(rows),
                    row_of={fid: i for i, fid in enumerate(fact_ids)}, buckets=buckets or {})
 
     @classmethod
@@ -140,6 +143,12 @@ class FactMatrix:
         for i, f in enumerate(facts):
             rows[i] = fact_embedding(f, table)
         return cls.from_rows([f.fact_id for f in facts], rows, buckets)
+
+    @cached_property
+    def twin_groups(self) -> Array:
+        """Each row's group number, shared by bitwise-equal rows; computed once."""
+        groups: dict[bytes, int] = {}
+        return np.array([groups.setdefault(r.tobytes(), len(groups)) for r in self.rows], dtype=np.intp)
 
     @property
     def dim(self) -> int:

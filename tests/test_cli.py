@@ -177,6 +177,16 @@ def test_cli_train_scorer_with_zero_epochs_per_iteration_is_usage_error(synth_di
     assert not (tmp_path / "ckpt" / "scorer.ckpt").exists()
 
 
+@pytest.mark.parametrize("kind", ["relation", "source", "scorer"])
+@pytest.mark.parametrize("tokens", ["0", "-1"])
+def test_cli_train_with_fewer_than_one_question_token_is_usage_error(synth_dir, tmp_path, capsys, kind, tokens):
+    # -1 would otherwise train on every question but its last token
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    assert main(["train", kind, *flags, f"--max-question-tokens={tokens}", "--iterations", "0"]) == 2
+    assert re.search(rf"max_(question_)?tokens must be >= 1, got {tokens}", capsys.readouterr().err)
+    assert not (tmp_path / "ckpt" / f"{kind}.ckpt").exists()
+
+
 # ----------------------------------------------------------------------
 # threads
 # ----------------------------------------------------------------------
@@ -223,6 +233,19 @@ def test_cli_evaluate_truncated_checkpoint_is_load_error(synth_dir, tmp_path, ca
     assert main(["evaluate", *flags, "--gt-relation", "--gt-source"]) == 1
     err = capsys.readouterr().err
     assert str(scorer) in err and "truncated" in err
+
+
+@pytest.mark.parametrize("blank_first_line", [False, True])
+def test_cli_word_vector_file_without_usable_rows_is_load_error(synth_dir, tmp_path, capsys, blank_first_line):
+    rows = (synth_dir / "wordvec.txt").read_text(encoding="utf-8").splitlines()
+    wordvec = tmp_path / "wv.txt"
+    # the row dimension comes from the first non-blank row, so the bad row is line 3, not line 2
+    wordvec.write_text("\n" + rows[0] + "\nshade 0.5\n" if blank_first_line else "", encoding="utf-8")
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    flags[flags.index("--wordvec") + 1] = str(wordvec)
+    assert main(["train", "scorer", *flags, "--iterations", "0", "--epochs-per-iteration", "1"]) == 1
+    expected = f"{wordvec}:3: expected {len(rows[0].split())} fields, got 2" if blank_first_line else f"{wordvec}: no word vectors"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrank.errors import DegenerateInputError, ShapeError, UsageError
-from factrank.numerics import Tape, Tensor, constant, parameter, stable_sigmoid
+from factrank.numerics import Tape, Tensor, constant, cosines, parameter, row_norms, stable_sigmoid
 from gradcheck import check_grads, fd_grad, rel_err
 
 
@@ -565,3 +565,34 @@ def test_tensor_invariants():
     assert t.grad is not None and t.grad.shape == (2, 3)
     with pytest.raises(ShapeError):
         t.item()
+
+
+def _scalar_norm_and_cosines(rows, iq):
+    # the reference arithmetic: one np.linalg.norm and one np.dot a contiguous
+    # row, zero norms scoring -inf
+    rows, nq = np.ascontiguousarray(rows), np.linalg.norm(iq)
+    norms = [np.linalg.norm(r) for r in rows]
+    scores = [-np.inf if nf == 0.0 or nq == 0.0 else np.dot(r, iq) / (nf * nq) for r, nf in zip(rows, norms)]
+    return np.array(norms, dtype=np.float64), np.array(scores, dtype=np.float64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 30), dim=st.sampled_from([*range(1, 10), 200]))
+def test_property_cosines_and_row_norms_are_bitwise_the_scalar_arithmetic(seed, n, dim):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+    for i in rng.choice(n, size=n // 2):  # planted duplicates, zero rows and one-ulp neighbours
+        src, kind = rng.integers(n), rng.integers(3)
+        rows[i] = rows[src] if kind == 0 else 0.0 if kind == 1 else np.nextafter(rows[src], np.inf)
+    iq = rng.standard_normal(dim) if rng.random() < 0.8 else np.zeros(dim)
+    gathered = rows[rng.integers(n, size=2 * n)]
+    # strided views and a column-major copy score as their contiguous rows do
+    for block in (rows, rows[::2], rows[::-1], gathered, np.asfortranarray(rows), rows[:, ::-1]):
+        norms, scores = _scalar_norm_and_cosines(block, iq)
+        assert row_norms(block).tobytes() == norms.tobytes()
+        assert cosines(block, row_norms(block), iq, np.linalg.norm(iq)).tobytes() == scores.tobytes()
+    # one query a row: per-pair queries broadcast against their rows
+    queries = np.where(rng.random((n, 1)) < 0.2, 0.0, rng.standard_normal((n, dim)))
+    pairs = [_scalar_norm_and_cosines(r[None], q)[1][0] for r, q in zip(rows, queries)]
+    got = cosines(rows, row_norms(rows), queries, row_norms(queries))
+    assert got.tobytes() == np.array(pairs).tobytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from factrank.encoders import EncoderTrainConfig, train_relation_classifier, train_source_classifier
+from factrank.errors import DataError
 from factrank.kb import Fact, KnowledgeBase
 from factrank.pipeline import PipelineModels, answer_question, evaluate
 from factrank.scorer import ScorerDims, embed_batch, rank_candidates
@@ -64,6 +65,16 @@ def test_empty_bucket_is_no_fact_on_both_paths(models, small_synth, small_split)
     assert answered == evaluated
     assert (answered.status, answered.top_facts, answered.answer) == ("no_fact", [], None)
     assert (metrics.no_fact_count, metrics.fact_at3, metrics.relation_at1, metrics.source_acc) == (1, 0.0, 1.0, 1.0)
+
+
+def test_a_bucket_the_fact_matrix_sizes_differently_from_the_kb_is_a_data_error(models, small_synth, small_split):
+    # the bucket's rows are named by the KB's ids in order, so the two must agree
+    _, test = small_split
+    store, inst = small_synth["store"], test[0]
+    dropped = small_synth["kb"].ids_with_relation(inst.relation)[0]
+    kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.fact_id != dropped])
+    with pytest.raises(DataError, match=f"{inst.relation.value}: 7 facts in the KB, 8 fact-matrix rows"):
+        evaluate(models, kb, [inst], store, oracle_relation=True, oracle_source=True)
 
 
 @pytest.mark.parametrize("tie_break", ["id", "random"])

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factrank.errors import DegenerateInputError, LoadError
-from factrank.kb import Fact, Relation
+from factrank.kb import Fact, Relation, parse_kb
+from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.wordvec import (
     FactMatrix,
     WordVectorTable,
@@ -100,6 +101,24 @@ def test_load_vectors_duplicate_last_write_wins(tmp_path):
     assert table.duplicate_count == 1
 
 
+def test_load_vectors_takes_the_dimension_from_the_first_non_blank_row(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("\n  \nshade 0.1 0.2 0.3\nsun 1 2 3\n", encoding="utf-8")
+    table = load_vectors(path)
+    assert table.dim == 3 and len(table) == 2
+    path.write_text("\nshade\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=":2: expected 2 fields, got 1"):
+        load_vectors(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"])
+def test_load_vectors_without_rows_is_load_error_naming_the_file(tmp_path, text):
+    path = tmp_path / "vec.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(LoadError, match=f"{path}: no word vectors"):
+        load_vectors(path)
+
+
 def test_fact_matrix_rows_match_fact_embeddings(tiny_kb, tiny_table, tiny_fact_matrix):
     for fid in tiny_kb.fact_ids():
         np.testing.assert_array_equal(
@@ -117,6 +136,22 @@ def test_fact_matrix_lays_out_relation_buckets_as_views(tiny_kb, tiny_fact_matri
         assert fm.fact_ids[bucket] == tiny_kb.ids_with_relation(relation)
         assert fm.rows[bucket].base is fm.rows
     assert [fm.row_of[fid] for fid in fm.fact_ids] == [0, 1, 2, 3]
+
+
+def test_fact_matrix_norms_are_the_per_row_norm_loop_on_the_desk_kb(tmp_path):
+    # the KB and word vectors are drawn before any question, so one question
+    # gives the desk synth set's 598 facts
+    paths = generate_synthetic(SyntheticConfig(qa_pairs=1, feature_dim=1), tmp_path)
+    fm = FactMatrix.build(parse_kb(paths["kb"]), load_vectors(paths["wordvec"]))
+    assert fm.rows.shape == (598, 200)
+    assert fm.norms.tobytes() == np.array([np.linalg.norm(r) for r in fm.rows]).tobytes()
+
+
+def test_twin_groups_join_bitwise_equal_rows_once_per_matrix():
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 1.0], [0.0, 1.0]])
+    fm = FactMatrix.from_rows(["a", "b", "c", "d", "e"], rows)
+    assert fm.twin_groups.tolist() == [0, 1, 0, 2, 1]
+    assert fm.twin_groups is fm.twin_groups
 
 
 @settings(max_examples=40, deadline=None)
