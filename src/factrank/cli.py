@@ -112,7 +112,10 @@ class RunConfig:
                 raise UsageError(f"--config: unknown keys {unknown}")
             values.update({key: _checked(fields[key], value) for key, value in loaded.items()})
         values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+        cfg = cls(**values)
+        if cfg.seed < 0:
+            raise UsageError(f"--seed: must be >= 0, got {cfg.seed}")
+        return cfg
 
     def hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True).encode("utf-8")

@@ -355,9 +355,9 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
                 source = AnswerSource.parse(str(source_token))
             except UsageError as exc:
                 raise LoadError(f"{questions_path}: question {qid!r}: {exc}") from None
-        elif normalize_phrase(answer) == fact.subject_norm:
+        elif normalize_phrase(answer) == normalize_phrase(fact.subject):
             source = AnswerSource.IMAGE
-        elif normalize_phrase(answer) == fact.object_norm:
+        elif normalize_phrase(answer) == normalize_phrase(fact.obj):
             source = AnswerSource.KNOWLEDGE_BASE
         else:
             logger.warning("question %s: answer %r matches neither entity, skipped", qid, answer)

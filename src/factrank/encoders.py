@@ -108,47 +108,37 @@ def init_tensors(rng: np.random.Generator, shapes: dict[str, tuple[int, ...]]) -
     return out
 
 
-@dataclass
-class LSTMParams:
-    """Gate weights stored as one fused matrix; column blocks are the
-    input, forget, candidate, and output gates in that order."""
-
-    tensors: dict[str, Tensor]
-
-    @staticmethod
-    def shapes(vocab_size: int, input_dim: int, hidden_dim: int, prefix: str = "") -> dict[str, tuple[int, ...]]:
-        """Tensor names and shapes for the given sizes, names under ``prefix``."""
-        return {
-            f"{prefix}embed": (vocab_size, input_dim),
-            f"{prefix}w_gates": (input_dim + hidden_dim, 4 * hidden_dim),
-            f"{prefix}b_gates": (4 * hidden_dim,),
-        }
-
-    @classmethod
-    def part_of(cls, tensors: dict[str, Tensor]) -> "LSTMParams":
-        """The LSTM of a model whose tensor names give it under ``LSTM_PREFIX``; the tensors are shared."""
-        return cls({name[len(LSTM_PREFIX) :]: t for name, t in tensors.items() if name.startswith(LSTM_PREFIX)})
+def lstm_shapes(vocab_size: int, input_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
+    """Names and shapes of a model's LSTM tensors, under ``LSTM_PREFIX``. The
+    gate weights are one fused matrix whose column blocks are the input,
+    forget, candidate and output gates, in that order."""
+    return {
+        f"{LSTM_PREFIX}embed": (vocab_size, input_dim),
+        f"{LSTM_PREFIX}w_gates": (input_dim + hidden_dim, 4 * hidden_dim),
+        f"{LSTM_PREFIX}b_gates": (4 * hidden_dim,),
+    }
 
 
 def lstm_hidden(
     tape: Tape,
-    params: LSTMParams,
+    tensors: dict[str, Tensor],
     ids: Array,
     lengths: Array,
-    train: bool = False,
     dropout_rate: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Final hidden state for each padded row, computed by one
+    """Final hidden state for each padded row of the LSTM named by
+    :func:`lstm_shapes` in a model's ``tensors``, computed by one
     :meth:`~factrank.numerics.Tape.lstm_sequence` record. Padding never
     alters a row's state because finished rows are frozen by a 0/1 mask,
-    not by content; in training, dropout hits each step's word embeddings."""
+    not by content; given a generator, dropout hits each step's word
+    embeddings."""
     if ids.ndim != 2:
         raise UsageError(f"ids must be (batch, steps), got shape {ids.shape}")
     if ids.shape[1] == 0 or np.any(lengths < 1):
         raise UsageError("every sequence must have at least one token")
-    w = params.tensors
-    return tape.lstm_sequence(w["embed"], w["w_gates"], w["b_gates"], ids, lengths, dropout_rate, train, rng)
+    return tape.lstm_sequence(tensors[f"{LSTM_PREFIX}embed"], tensors[f"{LSTM_PREFIX}w_gates"],
+                              tensors[f"{LSTM_PREFIX}b_gates"], ids, lengths, dropout_rate, rng)
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +184,7 @@ class Classifier:
     @staticmethod
     def shapes(kind: str, vocab_size: int, embed_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
         """Tensor names and shapes: the LSTM's, then the head's."""
-        shapes = LSTMParams.shapes(vocab_size, embed_dim, hidden_dim, LSTM_PREFIX)
+        shapes = lstm_shapes(vocab_size, embed_dim, hidden_dim)
         width = KINDS[kind].width
         shapes.update(w_out=(hidden_dim, width), b_out=(width,))
         return shapes
@@ -217,16 +207,12 @@ class Classifier:
         dropout = spec.dropout if dropout is None else dropout
         return cls(kind, vocab, embed_dim, hidden_dim, tensors, dropout, max_tokens)
 
-    @property
-    def lstm(self) -> LSTMParams:
-        return LSTMParams.part_of(self.tensors)
 
-
-def _head_logits(tape, clf, ids, lengths, train, rng) -> Tensor:
-    # dropout after the word embeddings (inside the LSTM loop) and again
-    # after the final LSTM state
-    h = lstm_hidden(tape, clf.lstm, ids, lengths, train, clf.dropout if train else 0.0, rng)
-    h = tape.dropout(h, clf.dropout, train, rng)
+def _head_logits(tape, clf, ids, lengths, rng) -> Tensor:
+    # given a generator, dropout after the word embeddings (inside the LSTM
+    # loop) and again after the final LSTM state
+    h = lstm_hidden(tape, clf.tensors, ids, lengths, clf.dropout, rng)
+    h = tape.dropout(h, clf.dropout, rng)
     return tape.add(tape.matmul(h, clf.tensors["w_out"]), clf.tensors["b_out"])
 
 
@@ -237,7 +223,7 @@ def _eval_logits(clf: Classifier, kind: str, questions: Sequence[str]) -> Array:
     out = np.zeros((len(questions), KINDS[kind].width))
     for start in range(0, len(questions), EVAL_CHUNK):
         ids, lengths = encode_batch(clf.vocab, questions[start : start + EVAL_CHUNK], clf.max_tokens)
-        out[start : start + len(ids)] = _head_logits(Tape(record=False), clf, ids, lengths, False, None).values
+        out[start : start + len(ids)] = _head_logits(Tape(record=False), clf, ids, lengths, None).values
     return out
 
 
@@ -383,7 +369,7 @@ def train_classifier(
     rng = np.random.default_rng([cfg.seed, 13])
 
     def batch_loss(tape, epoch, batch, ids, lengths):
-        return getattr(tape, spec.loss)(_head_logits(tape, clf, ids, lengths, True, rng), targets[batch])
+        return getattr(tape, spec.loss)(_head_logits(tape, clf, ids, lengths, rng), targets[batch])
 
     def epoch_record(epoch, loss):
         record = {"epoch": epoch, "loss": loss}

@@ -8,11 +8,11 @@ by id and by relation, so relation-filtered retrieval is a bucket lookup.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LoadError, UsageError
-from .text import normalize_phrase, tokenize
+from .text import tokenize
 
 
 class Relation(enum.Enum):
@@ -66,19 +66,12 @@ _SOURCE_BY_VALUE = {s.value: s for s in AnswerSource}
 
 @dataclass(frozen=True)
 class Fact:
-    """One triplet. Subject and object keep their verbatim surface form;
-    normalized forms are precomputed for matching."""
+    """One triplet. Subject and object keep their verbatim surface form."""
 
     fact_id: str
     subject: str
     relation: Relation
     obj: str
-    subject_norm: str = field(init=False)
-    object_norm: str = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "subject_norm", normalize_phrase(self.subject))
-        object.__setattr__(self, "object_norm", normalize_phrase(self.obj))
 
 
 class KnowledgeBase:

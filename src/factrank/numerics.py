@@ -9,13 +9,15 @@ forward pass and each tape can be differentiated exactly once; a second
 ``backward`` call is rejected. ``Tape(record=False)`` records nothing and
 its outputs carry no gradient; evaluation forward passes use it.
 
-The primitive set is deliberately small: matrix product, addition with a
-row-broadcast bias, last-axis concatenation, tanh, embedding-row gather,
-inverted dropout, a whole LSTM sequence as one record with a hand-written
-backward through time, softmax and binary cross-entropy, batched-row cosine
-similarity, and the structured hinge used for margin training. Column
-slicing, sigmoid and the Hadamard product have no caller in the library;
-they stay while the benchmark's per-primitive trace names them.
+The library uses matrix product, addition with a row-broadcast bias,
+last-axis concatenation, tanh, inverted dropout, a whole LSTM sequence as
+one record with a hand-written backward through time, softmax and binary
+cross-entropy, batched-row cosine similarity, and the structured hinge of
+margin training. Column slicing, sigmoid, the Hadamard product and
+embedding-row gather have no library caller: the benchmark's trace names
+them, and the tests compose them into the per-step LSTM that
+``lstm_sequence`` must match bitwise. ``tensor_sum`` is the tests' scalar
+reduction.
 """
 
 from __future__ import annotations
@@ -120,14 +122,13 @@ def cosines(rows: Array, norms: Array, iq: Array, nq) -> Array:
     return np.divide(dots, norms * nq, out=np.full(np.shape(dots), -np.inf), where=(norms != 0.0) & (nq != 0.0))
 
 
-def _dropout_mask(shape: tuple[int, ...], rate: float, train: bool, rng: np.random.Generator | None) -> Array | None:
-    """Inverted-dropout mask, survivors scaled by 1/(1-rate); None when dropout is off."""
+def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None) -> Array | None:
+    """Inverted-dropout mask drawn from ``rng``, survivors scaled by
+    1/(1-rate); None, with no draw, when no generator is given or the rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return None
-    if rng is None:
-        raise UsageError("train-mode dropout needs an rng")
     return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
@@ -296,9 +297,10 @@ class Tape:
 
         return self._emit(values, (table,), backward)
 
-    def dropout(self, x: Tensor, rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
-        """Inverted dropout: survivors scaled by 1/(1-rate); identity in eval mode."""
-        mask = _dropout_mask(x.shape, rate, train, rng)
+    def dropout(self, x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
+        """Inverted dropout given a generator: survivors scaled by
+        1/(1-rate); the identity without one."""
+        mask = _dropout_mask(x.shape, rate, rng)
         if mask is None:
             return x
         values = x.values * mask
@@ -310,16 +312,16 @@ class Tape:
         return self._emit(values, (x,), backward)
 
     def lstm_sequence(self, embed: Tensor, w_gates: Tensor, b_gates: Tensor, ids: Array, lengths: Array,
-                      rate: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
+                      rate: float, rng: np.random.Generator | None = None) -> Tensor:
         """Final hidden state of an LSTM over right-padded ``ids`` (batch, steps), as one record.
 
-        Step t gathers rows of ``embed``, applies inverted dropout (one draw
-        per step), computes ``concat([x, h]) @ w_gates + b_gates`` (gate
-        blocks: input, forget, candidate, output) and freezes rows with
-        ``lengths <= t`` by a 0/1 mask. Backward is one reverse loop through
-        time that pops each step's cache and runs the arithmetic of the
-        per-step primitives in their record order, so values and gradients
-        are bitwise those of that composition.
+        Step t gathers rows of ``embed``, applies inverted dropout given a
+        generator (one draw per step), computes ``concat([x, h]) @ w_gates
+        + b_gates`` (gate blocks: input, forget, candidate, output) and
+        freezes rows with ``lengths <= t`` by a 0/1 mask. Backward is one
+        reverse loop through time that pops each step's cache and runs the
+        arithmetic of the per-step primitives in their record order, so
+        values and gradients are bitwise those of that composition.
         """
         b, steps = ids.shape
         d, hdim = embed.shape[1], b_gates.shape[0] // 4
@@ -332,7 +334,7 @@ class Tape:
         h = c = np.zeros((b, hdim))
         for t in range(steps):
             x = embed.values[ids[:, t]]
-            mask = _dropout_mask(x.shape, rate, train, rng)
+            mask = _dropout_mask(x.shape, rate, rng)
             if mask is not None:
                 x = x * mask
             xh = np.concatenate([x, h], axis=1)

@@ -17,13 +17,14 @@ from .numerics import Tensor
 
 Array = np.ndarray
 
+BETA1 = 0.9  # Adam's first-moment decay
+BETA2 = 0.999  # Adam's second-moment decay
+EPS = 1e-8  # Adam's denominator floor
+
 
 @dataclass
 class OptimizerState:
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
     moments: dict[str, tuple[Array, Array]] = field(default_factory=dict)
@@ -70,13 +71,13 @@ def step(params: dict[str, Tensor], state: OptimizerState) -> None:
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.values), np.zeros_like(p.values))
         m, v = state.moments[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        p.values -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
         if state.weight_decay > 0.0 and p.values.ndim >= 2:
             p.values -= state.lr * state.weight_decay * p.values
     for p in params.values():

@@ -33,15 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import checkpoint as ckpt
-from .encoders import (
-    LSTM_PREFIX,
-    LSTMParams,
-    Vocabulary,
-    encode_batch,
-    init_tensors,
-    lstm_hidden,
-    read_model_checkpoint,
-)
+from .encoders import Vocabulary, encode_batch, init_tensors, lstm_hidden, lstm_shapes, read_model_checkpoint
 from .errors import DegenerateInputError, ShapeError, UsageError
 from .numerics import Tape, Tensor, constant, cosines, parameter, row_norms
 from .wordvec import FactMatrix
@@ -103,7 +95,7 @@ class ScorerParams:
     @staticmethod
     def shapes(dims: ScorerDims, vocab_size: int) -> dict[str, tuple[int, ...]]:
         """Tensor names and shapes, in initialization and checkpoint order."""
-        shapes = LSTMParams.shapes(vocab_size, dims.question_embed, dims.question_hidden, LSTM_PREFIX)
+        shapes = lstm_shapes(vocab_size, dims.question_embed, dims.question_hidden)
         shapes.update(
             w_img=(dims.image_dim, dims.image_proj),
             b_img=(dims.image_proj,),
@@ -131,10 +123,6 @@ class ScorerParams:
         d = dims or ScorerDims()
         return cls(d, vocab, init_tensors(rng, cls.shapes(d, len(vocab))), dropout, variant, max_tokens)
 
-    @property
-    def lstm(self) -> LSTMParams:
-        return LSTMParams.part_of(self.tensors)
-
 
 def _masked_inputs(params: ScorerParams, feats: Array, concepts: Array) -> tuple[Array, Array]:
     feats = np.asarray(feats, dtype=np.float64)
@@ -157,16 +145,17 @@ def iq_embedding_batch(
     concepts: Array,
     ids: Array,
     lengths: Array,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """(batch, output_dim) image-question embeddings on the given tape."""
+    """(batch, output_dim) image-question embeddings on the given tape;
+    given a generator, dropout hits the first perceptron layer. The LSTM
+    never drops words."""
     feats, concepts = _masked_inputs(params, feats, concepts)
     w = params.tensors
     img = tape.tanh(tape.add(tape.matmul(constant(feats), w["w_img"]), w["b_img"]))
-    q = lstm_hidden(tape, params.lstm, ids, lengths)
+    q = lstm_hidden(tape, w, ids, lengths)
     m1 = tape.tanh(tape.add(tape.matmul(tape.concat([img, q]), w["w_mlp1"]), w["b_mlp1"]))
-    m1 = tape.dropout(m1, params.dropout, train, rng)
+    m1 = tape.dropout(m1, params.dropout, rng)
     m2 = tape.tanh(tape.add(tape.matmul(m1, w["w_mlp2"]), w["b_mlp2"]))
     con = tape.tanh(tape.add(tape.matmul(constant(concepts), w["w_con"]), w["b_con"]))
     return tape.add(tape.matmul(tape.concat([m2, con]), w["w_fuse"]), w["b_fuse"])

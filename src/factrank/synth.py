@@ -36,7 +36,8 @@ RELATION_KEYWORDS: dict[Relation, str] = {r: r.value.lower() for r in Relation}
 IMAGE_CUE = "shown"
 KB_CUE = "known"
 
-_FILLERS = ["what", "is", "the", "which", "this", "that", "in", "of", "a", "an"]
+_FILLERS = ["what", "is", "the", "which", "this", "that"]
+_OBJECTS = ["attr00", "attr01", "attr02"]  # each fact's object is one of these tokens
 
 
 @dataclass
@@ -48,8 +49,6 @@ class SyntheticConfig:
     concept_signal: float = 1.0
     image_answer_fraction: float = 0.5
     distractor_concepts: int = 2
-    filler_tokens: int = 6
-    object_tokens: int = 3
     wordvec_dim: int = 100
     feature_dim: int = 2048
     concept_labels: int = 1176
@@ -64,8 +63,6 @@ class SyntheticConfig:
             "feature_dim": self.feature_dim,
             "concept_labels": self.concept_labels,
             "folds": self.folds,
-            "object_tokens": self.object_tokens,
-            "filler_tokens": self.filler_tokens,
         }
         for name, value in positive.items():
             if value < 1:
@@ -76,8 +73,6 @@ class SyntheticConfig:
             raise UsageError(f"image_answer_fraction must be in [0, 1], got {self.image_answer_fraction}")
         if self.distractor_concepts < 0:
             raise UsageError("distractor_concepts must be >= 0")
-        if self.filler_tokens > len(_FILLERS):
-            raise UsageError(f"at most {len(_FILLERS)} filler tokens are available")
         if self.subject_token_count() < 2:
             raise UsageError("vocab_size leaves no room for subject tokens")
         total = self.total_facts()
@@ -94,15 +89,8 @@ class SyntheticConfig:
         return self.facts_per_relation * len(Relation)
 
     def subject_token_count(self) -> int:
-        reserved = len(Relation) + 2 + self.filler_tokens + self.object_tokens
+        reserved = len(Relation) + 2 + len(_FILLERS) + len(_OBJECTS)
         return self.vocab_size - reserved
-
-
-def _vocab_parts(config: SyntheticConfig) -> tuple[list[str], list[str], list[str]]:
-    subjects = [f"ent{i:02d}" for i in range(config.subject_token_count())]
-    objects = [f"attr{i:02d}" for i in range(config.object_tokens)]
-    fillers = _FILLERS[: config.filler_tokens]
-    return subjects, objects, fillers
 
 
 def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> dict[str, Path]:
@@ -115,9 +103,9 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> dict[str
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
-    subjects, objects, fillers = _vocab_parts(config)
+    subjects = [f"ent{i:02d}" for i in range(config.subject_token_count())]
     keywords = [RELATION_KEYWORDS[r] for r in Relation]
-    vocab = subjects + objects + fillers + keywords + [IMAGE_CUE, KB_CUE]
+    vocab = subjects + _OBJECTS + _FILLERS + keywords + [IMAGE_CUE, KB_CUE]
 
     # word vectors: random but fixed per token
     wordvec_lines = []
@@ -135,7 +123,7 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> dict[str
         a, b = pairs[pair_order[idx]]
         relation = relations[idx // config.facts_per_relation]
         subject = f"{subjects[a]} {subjects[b]}"
-        obj = objects[int(rng.integers(len(objects)))]
+        obj = _OBJECTS[int(rng.integers(len(_OBJECTS)))]
         fact_id = f"f{idx:04d}"
         facts.append((fact_id, subject, relation, obj, (a, b)))
         kb_lines.append("\t".join([fact_id, subject, relation.value, obj]))
@@ -154,7 +142,7 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> dict[str
         cue = IMAGE_CUE if from_image else KB_CUE
         tokens = [cue, RELATION_KEYWORDS[relation], subjects[a], subjects[b]]
         n_fill = int(rng.integers(2, 5))
-        tokens += [fillers[int(rng.integers(len(fillers)))] for _ in range(n_fill)]
+        tokens += [_FILLERS[int(rng.integers(len(_FILLERS)))] for _ in range(n_fill)]
         order = rng.permutation(len(tokens))
         question = " ".join(tokens[i] for i in order)
         answer = subject if from_image else obj

@@ -73,7 +73,8 @@ class MarginConfig:
         for name in ("margin", "lr"):
             if getattr(self, name) <= 0:
                 raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
-        lows = dict(negatives=1, iterations=0, epochs_per_iteration=1, mining_period=1, max_question_tokens=1)
+        lows = dict(weight_decay=0, negatives=1, iterations=0, epochs_per_iteration=1, mining_period=1,
+                    max_question_tokens=1)
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise UsageError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -243,7 +244,7 @@ def train_scorer(
     cand = row_of_position[build_initial_dataset(train_instances, kb, config.negatives, config.seed)]
 
     def batch_loss(tape, epoch, batch, ids, lengths):
-        iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, train=True, rng=rng_train)
+        iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, rng_train)
         scores = tape.cosine_rows(iq, fact_matrix.rows[cand[batch]])
         return tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
 

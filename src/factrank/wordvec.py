@@ -55,8 +55,8 @@ class WordVectorTable:
 
 
 def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
-    """Load ``token v1 ... v_dim`` rows; wrong arity is a load error, and so
-    is a file with no rows. ``dim`` defaults to the first row's.
+    """Load ``token v1 ... v_dim`` rows; wrong arity, a non-finite component
+    and a file with no rows are load errors. ``dim`` defaults to the first row's.
 
     A repeated token overwrites the earlier row (last write wins) and is
     counted on the returned table.
@@ -79,6 +79,8 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
                 vec = np.array(parts[1:], dtype=np.float64)
             except ValueError:
                 raise LoadError(f"{path}:{lineno}: non-numeric vector component") from None
+            if not np.isfinite(vec).all():
+                raise LoadError(f"{path}:{lineno}: non-finite vector component")
             table.vectors[token] = vec
     if not table.vectors:
         raise LoadError(f"{path}: no word vectors")

@@ -43,6 +43,20 @@ def test_cli_synth_train_evaluate_answer(synth_dir, tmp_path, capsys):
     assert "answer:" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["synth"], ["train", "relation"], ["evaluate", "--tie-break", "random"]],
+                         ids=["synth", "train-relation", "evaluate-random"])
+def test_cli_negative_seed_is_usage_error_by_flag_and_by_config_file(synth_dir, tmp_path, capsys, command):
+    # np.random.default_rng would reject it with a ValueError traceback
+    config = tmp_path / "seed.json"
+    config.write_text(json.dumps({"seed": -1}))
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    for source in (["--seed", "-1"], ["--config", str(config)]):
+        assert main([*command, *flags, *source]) == 2
+        err = capsys.readouterr().err
+        assert "--seed: must be >= 0, got -1" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "ckpt").exists()
+
+
 def test_cli_evaluate_missing_checkpoint_is_usage_error(synth_dir, tmp_path, capsys):
     flags = _data_flags(synth_dir, tmp_path / "empty", tmp_path / "out") + ["--fold", "1"]
     assert main(["evaluate", *flags]) == 2
@@ -248,6 +262,26 @@ def test_cli_word_vector_file_without_usable_rows_is_load_error(synth_dir, tmp_p
     assert expected in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_evaluate_with_a_non_finite_word_vector_is_load_error(synth_dir, tmp_path, capsys, value):
+    # a NaN fact row would silently drop out of every ranking
+    rows = (synth_dir / "wordvec.txt").read_text(encoding="utf-8").splitlines()
+    wordvec = tmp_path / "wv.txt"
+    wordvec.write_text("\n".join(rows[:-1] + [rows[-1].rsplit(" ", 1)[0] + " " + value]) + "\n", encoding="utf-8")
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    flags[flags.index("--wordvec") + 1] = str(wordvec)
+    assert main(["evaluate", *flags]) == 1
+    assert f"{wordvec}:{len(rows)}: non-finite vector component" in capsys.readouterr().err
+
+
+def test_cli_train_scorer_with_negative_weight_decay_is_usage_error(synth_dir, tmp_path, capsys):
+    # the optimizer applies decay only above 0, so -5 would train with none
+    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    assert main(["train", "scorer", *flags, "--weight-decay", "-5"]) == 2
+    assert "weight_decay must be >= 0, got -5.0" in capsys.readouterr().err
+    assert not (tmp_path / "ckpt" / "scorer.ckpt").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_diverging_scorer_stops_naming_where(synth_dir, tmp_path, capsys):
     flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
@@ -291,6 +325,8 @@ FVQA_QUESTIONS = {
     "q2": {"question": "what is the dog", "answer": "Pet", "image_id": "b.jpg", "fact": ["f2"]},
     "q3": {"question": "what is the dog", "answer": "cat", "image_id": "b.jpg", "fact": "f2"},
     "q4": {"question": "what is this", "answer": "pet", "image_id": "c.jpg", "fact": "f9"},
+    # no answer_source: the answer is the subject up to case and punctuation, so the source is Image
+    "q5": {"question": "what keeps the rain off", "answer": "Umbrella!", "image_id": "d.jpg", "fact": "f1"},
 }
 
 
@@ -307,6 +343,8 @@ def test_cli_convert_fvqa_writes_kb_and_qa(tmp_path):
          "fact_id": "f1", "relation": "UsedFor", "answer_source": "Image", "fold": 3},
         {"question_id": "q2", "image_id": "b.jpg", "question": "what is the dog", "answer": "pet",
          "fact_id": "f2", "relation": "IsA", "answer_source": "KnowledgeBase", "fold": 1},
+        {"question_id": "q5", "image_id": "d.jpg", "question": "what keeps the rain off", "answer": "umbrella",
+         "fact_id": "f1", "relation": "UsedFor", "answer_source": "Image", "fold": 2},
     ]
 
 

@@ -12,7 +12,6 @@ from factrank.encoders import (
     _head_logits,
     EncoderTrainConfig,
     Classifier,
-    LSTMParams,
     Vocabulary,
     accuracy,
     answer_source,
@@ -21,6 +20,7 @@ from factrank.encoders import (
     init_tensors,
     load_classifier,
     lstm_hidden,
+    lstm_shapes,
     predict_relation_batch,
     predict_source_batch,
     ranked_relations,
@@ -103,21 +103,21 @@ def test_encode_batch_empty_question_rejected():
 
 
 def _lstm(rng, vocab_size, input_dim, hidden_dim):
-    return LSTMParams(init_tensors(rng, LSTMParams.shapes(vocab_size, input_dim, hidden_dim)))
+    return init_tensors(rng, lstm_shapes(vocab_size, input_dim, hidden_dim))
 
 
-def _per_step_lstm(tape, params, ids, lengths, train=False, dropout_rate=0.0, rng=None):
+def _per_step_lstm(tape, tensors, ids, lengths, dropout_rate=0.0, rng=None):
     """The LSTM as a composition of per-step tape primitives, about 18
     records a step: the oracle that ``Tape.lstm_sequence`` must reproduce
     bitwise."""
     b, steps = ids.shape
-    w = params.tensors
+    w = {name.removeprefix(encoders.LSTM_PREFIX): t for name, t in tensors.items()}
     hdim = w["b_gates"].shape[0] // 4
     h = constant(np.zeros((b, hdim)))
     c = constant(np.zeros((b, hdim)))
     for t in range(steps):
         x = tape.embedding(w["embed"], ids[:, t])
-        x = tape.dropout(x, dropout_rate, train, rng)
+        x = tape.dropout(x, dropout_rate, rng)
         xh = tape.concat([x, h])
         gates = tape.add(tape.matmul(xh, w["w_gates"]), w["b_gates"])
         gate_i = tape.sigmoid(tape.slice_cols(gates, 0, hdim))
@@ -149,10 +149,10 @@ def test_lstm_is_bitwise_the_per_step_composition(dropout_rate, batch, steps, di
 
     def run(lstm):
         tape = Tape()
-        h = lstm(tape, params, ids, lengths, True, dropout_rate, np.random.default_rng(10))
+        h = lstm(tape, params, ids, lengths, dropout_rate, np.random.default_rng(10))
         tape.backward(tape.tensor_sum(tape.tanh(tape.matmul(h, head))))
-        out = [h.values.tobytes()] + [t.grad.tobytes() for t in params.tensors.values()]
-        for t in params.tensors.values():
+        out = [h.values.tobytes()] + [t.grad.tobytes() for t in params.values()]
+        for t in params.values():
             t.grad[...] = 0.0
         return out, len(tape)
 
@@ -166,7 +166,7 @@ def test_lstm_is_bitwise_the_per_step_composition(dropout_rate, batch, steps, di
 
 def test_lstm_zero_weights_gives_zero_hidden():
     params = _lstm(np.random.default_rng(0), 6, 3, 4)
-    for t in params.tensors.values():
+    for t in params.values():
         t.values[...] = 0.0
     out = lstm_hidden(Tape(), params, np.array([[1, 2, 3]]), np.array([3]))
     np.testing.assert_array_equal(out.values, np.zeros((1, 4)))
@@ -193,7 +193,7 @@ def test_lstm_grad_matches_finite_differences():
         t = Tape()
         return t.tensor_sum(t.tanh(lstm_hidden(t, params, ids, np.array([3]))))
 
-    assert check_grads(forward, params.tensors, tol=1e-4) <= 1e-4
+    assert check_grads(forward, params, tol=1e-4) <= 1e-4
 
 
 @settings(max_examples=10, deadline=None)
@@ -211,7 +211,7 @@ def test_property_lstm_grads(seq_len, hidden, seed):
         t = Tape()
         return t.tensor_sum(lstm_hidden(t, params, ids, np.array([seq_len])))
 
-    check_grads(forward, params.tensors, tol=1e-4)
+    check_grads(forward, params, tol=1e-4)
 
 
 def test_lstm_pad_suffix_invariance():
@@ -303,9 +303,9 @@ def test_inference_tape_records_nothing():
     vocab = Vocabulary.build(["what is this thing used for"])
     clf = Classifier.init("relation", vocab, np.random.default_rng(7), 4, 5)
     ids, lengths = encode_batch(vocab, ["what is this thing used for", "what is it"], clf.max_tokens)
-    recorded = _head_logits(Tape(), clf, ids, lengths, False, None)
+    recorded = _head_logits(Tape(), clf, ids, lengths, None)
     tape = Tape(record=False)
-    logits = _head_logits(tape, clf, ids, lengths, False, None)
+    logits = _head_logits(tape, clf, ids, lengths, None)
     assert logits.values.tobytes() == recorded.values.tobytes()
     assert len(tape) == 0
     assert not logits.requires_grad and logits.tape is None

@@ -240,13 +240,16 @@ def test_cosine_at_maximum_has_zero_grad():
 def test_dropout_rate_zero_and_eval_are_identity():
     x = constant([[1.0, 2.0], [3.0, 4.0]])
     t = Tape()
-    assert t.dropout(x, 0.0, train=True, rng=np.random.default_rng(0)) is x
-    assert t.dropout(x, 0.7, train=False) is x
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    assert t.dropout(x, 0.0, rng) is x
+    assert rng.bit_generator.state == state  # a zero rate draws nothing
+    assert t.dropout(x, 0.7) is x
 
 
 def test_dropout_rate_one_rejected():
     with pytest.raises(UsageError):
-        Tape().dropout(constant([1.0]), 1.0, train=True, rng=np.random.default_rng(0))
+        Tape().dropout(constant([1.0]), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_monte_carlo_expectation():
@@ -257,14 +260,14 @@ def test_dropout_monte_carlo_expectation():
     total = 0.0
     n = 10_000
     for _ in range(n):
-        total += t.dropout(x, 0.7, train=True, rng=rng).values.mean()
+        total += t.dropout(x, 0.7, rng).values.mean()
     assert abs(total / n / 3.0 - 1.0) <= 0.02
 
 
 def test_dropout_fixed_seed_reproducible():
     x = constant(np.arange(12.0).reshape(3, 4))
-    a = Tape().dropout(x, 0.5, train=True, rng=np.random.default_rng(42)).values
-    b = Tape().dropout(x, 0.5, train=True, rng=np.random.default_rng(42)).values
+    a = Tape().dropout(x, 0.5, np.random.default_rng(42)).values
+    b = Tape().dropout(x, 0.5, np.random.default_rng(42)).values
     np.testing.assert_array_equal(a, b)
 
 
@@ -355,7 +358,7 @@ def test_lstm_sequence_grads_match_finite_differences_with_dropout_and_mixed_len
 
     def forward():
         t = Tape()
-        h = t.lstm_sequence(*tensors.values(), ids, lengths, 0.4, True, np.random.default_rng(19))
+        h = t.lstm_sequence(*tensors.values(), ids, lengths, 0.4, np.random.default_rng(19))
         return t.tensor_sum(t.tanh(t.matmul(h, head)))
 
     check_grads(forward, tensors, tol=1e-6)
@@ -375,7 +378,7 @@ def test_spent_lstm_tape_holds_no_step_cache():
     steps = 5
     tensors, ids, lengths = _lstm_case(20, steps=steps)
     tape = Tape()
-    h = tape.lstm_sequence(*tensors.values(), ids, lengths, 0.4, True, np.random.default_rng(21))
+    h = tape.lstm_sequence(*tensors.values(), ids, lengths, 0.4, np.random.default_rng(21))
     [(_, backward)] = tape._records
     [cache] = [cell.cell_contents for cell in backward.__closure__ if isinstance(cell.cell_contents, list)]
     alive = [[weakref.ref(a) for a in step if isinstance(a, np.ndarray)] for step in cache]
@@ -399,10 +402,10 @@ def test_untracked_lstm_sequence_keeps_nothing():
     try:
         start = tracemalloc.get_traced_memory()[0]
         untracked_tape = Tape(record=False)
-        untracked = untracked_tape.lstm_sequence(*tensors.values(), ids, lengths, 0.0, False)
+        untracked = untracked_tape.lstm_sequence(*tensors.values(), ids, lengths, 0.0)
         kept_untracked = tracemalloc.get_traced_memory()[0] - start
         tracked_tape = Tape()
-        tracked = tracked_tape.lstm_sequence(*tensors.values(), ids, lengths, 0.0, False)
+        tracked = tracked_tape.lstm_sequence(*tensors.values(), ids, lengths, 0.0)
         kept_tracked = tracemalloc.get_traced_memory()[0] - start - kept_untracked
     finally:
         tracemalloc.stop()

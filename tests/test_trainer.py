@@ -615,6 +615,9 @@ def test_margin_config_validation():
         MarginConfig(iterations=-1).validate()
     with pytest.raises(UsageError, match="epochs_per_iteration"):
         MarginConfig(epochs_per_iteration=0).validate()
+    with pytest.raises(UsageError, match="weight_decay must be >= 0"):
+        MarginConfig(weight_decay=-5.0).validate()
+    MarginConfig(weight_decay=0.0).validate()
 
 
 def test_fact_precision_is_deterministic(tiny_synth):

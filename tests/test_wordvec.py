@@ -93,6 +93,14 @@ def test_load_vectors_wrong_arity(tmp_path):
         load_vectors(path, 2)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_vectors_non_finite_component_is_load_error_naming_the_line(tmp_path, value):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"shade 0.1 0.2\nsun 0.3 {value}\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=f"{path}:2: non-finite vector component"):
+        load_vectors(path)
+
+
 def test_load_vectors_duplicate_last_write_wins(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("a 1 2\na 3 4\n", encoding="utf-8")
