@@ -4,12 +4,14 @@ Subcommands: train (relation | source | scorer), evaluate, answer, synth,
 kb-stats, convert-fvqa. :class:`RunConfig` is the one option table: each
 of its fields is a key of the optional JSON ``--config`` file and a
 ``--field-name`` flag (``-k`` for ``k``), and a flag overrides the file.
-A field's annotation is the type that both must have, its metadata gives
-the allowed choices and the subcommands that take the flag (every one,
-``train`` only or ``synth`` only). Every command is deterministic given
-its config and seed; outputs are written atomically and embed the config
-hash, seed, and package version. Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error.
+A field's annotation is the type that both must have; its metadata gives
+the allowed choices and the subcommands whose handlers read it. Only those
+take its flag (``threads`` names none and goes to every one), under one
+spelling: flags have no abbreviations. A config file may set any field for
+any subcommand, so one run file serves them all. Every command is
+deterministic given its config and seed; outputs are written atomically
+and embed the config hash, seed, and package version. Exit codes: 0
+success, 1 runtime failure, 2 usage or configuration error.
 
 Heavy imports happen inside the command handlers so that ``threads``,
 from a flag or the config file, sets the BLAS thread environment before
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -32,10 +35,11 @@ from .errors import FactrankError, UsageError
 
 _TYPES = {"str": str, "int": int, "float": float, "bool": bool}
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+_DATA = ("train", "evaluate", "answer")  # the subcommands that read the data paths and the fold
 
 
-def _opt(default, scope: str = "all", choices: tuple | None = None):
-    """A table field whose flag only ``scope`` takes ("all", "train" or "synth")."""
+def _opt(default, *scope: str, choices: tuple | None = None):
+    """A table field whose flag only the subcommands in ``scope`` take."""
     return field(default=default, metadata={"scope": scope, "choices": choices})
 
 
@@ -44,21 +48,21 @@ class RunConfig:
     """The one option table of the CLI (see the module docstring)."""
 
     # input and output paths
-    kb: str | None = None
-    qa: str | None = None
-    features: str | None = None
-    concepts: str | None = None
-    concept_labels: str | None = None
-    wordvec: str | None = None
-    checkpoints: str = "checkpoints"
-    out: str = "out"
+    kb: str | None = _opt(None, *_DATA, "kb-stats")
+    qa: str | None = _opt(None, *_DATA)
+    features: str | None = _opt(None, *_DATA)
+    concepts: str | None = _opt(None, *_DATA)
+    concept_labels: str | None = _opt(None, *_DATA)
+    wordvec: str | None = _opt(None, *_DATA)
+    checkpoints: str = _opt("checkpoints", *_DATA)
+    out: str = _opt("out", "train", "evaluate", "synth", "convert-fvqa")
     # shared knobs
-    seed: int = 0
-    fold: int | None = None
-    variant: str = _opt("q+i+vc", choices=("q+i", "q+vc", "q+i+vc"))
+    seed: int = _opt(0, *_DATA, "synth")
+    fold: int | None = _opt(None, *_DATA)
+    variant: str = _opt("q+i+vc", "train", choices=("q+i", "q+vc", "q+i+vc"))
     threads: int | None = None
-    tie_break: str = _opt("id", choices=("id", "random"))
-    k: int = 3
+    tie_break: str = _opt("id", "evaluate", "answer", choices=("id", "random"))
+    k: int = _opt(3, "evaluate", "answer")
     max_question_tokens: int = _opt(30, "train")
     # relation classifier
     relation_epochs: int = _opt(50, "train")
@@ -74,7 +78,7 @@ class RunConfig:
     margin: float = _opt(1.0, "train")
     weight_decay: float = _opt(1e-4, "train")
     negatives: int = _opt(99, "train")
-    iterations: int = 2
+    iterations: int = _opt(2, "train")
     epochs_per_iteration: int = _opt(50, "train")
     mining_period: int = _opt(10, "train")
     scorer_batch_size: int = _opt(100, "train")
@@ -115,6 +119,8 @@ class RunConfig:
         cfg = cls(**values)
         if cfg.seed < 0:
             raise UsageError(f"--seed: must be >= 0, got {cfg.seed}")
+        if cfg.threads is not None and cfg.threads < 1:
+            raise UsageError(f"--threads: must be >= 1, got {cfg.threads}")
         return cfg
 
     def hash(self) -> str:
@@ -173,9 +179,11 @@ def _checkpoint(ckpt_dir: Path, name: str, fold: int | None) -> Path:
 
 
 def _load_bundle(cfg: RunConfig):
-    from .dataio import load_dataset
+    from .dataio import FOLDS, load_dataset
     from .wordvec import load_vectors
 
+    if cfg.fold is not None and cfg.fold not in FOLDS:
+        raise UsageError(f"--fold: must be in {list(FOLDS)}, got {cfg.fold}")
     _require(cfg, "kb", "qa", "features", "concepts", "concept-labels", "wordvec")
     instances, store, kb = load_dataset(cfg.kb, cfg.qa, cfg.features, cfg.concepts, cfg.concept_labels)
     return instances, store, kb, load_vectors(cfg.wordvec)
@@ -420,7 +428,7 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     """``--config`` plus one flag per table field that ``command`` takes."""
     parser.add_argument("--config", help="JSON config file; flags override its values")
     for f in dataclasses.fields(RunConfig):
-        if f.metadata.get("scope", "all") not in ("all", command):
+        if command not in f.metadata.get("scope", (command,)):
             continue
         flag = "-k" if f.name == "k" else "--" + f.name.replace("_", "-")
         kind, _ = _field_type(f)
@@ -432,7 +440,8 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="factrank", description="Learned fact retrieval for visual question answering")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p_train = sub.add_parser("train", help="train one of the three models")
     p_train.add_argument("kind", choices=["relation", "source", "scorer"])

@@ -275,9 +275,7 @@ class EncoderTrainConfig:
     batch_size: int = 100
     lr: float = 1e-3
     seed: int = 0
-    embed_dim: int | None = None  # None -> the classifier kind's default
-    hidden_dim: int | None = None
-    dropout: float | None = None
+    dropout: float | None = None  # None -> the classifier kind's default
     max_tokens: int = 30
 
 
@@ -363,8 +361,8 @@ def train_classifier(
         if not tokenize(q):
             raise DataError(f"question {q!r} has no tokens")
     vocab = Vocabulary.build(q for q, _ in pairs)
-    clf = Classifier.init(kind, vocab, np.random.default_rng([cfg.seed, 11]), cfg.embed_dim, cfg.hidden_dim,
-                          cfg.dropout, cfg.max_tokens)
+    clf = Classifier.init(kind, vocab, np.random.default_rng([cfg.seed, 11]), dropout=cfg.dropout,
+                          max_tokens=cfg.max_tokens)
     targets = np.array([spec.labels.index(label) for _, label in pairs], dtype=np.intp)
     rng = np.random.default_rng([cfg.seed, 13])
 

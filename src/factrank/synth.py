@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import FOLDS
 from .errors import UsageError
 from .kb import Relation
 
@@ -62,11 +63,12 @@ class SyntheticConfig:
             "wordvec_dim": self.wordvec_dim,
             "feature_dim": self.feature_dim,
             "concept_labels": self.concept_labels,
-            "folds": self.folds,
         }
         for name, value in positive.items():
             if value < 1:
                 raise UsageError(f"{name} must be positive, got {value}")
+        if not 1 <= self.folds <= len(FOLDS):
+            raise UsageError(f"folds must be in [1, {len(FOLDS)}], got {self.folds}")
         if not 0.0 <= self.concept_signal <= 1.0:
             raise UsageError(f"concept_signal must be in [0, 1], got {self.concept_signal}")
         if not 0.0 <= self.image_answer_fraction <= 1.0:

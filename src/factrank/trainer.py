@@ -190,7 +190,6 @@ def train_scorer(
     word_table: WordVectorTable,
     config: MarginConfig,
     heldout: Sequence[QAInstance] | None = None,
-    dims: ScorerDims | None = None,
     fact_matrix: FactMatrix | None = None,
 ) -> TrainScorerResult:
     """Run the full mining schedule and return the trained scorer.
@@ -210,15 +209,7 @@ def train_scorer(
         raise DataError("scorer training needs at least one instance")
     if fact_matrix is None:
         fact_matrix = FactMatrix.build(kb, word_table)
-    dims = dims or ScorerDims(
-        image_dim=store.feature_dim, concept_dim=store.concept_dim, output_dim=fact_matrix.dim
-    )
-    if store.feature_dim != dims.image_dim:
-        raise DataError(f"feature length {store.feature_dim} != scorer image_dim {dims.image_dim}")
-    if store.concept_dim != dims.concept_dim:
-        raise DataError(f"concept length {store.concept_dim} != scorer concept_dim {dims.concept_dim}")
-    if fact_matrix.dim != dims.output_dim:
-        raise DataError(f"fact embedding length {fact_matrix.dim} != scorer output_dim {dims.output_dim}")
+    dims = ScorerDims(image_dim=store.feature_dim, concept_dim=store.concept_dim, output_dim=fact_matrix.dim)
 
     vocab = Vocabulary.build(i.question for i in train_instances)
     rng_train = np.random.default_rng([config.seed, 19])

@@ -23,20 +23,22 @@ def synth_dir(tmp_path_factory):
     return out
 
 
-def _data_flags(d, checkpoints, out):
-    return ["--kb", str(d / "kb.tsv"), "--qa", str(d / "qa.jsonl"), "--features", str(d / "features.txt"),
-            "--concepts", str(d / "concepts.txt"), "--concept-labels", str(d / "concept_labels.txt"),
-            "--wordvec", str(d / "wordvec.txt"), "--checkpoints", str(checkpoints), "--out", str(out)]
+def _data_flags(d, checkpoints, out=None):
+    flags = ["--kb", str(d / "kb.tsv"), "--qa", str(d / "qa.jsonl"), "--features", str(d / "features.txt"),
+             "--concepts", str(d / "concepts.txt"), "--concept-labels", str(d / "concept_labels.txt"),
+             "--wordvec", str(d / "wordvec.txt"), "--checkpoints", str(checkpoints)]
+    return flags if out is None else flags + ["--out", str(out)]
 
 
 def test_cli_synth_train_evaluate_answer(synth_dir, tmp_path, capsys):
-    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out") + ["--fold", "1"]
+    flags = _data_flags(synth_dir, tmp_path / "ckpt") + ["--fold", "1"]
+    out = ["--out", str(tmp_path / "out")]
     assert main(["kb-stats", "--kb", str(synth_dir / "kb.tsv")]) == 0
-    assert main(["train", "relation", *flags, "--relation-epochs", "1"]) == 0
-    assert main(["train", "source", *flags, "--source-epochs", "1"]) == 0
-    assert main(["train", "scorer", *flags, "--iterations", "0", "--epochs-per-iteration", "1"]) == 0
-    assert main(["evaluate", *flags]) == 0
-    assert main(["evaluate", *flags, "--tie-break", "random"]) == 0
+    assert main(["train", "relation", *flags, *out, "--relation-epochs", "1"]) == 0
+    assert main(["train", "source", *flags, *out, "--source-epochs", "1"]) == 0
+    assert main(["train", "scorer", *flags, *out, "--iterations", "0", "--epochs-per-iteration", "1"]) == 0
+    assert main(["evaluate", *flags, *out]) == 0
+    assert main(["evaluate", *flags, *out, "--tie-break", "random"]) == 0
     inst = json.loads((synth_dir / "qa.jsonl").read_text().splitlines()[0])
     assert main(["answer", *flags, "--image-id", inst["image_id"], "--question", inst["question"],
                  "--tie-break", "random"]) == 0
@@ -49,7 +51,8 @@ def test_cli_negative_seed_is_usage_error_by_flag_and_by_config_file(synth_dir, 
     # np.random.default_rng would reject it with a ValueError traceback
     config = tmp_path / "seed.json"
     config.write_text(json.dumps({"seed": -1}))
-    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
+    flags = [] if command == ["synth"] else _data_flags(synth_dir, tmp_path / "ckpt")
+    flags += ["--out", str(tmp_path / "out")]
     for source in (["--seed", "-1"], ["--config", str(config)]):
         assert main([*command, *flags, *source]) == 2
         err = capsys.readouterr().err
@@ -63,26 +66,52 @@ def test_cli_evaluate_missing_checkpoint_is_usage_error(synth_dir, tmp_path, cap
     assert "missing checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    (["train", "relation", "--out", "out"], "fold", 9),
+    (["evaluate", "--out", "out"], "fold", 9),
+    (["answer", "--image-id", "img", "--question", "what is this"], "fold", 9),
+    (["kb-stats"], "threads", 0),
+    (["evaluate"], "threads", -1),
+], ids=["train-relation-fold", "evaluate-fold", "answer-fold", "kb-stats-threads", "evaluate-threads"])
+def test_cli_fold_or_threads_out_of_range_is_usage_error_by_flag_and_by_config_file(
+        synth_dir, tmp_path, capsys, monkeypatch, command, key, value):
+    # evaluate and answer used to report a fold-9 checkpoint missing, and a
+    # thread count below 1 used to be exported to the BLAS environment
+    for var in THREAD_VARS:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    data = ["--kb", str(synth_dir / "kb.tsv")] if command == ["kb-stats"] else _data_flags(synth_dir, "ckpt")
+    bound = "must be in [1, 2, 3, 4, 5]" if key == "fold" else "must be >= 1"
+    for source in ([f"--{key}={value}"], ["--config", str(config)]):
+        assert main([*command, *data, *source]) == 2
+        err = capsys.readouterr().err
+        assert f"--{key}: {bound}, got {value}" in err and "Traceback" not in err
+        assert [os.environ[v] for v in THREAD_VARS] == ["1"] * 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 # ----------------------------------------------------------------------
 # the option table
 # ----------------------------------------------------------------------
 
-COMMON = ["-h", "--help", "--config", "--seed", "--fold", "--variant", "--iterations", "--threads", "--out",
-          "--tie-break", "-k", "--kb", "--qa", "--features", "--concepts", "--concept-labels", "--wordvec",
-          "--checkpoints"]
+COMMON = ["-h", "--help", "--config", "--threads"]
+DATA = ["--kb", "--qa", "--features", "--concepts", "--concept-labels", "--wordvec", "--checkpoints", "--fold"]
 OPTIONS = {
-    "train": COMMON + ["--relation-epochs", "--source-epochs", "--epochs-per-iteration", "--mining-period",
-                       "--negatives", "--relation-batch-size", "--source-batch-size", "--scorer-batch-size",
-                       "--max-question-tokens", "--margin", "--weight-decay", "--scorer-lr", "--relation-lr",
-                       "--source-lr", "--scorer-dropout", "--relation-dropout", "--source-dropout",
-                       "--reinit-each-iteration"],
-    "evaluate": COMMON + ["--gt-relation", "--gt-source", "--reference"],
-    "answer": COMMON + ["--image-id", "--question"],
-    "synth": COMMON + ["--vocab-size", "--facts-per-relation", "--qa-pairs", "--concept-signal",
+    "train": COMMON + DATA + ["--seed", "--out", "--variant", "--iterations", "--relation-epochs", "--source-epochs",
+                              "--epochs-per-iteration", "--mining-period", "--negatives", "--relation-batch-size",
+                              "--source-batch-size", "--scorer-batch-size", "--max-question-tokens", "--margin",
+                              "--weight-decay", "--scorer-lr", "--relation-lr", "--source-lr", "--scorer-dropout",
+                              "--relation-dropout", "--source-dropout", "--reinit-each-iteration"],
+    "evaluate": COMMON + DATA + ["--seed", "--out", "--tie-break", "-k", "--gt-relation", "--gt-source",
+                                 "--reference"],
+    "answer": COMMON + DATA + ["--seed", "--tie-break", "-k", "--image-id", "--question"],
+    "synth": COMMON + ["--seed", "--out", "--vocab-size", "--facts-per-relation", "--qa-pairs", "--concept-signal",
                        "--image-answer-fraction", "--distractor-concepts", "--wordvec-dim", "--feature-dim",
                        "--concept-label-count"],
-    "kb-stats": COMMON,
-    "convert-fvqa": COMMON + ["--questions", "--facts"],
+    "kb-stats": COMMON + ["--kb"],
+    "convert-fvqa": COMMON + ["--out", "--questions", "--facts"],
 }
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -95,13 +124,29 @@ def test_each_subcommand_takes_exactly_its_option_strings():
         assert sorted(taken) == sorted(OPTIONS[command]), command
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--variant", "q+i"],  # training knob: evaluate scores the checkpoint's variant
+    ["answer", "--image-id", "img", "--question", "what is this", "--out", "x"],  # answer writes nothing
+    ["synth", "--kb", "x"],  # data path
+    ["kb-stats", "--seed", "1"],  # shared knob
+    ["synth", "--vocab", "45"],  # abbreviation of --vocab-size
+], ids=["evaluate-variant", "answer-out", "synth-kb", "kb-stats-seed", "synth-abbreviation"])
+def test_a_flag_the_subcommand_does_not_read_is_unrecognized(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.fixture()
 def captured(monkeypatch):
-    """Configs that main hands to the train, synth and kb-stats handlers, which do nothing else."""
+    """Configs that main hands to the train, evaluate, synth and kb-stats handlers, which do nothing else."""
     for var in THREAD_VARS:
         monkeypatch.setenv(var, "1")
     seen = []
-    for name in ("cmd_train", "cmd_synth", "cmd_kb_stats"):
+    for name in ("cmd_train", "cmd_evaluate", "cmd_synth", "cmd_kb_stats"):
         monkeypatch.setattr(cli, name, lambda cfg, *rest: seen.append(cfg) or 0)
     return seen
 
@@ -119,11 +164,11 @@ def _other_value(f):
 
 
 def test_every_field_is_the_same_by_flag_and_by_config_file(captured, tmp_path):
-    command = {"all": ["kb-stats"], "train": ["train", "scorer"], "synth": ["synth"]}
+    command = {"kb-stats": ["kb-stats"], "train": ["train", "scorer"], "evaluate": ["evaluate"], "synth": ["synth"]}
     for f in dataclasses.fields(RunConfig):
         value = _other_value(f)
         assert value != f.default, f.name
-        argv = command[f.metadata.get("scope", "all")]
+        argv = next(argv for name, argv in command.items() if name in f.metadata.get("scope", command))
         flag = "-k" if f.name == "k" else "--" + f.name.replace("_", "-")
         config = tmp_path / f"{f.name}.json"
         config.write_text(json.dumps({f.name: value}))
@@ -169,7 +214,7 @@ def test_table_defaults_are_the_library_defaults():
         margin.margin, margin.weight_decay, margin.negatives, margin.iterations, margin.epochs_per_iteration,
         margin.mining_period, margin.batch_size, margin.lr, margin.dropout, margin.variant.value,
         margin.reinitialize_each_iteration)
-    synth_fields = [f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("scope") == "synth"]
+    synth_fields = [f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("scope") == ("synth",)]
     assert len(synth_fields) == 9
     for name in synth_fields:
         assert getattr(cfg, name) == getattr(synth, "concept_labels" if name == "concept_label_count" else name), name
@@ -294,17 +339,18 @@ def test_cli_diverging_scorer_stops_naming_where(synth_dir, tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_diverged_scorer_checkpoint_exits_1_from_answer_and_evaluate(synth_dir, tmp_path, capsys):
     # finite weights whose forward pass overflows: every embedding norm is inf
-    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out") + ["--fold", "1"]
-    assert main(["train", "relation", *flags, "--relation-epochs", "1"]) == 0
-    assert main(["train", "source", *flags, "--source-epochs", "1"]) == 0
-    assert main(["train", "scorer", *flags, "--iterations", "0", "--epochs-per-iteration", "1"]) == 0
+    flags = _data_flags(synth_dir, tmp_path / "ckpt") + ["--fold", "1"]
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["train", "relation", *flags, *out, "--relation-epochs", "1"]) == 0
+    assert main(["train", "source", *flags, *out, "--source-epochs", "1"]) == 0
+    assert main(["train", "scorer", *flags, *out, "--iterations", "0", "--epochs-per-iteration", "1"]) == 0
     path = tmp_path / "ckpt" / "scorer_fold1.ckpt"
     scorer = load_scorer(path)
     for t in scorer.tensors.values():
         t.values[...] = 1e200
     save_scorer(path, scorer)
     capsys.readouterr()
-    assert main(["evaluate", *flags]) == 1
+    assert main(["evaluate", *flags, *out]) == 1
     assert "non-finite embedding" in capsys.readouterr().err
     inst = json.loads((synth_dir / "qa.jsonl").read_text().splitlines()[0])
     assert main(["answer", *flags, "--image-id", inst["image_id"], "--question", inst["question"]]) == 1

@@ -343,7 +343,7 @@ def test_epoch_records_report_pre_clip_gradient_norms(monkeypatch):
     history = {}
     for clip_norm in (np.inf, 1e-6):
         monkeypatch.setattr(encoders, "CLIP_NORM", clip_norm)
-        cfg = EncoderTrainConfig(epochs=2, batch_size=len(pairs), lr=1e-2, embed_dim=6, hidden_dim=6, seed=3)
+        cfg = EncoderTrainConfig(epochs=2, batch_size=len(pairs), lr=1e-2, seed=3)
         history[clip_norm] = train_relation_classifier(pairs, cfg)[1]
     free, clipped = history[np.inf], history[1e-6]
     # one batch an epoch, and the first is measured before any step: clipping cannot move its norm

@@ -8,7 +8,7 @@ from factrank.encoders import EncoderTrainConfig, train_relation_classifier, tra
 from factrank.errors import DataError
 from factrank.kb import Fact, KnowledgeBase
 from factrank.pipeline import PipelineModels, answer_question, evaluate
-from factrank.scorer import ScorerDims, embed_batch, rank_candidates
+from factrank.scorer import embed_batch, rank_candidates
 from factrank.trainer import MarginConfig, train_scorer
 from factrank.wordvec import FactMatrix
 
@@ -18,13 +18,11 @@ def models(small_synth, small_split):
     train, _ = small_split
     store, kb, table = small_synth["store"], small_synth["kb"], small_synth["table"]
     fm = FactMatrix.build(kb, table)
-    enc = EncoderTrainConfig(epochs=8, lr=1e-2, embed_dim=12, hidden_dim=12, batch_size=16, seed=1)
+    enc = EncoderTrainConfig(epochs=8, lr=1e-2, batch_size=16, seed=1)
     relation, _ = train_relation_classifier([(i.question, i.relation) for i in train], enc)
     source, _ = train_source_classifier([(i.question, i.source) for i in train], enc)
-    dims = ScorerDims(image_dim=store.feature_dim, image_proj=8, question_embed=12, question_hidden=12,
-                      mlp1=16, mlp2=12, concept_dim=store.concept_dim, concept_proj=12, output_dim=fm.dim)
     cfg = MarginConfig(iterations=0, epochs_per_iteration=8, negatives=20, batch_size=16, lr=1e-2, seed=1)
-    result = train_scorer(train, kb, store, table, cfg, dims=dims, fact_matrix=fm)
+    result = train_scorer(train, kb, store, table, cfg, fact_matrix=fm)
     return PipelineModels(result.params, fm, relation, source)
 
 

@@ -620,6 +620,21 @@ def test_margin_config_validation():
     MarginConfig(weight_decay=0.0).validate()
 
 
+@pytest.mark.parametrize("folds", [0, 1, 5, 6])
+def test_synthetic_config_folds_are_the_dataset_folds(tmp_path, folds):
+    # a sixth fold would write a qa.jsonl that load_dataset rejects
+    config = SyntheticConfig(**TINY_SYNTH, folds=folds)
+    if folds not in (1, 5):
+        with pytest.raises(UsageError, match=rf"folds must be in \[1, 5\], got {folds}"):
+            generate_synthetic(config, tmp_path)
+        assert not any(tmp_path.iterdir())
+        return
+    generate_synthetic(config, tmp_path)
+    instances, _, _ = load_dataset(*(tmp_path / name for name in (
+        "kb.tsv", "qa.jsonl", "features.txt", "concepts.txt", "concept_labels.txt")))
+    assert sorted({i.fold for i in instances}) == list(range(1, folds + 1))
+
+
 def test_fact_precision_is_deterministic(tiny_synth):
     instances, store, kb, table = tiny_synth
     from factrank.encoders import Vocabulary
