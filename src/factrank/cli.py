@@ -9,9 +9,11 @@ the allowed choices and the subcommands whose handlers read it. Only those
 take its flag (``threads`` names none and goes to every one), under one
 spelling: flags have no abbreviations. A config file may set any field for
 any subcommand, so one run file serves them all. Every command is
-deterministic given its config and seed; outputs are written atomically
-and embed the config hash, seed, and package version. Exit codes: 0
-success, 1 runtime failure, 2 usage or configuration error.
+deterministic given its config; only ``train`` and ``synth`` draw random
+numbers, so only they take ``--seed``. A run writes nothing until every
+check that can end it with a usage error has passed; outputs are written
+atomically and embed the config hash, seed, and package version. Exit
+codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 
 Heavy imports happen inside the command handlers so that ``threads``,
 from a flag or the config file, sets the BLAS thread environment before
@@ -33,7 +35,7 @@ from pathlib import Path
 from . import __version__
 from .errors import FactrankError, UsageError
 
-_TYPES = {"str": str, "int": int, "float": float, "bool": bool}
+_TYPES = {"str": str, "int": int, "float": float}
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _DATA = ("train", "evaluate", "answer")  # the subcommands that read the data paths and the fold
 
@@ -57,11 +59,10 @@ class RunConfig:
     checkpoints: str = _opt("checkpoints", *_DATA)
     out: str = _opt("out", "train", "evaluate", "synth", "convert-fvqa")
     # shared knobs
-    seed: int = _opt(0, *_DATA, "synth")
+    seed: int = _opt(0, "train", "synth")
     fold: int | None = _opt(None, *_DATA)
     variant: str = _opt("q+i+vc", "train", choices=("q+i", "q+vc", "q+i+vc"))
     threads: int | None = None
-    tie_break: str = _opt("id", "evaluate", "answer", choices=("id", "random"))
     k: int = _opt(3, "evaluate", "answer")
     max_question_tokens: int = _opt(30, "train")
     # relation classifier
@@ -84,7 +85,6 @@ class RunConfig:
     scorer_batch_size: int = _opt(100, "train")
     scorer_lr: float = _opt(1e-3, "train")
     scorer_dropout: float = _opt(0.5, "train")
-    reinit_each_iteration: bool = _opt(False, "train")
     # synthetic corpus, with SyntheticConfig's defaults
     vocab_size: int = _opt(60, "synth")
     facts_per_relation: int = _opt(46, "synth")
@@ -202,11 +202,6 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
 
     instances, store, kb, table = _load_bundle(cfg)
     train_set, heldout = (instances, None) if cfg.fold is None else split_fold(instances, cfg.fold)
-    out_dir = Path(cfg.checkpoints)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_dir = Path(cfg.out)
-    metrics_dir.mkdir(parents=True, exist_ok=True)
-    meta = cfg.meta()
 
     if kind in ("relation", "source"):
         # the classifier knobs are the table fields relation_* and source_*
@@ -222,7 +217,7 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
             max_tokens=cfg.max_question_tokens,
         )
         clf, history = train_classifier(kind, pairs, enc_cfg, held)
-        save_classifier(out_dir / f"{kind}{_suffix(cfg.fold)}.ckpt", clf, meta)
+        save, model = save_classifier, clf
         if kind == "relation":
             summary = {"type": "summary", "train_top1": accuracy(clf, pairs, 1)}
             if held:
@@ -246,11 +241,9 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
             dropout=cfg.scorer_dropout,
             variant=Variant.parse(cfg.variant),
             max_question_tokens=cfg.max_question_tokens,
-            reinitialize_each_iteration=cfg.reinit_each_iteration,
         )
         result = train_scorer(train_set, kb, store, table, margin_cfg, heldout=heldout)
-        save_scorer(out_dir / f"scorer{_suffix(cfg.fold)}.ckpt", result.params, meta)
-        history = result.metrics
+        save, model, history = save_scorer, result.params, result.metrics
         iter_summaries = [m for m in history if m["type"] == "iteration"]
         summary = {"type": "summary", "iterations": len(iter_summaries)}
         if iter_summaries and "precision1" in iter_summaries[-1]:
@@ -259,8 +252,13 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown training kind {kind!r}")
 
+    # only a run that got this far writes anything, so a usage error leaves no directory behind
+    meta = cfg.meta()
+    for directory in (cfg.checkpoints, cfg.out):
+        Path(directory).mkdir(parents=True, exist_ok=True)
+    save(Path(cfg.checkpoints) / f"{kind}{_suffix(cfg.fold)}.ckpt", model, meta)
     records = [{"type": "meta", **meta}] + [dict(r) for r in history] + [summary]
-    metrics_path = metrics_dir / f"{kind}_metrics{_suffix(cfg.fold)}.jsonl"
+    metrics_path = Path(cfg.out) / f"{kind}_metrics{_suffix(cfg.fold)}.jsonl"
     _write_jsonl(metrics_path, records)
     print(f"wrote {metrics_path}")
     for key, value in summary.items():
@@ -281,8 +279,6 @@ def render_metrics_table(records: list[dict]) -> str:
 
 
 def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: bool) -> int:
-    import numpy as np
-
     from .dataio import FOLDS, split_fold
     from .encoders import load_classifier
     from .pipeline import FVQA_REFERENCE, FVQA_REFERENCE_TOLERANCE, PipelineModels, average_metrics, evaluate
@@ -290,8 +286,6 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
     from .wordvec import FactMatrix
 
     instances, store, kb, table = _load_bundle(cfg)
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = Path(cfg.checkpoints)
 
     folds = [cfg.fold] if cfg.fold is not None else [f for f in FOLDS if (ckpt_dir / f"scorer_fold{f}.ckpt").exists()]
@@ -308,7 +302,7 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
     }
     fact_matrix = FactMatrix.build(kb, table)
 
-    per_fold = {}
+    per_fold, predictions = {}, {}
     records: list[dict] = [{"type": "meta", **cfg.meta(), "gt_relation": gt_relation, "gt_source": gt_source}]
     for fold, (scorer_path, rel_path, src_path) in paths.items():
         scorer = load_scorer(scorer_path)
@@ -316,17 +310,19 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
         source = load_classifier(src_path) if src_path else None
         models = PipelineModels(scorer=scorer, fact_matrix=fact_matrix, relation=relation, source=source)
         subset = instances if fold is None else split_fold(instances, fold)[1]
-        metrics, predictions = evaluate(
-            models, kb, subset, store, k=cfg.k, oracle_relation=gt_relation, oracle_source=gt_source,
-            rng=np.random.default_rng(cfg.seed) if cfg.tie_break == "random" else None,
-        )
+        metrics, predictions[fold] = evaluate(models, kb, subset, store, k=cfg.k, oracle_relation=gt_relation,
+                                              oracle_source=gt_source)
         label = fold if fold is not None else "all"
         per_fold[label] = metrics
         records.append({"type": "fold", "fold": label, **metrics.as_dict()})
-        _write_jsonl(out_dir / f"predictions{_suffix(fold)}.jsonl", [p.as_record() for p in predictions])
     if len(per_fold) > 1:
         records.append({"type": "average", "fold": "mean", **average_metrics(per_fold)})
 
+    # every fold has been evaluated, so a usage error leaves no directory behind
+    out_dir = Path(cfg.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for fold, fold_predictions in predictions.items():
+        _write_jsonl(out_dir / f"predictions{_suffix(fold)}.jsonl", [p.as_record() for p in fold_predictions])
     metrics_path = out_dir / "evaluate_metrics.jsonl"
     _write_jsonl(metrics_path, records)
     print(render_metrics_table(records))
@@ -340,14 +336,14 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
 
 
 def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
-    import numpy as np
-
     from .encoders import load_classifier
     from .pipeline import PipelineModels, answer_question
     from .scorer import load_scorer
     from .wordvec import FactMatrix
 
     instances, store, kb, table = _load_bundle(cfg)
+    if image_id not in store.features:
+        raise UsageError(f"--image-id: no image feature for image id {image_id!r}")
     ckpt_dir = Path(cfg.checkpoints)
     scorer, relation, source = (_checkpoint(ckpt_dir, name, cfg.fold) for name in ("scorer", "relation", "source"))
     models = PipelineModels(
@@ -358,8 +354,7 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     )
     prediction = answer_question(
         models, kb, store.feature(image_id), store.concept(image_id), question, k=cfg.k, question_id="cli",
-        image_id=image_id, rng=np.random.default_rng(cfg.seed) if cfg.tie_break == "random" else None,
-    )
+        image_id=image_id)
     print(f"status: {prediction.status}")
     print(f"relation: {prediction.relation.value}")
     print(f"source: {prediction.source.value} (p={prediction.source_prob:.4f})")
@@ -431,11 +426,7 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
         if command not in f.metadata.get("scope", (command,)):
             continue
         flag = "-k" if f.name == "k" else "--" + f.name.replace("_", "-")
-        kind, _ = _field_type(f)
-        if kind is bool:
-            parser.add_argument(flag, dest=f.name, action="store_const", const=True)
-        else:
-            parser.add_argument(flag, dest=f.name, type=kind, choices=f.metadata.get("choices"))
+        parser.add_argument(flag, dest=f.name, type=_field_type(f)[0], choices=f.metadata.get("choices"))
 
 
 def build_parser() -> argparse.ArgumentParser:

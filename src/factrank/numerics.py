@@ -16,8 +16,8 @@ cross-entropy, batched-row cosine similarity, and the structured hinge of
 margin training. Column slicing, sigmoid, the Hadamard product and
 embedding-row gather have no library caller: the benchmark's trace names
 them, and the tests compose them into the per-step LSTM that
-``lstm_sequence`` must match bitwise. ``tensor_sum`` is the tests' scalar
-reduction.
+``lstm_sequence`` must match bitwise. There is no sum primitive: a loss
+reaches a scalar through the hinge or a cross-entropy.
 """
 
 from __future__ import annotations
@@ -268,15 +268,6 @@ class Tape:
                 _accumulate(b, _sum_to_shape(g * a.values, b.shape))
 
         return self._emit(values, (a, b), backward)
-
-    def tensor_sum(self, x: Tensor) -> Tensor:
-        values = np.asarray(x.values.sum())
-
-        def backward(g: Array) -> None:
-            if x.requires_grad:
-                _accumulate(x, np.full_like(x.values, float(g)))
-
-        return self._emit(values, (x,), backward)
 
     def embedding(self, table: Tensor, ids) -> Tensor:
         """Gather rows of ``table``; backward scatter-adds into the table."""

@@ -8,7 +8,8 @@ answer. An empty relation bucket is a reported "no_fact" outcome, never a
 crash, and counts as wrong during evaluation.
 
 One private core, :func:`_predict`, runs this for a batch of questions,
-shortlisting each bucket's questions in one ``scorer.shortlist_rows`` call:
+ranking each bucket's questions in one ``scorer.rank_rows`` call, ties by
+fact id, so a prediction is a pure function of its inputs:
 :func:`evaluate` calls it on a dataset fold and tallies the metrics, and
 :func:`answer_question` calls it on a batch of one. It takes the relation
 order and the source rule from ``encoders.ranked_relations`` and
@@ -27,7 +28,7 @@ from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
 from .errors import DataError, UsageError
 from .kb import AnswerSource, Fact, KnowledgeBase, Relation
-from .scorer import ScorerParams, embed_batch, shortlist_rows
+from .scorer import ScorerParams, embed_batch, rank_rows
 from .wordvec import FactMatrix
 
 Array = np.ndarray
@@ -125,15 +126,13 @@ def _predict(
     oracle_relations: Sequence[Relation] | None,
     oracle_sources: Sequence[AnswerSource] | None,
     k: int,
-    rng: np.random.Generator | None,
 ) -> list[tuple[Prediction, list[tuple[str, float]]]]:
     """Predict a batch of questions; ``ids`` holds (question id, image id).
 
     Returns each question's prediction, whose ``top_facts`` keeps ``k``
     entries, together with its top ``max(k, 3)`` ranked facts, so metrics
     at 3 never depend on ``k``. Oracle sequences replace the corresponding
-    classifier's predictions. Equal scores go by fact id, or by draws from
-    ``rng`` when one is given.
+    classifier's predictions.
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
@@ -151,26 +150,20 @@ def _predict(
         sources = [(answer_source(p), float(p)) for p in predict_source_batch(models.source, questions)]
     iq_mat = embed_batch(models.scorer, feats, concepts, questions)
 
-    # one kernel call per bucket shortlists its questions' rows; then, in
-    # question order, random ties draw one jitter per bucket member, which is
-    # read at that question's shortlist only and freed before the next draw
     fm, top_relation = models.fact_matrix, [ranked[0][0] for ranked in relations]
-    pools = {r: kb.ids_with_relation(r) for r in dict.fromkeys(top_relation)}
-    shortlists = {}
-    for relation, pool in pools.items():
+    tops = {}
+    for relation in dict.fromkeys(top_relation):
+        pool = kb.ids_with_relation(relation)
         members = [i for i, r in enumerate(top_relation) if r is relation]
         # a relation the KB lacks is no_fact, whatever rows the matrix holds
         bucket = fm.buckets.get(relation, slice(0, 0)) if pool else slice(0, 0)
         if len(fm.norms[bucket]) != len(pool):
             raise DataError(f"{relation.value}: {len(pool)} facts in the KB, {len(fm.norms[bucket])} fact-matrix rows")
-        shortlists.update(zip(members, shortlist_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], max(k, 3))))
+        tops.update(zip(members, rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], pool, max(k, 3))))
 
     out = []
     for i, ((question_id, image_id), ranked, (source, source_prob)) in enumerate(zip(ids, relations, sources)):
-        (r, s), pool = shortlists[i], pools[ranked[0][0]]
-        tie = [pool[j] for j in r.tolist()] if rng is None or not pool else rng.random(len(pool))[r]
-        order = np.lexsort((tie, -s))[: max(k, 3)]
-        top = [(pool[j], x) for j, x in zip(r[order].tolist(), s[order].tolist())]
+        top = tops[i]
         prediction = Prediction(
             question_id=question_id,
             image_id=image_id,
@@ -197,13 +190,12 @@ def answer_question(
     image_id: str = "",
     oracle_relation: Relation | None = None,
     oracle_source: AnswerSource | None = None,
-    rng: np.random.Generator | None = None,
 ) -> Prediction:
     """Answer one question with the frozen model bundle.
 
     The candidate pool is the top predicted relation's bucket; equal scores
-    go by fact id, or by draws from ``rng`` when one is given. Oracle
-    arguments replace the corresponding classifier's prediction.
+    go by fact id. Oracle arguments replace the corresponding classifier's
+    prediction.
     """
     [(prediction, _)] = _predict(
         models,
@@ -215,7 +207,6 @@ def answer_question(
         None if oracle_relation is None else [oracle_relation],
         None if oracle_source is None else [oracle_source],
         k,
-        rng,
     )
     return prediction
 
@@ -228,7 +219,6 @@ def evaluate(
     k: int = 3,
     oracle_relation: bool = False,
     oracle_source: bool = False,
-    rng: np.random.Generator | None = None,
 ) -> tuple[Metrics, list[Prediction]]:
     """Score a dataset fold and return per-question predictions.
 
@@ -236,10 +226,9 @@ def evaluate(
     of each relation bucket, a contiguous block of fact-matrix rows, are
     scored by one GEMM; only each question's shortlist within rounding of
     its third-best score is rescored by the exact cosine, so the ranking
-    is bitwise the exhaustive one. Without ``rng`` ties go by fact id and
-    evaluation is a pure function of its inputs; with it, ties draw from
-    ``rng`` question by question, as :func:`answer_question` calls would.
-    Oracle switches feed the groundtruth relation and/or source through the
+    is bitwise the exhaustive one, ties by fact id: each prediction is the
+    one :func:`answer_question` gives for that question alone. Oracle
+    switches feed the groundtruth relation and/or source through the
     pipeline instead of the classifier predictions.
 
     Top-3 answer accuracy derives one answer from each of the top three
@@ -260,7 +249,6 @@ def evaluate(
         [i.relation for i in instances] if oracle_relation else None,
         [i.source for i in instances] if oracle_source else None,
         k,
-        rng,
     )
     ans1 = ans3 = fact1 = fact3 = rel1 = rel3 = src = no_fact = 0
     for inst, (p, top) in zip(instances, results):

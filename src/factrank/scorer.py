@@ -17,10 +17,10 @@ a contiguous block of fact rows (a relation bucket of the
 :class:`~factrank.wordvec.FactMatrix`, or the whole KB) against a block of
 queries by one GEMM, shortlists every row within a derived rounding bound
 of the k-th best score, and rescores only the shortlist by the exact
-``numerics.cosines`` of :func:`score`. Each caller orders the shortlist by
-one ``np.lexsort``, so the top k is bitwise that of an exhaustive sort.
-Ties go by fact id, or by draws from a seeded generator when one is
-given. :func:`rank_candidates`, :func:`candidate_scores` and
+``numerics.cosines`` of :func:`score`. :func:`rank_rows` orders each
+shortlist by one ``np.lexsort`` on ``(-score, fact id)``, so the top k is
+bitwise that of an exhaustive sort; it is the one top-k order of the
+package. :func:`rank_candidates`, :func:`candidate_scores` and
 :func:`score_matrix` are thin entry points over the same arithmetic.
 """
 
@@ -208,19 +208,17 @@ def candidate_scores(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: F
     return cosines(fact_matrix.rows[rows], fact_matrix.norms[rows], iq_emb, row_norms(iq_emb))
 
 
-def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix, k: int,
-                    rng: np.random.Generator | None = None) -> list[tuple[str, float]]:
+def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix,
+                    k: int) -> list[tuple[str, float]]:
     """Top-k (fact id, score) of any candidate list, highest first; equal
-    scores go by fact id, or, given ``rng``, by one
-    ``rng.random(len(candidate_ids))`` draw."""
+    scores go by fact id."""
     if not candidate_ids:
         raise UsageError("rank needs at least one candidate")
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    jitter = None if rng is None else [rng.random(len(candidate_ids))]
     rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
     iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
-    return rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows], list(candidate_ids), k, jitter)[0]
+    return rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows], list(candidate_ids), k)[0]
 
 
 def score_matrix(iq_mat: Array, fact_matrix: FactMatrix) -> Array:
@@ -283,15 +281,13 @@ def shortlist_rows(iq_block: Array, rows: Array, norms: Array, k: int) -> list[t
     return [(r, cosines(rows[r], norms[r], iq_block[j], qnorms[j])) for j, r in enumerate(shortlists)]
 
 
-def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int,
-              jitter: Sequence[Array] | None = None) -> list[list[tuple[str, float]]]:
+def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
     """Exact top-``k`` ``(id, score)`` of ``rows`` (a relation bucket, the
     whole KB, or gathered candidates) for each query of ``iq_block``, ordered
-    by ``(-score, id)``, or ``(-score, jitter[j][row])`` for query ``j``:
-    bitwise the head of an exhaustive scalar sort."""
+    by ``(-score, id)``: bitwise the head of an exhaustive scalar sort."""
     tops = []
-    for j, (r, s) in enumerate(shortlist_rows(iq_block, rows, norms, k)):
-        order = np.lexsort(([ids[i] for i in r.tolist()] if jitter is None else jitter[j][r], -s))[:k]
+    for r, s in shortlist_rows(iq_block, rows, norms, k):
+        order = np.lexsort(([ids[i] for i in r.tolist()], -s))[:k]
         tops.append([(ids[i], x) for i, x in zip(r[order].tolist(), s[order].tolist())])
     return tops
 

@@ -21,9 +21,8 @@ Within an iteration the structured hinge
 is minimized by minibatch Adam with decoupled weight decay, one optimizer
 per iteration; the loss callback gathers each batch's candidate rows and
 applies ``Tape.hinge_mean``. The groundtruth fact sits inside the max with
-task loss 0, so the loss is never negative. Weights carry over between
-iterations by default; a fresh-start mode, behind a switch, reinitializes
-them after each iteration's first mining step.
+task loss 0, so the loss is never negative. The weights are initialized
+once and carry over from each iteration to the next.
 
 The hinge is piecewise linear in the candidate scores, and each epoch takes
 fixed-size Adam steps on its subgradient: a step that lowers the current
@@ -67,7 +66,6 @@ class MarginConfig:
     dropout: float = 0.5
     variant: Variant = Variant.Q_I_VC
     max_question_tokens: int = 30
-    reinitialize_each_iteration: bool = False
 
     def validate(self) -> None:
         for name in ("margin", "lr"):
@@ -213,12 +211,8 @@ def train_scorer(
 
     vocab = Vocabulary.build(i.question for i in train_instances)
     rng_train = np.random.default_rng([config.seed, 19])
-
-    def fresh_params(*seed: int) -> ScorerParams:
-        return ScorerParams.init(vocab, np.random.default_rng([config.seed, 17, *seed]), dims, dropout=config.dropout,
-                                 variant=config.variant, max_tokens=config.max_question_tokens)
-
-    params = fresh_params()
+    params = ScorerParams.init(vocab, np.random.default_rng([config.seed, 17]), dims, dropout=config.dropout,
+                               variant=config.variant, max_tokens=config.max_question_tokens)
 
     feats, cons = store.stack([i.image_id for i in train_instances])
     questions = [i.question for i in train_instances]
@@ -253,8 +247,6 @@ def train_scorer(
             if t or start:  # iteration 0 starts on the sampled sets
                 iq = embed_batch(params, feats, cons, questions)
                 cand = mine_hard_negatives(iq, cand[:, 0], fact_matrix, cand.shape[1] - 1, config.margin, state)
-                if config.reinitialize_each_iteration and start == 0:
-                    params = fresh_params(t)
             epochs = range(start + 1, min(start + config.mining_period, config.epochs_per_iteration) + 1)
             metrics += fit(params.tensors, encoded, opt, rng_train, epochs, config.batch_size, batch_loss,
                            epoch_record, f"scorer iteration {t}: ")

@@ -1,10 +1,20 @@
-"""Central finite-difference oracle for gradient checks.
+"""Central finite-difference oracle for gradient checks, and the scalar
+reduction the tests' losses end in.
 
 The oracle only ever calls forward passes, so it is independent of the
 reverse-mode code it verifies.
 """
 
 import numpy as np
+
+from factrank.numerics import constant
+
+
+def total(tape, x):
+    """Sum of a 1- or 2-d tensor as a (1, 1) tensor, ones @ x @ ones: two
+    records, and a third that broadcasts a 1-d ``x`` to one row."""
+    x = tape.mul(constant(np.ones((1, 1))), x) if x.ndim == 1 else x
+    return tape.matmul(tape.matmul(constant(np.ones((1, x.shape[0]))), x), constant(np.ones((x.shape[1], 1))))
 
 
 def fd_grad(forward, x, eps=1e-5):

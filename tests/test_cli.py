@@ -38,15 +38,13 @@ def test_cli_synth_train_evaluate_answer(synth_dir, tmp_path, capsys):
     assert main(["train", "source", *flags, *out, "--source-epochs", "1"]) == 0
     assert main(["train", "scorer", *flags, *out, "--iterations", "0", "--epochs-per-iteration", "1"]) == 0
     assert main(["evaluate", *flags, *out]) == 0
-    assert main(["evaluate", *flags, *out, "--tie-break", "random"]) == 0
     inst = json.loads((synth_dir / "qa.jsonl").read_text().splitlines()[0])
-    assert main(["answer", *flags, "--image-id", inst["image_id"], "--question", inst["question"],
-                 "--tie-break", "random"]) == 0
+    assert main(["answer", *flags, "--image-id", inst["image_id"], "--question", inst["question"]]) == 0
     assert "answer:" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("command", [["synth"], ["train", "relation"], ["evaluate", "--tie-break", "random"]],
-                         ids=["synth", "train-relation", "evaluate-random"])
+@pytest.mark.parametrize("command", [["synth"], ["train", "relation"], ["train", "scorer"]],
+                         ids=["synth", "train-relation", "train-scorer"])
 def test_cli_negative_seed_is_usage_error_by_flag_and_by_config_file(synth_dir, tmp_path, capsys, command):
     # np.random.default_rng would reject it with a ValueError traceback
     config = tmp_path / "seed.json"
@@ -58,6 +56,37 @@ def test_cli_negative_seed_is_usage_error_by_flag_and_by_config_file(synth_dir, 
         err = capsys.readouterr().err
         assert "--seed: must be >= 0, got -1" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists() and not (tmp_path / "ckpt").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(synth_dir, tmp_path_factory):
+    """A checkpoint directory with all three models, fold 1 held out, one epoch each."""
+    root = tmp_path_factory.mktemp("cli_trained")
+    flags = _data_flags(synth_dir, root / "ckpt", root / "out") + ["--fold", "1"]
+    for kind, *knobs in (["relation", "--relation-epochs", "1"], ["source", "--source-epochs", "1"],
+                         ["scorer", "--iterations", "0", "--epochs-per-iteration", "1"]):
+        assert main(["train", kind, *flags, *knobs]) == 0
+    return root / "ckpt"
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    (["evaluate"], ["-k", "0"], "k must be >= 1, got 0"),
+    (["evaluate"], ["--checkpoints", "none/"], "--checkpoints: missing checkpoint none/scorer_fold1.ckpt"),
+    (["train", "relation"], ["--relation-epochs", "0", "--checkpoints", "ckpt"],
+     "relation classifier: epochs and batch_size must be >= 1"),
+], ids=["evaluate-k-0", "evaluate-missing-checkpoint", "train-zero-epochs"])
+def test_a_run_that_exits_2_leaves_no_directory(synth_dir, trained, tmp_path, capsys, monkeypatch, command, extra,
+                                                message):
+    monkeypatch.chdir(tmp_path)
+    assert main([*command, *_data_flags(synth_dir, trained, "out"), "--fold", "1", *extra]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_answer_with_an_unknown_image_id_is_usage_error(synth_dir, trained, capsys):
+    flags = _data_flags(synth_dir, trained) + ["--fold", "1"]
+    assert main(["answer", *flags, "--image-id", "nope", "--question", "what is this"]) == 2
+    assert "--image-id: no image feature for image id 'nope'" in capsys.readouterr().err
 
 
 def test_cli_evaluate_missing_checkpoint_is_usage_error(synth_dir, tmp_path, capsys):
@@ -103,10 +132,9 @@ OPTIONS = {
                               "--epochs-per-iteration", "--mining-period", "--negatives", "--relation-batch-size",
                               "--source-batch-size", "--scorer-batch-size", "--max-question-tokens", "--margin",
                               "--weight-decay", "--scorer-lr", "--relation-lr", "--source-lr", "--scorer-dropout",
-                              "--relation-dropout", "--source-dropout", "--reinit-each-iteration"],
-    "evaluate": COMMON + DATA + ["--seed", "--out", "--tie-break", "-k", "--gt-relation", "--gt-source",
-                                 "--reference"],
-    "answer": COMMON + DATA + ["--seed", "--tie-break", "-k", "--image-id", "--question"],
+                              "--relation-dropout", "--source-dropout"],
+    "evaluate": COMMON + DATA + ["--out", "-k", "--gt-relation", "--gt-source", "--reference"],
+    "answer": COMMON + DATA + ["-k", "--image-id", "--question"],
     "synth": COMMON + ["--seed", "--out", "--vocab-size", "--facts-per-relation", "--qa-pairs", "--concept-signal",
                        "--image-answer-fraction", "--distractor-concepts", "--wordvec-dim", "--feature-dim",
                        "--concept-label-count"],
@@ -154,8 +182,6 @@ def captured(monkeypatch):
 def _other_value(f):
     if f.metadata.get("choices"):
         return next(c for c in f.metadata["choices"] if c != f.default)
-    if f.type == "bool":
-        return True
     if f.type.startswith("int"):
         return 5 if f.default is None else f.default + 1
     if f.type == "float":
@@ -172,7 +198,7 @@ def test_every_field_is_the_same_by_flag_and_by_config_file(captured, tmp_path):
         flag = "-k" if f.name == "k" else "--" + f.name.replace("_", "-")
         config = tmp_path / f"{f.name}.json"
         config.write_text(json.dumps({f.name: value}))
-        assert main([*argv, flag] if value is True else [*argv, flag, str(value)]) == 0
+        assert main([*argv, flag, str(value)]) == 0
         assert main([*argv, "--config", str(config)]) == 0
         by_flag, by_file = captured[-2:]
         assert by_flag == by_file == dataclasses.replace(RunConfig(), **{f.name: value}), f.name
@@ -180,15 +206,15 @@ def test_every_field_is_the_same_by_flag_and_by_config_file(captured, tmp_path):
 
 def test_flags_override_the_config_file_and_ints_stand_for_floats(captured, tmp_path):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"seed": 4, "relation_lr": 1, "fold": None, "reinit_each_iteration": True}))
+    config.write_text(json.dumps({"seed": 4, "relation_lr": 1, "fold": None, "variant": "q+i"}))
     assert main(["train", "relation", "--config", str(config), "--seed", "9"]) == 0
     cfg = captured[-1]
-    assert (cfg.seed, cfg.fold, cfg.reinit_each_iteration) == (9, None, True)
+    assert (cfg.seed, cfg.fold, cfg.variant) == (9, None, "q+i")
     assert cfg.relation_lr == 1.0 and type(cfg.relation_lr) is float
 
 
 @pytest.mark.parametrize("payload, key", [({"seed": "abc"}, "seed"), ({"relation_epochs": "2"}, "relation_epochs"),
-                                          ({"k": None}, "k"), ({"tie_break": "coin"}, "tie_break")])
+                                          ({"k": None}, "k"), ({"variant": "coin"}, "variant")])
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, payload, key):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(payload))
@@ -209,11 +235,9 @@ def test_table_defaults_are_the_library_defaults():
     assert cfg.seed == enc.seed == margin.seed
     assert cfg.max_question_tokens == enc.max_tokens == margin.max_question_tokens
     assert (cfg.margin, cfg.weight_decay, cfg.negatives, cfg.iterations, cfg.epochs_per_iteration,
-            cfg.mining_period, cfg.scorer_batch_size, cfg.scorer_lr, cfg.scorer_dropout, cfg.variant,
-            cfg.reinit_each_iteration) == (
+            cfg.mining_period, cfg.scorer_batch_size, cfg.scorer_lr, cfg.scorer_dropout, cfg.variant) == (
         margin.margin, margin.weight_decay, margin.negatives, margin.iterations, margin.epochs_per_iteration,
-        margin.mining_period, margin.batch_size, margin.lr, margin.dropout, margin.variant.value,
-        margin.reinitialize_each_iteration)
+        margin.mining_period, margin.batch_size, margin.lr, margin.dropout, margin.variant.value)
     synth_fields = [f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("scope") == ("synth",)]
     assert len(synth_fields) == 9
     for name in synth_fields:

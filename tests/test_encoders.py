@@ -31,7 +31,7 @@ from factrank.encoders import (
 from factrank.kb import AnswerSource, Relation
 from factrank.numerics import Tape, constant, parameter
 from factrank.optim import make_optimizer
-from gradcheck import check_grads
+from gradcheck import check_grads, total
 from spoil import rewrite_header
 
 RELATION_KEYWORD = {r: r.value.lower() for r in Relation}
@@ -150,7 +150,7 @@ def test_lstm_is_bitwise_the_per_step_composition(dropout_rate, batch, steps, di
     def run(lstm):
         tape = Tape()
         h = lstm(tape, params, ids, lengths, dropout_rate, np.random.default_rng(10))
-        tape.backward(tape.tensor_sum(tape.tanh(tape.matmul(h, head))))
+        tape.backward(total(tape, tape.tanh(tape.matmul(h, head))))
         out = [h.values.tobytes()] + [t.grad.tobytes() for t in params.values()]
         for t in params.values():
             t.grad[...] = 0.0
@@ -160,8 +160,8 @@ def test_lstm_is_bitwise_the_per_step_composition(dropout_rate, batch, steps, di
     reference, reference_records = run(_per_step_lstm)
     assert fused == reference
     # one record for the whole sequence, against 17 a step (18 with dropout)
-    # and 6 more a step that freezes finished rows; 3 records of loss
-    assert (fused_records, reference_records) == (1 + 3, steps * (17 + (dropout_rate > 0)) + (steps - 1) * 6 + 3)
+    # and 6 more a step that freezes finished rows; 4 records of loss
+    assert (fused_records, reference_records) == (1 + 4, steps * (17 + (dropout_rate > 0)) + (steps - 1) * 6 + 4)
 
 
 def test_lstm_zero_weights_gives_zero_hidden():
@@ -191,7 +191,7 @@ def test_lstm_grad_matches_finite_differences():
 
     def forward():
         t = Tape()
-        return t.tensor_sum(t.tanh(lstm_hidden(t, params, ids, np.array([3]))))
+        return total(t, t.tanh(lstm_hidden(t, params, ids, np.array([3]))))
 
     assert check_grads(forward, params, tol=1e-4) <= 1e-4
 
@@ -209,7 +209,7 @@ def test_property_lstm_grads(seq_len, hidden, seed):
 
     def forward():
         t = Tape()
-        return t.tensor_sum(lstm_hidden(t, params, ids, np.array([seq_len])))
+        return total(t, lstm_hidden(t, params, ids, np.array([seq_len])))
 
     check_grads(forward, params, tol=1e-4)
 
@@ -310,7 +310,7 @@ def test_inference_tape_records_nothing():
     assert len(tape) == 0
     assert not logits.requires_grad and logits.tape is None
     with pytest.raises(UsageError):
-        tape.backward(tape.tensor_sum(logits))
+        tape.backward(total(tape, logits))
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from factrank.errors import DegenerateInputError, ShapeError, UsageError
 from factrank.numerics import Tape, Tensor, constant, cosines, parameter, row_norms, stable_sigmoid
-from gradcheck import check_grads, fd_grad, rel_err
+from gradcheck import check_grads, fd_grad, rel_err, total
 
 
 def test_matmul_identity():
@@ -36,7 +36,7 @@ def test_matmul_grad_matches_finite_differences():
 
     def forward():
         t = Tape()
-        return t.tensor_sum(t.tanh(t.matmul(a, b)))
+        return total(t, t.tanh(t.matmul(a, b)))
 
     worst = check_grads(forward, {"a": a, "b": b}, tol=1e-6)
     assert worst <= 1e-6
@@ -66,7 +66,7 @@ def test_add_bias_grad_is_column_sum():
 
     def forward():
         t = Tape()
-        return t.tensor_sum(t.tanh(t.add(x, b)))
+        return total(t, t.tanh(t.add(x, b)))
 
     loss = forward()
     loss.tape.backward(loss)
@@ -98,7 +98,7 @@ def test_concat_backward_reassembles_upstream():
     t = Tape()
     out = t.concat([a, b])
     upstream = rng.standard_normal((2, 7))
-    loss = t.tensor_sum(t.mul(out, constant(upstream)))
+    loss = total(t, t.mul(out, constant(upstream)))
     t.backward(loss)
     np.testing.assert_array_equal(a.grad, upstream[:, :3])
     np.testing.assert_array_equal(b.grad, upstream[:, 3:])
@@ -135,7 +135,7 @@ def test_mul_grad_matches_finite_differences():
 
     def forward():
         t = Tape()
-        return t.tensor_sum(t.mul(a, b))
+        return total(t, t.mul(a, b))
 
     assert check_grads(forward, {"a": a, "b": b}, tol=1e-6) <= 1e-6
 
@@ -274,7 +274,7 @@ def test_dropout_fixed_seed_reproducible():
 def test_backward_of_sum_is_ones():
     x = parameter(np.arange(6.0).reshape(2, 3))
     t = Tape()
-    loss = t.tensor_sum(x)
+    loss = total(t, x)
     t.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
@@ -283,14 +283,14 @@ def test_backward_untouched_parameter_has_zero_grad():
     x = parameter(np.ones(3))
     unused = parameter(np.ones(4))
     t = Tape()
-    t.backward(t.tensor_sum(x))
+    t.backward(total(t, x))
     np.testing.assert_array_equal(unused.grad, np.zeros(4))
 
 
 def test_backward_twice_rejected():
     x = parameter(np.ones(3))
     t = Tape()
-    loss = t.tensor_sum(x)
+    loss = total(t, x)
     t.backward(loss)
     with pytest.raises(UsageError):
         t.backward(loss)
@@ -299,7 +299,7 @@ def test_backward_twice_rejected():
 def test_backward_foreign_loss_rejected():
     x = parameter(np.ones(3))
     t1 = Tape()
-    loss = t1.tensor_sum(x)
+    loss = total(t1, x)
     with pytest.raises(UsageError):
         Tape().backward(loss)
 
@@ -313,7 +313,7 @@ def test_spent_tape_holds_no_record():
     def forward(tape, hidden):
         h = tape.tanh(tape.add(tape.matmul(x, w), b))
         hidden.append(h)
-        return tape.tensor_sum(tape.mul(h, h))
+        return total(tape, tape.mul(h, h))
 
     # reference gradients, with the caller holding on to the intermediate
     kept = []
@@ -329,7 +329,7 @@ def test_spent_tape_holds_no_record():
     alive = weakref.ref(hidden.pop().values)
     tape.backward(loss)
     assert alive() is None
-    assert len(tape) == 5  # matmul, add, tanh, mul, sum
+    assert len(tape) == 6  # matmul, add, tanh, mul, and two matmuls of the sum
     np.testing.assert_array_equal(w.grad, expected_w)
     np.testing.assert_array_equal(b.grad, expected_b)
 
@@ -359,7 +359,7 @@ def test_lstm_sequence_grads_match_finite_differences_with_dropout_and_mixed_len
     def forward():
         t = Tape()
         h = t.lstm_sequence(*tensors.values(), ids, lengths, 0.4, np.random.default_rng(19))
-        return t.tensor_sum(t.tanh(t.matmul(h, head)))
+        return total(t, t.tanh(t.matmul(h, head)))
 
     check_grads(forward, tensors, tol=1e-6)
 
@@ -390,10 +390,10 @@ def test_spent_lstm_tape_holds_no_step_cache():
     embed = tensors["embed"]
     embed.grad = embed.grad.view(_ScatterSpy)
     embed.grad.on_scatter = lambda: live_steps.append(sum(any(r() is not None for r in refs) for refs in alive))
-    tape.backward(tape.tensor_sum(h))
+    tape.backward(total(tape, h))
     assert live_steps == [steps - i for i in range(steps)]
     assert all(r() is None for refs in alive for r in refs)
-    assert len(tape) == 2
+    assert len(tape) == 3  # the sequence and two matmuls of the sum
 
 
 def test_untracked_lstm_sequence_keeps_nothing():
@@ -420,7 +420,7 @@ def test_embedding_gather_and_scatter():
     t = Tape()
     out = t.embedding(table, [1, 1, 3])
     np.testing.assert_array_equal(out.values, [[3.0, 4.0, 5.0], [3.0, 4.0, 5.0], [9.0, 10.0, 11.0]])
-    t.backward(t.tensor_sum(out))
+    t.backward(total(t, out))
     expected = np.zeros((4, 3))
     expected[1] = 2.0
     expected[3] = 1.0
@@ -436,7 +436,7 @@ def test_slice_cols_grad():
     x = parameter(np.arange(8.0).reshape(2, 4))
     t = Tape()
     out = t.slice_cols(x, 1, 3)
-    t.backward(t.tensor_sum(out))
+    t.backward(total(t, out))
     expected = np.zeros((2, 4))
     expected[:, 1:3] = 1.0
     np.testing.assert_array_equal(x.grad, expected)
@@ -532,7 +532,7 @@ def test_property_matmul_chain_grads(rows, inner, cols, seed):
 
     def forward():
         t = Tape()
-        return t.tensor_sum(t.sigmoid(t.add(t.matmul(a, b), bias)))
+        return total(t, t.sigmoid(t.add(t.matmul(a, b), bias)))
 
     check_grads(forward, {"a": a, "b": b, "bias": bias}, tol=1e-4)
 

@@ -4,6 +4,7 @@ import pytest
 from factrank.errors import UsageError
 from factrank.numerics import Tape, parameter
 from factrank.optim import clip_gradients, global_grad_norm, make_optimizer, step
+from gradcheck import total
 
 
 def test_step_moves_by_lr_and_clears_gradient():
@@ -64,7 +65,7 @@ def test_adam_converges_on_quadratic():
     opt = make_optimizer(lr=0.1)
     for _ in range(300):
         t = Tape()
-        loss = t.tensor_sum(t.mul(w, w))
+        loss = total(t, t.mul(w, w))
         t.backward(loss)
         step({"w": w}, opt)
     assert abs(w.values[0]) < 1e-2

@@ -1,12 +1,8 @@
-import tracemalloc
-from collections import Counter
-
-import numpy as np
 import pytest
 
 from factrank.encoders import EncoderTrainConfig, train_relation_classifier, train_source_classifier
 from factrank.errors import DataError
-from factrank.kb import Fact, KnowledgeBase
+from factrank.kb import KnowledgeBase
 from factrank.pipeline import PipelineModels, answer_question, evaluate
 from factrank.scorer import embed_batch, rank_candidates
 from factrank.trainer import MarginConfig, train_scorer
@@ -38,16 +34,13 @@ def test_evaluate_metrics_do_not_depend_on_k(models, small_synth, small_split):
     assert all(len(a.top_facts) == 1 and a.top_facts == b.top_facts[:1] for a, b in zip(p1, p3))
 
 
-@pytest.mark.parametrize("tie_break", ["id", "random"])
-def test_answer_question_is_evaluate_on_one_question(models, small_synth, small_split, tie_break):
+def test_answer_question_is_evaluate_on_one_question(models, small_synth, small_split):
     _, test = small_split
     kb, store = small_synth["kb"], small_synth["store"]
-    rng = (lambda: np.random.default_rng(5)) if tie_break == "random" else (lambda: None)
     for inst in test[:6]:
         answered = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id),
-                                   inst.question, k=2, question_id=inst.question_id, image_id=inst.image_id,
-                                   rng=rng())
-        evaluated = evaluate(models, kb, [inst], store, k=2, rng=rng())[1][0]
+                                   inst.question, k=2, question_id=inst.question_id, image_id=inst.image_id)
+        evaluated = evaluate(models, kb, [inst], store, k=2)[1][0]
         assert answered.status == "ok"
         assert answered == evaluated
 
@@ -75,50 +68,21 @@ def test_a_bucket_the_fact_matrix_sizes_differently_from_the_kb_is_a_data_error(
         evaluate(models, kb, [inst], store, oracle_relation=True, oracle_source=True)
 
 
-@pytest.mark.parametrize("tie_break", ["id", "random"])
-def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_split, tie_break):
-    # evaluate ranks each bucket once for all its questions; random ties
-    # still draw one jitter per bucket member, question by question
+def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_split):
+    # evaluate ranks each bucket once for all its questions
     _, test = small_split
     kb, store = small_synth["kb"], small_synth["store"]
-    rng = (lambda: np.random.default_rng(7)) if tie_break == "random" else (lambda: None)
-    _, evaluated = evaluate(models, kb, test, store, k=3, oracle_relation=True, rng=rng())
+    _, evaluated = evaluate(models, kb, test, store, k=3, oracle_relation=True)
     assert len({p.relation for p in evaluated}) > 1
     feats, cons = store.stack([i.image_id for i in test])
     iq = embed_batch(models.scorer, feats, cons, [i.question for i in test])
-    answer_rng, rank_rng = rng(), rng()
     for inst, e, v in zip(test, evaluated, iq):
         a = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id), inst.question,
-                            k=3, question_id=inst.question_id, image_id=inst.image_id, oracle_relation=inst.relation,
-                            rng=answer_rng)
+                            k=3, question_id=inst.question_id, image_id=inst.image_id, oracle_relation=inst.relation)
         # bitwise on evaluate's own embeddings, one question at a time
-        assert rank_candidates(v, kb.ids_with_relation(inst.relation), models.fact_matrix, 3, rank_rng) == e.top_facts
+        assert rank_candidates(v, kb.ids_with_relation(inst.relation), models.fact_matrix, 3) == e.top_facts
         # a batch of one embeds within rounding of the batch (see test_lstm_batch_rows_match_single_runs)
         assert (a.status, a.relation, a.source, a.answer) == (e.status, e.relation, e.source, e.answer)
         assert [f for f, _ in a.top_facts] == [f for f, _ in e.top_facts]
         assert [s for _, s in a.top_facts] == pytest.approx([s for _, s in e.top_facts], abs=1e-12)
         assert a.source_prob == pytest.approx(e.source_prob, abs=1e-12)
-
-
-def test_random_ties_hold_one_bucket_of_jitter_at_a_time(models, small_synth):
-    # every question of a bucket draws a jitter as long as the bucket; only
-    # one of them may be alive at a time, whatever the question count
-    relations = [r for r, _ in Counter(i.relation for i in small_synth["instances"]).most_common(3)]
-    instances = [i for i in small_synth["instances"] if i.relation in relations]
-    per_bucket = 4000
-    facts = [Fact(f"r{j}f{n:04d}", f"s{n}", r, f"o{n}") for j, r in enumerate(relations) for n in range(per_bucket)]
-    rows = np.random.default_rng(11).standard_normal((len(facts), models.fact_matrix.dim))
-    buckets = {r: slice(j * per_bucket, (j + 1) * per_bucket) for j, r in enumerate(relations)}
-    three = PipelineModels(models.scorer, FactMatrix.from_rows([f.fact_id for f in facts], rows, buckets))
-    kb = KnowledgeBase(facts)
-    peaks = {}
-    for tie_break in ("id", "random"):
-        tracemalloc.start()
-        try:
-            evaluate(three, kb, instances, small_synth["store"], oracle_relation=True, oracle_source=True,
-                     rng=np.random.default_rng(12) if tie_break == "random" else None)
-            peaks[tie_break] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert len(instances) >= 10
-    assert peaks["random"] - peaks["id"] <= per_bucket * 8 + 8192

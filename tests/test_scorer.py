@@ -28,7 +28,7 @@ from factrank.scorer import (
     score_matrix,
 )
 from factrank.wordvec import FactMatrix, WordVectorTable
-from gradcheck import check_grads
+from gradcheck import check_grads, total
 from spoil import rewrite_header
 
 TOY_DIMS = ScorerDims(
@@ -134,7 +134,7 @@ def test_inference_tape_records_nothing():
     assert len(tape) == 0
     assert not out.requires_grad and out.tape is None
     with pytest.raises(UsageError):
-        tape.backward(tape.tensor_sum(out))
+        tape.backward(total(tape, out))
 
 
 def test_variant_masking_ignores_masked_image():
@@ -248,15 +248,6 @@ def test_rank_ties_resolve_by_fact_id():
     assert [fid for fid, _ in ranked] == ["fa", "fb", "fc"]
 
 
-def test_rank_random_tie_break_is_seeded():
-    rows = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    ids = ["fa", "fb", "fc"]
-    fm = FactMatrix.from_rows(ids, rows)
-    a = rank_candidates(np.array([1.0, 0.0]), ids, fm, k=3, rng=np.random.default_rng(3))
-    b = rank_candidates(np.array([1.0, 0.0]), ids, fm, k=3, rng=np.random.default_rng(3))
-    assert a == b
-
-
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(1e-3, 1e3))
 def test_property_positive_rescaling_preserves_ordering(seed, scale):
@@ -309,22 +300,6 @@ def test_property_rank_rows_is_the_exact_sort(seed, n, dim, block):
             for iq, top in zip(queries, got):
                 brute = sorted(zip(fm.fact_ids, _brute_force_scores(fm, iq)), key=lambda e: (-e[1], e[0]))
                 assert top == brute[:k]
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40), dim=st.integers(1, 9),
-       block=st.sampled_from([1, 7, 1 << 21]))
-def test_property_rank_rows_random_ties_follow_the_jitter_sort(seed, n, dim, block):
-    fm, queries = _planted_block(seed, n, dim)
-    with mock.patch.object(scorer, "BLOCK_ELEMENTS", block):
-        for k in (1, 3, n):
-            draws = np.random.default_rng(seed + 1)
-            jitter = [draws.random(n) for _ in queries]
-            got = rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k, jitter)
-            for iq, top, jit in zip(queries, got, jitter):
-                scores = _brute_force_scores(fm, iq)
-                order = sorted(range(n), key=lambda i: (-scores[i], jit[i]))
-                assert top == [(fm.fact_ids[i], scores[i]) for i in order[:k]]
 
 
 def test_batched_score_matrix_close_to_per_candidate():

@@ -576,36 +576,6 @@ def test_train_scorer_epoch_records_report_gradient_norms(tiny_synth, monkeypatc
     assert any(0.0 < r["clipped_fraction"] < 1.0 for r in epochs)
 
 
-def test_train_scorer_fresh_start_mode(tiny_synth, monkeypatch):
-    # each iteration after the first mines with the parameters the previous
-    # one ended with, then starts over from ScorerParams.init([seed, 17, t])
-    instances, store, kb, table = tiny_synth
-    feats, cons = store.stack([i.image_id for i in instances])
-    inits, events = [], []
-
-    def recording_init(vocab, rng, *args, real=trainer.ScorerParams.init, **kwargs):
-        inits.append(real(vocab, rng, *args, **kwargs))
-        events.append(("init", list(rng.bit_generator.seed_seq.entropy)))
-        return inits[-1]
-
-    def recording_mine(iq, *args, real=trainer.mine_hard_negatives):
-        # the initialization whose (trained) parameters embed the questions as mined
-        [used] = [j for j, p in enumerate(inits)
-                  if np.array_equal(iq, embed_batch(p, feats, cons, [i.question for i in instances]))]
-        events.append(("mine", used))
-        return real(iq, *args)
-
-    monkeypatch.setattr(trainer.ScorerParams, "init", recording_init)
-    monkeypatch.setattr(trainer, "mine_hard_negatives", recording_mine)
-    cfg = MarginConfig(iterations=2, epochs_per_iteration=2, mining_period=1,
-                       negatives=5, batch_size=5, seed=8, reinitialize_each_iteration=True)
-    result = train_scorer(instances, kb, store, table, cfg)
-    assert len(result.candidate_history) == 3
-    assert events == [("init", [8, 17]), ("mine", 0),
-                      ("mine", 0), ("init", [8, 17, 1]), ("mine", 1),
-                      ("mine", 1), ("init", [8, 17, 2]), ("mine", 2)]
-
-
 def test_margin_config_validation():
     with pytest.raises(UsageError):
         MarginConfig(margin=0.0).validate()
