@@ -1,19 +1,22 @@
 """Command-line entry point.
 
-Subcommands: train (relation | source | scorer), evaluate, answer, synth,
-kb-stats, convert-fvqa. :class:`RunConfig` is the one option table: each
-of its fields is a key of the optional JSON ``--config`` file and a
+Subcommands: train relation, train source, train scorer, evaluate, answer,
+synth, kb-stats, convert-fvqa. :class:`RunConfig` is the one option table:
+each of its fields is a key of the optional JSON ``--config`` file and a
 ``--field-name`` flag (``-k`` for ``k``), and a flag overrides the file.
 A field's annotation is the type that both must have; its metadata gives
-the allowed choices and the subcommands whose handlers read it. Only those
-take its flag (``threads`` names none and goes to every one), under one
-spelling: flags have no abbreviations. A config file may set any field for
-any subcommand, so one run file serves them all. Every command is
-deterministic given its config; only ``train`` and ``synth`` draw random
-numbers, so only they take ``--seed``. A run writes nothing until every
-check that can end it with a usage error has passed; outputs are written
-atomically and embed the config hash, seed, and package version. Exit
-codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+the allowed choices and the subcommands whose handlers read it, each train
+kind being a subcommand of its own. Only those take its flag (``threads``
+names none and goes to every one), under one spelling: flags have no
+abbreviations. The fields that one subcommand alone reads are its knobs
+(:func:`_knobs`), from which its handler builds the library config. A
+config file may set any field for any subcommand, so one run file serves
+them all; every float must be finite. Every command is deterministic given
+its config; only ``train`` and ``synth`` draw random numbers, so only they
+take ``--seed``. A run writes nothing until every check that can end it
+with a usage error has passed; outputs are written atomically and embed
+the config hash, seed, and package version. Exit codes: 0 success, 1
+runtime failure, 2 usage or configuration error.
 
 Heavy imports happen inside the command handlers so that ``threads``,
 from a flag or the config file, sets the BLAS thread environment before
@@ -27,6 +30,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -37,7 +41,8 @@ from .errors import FactrankError, UsageError
 
 _TYPES = {"str": str, "int": int, "float": float}
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-_DATA = ("train", "evaluate", "answer")  # the subcommands that read the data paths and the fold
+_KINDS = ("relation", "source", "scorer")  # the train subcommands
+_DATA = (*_KINDS, "evaluate", "answer")  # the subcommands that read the data paths and the fold
 
 
 def _opt(default, *scope: str, choices: tuple | None = None):
@@ -57,34 +62,34 @@ class RunConfig:
     concept_labels: str | None = _opt(None, *_DATA)
     wordvec: str | None = _opt(None, *_DATA)
     checkpoints: str = _opt("checkpoints", *_DATA)
-    out: str = _opt("out", "train", "evaluate", "synth", "convert-fvqa")
+    out: str = _opt("out", *_KINDS, "evaluate", "synth", "convert-fvqa")
     # shared knobs
-    seed: int = _opt(0, "train", "synth")
+    seed: int = _opt(0, *_KINDS, "synth")
     fold: int | None = _opt(None, *_DATA)
-    variant: str = _opt("q+i+vc", "train", choices=("q+i", "q+vc", "q+i+vc"))
+    variant: str = _opt("q+i+vc", "scorer", choices=("q+i", "q+vc", "q+i+vc"))
     threads: int | None = None
     k: int = _opt(3, "evaluate", "answer")
-    max_question_tokens: int = _opt(30, "train")
+    max_question_tokens: int = _opt(30, *_KINDS)
     # relation classifier
-    relation_epochs: int = _opt(50, "train")
-    relation_batch_size: int = _opt(100, "train")
-    relation_lr: float = _opt(1e-3, "train")
-    relation_dropout: float = _opt(0.7, "train")
+    relation_epochs: int = _opt(50, "relation")
+    relation_batch_size: int = _opt(100, "relation")
+    relation_lr: float = _opt(1e-3, "relation")
+    relation_dropout: float = _opt(0.7, "relation")
     # source classifier
-    source_epochs: int = _opt(50, "train")
-    source_batch_size: int = _opt(100, "train")
-    source_lr: float = _opt(1e-3, "train")
-    source_dropout: float = _opt(0.5, "train")
+    source_epochs: int = _opt(50, "source")
+    source_batch_size: int = _opt(100, "source")
+    source_lr: float = _opt(1e-3, "source")
+    source_dropout: float = _opt(0.5, "source")
     # scorer / margin training
-    margin: float = _opt(1.0, "train")
-    weight_decay: float = _opt(1e-4, "train")
-    negatives: int = _opt(99, "train")
-    iterations: int = _opt(2, "train")
-    epochs_per_iteration: int = _opt(50, "train")
-    mining_period: int = _opt(10, "train")
-    scorer_batch_size: int = _opt(100, "train")
-    scorer_lr: float = _opt(1e-3, "train")
-    scorer_dropout: float = _opt(0.5, "train")
+    margin: float = _opt(1.0, "scorer")
+    weight_decay: float = _opt(1e-4, "scorer")
+    negatives: int = _opt(99, "scorer")
+    iterations: int = _opt(2, "scorer")
+    epochs_per_iteration: int = _opt(50, "scorer")
+    mining_period: int = _opt(10, "scorer")
+    scorer_batch_size: int = _opt(100, "scorer")
+    scorer_lr: float = _opt(1e-3, "scorer")
+    scorer_dropout: float = _opt(0.5, "scorer")
     # synthetic corpus, with SyntheticConfig's defaults
     vocab_size: int = _opt(60, "synth")
     facts_per_relation: int = _opt(46, "synth")
@@ -117,10 +122,13 @@ class RunConfig:
             values.update({key: _checked(fields[key], value) for key, value in loaded.items()})
         values.update({k: v for k, v in overrides.items() if v is not None})
         cfg = cls(**values)
-        if cfg.seed < 0:
-            raise UsageError(f"--seed: must be >= 0, got {cfg.seed}")
-        if cfg.threads is not None and cfg.threads < 1:
-            raise UsageError(f"--threads: must be >= 1, got {cfg.threads}")
+        for name, low in {"seed": 0, "threads": 1, "k": 1}.items():
+            value = getattr(cfg, name)
+            if value is not None and value < low:
+                raise UsageError(f"{_flag(name)}: must be >= {low}, got {value}")
+        for name, value in vars(cfg).items():
+            if type(value) is float and not math.isfinite(value):
+                raise UsageError(f"{_flag(name)}: must be finite, got {value}")
         return cfg
 
     def hash(self) -> str:
@@ -129,6 +137,16 @@ class RunConfig:
 
     def meta(self) -> dict:
         return {"config_hash": self.hash(), "seed": self.seed, "version": __version__}
+
+
+def _flag(name: str) -> str:
+    return "-k" if name == "k" else "--" + name.replace("_", "-")
+
+
+def _knobs(cfg: RunConfig, command: str) -> dict:
+    """The fields only ``command`` reads, named without the ``command_`` prefix."""
+    return {f.name.removeprefix(f"{command}_"): getattr(cfg, f.name)
+            for f in dataclasses.fields(cfg) if f.metadata.get("scope") == (command,)}
 
 
 def _field_type(f: dataclasses.Field) -> tuple[type, bool]:
@@ -196,61 +214,34 @@ def _load_bundle(cfg: RunConfig):
 
 def cmd_train(cfg: RunConfig, kind: str) -> int:
     from .dataio import split_fold
-    from .encoders import EncoderTrainConfig, accuracy, save_classifier, train_classifier
+    from .encoders import KINDS, EncoderTrainConfig, accuracy, save_classifier, train_classifier
     from .scorer import Variant, save_scorer
     from .trainer import MarginConfig, train_scorer
 
     instances, store, kb, table = _load_bundle(cfg)
     train_set, heldout = (instances, None) if cfg.fold is None else split_fold(instances, cfg.fold)
+    knobs = dict(_knobs(cfg, kind), seed=cfg.seed, max_question_tokens=cfg.max_question_tokens)
 
-    if kind in ("relation", "source"):
-        # the classifier knobs are the table fields relation_* and source_*
-        knob = lambda name: getattr(cfg, f"{kind}_{name}")
-        pairs = [(i.question, getattr(i, kind)) for i in train_set]
-        held = [(i.question, getattr(i, kind)) for i in heldout] if heldout else None
-        enc_cfg = EncoderTrainConfig(
-            epochs=knob("epochs"),
-            batch_size=knob("batch_size"),
-            lr=knob("lr"),
-            dropout=knob("dropout"),
-            seed=cfg.seed,
-            max_tokens=cfg.max_question_tokens,
-        )
-        clf, history = train_classifier(kind, pairs, enc_cfg, held)
-        save, model = save_classifier, clf
-        if kind == "relation":
-            summary = {"type": "summary", "train_top1": accuracy(clf, pairs, 1)}
-            if held:
-                summary["heldout_top1"] = accuracy(clf, held, 1)
-                summary["heldout_top3"] = accuracy(clf, held, 3)
-        else:
-            summary = {"type": "summary", "train_acc": accuracy(clf, pairs)}
-            if held:
-                summary["heldout_acc"] = accuracy(clf, held)
-    elif kind == "scorer":
-        margin_cfg = MarginConfig(
-            margin=cfg.margin,
-            weight_decay=cfg.weight_decay,
-            negatives=cfg.negatives,
-            iterations=cfg.iterations,
-            epochs_per_iteration=cfg.epochs_per_iteration,
-            mining_period=cfg.mining_period,
-            batch_size=cfg.scorer_batch_size,
-            lr=cfg.scorer_lr,
-            seed=cfg.seed,
-            dropout=cfg.scorer_dropout,
-            variant=Variant.parse(cfg.variant),
-            max_question_tokens=cfg.max_question_tokens,
-        )
-        result = train_scorer(train_set, kb, store, table, margin_cfg, heldout=heldout)
+    if kind == "scorer":
+        knobs["variant"] = Variant(knobs["variant"])
+        result = train_scorer(train_set, kb, store, table, MarginConfig(**knobs), heldout=heldout)
         save, model, history = save_scorer, result.params, result.metrics
         iter_summaries = [m for m in history if m["type"] == "iteration"]
         summary = {"type": "summary", "iterations": len(iter_summaries)}
         if iter_summaries and "precision1" in iter_summaries[-1]:
             summary["heldout_precision1"] = iter_summaries[-1]["precision1"]
             summary["heldout_precision3"] = iter_summaries[-1]["precision3"]
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown training kind {kind!r}")
+    else:
+        pairs = [(i.question, getattr(i, kind)) for i in train_set]
+        held = [(i.question, getattr(i, kind)) for i in heldout] if heldout else None
+        clf, history = train_classifier(kind, pairs, EncoderTrainConfig(**knobs), held)
+        save, model = save_classifier, clf
+        summary = {"type": "summary", "train_top1" if kind == "relation" else "train_acc": accuracy(clf, pairs)}
+        if held:
+            # the last epoch record measured these same parameters
+            summary[KINDS[kind].metric] = history[-1][KINDS[kind].metric]
+            if kind == "relation":
+                summary["heldout_top3"] = accuracy(clf, held, 3)
 
     # only a run that got this far writes anything, so a usage error leaves no directory behind
     meta = cfg.meta()
@@ -371,18 +362,10 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
 def cmd_synth(cfg: RunConfig) -> int:
     from .synth import SyntheticConfig, generate_synthetic
 
-    synth_cfg = SyntheticConfig(
-        seed=cfg.seed,
-        vocab_size=cfg.vocab_size,
-        facts_per_relation=cfg.facts_per_relation,
-        qa_pairs=cfg.qa_pairs,
-        concept_signal=cfg.concept_signal,
-        image_answer_fraction=cfg.image_answer_fraction,
-        distractor_concepts=cfg.distractor_concepts,
-        wordvec_dim=cfg.wordvec_dim,
-        feature_dim=cfg.feature_dim,
-        concept_labels=cfg.concept_label_count,
-    )
+    knobs = _knobs(cfg, "synth")
+    # --concept-labels is the concept label file, so the table names the count concept_label_count
+    knobs["concept_labels"] = knobs.pop("concept_label_count")
+    synth_cfg = SyntheticConfig(**knobs, seed=cfg.seed)
     paths = generate_synthetic(synth_cfg, cfg.out)
     for name, path in paths.items():
         print(f"{name}: {path}")
@@ -425,18 +408,18 @@ def _add_options(parser: argparse.ArgumentParser, command: str) -> None:
     for f in dataclasses.fields(RunConfig):
         if command not in f.metadata.get("scope", (command,)):
             continue
-        flag = "-k" if f.name == "k" else "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, type=_field_type(f)[0], choices=f.metadata.get("choices"))
+        parser.add_argument(_flag(f.name), dest=f.name, type=_field_type(f)[0], choices=f.metadata.get("choices"))
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="factrank", description="Learned fact retrieval for visual question answering")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
+    no_abbrev = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=no_abbrev)
 
     p_train = sub.add_parser("train", help="train one of the three models")
-    p_train.add_argument("kind", choices=["relation", "source", "scorer"])
-    _add_options(p_train, "train")
+    kinds = p_train.add_subparsers(dest="kind", required=True, parser_class=no_abbrev)
+    for kind in _KINDS:
+        _add_options(kinds.add_parser(kind, help=f"train the {kind} model"), kind)
 
     p_eval = sub.add_parser("evaluate", help="score a dataset fold (or all folds) with trained checkpoints")
     _add_options(p_eval, "evaluate")

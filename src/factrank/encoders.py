@@ -276,7 +276,7 @@ class EncoderTrainConfig:
     lr: float = 1e-3
     seed: int = 0
     dropout: float | None = None  # None -> the classifier kind's default
-    max_tokens: int = 30
+    max_question_tokens: int = 30
 
 
 def fit(
@@ -351,8 +351,8 @@ def train_classifier(
     """
     spec = KINDS[kind]
     cfg = config or EncoderTrainConfig()
-    if cfg.max_tokens < 1:
-        raise UsageError(f"{kind} classifier: max_tokens must be >= 1, got {cfg.max_tokens}")
+    if cfg.max_question_tokens < 1:
+        raise UsageError(f"{kind} classifier: max_question_tokens must be >= 1, got {cfg.max_question_tokens}")
     if not pairs:
         raise DataError(f"{kind} training needs at least one example")
     for q, label in pairs:
@@ -362,7 +362,7 @@ def train_classifier(
             raise DataError(f"question {q!r} has no tokens")
     vocab = Vocabulary.build(q for q, _ in pairs)
     clf = Classifier.init(kind, vocab, np.random.default_rng([cfg.seed, 11]), dropout=cfg.dropout,
-                          max_tokens=cfg.max_tokens)
+                          max_tokens=cfg.max_question_tokens)
     targets = np.array([spec.labels.index(label) for _, label in pairs], dtype=np.intp)
     rng = np.random.default_rng([cfg.seed, 13])
 

@@ -31,7 +31,7 @@ class OptimizerState:
 
 
 def make_optimizer(lr: float, weight_decay: float = 0.0) -> OptimizerState:
-    if lr <= 0:
+    if not lr > 0:  # NaN too
         raise UsageError(f"learning rate must be positive, got {lr}")
     return OptimizerState(lr=lr, weight_decay=weight_decay)
 

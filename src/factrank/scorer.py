@@ -59,13 +59,6 @@ class Variant(str, enum.Enum):
     def use_concepts(self) -> bool:
         return self in (Variant.Q_VC, Variant.Q_I_VC)
 
-    @classmethod
-    def parse(cls, token: str) -> "Variant":
-        try:
-            return cls(token.strip().lower())
-        except ValueError:
-            raise UsageError(f"unknown variant {token!r}; expected one of {[v.value for v in cls]}") from None
-
 
 @dataclass
 class ScorerDims:

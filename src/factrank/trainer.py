@@ -69,12 +69,12 @@ class MarginConfig:
 
     def validate(self) -> None:
         for name in ("margin", "lr"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
         lows = dict(weight_decay=0, negatives=1, iterations=0, epochs_per_iteration=1, mining_period=1,
                     max_question_tokens=1)
         for name, low in lows.items():
-            if getattr(self, name) < low:
+            if not getattr(self, name) >= low:
                 raise UsageError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError(f"dropout must be in [0, 1), got {self.dropout}")

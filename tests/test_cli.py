@@ -70,7 +70,7 @@ def trained(synth_dir, tmp_path_factory):
 
 
 @pytest.mark.parametrize("command, extra, message", [
-    (["evaluate"], ["-k", "0"], "k must be >= 1, got 0"),
+    (["evaluate"], ["-k", "0"], "-k: must be >= 1, got 0"),
     (["evaluate"], ["--checkpoints", "none/"], "--checkpoints: missing checkpoint none/scorer_fold1.ckpt"),
     (["train", "relation"], ["--relation-epochs", "0", "--checkpoints", "ckpt"],
      "relation classifier: epochs and batch_size must be >= 1"),
@@ -121,18 +121,43 @@ def test_cli_fold_or_threads_out_of_range_is_usage_error_by_flag_and_by_config_f
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
+@pytest.mark.parametrize("command, flag, value, text", [
+    (["evaluate"], "-k", "0", '{"k": 0}'),
+    (["answer", "--image-id", "img", "--question", "what is this"], "-k", "-1", '{"k": -1}'),
+    (["train", "relation"], "--relation-lr", "nan", '{"relation_lr": NaN}'),
+    (["train", "scorer"], "--margin", "inf", '{"margin": Infinity}'),
+    (["synth"], "--concept-signal", "-inf", '{"concept_signal": -Infinity}'),
+], ids=["evaluate-k-0", "answer-k-negative", "train-relation-lr-nan", "train-scorer-margin-inf",
+        "synth-concept-signal-minus-inf"])
+def test_k_below_1_or_a_non_finite_float_is_usage_error_by_flag_and_by_config_file(
+        synth_dir, tmp_path, capsys, monkeypatch, command, flag, value, text):
+    # evaluate used to load the data and checkpoints before rejecting k, and a
+    # NaN rate used to train a whole epoch before its loss stopped the run
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.json"
+    config.write_text(text)  # Python's json reads NaN and Infinity
+    data = [] if command == ["synth"] else _data_flags(synth_dir, "ckpt")
+    bound = "must be >= 1" if flag == "-k" else "must be finite"
+    for source in ([f"{flag}={value}"], ["--config", str(config)]):
+        assert main([*command, *data, *source]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: {bound}, got {value}" in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
 # ----------------------------------------------------------------------
 # the option table
 # ----------------------------------------------------------------------
 
 COMMON = ["-h", "--help", "--config", "--threads"]
 DATA = ["--kb", "--qa", "--features", "--concepts", "--concept-labels", "--wordvec", "--checkpoints", "--fold"]
+TRAIN = COMMON + DATA + ["--seed", "--out", "--max-question-tokens"]
 OPTIONS = {
-    "train": COMMON + DATA + ["--seed", "--out", "--variant", "--iterations", "--relation-epochs", "--source-epochs",
-                              "--epochs-per-iteration", "--mining-period", "--negatives", "--relation-batch-size",
-                              "--source-batch-size", "--scorer-batch-size", "--max-question-tokens", "--margin",
-                              "--weight-decay", "--scorer-lr", "--relation-lr", "--source-lr", "--scorer-dropout",
-                              "--relation-dropout", "--source-dropout"],
+    "train relation": TRAIN + ["--relation-epochs", "--relation-batch-size", "--relation-lr", "--relation-dropout"],
+    "train source": TRAIN + ["--source-epochs", "--source-batch-size", "--source-lr", "--source-dropout"],
+    "train scorer": TRAIN + ["--variant", "--margin", "--weight-decay", "--negatives", "--iterations",
+                             "--epochs-per-iteration", "--mining-period", "--scorer-batch-size", "--scorer-lr",
+                             "--scorer-dropout"],
     "evaluate": COMMON + DATA + ["--out", "-k", "--gt-relation", "--gt-source", "--reference"],
     "answer": COMMON + DATA + ["-k", "--image-id", "--question"],
     "synth": COMMON + ["--seed", "--out", "--vocab-size", "--facts-per-relation", "--qa-pairs", "--concept-signal",
@@ -144,10 +169,18 @@ OPTIONS = {
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _subcommands(parser, prefix=""):
+    """(name, parser) of each leaf subcommand, a train kind named "train <kind>"."""
+    subparsers = next((a for a in parser._actions if isinstance(a, argparse._SubParsersAction)), None)
+    if subparsers is None:
+        return [(prefix.strip(), parser)]
+    return [leaf for name, sub in subparsers.choices.items() for leaf in _subcommands(sub, f"{prefix}{name} ")]
+
+
 def test_each_subcommand_takes_exactly_its_option_strings():
-    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert sorted(subparsers.choices) == sorted(OPTIONS)
-    for command, parser in subparsers.choices.items():
+    leaves = dict(_subcommands(build_parser()))
+    assert sorted(leaves) == sorted(OPTIONS)
+    for command, parser in leaves.items():
         taken = [s for action in parser._actions for s in action.option_strings]
         assert sorted(taken) == sorted(OPTIONS[command]), command
 
@@ -158,7 +191,11 @@ def test_each_subcommand_takes_exactly_its_option_strings():
     ["synth", "--kb", "x"],  # data path
     ["kb-stats", "--seed", "1"],  # shared knob
     ["synth", "--vocab", "45"],  # abbreviation of --vocab-size
-], ids=["evaluate-variant", "answer-out", "synth-kb", "kb-stats-seed", "synth-abbreviation"])
+    ["train", "relation", "--margin", "5"],  # scorer knob
+    ["train", "source", "--variant", "q+i"],  # scorer knob
+    ["train", "scorer", "--relation-epochs", "2"],  # relation classifier knob
+], ids=["evaluate-variant", "answer-out", "synth-kb", "kb-stats-seed", "synth-abbreviation", "train-relation-margin",
+        "train-source-variant", "train-scorer-relation-epochs"])
 def test_a_flag_the_subcommand_does_not_read_is_unrecognized(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -190,7 +227,8 @@ def _other_value(f):
 
 
 def test_every_field_is_the_same_by_flag_and_by_config_file(captured, tmp_path):
-    command = {"kb-stats": ["kb-stats"], "train": ["train", "scorer"], "evaluate": ["evaluate"], "synth": ["synth"]}
+    command = {"kb-stats": ["kb-stats"], "scorer": ["train", "scorer"], "relation": ["train", "relation"],
+               "source": ["train", "source"], "evaluate": ["evaluate"], "synth": ["synth"]}
     for f in dataclasses.fields(RunConfig):
         value = _other_value(f)
         assert value != f.default, f.name
@@ -224,24 +262,22 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, payload
 
 def test_table_defaults_are_the_library_defaults():
     from factrank.encoders import KINDS, EncoderTrainConfig
+    from factrank.scorer import Variant
     from factrank.synth import SyntheticConfig
     from factrank.trainer import MarginConfig
 
-    cfg, enc, margin, synth = RunConfig(), EncoderTrainConfig(), MarginConfig(), SyntheticConfig()
-    for prefix in ("relation", "source"):
-        assert (getattr(cfg, f"{prefix}_epochs"), getattr(cfg, f"{prefix}_batch_size"),
-                getattr(cfg, f"{prefix}_lr")) == (enc.epochs, enc.batch_size, enc.lr)
-    assert (cfg.relation_dropout, cfg.source_dropout) == (KINDS["relation"].dropout, KINDS["source"].dropout)
-    assert cfg.seed == enc.seed == margin.seed
-    assert cfg.max_question_tokens == enc.max_tokens == margin.max_question_tokens
-    assert (cfg.margin, cfg.weight_decay, cfg.negatives, cfg.iterations, cfg.epochs_per_iteration,
-            cfg.mining_period, cfg.scorer_batch_size, cfg.scorer_lr, cfg.scorer_dropout, cfg.variant) == (
-        margin.margin, margin.weight_decay, margin.negatives, margin.iterations, margin.epochs_per_iteration,
-        margin.mining_period, margin.batch_size, margin.lr, margin.dropout, margin.variant.value)
-    synth_fields = [f.name for f in dataclasses.fields(RunConfig) if f.metadata.get("scope") == ("synth",)]
-    assert len(synth_fields) == 9
-    for name in synth_fields:
-        assert getattr(cfg, name) == getattr(synth, "concept_labels" if name == "concept_label_count" else name), name
+    # each config built as the handlers build it, so a misnamed table field fails here
+    cfg = RunConfig()
+    assert [len(cli._knobs(cfg, c)) for c in ("relation", "source", "scorer", "synth")] == [4, 4, 10, 9]
+    shared = dict(seed=cfg.seed, max_question_tokens=cfg.max_question_tokens)
+    for kind in ("relation", "source"):
+        # the library's dropout None stands for the kind's default, which the table spells out
+        assert EncoderTrainConfig(**cli._knobs(cfg, kind), **shared) == EncoderTrainConfig(dropout=KINDS[kind].dropout)
+    scorer = cli._knobs(cfg, "scorer")
+    assert MarginConfig(**dict(scorer, variant=Variant(scorer["variant"])), **shared) == MarginConfig()
+    synth = cli._knobs(cfg, "synth")
+    synth["concept_labels"] = synth.pop("concept_label_count")
+    assert SyntheticConfig(**synth) == SyntheticConfig()
 
 
 @pytest.mark.parametrize("flag", ["--relation-epochs", "--relation-batch-size"])
@@ -265,8 +301,9 @@ def test_cli_train_scorer_with_zero_epochs_per_iteration_is_usage_error(synth_di
 def test_cli_train_with_fewer_than_one_question_token_is_usage_error(synth_dir, tmp_path, capsys, kind, tokens):
     # -1 would otherwise train on every question but its last token
     flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
-    assert main(["train", kind, *flags, f"--max-question-tokens={tokens}", "--iterations", "0"]) == 2
-    assert re.search(rf"max_(question_)?tokens must be >= 1, got {tokens}", capsys.readouterr().err)
+    scorer = ["--iterations", "0"] if kind == "scorer" else []
+    assert main(["train", kind, *flags, f"--max-question-tokens={tokens}", *scorer]) == 2
+    assert f"max_question_tokens must be >= 1, got {tokens}" in capsys.readouterr().err
     assert not (tmp_path / "ckpt" / f"{kind}.ckpt").exists()
 
 

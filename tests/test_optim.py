@@ -35,6 +35,12 @@ def test_weight_decay_shrinks_weight_matrices():
     assert np.linalg.norm(b.values) == before_b  # biases are never decayed
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1, float("nan")])
+def test_make_optimizer_rejects_a_learning_rate_that_is_not_positive(lr):
+    with pytest.raises(UsageError, match=f"learning rate must be positive, got {lr}"):
+        make_optimizer(lr)
+
+
 def test_step_requires_gradients():
     w = parameter(np.ones(2))
     w.grad = None

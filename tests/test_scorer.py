@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from factrank.checkpoint import save_checkpoint
 from factrank.encoders import Vocabulary, encode_batch
 from factrank.errors import LoadError, ShapeError, UsageError
-from factrank.kb import Fact, KnowledgeBase, Relation
 from factrank import scorer
 from factrank.numerics import Tape
 from factrank.scorer import (
@@ -17,7 +16,6 @@ from factrank.scorer import (
     ScorerParams,
     Variant,
     candidate_scores,
-    embed_batch,
     embed_image_question,
     iq_embedding_batch,
     load_scorer,
@@ -27,7 +25,7 @@ from factrank.scorer import (
     score,
     score_matrix,
 )
-from factrank.wordvec import FactMatrix, WordVectorTable
+from factrank.wordvec import FactMatrix
 from gradcheck import check_grads, total
 from spoil import rewrite_header
 
@@ -152,12 +150,6 @@ def test_variant_masking_ignores_masked_concepts():
     a = embed_image_question(params, feat, np.zeros(9), "what is shown")
     b = embed_image_question(params, feat, np.ones(9), "what is shown")
     np.testing.assert_array_equal(a, b)
-
-
-def test_variant_parse():
-    assert Variant.parse("q+vc") is Variant.Q_VC
-    with pytest.raises(UsageError):
-        Variant.parse("q+x")
 
 
 # ----------------------------------------------------------------------

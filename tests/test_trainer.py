@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factrank.dataio import load_dataset, split_fold
+from factrank.dataio import load_dataset
 from factrank.errors import DataError, DegenerateInputError, UsageError
 from factrank.kb import Fact, KnowledgeBase, Relation
 from factrank.numerics import Tape, constant
@@ -587,6 +587,9 @@ def test_margin_config_validation():
         MarginConfig(epochs_per_iteration=0).validate()
     with pytest.raises(UsageError, match="weight_decay must be >= 0"):
         MarginConfig(weight_decay=-5.0).validate()
+    for name in ("margin", "lr", "weight_decay"):
+        with pytest.raises(UsageError, match=f"{name} must be .*, got nan"):
+            MarginConfig(**{name: float("nan")}).validate()
     MarginConfig(weight_decay=0.0).validate()
 
 
