@@ -1,8 +1,9 @@
 """Pretrained word vectors and the fixed (non-trainable) fact embedding.
 
-A fact embeds as the concatenation of the averaged word vectors of its
-subject and of its object, giving a vector of length ``2 * dim`` that never
-changes during training. The whole knowledge base is embedded once into a
+A fact embeds as the concatenation of the averaged known-token word vectors
+of its subject and of its object (zero if none is known; not the relation),
+a vector of length ``2 * dim`` that never changes during training. The whole
+knowledge base is embedded once, in passes of ``BUILD_CHUNK`` facts, into a
 dense :class:`FactMatrix` whose rows are laid out relation bucket after
 relation bucket, so ranking a bucket reads one contiguous block of rows.
 """
@@ -25,12 +26,12 @@ __all__ = [
     "tokenize",
     "WordVectorTable",
     "load_vectors",
-    "phrase_embedding",
-    "fact_embedding",
     "FactMatrix",
 ]
 
 logger = logging.getLogger(__name__)
+
+BUILD_CHUNK = 2048  # facts per pass of FactMatrix.build; bounds its (phrases x tokens x dim) gathers
 
 Array = np.ndarray
 
@@ -42,13 +43,10 @@ class WordVectorTable:
         self.dim = int(dim)
         self.vectors: dict[str, Array] = vectors or {}
         self.duplicate_count = 0
-        self.oov_phrase_count = 0  # diagnostic: phrases that embedded to zero
+        self.oov_phrase_count = 0  # diagnostic: phrase occurrences that embedded to zero
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
 
     def __getitem__(self, token: str) -> Array:
         return self.vectors[token]
@@ -87,33 +85,6 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
     return table
 
 
-def phrase_embedding(phrase: str, table: WordVectorTable) -> Array:
-    """Mean vector of the phrase's in-vocabulary tokens.
-
-    Out-of-vocabulary tokens are skipped; if every token is unknown the
-    result is the zero vector and the table's OOV counter is bumped. A
-    phrase with no tokens at all is degenerate.
-    """
-    tokens = tokenize(phrase)
-    if not tokens:
-        raise DegenerateInputError(f"phrase {phrase!r} has no tokens")
-    known = [table.vectors[t] for t in tokens if t in table.vectors]
-    if not known:
-        table.oov_phrase_count += 1
-        logger.warning("phrase %r is fully out of vocabulary", phrase)
-        return np.zeros(table.dim)
-    return np.mean(known, axis=0)
-
-
-def fact_embedding(fact: Fact, table: WordVectorTable) -> Array:
-    """Fixed fact vector: subject average concatenated with object average.
-
-    The relation does not participate, so facts differing only in relation
-    embed identically.
-    """
-    return np.concatenate([phrase_embedding(fact.subject, table), phrase_embedding(fact.obj, table)])
-
-
 @dataclass
 class FactMatrix:
     """Dense (num_facts x 2*dim) embedding of a whole knowledge base.
@@ -135,6 +106,8 @@ class FactMatrix:
 
     @classmethod
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":
+        """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean``; a phrase
+        with no tokens is degenerate. Fully out-of-vocabulary occurrences are counted and logged once."""
         facts: list[Fact] = []
         buckets = {}
         for relation in Relation:
@@ -142,8 +115,14 @@ class FactMatrix:
             facts += kb.facts_with_relation(relation)
             buckets[relation] = slice(start, len(facts))
         rows = np.zeros((len(facts), 2 * table.dim))
-        for i, f in enumerate(facts):
-            rows[i] = fact_embedding(f, table)
+        phrases = [p for f in facts for p in (f.subject, f.obj)]
+        halves = rows.reshape(len(phrases), table.dim)  # a view: fact i's subject at 2i, its object at 2i + 1
+        oov: list[str] = []
+        for at in range(0, len(phrases), 2 * BUILD_CHUNK):
+            oov += _embed_phrases(phrases[at:at + 2 * BUILD_CHUNK], table, halves[at:at + 2 * BUILD_CHUNK])
+        table.oov_phrase_count += len(oov)
+        if oov:
+            logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov), oov[0])
         return cls.from_rows([f.fact_id for f in facts], rows, buckets)
 
     @cached_property
@@ -158,3 +137,23 @@ class FactMatrix:
 
     def row(self, fact_id: str) -> Array:
         return self.rows[self.row_of[fact_id]]
+
+
+def _embed_phrases(phrases: list[str], table: WordVectorTable, out: Array) -> list[str]:
+    """Write each phrase's known-token mean into its row of ``out``, one gather per token count; return
+    the phrases with no known token, whose rows are left as they are."""
+    token_ids: dict[str, int] = {}
+    ids_of: dict[str, tuple[int, ...]] = {}
+    groups: dict[int, list[int]] = {}
+    for i, phrase in enumerate(phrases):
+        if phrase not in ids_of:
+            tokens = tokenize(phrase)
+            if not tokens:
+                raise DegenerateInputError(f"phrase {phrase!r} has no tokens")
+            ids_of[phrase] = tuple([token_ids.setdefault(t, len(token_ids)) for t in tokens if t in table.vectors])
+        groups.setdefault(len(ids_of[phrase]), []).append(i)
+    vecs = np.array([table.vectors[t] for t in token_ids]).reshape(len(token_ids), table.dim)
+    for count, members in groups.items():
+        if count:
+            out[members] = vecs[np.array([ids_of[phrases[i]] for i in members])].mean(axis=1)
+    return [phrases[i] for i in groups.get(0, [])]

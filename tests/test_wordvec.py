@@ -1,19 +1,36 @@
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from factrank import wordvec
 from factrank.errors import DegenerateInputError, LoadError
-from factrank.kb import Fact, Relation, parse_kb
+from factrank.kb import Fact, KnowledgeBase, Relation, parse_kb
 from factrank.synth import SyntheticConfig, generate_synthetic
-from factrank.wordvec import (
-    FactMatrix,
-    WordVectorTable,
-    fact_embedding,
-    load_vectors,
-    phrase_embedding,
-    tokenize,
-)
+from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors, tokenize
+
+
+def _per_fact_rows(facts, table):
+    """The reference loop: each fact's row is the ``np.mean`` of its subject's
+    known token vectors concatenated with its object's, a half with no known
+    token zero. Returns the rows and the count of such half occurrences."""
+    rows, oov = [], 0
+    for fact in facts:
+        halves = []
+        for phrase in (fact.subject, fact.obj):
+            known = [table.vectors[t] for t in tokenize(phrase) if t in table.vectors]
+            oov += not known
+            halves.append(np.mean(known, axis=0) if known else np.zeros(table.dim))
+        rows.append(np.concatenate(halves))
+    return np.array(rows).reshape(len(facts), 2 * table.dim), oov
+
+
+def _build(table, *pairs):
+    """FactMatrix.build of a KB with one IsA fact per (subject, object) pair."""
+    kb = KnowledgeBase([Fact(f"f{i}", s, Relation.IS_A, o) for i, (s, o) in enumerate(pairs)])
+    return FactMatrix.build(kb, table)
 
 
 def test_tokenize_single_word():
@@ -33,49 +50,49 @@ def test_tokenize_keeps_numbers_drops_punctuation():
 
 
 def test_phrase_embedding_single_token(tiny_table):
-    np.testing.assert_array_equal(phrase_embedding("Shade", tiny_table), tiny_table["shade"])
+    np.testing.assert_array_equal(_build(tiny_table, ("Shade", "pet")).rows[0, :4], tiny_table["shade"])
 
 
 def test_phrase_embedding_is_mean():
     table = WordVectorTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
-    np.testing.assert_array_equal(phrase_embedding("a b", table), [0.5, 0.5])
+    np.testing.assert_array_equal(_build(table, ("a b", "a")).rows[0, :2], [0.5, 0.5])
 
 
 def test_phrase_embedding_all_oov_is_zero_and_counted(tiny_table):
     before = tiny_table.oov_phrase_count
-    out = phrase_embedding("zyzzyva", tiny_table)
+    out = _build(tiny_table, ("zyzzyva", "shade")).rows[0, :4]
     np.testing.assert_array_equal(out, np.zeros(4))
     assert tiny_table.oov_phrase_count == before + 1
 
 
 def test_phrase_embedding_skips_oov_tokens(tiny_table):
     np.testing.assert_array_equal(
-        phrase_embedding("shade zyzzyva", tiny_table), tiny_table["shade"]
+        _build(tiny_table, ("shade zyzzyva", "pet")).rows[0, :4], tiny_table["shade"]
     )
 
 
 def test_phrase_embedding_empty_phrase_rejected(tiny_table):
-    with pytest.raises(DegenerateInputError):
-        phrase_embedding("!!!", tiny_table)
+    for pair in (("!!!", "pet"), ("pet", "!!!")):
+        with pytest.raises(DegenerateInputError):
+            _build(tiny_table, pair)
 
 
 def test_fact_embedding_is_concat_of_halves():
     table = WordVectorTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
-    fact = Fact("f1", "a", Relation.IS_A, "b")
-    np.testing.assert_array_equal(fact_embedding(fact, table), [1.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(_build(table, ("a", "b")).rows[0], [1.0, 0.0, 0.0, 1.0])
 
 
 def test_fact_embedding_length_is_twice_dim():
     rng = np.random.default_rng(0)
     table = WordVectorTable(100, {"cat": rng.standard_normal(100), "pet": rng.standard_normal(100)})
-    fact = Fact("f1", "cat", Relation.IS_A, "pet")
-    assert fact_embedding(fact, table).shape == (200,)
+    assert _build(table, ("cat", "pet")).rows.shape == (1, 200)
 
 
 def test_fact_embedding_ignores_relation(tiny_table):
     a = Fact("f1", "Dog", Relation.IS_A, "Pet")
     b = Fact("f2", "Dog", Relation.DESIRES, "Pet")
-    np.testing.assert_array_equal(fact_embedding(a, tiny_table), fact_embedding(b, tiny_table))
+    fm = FactMatrix.build(KnowledgeBase([a, b]), tiny_table)
+    np.testing.assert_array_equal(fm.row("f1"), fm.row("f2"))
 
 
 def test_load_vectors_basic(tmp_path):
@@ -128,10 +145,8 @@ def test_load_vectors_without_rows_is_load_error_naming_the_file(tmp_path, text)
 
 
 def test_fact_matrix_rows_match_fact_embeddings(tiny_kb, tiny_table, tiny_fact_matrix):
-    for fid in tiny_kb.fact_ids():
-        np.testing.assert_array_equal(
-            tiny_fact_matrix.row(fid), fact_embedding(tiny_kb.fact(fid), tiny_table)
-        )
+    rows, _ = _per_fact_rows([tiny_kb.fact(fid) for fid in tiny_fact_matrix.fact_ids], tiny_table)
+    np.testing.assert_array_equal(tiny_fact_matrix.rows, rows)
     assert tiny_fact_matrix.rows.shape == (len(tiny_kb), 8)
 
 
@@ -169,12 +184,80 @@ def test_property_phrase_norm_bounded_by_max_token_norm(n_tokens, seed):
     tokens = [f"t{i}" for i in range(n_tokens)]
     table = WordVectorTable(5, {t: rng.standard_normal(5) for t in tokens})
     phrase = " ".join(tokens)
-    emb = phrase_embedding(phrase, table)
+    emb = _build(table, (phrase, "t0")).rows[0, :5]
     max_norm = max(np.linalg.norm(table[t]) for t in tokens)
     assert np.linalg.norm(emb) <= max_norm + 1e-12
 
 
 def test_embedding_deterministic(tiny_table):
-    a = phrase_embedding("eat with", tiny_table)
-    b = phrase_embedding("eat with", tiny_table)
-    np.testing.assert_array_equal(a, b)
+    a = _build(tiny_table, ("eat with", "pet"), ("dog", "eat with"))
+    b = _build(tiny_table, ("eat with", "pet"), ("dog", "eat with"))
+    np.testing.assert_array_equal(a.rows[0, :4], a.rows[1, 4:])
+    assert a.rows.tobytes() == b.rows.tobytes()
+
+
+@st.composite
+def _tables_and_kbs(draw):
+    """A word-vector table and a KB over a few phrases of its tokens and two
+    unknown ones, drawn so phrases repeat and facts differ only in relation."""
+    dim = draw(st.integers(1, 3))
+    component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
+    vocab = [f"w{i}" for i in range(draw(st.integers(1, 5)))]
+    table = WordVectorTable(dim, {t: np.array(draw(st.lists(component, min_size=dim, max_size=dim))) for t in vocab})
+    phrase = st.lists(st.sampled_from(vocab + ["oov1", "oov2"]), min_size=1, max_size=12).map(" ".join)
+    pool = draw(st.lists(phrase, min_size=1, max_size=5))
+    fact = st.tuples(st.sampled_from(pool), st.sampled_from(list(Relation)), st.sampled_from(pool))
+    triples = draw(st.lists(fact, min_size=1, max_size=9))
+    return table, KnowledgeBase([Fact(f"f{i}", s, r, o) for i, (s, r, o) in enumerate(triples)])
+
+
+# dim 1 with nine known tokens whose pairwise sum differs from the running
+# sum, -0.0 components, an unknown token, a fully unknown phrase, repeated
+# phrases and a relation twin
+_EDGES = (
+    WordVectorTable(1, {"a": np.array([1e16]), "b": np.array([1.0]), "c": np.array([-1e16]), "d": np.array([-0.0])}),
+    KnowledgeBase([
+        Fact("f1", "a b c b b b b b b", Relation.IS_A, "d"),
+        Fact("f2", "d d oov", Relation.HAS_A, "oov"),
+        Fact("f3", "a b c b b b b b b", Relation.DESIRES, "d"),
+        Fact("f4", "oov oov", Relation.IS_A, "c d a"),
+    ]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tables_and_kbs(), st.sampled_from([1, 2, 3]))
+@example(_EDGES, 1)
+@example(_EDGES, 3)
+def test_build_is_the_per_fact_loop_bitwise_across_chunk_edges(case, chunk):
+    table, kb = case
+    before = table.oov_phrase_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordvec, "BUILD_CHUNK", chunk)
+        fm = FactMatrix.build(kb, table)
+    rows, oov = _per_fact_rows([kb.fact(fid) for fid in fm.fact_ids], table)
+    assert fm.rows.tobytes() == rows.tobytes()
+    assert table.oov_phrase_count - before == oov
+
+
+def test_build_rejects_a_tokenless_subject_naming_it_and_counts_nothing(tiny_table, monkeypatch, caplog):
+    # KnowledgeBase takes facts as given; only parse_fact rejects a tokenless field
+    monkeypatch.setattr(wordvec, "BUILD_CHUNK", 1)
+    kb = KnowledgeBase([Fact("f1", "zyzzyva", Relation.IS_A, "pet"), Fact("f2", "?!", Relation.IS_A, "pet")])
+    with caplog.at_level(logging.WARNING, logger="factrank.wordvec"), pytest.raises(
+        DegenerateInputError, match=r"phrase '\?!' has no tokens"
+    ):
+        FactMatrix.build(kb, tiny_table)
+    assert tiny_table.oov_phrase_count == 0 and not caplog.records
+
+
+def test_build_warns_once_with_the_count_and_the_first_fully_oov_phrase(tiny_kb, tiny_table, monkeypatch, caplog):
+    monkeypatch.setattr(wordvec, "BUILD_CHUNK", 1)
+    with caplog.at_level(logging.WARNING, logger="factrank.wordvec"):
+        FactMatrix.build(tiny_kb, tiny_table)
+        assert not caplog.records
+        _build(tiny_table, ("zyzzyva", "pet"), ("dog", "xyst"), ("zyzzyva", "pet"))
+    assert [r.getMessage() for r in caplog.records] == [
+        "3 fully out-of-vocabulary phrases embed as zero, the first 'zyzzyva'"
+    ]
+    assert tiny_table.oov_phrase_count == 3
