@@ -2,10 +2,11 @@
 
 The QA file is line-delimited JSON with the fields question_id, image_id,
 question, answer, fact_id, relation, answer_source, and fold. Image
-features are text rows ``image_id dim v1 .. v_dim``; concept vectors are
-``image_id i1,i2,...`` hot-index rows positioned against a label file.
-Referential integrity (fact ids, features, label consistency) is checked
-at load, never assumed downstream.
+features are text rows ``image_id dim v1 .. v_dim``, held as read-only
+rows of one matrix; concept vectors are ``image_id i1,i2,...`` hot-index
+rows positioned against a label file, packed into one (images, labels)
+0/1 matrix that hands out float64 copies. Referential integrity (fact ids,
+features, label consistency) is checked at load, never assumed downstream.
 """
 
 from __future__ import annotations
@@ -44,14 +45,14 @@ class QAInstance:
 
 
 class FeatureStore:
-    """Image id -> feature vector and concept vector, immutable after load."""
+    """Image id -> feature vector and concept vector, immutable after load: features
+    are read-only views, concepts float64 copies of a packed 0/1 matrix's rows."""
 
-    def __init__(self, features: dict[str, Array], concepts: dict[str, Array], concept_labels: list[str]):
+    def __init__(self, features: dict[str, Array], concepts: tuple[dict[str, int], Array]):
         self.features = features
-        self.concepts = concepts
-        self.concept_labels = concept_labels
+        self.concept_rows, self.concept_matrix = concepts
         self.feature_dim = len(next(iter(features.values()))) if features else 0
-        self.concept_dim = len(concept_labels)
+        self.concept_dim = self.concept_matrix.shape[1]
 
     def feature(self, image_id: str) -> Array:
         try:
@@ -61,7 +62,7 @@ class FeatureStore:
 
     def concept(self, image_id: str) -> Array:
         try:
-            return self.concepts[image_id]
+            return self.concept_matrix[self.concept_rows[image_id]].astype(np.float64)
         except KeyError:
             raise DataError(f"no concept vector for image id {image_id!r}") from None
 
@@ -90,9 +91,14 @@ def load_concept_labels(path: str | Path) -> list[str]:
     return labels
 
 
+def _read_only_rows(ids: list[str], matrix: Array) -> dict[str, Array]:
+    matrix.flags.writeable = False
+    return dict(zip(ids, matrix))
+
+
 def load_features(path: str | Path) -> dict[str, Array]:
-    """Parse ``image_id dim v1..v_dim`` rows, with a binary cache keyed to
-    the source file's checksum for fast reloads."""
+    """Parse ``image_id dim v1..v_dim`` rows into read-only rows of one matrix,
+    with a binary cache keyed to the source file's checksum for fast reloads."""
     path = Path(path)
     cache_path = path.with_name(path.name + ".cache.npz")
     checksum = _file_sha256(path)
@@ -100,8 +106,7 @@ def load_features(path: str | Path) -> dict[str, Array]:
         try:
             data = np.load(cache_path, allow_pickle=False)
             if str(data["checksum"]) == checksum:
-                ids = [str(s) for s in data["ids"]]
-                return {i: row for i, row in zip(ids, data["matrix"])}
+                return _read_only_rows([str(s) for s in data["ids"]], data["matrix"])
         except Exception:  # stale or corrupt cache: fall through and rebuild
             logger.warning("ignoring unreadable feature cache %s", cache_path)
     out: dict[str, Array] = {}
@@ -132,25 +137,25 @@ def load_features(path: str | Path) -> dict[str, Array]:
             out[head] = values
     if not out:
         raise LoadError(f"{path}: no feature rows")
-    ids = list(out.keys())
+    ids, matrix = list(out), np.stack(list(out.values()))
     try:
-        np.savez(cache_path, checksum=np.str_(checksum), ids=np.array(ids), matrix=np.stack([out[i] for i in ids]))
+        np.savez(cache_path, checksum=np.str_(checksum), ids=np.array(ids), matrix=matrix)
     except OSError:
         logger.warning("could not write feature cache %s", cache_path)
-    return out
+    return _read_only_rows(ids, matrix)
 
 
-def load_concepts(path: str | Path, n_labels: int) -> dict[str, Array]:
-    """Parse ``image_id i1,i2,...`` hot-index rows into dense 0/1 vectors."""
+def load_concepts(path: str | Path, n_labels: int) -> tuple[dict[str, int], Array]:
+    """Parse ``image_id i1,i2,...`` hot-index rows into an image id -> row index and a read-only 0/1 matrix."""
     path = Path(path)
-    out: dict[str, Array] = {}
+    row_of: dict[str, int] = {}
+    hot: list[int] = []  # flat positions in the (images, n_labels) matrix
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
                 continue
             head, _, rest = line.partition(" ")
-            vec = np.zeros(n_labels)
             if rest.strip():
                 for tok in rest.strip().split(","):
                     try:
@@ -159,11 +164,14 @@ def load_concepts(path: str | Path, n_labels: int) -> dict[str, Array]:
                         raise LoadError(f"{path}:{lineno}: bad concept index {tok!r}") from None
                     if not 0 <= idx < n_labels:
                         raise LoadError(f"{path}:{lineno}: concept index {idx} out of range [0, {n_labels})")
-                    vec[idx] = 1.0
-            if head in out:
+                    hot.append(len(row_of) * n_labels + idx)
+            if head in row_of:
                 raise LoadError(f"{path}:{lineno}: duplicate image id {head!r}")
-            out[head] = vec
-    return out
+            row_of[head] = len(row_of)
+    matrix = np.zeros(len(row_of) * n_labels, dtype=bool)
+    matrix[hot] = True
+    matrix.flags.writeable = False
+    return row_of, matrix.reshape(len(row_of), n_labels)
 
 
 def load_qa(path: str | Path) -> list[QAInstance]:
@@ -245,7 +253,7 @@ def load_dataset(
     """Load and cross-validate all dataset files."""
     kb = parse_kb(kb_path)
     labels = load_concept_labels(concept_labels_path)
-    store = FeatureStore(load_features(features_path), load_concepts(concepts_path, len(labels)), labels)
+    store = FeatureStore(load_features(features_path), load_concepts(concepts_path, len(labels)))
     instances = load_qa(qa_path)
     validate_dataset(instances, store, kb)
     return instances, store, kb

@@ -3,6 +3,8 @@
 A knowledge base is a set of (subject, relation, object) triplets loaded
 from a tab-separated file. Facts are immutable after load and indexed both
 by id and by relation, so relation-filtered retrieval is a bucket lookup.
+Facts are slotted, and :func:`parse_kb` makes equal subject and object
+strings one object, so an FVQA-scale KB holds each phrase once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LoadError, UsageError
-from .text import tokenize
+from .text import has_token, tokenize
 
 
 class Relation(enum.Enum):
@@ -64,7 +66,7 @@ class AnswerSource(enum.Enum):
 _SOURCE_BY_VALUE = {s.value: s for s in AnswerSource}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     """One triplet. Subject and object keep their verbatim surface form."""
 
@@ -112,6 +114,9 @@ class KnowledgeBase:
     def ids_with_relation(self, relation: Relation) -> list[str]:
         return list(self._by_relation[relation])
 
+    def count_with_relation(self, relation: Relation) -> int:
+        return len(self._by_relation[relation])
+
 
 def parse_kb(path: str | Path) -> KnowledgeBase:
     """Load a knowledge base from a tab-separated file.
@@ -123,6 +128,7 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
     path = Path(path)
     facts: list[Fact] = []
     seen: set[str] = set()
+    phrases: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -132,7 +138,7 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
             if len(parts) != 4:
                 raise LoadError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
             try:
-                fact = parse_fact(parts)
+                fact = parse_fact(parts, phrases)
             except LoadError as exc:
                 raise LoadError(f"{path}:{lineno}: {exc}") from None
             if fact.fact_id in seen:
@@ -142,10 +148,11 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
     return KnowledgeBase(facts)
 
 
-def parse_fact(fields: list[str]) -> Fact:
+def parse_fact(fields: list[str], phrases: dict[str, str] | None = None) -> Fact:
     """A fact from its id, subject, relation and object fields, or a
     LoadError saying which is invalid. A ``Comparative-X`` relation token
-    maps to the Comparative relation and prepends ``X`` to the object."""
+    maps to the Comparative relation and prepends ``X`` to the object.
+    Subjects and objects equal to a string in ``phrases`` become that string."""
     fact_id, subject, rel_token, obj = (p.strip() for p in fields)
     if not fact_id:
         raise LoadError("empty fact id")
@@ -155,10 +162,12 @@ def parse_fact(fields: list[str]) -> Fact:
         raise LoadError(str(exc)) from None
     if suffix:
         obj = f"{suffix} {obj}".strip()
-    if not tokenize(subject):
+    if not has_token(subject):
         raise LoadError("subject has no tokens")
-    if not tokenize(obj):
+    if not has_token(obj):
         raise LoadError("object has no tokens")
+    if phrases is not None:
+        subject, obj = phrases.setdefault(subject, subject), phrases.setdefault(obj, obj)
     return Fact(fact_id, subject, relation, obj)
 
 
@@ -171,7 +180,7 @@ class KBStats:
 
 def kb_stats(kb: KnowledgeBase) -> KBStats:
     """Per-relation counts, total size, and token vocabulary size."""
-    counts = {r: len(kb.ids_with_relation(r)) for r in Relation}
+    counts = {r: kb.count_with_relation(r) for r in Relation}
     vocab: set[str] = set()
     for f in kb.facts():
         vocab.update(tokenize(f.subject))

@@ -153,12 +153,13 @@ def _predict(
     fm, top_relation = models.fact_matrix, [ranked[0][0] for ranked in relations]
     tops = {}
     for relation in dict.fromkeys(top_relation):
-        pool = kb.ids_with_relation(relation)
+        size = kb.count_with_relation(relation)
         members = [i for i, r in enumerate(top_relation) if r is relation]
         # a relation the KB lacks is no_fact, whatever rows the matrix holds
-        bucket = fm.buckets.get(relation, slice(0, 0)) if pool else slice(0, 0)
-        if len(fm.norms[bucket]) != len(pool):
-            raise DataError(f"{relation.value}: {len(pool)} facts in the KB, {len(fm.norms[bucket])} fact-matrix rows")
+        bucket = fm.buckets.get(relation, slice(0, 0)) if size else slice(0, 0)
+        if len(fm.norms[bucket]) != size:
+            raise DataError(f"{relation.value}: {size} facts in the KB, {len(fm.norms[bucket])} fact-matrix rows")
+        pool = fm.bucket_ids.get(relation, [])
         tops.update(zip(members, rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], pool, max(k, 3))))
 
     out = []

@@ -15,6 +15,11 @@ def tokenize(phrase: str) -> list[str]:
     return _TOKEN.findall(phrase.lower())
 
 
+def has_token(phrase: str) -> bool:
+    """``bool(tokenize(phrase))``, without building the token list."""
+    return _TOKEN.search(phrase.lower()) is not None
+
+
 def normalize_phrase(phrase: str) -> str:
     """Canonical matching form: lowercased tokens joined by single spaces."""
     return " ".join(tokenize(phrase))

@@ -131,6 +131,10 @@ class FactMatrix:
         groups: dict[bytes, int] = {}
         return np.array([groups.setdefault(r.tobytes(), len(groups)) for r in self.rows], dtype=np.intp)
 
+    @cached_property
+    def bucket_ids(self) -> dict[Relation, list[str]]:
+        return {relation: self.fact_ids[rows] for relation, rows in self.buckets.items()}  # so ranking copies none
+
     @property
     def dim(self) -> int:
         return self.rows.shape[1]

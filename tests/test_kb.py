@@ -11,6 +11,7 @@ from factrank.kb import (
     kb_stats,
     parse_kb,
 )
+from factrank.text import has_token, tokenize
 
 
 def test_relation_set_has_13_members():
@@ -92,6 +93,32 @@ def test_parse_kb_comparative_folds_suffix_into_object(tmp_path):
     fact = parse_kb(path).fact("f1")
     assert fact.relation is Relation.COMPARATIVE
     assert fact.obj == "LargerThan Ant"
+
+
+@pytest.mark.parametrize(("subject", "obj", "message"), [("?!", "B", "subject has no tokens"),
+                                                         ("A", "--", "object has no tokens")])
+def test_parse_kb_field_without_tokens_names_it_and_the_line(tmp_path, subject, obj, message):
+    path = tmp_path / "kb.tsv"
+    path.write_text(f"f1\tA\tIsA\tB\nf2\t{subject}\tIsA\t{obj}\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=f":2: {message}"):
+        parse_kb(path)
+
+
+def test_parse_kb_holds_each_distinct_phrase_once(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text("f1\tDog\tIsA\tPet\nf2\tCat\tIsA\tPet\nf3\tPet\tIsA\tAnimal\nf4\tDog\tIsA\t Pet \n",
+                    encoding="utf-8")
+    f1, f2, f3, f4 = parse_kb(path).facts()
+    assert f1.obj is f2.obj is f3.subject is f4.obj == "Pet"
+    assert f1.subject is f4.subject == "Dog"
+    assert not hasattr(f1, "__dict__")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.sampled_from(["İ", "ı", "\u212a", "İstanbul", "\u212aelvin", "?!", "--", " ", ""]),
+                 st.text(alphabet="İı\u212a.,;:!?-_ \t'\"()[]")))
+def test_has_token_is_a_nonempty_tokenize(phrase):
+    assert has_token(phrase) is bool(tokenize(phrase))
 
 
 def test_facts_with_relation_filters(tiny_kb):

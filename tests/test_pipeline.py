@@ -68,6 +68,16 @@ def test_a_bucket_the_fact_matrix_sizes_differently_from_the_kb_is_a_data_error(
         evaluate(models, kb, [inst], store, oracle_relation=True, oracle_source=True)
 
 
+def test_ranking_names_bucket_rows_by_the_fact_matrix_ids_without_copying_the_kb_ones(models, small_synth,
+                                                                                      small_split, monkeypatch):
+    _, test = small_split
+    kb, store = small_synth["kb"], small_synth["store"]
+    expected = evaluate(models, kb, test, store)
+    monkeypatch.setattr(KnowledgeBase, "ids_with_relation", lambda self, relation: pytest.fail("copied bucket ids"))
+    assert evaluate(models, kb, test, store) == expected
+    assert models.fact_matrix.bucket_ids is models.fact_matrix.bucket_ids
+
+
 def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_split):
     # evaluate ranks each bucket once for all its questions
     _, test = small_split

@@ -156,7 +156,7 @@ def test_fact_matrix_lays_out_relation_buckets_as_views(tiny_kb, tiny_fact_matri
     assert fm.fact_ids == ["f4", "f2", "f1", "f3"]
     for relation in Relation:
         bucket = fm.buckets[relation]
-        assert fm.fact_ids[bucket] == tiny_kb.ids_with_relation(relation)
+        assert fm.fact_ids[bucket] == fm.bucket_ids[relation] == tiny_kb.ids_with_relation(relation)
         assert fm.rows[bucket].base is fm.rows
     assert [fm.row_of[fid] for fid in fm.fact_ids] == [0, 1, 2, 3]
 
