@@ -12,16 +12,18 @@ The network keeps its tensors in one dict, named and shaped by
 :meth:`ScorerParams.shapes`; initialization, the checkpoint writer and the
 checkpoint loader all follow that table.
 
-Ranking is exact and runs in one kernel, :func:`shortlist_rows`. It scores
-a contiguous block of fact rows (a relation bucket of the
-:class:`~factrank.wordvec.FactMatrix`, or the whole KB) against a block of
-queries by one GEMM, shortlists every row within a derived rounding bound
-of the k-th best score, and rescores only the shortlist by the exact
-``numerics.cosines`` of :func:`score`. :func:`rank_rows` orders each
-shortlist by one ``np.lexsort`` on ``(-score, fact id)``, so the top k is
-bitwise that of an exhaustive sort; it is the one top-k order of the
-package. :func:`rank_candidates`, :func:`candidate_scores` and
-:func:`score_matrix` are thin entry points over the same arithmetic.
+Ranking is exact and runs in one kernel, :func:`shortlist_rows`. It
+screens a contiguous block of the float32 fact rows (a relation bucket of
+the :class:`~factrank.wordvec.FactMatrix`, or the whole KB) against a block
+of queries by one float32 GEMM, shortlists every row within a derived
+rounding bound of the k-th best screen score, and rescores only the
+shortlist, in float64, by the exact ``numerics.cosines`` of :func:`score`.
+:func:`rank_rows` orders each shortlist by one ``np.lexsort`` on ``(-score,
+fact id)``, so the top k is bitwise that of an exhaustive float64 sort of
+the stored rows; it is the one top-k order of the package. No path upcasts
+a bucket or the whole matrix. :func:`rank_candidates`,
+:func:`candidate_scores` and :func:`score_matrix` are thin entry points over
+the same arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from . import checkpoint as ckpt
 from .encoders import Vocabulary, encode_batch, init_tensors, lstm_hidden, lstm_shapes, read_model_checkpoint
 from .errors import DegenerateInputError, ShapeError, UsageError
 from .numerics import Tape, Tensor, constant, cosines, parameter, row_norms
-from .wordvec import FactMatrix
+from .wordvec import BUILD_CHUNK, FactMatrix
 
 Array = np.ndarray
 
@@ -198,7 +200,8 @@ def candidate_scores(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: F
     """Per-candidate cosine scores, by the arithmetic of :func:`score`, so
     exhaustive and ranked paths agree bitwise."""
     rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
-    return cosines(fact_matrix.rows[rows], fact_matrix.norms[rows], iq_emb, row_norms(iq_emb))
+    iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
+    return _exact_cosines(iq, fact_matrix.rows[rows], fact_matrix.norms[rows])[0]
 
 
 def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix,
@@ -215,63 +218,76 @@ def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: Fa
 
 
 def score_matrix(iq_mat: Array, fact_matrix: FactMatrix) -> Array:
-    """(pairs, facts) cosine scores by one matrix product: the approximate
-    scores :func:`rank_rows` shortlists from, within its rounding bound of
-    :func:`candidate_scores`. Zero-norm fact rows score ``-inf``; a
-    zero-norm embedding row is an error."""
+    """(pairs, facts) cosine scores, bitwise :func:`candidate_scores` of
+    every fact. Zero-norm fact rows score ``-inf``; a zero-norm embedding row
+    is an error."""
     iq_mat = np.asarray(iq_mat, dtype=np.float64)
-    qnorms = np.linalg.norm(iq_mat, axis=1)
-    if np.any(qnorms == 0.0):
+    if np.any(row_norms(iq_mat) == 0.0):
         raise UsageError("score_matrix got a zero-norm embedding row")
-    return _gemm_cosines(iq_mat, qnorms, fact_matrix.rows, fact_matrix.norms)
+    return _exact_cosines(iq_mat, fact_matrix.rows, fact_matrix.norms)
 
 
-def _gemm_cosines(iq_block: Array, qnorms: Array, rows: Array, norms: Array) -> Array:
-    scores = iq_block @ rows.T
-    scores /= np.where(qnorms > 0.0, qnorms, 1.0)[:, None]
-    scores /= np.where(norms > 0.0, norms, 1.0)
-    scores[:, norms == 0.0] = NEG_INF
-    scores[qnorms == 0.0] = NEG_INF
-    return scores
+def _exact_cosines(iq_block: Array, rows: Array, norms: Array) -> Array:
+    # numerics.cosines of every (query, row) pair, upcasting BUILD_CHUNK rows at a time (one empty chunk if none)
+    qnorms = row_norms(iq_block)[:, None]
+    return np.concatenate([cosines(rows[at:at + BUILD_CHUNK], norms[at:at + BUILD_CHUNK], iq_block[:, None], qnorms)
+                           for at in range(0, max(len(rows), 1), BUILD_CHUNK)], axis=1)
 
 
-# A block of rows holds at most this many (query, row) scores, 16 MB: the
-# block and its partitioned copy are the kernel's only large temporaries.
+# A block holds at most this many float32 (query, row) screen scores, 8 MB:
+# it, its finite copy and that partitioned are the kernel's large temporaries.
 BLOCK_ELEMENTS = 1 << 21
 
 
 def shortlist_rows(iq_block: Array, rows: Array, norms: Array, k: int) -> list[tuple[Array, Array]]:
     """Each query's rows of ``rows`` that can be in its exact top ``k``, as
-    ``(rows, scores)`` arrays in row order: blocks of rows are scored by one
-    GEMM each against the cached ``norms``, and the rows within ``slack`` of
-    the k-th best GEMM score rescored exactly by ``numerics.cosines``."""
-    # Any summation order computes a length-d dot x.y within gamma_d |x||y|,
-    # gamma_d = d u / (1 - d u), u = eps / 2 (Higham, Accuracy and Stability
-    # of Numerical Algorithms, 3.1). Both paths divide by the same cached
-    # norms (within gamma_d of |x|, |y|) with two roundings each, so one
-    # row's GEMM and exact scores differ by e <= 2 gamma_d + 4u ~ (d + 2) eps.
-    # If K is the k-th best GEMM score, k rows score >= K - e exactly, so a
-    # row of the exact top k has a GEMM score >= K - 2e. slack is twice 2e:
-    # 1.8e-13 at d = 200. A zero-norm query scores -inf everywhere: all kept.
+    ``(rows, scores)`` arrays in row order: blocks of the float32 rows are
+    screened by one float32 GEMM each, and the rows within ``slack`` of the
+    k-th best screen score rescored exactly, in float64, by
+    ``numerics.cosines`` on the stored values. Nonzero ``norms`` must lie in
+    ``wordvec.NORM_RANGE``, as a :class:`FactMatrix`'s do."""
+    # The screen of query x and stored row y (length d) is g = fl32(fl32(v . y)
+    # * fl32(1 / n_y)), v = fl32(x / n_x). With u = 2**-24, v is x / |x| within
+    # u relatively and 2**-150 absolutely (underflow); the float32 dot adds
+    # gamma_d sum|v_i y_i| ~ d u |y| (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 3.1) and d 2**-150 from products that underflow;
+    # 1 / n_y and the product add 2u, as |cos| <= 1. The float64 terms, O(d
+    # eps64), stay under one more u. In g the underflow terms come to
+    # d 2**-150 / |y| + (sqrt(d) + 1) 2**-150 <= (d + 2) 2**-90, as nonzero
+    # |y| >= 2**-60 (wordvec.NORM_RANGE). So one row's screen and exact scores
+    # differ by e <= (d + 4) u + (d + 2) 2**-90. If K is the k-th best screen
+    # score, k rows score >= K - e exactly, so a row of the exact top k
+    # screens >= K - 2e. slack is twice 2e, which also covers rounding
+    # K - slack in float32: 4.9e-5 at d = 200. Zero-norm rows, and every row
+    # of a zero-norm query, screen -inf; a NaN or +inf screen is kept but
+    # never raises K.
     q, n = len(iq_block), len(rows)
     if not q or not n:
         return [(np.empty(0, dtype=np.intp), np.empty(0))] * q
-    k, slack = min(k, n), 4 * (rows.shape[1] + 2) * np.finfo(np.float64).eps
+    d, k = rows.shape[1], min(k, n)
+    slack = 4 * ((d + 4) * 2.0**-24 + (d + 2) * 2.0**-90)
     qnorms = row_norms(iq_block)
-    best = np.full((q, k), NEG_INF)  # the k best GEMM scores so far, the k-th in column 0
+    unit = (iq_block / np.where(qnorms > 0.0, qnorms, 1.0)[:, None]).astype(np.float32)
+    best = np.full((q, k), NEG_INF, dtype=np.float32)  # the k best screen scores so far, the k-th in column 0
     hits = []
     step = max(1, BLOCK_ELEMENTS // q)
     for start in range(0, n, step):
-        block = _gemm_cosines(iq_block, qnorms, rows[start : start + step], norms[start : start + step])
-        top = np.partition(block, -min(k, block.shape[1]), axis=1)[:, -k:]
+        block_norms = norms[start : start + step]
+        block = unit @ rows[start : start + step].T
+        block *= (1.0 / np.where(block_norms > 0.0, block_norms, 1.0)).astype(np.float32)
+        block[:, block_norms == 0.0] = NEG_INF
+        block[qnorms == 0.0] = NEG_INF
+        top = np.partition(np.where(np.isfinite(block), block, NEG_INF), -min(k, block.shape[1]), axis=1)[:, -k:]
         best = np.partition(np.concatenate([best, top], axis=1), -k, axis=1)[:, -k:]
-        query, row = np.nonzero(block >= best[:, :1] - slack)
+        query, row = np.nonzero(~(block < best[:, :1] - slack))
         hits.append((query, row + start, block[query, row]))
-    query, row, gemm = (np.concatenate(parts) for parts in zip(*hits))
-    keep = np.flatnonzero(gemm >= best[query, 0] - slack)
+    query, row, screen = (np.concatenate(parts) for parts in zip(*hits))
+    keep = np.flatnonzero(~(screen < best[query, 0] - slack))
     keep = keep[np.argsort(query[keep], kind="stable")]  # by query, each query's rows ascending
     shortlists = np.split(row[keep], np.cumsum(np.bincount(query[keep], minlength=q))[:-1])
-    return [(r, cosines(rows[r], norms[r], iq_block[j], qnorms[j])) for j, r in enumerate(shortlists)]
+    # a zero-norm query keeps every row, each scoring -inf: none is gathered and upcast
+    return [(r, cosines(rows[r], norms[r], iq_block[j], qnorms[j]) if qnorms[j] else np.full(len(r), NEG_INF))
+            for j, r in enumerate(shortlists)]
 
 
 def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int) -> list[list[tuple[str, float]]]:

@@ -230,7 +230,10 @@ def train_scorer(
 
     def batch_loss(tape, epoch, batch, ids, lengths):
         iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, rng_train)
-        scores = tape.cosine_rows(iq, fact_matrix.rows[cand[batch]])
+        rows = np.empty((len(batch), cand.shape[1], fact_matrix.dim))  # float64: no float32 gather beside it
+        for i, b in enumerate(batch):
+            rows[i] = fact_matrix.rows[cand[b]]
+        scores = tape.cosine_rows(iq, rows)
         return tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
 
     def epoch_record(epoch, loss):

@@ -6,6 +6,8 @@ a vector of length ``2 * dim`` that never changes during training. The whole
 knowledge base is embedded once, in passes of ``BUILD_CHUNK`` facts, into a
 dense :class:`FactMatrix` whose rows are laid out relation bucket after
 relation bucket, so ranking a bucket reads one contiguous block of rows.
+Rows are float32, the precision word vectors are published in, which halves
+the bytes each ranking pass reads; their norms are float64.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 BUILD_CHUNK = 2048  # facts per pass of FactMatrix.build; bounds its (phrases x tokens x dim) gathers
+NORM_RANGE = (2.0**-60, 2.0**60)  # nonzero row norms the bound of scorer.shortlist_rows' float32 screen assumes
 
 Array = np.ndarray
 
@@ -53,8 +56,9 @@ class WordVectorTable:
 
 
 def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
-    """Load ``token v1 ... v_dim`` rows; wrong arity, a non-finite component
-    and a file with no rows are load errors. ``dim`` defaults to the first row's.
+    """Load ``token v1 ... v_dim`` rows; wrong arity, a non-finite component or
+    one beyond float32's finite range (fact rows are stored as float32), and
+    a file with no rows are load errors. ``dim`` defaults to the first row's.
 
     A repeated token overwrites the earlier row (last write wins) and is
     counted on the returned table.
@@ -77,8 +81,8 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
                 vec = np.array(parts[1:], dtype=np.float64)
             except ValueError:
                 raise LoadError(f"{path}:{lineno}: non-numeric vector component") from None
-            if not np.isfinite(vec).all():
-                raise LoadError(f"{path}:{lineno}: non-finite vector component")
+            if not (np.abs(vec) <= np.finfo(np.float32).max).all():  # NaN too
+                raise LoadError(f"{path}:{lineno}: non-finite vector component, or one beyond float32's range")
             table.vectors[token] = vec
     if not table.vectors:
         raise LoadError(f"{path}: no word vectors")
@@ -89,8 +93,10 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
 class FactMatrix:
     """Dense (num_facts x 2*dim) embedding of a whole knowledge base.
 
-    :meth:`build` lays the rows out relation by relation, each in KB load
-    order, so ``rows[buckets[r]]`` is relation ``r``'s bucket as a view."""
+    ``rows`` is float32; ``norms`` is float64, each the exact ``row_norms``
+    of its stored row, and nonzero only inside ``NORM_RANGE``. :meth:`build`
+    lays the rows out relation by relation, each in KB load order, so
+    ``rows[buckets[r]]`` is relation ``r``'s bucket as a view."""
 
     fact_ids: list[str]
     rows: Array
@@ -100,30 +106,39 @@ class FactMatrix:
 
     @classmethod
     def from_rows(cls, fact_ids: list[str], rows: Array, buckets: dict[Relation, slice] | None = None) -> "FactMatrix":
-        # numerics.cosines' norms: cached and fresh scores agree bitwise
-        return cls(fact_ids=list(fact_ids), rows=rows, norms=row_norms(rows),
+        rows = np.asarray(rows, dtype=np.float32)
+        norms = np.empty(len(rows))  # numerics.cosines' norms, upcasting a chunk of rows at a time
+        for at in range(0, len(rows), BUILD_CHUNK):
+            norms[at:at + BUILD_CHUNK] = row_norms(rows[at:at + BUILD_CHUNK])
+        lo, hi = NORM_RANGE
+        bad = np.flatnonzero((norms != 0.0) & ~((lo <= norms) & (norms <= hi)))
+        if len(bad):
+            fid, norm = fact_ids[bad[0]], norms[bad[0]]
+            raise DegenerateInputError(f"fact {fid!r}: row norm {norm:.3g} outside [{lo:.3g}, {hi:.3g}]")
+        return cls(fact_ids=list(fact_ids), rows=rows, norms=norms,
                    row_of={fid: i for i, fid in enumerate(fact_ids)}, buckets=buckets or {})
 
     @classmethod
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":
-        """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean``; a phrase
-        with no tokens is degenerate. Fully out-of-vocabulary occurrences are counted and logged once."""
+        """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32;
+        a phrase with no tokens is degenerate. Fully out-of-vocabulary occurrences are counted and logged once."""
         facts: list[Fact] = []
         buckets = {}
         for relation in Relation:
             start = len(facts)
             facts += kb.facts_with_relation(relation)
             buckets[relation] = slice(start, len(facts))
-        rows = np.zeros((len(facts), 2 * table.dim))
+        rows = np.zeros((len(facts), 2 * table.dim), dtype=np.float32)
         phrases = [p for f in facts for p in (f.subject, f.obj)]
         halves = rows.reshape(len(phrases), table.dim)  # a view: fact i's subject at 2i, its object at 2i + 1
         oov: list[str] = []
         for at in range(0, len(phrases), 2 * BUILD_CHUNK):
             oov += _embed_phrases(phrases[at:at + 2 * BUILD_CHUNK], table, halves[at:at + 2 * BUILD_CHUNK])
+        matrix = cls.from_rows([f.fact_id for f in facts], rows, buckets)  # a rejected row norm counts nothing
         table.oov_phrase_count += len(oov)
         if oov:
             logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov), oov[0])
-        return cls.from_rows([f.fact_id for f in facts], rows, buckets)
+        return matrix
 
     @cached_property
     def twin_groups(self) -> Array:

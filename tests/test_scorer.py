@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,6 +25,7 @@ from factrank.scorer import (
     save_scorer,
     score,
     score_matrix,
+    shortlist_rows,
 )
 from factrank.wordvec import FactMatrix
 from gradcheck import check_grads, total
@@ -204,7 +206,7 @@ def test_rank_matches_brute_force_bitwise():
     nq = float(np.linalg.norm(iq))
     brute = []
     for fid in fm.fact_ids:
-        row = fm.rows[fm.row_of[fid]]
+        row = fm.rows[fm.row_of[fid]].astype(np.float64)  # the stored float32 row, upcast
         brute.append((fid, float(np.dot(row, iq) / (np.linalg.norm(row) * nq))))
     brute.sort(key=lambda e: (-e[1], e[0]))
     assert ranked == brute
@@ -251,10 +253,11 @@ def test_property_positive_rescaling_preserves_ordering(seed, scale):
 
 
 def _planted_block(seed, n, dim):
-    """Random rows with planted duplicates, zero rows and one-ulp neighbours,
-    named by shuffled ids so id order is not row order."""
+    """Random float32 rows with planted duplicates, zero rows and
+    one-float32-ulp neighbours, named by shuffled ids so id order is not row
+    order."""
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((n, dim))
+    rows = rng.standard_normal((n, dim)).astype(np.float32)
     for i in rng.choice(n, size=n // 2):
         src, kind = rng.integers(n), rng.integers(3)
         if kind == 0:
@@ -262,7 +265,8 @@ def _planted_block(seed, n, dim):
         elif kind == 1:
             rows[i] = 0.0
         else:
-            rows[i] = np.nextafter(rows[src], np.inf)
+            # a zero row has no neighbour: its norm would be below wordvec.NORM_RANGE
+            rows[i] = np.nextafter(rows[src], np.float32(np.inf)) if rows[src].any() else rows[src]
     queries = rng.standard_normal((3, dim))
     if rng.random() < 0.3:
         queries[0] = 0.0
@@ -272,10 +276,10 @@ def _planted_block(seed, n, dim):
 
 
 def _brute_force_scores(fm, iq):
-    # the parent's scalar cosine of every row, zero norms scoring -inf
+    # the scalar float64 cosine of every stored row, zero norms scoring -inf
     nq = float(np.linalg.norm(iq))
     out = []
-    for row in fm.rows:
+    for row in fm.rows.astype(np.float64):
         nf = float(np.linalg.norm(row))
         out.append(NEG_INF if nf == 0.0 or nq == 0.0 else float(np.dot(row, iq) / (nf * nq)))
     return out
@@ -292,6 +296,89 @@ def test_property_rank_rows_is_the_exact_sort(seed, n, dim, block):
             for iq, top in zip(queries, got):
                 brute = sorted(zip(fm.fact_ids, _brute_force_scores(fm, iq)), key=lambda e: (-e[1], e[0]))
                 assert top == brute[:k]
+
+
+def _screen_case(seed, n, dim, scale, k):
+    """Float32 rows at ``scale`` with planted duplicates, zero rows,
+    subnormal components, one-float32-ulp neighbours and rows whose exact
+    cosine with the first query lies within the screen's slack of its k-th
+    best score, at log-uniform distances; three queries, the last a stored
+    row, and ids shuffled so id order is not row order."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim))
+    rows[:, 0] += np.copysign(1.0, rows[:, 0])  # every nonzero row's norm stays inside wordvec.NORM_RANGE
+    rows = (rows * scale).astype(np.float32)
+    query = rng.standard_normal(dim)
+    unit = query / np.linalg.norm(query)
+    slack = 4 * (dim + 4) * 2.0**-24  # the screen's slack, without its underflow term
+    for i in rng.choice(n, size=n // 2):
+        src, kind = rng.integers(n), rng.integers(6)
+        if kind == 0:
+            rows[i] = rows[src]
+        elif kind == 1:
+            rows[i] = 0.0
+        elif kind == 2 and dim > 1 and abs(rows[i, 0]) >= scale:  # the row's norm stays inside the range
+            rows[i, rng.integers(1, dim)] = rng.choice([-1.0, 1.0]) * rng.integers(1, 2**23) * 2.0**-149
+        elif kind == 3 and rows[src].any():
+            rows[i] = np.nextafter(rows[src], np.float32(np.inf))
+        else:
+            exact = sorted(_brute_force_scores(FactMatrix.from_rows(range(n), rows), query), reverse=True)
+            kth = exact[min(k, n) - 1]
+            near = kth + rng.uniform(-slack, slack) * 2.0 ** -rng.integers(12)
+            c = float(np.clip(near, -1.0, 1.0)) if kth > NEG_INF else 0.5
+            w = rng.standard_normal(dim)
+            w -= (w @ unit) * unit
+            w = w / np.linalg.norm(w) if dim > 1 else 0.0 * w
+            rows[i] = scale * (c * unit + np.sqrt(1.0 - c * c) * w)
+    queries = np.stack([query, rng.standard_normal(dim), rows[rng.integers(n)]]) * scale
+    return FactMatrix.from_rows([f"f{i:03d}" for i in rng.permutation(n)], rows), queries
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 40), dim=st.integers(1, 16),
+       scale=st.sampled_from([2.0**-40, 1.0, 2.0**40]), k=st.sampled_from([1, 2, 3, 5]),
+       block=st.sampled_from([1, 7, 1 << 21]))
+def test_property_float32_screen_keeps_the_exact_float64_top_k(seed, n, dim, scale, k, block):
+    fm, queries = _screen_case(seed, n, dim, scale, k)
+    with mock.patch.object(scorer, "BLOCK_ELEMENTS", block):
+        got = rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k)
+    for iq, top in zip(queries, got):
+        brute = sorted(zip(fm.fact_ids, _brute_force_scores(fm, iq)), key=lambda e: (-e[1], e[0]))
+        assert top == brute[:k]
+
+
+def test_a_screen_that_is_not_finite_is_kept_and_never_moves_the_threshold():
+    # a row outside FactMatrix's contract screens NaN: it is rescored, and the
+    # other rows are still shortlisted by the k-th best finite screen score
+    rng = np.random.default_rng(28)
+    rows = rng.standard_normal((1000, 8)).astype(np.float32)
+    rows[500, 0] = np.inf
+    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+    iq = rng.standard_normal((1, 8))
+    ids = [f"f{i:04d}" for i in range(1000)]
+    finite = np.delete(np.arange(1000), 500)
+    with np.errstate(invalid="ignore"):
+        (kept, _), = shortlist_rows(iq, rows, norms, 3)
+        assert 500 in kept.tolist() and len(kept) < 20
+        top = rank_rows(iq, rows, norms, ids, 3)
+    assert top == rank_rows(iq, rows[finite], norms[finite], [ids[i] for i in finite], 3)
+
+
+def test_from_rows_and_rank_rows_never_allocate_a_copy_of_the_rows():
+    rows = np.random.default_rng(29).standard_normal((50_000, 200), dtype=np.float32)
+    queries = np.random.default_rng(30).standard_normal((8, 200))
+    ids = [f"f{i:05d}" for i in range(len(rows))]
+    tracemalloc.start()
+    try:
+        fm = FactMatrix.from_rows(ids, rows)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, 3)
+        _, ranked = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fm.rows is rows
+    assert built < rows.nbytes and ranked < rows.nbytes
 
 
 def test_batched_score_matrix_close_to_per_candidate():

@@ -50,7 +50,8 @@ def test_tokenize_keeps_numbers_drops_punctuation():
 
 
 def test_phrase_embedding_single_token(tiny_table):
-    np.testing.assert_array_equal(_build(tiny_table, ("Shade", "pet")).rows[0, :4], tiny_table["shade"])
+    row = _build(tiny_table, ("Shade", "pet")).rows[0, :4]
+    np.testing.assert_array_equal(row, tiny_table["shade"].astype(np.float32))
 
 
 def test_phrase_embedding_is_mean():
@@ -67,7 +68,7 @@ def test_phrase_embedding_all_oov_is_zero_and_counted(tiny_table):
 
 def test_phrase_embedding_skips_oov_tokens(tiny_table):
     np.testing.assert_array_equal(
-        _build(tiny_table, ("shade zyzzyva", "pet")).rows[0, :4], tiny_table["shade"]
+        _build(tiny_table, ("shade zyzzyva", "pet")).rows[0, :4], tiny_table["shade"].astype(np.float32)
     )
 
 
@@ -118,6 +119,22 @@ def test_load_vectors_non_finite_component_is_load_error_naming_the_line(tmp_pat
         load_vectors(path)
 
 
+@pytest.mark.parametrize("value", ["3.5e38", "-1e39", "1e300"])
+def test_load_vectors_component_beyond_float32_is_load_error_naming_the_line(tmp_path, value):
+    path = tmp_path / "vec.txt"
+    path.write_text(f"shade 0.1 3.4028234e38\nsun 0.3 {value}\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=f"{path}:2: non-finite vector component, or one beyond float32's range"):
+        load_vectors(path)
+
+
+@pytest.mark.parametrize("norm", [2.0**-61, 2.0**61, 1e-45, 1e39])
+def test_from_rows_rejects_a_nonzero_row_norm_outside_the_screen_range_naming_the_fact(norm):
+    fine = [[0.0, 0.0], [2.0**-60, 0.0], [0.0, 2.0**60]]  # a zero row and both ends of the range
+    assert FactMatrix.from_rows(["a", "b", "c"], fine).norms.tolist() == [0.0, 2.0**-60, 2.0**60]
+    with np.errstate(over="ignore"), pytest.raises(DegenerateInputError, match="fact 'b': row norm .* outside"):
+        FactMatrix.from_rows(["a", "b", "c"], [[1.0, 0.0], [norm, 0.0], [0.0, 1.0]])
+
+
 def test_load_vectors_duplicate_last_write_wins(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("a 1 2\na 3 4\n", encoding="utf-8")
@@ -146,7 +163,7 @@ def test_load_vectors_without_rows_is_load_error_naming_the_file(tmp_path, text)
 
 def test_fact_matrix_rows_match_fact_embeddings(tiny_kb, tiny_table, tiny_fact_matrix):
     rows, _ = _per_fact_rows([tiny_kb.fact(fid) for fid in tiny_fact_matrix.fact_ids], tiny_table)
-    np.testing.assert_array_equal(tiny_fact_matrix.rows, rows)
+    np.testing.assert_array_equal(tiny_fact_matrix.rows, rows.astype(np.float32))
     assert tiny_fact_matrix.rows.shape == (len(tiny_kb), 8)
 
 
@@ -167,7 +184,7 @@ def test_fact_matrix_norms_are_the_per_row_norm_loop_on_the_desk_kb(tmp_path):
     paths = generate_synthetic(SyntheticConfig(qa_pairs=1, feature_dim=1), tmp_path)
     fm = FactMatrix.build(parse_kb(paths["kb"]), load_vectors(paths["wordvec"]))
     assert fm.rows.shape == (598, 200)
-    assert fm.norms.tobytes() == np.array([np.linalg.norm(r) for r in fm.rows]).tobytes()
+    assert fm.norms.tobytes() == np.array([np.linalg.norm(r.astype(np.float64)) for r in fm.rows]).tobytes()
 
 
 def test_twin_groups_join_bitwise_equal_rows_once_per_matrix():
@@ -184,9 +201,10 @@ def test_property_phrase_norm_bounded_by_max_token_norm(n_tokens, seed):
     tokens = [f"t{i}" for i in range(n_tokens)]
     table = WordVectorTable(5, {t: rng.standard_normal(5) for t in tokens})
     phrase = " ".join(tokens)
-    emb = _build(table, (phrase, "t0")).rows[0, :5]
+    mean = np.mean([table[t] for t in tokens], axis=0)
     max_norm = max(np.linalg.norm(table[t]) for t in tokens)
-    assert np.linalg.norm(emb) <= max_norm + 1e-12
+    assert np.linalg.norm(mean) <= max_norm + 1e-12
+    assert _build(table, (phrase, "t0")).rows[0, :5].tobytes() == mean.astype(np.float32).tobytes()
 
 
 def test_embedding_deterministic(tiny_table):
@@ -225,17 +243,32 @@ _EDGES = (
 )
 
 
+# a row whose float32 norm is nonzero but below wordvec.NORM_RANGE
+_TINY = (WordVectorTable(1, {"a": np.array([1e-30])}), KnowledgeBase([Fact("f1", "a", Relation.IS_A, "a")]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(_tables_and_kbs(), st.sampled_from([1, 2, 3]))
 @example(_EDGES, 1)
 @example(_EDGES, 3)
+@example(_TINY, 1)
 def test_build_is_the_per_fact_loop_bitwise_across_chunk_edges(case, chunk):
     table, kb = case
     before = table.oov_phrase_count
+    facts = [f for relation in Relation for f in kb.facts_with_relation(relation)]
+    rows, oov = _per_fact_rows(facts, table)
+    rows = rows.astype(np.float32)
+    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+    lo, hi = wordvec.NORM_RANGE
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wordvec, "BUILD_CHUNK", chunk)
+        if np.any((norms != 0.0) & ((norms < lo) | (norms > hi))):
+            with pytest.raises(DegenerateInputError, match="row norm .* outside"):
+                FactMatrix.build(kb, table)
+            assert table.oov_phrase_count == before
+            return
         fm = FactMatrix.build(kb, table)
-    rows, oov = _per_fact_rows([kb.fact(fid) for fid in fm.fact_ids], table)
+    assert fm.fact_ids == [f.fact_id for f in facts]
     assert fm.rows.tobytes() == rows.tobytes()
     assert table.oov_phrase_count - before == oov
 
