@@ -13,11 +13,12 @@ The network keeps its tensors in one dict, named and shaped by
 checkpoint loader all follow that table.
 
 Ranking is exact and runs in one kernel, :func:`shortlist_rows`. It
-screens a contiguous block of the float32 fact rows (a relation bucket of
-the :class:`~factrank.wordvec.FactMatrix`, or the whole KB) against a block
-of queries by one float32 GEMM, shortlists every row within a derived
-rounding bound of the k-th best screen score, and rescores only the
-shortlist, in float64, by the exact ``numerics.cosines`` of :func:`score`.
+screens the float32 fact rows (a relation bucket of the
+:class:`~factrank.wordvec.FactMatrix`, or the whole KB) against a block of
+queries one cache-sized block of rows at a time, each by one float32 GEMM.
+It keeps every row within a derived rounding bound of the query's running
+k-th best screen score, and rescores only that shortlist, in float64, by
+the exact ``numerics.cosines`` of :func:`score`.
 :func:`rank_rows` orders each shortlist by one ``np.lexsort`` on ``(-score,
 fact id)``, so the top k is bitwise that of an exhaustive float64 sort of
 the stored rows; it is the one top-k order of the package. No path upcasts
@@ -210,8 +211,6 @@ def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: Fa
     scores go by fact id."""
     if not candidate_ids:
         raise UsageError("rank needs at least one candidate")
-    if k < 1:
-        raise UsageError(f"k must be >= 1, got {k}")
     rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
     iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
     return rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows], list(candidate_ids), k)[0]
@@ -234,56 +233,75 @@ def _exact_cosines(iq_block: Array, rows: Array, norms: Array) -> Array:
                            for at in range(0, max(len(rows), 1), BUILD_CHUNK)], axis=1)
 
 
-# A block holds at most this many float32 (query, row) screen scores, 8 MB:
-# it, its finite copy and that partitioned are the kernel's large temporaries.
-BLOCK_ELEMENTS = 1 << 21
+# A block holds at most this many float32 (row, query) screen scores, 1 MB,
+# so it stays in L2 cache through the scale, the compare and the nonzero.
+BLOCK_ELEMENTS = 1 << 18
 
 
 def shortlist_rows(iq_block: Array, rows: Array, norms: Array, k: int) -> list[tuple[Array, Array]]:
     """Each query's rows of ``rows`` that can be in its exact top ``k``, as
-    ``(rows, scores)`` arrays in row order: blocks of the float32 rows are
-    screened by one float32 GEMM each, and the rows within ``slack`` of the
-    k-th best screen score rescored exactly, in float64, by
-    ``numerics.cosines`` on the stored values. Nonzero ``norms`` must lie in
+    ``(rows, scores)`` arrays in row order. Each block of the float32 rows is
+    screened by one float32 GEMM, ``rows[block] @ unit_t``; a query keeps the
+    rows within ``slack`` of its running k-th best screen score, and only
+    those are rescored exactly, in float64, by ``numerics.cosines`` on the
+    stored values. Blocks are partitioned only until every query has k finite
+    screen scores; after that a block is one compare against the running
+    k-th best and a ``nonzero``, and the k-th best moves only on the block's
+    finite survivors above it. Nonzero ``norms`` must lie in
     ``wordvec.NORM_RANGE``, as a :class:`FactMatrix`'s do."""
     # The screen of query x and stored row y (length d) is g = fl32(fl32(v . y)
     # * fl32(1 / n_y)), v = fl32(x / n_x). With u = 2**-24, v is x / |x| within
-    # u relatively and 2**-150 absolutely (underflow); the float32 dot adds
-    # gamma_d sum|v_i y_i| ~ d u |y| (Higham, Accuracy and Stability of
-    # Numerical Algorithms, 3.1) and d 2**-150 from products that underflow;
-    # 1 / n_y and the product add 2u, as |cos| <= 1. The float64 terms, O(d
-    # eps64), stay under one more u. In g the underflow terms come to
-    # d 2**-150 / |y| + (sqrt(d) + 1) 2**-150 <= (d + 2) 2**-90, as nonzero
+    # u relatively and 2**-150 absolutely (underflow); the float32 dot adds, in
+    # any summation order, gamma_d sum|v_i y_i| ~ d u |y| (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 3.1) and d 2**-150 from products that
+    # underflow; 1 / n_y and the product add 2u, as |cos| <= 1. The float64
+    # terms, O(d eps64), stay under one more u. In g the underflow terms come
+    # to d 2**-150 / |y| + (sqrt(d) + 1) 2**-150 <= (d + 2) 2**-90, as nonzero
     # |y| >= 2**-60 (wordvec.NORM_RANGE). So one row's screen and exact scores
     # differ by e <= (d + 4) u + (d + 2) 2**-90. If K is the k-th best screen
-    # score, k rows score >= K - e exactly, so a row of the exact top k
-    # screens >= K - 2e. slack is twice 2e, which also covers rounding
-    # K - slack in float32: 4.9e-5 at d = 200. Zero-norm rows, and every row
-    # of a zero-norm query, screen -inf; a NaN or +inf screen is kept but
-    # never raises K.
+    # score, k rows score >= K - e exactly, so a row of the exact top k screens
+    # >= K - 2e. slack is twice 2e, which also covers rounding K - slack in
+    # float32: 4.9e-5 at d = 200. Zero-norm rows, and every row of a zero-norm
+    # query, screen -inf; a NaN or +inf screen is kept but never raises K.
+    if k < 1:
+        raise UsageError(f"k must be >= 1, got {k}")
     q, n = len(iq_block), len(rows)
     if not q or not n:
         return [(np.empty(0, dtype=np.intp), np.empty(0))] * q
     d, k = rows.shape[1], min(k, n)
     slack = 4 * ((d + 4) * 2.0**-24 + (d + 2) * 2.0**-90)
     qnorms = row_norms(iq_block)
-    unit = (iq_block / np.where(qnorms > 0.0, qnorms, 1.0)[:, None]).astype(np.float32)
-    best = np.full((q, k), NEG_INF, dtype=np.float32)  # the k best screen scores so far, the k-th in column 0
+    unit_t = np.ascontiguousarray((iq_block / np.where(qnorms > 0.0, qnorms, 1.0)[:, None]).T, dtype=np.float32)
+    best = np.full((q, k), NEG_INF, dtype=np.float32)  # the k best finite screen scores so far, the k-th in column 0
+    seeding = True  # some query of nonzero norm has fewer than k finite screen scores so far
     hits = []
     step = max(1, BLOCK_ELEMENTS // q)
     for start in range(0, n, step):
         block_norms = norms[start : start + step]
-        block = unit @ rows[start : start + step].T
-        block *= (1.0 / np.where(block_norms > 0.0, block_norms, 1.0)).astype(np.float32)
-        block[:, block_norms == 0.0] = NEG_INF
-        block[qnorms == 0.0] = NEG_INF
-        top = np.partition(np.where(np.isfinite(block), block, NEG_INF), -min(k, block.shape[1]), axis=1)[:, -k:]
-        best = np.partition(np.concatenate([best, top], axis=1), -k, axis=1)[:, -k:]
-        query, row = np.nonzero(~(block < best[:, :1] - slack))
-        hits.append((query, row + start, block[query, row]))
+        block = rows[start : start + step] @ unit_t
+        block *= (1.0 / np.where(block_norms > 0.0, block_norms, 1.0)).astype(np.float32)[:, None]
+        block[block_norms == 0.0] = NEG_INF
+        block[:, qnorms == 0.0] = NEG_INF
+        if seeding:  # every finite screen of the block joins its query's k best
+            finite = np.where(np.isfinite(block), block, NEG_INF).T
+            best = np.partition(np.concatenate([best, finite], axis=1), -k, axis=1)[:, -k:]
+        hit = np.flatnonzero(~(block < best[:, 0] - slack))
+        row, query = np.divmod(hit, q)
+        screen = block.ravel()[hit]
+        if not seeding:
+            rise = np.flatnonzero((screen > best[query, 0]) & (screen < np.inf))
+            if len(rise):  # each query's rising scores, padded with -inf, join its k best
+                rise = rise[np.argsort(query[rise], kind="stable")]
+                counts = np.bincount(query[rise], minlength=q)
+                new = np.full((q, counts.max()), NEG_INF, dtype=np.float32)
+                new[query[rise], np.arange(len(rise)) - np.repeat(np.cumsum(counts) - counts, counts)] = screen[rise]
+                best = np.partition(np.concatenate([best, new], axis=1), -k, axis=1)[:, -k:]
+        seeding = bool(np.any(best[qnorms > 0.0, 0] == NEG_INF))
+        hits.append((query, row + start, screen))
     query, row, screen = (np.concatenate(parts) for parts in zip(*hits))
     keep = np.flatnonzero(~(screen < best[query, 0] - slack))
-    keep = keep[np.argsort(query[keep], kind="stable")]  # by query, each query's rows ascending
+    # by query, each query's rows ascending; a stable sort of 8- or 16-bit keys is a radix sort
+    keep = keep[np.argsort(query[keep].astype(np.min_scalar_type(q - 1)), kind="stable")]
     shortlists = np.split(row[keep], np.cumsum(np.bincount(query[keep], minlength=q))[:-1])
     # a zero-norm query keeps every row, each scoring -inf: none is gathered and upcast
     return [(r, cosines(rows[r], norms[r], iq_block[j], qnorms[j]) if qnorms[j] else np.full(len(r), NEG_INF))

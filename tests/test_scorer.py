@@ -10,7 +10,7 @@ from factrank.checkpoint import save_checkpoint
 from factrank.encoders import Vocabulary, encode_batch
 from factrank.errors import LoadError, ShapeError, UsageError
 from factrank import scorer
-from factrank.numerics import Tape
+from factrank.numerics import Tape, cosines, row_norms
 from factrank.scorer import (
     NEG_INF,
     ScorerDims,
@@ -347,21 +347,107 @@ def test_property_float32_screen_keeps_the_exact_float64_top_k(seed, n, dim, sca
         assert top == brute[:k]
 
 
-def test_a_screen_that_is_not_finite_is_kept_and_never_moves_the_threshold():
-    # a row outside FactMatrix's contract screens NaN: it is rescored, and the
-    # other rows are still shortlisted by the k-th best finite screen score
+def _multi_block_case(seed, n=5_000, dim=16, lead=600):
+    """Float32 rows whose first ``lead`` are zero, so no query has a finite
+    k-th best until a later block, then: 100 rows close to the first query
+    early on, planted duplicates, zero rows and one-float32-ulp neighbours,
+    and in the last 30 rows near-ties that score just below the first
+    query's exact 1st, 3rd and 100th best, within half the screen's slack.
+    256 queries: the first, a stored row, a zero query, then random ones."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, dim))
+    rows[:lead] = 0.0
+    query = rng.standard_normal(dim)
+    unit = query / np.linalg.norm(query)
+
+    def at_cosine(c):
+        w = rng.standard_normal(dim)
+        w -= (w @ unit) * unit
+        return c * unit + np.sqrt(1.0 - c * c) * w / np.linalg.norm(w)
+
+    for i in range(lead, lead + 100):
+        rows[i] = at_cosine(rng.uniform(0.95, 0.999))
+    rows = rows.astype(np.float32)
+    for i in rng.integers(lead, n - 30, size=n // 10):
+        src, kind = rng.integers(lead, n - 30), rng.integers(3)
+        if kind == 0:
+            rows[i] = rows[src]
+        elif kind == 1:
+            rows[i] = 0.0
+        elif rows[src].any():
+            rows[i] = np.nextafter(rows[src], np.float32(np.inf))
+    slack = 4 * ((dim + 4) * 2.0**-24 + (dim + 2) * 2.0**-90)
+    for j, k in enumerate((1, 3, 100)):  # a row below the k-th best moves no j-th best for j <= k
+        kth = np.sort(_exact_scores(rows, query[None])[0])[-k]
+        for i in range(n - 30 + 10 * j, n - 20 + 10 * j):
+            rows[i] = at_cosine(kth - rng.uniform(0.05, 0.45) * slack)
+    queries = rng.standard_normal((256, dim))
+    queries[0], queries[1], queries[2] = query, rows[rng.integers(lead, n)], 0.0
+    return FactMatrix.from_rows([f"f{i:04d}" for i in rng.permutation(n)], rows), queries, slack
+
+
+def _exact_scores(rows, queries):
+    # (queries, rows) float64 cosines of the stored rows, bitwise the scalar arithmetic (test_numerics)
+    rows = rows.astype(np.float64)
+    return cosines(rows[None], row_norms(rows), queries[:, None], row_norms(queries)[:, None])
+
+
+@pytest.mark.parametrize("q", [1, 3, 64, 256])
+def test_ranking_over_many_blocks_is_the_exact_sort_and_shortlists_a_slack_bracket(q):
+    fm, queries, slack = _multi_block_case(31)
+    queries = queries[:q]
+    exact = _exact_scores(fm.rows, queries)
+    ids = np.array(fm.fact_ids)
+    with mock.patch.object(scorer, "BLOCK_ELEMENTS", 400 * q):  # 400 rows a block: 13 blocks, the first all zero
+        for k in (1, 3, 100):
+            shortlists = shortlist_rows(queries, fm.rows, fm.norms, k)
+            tops = rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k)
+            for e, (r, s), top in zip(exact, shortlists, tops):
+                order = np.lexsort((ids, -e))[:k]
+                assert top == list(zip(ids[order].tolist(), e[order].tolist()))
+                kth = np.sort(e)[-k]
+                assert np.all(np.diff(r) > 0)
+                assert s.tobytes() == e[r].tobytes()
+                assert set(np.flatnonzero(e >= kth - slack / 2)) <= set(r.tolist())
+                assert not np.any(e[r] < kth - 3 * slack / 2)
+
+
+@pytest.mark.parametrize("block", [7, 100, 499, 1 << 18])
+@pytest.mark.parametrize("screen", ["nan", "inf"])
+def test_a_screen_that_is_not_finite_is_kept_and_never_moves_the_threshold(screen, block):
+    # a row outside FactMatrix's contract screens NaN (an inf component) or
+    # +inf (a norm whose float32 reciprocal overflows): it is kept, and the
+    # other rows are still shortlisted by the k-th best finite screen score,
+    # also when it sits in a block after the one that seeds that score
     rng = np.random.default_rng(28)
     rows = rng.standard_normal((1000, 8)).astype(np.float32)
-    rows[500, 0] = np.inf
-    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
     iq = rng.standard_normal((1, 8))
+    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+    if screen == "nan":
+        rows[500, 0], norms[500] = np.inf, np.inf
+    else:
+        rows[500], norms[500] = iq[0], 1e-300
     ids = [f"f{i:04d}" for i in range(1000)]
     finite = np.delete(np.arange(1000), 500)
-    with np.errstate(invalid="ignore"):
+    with mock.patch.object(scorer, "BLOCK_ELEMENTS", block), np.errstate(invalid="ignore", over="ignore"):
         (kept, _), = shortlist_rows(iq, rows, norms, 3)
-        assert 500 in kept.tolist() and len(kept) < 20
         top = rank_rows(iq, rows, norms, ids, 3)
-    assert top == rank_rows(iq, rows[finite], norms[finite], [ids[i] for i in finite], 3)
+        top_finite = rank_rows(iq, rows[finite], norms[finite], [ids[i] for i in finite], 3)
+    assert 500 in kept.tolist() and len(kept) < 20
+    assert {int(fid[1:]) for fid, _ in top_finite[0]} <= set(kept.tolist())
+    if screen == "nan":  # its exact score is NaN too, and ranks last
+        assert top == top_finite
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_a_usage_error(k):
+    fm = _random_fact_matrix(3, 4, seed=32)
+    iq = np.random.default_rng(33).standard_normal((2, 4))
+    for call in (lambda: shortlist_rows(iq, fm.rows, fm.norms, k),
+                 lambda: rank_rows(iq, fm.rows, fm.norms, fm.fact_ids, k),
+                 lambda: rank_candidates(iq[0], fm.fact_ids, fm, k)):
+        with pytest.raises(UsageError, match=f"k must be >= 1, got {k}"):
+            call()
 
 
 def test_from_rows_and_rank_rows_never_allocate_a_copy_of_the_rows():
