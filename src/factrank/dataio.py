@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, LoadError, UsageError
-from .kb import AnswerSource, KnowledgeBase, Relation, parse_fact, parse_kb
-from .text import normalize_phrase, tokenize
+from .kb import AnswerSource, Fact, KnowledgeBase, Relation, parse_fact, parse_kb
+from .text import normalize_phrase, read_lines, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -82,7 +82,10 @@ def _file_sha256(path: Path) -> str:
 
 def load_concept_labels(path: str | Path) -> list[str]:
     path = Path(path)
-    labels = [line.rstrip("\n") for line in path.read_text(encoding="utf-8").splitlines()]
+    try:
+        labels = [line.rstrip("\n") for line in path.read_text(encoding="utf-8").splitlines()]
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{path}: not UTF-8 text ({exc.reason})") from None
     labels = [l for l in labels if l.strip()]
     if not labels:
         raise LoadError(f"{path}: concept label file is empty")
@@ -111,30 +114,29 @@ def load_features(path: str | Path) -> dict[str, Array]:
             logger.warning("ignoring unreadable feature cache %s", cache_path)
     out: dict[str, Array] = {}
     dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            declared, _, vector = rest.partition(" ")
-            try:
-                declared = int(declared)
-            except ValueError:
-                raise LoadError(f"{path}:{lineno}: second field must be the vector length") from None
-            try:
-                values = np.array(vector.split(), dtype=np.float64)
-            except ValueError:
-                raise LoadError(f"{path}:{lineno}: non-numeric feature value") from None
-            if values.size != declared:
-                raise LoadError(f"{path}:{lineno}: expected {declared} values, got {values.size}")
-            if dim is None:
-                dim = declared
-            elif declared != dim:
-                raise LoadError(f"{path}:{lineno}: inconsistent feature length {declared} != {dim}")
-            if head in out:
-                raise LoadError(f"{path}:{lineno}: duplicate image id {head!r}")
-            out[head] = values
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        declared, _, vector = rest.partition(" ")
+        try:
+            declared = int(declared)
+        except ValueError:
+            raise LoadError(f"{path}:{lineno}: second field must be the vector length") from None
+        try:
+            values = np.array(vector.split(), dtype=np.float64)
+        except ValueError:
+            raise LoadError(f"{path}:{lineno}: non-numeric feature value") from None
+        if values.size != declared:
+            raise LoadError(f"{path}:{lineno}: expected {declared} values, got {values.size}")
+        if dim is None:
+            dim = declared
+        elif declared != dim:
+            raise LoadError(f"{path}:{lineno}: inconsistent feature length {declared} != {dim}")
+        if head in out:
+            raise LoadError(f"{path}:{lineno}: duplicate image id {head!r}")
+        out[head] = values
     if not out:
         raise LoadError(f"{path}: no feature rows")
     ids, matrix = list(out), np.stack(list(out.values()))
@@ -150,24 +152,23 @@ def load_concepts(path: str | Path, n_labels: int) -> tuple[dict[str, int], Arra
     path = Path(path)
     row_of: dict[str, int] = {}
     hot: list[int] = []  # flat positions in the (images, n_labels) matrix
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            head, _, rest = line.partition(" ")
-            if rest.strip():
-                for tok in rest.strip().split(","):
-                    try:
-                        idx = int(tok)
-                    except ValueError:
-                        raise LoadError(f"{path}:{lineno}: bad concept index {tok!r}") from None
-                    if not 0 <= idx < n_labels:
-                        raise LoadError(f"{path}:{lineno}: concept index {idx} out of range [0, {n_labels})")
-                    hot.append(len(row_of) * n_labels + idx)
-            if head in row_of:
-                raise LoadError(f"{path}:{lineno}: duplicate image id {head!r}")
-            row_of[head] = len(row_of)
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        head, _, rest = line.partition(" ")
+        if rest.strip():
+            for tok in rest.strip().split(","):
+                try:
+                    idx = int(tok)
+                except ValueError:
+                    raise LoadError(f"{path}:{lineno}: bad concept index {tok!r}") from None
+                if not 0 <= idx < n_labels:
+                    raise LoadError(f"{path}:{lineno}: concept index {idx} out of range [0, {n_labels})")
+                hot.append(len(row_of) * n_labels + idx)
+        if head in row_of:
+            raise LoadError(f"{path}:{lineno}: duplicate image id {head!r}")
+        row_of[head] = len(row_of)
     matrix = np.zeros(len(row_of) * n_labels, dtype=bool)
     matrix[hot] = True
     matrix.flags.writeable = False
@@ -178,44 +179,43 @@ def load_qa(path: str | Path) -> list[QAInstance]:
     path = Path(path)
     instances: list[QAInstance] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LoadError(f"{path}:{lineno}: bad JSON: {exc}") from None
-            missing = [f for f in QA_FIELDS if f not in rec]
-            if missing:
-                raise LoadError(f"{path}:{lineno}: missing fields {missing}")
-            try:
-                relation, suffix = Relation.parse(str(rec["relation"]))
-                if suffix:
-                    raise UsageError("qualified Comparative labels are not valid QA relation labels")
-                source = AnswerSource.parse(str(rec["answer_source"]))
-            except UsageError as exc:
-                raise LoadError(f"{path}:{lineno}: {exc}") from None
-            fold = rec["fold"]
-            if not isinstance(fold, int) or fold not in FOLDS:
-                raise DataError(f"{path}:{lineno}: fold must be in {list(FOLDS)}, got {fold!r}")
-            qid = str(rec["question_id"])
-            if qid in seen:
-                raise LoadError(f"{path}:{lineno}: duplicate question id {qid!r}")
-            seen.add(qid)
-            instances.append(
-                QAInstance(
-                    question_id=qid,
-                    image_id=str(rec["image_id"]),
-                    question=str(rec["question"]),
-                    answer=str(rec["answer"]),
-                    fact_id=str(rec["fact_id"]),
-                    relation=relation,
-                    source=source,
-                    fold=fold,
-                )
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LoadError(f"{path}:{lineno}: bad JSON: {exc}") from None
+        missing = [f for f in QA_FIELDS if f not in rec]
+        if missing:
+            raise LoadError(f"{path}:{lineno}: missing fields {missing}")
+        try:
+            relation, suffix = Relation.parse(str(rec["relation"]))
+            if suffix:
+                raise UsageError("qualified Comparative labels are not valid QA relation labels")
+            source = AnswerSource.parse(str(rec["answer_source"]))
+        except UsageError as exc:
+            raise LoadError(f"{path}:{lineno}: {exc}") from None
+        fold = rec["fold"]
+        if not isinstance(fold, int) or fold not in FOLDS:
+            raise DataError(f"{path}:{lineno}: fold must be in {list(FOLDS)}, got {fold!r}")
+        qid = str(rec["question_id"])
+        if qid in seen:
+            raise LoadError(f"{path}:{lineno}: duplicate question id {qid!r}")
+        seen.add(qid)
+        instances.append(
+            QAInstance(
+                question_id=qid,
+                image_id=str(rec["image_id"]),
+                question=str(rec["question"]),
+                answer=str(rec["answer"]),
+                fact_id=str(rec["fact_id"]),
+                relation=relation,
+                source=source,
+                fold=fold,
             )
+        )
     return instances
 
 
@@ -331,7 +331,7 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
         if fid.lstrip().startswith("#"):
             raise LoadError(f"{where}: a fact id starting with '#' would be read back as a comment line")
         try:
-            facts.append(parse_fact(fields))
+            facts.append(Fact(*parse_fact(fields)))
         except LoadError as exc:
             raise LoadError(f"{where}: {exc}") from None
         kb_lines.append("\t".join(fields))

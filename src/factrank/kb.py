@@ -1,20 +1,25 @@
-"""Fact triplets, the closed 13-relation vocabulary, and an indexed store.
+"""Fact triplets, the closed 13-relation vocabulary, and a columnar store.
 
 A knowledge base is a set of (subject, relation, object) triplets loaded
-from a tab-separated file. Facts are immutable after load and indexed both
-by id and by relation, so relation-filtered retrieval is a bucket lookup.
-Facts are slotted, and :func:`parse_kb` makes equal subject and object
-strings one object, so an FVQA-scale KB holds each phrase once.
+from a tab-separated file, held as columns in the row order of
+``wordvec.FactMatrix``: relation bucket after bucket, each in load order.
+Subjects and objects are codes into one list of distinct phrases, each
+tokenized once into codes of one list of distinct tokens. A :class:`Fact`
+is made only when one is asked for.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
-from .errors import LoadError, UsageError
-from .text import has_token, tokenize
+import numpy as np
+
+from .errors import DegenerateInputError, LoadError, UsageError
+from .text import read_lines, tokenize
 
 
 class Relation(enum.Enum):
@@ -43,12 +48,12 @@ class Relation(enum.Enum):
         if token.startswith("Comparative-"):
             return cls.COMPARATIVE, token[len("Comparative-") :]
         try:
-            return _RELATION_BY_VALUE[token], None
+            return _PLAIN_RELATION[token]
         except KeyError:
             raise UsageError(f"unknown relation {token!r}") from None
 
 
-_RELATION_BY_VALUE = {r.value: r for r in Relation}
+_PLAIN_RELATION = {r.value: (r, None) for r in Relation}
 
 
 class AnswerSource(enum.Enum):
@@ -76,46 +81,96 @@ class Fact:
     obj: str
 
 
-class KnowledgeBase:
-    """Immutable fact store with an id index and a relation index."""
+RELATIONS = list(Relation)  # a relation's code is its index here (list.index, not Enum's Python-level hash)
 
-    def __init__(self, facts: list[Fact]):
-        self._facts: dict[str, Fact] = {}
-        self._by_relation: dict[Relation, list[str]] = {r: [] for r in Relation}
+
+class _Phrases(dict):
+    """Distinct phrase -> code, in first-seen order. A new phrase is
+    tokenized once, as it is first looked up; one with no tokens looks up
+    None. Phrase ``p``'s tokens are ``tokens[starts[p]:starts[p + 1]]``,
+    each the one string of its ``distinct`` token."""
+
+    def __init__(self):
+        super().__init__()
+        self.distinct: dict[str, str] = {}
+        self.tokens: list[str] = []
+        self.starts = array("q", [0])
+
+    def __missing__(self, phrase: str) -> int | None:
+        tokens = tokenize(phrase)
+        if not tokens:
+            return None
+        self.tokens += map(self.distinct.setdefault, tokens, tokens)
+        self.starts.append(len(self.tokens))
+        code = self[phrase] = len(self)
+        return code
+
+
+class KnowledgeBase:
+    """Immutable columnar fact store. Row ``r`` is fact ``ids[r]``, of relation ``RELATIONS[relations[r]]``,
+    subject ``phrases[subjects[r]]`` and object ``phrases[objects[r]]``; ``position`` maps an id to its row,
+    ``buckets`` a relation to its rows, and ``load_order[i]`` is the row of the ``i``-th fact loaded. Phrase
+    ``p``'s tokens are ``tokens[c]`` for ``c`` in ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``."""
+
+    def __init__(self, facts: Iterable[Fact]):
+        phrases, position, columns = _Phrases(), {}, [array("i") for _ in range(3)]
         for f in facts:
-            if f.fact_id in self._facts:
+            if f.fact_id in position:
                 raise UsageError(f"duplicate fact id {f.fact_id!r}")
-            self._facts[f.fact_id] = f
-            self._by_relation[f.relation].append(f.fact_id)
+            codes = RELATIONS.index(f.relation), phrases[f.subject], phrases[f.obj]
+            if None in codes:
+                raise DegenerateInputError(f"phrase {f.subject if codes[1] is None else f.obj!r} has no tokens")
+            position[f.fact_id] = None
+            for column, code in zip(columns, codes):
+                column.append(code)
+        self._fill(position, columns, phrases)
+
+    def _fill(self, position: dict[str, None], columns: list[array], phrases: _Phrases) -> None:
+        """Lay out the facts whose ids ``position`` holds in load order, with
+        their relation, subject and object ``columns`` of codes, bucket after
+        bucket; ``position`` comes to map each id to its row."""
+        self.phrases, self.tokens, self.phrase_starts = list(phrases), list(phrases.distinct), np.array(phrases.starts)
+        code = dict(zip(self.tokens, range(len(self.tokens))))
+        self.phrase_tokens = np.fromiter(map(code.__getitem__, phrases.tokens), np.int32, len(phrases.tokens))
+        phrases.clear()  # its codes' memory then holds the row numbers below
+        relations, subjects, objects = (np.frombuffer(column, dtype=np.int32) for column in columns)
+        order = np.argsort(relations, kind="stable")  # row -> load index
+        loaded = list(position)
+        self.ids = [loaded[i] for i in order.tolist()]
+        position.update(zip(self.ids, range(len(self.ids))))
+        self.position, self.load_order = position, np.argsort(order)
+        self.relations, self.subjects, self.objects = relations[order], subjects[order], objects[order]
+        ends = np.cumsum(np.bincount(self.relations, minlength=len(RELATIONS))).tolist()
+        self.buckets = {r: slice(start, end) for r, start, end in zip(RELATIONS, [0, *ends], ends)}
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return len(self.ids)
 
     def __contains__(self, fact_id: str) -> bool:
-        return fact_id in self._facts
+        return fact_id in self.position
 
     def fact(self, fact_id: str) -> Fact:
         try:
-            return self._facts[fact_id]
+            row = self.position[fact_id]
         except KeyError:
             raise UsageError(f"unknown fact id {fact_id!r}") from None
+        return Fact(fact_id, self.phrases[self.subjects[row]], RELATIONS[self.relations[row]],
+                    self.phrases[self.objects[row]])
 
     def facts(self) -> list[Fact]:
         """All facts in load order."""
-        return list(self._facts.values())
+        return [self.fact(fact_id) for fact_id in self.fact_ids()]
 
     def fact_ids(self) -> list[str]:
-        return list(self._facts.keys())
+        """All fact ids in load order."""
+        return [self.ids[row] for row in self.load_order.tolist()]
 
     def facts_with_relation(self, relation: Relation) -> list[Fact]:
         """Facts whose relation is ``relation``, in stable load order."""
-        return [self._facts[i] for i in self._by_relation[relation]]
+        return [self.fact(fact_id) for fact_id in self.ids_with_relation(relation)]
 
     def ids_with_relation(self, relation: Relation) -> list[str]:
-        return list(self._by_relation[relation])
-
-    def count_with_relation(self, relation: Relation) -> int:
-        return len(self._by_relation[relation])
+        return self.ids[self.buckets[relation]]
 
 
 def parse_kb(path: str | Path) -> KnowledgeBase:
@@ -123,52 +178,53 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
 
     One fact per line: ``fact_id<TAB>subject<TAB>relation<TAB>object``.
     ``#``-prefixed lines and blank lines are ignored; each line is read by
-    :func:`parse_fact`.
+    :func:`parse_fact`, and each distinct phrase is tokenized once, the first
+    time a line names it.
     """
-    path = Path(path)
-    facts: list[Fact] = []
-    seen: set[str] = set()
-    phrases: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise LoadError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
-            try:
-                fact = parse_fact(parts, phrases)
-            except LoadError as exc:
-                raise LoadError(f"{path}:{lineno}: {exc}") from None
-            if fact.fact_id in seen:
-                raise LoadError(f"{path}:{lineno}: duplicate fact id {fact.fact_id!r}")
-            seen.add(fact.fact_id)
-            facts.append(fact)
-    return KnowledgeBase(facts)
+    path, phrases, position, columns = Path(path), _Phrases(), {}, [array("i") for _ in range(3)]
+    code, (relations, subjects, objects) = phrases.__getitem__, columns
+    for lineno, line in read_lines(path):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")  # the last field keeps the line break, which parse_fact strips
+        if len(parts) != 4:
+            raise LoadError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
+        try:
+            fact_id, subject, relation, obj = parse_fact(parts, code)
+        except LoadError as exc:
+            raise LoadError(f"{path}:{lineno}: {exc}") from None
+        if fact_id in position:
+            raise LoadError(f"{path}:{lineno}: duplicate fact id {fact_id!r}")
+        position[fact_id] = None
+        relations.append(RELATIONS.index(relation))
+        subjects.append(subject)
+        objects.append(obj)
+    kb = KnowledgeBase.__new__(KnowledgeBase)
+    kb._fill(position, columns, phrases)
+    return kb
 
 
-def parse_fact(fields: list[str], phrases: dict[str, str] | None = None) -> Fact:
-    """A fact from its id, subject, relation and object fields, or a
-    LoadError saying which is invalid. A ``Comparative-X`` relation token
-    maps to the Comparative relation and prepends ``X`` to the object.
-    Subjects and objects equal to a string in ``phrases`` become that string."""
-    fact_id, subject, rel_token, obj = (p.strip() for p in fields)
+def parse_fact(fields: list[str], phrase: Callable[[str], object] = lambda p: p if tokenize(p) else None) -> tuple:
+    """The fact id, subject, relation and object of a line's four fields, or
+    a LoadError saying which is invalid. A ``Comparative-X`` relation token
+    maps to the Comparative relation and prepends ``X`` to the object. The
+    subject and object come back through ``phrase``, None for a phrase with
+    no tokens; by default each is itself."""
+    fact_id, subject, rel_token, obj = fields
+    fact_id, subject, rel_token, obj = fact_id.strip(), subject.strip(), rel_token.strip(), obj.strip()
     if not fact_id:
         raise LoadError("empty fact id")
     try:
-        relation, suffix = Relation.parse(rel_token)
+        relation, suffix = _PLAIN_RELATION.get(rel_token) or Relation.parse(rel_token)
     except UsageError as exc:
         raise LoadError(str(exc)) from None
     if suffix:
         obj = f"{suffix} {obj}".strip()
-    if not has_token(subject):
+    if (subject := phrase(subject)) is None:
         raise LoadError("subject has no tokens")
-    if not has_token(obj):
+    if (obj := phrase(obj)) is None:
         raise LoadError("object has no tokens")
-    if phrases is not None:
-        subject, obj = phrases.setdefault(subject, subject), phrases.setdefault(obj, obj)
-    return Fact(fact_id, subject, relation, obj)
+    return fact_id, subject, relation, obj
 
 
 @dataclass
@@ -180,9 +236,5 @@ class KBStats:
 
 def kb_stats(kb: KnowledgeBase) -> KBStats:
     """Per-relation counts, total size, and token vocabulary size."""
-    counts = {r: kb.count_with_relation(r) for r in Relation}
-    vocab: set[str] = set()
-    for f in kb.facts():
-        vocab.update(tokenize(f.subject))
-        vocab.update(tokenize(f.obj))
-    return KBStats(relation_counts=counts, total_facts=len(kb), vocabulary_size=len(vocab))
+    counts = {r: bucket.stop - bucket.start for r, bucket in kb.buckets.items()}
+    return KBStats(relation_counts=counts, total_facts=len(kb), vocabulary_size=len(kb.tokens))

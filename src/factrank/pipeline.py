@@ -11,10 +11,14 @@ One private core, :func:`_predict`, runs this for a batch of questions,
 ranking each bucket's questions in one ``scorer.rank_rows`` call, ties by
 fact id, so a prediction is a pure function of its inputs:
 :func:`evaluate` calls it on a dataset fold and tallies the metrics, and
-:func:`answer_question` calls it on a batch of one. It takes the relation
-order and the source rule from ``encoders.ranked_relations`` and
-``encoders.answer_source``. The fields of :class:`Metrics` are the one list
-of metric names, for records, fold averages and the CLI table.
+:func:`answer_question` calls it on a batch of one. The columnar KB's
+bucket slices are the fact matrix's row blocks, so the matrix must be the
+one built from that KB; a bucket's rows are named by the KB's ids in place,
+without a copy, and only the facts an answer reads become ``Fact``s. It
+takes the relation order and the source rule from
+``encoders.ranked_relations`` and ``encoders.answer_source``. The fields of
+:class:`Metrics` are the one list of metric names, for records, fold
+averages and the CLI table.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
-from .errors import DataError, UsageError
+from .errors import UsageError
 from .kb import AnswerSource, Fact, KnowledgeBase, Relation
 from .scorer import ScorerParams, embed_batch, rank_rows
 from .wordvec import FactMatrix
@@ -151,16 +155,13 @@ def _predict(
     iq_mat = embed_batch(models.scorer, feats, concepts, questions)
 
     fm, top_relation = models.fact_matrix, [ranked[0][0] for ranked in relations]
+    fm.check_built_from(kb)
     tops = {}
     for relation in dict.fromkeys(top_relation):
-        size = kb.count_with_relation(relation)
         members = [i for i, r in enumerate(top_relation) if r is relation]
-        # a relation the KB lacks is no_fact, whatever rows the matrix holds
-        bucket = fm.buckets.get(relation, slice(0, 0)) if size else slice(0, 0)
-        if len(fm.norms[bucket]) != size:
-            raise DataError(f"{relation.value}: {size} facts in the KB, {len(fm.norms[bucket])} fact-matrix rows")
-        pool = fm.bucket_ids.get(relation, [])
-        tops.update(zip(members, rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], pool, max(k, 3))))
+        bucket = kb.buckets[relation]  # empty for a relation the KB lacks: no_fact
+        tops.update(zip(members, rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], fm.fact_ids,
+                                           max(k, 3), bucket.start)))
 
     out = []
     for i, ((question_id, image_id), ranked, (source, source_prob)) in enumerate(zip(ids, relations, sources)):

@@ -308,12 +308,15 @@ def shortlist_rows(iq_block: Array, rows: Array, norms: Array, k: int) -> list[t
             for j, r in enumerate(shortlists)]
 
 
-def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int) -> list[list[tuple[str, float]]]:
+def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int,
+              first: int = 0) -> list[list[tuple[str, float]]]:
     """Exact top-``k`` ``(id, score)`` of ``rows`` (a relation bucket, the
     whole KB, or gathered candidates) for each query of ``iq_block``, ordered
-    by ``(-score, id)``: bitwise the head of an exhaustive scalar sort."""
+    by ``(-score, id)``: bitwise the head of an exhaustive scalar sort. Row
+    ``i`` is named ``ids[first + i]``, so a bucket's rows need no id copy."""
     tops = []
     for r, s in shortlist_rows(iq_block, rows, norms, k):
+        r = r + first
         order = np.lexsort(([ids[i] for i in r.tolist()], -s))[:k]
         tops.append([(ids[i], x) for i, x in zip(r[order].tolist(), s[order].tolist())])
     return tops

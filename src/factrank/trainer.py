@@ -98,9 +98,10 @@ def build_initial_dataset(
     negatives: int = 99,
     seed: int = 0,
 ) -> Array:
-    """Iteration-0 candidate sets: an (instances, 1 + n) array of KB
-    positions (indices into ``kb.fact_ids()``), the groundtruth in column 0
-    and ``n = min(negatives, len(kb) - 1)`` uniform negatives after it.
+    """Iteration-0 candidate sets: an (instances, 1 + n) array of KB load
+    positions (indices into ``kb.fact_ids()``; ``kb.load_order`` maps them
+    to rows), the groundtruth in column 0 and ``n = min(negatives, len(kb) -
+    1)`` uniform negatives after it.
 
     Negatives are drawn without replacement from the whole knowledge base
     excluding the groundtruth, in KB load order; a KB smaller than
@@ -108,13 +109,14 @@ def build_initial_dataset(
     fixed seed.
     """
     rng = np.random.default_rng([seed, 29])
-    position = {fid: i for i, fid in enumerate(kb.fact_ids())}
+    loaded = np.empty(len(kb), dtype=np.intp)  # row -> load position
+    loaded[kb.load_order] = np.arange(len(kb))
     n = min(negatives, len(kb) - 1)
     rows = []
     for inst in instances:
-        if inst.fact_id not in position:
+        if inst.fact_id not in kb:
             raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
-        gt = position[inst.fact_id]
+        gt = int(loaded[kb.position[inst.fact_id]])
         draw = rng.choice(len(kb) - 1, size=n, replace=False)
         rows.append([gt, *(draw + (draw >= gt))])  # skip over the groundtruth
     return np.array(rows, dtype=np.intp).reshape(len(instances), n + 1)
@@ -207,6 +209,7 @@ def train_scorer(
         raise DataError("scorer training needs at least one instance")
     if fact_matrix is None:
         fact_matrix = FactMatrix.build(kb, word_table)
+    fact_matrix.check_built_from(kb)
     dims = ScorerDims(image_dim=store.feature_dim, concept_dim=store.concept_dim, output_dim=fact_matrix.dim)
 
     vocab = Vocabulary.build(i.question for i in train_instances)
@@ -224,9 +227,7 @@ def train_scorer(
     metrics: list[dict] = []
     candidate_history: list[Array] = []
     mining_states: list[MiningState] = []
-    # KB position -> fact-matrix row: buckets reorder the rows by relation
-    row_of_position = np.array([fact_matrix.row_of[fid] for fid in kb.fact_ids()], dtype=np.intp)
-    cand = row_of_position[build_initial_dataset(train_instances, kb, config.negatives, config.seed)]
+    cand = kb.load_order[build_initial_dataset(train_instances, kb, config.negatives, config.seed)]
 
     def batch_loss(tape, epoch, batch, ids, lengths):
         iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, rng_train)

@@ -3,11 +3,14 @@
 A fact embeds as the concatenation of the averaged known-token word vectors
 of its subject and of its object (zero if none is known; not the relation),
 a vector of length ``2 * dim`` that never changes during training. The whole
-knowledge base is embedded once, in passes of ``BUILD_CHUNK`` facts, into a
-dense :class:`FactMatrix` whose rows are laid out relation bucket after
-relation bucket, so ranking a bucket reads one contiguous block of rows.
-Rows are float32, the precision word vectors are published in, which halves
-the bytes each ranking pass reads; their norms are float64.
+knowledge base is embedded once into a dense :class:`FactMatrix`, from its
+columns: the KB's token list is mapped to word vectors once, and each pass
+of ``BUILD_CHUNK`` facts takes the mean of each of its distinct phrases'
+known tokens, one gather per known-token count. Rows are in the KB's own
+relation-bucket order, so ranking a bucket reads one contiguous block of
+rows, and the matrix names them by the KB's ids, without a copy. Rows are
+float32, the precision word vectors are published in, which halves the
+bytes each ranking pass reads; their norms are float64.
 """
 
 from __future__ import annotations
@@ -15,14 +18,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, LoadError
-from .kb import Fact, KnowledgeBase, Relation
+from .errors import DataError, DegenerateInputError, LoadError
+from .kb import KnowledgeBase
 from .numerics import row_norms
-from .text import tokenize  # re-exported: tokenization is part of this module's API
+from .text import read_lines, tokenize  # tokenize is re-exported: tokenization is part of this module's API
 
 __all__ = [
     "tokenize",
@@ -65,25 +69,24 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
     """
     path = Path(path)
     table = WordVectorTable(dim or 0)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            parts = raw.split()
-            if not parts:
-                continue
-            table.dim = table.dim or max(len(parts) - 1, 1)
-            if len(parts) != table.dim + 1:
-                raise LoadError(f"{path}:{lineno}: expected {table.dim + 1} fields, got {len(parts)}")
-            token = parts[0]
-            if token in table.vectors:
-                table.duplicate_count += 1
-                logger.warning("%s:%d: duplicate token %r, keeping the later row", path, lineno, token)
-            try:
-                vec = np.array(parts[1:], dtype=np.float64)
-            except ValueError:
-                raise LoadError(f"{path}:{lineno}: non-numeric vector component") from None
-            if not (np.abs(vec) <= np.finfo(np.float32).max).all():  # NaN too
-                raise LoadError(f"{path}:{lineno}: non-finite vector component, or one beyond float32's range")
-            table.vectors[token] = vec
+    for lineno, raw in read_lines(path):
+        parts = raw.split()
+        if not parts:
+            continue
+        table.dim = table.dim or max(len(parts) - 1, 1)
+        if len(parts) != table.dim + 1:
+            raise LoadError(f"{path}:{lineno}: expected {table.dim + 1} fields, got {len(parts)}")
+        token = parts[0]
+        if token in table.vectors:
+            table.duplicate_count += 1
+            logger.warning("%s:%d: duplicate token %r, keeping the later row", path, lineno, token)
+        try:
+            vec = np.array(parts[1:], dtype=np.float64)
+        except ValueError:
+            raise LoadError(f"{path}:{lineno}: non-numeric vector component") from None
+        if not (np.abs(vec) <= np.finfo(np.float32).max).all():  # NaN too
+            raise LoadError(f"{path}:{lineno}: non-finite vector component, or one beyond float32's range")
+        table.vectors[token] = vec
     if not table.vectors:
         raise LoadError(f"{path}: no word vectors")
     return table
@@ -94,50 +97,57 @@ class FactMatrix:
     """Dense (num_facts x 2*dim) embedding of a whole knowledge base.
 
     ``rows`` is float32; ``norms`` is float64, each the exact ``row_norms``
-    of its stored row, and nonzero only inside ``NORM_RANGE``. :meth:`build`
-    lays the rows out relation by relation, each in KB load order, so
-    ``rows[buckets[r]]`` is relation ``r``'s bucket as a view."""
+    of its stored row, and nonzero only inside ``NORM_RANGE``. Row ``i`` is
+    fact ``fact_ids[i]`` and ``row_of`` maps an id to its row. A matrix that
+    :meth:`build` made shares both with its KB, whose ``buckets`` then slice
+    the rows, relation by relation."""
 
     fact_ids: list[str]
     rows: Array
-    norms: Array
     row_of: dict[str, int]
-    buckets: dict[Relation, slice] = field(default_factory=dict)
+    norms: Array = field(init=False)
+
+    def __post_init__(self):
+        self.norms = np.empty(len(self.rows))  # numerics.cosines' norms, upcasting a chunk of rows at a time
+        for at in range(0, len(self.rows), BUILD_CHUNK):
+            self.norms[at:at + BUILD_CHUNK] = row_norms(self.rows[at:at + BUILD_CHUNK])
+        lo, hi = NORM_RANGE
+        bad = np.flatnonzero((self.norms != 0.0) & ~((lo <= self.norms) & (self.norms <= hi)))
+        if len(bad):
+            fid, norm = self.fact_ids[bad[0]], self.norms[bad[0]]
+            raise DegenerateInputError(f"fact {fid!r}: row norm {norm:.3g} outside [{lo:.3g}, {hi:.3g}]")
 
     @classmethod
-    def from_rows(cls, fact_ids: list[str], rows: Array, buckets: dict[Relation, slice] | None = None) -> "FactMatrix":
-        rows = np.asarray(rows, dtype=np.float32)
-        norms = np.empty(len(rows))  # numerics.cosines' norms, upcasting a chunk of rows at a time
-        for at in range(0, len(rows), BUILD_CHUNK):
-            norms[at:at + BUILD_CHUNK] = row_norms(rows[at:at + BUILD_CHUNK])
-        lo, hi = NORM_RANGE
-        bad = np.flatnonzero((norms != 0.0) & ~((lo <= norms) & (norms <= hi)))
-        if len(bad):
-            fid, norm = fact_ids[bad[0]], norms[bad[0]]
-            raise DegenerateInputError(f"fact {fid!r}: row norm {norm:.3g} outside [{lo:.3g}, {hi:.3g}]")
-        return cls(fact_ids=list(fact_ids), rows=rows, norms=norms,
-                   row_of={fid: i for i, fid in enumerate(fact_ids)}, buckets=buckets or {})
+    def from_rows(cls, fact_ids: list[str], rows: Array) -> "FactMatrix":
+        fact_ids = list(fact_ids)
+        return cls(fact_ids, np.asarray(rows, dtype=np.float32), dict(zip(fact_ids, range(len(fact_ids)))))
 
     @classmethod
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":
-        """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32;
-        a phrase with no tokens is degenerate. Fully out-of-vocabulary occurrences are counted and logged once."""
-        facts: list[Fact] = []
-        buckets = {}
-        for relation in Relation:
-            start = len(facts)
-            facts += kb.facts_with_relation(relation)
-            buckets[relation] = slice(start, len(facts))
-        rows = np.zeros((len(facts), 2 * table.dim), dtype=np.float32)
-        phrases = [p for f in facts for p in (f.subject, f.obj)]
-        halves = rows.reshape(len(phrases), table.dim)  # a view: fact i's subject at 2i, its object at 2i + 1
-        oov: list[str] = []
-        for at in range(0, len(phrases), 2 * BUILD_CHUNK):
-            oov += _embed_phrases(phrases[at:at + 2 * BUILD_CHUNK], table, halves[at:at + 2 * BUILD_CHUNK])
-        matrix = cls.from_rows([f.fact_id for f in facts], rows, buckets)  # a rejected row norm counts nothing
+        """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32.
+        Fully out-of-vocabulary occurrences are counted and logged once."""
+        known = np.array([t in table.vectors for t in kb.tokens], dtype=bool)
+        vecs = np.array([table.vectors[t] for t in compress(kb.tokens, known)]).reshape(-1, table.dim)
+        keep = known[kb.phrase_tokens]
+        vec_of = (np.cumsum(known) - 1)[kb.phrase_tokens[keep]]  # each phrase's known tokens' rows of vecs, in turn
+        at_known = np.concatenate(([0], np.cumsum(keep)))[kb.phrase_starts]
+        first, count = at_known[:-1], np.diff(at_known)  # per phrase: its first entry of vec_of, and how many
+        codes = np.stack([kb.subjects, kb.objects], axis=1).ravel()  # fact i's subject at 2i, its object at 2i + 1
+        rows = np.zeros((len(kb), 2 * table.dim), dtype=np.float32)
+        halves = rows.reshape(len(codes), table.dim)  # a view, in the order of codes
+        for at in range(0, len(codes), 2 * BUILD_CHUNK):
+            phrases, where = np.unique(codes[at:at + 2 * BUILD_CHUNK], return_inverse=True)
+            means, known_count = np.zeros((len(phrases), table.dim)), count[phrases]
+            for n in np.unique(known_count[known_count > 0]).tolist():
+                group = known_count == n
+                means[group] = vecs[vec_of[first[phrases[group]][:, None] + np.arange(n)]].mean(axis=1)
+            halves[at:at + 2 * BUILD_CHUNK] = means[where]
+        oov = np.flatnonzero(count[codes] == 0)
+        matrix = cls(kb.ids, rows, kb.position)  # a rejected row norm counts nothing
         table.oov_phrase_count += len(oov)
-        if oov:
-            logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov), oov[0])
+        if len(oov):
+            logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov),
+                           kb.phrases[codes[oov[0]]])
         return matrix
 
     @cached_property
@@ -146,10 +156,6 @@ class FactMatrix:
         groups: dict[bytes, int] = {}
         return np.array([groups.setdefault(r.tobytes(), len(groups)) for r in self.rows], dtype=np.intp)
 
-    @cached_property
-    def bucket_ids(self) -> dict[Relation, list[str]]:
-        return {relation: self.fact_ids[rows] for relation, rows in self.buckets.items()}  # so ranking copies none
-
     @property
     def dim(self) -> int:
         return self.rows.shape[1]
@@ -157,22 +163,9 @@ class FactMatrix:
     def row(self, fact_id: str) -> Array:
         return self.rows[self.row_of[fact_id]]
 
+    def check_built_from(self, kb: KnowledgeBase) -> None:
+        """A DataError unless :meth:`build` made this matrix from ``kb``, so its rows are ``kb``'s rows."""
+        if self.fact_ids is not kb.ids:
+            raise DataError(f"the fact matrix ({len(self.fact_ids)} rows) was not built from this knowledge base "
+                            f"({len(kb)} facts)")
 
-def _embed_phrases(phrases: list[str], table: WordVectorTable, out: Array) -> list[str]:
-    """Write each phrase's known-token mean into its row of ``out``, one gather per token count; return
-    the phrases with no known token, whose rows are left as they are."""
-    token_ids: dict[str, int] = {}
-    ids_of: dict[str, tuple[int, ...]] = {}
-    groups: dict[int, list[int]] = {}
-    for i, phrase in enumerate(phrases):
-        if phrase not in ids_of:
-            tokens = tokenize(phrase)
-            if not tokens:
-                raise DegenerateInputError(f"phrase {phrase!r} has no tokens")
-            ids_of[phrase] = tuple([token_ids.setdefault(t, len(token_ids)) for t in tokens if t in table.vectors])
-        groups.setdefault(len(ids_of[phrase]), []).append(i)
-    vecs = np.array([table.vectors[t] for t in token_ids]).reshape(len(token_ids), table.dim)
-    for count, members in groups.items():
-        if count:
-            out[members] = vecs[np.array([ids_of[phrases[i]] for i in members])].mean(axis=1)
-    return [phrases[i] for i in groups.get(0, [])]

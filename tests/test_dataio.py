@@ -1,3 +1,4 @@
+import json
 import logging
 import re
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from factrank import dataio
-from factrank.dataio import FeatureStore, load_concepts, load_features
+from factrank.dataio import FeatureStore, load_concept_labels, load_concepts, load_features, load_qa
 from factrank.errors import DataError, LoadError
+from factrank.kb import parse_kb
+from factrank.wordvec import load_vectors
 
 LABELS = [f"label{i}" for i in range(6)]
 CONCEPTS = {"img1": [0, 5], "img2": [], "img3": [3, 3], "img4": [2, 4, 1]}
@@ -135,3 +138,25 @@ def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypa
     assert "could not write feature cache" in caplog.text
     assert not path.with_name("features.txt.cache.npz").exists()
     assert [rows[i].tobytes() for i in FEATURES] == [np.array(v, dtype=np.float64).tobytes() for v in FEATURES.values()]
+
+
+_VALID_LINES = {  # a loader, and a well-formed line of its file given a line index
+    "kb": (parse_kb, lambda i: f"f{i}\tA\tIsA\tB"),
+    "wordvec": (load_vectors, lambda i: f"w{i} 0.5 -1"),
+    "features": (load_features, lambda i: f"img{i} 2 0.5 -1"),
+    "concepts": (lambda path: load_concepts(path, 4), lambda i: f"img{i} 0,3"),
+    "qa": (load_qa, lambda i: json.dumps({"question_id": f"q{i}", "image_id": "img", "question": "what", "answer": "a",
+                                          "fact_id": "f", "relation": "IsA", "answer_source": "Image", "fold": 1})),
+    "concept-labels": (load_concept_labels, lambda i: f"label{i}"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_VALID_LINES))
+def test_an_undecodable_byte_is_a_load_error_naming_the_line(tmp_path, kind):
+    # 2,000 lines put the byte past the first block that text mode decodes; the label file is read whole
+    loader, line = _VALID_LINES[kind]
+    path = tmp_path / "input.txt"
+    path.write_bytes("".join(line(i) + "\n" for i in range(2000)).encode() + b"bad \xff byte\n" + line(2000).encode())
+    where = "" if kind == "concept-labels" else ":2001"
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}{where}: not UTF-8 text \\(invalid start byte\\)$"):
+        loader(path)

@@ -11,7 +11,6 @@ from factrank.kb import (
     kb_stats,
     parse_kb,
 )
-from factrank.text import has_token, tokenize
 
 
 def test_relation_set_has_13_members():
@@ -112,13 +111,6 @@ def test_parse_kb_holds_each_distinct_phrase_once(tmp_path):
     assert f1.obj is f2.obj is f3.subject is f4.obj == "Pet"
     assert f1.subject is f4.subject == "Dog"
     assert not hasattr(f1, "__dict__")
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.text(), st.sampled_from(["İ", "ı", "\u212a", "İstanbul", "\u212aelvin", "?!", "--", " ", ""]),
-                 st.text(alphabet="İı\u212a.,;:!?-_ \t'\"()[]")))
-def test_has_token_is_a_nonempty_tokenize(phrase):
-    assert has_token(phrase) is bool(tokenize(phrase))
 
 
 def test_facts_with_relation_filters(tiny_kb):

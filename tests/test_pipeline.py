@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from factrank.encoders import EncoderTrainConfig, train_relation_classifier, train_source_classifier
@@ -49,6 +51,7 @@ def test_empty_bucket_is_no_fact_on_both_paths(models, small_synth, small_split)
     _, test = small_split
     store, inst = small_synth["store"], test[0]
     kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.relation is not inst.relation])
+    models = dataclasses.replace(models, fact_matrix=FactMatrix.build(kb, small_synth["table"]))
     answered = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id),
                                inst.question, question_id=inst.question_id, image_id=inst.image_id,
                                oracle_relation=inst.relation, oracle_source=inst.source)
@@ -59,12 +62,13 @@ def test_empty_bucket_is_no_fact_on_both_paths(models, small_synth, small_split)
 
 
 def test_a_bucket_the_fact_matrix_sizes_differently_from_the_kb_is_a_data_error(models, small_synth, small_split):
-    # the bucket's rows are named by the KB's ids in order, so the two must agree
+    # the bucket's rows are named by the KB's ids in order, so the matrix must be the KB's own
     _, test = small_split
     store, inst = small_synth["store"], test[0]
     dropped = small_synth["kb"].ids_with_relation(inst.relation)[0]
     kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.fact_id != dropped])
-    with pytest.raises(DataError, match=f"{inst.relation.value}: 7 facts in the KB, 8 fact-matrix rows"):
+    match = r"the fact matrix \(104 rows\) was not built from this knowledge base \(103 facts\)"
+    with pytest.raises(DataError, match=match):
         evaluate(models, kb, [inst], store, oracle_relation=True, oracle_source=True)
 
 
@@ -73,9 +77,18 @@ def test_ranking_names_bucket_rows_by_the_fact_matrix_ids_without_copying_the_kb
     _, test = small_split
     kb, store = small_synth["kb"], small_synth["store"]
     expected = evaluate(models, kb, test, store)
+
+    class Unsliceable(list):
+        def __getitem__(self, index):
+            if isinstance(index, slice):
+                pytest.fail("copied bucket ids")
+            return super().__getitem__(index)
+
+    ids = Unsliceable(kb.ids)
+    monkeypatch.setattr(kb, "ids", ids)
+    monkeypatch.setattr(models.fact_matrix, "fact_ids", ids)
     monkeypatch.setattr(KnowledgeBase, "ids_with_relation", lambda self, relation: pytest.fail("copied bucket ids"))
     assert evaluate(models, kb, test, store) == expected
-    assert models.fact_matrix.bucket_ids is models.fact_matrix.bucket_ids
 
 
 def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_split):

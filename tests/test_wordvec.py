@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,10 +173,12 @@ def test_fact_matrix_lays_out_relation_buckets_as_views(tiny_kb, tiny_fact_matri
     # Relation order, KB load order within a relation
     assert fm.fact_ids == ["f4", "f2", "f1", "f3"]
     for relation in Relation:
-        bucket = fm.buckets[relation]
-        assert fm.fact_ids[bucket] == fm.bucket_ids[relation] == tiny_kb.ids_with_relation(relation)
+        bucket = tiny_kb.buckets[relation]
+        assert fm.fact_ids[bucket] == tiny_kb.ids_with_relation(relation)
         assert fm.rows[bucket].base is fm.rows
     assert [fm.row_of[fid] for fid in fm.fact_ids] == [0, 1, 2, 3]
+    # the KB's own order and index, not copies of them
+    assert fm.fact_ids is tiny_kb.ids and fm.row_of is tiny_kb.position
 
 
 def test_fact_matrix_norms_are_the_per_row_norm_loop_on_the_desk_kb(tmp_path):
@@ -217,12 +220,15 @@ def test_embedding_deterministic(tiny_table):
 @st.composite
 def _tables_and_kbs(draw):
     """A word-vector table and a KB over a few phrases of its tokens and two
-    unknown ones, drawn so phrases repeat and facts differ only in relation."""
+    unknown ones, drawn so phrases repeat, some padded with spaces, and facts
+    differ only in relation."""
     dim = draw(st.integers(1, 3))
     component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
     vocab = [f"w{i}" for i in range(draw(st.integers(1, 5)))]
     table = WordVectorTable(dim, {t: np.array(draw(st.lists(component, min_size=dim, max_size=dim))) for t in vocab})
-    phrase = st.lists(st.sampled_from(vocab + ["oov1", "oov2"]), min_size=1, max_size=12).map(" ".join)
+    padding = st.sampled_from(["", " ", "  "])
+    words = st.lists(st.sampled_from(vocab + ["oov1", "oov2"]), min_size=1, max_size=12).map(" ".join)
+    phrase = st.tuples(padding, words, padding).map("".join)
     pool = draw(st.lists(phrase, min_size=1, max_size=5))
     fact = st.tuples(st.sampled_from(pool), st.sampled_from(list(Relation)), st.sampled_from(pool))
     triples = draw(st.lists(fact, min_size=1, max_size=9))
@@ -247,18 +253,43 @@ _EDGES = (
 _TINY = (WordVectorTable(1, {"a": np.array([1e-30])}), KnowledgeBase([Fact("f1", "a", Relation.IS_A, "a")]))
 
 
+def _written(kb, path, seed):
+    """``kb`` written as a kb.tsv and parsed back. The file pads fields with
+    spaces and puts comment and blank lines between facts, and some of its
+    Comparative facts carry their object's first word as the relation
+    token's qualifier, which parsing folds back into the object."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for f in kb.facts():
+        relation, obj = f.relation.value, f.obj
+        if f.relation is Relation.COMPARATIVE and rng.random() < 0.5:
+            qualifier, _, obj = obj.strip().partition(" ")
+            relation = f"Comparative-{qualifier}"
+        if rng.random() < 0.3:
+            lines.append(str(rng.choice(["# a comment", "", " \t "])))
+        lines.append("\t".join(" " * int(rng.integers(2)) + field for field in (f.fact_id, f.subject, relation, obj)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return parse_kb(path)
+
+
 @settings(max_examples=60, deadline=None)
-@given(_tables_and_kbs(), st.sampled_from([1, 2, 3]))
-@example(_EDGES, 1)
-@example(_EDGES, 3)
-@example(_TINY, 1)
-def test_build_is_the_per_fact_loop_bitwise_across_chunk_edges(case, chunk):
+@given(_tables_and_kbs(), st.sampled_from([1, 2, 3]), st.one_of(st.none(), st.integers(0, 2**16)))
+@example(_EDGES, 1, None)
+@example(_EDGES, 3, None)
+@example(_EDGES, 2, 5)
+@example(_TINY, 1, None)
+@example(_TINY, 1, 0)
+def test_build_is_the_per_fact_loop_bitwise_across_chunk_edges(tmp_path_factory, case, chunk, layout):
+    # layout None embeds the KB as given, a seed the KB that _written reads back from its file
     table, kb = case
     before = table.oov_phrase_count
     facts = [f for relation in Relation for f in kb.facts_with_relation(relation)]
+    if layout is not None:
+        kb = _written(kb, tmp_path_factory.getbasetemp() / "written_kb.tsv", layout)
     rows, oov = _per_fact_rows(facts, table)
     rows = rows.astype(np.float32)
-    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+    norms = np.array([np.linalg.norm(r) for r in rows.astype(np.float64)])
+    ends = np.cumsum([sum(f.relation is r for f in facts) for r in Relation]).tolist()
     lo, hi = wordvec.NORM_RANGE
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wordvec, "BUILD_CHUNK", chunk)
@@ -270,17 +301,38 @@ def test_build_is_the_per_fact_loop_bitwise_across_chunk_edges(case, chunk):
         fm = FactMatrix.build(kb, table)
     assert fm.fact_ids == [f.fact_id for f in facts]
     assert fm.rows.tobytes() == rows.tobytes()
+    assert fm.norms.tobytes() == norms.tobytes()
+    assert kb.buckets == {r: slice(start, end) for r, start, end in zip(Relation, [0, *ends], ends)}
     assert table.oov_phrase_count - before == oov
 
 
+def test_build_holds_no_per_fact_container_of_its_own():
+    # ids, id -> row and buckets are the KB's; an id list and an id dict of
+    # the 50,000 facts alone would hold over 2 MB
+    relations = list(Relation)
+    kb = KnowledgeBase([Fact(f"f{i:05d}", f"s{i % 997} t{i % 13}", relations[i % 13], f"o{i % 101}")
+                        for i in range(50_000)])
+    rng = np.random.default_rng(3)
+    table = WordVectorTable(8, {f"{t}{i}": rng.standard_normal(8) for t, n in (("s", 997), ("t", 13), ("o", 101))
+                                for i in range(n)})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fm = FactMatrix.build(kb, table)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained - fm.rows.nbytes - fm.norms.nbytes < 1 << 20
+
+
 def test_build_rejects_a_tokenless_subject_naming_it_and_counts_nothing(tiny_table, monkeypatch, caplog):
-    # KnowledgeBase takes facts as given; only parse_fact rejects a tokenless field
+    # the KnowledgeBase that build embeds rejects a tokenless phrase, as parse_fact rejects a tokenless field
     monkeypatch.setattr(wordvec, "BUILD_CHUNK", 1)
-    kb = KnowledgeBase([Fact("f1", "zyzzyva", Relation.IS_A, "pet"), Fact("f2", "?!", Relation.IS_A, "pet")])
     with caplog.at_level(logging.WARNING, logger="factrank.wordvec"), pytest.raises(
         DegenerateInputError, match=r"phrase '\?!' has no tokens"
     ):
-        FactMatrix.build(kb, tiny_table)
+        facts = [Fact("f1", "zyzzyva", Relation.IS_A, "pet"), Fact("f2", "?!", Relation.IS_A, "pet")]
+        FactMatrix.build(KnowledgeBase(facts), tiny_table)
     assert tiny_table.oov_phrase_count == 0 and not caplog.records
 
 
@@ -294,3 +346,8 @@ def test_build_warns_once_with_the_count_and_the_first_fully_oov_phrase(tiny_kb,
         "3 fully out-of-vocabulary phrases embed as zero, the first 'zyzzyva'"
     ]
     assert tiny_table.oov_phrase_count == 3
+    # first in row order: the Category bucket comes before the IsA one loaded first
+    kb = KnowledgeBase([Fact("f1", "xyst", Relation.IS_A, "pet"), Fact("f2", "zyzzyva", Relation.CATEGORY, "pet")])
+    with caplog.at_level(logging.WARNING, logger="factrank.wordvec"):
+        FactMatrix.build(kb, tiny_table)
+    assert caplog.records[-1].getMessage() == "2 fully out-of-vocabulary phrases embed as zero, the first 'zyzzyva'"
