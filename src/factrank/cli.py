@@ -113,6 +113,8 @@ class RunConfig:
                 loaded = json.loads(path.read_text(encoding="utf-8"))
             except json.JSONDecodeError as exc:
                 raise UsageError(f"--config: {path} is not valid JSON: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"--config: {path} is not UTF-8 text ({exc.reason})") from None
             if not isinstance(loaded, dict):
                 raise UsageError(f"--config: {path} must hold a JSON object")
             fields = {f.name: f for f in dataclasses.fields(cls)}

@@ -7,11 +7,12 @@ rows of one matrix; concept vectors are ``image_id i1,i2,...`` hot-index
 rows positioned against a label file, packed into one (images, labels)
 0/1 matrix that hands out float64 copies. Referential integrity (fact ids,
 features, label consistency) is checked at load, never assumed downstream.
+The parsed features are cached beside their file, as the knowledge base
+is, by the one checksum-keyed helper :func:`text.cached`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 from dataclasses import dataclass
@@ -20,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, LoadError, UsageError
-from .kb import AnswerSource, Fact, KnowledgeBase, Relation, parse_fact, parse_kb
-from .text import normalize_phrase, read_lines, tokenize
+from .kb import RELATIONS, AnswerSource, Fact, KnowledgeBase, Relation, parse_fact, parse_kb
+from .text import cached, normalize_phrase, read_lines, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -72,14 +73,6 @@ class FeatureStore:
         return feats, cons
 
 
-def _file_sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def load_concept_labels(path: str | Path) -> list[str]:
     path = Path(path)
     try:
@@ -101,17 +94,12 @@ def _read_only_rows(ids: list[str], matrix: Array) -> dict[str, Array]:
 
 def load_features(path: str | Path) -> dict[str, Array]:
     """Parse ``image_id dim v1..v_dim`` rows into read-only rows of one matrix,
-    with a binary cache keyed to the source file's checksum for fast reloads."""
-    path = Path(path)
-    cache_path = path.with_name(path.name + ".cache.npz")
-    checksum = _file_sha256(path)
-    if cache_path.exists():
-        try:
-            data = np.load(cache_path, allow_pickle=False)
-            if str(data["checksum"]) == checksum:
-                return _read_only_rows([str(s) for s in data["ids"]], data["matrix"])
-        except Exception:  # stale or corrupt cache: fall through and rebuild
-            logger.warning("ignoring unreadable feature cache %s", cache_path)
+    through the checksum-keyed cache of :func:`text.cached` for fast reloads."""
+    return cached(Path(path), "feature", _parse_features,
+                  lambda data: _read_only_rows([str(s) for s in data["ids"]], data["matrix"]))
+
+
+def _parse_features(path: Path) -> tuple[dict[str, Array], dict[str, Array]]:
     out: dict[str, Array] = {}
     dim = None
     for lineno, raw in read_lines(path):
@@ -140,11 +128,7 @@ def load_features(path: str | Path) -> dict[str, Array]:
     if not out:
         raise LoadError(f"{path}: no feature rows")
     ids, matrix = list(out), np.stack(list(out.values()))
-    try:
-        np.savez(cache_path, checksum=np.str_(checksum), ids=np.array(ids), matrix=matrix)
-    except OSError:
-        logger.warning("could not write feature cache %s", cache_path)
-    return _read_only_rows(ids, matrix)
+    return _read_only_rows(ids, matrix), {"ids": np.array(ids), "matrix": matrix}
 
 
 def load_concepts(path: str | Path, n_labels: int) -> tuple[dict[str, int], Array]:
@@ -223,15 +207,16 @@ def validate_dataset(instances: list[QAInstance], store: FeatureStore, kb: Knowl
     """Referential integrity: fact ids resolve, labels agree with the fact,
     every image has features and concepts, questions tokenize non-empty."""
     for inst in instances:
-        if inst.fact_id not in kb:
+        row = kb.position.get(inst.fact_id)
+        if row is None:
             raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
-        fact = kb.fact(inst.fact_id)
-        if fact.relation is not inst.relation:
+        relation = RELATIONS[kb.relations[row]]
+        if relation is not inst.relation:
             raise DataError(
                 f"question {inst.question_id}: relation label {inst.relation.value} "
-                f"does not match fact relation {fact.relation.value}"
+                f"does not match fact relation {relation.value}"
             )
-        expected = fact.subject if inst.source is AnswerSource.IMAGE else fact.obj
+        expected = kb.phrases[(kb.subjects if inst.source is AnswerSource.IMAGE else kb.objects)[row]]
         if normalize_phrase(inst.answer) != normalize_phrase(expected):
             raise DataError(
                 f"question {inst.question_id}: answer {inst.answer!r} does not match "

@@ -5,7 +5,8 @@ from a tab-separated file, held as columns in the row order of
 ``wordvec.FactMatrix``: relation bucket after bucket, each in load order.
 Subjects and objects are codes into one list of distinct phrases, each
 tokenized once into codes of one list of distinct tokens. A :class:`Fact`
-is made only when one is asked for.
+is made only when one is asked for. :func:`parse_kb` caches the columns
+beside the file, as the feature loader does (:func:`text.cached`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DegenerateInputError, LoadError, UsageError
-from .text import read_lines, tokenize
+from .text import cached, read_lines, tokenize
 
 
 class Relation(enum.Enum):
@@ -83,6 +84,10 @@ class Fact:
 
 RELATIONS = list(Relation)  # a relation's code is its index here (list.index, not Enum's Python-level hash)
 
+# the arrays of a KnowledgeBase's cache: its columns, and its lists of strings as UTF-8 joined on line breaks
+_COLUMNS = ("relations", "subjects", "objects", "phrase_starts", "phrase_tokens", "load_order")
+_STRINGS = ("ids", "phrases", "tokens")
+
 
 class _Phrases(dict):
     """Distinct phrase -> code, in first-seen order. A new phrase is
@@ -140,8 +145,40 @@ class KnowledgeBase:
         position.update(zip(self.ids, range(len(self.ids))))
         self.position, self.load_order = position, np.argsort(order)
         self.relations, self.subjects, self.objects = relations[order], subjects[order], objects[order]
+        self._bucket()
+
+    def _bucket(self) -> None:
         ends = np.cumsum(np.bincount(self.relations, minlength=len(RELATIONS))).tolist()
         self.buckets = {r: slice(start, end) for r, start, end in zip(RELATIONS, [0, *ends], ends)}
+
+    @classmethod
+    def _from_arrays(cls, arrays) -> "KnowledgeBase":
+        """The KB whose cache holds ``arrays``, or a ValueError naming the vectorized checks of their structure
+        that they fail; arrays that pass them index as the parse that wrote them did."""
+        kb = cls.__new__(cls)
+        kb.__dict__.update((name, arrays[name]) for name in _COLUMNS)
+        for name in _STRINGS:  # str.split, as splitlines() would also split at U+2028 or U+0085 within a field
+            setattr(kb, name, text.split("\n") if (text := str(arrays[name], "utf-8")) else [])
+        n, starts, phrases = len(kb.ids), kb.phrase_starts, len(kb.phrases)
+        if len({n, len(kb.relations), len(kb.subjects), len(kb.objects), len(kb.load_order)}) > 1 \
+                or len(starts) != phrases + 1:
+            raise ValueError("column lengths differ")
+        codes = [(kb.relations, len(RELATIONS)), (kb.subjects, phrases), (kb.objects, phrases),
+                 (kb.phrase_tokens, len(kb.tokens))]
+        failed = {
+            "a code is out of range": not all(((0 <= c) & (c < bound)).all() for c, bound in codes),
+            "relations are out of bucket order": (np.diff(kb.relations) < 0).any(),
+            "phrase starts do not rise from 0 to the token count":
+                starts[0] != 0 or starts[-1] != len(kb.phrase_tokens) or (np.diff(starts) <= 0).any(),
+            "load order is not a permutation": not np.array_equal(np.sort(kb.load_order), np.arange(n)),
+        }
+        if problems := [problem for problem, fails in failed.items() if fails]:
+            raise ValueError(", ".join(problems))
+        kb.position = dict(zip(kb.fact_ids(), kb.load_order.tolist()))
+        if len(kb.position) != n:
+            raise ValueError("fact ids repeat")
+        kb._bucket()
+        return kb
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -179,9 +216,14 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
     One fact per line: ``fact_id<TAB>subject<TAB>relation<TAB>object``.
     ``#``-prefixed lines and blank lines are ignored; each line is read by
     :func:`parse_fact`, and each distinct phrase is tokenized once, the first
-    time a line names it.
+    time a line names it. While the file is unchanged, its cache stands in
+    for the parse.
     """
-    path, phrases, position, columns = Path(path), _Phrases(), {}, [array("i") for _ in range(3)]
+    return cached(Path(path), "knowledge base", _parse, KnowledgeBase._from_arrays)
+
+
+def _parse(path: Path) -> tuple[KnowledgeBase, dict[str, np.ndarray]]:
+    phrases, position, columns = _Phrases(), {}, [array("i") for _ in range(3)]
     code, (relations, subjects, objects) = phrases.__getitem__, columns
     for lineno, line in read_lines(path):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -201,7 +243,8 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
         objects.append(obj)
     kb = KnowledgeBase.__new__(KnowledgeBase)
     kb._fill(position, columns, phrases)
-    return kb
+    return kb, {**{name: getattr(kb, name) for name in _COLUMNS},
+                **{name: np.frombuffer("\n".join(getattr(kb, name)).encode(), np.uint8) for name in _STRINGS}}
 
 
 def parse_fact(fields: list[str], phrase: Callable[[str], object] = lambda p: p if tokenize(p) else None) -> tuple:

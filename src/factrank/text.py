@@ -1,13 +1,23 @@
-"""Shared text handling: phrase tokenization, and reading input files'
-lines, where a byte that is not UTF-8 is a load error naming its line."""
+"""Shared text handling: phrase tokenization; reading input files' lines,
+where a byte that is not UTF-8 is a load error naming its line; and
+:func:`cached`, the one checksum-keyed cache beside an input file of what
+its loader parsed, which the feature and knowledge-base loaders share."""
 
 from __future__ import annotations
 
+import hashlib
+import logging
+import os
 import re
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .errors import LoadError
+
+logger = logging.getLogger(__name__)
+CACHE_FORMAT = "factrank-cache-2"  # in every cache's key: one laid out by an older version is stale
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -36,3 +46,33 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             text = Path(path).read_bytes().decode("utf-8", "surrogateescape")
             line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
             raise LoadError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
+def cached(path: Path, what: str, parse: Callable, rebuild: Callable):
+    """``parse(path)``'s value, or ``rebuild`` of the arrays that ``parse`` returns with it, read from the cache
+    ``<name>.cache.npz`` beside the file at ``path``. The key is the file's SHA-256 and ``CACHE_FORMAT``. A
+    cache that is stale, unreadable or that ``rebuild`` rejects by raising is named in a warning, and the
+    file is parsed and the cache rewritten, through a temporary file, so no reader sees a partial cache."""
+    cache, digest = path.with_name(path.name + ".cache.npz"), hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    key = f"{digest.hexdigest()} {CACHE_FORMAT}"
+    if cache.exists():
+        try:
+            with np.load(cache, allow_pickle=False) as data:
+                if str(data["checksum"]) == key:
+                    return rebuild(data)
+            logger.warning("rebuilding stale %s cache %s", what, cache)
+        except Exception as exc:  # corrupt bytes or failed checks
+            logger.warning("ignoring unreadable %s cache %s (%s)", what, cache, exc)
+    value, arrays = parse(path)
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, checksum=np.str_(key), **arrays)
+        os.replace(tmp, cache)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+        logger.warning("could not write %s cache %s", what, cache)
+    return value

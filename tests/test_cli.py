@@ -260,6 +260,13 @@ def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, payload
     assert repr(key) in capsys.readouterr().err
 
 
+def test_a_config_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"seed": "\xff"}')
+    assert main(["kb-stats", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.strip().endswith(f"--config: {config} is not UTF-8 text (invalid start byte)")
+
+
 def test_table_defaults_are_the_library_defaults():
     from factrank.encoders import KINDS, EncoderTrainConfig
     from factrank.scorer import Variant

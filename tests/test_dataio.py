@@ -128,16 +128,51 @@ def test_a_corrupt_cache_warns_and_is_rebuilt(tmp_path, caplog):
 
 
 def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypatch):
-    def refuse(*args, **kwargs):
+    def refuse(file, *args, **kwargs):
+        file.write(b"PK\x03\x04 half an archive")
         raise OSError("disk full")
 
     monkeypatch.setattr(dataio.np, "savez", refuse)
-    path = _write_features(tmp_path / "features.txt", FEATURES)
+    features = _write_features(tmp_path / "features.txt", FEATURES)
+    kb = _write_text(tmp_path / "kb" / "kb.tsv", "f1\tA\tIsA\tB\n")
     with caplog.at_level(logging.WARNING, logger="factrank.dataio"):
-        rows = load_features(path)
+        rows = load_features(features)
     assert "could not write feature cache" in caplog.text
-    assert not path.with_name("features.txt.cache.npz").exists()
     assert [rows[i].tobytes() for i in FEATURES] == [np.array(v, dtype=np.float64).tobytes() for v in FEATURES.values()]
+    with caplog.at_level(logging.WARNING, logger="factrank.kb"):
+        assert parse_kb(kb).fact("f1").obj == "B"
+    assert "could not write knowledge base cache" in caplog.text
+    # neither a cache nor its temporary file is left beside either source
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["features.txt", "kb", "kb.tsv"]
+
+
+def test_a_question_that_disagrees_with_its_fact_is_a_data_error_naming_both(store, tmp_path):
+    kb = parse_kb(_write_text(tmp_path / "kb.tsv", "f1\tUmbrella\tUsedFor\tShade\nf2\tDog\tIsA\tPet\n"))
+    record = {"question_id": "q1", "image_id": "img1", "question": "what is it used for", "answer": "shade",
+              "fact_id": "f1", "relation": "UsedFor", "answer_source": "KnowledgeBase", "fold": 1}
+    for change, message in [
+        ({}, None),
+        ({"answer": "umbrella", "answer_source": "Image"}, None),
+        ({"fact_id": "f9"}, "question q1: fact id 'f9' not in knowledge base"),
+        ({"relation": "IsA"}, "question q1: relation label IsA does not match fact relation UsedFor"),
+        ({"answer_source": "Image"},
+         "question q1: answer 'shade' does not match the fact's Image entity 'Umbrella'"),
+        ({"fact_id": "f2", "relation": "IsA", "answer": "dog"},
+         "question q1: answer 'dog' does not match the fact's KnowledgeBase entity 'Pet'"),
+    ]:
+        qa = _write_text(tmp_path / "qa.jsonl", json.dumps({**record, **change}) + "\n")
+        if message is None:
+            dataio.validate_dataset(load_qa(qa), store, kb)
+            continue
+        with pytest.raises(DataError) as raised:
+            dataio.validate_dataset(load_qa(qa), store, kb)
+        assert str(raised.value) == message
+
+
+def _write_text(path, text):
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 _VALID_LINES = {  # a loader, and a well-formed line of its file given a line index

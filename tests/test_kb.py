@@ -1,7 +1,15 @@
+import builtins
+import logging
+import os
+import re
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from factrank import kb as kb_module
 from factrank.errors import LoadError, UsageError
 from factrank.kb import (
     AnswerSource,
@@ -11,6 +19,8 @@ from factrank.kb import (
     kb_stats,
     parse_kb,
 )
+from factrank.synth import SyntheticConfig, generate_synthetic
+from factrank.text import CACHE_FORMAT
 
 
 def test_relation_set_has_13_members():
@@ -180,3 +190,146 @@ def test_property_buckets_partition(relations):
         total += len(bucket)
         assert all(kb.fact(fid).relation is r for fid in bucket)
     assert total == len(kb)
+
+
+# ----------------------------------------------------------------------
+# the cache of parsed columns beside the file
+# ----------------------------------------------------------------------
+
+CACHED_COLUMNS = ("relations", "subjects", "objects", "phrase_starts", "phrase_tokens", "load_order")
+
+# comments, blank lines, a qualified Comparative, relations out of bucket order, non-ASCII ids and phrases, and
+# U+2028 and U+0085 within fields, where str.splitlines() would split a line but a file's lines do not end
+ODD_KB = ("# a header\n\nf1\tDog\tIsA\tPet\nf2\tElephant\tComparative-LargerThan\tAnt\n"
+          "  # an indented comment\nfé\tCafé au lait\tHasA\tCrème\n\t\n"
+          "f\u2028x\tLine\u2028Break\tUsedFor\tnext\x85line\nf3\tDog\tCategory\tPet\n"
+          "ü2\tZebra\tIsA\tStripes \u2028 ok\n")
+
+
+def _cache(path):
+    return path.with_name(path.name + ".cache.npz")
+
+
+def _assert_same_kb(a, b):
+    for name in CACHED_COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert (a.ids, a.phrases, a.tokens, a.buckets) == (b.ids, b.phrases, b.tokens, b.buckets)
+    assert list(a.position.items()) == list(b.position.items())  # the same dict order too
+
+
+def _hit(path, monkeypatch):
+    """parse_kb(path), failing unless the cache answers it."""
+    with monkeypatch.context() as m:
+        m.setattr(kb_module, "_parse", lambda path: pytest.fail(f"{path} was parsed, not read from its cache"))
+        return parse_kb(path)
+
+
+@pytest.fixture()
+def odd_kb_path(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text(ODD_KB, encoding="utf-8")
+    return path
+
+
+def test_a_cache_hit_is_column_for_column_a_fresh_parse(odd_kb_path, monkeypatch):
+    parsed = parse_kb(odd_kb_path)
+    assert parsed.ids == ["f3", "f2", "fé", "f1", "ü2", "f\u2028x"]
+    assert parsed.fact("f\u2028x").obj == "next\x85line" and parsed.fact("f2").obj == "LargerThan Ant"
+    written = _cache(odd_kb_path).stat().st_mtime_ns
+    hit = _hit(odd_kb_path, monkeypatch)
+    assert _cache(odd_kb_path).stat().st_mtime_ns == written
+    _assert_same_kb(hit, parsed)
+    assert hit.facts() == parsed.facts()
+
+
+def test_a_cache_hit_on_the_desk_kb_is_a_fresh_parse(tmp_path, monkeypatch):
+    files = generate_synthetic(SyntheticConfig(qa_pairs=20, feature_dim=2), tmp_path)  # the default KB
+    parsed = parse_kb(files["kb"])
+    assert len(parsed) == 598
+    _assert_same_kb(_hit(files["kb"], monkeypatch), parsed)
+
+
+def test_an_empty_kb_round_trips_through_its_cache(tmp_path, monkeypatch):
+    path = tmp_path / "kb.tsv"
+    path.write_text("# nothing but a comment\n\n", encoding="utf-8")
+    parsed = parse_kb(path)
+    hit = _hit(path, monkeypatch)
+    _assert_same_kb(hit, parsed)
+    assert len(hit) == 0 and hit.phrases == hit.tokens == [] and kb_stats(hit).vocabulary_size == 0
+
+
+def test_an_edited_file_is_parsed_again_and_its_errors_name_the_line(odd_kb_path, caplog):
+    parse_kb(odd_kb_path)
+    odd_kb_path.write_text(ODD_KB + "f9\tCat\tIsA\tPet\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert parse_kb(odd_kb_path).fact("f9").subject == "Cat"
+    assert "rebuilding stale knowledge base cache" in caplog.text
+    odd_kb_path.write_text(ODD_KB + "f9\tCat\tIsA\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=f"^{re.escape(str(odd_kb_path))}:11: expected 4 tab-separated fields, got 3$"):
+        parse_kb(odd_kb_path)
+
+
+def _rewrite_cache(path, **changes):
+    with np.load(_cache(path)) as data:
+        arrays = {name: data[name] for name in data.files}
+    np.savez(_cache(path), **{**arrays, **changes})
+
+
+@pytest.mark.parametrize(("change", "warning"), [
+    (lambda a: {"checksum": np.str_(str(a["checksum"]).replace(CACHE_FORMAT, "factrank-cache-1"))}, "stale"),
+    (lambda a: {"relations": np.append(a["relations"], np.int32(0))}, "column lengths differ"),
+    (lambda a: {"relations": a["relations"] + np.int32(13)}, "a code is out of range"),
+    (lambda a: {"relations": a["relations"][::-1].copy()}, "relations are out of bucket order"),
+    (lambda a: {"objects": a["objects"] + np.int32(100)}, "a code is out of range"),
+    (lambda a: {"subjects": a["subjects"] - np.int32(1)}, "a code is out of range"),
+    (lambda a: {"phrase_starts": a["phrase_starts"][[0, 2, 1, *range(3, len(a["phrase_starts"]))]]},
+     "phrase starts do not rise from 0 to the token count"),
+    (lambda a: {"phrase_tokens": a["phrase_tokens"] + np.int32(1)}, "a code is out of range"),
+    (lambda a: {"load_order": np.zeros_like(a["load_order"])}, "load order is not a permutation"),
+    (lambda a: {"ids": np.frombuffer("\n".join(["f1"] * 6).encode(), np.uint8)}, "fact ids repeat"),
+    (lambda a: {"ids": np.frombuffer(b"\xff", np.uint8)}, "can't decode byte"),
+])
+def test_a_stale_or_unsound_cache_warns_and_the_file_is_parsed_again(odd_kb_path, caplog, change, warning):
+    parsed = parse_kb(odd_kb_path)
+    with np.load(_cache(odd_kb_path)) as data:
+        _rewrite_cache(odd_kb_path, **change(data))
+    with caplog.at_level(logging.WARNING):
+        reparsed = parse_kb(odd_kb_path)
+    assert f"knowledge base cache {_cache(odd_kb_path)}" in caplog.text and warning in caplog.text
+    _assert_same_kb(reparsed, parsed)
+    caplog.clear()
+    _assert_same_kb(parse_kb(odd_kb_path), parsed)  # the rewritten cache, read without a word
+    assert not caplog.records
+
+
+def test_a_corrupt_kb_cache_warns_and_is_rewritten(odd_kb_path, caplog, monkeypatch):
+    parsed = parse_kb(odd_kb_path)
+    _cache(odd_kb_path).write_bytes(_cache(odd_kb_path).read_bytes()[:1000])
+    with caplog.at_level(logging.WARNING):
+        _assert_same_kb(parse_kb(odd_kb_path), parsed)
+    assert "ignoring unreadable knowledge base cache" in caplog.text
+    _assert_same_kb(_hit(odd_kb_path, monkeypatch), parsed)
+
+
+def test_an_unwritable_directory_still_returns_the_kb_and_leaves_no_file(odd_kb_path, caplog, monkeypatch):
+    directory = odd_kb_path.parent
+    directory.chmod(0o555)
+    try:
+        if os.access(directory, os.W_OK):  # the superuser writes through the mode bits: refuse as the kernel would
+            real_open = builtins.open
+            monkeypatch.setattr(builtins, "open", lambda file, mode="r", *args, **kwargs: (
+                _refuse(file) if "w" in mode and Path(file).parent == directory else
+                real_open(file, mode, *args, **kwargs)))
+        with caplog.at_level(logging.WARNING):
+            kb = parse_kb(odd_kb_path)
+    finally:
+        monkeypatch.undo()
+        directory.chmod(0o755)
+    assert "could not write knowledge base cache" in caplog.text
+    assert [p.name for p in directory.iterdir()] == ["kb.tsv"]
+    assert kb.fact("fé").obj == "Crème"
+
+
+def _refuse(file):
+    raise PermissionError(13, "Permission denied", str(file))
