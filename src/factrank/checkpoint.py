@@ -1,33 +1,29 @@
-"""Versioned binary container of named float64 tensors.
+"""Versioned container of named float64 tensors: the npz that the caches use.
 
-Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON
-header, then each tensor's row-major float64 bytes in header order. The
-header records the model kind, its dimension table, the token vocabulary
-and its SHA-256, plus free-form run metadata. Writes are atomic
-(temp file + rename) and deterministic for identical inputs.
+A ``header`` member holds JSON of :data:`FORMAT`, the model kind, its
+dimension table, the token vocabulary and free-form run metadata; each
+tensor is a member of its own. The zip container's CRC-32 on every member
+and its central directory catch a truncated or corrupted file, so the
+loader checks only what a well-formed file can still get wrong. Writes are
+atomic (:func:`text.write_atomic`) and deterministic for identical inputs,
+since savez stamps every member 1980-01-01.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import LoadError
+from .text import write_atomic
 
-MAGIC = b"FRCKPT1\n"
-_HEADER_KEYS = ("format_version", "kind", "dims", "vocab", "vocab_sha256", "tensors")
+FORMAT = "factrank-checkpoint-2"  # an older layout, or none, is not a readable checkpoint
+_HEADER_KEYS = ("format", "kind", "dims", "vocab", "meta")
 
 Array = np.ndarray
-
-
-def vocab_sha256(tokens: list[str]) -> str:
-    return hashlib.sha256("\n".join(tokens).encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -67,83 +63,29 @@ def save_checkpoint(
     tensors: dict[str, Array],
     meta: dict | None = None,
 ) -> None:
-    path = Path(path)
-    records = []
-    buffers = []
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        records.append({"name": name, "shape": list(arr.shape)})
-        buffers.append(arr.tobytes())
-    header = {
-        "format_version": 1,
-        "kind": kind,
-        "dims": dims,
-        "vocab": vocab,
-        "vocab_sha256": vocab_sha256(vocab),
-        "meta": meta or {},
-        "tensors": records,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for buf in buffers:
-            fh.write(buf)
-    os.replace(tmp, path)
+    header = {"format": FORMAT, "kind": kind, "dims": dims, "vocab": vocab, "meta": meta or {}}
+    arrays = {name: np.asarray(arr, dtype=np.float64, order="C") for name, arr in tensors.items()}
+    blob = np.str_(json.dumps(header, sort_keys=True))
+    write_atomic(path, lambda fh: np.savez(fh, header=blob, **arrays))
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read a checkpoint; any malformed, truncated or over-long file raises LoadError naming it."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise LoadError(f"{path}: not a checkpoint file (bad magic)")
-        size = fh.read(8)
-        if len(size) != 8:
-            raise LoadError(f"{path}: truncated checkpoint header")
-        (header_len,) = struct.unpack("<Q", size)
-        blob = fh.read(header_len)
-        if len(blob) != header_len:
-            raise LoadError(f"{path}: truncated checkpoint header")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise LoadError(f"{path}: corrupt checkpoint header: {exc}") from None
-        missing = [key for key in _HEADER_KEYS if not isinstance(header, dict) or key not in header]
-        if missing:
-            raise LoadError(f"{path}: checkpoint header lacks {missing}")
-        if header["format_version"] != 1:
-            raise LoadError(f"{path}: unsupported checkpoint version {header['format_version']}")
-        vocab = header["vocab"]
-        if not isinstance(vocab, list) or not all(isinstance(token, str) for token in vocab):
-            raise LoadError(f"{path}: header vocab is not a list of strings")
-        if vocab_sha256(vocab) != header["vocab_sha256"]:
-            raise LoadError(f"{path}: vocabulary hash mismatch")
-        if not isinstance(header["tensors"], list):
-            raise LoadError(f"{path}: header tensors is not a list of records")
-        tensors: dict[str, Array] = {}
-        for rec in header["tensors"]:
-            try:
-                name, shape = str(rec["name"]), tuple(int(s) for s in rec["shape"])
-                if any(s < 0 for s in shape):
-                    raise ValueError(shape)
-            except (KeyError, TypeError, ValueError):
-                raise LoadError(f"{path}: malformed tensor record {rec!r}") from None
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise LoadError(f"{path}: truncated tensor {name!r}")
-            tensors[name] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-        if fh.read(1):
-            raise LoadError(f"{path}: trailing bytes after the last tensor")
-    return Checkpoint(
-        kind=header["kind"],
-        dims=header["dims"],
-        vocab=vocab,
-        tensors=tensors,
-        meta=header.get("meta", {}),
-        path=str(path),
-    )
+    """Read a checkpoint; LoadError naming the file unless it is well-formed and its header and tensors valid."""
+    try:
+        with open(path, "rb") as fh, np.lib.npyio.NpzFile(fh) as data:  # a zip only; np.load tries .npy and pickle too
+            header = json.loads(str(data["header"]))
+            tensors = {name: data[name] for name in data.files if name != "header"}
+    except Exception as exc:  # not a zip, truncated, a bad CRC, no header member, a header that is not JSON
+        raise LoadError(f"{path}: not a readable checkpoint ({exc})") from None
+    missing = [key for key in _HEADER_KEYS if not isinstance(header, dict) or key not in header]
+    if missing:
+        raise LoadError(f"{path}: checkpoint header lacks {missing}")
+    if header["format"] != FORMAT:
+        raise LoadError(f"{path}: unsupported checkpoint format {header['format']!r}")
+    vocab = header["vocab"]
+    if not isinstance(vocab, list) or not all(isinstance(token, str) for token in vocab):
+        raise LoadError(f"{path}: header vocab is not a list of strings")
+    for name, arr in tensors.items():
+        if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
+            raise LoadError(f"{path}: tensor {name!r} is not a float64 array")
+    return Checkpoint(header["kind"], header["dims"], vocab, tensors, header["meta"], str(path))

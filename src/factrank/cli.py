@@ -14,9 +14,11 @@ config file may set any field for any subcommand, so one run file serves
 them all; every float must be finite. Every command is deterministic given
 its config; only ``train`` and ``synth`` draw random numbers, so only they
 take ``--seed``. A run writes nothing until every check that can end it
-with a usage error has passed; outputs are written atomically and embed
-the config hash, seed, and package version. Exit codes: 0 success, 1
-runtime failure, 2 usage or configuration error.
+with a usage error has passed (``convert-fvqa``, until both inputs are
+read and checked). Every file, ``synth``'s and ``convert-fvqa``'s too, is
+written atomically by :func:`text.write_atomic`; checkpoints and metrics
+embed the config hash, seed, and package version. Exit codes: 0 success,
+1 runtime failure, 2 usage or configuration error.
 
 Heavy imports happen inside the command handlers so that ``threads``,
 from a flag or the config file, sets the BLAS thread environment before
@@ -182,9 +184,9 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    from .text import write_lines
+
+    write_lines(path, [json.dumps(r, sort_keys=True) for r in records])
 
 
 def _suffix(fold: int | None) -> str:

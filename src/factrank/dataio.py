@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DataError, LoadError, UsageError
 from .kb import RELATIONS, AnswerSource, Fact, KnowledgeBase, Relation, parse_fact, parse_kb
-from .text import cached, normalize_phrase, read_lines, tokenize
+from .text import cached, normalize_phrase, read_lines, tokenize, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -225,7 +225,8 @@ def validate_dataset(instances: list[QAInstance], store: FeatureStore, kb: Knowl
         if not tokenize(inst.question):
             raise DataError(f"question {inst.question_id}: question has no tokens")
         store.feature(inst.image_id)
-        store.concept(inst.image_id)
+        if inst.image_id not in store.concept_rows:
+            raise DataError(f"no concept vector for image id {inst.image_id!r}")
 
 
 def load_dataset(
@@ -302,8 +303,6 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     assigned round-robin by image id so all questions about one image share
     a fold.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     facts_raw = _read_json_object(facts_path)
     kb_lines, facts = [], []
     for fid in sorted(facts_raw):
@@ -324,9 +323,6 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
         kb = KnowledgeBase(facts)
     except UsageError as exc:  # two ids equal once stripped
         raise LoadError(f"{facts_path}: {exc}") from None
-    kb_path = out_dir / "kb.tsv"
-    kb_path.write_text("\n".join(kb_lines) + "\n", encoding="utf-8")
-
     questions_raw = _read_json_object(questions_path)
     image_fold: dict[str, int] = {}
     qa_lines = []
@@ -381,8 +377,11 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
                 sort_keys=True,
             )
         )
-    qa_path = out_dir / "qa.jsonl"
-    qa_path.write_text("\n".join(qa_lines) + "\n", encoding="utf-8")
     if skipped:
         logger.warning("converter skipped %d questions", skipped)
-    return {"kb": kb_path, "qa": qa_path}
+    # both inputs are read and checked, so a failed conversion writes nothing
+    paths = {"kb": Path(out_dir) / "kb.tsv", "qa": Path(out_dir) / "qa.jsonl"}
+    paths["kb"].parent.mkdir(parents=True, exist_ok=True)
+    write_lines(paths["kb"], kb_lines)
+    write_lines(paths["qa"], qa_lines)
+    return paths

@@ -32,6 +32,7 @@ import numpy as np
 from .dataio import FOLDS
 from .errors import UsageError
 from .kb import Relation
+from .text import write_lines
 
 RELATION_KEYWORDS: dict[Relation, str] = {r: r.value.lower() for r in Relation}
 IMAGE_CUE = "shown"
@@ -183,10 +184,8 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> dict[str
         "concept_labels": out_dir / "concept_labels.txt",
         "wordvec": out_dir / "wordvec.txt",
     }
-    paths["kb"].write_text("\n".join(kb_lines) + "\n", encoding="utf-8")
-    paths["qa"].write_text("\n".join(qa_lines) + "\n", encoding="utf-8")
-    paths["features"].write_text("\n".join(feature_lines) + "\n", encoding="utf-8")
-    paths["concepts"].write_text("\n".join(concept_lines) + "\n", encoding="utf-8")
-    paths["concept_labels"].write_text("\n".join(labels) + "\n", encoding="utf-8")
-    paths["wordvec"].write_text("\n".join(wordvec_lines) + "\n", encoding="utf-8")
+    texts = {"kb": kb_lines, "qa": qa_lines, "features": feature_lines, "concepts": concept_lines,
+             "concept_labels": labels, "wordvec": wordvec_lines}
+    for name, lines in texts.items():
+        write_lines(paths[name], lines)
     return paths

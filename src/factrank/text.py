@@ -1,7 +1,9 @@
-"""Shared text handling: phrase tokenization; reading input files' lines,
-where a byte that is not UTF-8 is a load error naming its line; and
-:func:`cached`, the one checksum-keyed cache beside an input file of what
-its loader parsed, which the feature and knowledge-base loaders share."""
+"""Shared file handling: phrase tokenization; reading input files' lines,
+where a byte that is not UTF-8 is a load error naming its line;
+:func:`write_atomic`, the one writer of every file the package writes, so
+no reader sees a partial one; and :func:`cached`, the one checksum-keyed
+cache beside an input file of what its loader parsed, which the feature
+and knowledge-base loaders share."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import logging
 import os
 import re
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -48,11 +50,30 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             raise LoadError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
 
 
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Call ``write`` on the binary file ``<name>.<pid>.tmp`` beside ``path``, then rename it over ``path``.
+    On any failure the temporary file is deleted and ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write ``lines`` as UTF-8 text, each ended by a newline, through :func:`write_atomic`."""
+    write_atomic(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
+
+
 def cached(path: Path, what: str, parse: Callable, rebuild: Callable):
     """``parse(path)``'s value, or ``rebuild`` of the arrays that ``parse`` returns with it, read from the cache
     ``<name>.cache.npz`` beside the file at ``path``. The key is the file's SHA-256 and ``CACHE_FORMAT``. A
     cache that is stale, unreadable or that ``rebuild`` rejects by raising is named in a warning, and the
-    file is parsed and the cache rewritten, through a temporary file, so no reader sees a partial cache."""
+    file is parsed and the cache rewritten through :func:`write_atomic`."""
     cache, digest = path.with_name(path.name + ".cache.npz"), hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
@@ -67,12 +88,8 @@ def cached(path: Path, what: str, parse: Callable, rebuild: Callable):
         except Exception as exc:  # corrupt bytes or failed checks
             logger.warning("ignoring unreadable %s cache %s (%s)", what, cache, exc)
     value, arrays = parse(path)
-    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, checksum=np.str_(key), **arrays)
-        os.replace(tmp, cache)
+        write_atomic(cache, lambda fh: np.savez(fh, checksum=np.str_(key), **arrays))
     except OSError:
-        tmp.unlink(missing_ok=True)
         logger.warning("could not write %s cache %s", what, cache)
     return value

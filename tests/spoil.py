@@ -1,22 +1,25 @@
-"""Rewrite fields of a saved checkpoint's JSON header, for load-fault tests.
+"""Rewrite members of a saved checkpoint, for load-fault tests.
 
-``save_checkpoint`` cannot write a header it would reject itself (a
-non-string token, a vocabulary or tensor list of the wrong type), so these
-tests edit the header bytes in place and keep the tensor bytes as saved.
+``save_checkpoint`` cannot write a file it would reject itself (a
+non-string token, a vocabulary of the wrong type, a float32 tensor), so
+these tests rewrite the npz with edited members and the others as saved.
 """
 
 import json
-import struct
 
-from factrank.checkpoint import MAGIC
+import numpy as np
+
+
+def rewrite_members(path, **members):
+    """Replace or add the given members of the npz at ``path``."""
+    with np.load(path) as data:
+        saved = {name: data[name] for name in data.files}
+    with open(path, "wb") as fh:
+        np.savez(fh, **{**saved, **members})
 
 
 def rewrite_header(path, **fields):
-    """Replace the given top-level header keys of the checkpoint at ``path``."""
-    data = path.read_bytes()
-    start = len(MAGIC) + 8
-    (size,) = struct.unpack("<Q", data[len(MAGIC) : start])
-    header = json.loads(data[start : start + size])
-    header.update(fields)
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + data[start + size :])
+    """Replace the given top-level keys of the checkpoint's JSON header."""
+    with np.load(path) as data:
+        header = json.loads(str(data["header"]))
+    rewrite_members(path, header=np.str_(json.dumps({**header, **fields}, sort_keys=True)))

@@ -475,10 +475,6 @@ def _vocab_not_a_list(data):
     return {"vocab": 5}
 
 
-def _tensors_not_a_list(data):
-    return {"tensors": 5}
-
-
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -488,7 +484,6 @@ def _tensors_not_a_list(data):
         (_missing_dim, "'hidden_dim'"),
         (_token_not_a_string, "header vocab is not a list of strings"),
         (_vocab_not_a_list, "header vocab is not a list of strings"),
-        (_tensors_not_a_list, "header tensors is not a list of records"),
     ],
 )
 def test_malformed_classifier_checkpoint_raises_load_error_naming_file(tmp_path, spoil, message):
