@@ -3,9 +3,10 @@
 The QA file is line-delimited JSON with the fields question_id, image_id,
 question, answer, fact_id, relation, answer_source, and fold. Image
 features are text rows ``image_id dim v1 .. v_dim``, held as read-only
-rows of one matrix; concept vectors are ``image_id i1,i2,...`` hot-index
-rows positioned against a label file, packed into one (images, labels)
-0/1 matrix that hands out float64 copies. Referential integrity (fact ids,
+float32 rows of one matrix (the scorer upcasts a stacked batch, never the
+store); concept vectors are ``image_id i1,i2,...`` hot-index rows
+positioned against a label file, packed into one (images, labels) 0/1
+matrix that hands out float64 copies. Referential integrity (fact ids,
 features, label consistency) is checked at load, never assumed downstream.
 The parsed features are cached beside their file, as the knowledge base
 is, by the one checksum-keyed helper :func:`text.cached`.
@@ -47,7 +48,8 @@ class QAInstance:
 
 class FeatureStore:
     """Image id -> feature vector and concept vector, immutable after load: features
-    are read-only views, concepts float64 copies of a packed 0/1 matrix's rows."""
+    are read-only float32 rows of one matrix, concepts float64 copies of a packed
+    0/1 matrix's rows."""
 
     def __init__(self, features: dict[str, Array], concepts: tuple[dict[str, int], Array]):
         self.features = features
@@ -93,8 +95,10 @@ def _read_only_rows(ids: list[str], matrix: Array) -> dict[str, Array]:
 
 
 def load_features(path: str | Path) -> dict[str, Array]:
-    """Parse ``image_id dim v1..v_dim`` rows into read-only rows of one matrix,
-    through the checksum-keyed cache of :func:`text.cached` for fast reloads."""
+    """Parse ``image_id dim v1..v_dim`` rows into read-only float32 rows of one
+    matrix, through the checksum-keyed cache of :func:`text.cached` for fast
+    reloads. Each value is its text's float64 rounded to float32; a value that
+    is not finite or beyond float32's finite range is a load error."""
     return cached(Path(path), "feature", _parse_features,
                   lambda data: _read_only_rows([str(s) for s in data["ids"]], data["matrix"]))
 
@@ -118,13 +122,15 @@ def _parse_features(path: Path) -> tuple[dict[str, Array], dict[str, Array]]:
             raise LoadError(f"{path}:{lineno}: non-numeric feature value") from None
         if values.size != declared:
             raise LoadError(f"{path}:{lineno}: expected {declared} values, got {values.size}")
+        if not (np.abs(values) <= np.finfo(np.float32).max).all():  # NaN too
+            raise LoadError(f"{path}:{lineno}: non-finite feature value, or one beyond float32's range")
         if dim is None:
             dim = declared
         elif declared != dim:
             raise LoadError(f"{path}:{lineno}: inconsistent feature length {declared} != {dim}")
         if head in out:
             raise LoadError(f"{path}:{lineno}: duplicate image id {head!r}")
-        out[head] = values
+        out[head] = values.astype(np.float32)
     if not out:
         raise LoadError(f"{path}: no feature rows")
     ids, matrix = list(out), np.stack(list(out.values()))

@@ -16,8 +16,8 @@ cross-entropy, batched-row cosine similarity, and the structured hinge of
 margin training. Column slicing, sigmoid, the Hadamard product and
 embedding-row gather have no library caller: the benchmark's trace names
 them, and the tests compose them into the per-step LSTM that
-``lstm_sequence`` must match bitwise. There is no sum primitive: a loss
-reaches a scalar through the hinge or a cross-entropy.
+``lstm_sequence`` must match within rounding. There is no sum primitive: a
+loss reaches a scalar through the hinge or a cross-entropy.
 """
 
 from __future__ import annotations
@@ -307,12 +307,16 @@ class Tape:
         """Final hidden state of an LSTM over right-padded ``ids`` (batch, steps), as one record.
 
         Step t gathers rows of ``embed``, applies inverted dropout given a
-        generator (one draw per step), computes ``concat([x, h]) @ w_gates
-        + b_gates`` (gate blocks: input, forget, candidate, output) and
-        freezes rows with ``lengths <= t`` by a 0/1 mask. Backward is one
-        reverse loop through time that pops each step's cache and runs the
-        arithmetic of the per-step primitives in their record order, so
-        values and gradients are bitwise those of that composition.
+        generator (one draw for all steps, which yields the numbers of one
+        draw a step), computes ``concat([x, h]) @ w_gates + b_gates`` (gate
+        blocks: input, forget, candidate, output) and freezes rows with
+        ``lengths <= t`` by a 0/1 mask. The input half, ``x @ w_gates[:d] +
+        b_gates``, is one GEMM over all steps, so a step multiplies only ``h``
+        (Appleyard et al., arXiv:1604.01946). Backward is one reverse loop
+        through time that pops each step's cache; after it, the weight
+        gradient, the input gradient and the input gradient's sorted scatter
+        into ``embed`` are each one pass over all steps. Values and gradients
+        are within rounding of the per-step composition of primitives.
         """
         b, steps = ids.shape
         d, hdim = embed.shape[1], b_gates.shape[0] // 4
@@ -321,16 +325,21 @@ class Tape:
         if ids.size and (ids.min() < 0 or ids.max() >= embed.shape[0]):
             raise UsageError("embedding id out of range")
         tracked = self._tracks((embed, w_gates, b_gates))
+        w_x, w_h = w_gates.values[:d], w_gates.values[d:]
+        xh = np.empty((steps, b, d + hdim))  # step t's input and the hidden state it reads, time-major
+        xh[..., :d] = embed.values[ids.T]
+        mask = _dropout_mask((steps, b, d), rate, rng)
+        if mask is not None:
+            xh[..., :d] *= mask
+        gates_x = xh.reshape(steps * b, d + hdim)[:, :d] @ w_x
+        gates_x += b_gates.values
+        gates_x = gates_x.reshape(steps, b, 4 * hdim)
         cache = []
         h = c = np.zeros((b, hdim))
         for t in range(steps):
-            x = embed.values[ids[:, t]]
-            mask = _dropout_mask(x.shape, rate, rng)
-            if mask is not None:
-                x = x * mask
-            xh = np.concatenate([x, h], axis=1)
-            gates = xh @ w_gates.values
-            gates += b_gates.values
+            xh[t, :, d:] = h
+            gates = gates_x[t]
+            gates += h @ w_h
             gif, go = stable_sigmoid(gates[:, : 2 * hdim]), stable_sigmoid(gates[:, 3 * hdim :])
             gi, gf = gif[:, :hdim], gif[:, hdim:]
             gg = np.tanh(gates[:, 2 * hdim : 3 * hdim])
@@ -340,7 +349,7 @@ class Tape:
             live = lengths > t
             keep = None if live.all() else (live.astype(np.float64)[:, None], (~live).astype(np.float64)[:, None])
             if tracked:
-                cache.append((mask, xh, gi, gf, gg, go, c, tc, keep))
+                cache.append((gi, gf, gg, go, c, tc, keep))
             if keep is None:
                 h, c = h_new, c_new
             else:
@@ -348,9 +357,10 @@ class Tape:
                 h = keep[0] * h_new + keep[1] * h
 
         def backward(dh: Array) -> None:
+            dgates = np.empty((steps, b, 4 * hdim))
             dc = None  # the last cell state feeds nothing
             for t in range(steps - 1, -1, -1):
-                mask, xh, gi, gf, gg, go, c_prev, tc, keep = cache.pop()
+                gi, gf, gg, go, c_prev, tc, keep = cache.pop()
                 dh_prev = dc_prev = None
                 if keep is not None:
                     dh, dh_prev = dh * keep[0], dh * keep[1]
@@ -358,23 +368,31 @@ class Tape:
                         dc, dc_prev = dc * keep[0], dc * keep[1]
                 dc_tanh = dh * go * (1.0 - tc * tc)
                 dc = dc_tanh if dc is None else dc + dc_tanh
-                dgates = np.empty((b, 4 * hdim))
-                dgates[:, :hdim] = dc * gg * gi * (1.0 - gi)
-                dgates[:, hdim : 2 * hdim] = dc * c_prev * gf * (1.0 - gf)
-                dgates[:, 2 * hdim : 3 * hdim] = dc * gi * (1.0 - gg * gg)
-                dgates[:, 3 * hdim :] = dh * tc * go * (1.0 - go)
-                if b_gates.requires_grad:
-                    _accumulate(b_gates, dgates.sum(axis=0))
-                if w_gates.requires_grad:
-                    _accumulate(w_gates, xh.T @ dgates)
-                dxh = dgates @ w_gates.values.T
-                if embed.requires_grad:
-                    if embed.grad is None:
-                        embed.grad = np.zeros_like(embed.values)
-                    np.add.at(embed.grad, ids[:, t], dxh[:, :d] if mask is None else dxh[:, :d] * mask)
+                dgates[t, :, :hdim] = dc * gg * gi * (1.0 - gi)
+                dgates[t, :, hdim : 2 * hdim] = dc * c_prev * gf * (1.0 - gf)
+                dgates[t, :, 2 * hdim : 3 * hdim] = dc * gi * (1.0 - gg * gg)
+                dgates[t, :, 3 * hdim :] = dh * tc * go * (1.0 - go)
                 if t:
-                    dh = dxh[:, d:] if dh_prev is None else dh_prev + dxh[:, d:]
+                    dh = dgates[t] @ w_h.T
+                    if dh_prev is not None:
+                        dh += dh_prev
                     dc = dc * gf if dc_prev is None else dc_prev + dc * gf
+            dgates = dgates.reshape(steps * b, 4 * hdim)
+            if b_gates.requires_grad:
+                _accumulate(b_gates, dgates.sum(axis=0))
+            if w_gates.requires_grad:
+                _accumulate(w_gates, xh.reshape(steps * b, d + hdim).T @ dgates)
+            if embed.requires_grad:
+                dx = dgates @ w_x.T
+                if mask is not None:
+                    dx *= mask.reshape(steps * b, d)
+                # one scatter: sort the (time-major) ids, sum each id's run of rows, add each sum once
+                flat = ids.T.ravel()
+                order = np.argsort(flat, kind="stable")
+                starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+                if embed.grad is None:
+                    embed.grad = np.zeros_like(embed.values)
+                embed.grad[flat[order[starts]]] += np.add.reduceat(dx[order], starts, axis=0)
 
         return self._emit(h, (embed, w_gates, b_gates), backward)
 
@@ -421,21 +439,23 @@ class Tape:
 
         return self._emit(values, (logits,), backward)
 
-    def cosine_rows(self, x: Tensor, rows: Array) -> Tensor:
+    def cosine_rows(self, x: Tensor, rows: Array, norms: Array) -> Tensor:
         """Cosine of each batch row of ``x`` against a constant candidate block.
 
-        ``rows`` has shape (batch, candidates, dim) and carries no gradient; a
-        zero-norm candidate row scores ``-inf`` and receives no gradient flow.
+        ``rows`` has shape (batch, candidates, dim), carries no gradient, and
+        comes with its stored row norms, shape (batch, candidates), such as
+        the gathered ``FactMatrix.norms``; a zero-norm candidate row scores
+        ``-inf`` and receives no gradient flow.
         """
         rows = np.asarray(rows, dtype=np.float64)
+        rnorm = np.asarray(norms, dtype=np.float64)
         if x.ndim != 2 or rows.ndim != 3:
             raise ShapeError(f"cosine_rows needs (b,d) x (b,c,d), got {x.shape}, {rows.shape}")
-        if rows.shape[0] != x.shape[0] or rows.shape[2] != x.shape[1]:
-            raise ShapeError(f"cosine_rows shapes disagree: {x.shape} vs {rows.shape}")
+        if rows.shape[0] != x.shape[0] or rows.shape[2] != x.shape[1] or rnorm.shape != rows.shape[:2]:
+            raise ShapeError(f"cosine_rows shapes disagree: {x.shape} vs {rows.shape} and norms {rnorm.shape}")
         xnorm = np.linalg.norm(x.values, axis=1)
         if np.any(xnorm == 0.0):
             raise DegenerateInputError("cosine_rows got a zero-norm query row")
-        rnorm = np.linalg.norm(rows, axis=2)
         valid = rnorm > 0.0
         safe_rnorm = np.where(valid, rnorm, 1.0)
         raw = np.einsum("bd,bcd->bc", x.values, rows)

@@ -121,6 +121,7 @@ class ScorerParams:
 
 
 def _masked_inputs(params: ScorerParams, feats: Array, concepts: Array) -> tuple[Array, Array]:
+    # the one upcast of the store's float32 features, a stacked batch at a time
     feats = np.asarray(feats, dtype=np.float64)
     concepts = np.asarray(concepts, dtype=np.float64)
     if feats.shape[-1] != params.dims.image_dim:

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import LoadError
 
 logger = logging.getLogger(__name__)
-CACHE_FORMAT = "factrank-cache-2"  # in every cache's key: one laid out by an older version is stale
+CACHE_FORMAT = "factrank-cache-3"  # in every cache's key: one laid out by an older version is stale
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 

@@ -234,7 +234,7 @@ def train_scorer(
         rows = np.empty((len(batch), cand.shape[1], fact_matrix.dim))  # float64: no float32 gather beside it
         for i, b in enumerate(batch):
             rows[i] = fact_matrix.rows[cand[b]]
-        scores = tape.cosine_rows(iq, rows)
+        scores = tape.cosine_rows(iq, rows, fact_matrix.norms[cand[batch]])
         return tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
 
     def epoch_record(epoch, loss):

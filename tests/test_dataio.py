@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import re
@@ -13,8 +14,13 @@ from factrank.wordvec import load_vectors
 
 LABELS = [f"label{i}" for i in range(6)]
 CONCEPTS = {"img1": [0, 5], "img2": [], "img3": [3, 3], "img4": [2, 4, 1]}
-FEATURES = {"img1": ["0.1", "-2.5e-3", "1e300"], "img2": ["1", "0", "-0.0"], "img3": ["3.3", "7", "1e-320"],
+FEATURES = {"img1": ["0.1", "-2.5e-3", "3e38"], "img2": ["1", "0", "-0.0"], "img3": ["3.3", "7", "1e-320"],
             "img4": ["-1", "2", "0.3333333333333333"]}
+
+
+def _float32(values):
+    """A feature row as the store holds it: each text's float64 rounded to float32."""
+    return np.array([np.float32(float(v)) for v in values])
 
 
 def _dense(indices):
@@ -63,10 +69,10 @@ def test_concept_rows_are_bitwise_the_dense_float64_vectors(store):
     assert store.concept_matrix.sum() == 6  # img3's repeated index sets one bit
 
 
-def test_stack_is_float64_and_stacks_feature_and_concept(store):
+def test_stack_stacks_float32_features_and_float64_concepts(store):
     images = ["img3", "img1", "img3", "img2"]
     feats, cons = store.stack(images)
-    assert (feats.dtype, cons.dtype) == (np.float64, np.float64)
+    assert (feats.dtype, cons.dtype) == (np.float32, np.float64)
     assert feats.tobytes() == np.stack([store.feature(i) for i in images]).tobytes()
     assert cons.tobytes() == np.stack([store.concept(i) for i in images]).tobytes()
 
@@ -98,7 +104,7 @@ def test_a_cache_hit_is_bitwise_the_parsed_rows(tmp_path):
     assert cache.stat().st_mtime_ns == written
     assert list(hit) == list(parsed) == list(FEATURES)
     for image, values in FEATURES.items():
-        assert hit[image].tobytes() == parsed[image].tobytes() == np.array(values, dtype=np.float64).tobytes()
+        assert hit[image].tobytes() == parsed[image].tobytes() == _float32(values).tobytes()
 
 
 def test_the_cache_is_read_while_its_checksum_matches_and_rebuilt_once_the_source_changes(tmp_path):
@@ -115,6 +121,33 @@ def test_the_cache_is_read_while_its_checksum_matches_and_rebuilt_once_the_sourc
         assert data["matrix"][1].tolist() == [4.0, 5.0, 6.0]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "-3.5e38"])
+def test_a_non_finite_feature_value_or_one_beyond_float32_is_a_load_error_naming_the_line(tmp_path, value):
+    path = _write_features(tmp_path / "features.txt", {"img1": ["0.5", "1", "2"], "img2": ["1", value, "0"]})
+    message = "non-finite feature value, or one beyond float32's range"
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}:2: {message}$"):
+        load_features(path)
+
+
+def test_a_float64_cache_of_the_previous_format_is_rebuilt_once_with_a_warning(tmp_path, caplog):
+    path = _write_features(tmp_path / "features.txt", FEATURES)
+    cache = path.with_name("features.txt.cache.npz")
+    # the cache the previous format wrote: its key, and float64 rows
+    key = f"{hashlib.sha256(path.read_bytes()).hexdigest()} factrank-cache-2"
+    np.savez(cache, checksum=np.str_(key), ids=np.array(list(FEATURES)),
+             matrix=np.array([[float(v) for v in values] for values in FEATURES.values()]))
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        rebuilt = load_features(path)
+        written = cache.stat().st_mtime_ns
+        hit = load_features(path)
+    assert caplog.text.count("rebuilding stale feature cache") == 1
+    assert cache.stat().st_mtime_ns == written
+    for image, values in FEATURES.items():
+        assert rebuilt[image].tobytes() == hit[image].tobytes() == _float32(values).tobytes()
+    with np.load(cache) as data:
+        assert data["matrix"].dtype == np.float32
+
+
 def test_a_corrupt_cache_warns_and_is_rebuilt(tmp_path, caplog):
     path = _write_features(tmp_path / "features.txt", FEATURES)
     cache = path.with_name("features.txt.cache.npz")
@@ -122,7 +155,7 @@ def test_a_corrupt_cache_warns_and_is_rebuilt(tmp_path, caplog):
     with caplog.at_level(logging.WARNING, logger="factrank.dataio"):
         rows = load_features(path)
     assert "ignoring unreadable feature cache" in caplog.text
-    assert rows["img1"].tobytes() == np.array(FEATURES["img1"], dtype=np.float64).tobytes()
+    assert rows["img1"].tobytes() == _float32(FEATURES["img1"]).tobytes()
     with np.load(cache) as data:
         assert data["matrix"].tobytes() == np.stack(list(rows.values())).tobytes()
 
@@ -138,7 +171,7 @@ def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypa
     with caplog.at_level(logging.WARNING, logger="factrank.dataio"):
         rows = load_features(features)
     assert "could not write feature cache" in caplog.text
-    assert [rows[i].tobytes() for i in FEATURES] == [np.array(v, dtype=np.float64).tobytes() for v in FEATURES.values()]
+    assert [rows[i].tobytes() for i in FEATURES] == [_float32(v).tobytes() for v in FEATURES.values()]
     with caplog.at_level(logging.WARNING, logger="factrank.kb"):
         assert parse_kb(kb).fact("f1").obj == "B"
     assert "could not write knowledge base cache" in caplog.text

@@ -195,20 +195,25 @@ def test_bce_grad_matches_finite_differences():
     assert check_grads(forward, {"logits": logits}, tol=1e-5) <= 1e-5
 
 
+def _norms(rows):
+    """The stored norms ``cosine_rows`` takes beside its candidate rows."""
+    return np.linalg.norm(np.asarray(rows, dtype=np.float64), axis=-1)
+
+
 def test_cosine_self_is_one():
     rng = np.random.default_rng(6)
     v = rng.standard_normal(9)
-    assert Tape().cosine_rows(constant(v[None]), v[None, None]).item() == pytest.approx(1.0, abs=1e-12)
+    assert Tape().cosine_rows(constant(v[None]), v[None, None], _norms(v[None, None])).item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_orthogonal_is_zero():
-    out = Tape().cosine_rows(constant([[1.0, 0.0]]), [[[0.0, 1.0]]])
+    out = Tape().cosine_rows(constant([[1.0, 0.0]]), [[[0.0, 1.0]]], [[1.0]])
     assert out.item() == 0.0
 
 
 def test_cosine_zero_norm_rejected():
     with pytest.raises(DegenerateInputError):
-        Tape().cosine_rows(constant([[0.0, 0.0]]), [[[1.0, 0.0]]])
+        Tape().cosine_rows(constant([[0.0, 0.0]]), [[[1.0, 0.0]]], [[1.0]])
 
 
 def test_cosine_grad_matches_finite_differences():
@@ -219,10 +224,10 @@ def test_cosine_grad_matches_finite_differences():
     # cosine_rows differentiates its query only; the cosine is symmetric,
     # so each vector takes a turn as the query against the other
     def forward_u():
-        return Tape().cosine_rows(u, v.values[None])
+        return Tape().cosine_rows(u, v.values[None], _norms(v.values[None]))
 
     def forward_v():
-        return Tape().cosine_rows(v, u.values[None])
+        return Tape().cosine_rows(v, u.values[None], _norms(u.values[None]))
 
     assert check_grads(forward_u, {"u": u}, tol=1e-5) <= 1e-5
     assert check_grads(forward_v, {"v": v}, tol=1e-5) <= 1e-5
@@ -232,7 +237,7 @@ def test_cosine_at_maximum_has_zero_grad():
     rng = np.random.default_rng(8)
     u = parameter(rng.standard_normal((1, 5)))
     t = Tape()
-    out = t.cosine_rows(u, u.values[None])
+    out = t.cosine_rows(u, u.values[None], _norms(u.values[None]))
     t.backward(out)
     np.testing.assert_allclose(u.grad, np.zeros((1, 5)), atol=1e-12)
 
@@ -364,14 +369,12 @@ def test_lstm_sequence_grads_match_finite_differences_with_dropout_and_mixed_len
     check_grads(forward, tensors, tol=1e-6)
 
 
-class _ScatterSpy(np.ndarray):
-    """A gradient buffer that calls ``on_scatter`` before each ``np.add.at`` into it."""
+class _WriteSpy(np.ndarray):
+    """A gradient buffer that calls ``on_write`` before each indexed write into it."""
 
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method == "at":
-            self.on_scatter()
-        inputs = [i.view(np.ndarray) if isinstance(i, _ScatterSpy) else i for i in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
+    def __setitem__(self, key, value):
+        self.on_write()
+        super().__setitem__(key, value)
 
 
 def test_spent_lstm_tape_holds_no_step_cache():
@@ -380,19 +383,24 @@ def test_spent_lstm_tape_holds_no_step_cache():
     tape = Tape()
     h = tape.lstm_sequence(*tensors.values(), ids, lengths, 0.4, np.random.default_rng(21))
     [(_, backward)] = tape._records
-    [cache] = [cell.cell_contents for cell in backward.__closure__ if isinstance(cell.cell_contents, list)]
+    cells = [cell.cell_contents for cell in backward.__closure__]
+    [cache] = [c for c in cells if isinstance(c, list)]
     alive = [[weakref.ref(a) for a in step if isinstance(a, np.ndarray)] for step in cache]
-    assert len(alive) == steps and all(len(refs) >= 7 for refs in alive)
-    del backward, cache
-    # the walk scatters into the embedding once per step, last step first;
-    # by then every later step's cache is gone
+    assert len(alive) == steps and all(len(refs) >= 6 for refs in alive)
+    # the (steps, batch, width) inputs and dropout masks that the passes over all steps read
+    whole = [weakref.ref(c) for c in cells if isinstance(c, np.ndarray) and c.shape[:2] == (steps, len(ids))]
+    assert len(whole) == 2
+    del backward, cache, cells
+    # the walk pops each step's cache, last step first, and then scatters
+    # into the embedding once; by then only the first step's, which the
+    # walk's loop names still hold, is left
     live_steps = []
     embed = tensors["embed"]
-    embed.grad = embed.grad.view(_ScatterSpy)
-    embed.grad.on_scatter = lambda: live_steps.append(sum(any(r() is not None for r in refs) for refs in alive))
+    embed.grad = embed.grad.view(_WriteSpy)
+    embed.grad.on_write = lambda: live_steps.append(sum(any(r() is not None for r in refs) for refs in alive))
     tape.backward(total(tape, h))
-    assert live_steps == [steps - i for i in range(steps)]
-    assert all(r() is None for refs in alive for r in refs)
+    assert live_steps == [1]
+    assert all(r() is None for refs in [*alive, whole] for r in refs)
     assert len(tape) == 3  # the sequence and two matmuls of the sum
 
 
@@ -484,7 +492,7 @@ def test_cosine_rows_matches_single_cosines():
     rng = np.random.default_rng(12)
     x = constant(rng.standard_normal((3, 5)))
     rows = rng.standard_normal((3, 4, 5))
-    batched = Tape().cosine_rows(x, rows).values
+    batched = Tape().cosine_rows(x, rows, _norms(rows)).values
     for b in range(3):
         for c in range(4):
             a, r = x.values[b], rows[b, c]
@@ -498,10 +506,24 @@ def test_cosine_rows_zero_norm_candidate_scores_neg_inf():
     rows = rng.standard_normal((1, 3, 4))
     rows[0, 1] = 0.0
     t = Tape()
-    scores = t.cosine_rows(x, rows)
+    scores = t.cosine_rows(x, rows, _norms(rows))
     assert scores.values[0, 1] == float("-inf")
     t.backward(t.hinge_mean(scores, [0]))
     assert np.all(np.isfinite(x.grad))
+
+
+def test_cosine_rows_divides_by_the_norms_it_is_given():
+    rng = np.random.default_rng(15)
+    x = constant(rng.standard_normal((2, 5)))
+    rows = rng.standard_normal((2, 3, 5))
+    norms = _norms(rows)
+    exact = Tape().cosine_rows(x, rows, norms).values
+    doubled = Tape().cosine_rows(x, rows, 2.0 * norms).values
+    np.testing.assert_array_equal(doubled, exact / 2.0)
+    norms[1, 2] = 0.0  # a stored zero norm scores -inf whatever the row holds
+    assert Tape().cosine_rows(x, rows, norms).values[1, 2] == float("-inf")
+    with pytest.raises(ShapeError, match="norms"):
+        Tape().cosine_rows(x, rows, norms[:, :2])
 
 
 def test_cosine_rows_grad_matches_finite_differences():
@@ -512,7 +534,7 @@ def test_cosine_rows_grad_matches_finite_differences():
 
     def forward():
         t = Tape()
-        return t.hinge_mean(t.cosine_rows(x, rows), gts)
+        return t.hinge_mean(t.cosine_rows(x, rows, _norms(rows)), gts)
 
     assert check_grads(forward, {"x": x}, tol=1e-6) <= 1e-6
 
@@ -545,7 +567,7 @@ def test_property_cosine_in_unit_interval(seed, dim):
     v = rng.standard_normal(dim)
     if np.linalg.norm(u) == 0 or np.linalg.norm(v) == 0:
         return
-    s = Tape().cosine_rows(constant(u[None]), v[None, None]).item()
+    s = Tape().cosine_rows(constant(u[None]), v[None, None], _norms(v[None, None])).item()
     assert -1.0 - 1e-12 <= s <= 1.0 + 1e-12
 
 

@@ -117,7 +117,7 @@ def test_full_network_grad_matches_finite_differences():
     def forward():
         t = Tape()
         iq = iq_embedding_batch(t, params, feat[None, :], concepts[None, :], ids, lengths)
-        return t.hinge_mean(t.cosine_rows(iq, fact_rows), [1])
+        return t.hinge_mean(t.cosine_rows(iq, fact_rows, np.linalg.norm(fact_rows, axis=-1)), [1])
 
     assert check_grads(forward, params.tensors, tol=1e-4) <= 1e-4
 

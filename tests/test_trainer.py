@@ -431,9 +431,9 @@ def test_train_scorer_re_mines_every_period_epochs(tiny_synth, monkeypatch, peri
     instances, store, kb, table = tiny_synth
     batches, mined = [], []  # batches are counted by their scoring calls
 
-    def counting_cosine_rows(tape, x, rows, real=Tape.cosine_rows):
+    def counting_cosine_rows(tape, x, rows, norms, real=Tape.cosine_rows):
         batches.append(len(rows))
-        return real(tape, x, rows)
+        return real(tape, x, rows, norms)
 
     def recording_mine(*args, real=trainer.mine_hard_negatives):
         iteration, epochs_done = divmod(len(batches) // 2, 3)  # 10 instances in batches of 5
@@ -477,11 +477,11 @@ def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkey
                        seed=12, margin=0.01, lr=0.05)
     current = {"sets": oracle_ids(oracle_initial_dataset(instances, kb, cfg.negatives, cfg.seed))}
     steps = {}  # iteration -> the oracle (sets, hard total, fallbacks) of its last mining step
-    scored = []  # each batch's candidate rows, in call order
+    scored = []  # each batch's candidate rows and their norms, in call order
 
-    def recording_cosine_rows(tape, x, rows, real=Tape.cosine_rows):
-        scored.append(rows)
-        return real(tape, x, rows)
+    def recording_cosine_rows(tape, x, rows, norms, real=Tape.cosine_rows):
+        scored.append((rows, norms))
+        return real(tape, x, rows, norms)
 
     def replaying_mine(iq, gt, fact_matrix, n, margin, state, real=trainer.mine_hard_negatives):
         np.testing.assert_array_equal(iq, embed_batch(current["params"], *store.stack([i.image_id for i in instances]),
@@ -496,7 +496,9 @@ def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkey
         def checked_loss(tape, epoch, batch, ids, lengths):
             loss = batch_loss(tape, epoch, batch, ids, lengths)
             rows_of = np.array([[fm.row_of[f] for f in current["sets"][i]] for i in batch])
-            np.testing.assert_array_equal(scored.pop(), fm.rows[rows_of])
+            rows, norms = scored.pop()
+            np.testing.assert_array_equal(rows, fm.rows[rows_of])
+            np.testing.assert_array_equal(norms, fm.norms[rows_of])
             return loss
 
         return real(params, encoded, opt, rng, epochs, batch_size, checked_loss, epoch_record, where)
