@@ -76,12 +76,8 @@ class FeatureStore:
 
 
 def load_concept_labels(path: str | Path) -> list[str]:
-    path = Path(path)
-    try:
-        labels = [line.rstrip("\n") for line in path.read_text(encoding="utf-8").splitlines()]
-    except UnicodeDecodeError as exc:
-        raise LoadError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    labels = [l for l in labels if l.strip()]
+    """One label a line, blank lines skipped; a line breaks only at a newline."""
+    labels = [label for _, line in read_lines(path) if (label := line.rstrip("\n")).strip()]
     if not labels:
         raise LoadError(f"{path}: concept label file is empty")
     if len(set(labels)) != len(labels):
@@ -222,7 +218,7 @@ def validate_dataset(instances: list[QAInstance], store: FeatureStore, kb: Knowl
                 f"question {inst.question_id}: relation label {inst.relation.value} "
                 f"does not match fact relation {relation.value}"
             )
-        expected = kb.phrases[(kb.subjects if inst.source is AnswerSource.IMAGE else kb.objects)[row]]
+        expected = kb.answer(row, inst.source)
         if normalize_phrase(inst.answer) != normalize_phrase(expected):
             raise DataError(
                 f"question {inst.question_id}: answer {inst.answer!r} does not match "
@@ -342,7 +338,7 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
             logger.warning("question %s: unresolved fact %r, skipped", qid, fact_ref)
             skipped += 1
             continue
-        fact = kb.fact(str(fact_ref))
+        row = kb.position[str(fact_ref)]
         answer = str(rec.get("answer", ""))
         source_token = rec.get("answer_source", rec.get("ans_source"))
         if source_token:
@@ -350,11 +346,10 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
                 source = AnswerSource.parse(str(source_token))
             except UsageError as exc:
                 raise LoadError(f"{questions_path}: question {qid!r}: {exc}") from None
-        elif normalize_phrase(answer) == normalize_phrase(fact.subject):
-            source = AnswerSource.IMAGE
-        elif normalize_phrase(answer) == normalize_phrase(fact.obj):
-            source = AnswerSource.KNOWLEDGE_BASE
-        else:
+        else:  # the first source whose entity the answer names: the subject, then the object
+            wanted = normalize_phrase(answer)
+            source = next((s for s in AnswerSource if normalize_phrase(kb.answer(row, s)) == wanted), None)
+        if source is None:
             logger.warning("question %s: answer %r matches neither entity, skipped", qid, answer)
             skipped += 1
             continue
@@ -374,9 +369,9 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
                     "question_id": qid,
                     "image_id": image_id,
                     "question": str(rec.get("question", "")),
-                    "answer": fact.subject if source is AnswerSource.IMAGE else fact.obj,
-                    "fact_id": fact.fact_id,
-                    "relation": fact.relation.value,
+                    "answer": kb.answer(row, source),
+                    "fact_id": kb.ids[row],
+                    "relation": RELATIONS[kb.relations[row]].value,
                     "answer_source": source.value,
                     "fold": fold,
                 },

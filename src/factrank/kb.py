@@ -5,8 +5,11 @@ from a tab-separated file, held as columns in the row order of
 ``wordvec.FactMatrix``: relation bucket after bucket, each in load order.
 Subjects and objects are codes into one list of distinct phrases, each
 tokenized once into codes of one list of distinct tokens. A :class:`Fact`
-is made only when one is asked for. :func:`parse_kb` caches the columns
-beside the file, as the feature loader does (:func:`text.cached`).
+is made only when one is asked for: the ranking names rows, and
+:meth:`KnowledgeBase.answer` reads a row's answer, its subject or object by
+the answer source, the one place that rule is written. :func:`parse_kb`
+caches the columns beside the file, as the feature loader does
+(:func:`text.cached`).
 """
 
 from __future__ import annotations
@@ -193,6 +196,10 @@ class KnowledgeBase:
             raise UsageError(f"unknown fact id {fact_id!r}") from None
         return Fact(fact_id, self.phrases[self.subjects[row]], RELATIONS[self.relations[row]],
                     self.phrases[self.objects[row]])
+
+    def answer(self, row: int, source: AnswerSource) -> str:
+        """Row ``row``'s verbatim subject for an Image answer, its object otherwise."""
+        return self.phrases[(self.subjects if source is AnswerSource.IMAGE else self.objects)[row]]
 
     def facts(self) -> list[Fact]:
         """All facts in load order."""

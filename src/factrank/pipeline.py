@@ -13,12 +13,13 @@ fact id, so a prediction is a pure function of its inputs:
 :func:`evaluate` calls it on a dataset fold and tallies the metrics, and
 :func:`answer_question` calls it on a batch of one. The columnar KB's
 bucket slices are the fact matrix's row blocks, so the matrix must be the
-one built from that KB; a bucket's rows are named by the KB's ids in place,
-without a copy, and only the facts an answer reads become ``Fact``s. It
-takes the relation order and the source rule from
-``encoders.ranked_relations`` and ``encoders.answer_source``. The fields of
-:class:`Metrics` are the one list of metric names, for records, fold
-averages and the CLI table.
+one built from that KB. Ranking returns KB rows, and they stay rows until
+output: a prediction names only the rows it lists, by the KB's ids in
+place, without a copy, and every answer is read from a row by
+``KnowledgeBase.answer``. It takes the relation order and the source rule
+from ``encoders.ranked_relations`` and ``encoders.answer_source``. The
+fields of :class:`Metrics` are the one list of metric names, for records,
+fold averages and the CLI table.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
 from .errors import UsageError
-from .kb import AnswerSource, Fact, KnowledgeBase, Relation
+from .kb import AnswerSource, KnowledgeBase, Relation
 from .scorer import ScorerParams, embed_batch, rank_rows
 from .wordvec import FactMatrix
 
@@ -108,11 +109,6 @@ class Metrics:
 RATE_FIELDS = [f for f in fields(Metrics) if "label" in f.metadata]
 
 
-def extract_answer(fact: Fact, source: AnswerSource) -> str:
-    """The verbatim subject for an Image answer, the object otherwise."""
-    return fact.subject if source is AnswerSource.IMAGE else fact.obj
-
-
 def answers_match(predicted: str | None, expected: str) -> bool:
     """Exact string match after casefold and whitespace trim."""
     if predicted is None:
@@ -130,12 +126,12 @@ def _predict(
     oracle_relations: Sequence[Relation] | None,
     oracle_sources: Sequence[AnswerSource] | None,
     k: int,
-) -> list[tuple[Prediction, list[tuple[str, float]]]]:
+) -> list[tuple[Prediction, Array]]:
     """Predict a batch of questions; ``ids`` holds (question id, image id).
 
-    Returns each question's prediction, whose ``top_facts`` keeps ``k``
-    entries, together with its top ``max(k, 3)`` ranked facts, so metrics
-    at 3 never depend on ``k``. Oracle sequences replace the corresponding
+    Returns each question's prediction, whose ``top_facts`` names its ``k``
+    best rows, together with its top ``max(k, 3)`` KB rows, so metrics at 3
+    never depend on ``k``. Oracle sequences replace the corresponding
     classifier's predictions.
     """
     if k < 1:
@@ -160,24 +156,24 @@ def _predict(
     for relation in dict.fromkeys(top_relation):
         members = [i for i, r in enumerate(top_relation) if r is relation]
         bucket = kb.buckets[relation]  # empty for a relation the KB lacks: no_fact
-        tops.update(zip(members, rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], fm.fact_ids,
+        tops.update(zip(members, rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], kb.ids,
                                            max(k, 3), bucket.start)))
 
     out = []
     for i, ((question_id, image_id), ranked, (source, source_prob)) in enumerate(zip(ids, relations, sources)):
-        top = tops[i]
+        rows, scores = tops[i]
         prediction = Prediction(
             question_id=question_id,
             image_id=image_id,
-            status="ok" if top else "no_fact",
+            status="ok" if len(rows) else "no_fact",
             relation=ranked[0][0],
             relation_probs=ranked,
             source=source,
             source_prob=source_prob,
-            top_facts=top[:k],
-            answer=extract_answer(kb.fact(top[0][0]), source) if top else None,
+            top_facts=[(kb.ids[r], x) for r, x in zip(rows[:k].tolist(), scores[:k].tolist())],
+            answer=kb.answer(rows[0], source) if len(rows) else None,
         )
-        out.append((prediction, top))
+        out.append((prediction, rows))
     return out
 
 
@@ -190,14 +186,11 @@ def answer_question(
     k: int = 3,
     question_id: str = "",
     image_id: str = "",
-    oracle_relation: Relation | None = None,
-    oracle_source: AnswerSource | None = None,
 ) -> Prediction:
     """Answer one question with the frozen model bundle.
 
     The candidate pool is the top predicted relation's bucket; equal scores
-    go by fact id. Oracle arguments replace the corresponding classifier's
-    prediction.
+    go by fact id.
     """
     [(prediction, _)] = _predict(
         models,
@@ -206,8 +199,8 @@ def answer_question(
         np.asarray(feat)[None, :],
         np.asarray(concepts)[None, :],
         [(question_id, image_id)],
-        None if oracle_relation is None else [oracle_relation],
-        None if oracle_source is None else [oracle_source],
+        None,
+        None,
         k,
     )
     return prediction
@@ -253,17 +246,18 @@ def evaluate(
         k,
     )
     ans1 = ans3 = fact1 = fact3 = rel1 = rel3 = src = no_fact = 0
-    for inst, (p, top) in zip(instances, results):
+    for inst, (p, rows) in zip(instances, results):
         rel1 += p.relation is inst.relation
         rel3 += inst.relation in [r for r, _ in p.relation_probs]
         src += p.source is inst.source
-        if not top:
+        if not len(rows):
             no_fact += 1
             continue
-        top3 = [fid for fid, _ in top[:3]]
-        answers = [extract_answer(kb.fact(fid), p.source) for fid in top3]
-        fact1 += top3[0] == inst.fact_id
-        fact3 += inst.fact_id in top3
+        top3 = rows[:3].tolist()
+        found = [kb.ids[r] for r in top3]  # by id: a groundtruth missing from the KB is a miss
+        answers = [kb.answer(r, p.source) for r in top3]
+        fact1 += found[0] == inst.fact_id
+        fact3 += inst.fact_id in found
         ans1 += answers_match(answers[0], inst.answer)
         ans3 += any(answers_match(a, inst.answer) for a in answers)
     n = len(instances)

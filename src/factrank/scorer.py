@@ -21,8 +21,11 @@ k-th best screen score, and rescores only that shortlist, in float64, by
 the exact ``numerics.cosines`` of :func:`score`.
 :func:`rank_rows` orders each shortlist by one ``np.lexsort`` on ``(-score,
 fact id)``, so the top k is bitwise that of an exhaustive float64 sort of
-the stored rows; it is the one top-k order of the package. No path upcasts
-a bucket or the whole matrix. :func:`rank_candidates`,
+the stored rows. It is the one top-k order of the package, and the one
+caller of :func:`shortlist_rows`: inference, held-out precision and
+hard-negative mining all rank through it, and it returns rows of the fact
+matrix with their scores, which its callers name only as they need.
+No path upcasts a bucket or the whole matrix. :func:`rank_candidates`,
 :func:`candidate_scores` and :func:`score_matrix` are thin entry points over
 the same arithmetic.
 """
@@ -212,9 +215,11 @@ def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: Fa
     scores go by fact id."""
     if not candidate_ids:
         raise UsageError("rank needs at least one candidate")
-    rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
+    ids = list(candidate_ids)
+    rows = [fact_matrix.row_of[fid] for fid in ids]
     iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
-    return rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows], list(candidate_ids), k)[0]
+    [(top, scores)] = rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows], ids, k)
+    return [(ids[i], s) for i, s in zip(top.tolist(), scores.tolist())]
 
 
 def score_matrix(iq_mat: Array, fact_matrix: FactMatrix) -> Array:
@@ -310,16 +315,17 @@ def shortlist_rows(iq_block: Array, rows: Array, norms: Array, k: int) -> list[t
 
 
 def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int,
-              first: int = 0) -> list[list[tuple[str, float]]]:
-    """Exact top-``k`` ``(id, score)`` of ``rows`` (a relation bucket, the
-    whole KB, or gathered candidates) for each query of ``iq_block``, ordered
-    by ``(-score, id)``: bitwise the head of an exhaustive scalar sort. Row
-    ``i`` is named ``ids[first + i]``, so a bucket's rows need no id copy."""
+              first: int = 0) -> list[tuple[Array, Array]]:
+    """Exact top ``k`` of ``rows`` (a relation bucket, the whole KB, or
+    gathered candidates) for each query of ``iq_block``, as ``(rows,
+    scores)`` arrays ordered by ``(-score, ids[row])``: bitwise the head of
+    an exhaustive scalar sort. Row ``i`` is numbered ``first + i``, so a
+    bucket's rows come back as rows of the whole matrix and need no id copy."""
     tops = []
     for r, s in shortlist_rows(iq_block, rows, norms, k):
         r = r + first
         order = np.lexsort(([ids[i] for i in r.tolist()], -s))[:k]
-        tops.append([(ids[i], x) for i, x in zip(r[order].tolist(), s[order].tolist())])
+        tops.append((r[order], s[order]))
     return tops
 
 

@@ -7,13 +7,14 @@ one call of :func:`encoders.fit`. Iteration 0 starts by pairing every
 training question with its groundtruth fact plus N uniformly sampled wrong
 facts. Before every other run the candidate sets are mined afresh: the
 training questions are embedded with the current parameters (no tape, no
-dropout), the whole KB is shortlisted by the exact kernel
-``scorer.shortlist_rows``, and each set keeps its groundtruth and the N
-wrong facts that score highest, ties by fact id. Mining draws no random
-number. A wrong fact whose row equals the groundtruth's (a twin in
+dropout), the whole KB is ranked by ``scorer.rank_rows``, the package's one
+top-k order, and each set keeps its groundtruth and the N wrong facts that
+score highest, ties by fact id. Mining draws no random number. A wrong
+fact whose row equals the groundtruth's (a twin in
 ``FactMatrix.twin_groups``: facts that differ only in relation) scores as
 the groundtruth does and gives the hinge no gradient, so twins rank after
-every other wrong fact. Candidate sets are arrays of fact-matrix rows.
+every other wrong fact, moved there by one stable sort of the ranked rows.
+Candidate sets are arrays of fact-matrix rows.
 Within an iteration the structured hinge
 
     max_f { task_loss(f*, f) + S(f) } - S(f*)
@@ -45,7 +46,7 @@ from .errors import DataError, UsageError
 from .kb import KnowledgeBase
 from .numerics import cosines, row_norms
 from .optim import make_optimizer
-from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows, shortlist_rows
+from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows
 from .encoders import Vocabulary, fit
 from .wordvec import FactMatrix, WordVectorTable
 
@@ -133,16 +134,18 @@ def mine_hard_negatives(iq: Array, gt: Array, fact_matrix: FactMatrix, n: int, m
     groundtruth minus ``margin`` and of questions with none."""
     fm, twin_group = fact_matrix, fact_matrix.twin_groups
     twins = np.bincount(twin_group)[twin_group[gt]] - 1
-    # the exact top k holds the groundtruth, its twins and at least n others
+    # the exact top k holds the j-th best non-twin for every j <= n, as at most
+    # j - 1 non-twins, the groundtruth and its twins rank ahead of it; a KB
+    # with fewer than n non-twins has fewer than k rows, and ranks them all
     k = n + 1 + int(twins.max(initial=0))
     lines = cosines(fm.rows[gt], fm.norms[gt], iq, row_norms(iq)) - margin
     sets = np.empty((len(gt), 1 + n), dtype=np.intp)
     hard = np.empty(len(gt), dtype=np.intp)
     for c in range(0, len(gt), 256):  # ranking is per question: chunks bound the GEMM hits held
-        for i, (r, s) in enumerate(shortlist_rows(iq[c : c + 256], fm.rows, fm.norms, k), start=c):
+        for i, (r, s) in enumerate(rank_rows(iq[c : c + 256], fm.rows, fm.norms, fm.fact_ids, k), start=c):
             g = int(gt[i])
             r, s = r[r != g], s[r != g]
-            wrong = np.lexsort(([fm.fact_ids[j] for j in r.tolist()], -s, twin_group[r] == twin_group[g]))[:n]
+            wrong = np.argsort(twin_group[r] == twin_group[g], kind="stable")[:n]  # twins last
             sets[i] = [g, *r[wrong]]
             hard[i] = np.count_nonzero(s[wrong] > lines[i])
     state.hard_pool_total = int(hard.sum())
@@ -152,13 +155,10 @@ def mine_hard_negatives(iq: Array, gt: Array, fact_matrix: FactMatrix, n: int, m
 
 @dataclass
 class TrainScorerResult:
-    """The trained scorer, its metrics records, and per iteration the
-    candidate sets its last epoch trained on (an array of fact-matrix rows,
-    groundtruth in column 0) and its :class:`MiningState`."""
+    """The trained scorer, its metrics records, and each iteration's :class:`MiningState`."""
 
     params: ScorerParams
     metrics: list[dict]
-    candidate_history: list[Array]
     mining_states: list[MiningState]
 
 
@@ -176,7 +176,7 @@ def fact_precision(
     if np.any(np.linalg.norm(iq, axis=1) == 0.0):
         raise UsageError("fact_precision got a zero-norm embedding row")
     tops = rank_rows(iq, fact_matrix.rows, fact_matrix.norms, fact_matrix.fact_ids, 3)
-    found = [[fid for fid, _ in top] for top in tops]
+    found = [[fact_matrix.fact_ids[r] for r in rows.tolist()] for rows, _ in tops]
     return {
         "precision1": float(np.mean([f[0] == i.fact_id for f, i in zip(found, instances)])),
         "precision3": float(np.mean([i.fact_id in f for f, i in zip(found, instances)])),
@@ -225,7 +225,6 @@ def train_scorer(
             raise DataError(f"question {inst.question_id}: question has no tokens")
 
     metrics: list[dict] = []
-    candidate_history: list[Array] = []
     mining_states: list[MiningState] = []
     cand = kb.load_order[build_initial_dataset(train_instances, kb, config.negatives, config.seed)]
 
@@ -260,7 +259,6 @@ def train_scorer(
             # the last epoch record has scored the parameters this iteration ends with
             summary.update({k: metrics[-1][k] for k in ("precision1", "precision3")})
         metrics.append(summary)
-        candidate_history.append(cand)
         mining_states.append(state)
 
-    return TrainScorerResult(params, metrics, candidate_history, mining_states)
+    return TrainScorerResult(params, metrics, mining_states)

@@ -8,8 +8,9 @@ columns: the KB's token list is mapped to word vectors once, and each pass
 of ``BUILD_CHUNK`` facts takes the mean of each of its distinct phrases'
 known tokens, one gather per known-token count. Rows are in the KB's own
 relation-bucket order, so ranking a bucket reads one contiguous block of
-rows, and the matrix names them by the KB's ids, without a copy. Rows are
-float32, the precision word vectors are published in, which halves the
+rows, and a ranked row is the KB's row of the same number: the matrix
+shares the KB's ids, without a copy, and the KB reads a row's answer. Rows
+are float32, the precision word vectors are published in, which halves the
 bytes each ranking pass reads; their norms are float64.
 """
 
@@ -116,11 +117,6 @@ class FactMatrix:
         if len(bad):
             fid, norm = self.fact_ids[bad[0]], self.norms[bad[0]]
             raise DegenerateInputError(f"fact {fid!r}: row norm {norm:.3g} outside [{lo:.3g}, {hi:.3g}]")
-
-    @classmethod
-    def from_rows(cls, fact_ids: list[str], rows: Array) -> "FactMatrix":
-        fact_ids = list(fact_ids)
-        return cls(fact_ids, np.asarray(rows, dtype=np.float32), dict(zip(fact_ids, range(len(fact_ids)))))
 
     @classmethod
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":

@@ -20,6 +20,12 @@ SMALL_SYNTH = dict(
 )
 
 
+def from_rows(fact_ids, rows) -> FactMatrix:
+    """A fact matrix of ``rows``, stored as float32, whose row ``i`` is fact ``fact_ids[i]``: no KB needed."""
+    fact_ids = list(fact_ids)
+    return FactMatrix(fact_ids, np.asarray(rows, dtype=np.float32), dict(zip(fact_ids, range(len(fact_ids)))))
+
+
 @pytest.fixture(scope="session")
 def small_synth_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("small_synth")

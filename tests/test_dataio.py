@@ -221,10 +221,16 @@ _VALID_LINES = {  # a loader, and a well-formed line of its file given a line in
 
 @pytest.mark.parametrize("kind", list(_VALID_LINES))
 def test_an_undecodable_byte_is_a_load_error_naming_the_line(tmp_path, kind):
-    # 2,000 lines put the byte past the first block that text mode decodes; the label file is read whole
+    # 2,000 lines put the byte past the first block that text mode decodes
     loader, line = _VALID_LINES[kind]
     path = tmp_path / "input.txt"
     path.write_bytes("".join(line(i) + "\n" for i in range(2000)).encode() + b"bad \xff byte\n" + line(2000).encode())
-    where = "" if kind == "concept-labels" else ":2001"
-    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}{where}: not UTF-8 text \\(invalid start byte\\)$"):
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}:2001: not UTF-8 text \\(invalid start byte\\)$"):
         loader(path)
+
+
+def test_concept_labels_break_only_at_newlines(tmp_path):
+    # U+2028, U+0085 and a form feed stay inside a label, where str.splitlines would split; CR LF ends a line
+    path = tmp_path / "labels.txt"
+    path.write_bytes("dog\u2028house\r\n\ncat\x85s\nfork\x0cknife\n   \nlast".encode())
+    assert load_concept_labels(path) == ["dog\u2028house", "cat\x85s", "fork\x0cknife", "last"]

@@ -48,17 +48,21 @@ def test_answer_question_is_evaluate_on_one_question(models, small_synth, small_
 
 
 def test_empty_bucket_is_no_fact_on_both_paths(models, small_synth, small_split):
+    # the KB lacks the relation that the classifier predicts for the question
     _, test = small_split
     store, inst = small_synth["store"], test[0]
-    kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.relation is not inst.relation])
+    [predicted] = evaluate(models, small_synth["kb"], [inst], store)[1]
+    kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.relation is not predicted.relation])
     models = dataclasses.replace(models, fact_matrix=FactMatrix.build(kb, small_synth["table"]))
     answered = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id),
-                               inst.question, question_id=inst.question_id, image_id=inst.image_id,
-                               oracle_relation=inst.relation, oracle_source=inst.source)
-    metrics, [evaluated] = evaluate(models, kb, [inst], store, oracle_relation=True, oracle_source=True)
+                               inst.question, question_id=inst.question_id, image_id=inst.image_id)
+    metrics, [evaluated] = evaluate(models, kb, [inst], store)
     assert answered == evaluated
-    assert (answered.status, answered.top_facts, answered.answer) == ("no_fact", [], None)
-    assert (metrics.no_fact_count, metrics.fact_at3, metrics.relation_at1, metrics.source_acc) == (1, 0.0, 1.0, 1.0)
+    assert (answered.status, answered.relation, answered.top_facts, answered.answer) == \
+        ("no_fact", predicted.relation, [], None)
+    assert (metrics.no_fact_count, metrics.fact_at3, metrics.answer_at3) == (1, 0.0, 0.0)
+    assert (metrics.relation_at1, metrics.source_acc) == \
+        (float(predicted.relation is inst.relation), float(predicted.source is inst.source))
 
 
 def test_a_bucket_the_fact_matrix_sizes_differently_from_the_kb_is_a_data_error(models, small_synth, small_split):
@@ -92,18 +96,29 @@ def test_ranking_names_bucket_rows_by_the_fact_matrix_ids_without_copying_the_kb
 
 
 def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_split):
-    # evaluate ranks each bucket once for all its questions
+    # evaluate ranks each bucket once for all its questions; the KB lacks the
+    # relation that the classifier predicts for the first question, so some
+    # questions find no fact
     _, test = small_split
-    kb, store = small_synth["kb"], small_synth["store"]
-    _, evaluated = evaluate(models, kb, test, store, k=3, oracle_relation=True)
-    assert len({p.relation for p in evaluated}) > 1
+    store = small_synth["store"]
+    dropped = evaluate(models, small_synth["kb"], test[:1], store)[1][0].relation
+    kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.relation is not dropped])
+    models = dataclasses.replace(models, fact_matrix=FactMatrix.build(kb, small_synth["table"]))
+    metrics, evaluated = evaluate(models, kb, test, store, k=3)
+    assert len({p.relation for p in evaluated if p.status == "ok"}) > 1
+    assert {p.relation for p in evaluated if p.status == "no_fact"} == {dropped}
+    # a groundtruth that the KB lacks is a miss, not a lookup error
+    assert any(p.status == "ok" and i.fact_id not in kb for i, p in zip(test, evaluated))
+    hits = sum(i.fact_id in [f for f, _ in p.top_facts] for i, p in zip(test, evaluated))
+    assert metrics.fact_at3 == hits / len(test) > 0
     feats, cons = store.stack([i.image_id for i in test])
     iq = embed_batch(models.scorer, feats, cons, [i.question for i in test])
     for inst, e, v in zip(test, evaluated, iq):
         a = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id), inst.question,
-                            k=3, question_id=inst.question_id, image_id=inst.image_id, oracle_relation=inst.relation)
+                            k=3, question_id=inst.question_id, image_id=inst.image_id)
         # bitwise on evaluate's own embeddings, one question at a time
-        assert rank_candidates(v, kb.ids_with_relation(inst.relation), models.fact_matrix, 3) == e.top_facts
+        bucket = kb.ids_with_relation(e.relation)
+        assert (rank_candidates(v, bucket, models.fact_matrix, 3) if bucket else []) == e.top_facts
         # a batch of one embeds within rounding of the batch (see test_lstm_batch_rows_match_single_runs)
         assert (a.status, a.relation, a.source, a.answer) == (e.status, e.relation, e.source, e.answer)
         assert [f for f, _ in a.top_facts] == [f for f, _ in e.top_facts]

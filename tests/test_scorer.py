@@ -27,7 +27,7 @@ from factrank.scorer import (
     score_matrix,
     shortlist_rows,
 )
-from factrank.wordvec import FactMatrix
+from conftest import from_rows
 from gradcheck import check_grads, total
 from spoil import rewrite_header
 
@@ -62,7 +62,7 @@ def _random_fact_matrix(n, dim, seed, zero_rows=()):
     rows = rng.standard_normal((n, dim))
     for z in zero_rows:
         rows[z] = 0.0
-    return FactMatrix.from_rows([f"f{i:03d}" for i in range(n)], rows)
+    return from_rows([f"f{i:03d}" for i in range(n)], rows)
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_rank_independent_of_candidate_order():
 
 def test_rank_ties_resolve_by_fact_id():
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    fm = FactMatrix.from_rows(["fb", "fa", "fc"], rows)
+    fm = from_rows(["fb", "fa", "fc"], rows)
     ranked = rank_candidates(np.array([1.0, 0.0]), ["fb", "fa", "fc"], fm, k=3)
     assert [fid for fid, _ in ranked] == ["fa", "fb", "fc"]
 
@@ -272,7 +272,12 @@ def _planted_block(seed, n, dim):
         queries[0] = 0.0
     elif rng.random() < 0.5:
         queries[0] = rows[rng.integers(n)]
-    return FactMatrix.from_rows([f"f{i:03d}" for i in rng.permutation(n)], rows), queries
+    return from_rows([f"f{i:03d}" for i in rng.permutation(n)], rows), queries
+
+
+def _named(tops, ids):
+    """:func:`rank_rows`' ``(rows, scores)`` arrays as ``(id, score)`` lists, row ``r`` named ``ids[r]``."""
+    return [[(ids[r], x) for r, x in zip(rows.tolist(), scores.tolist())] for rows, scores in tops]
 
 
 def _brute_force_scores(fm, iq):
@@ -292,10 +297,26 @@ def test_property_rank_rows_is_the_exact_sort(seed, n, dim, block):
     fm, queries = _planted_block(seed, n, dim)
     with mock.patch.object(scorer, "BLOCK_ELEMENTS", block):
         for k in (1, 3, n):
-            got = rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k)
+            got = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k), fm.fact_ids)
             for iq, top in zip(queries, got):
                 brute = sorted(zip(fm.fact_ids, _brute_force_scores(fm, iq)), key=lambda e: (-e[1], e[0]))
                 assert top == brute[:k]
+
+
+def test_rank_rows_numbers_a_block_s_rows_from_first():
+    # a bucket ranked in place comes back as rows of the whole matrix, ordered by the whole matrix's ids
+    fm = _random_fact_matrix(30, 5, seed=34)
+    iq = np.random.default_rng(35).standard_normal((4, 5))
+    iq[1] = fm.rows[12]
+    ids = fm.fact_ids[::-1]  # id order runs against row order
+    for start, stop in ((0, 30), (7, 19), (29, 30)):
+        block = slice(start, stop)
+        tops = rank_rows(iq, fm.rows[block], fm.norms[block], ids, 5, start)
+        alone = rank_rows(iq, fm.rows[block], fm.norms[block], ids[block], 5)
+        for (rows, scores), (rows_alone, scores_alone) in zip(tops, alone):
+            assert rows.dtype == np.intp and len(rows) == min(5, stop - start)
+            assert rows.tolist() == (rows_alone + start).tolist()
+            assert scores.tobytes() == scores_alone.tobytes()
 
 
 def _screen_case(seed, n, dim, scale, k):
@@ -322,7 +343,7 @@ def _screen_case(seed, n, dim, scale, k):
         elif kind == 3 and rows[src].any():
             rows[i] = np.nextafter(rows[src], np.float32(np.inf))
         else:
-            exact = sorted(_brute_force_scores(FactMatrix.from_rows(range(n), rows), query), reverse=True)
+            exact = sorted(_brute_force_scores(from_rows(range(n), rows), query), reverse=True)
             kth = exact[min(k, n) - 1]
             near = kth + rng.uniform(-slack, slack) * 2.0 ** -rng.integers(12)
             c = float(np.clip(near, -1.0, 1.0)) if kth > NEG_INF else 0.5
@@ -331,7 +352,7 @@ def _screen_case(seed, n, dim, scale, k):
             w = w / np.linalg.norm(w) if dim > 1 else 0.0 * w
             rows[i] = scale * (c * unit + np.sqrt(1.0 - c * c) * w)
     queries = np.stack([query, rng.standard_normal(dim), rows[rng.integers(n)]]) * scale
-    return FactMatrix.from_rows([f"f{i:03d}" for i in rng.permutation(n)], rows), queries
+    return from_rows([f"f{i:03d}" for i in rng.permutation(n)], rows), queries
 
 
 @settings(max_examples=80, deadline=None)
@@ -341,7 +362,7 @@ def _screen_case(seed, n, dim, scale, k):
 def test_property_float32_screen_keeps_the_exact_float64_top_k(seed, n, dim, scale, k, block):
     fm, queries = _screen_case(seed, n, dim, scale, k)
     with mock.patch.object(scorer, "BLOCK_ELEMENTS", block):
-        got = rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k)
+        got = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k), fm.fact_ids)
     for iq, top in zip(queries, got):
         brute = sorted(zip(fm.fact_ids, _brute_force_scores(fm, iq)), key=lambda e: (-e[1], e[0]))
         assert top == brute[:k]
@@ -383,7 +404,7 @@ def _multi_block_case(seed, n=5_000, dim=16, lead=600):
             rows[i] = at_cosine(kth - rng.uniform(0.05, 0.45) * slack)
     queries = rng.standard_normal((256, dim))
     queries[0], queries[1], queries[2] = query, rows[rng.integers(lead, n)], 0.0
-    return FactMatrix.from_rows([f"f{i:04d}" for i in rng.permutation(n)], rows), queries, slack
+    return from_rows([f"f{i:04d}" for i in rng.permutation(n)], rows), queries, slack
 
 
 def _exact_scores(rows, queries):
@@ -401,7 +422,7 @@ def test_ranking_over_many_blocks_is_the_exact_sort_and_shortlists_a_slack_brack
     with mock.patch.object(scorer, "BLOCK_ELEMENTS", 400 * q):  # 400 rows a block: 13 blocks, the first all zero
         for k in (1, 3, 100):
             shortlists = shortlist_rows(queries, fm.rows, fm.norms, k)
-            tops = rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k)
+            tops = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k), fm.fact_ids)
             for e, (r, s), top in zip(exact, shortlists, tops):
                 order = np.lexsort((ids, -e))[:k]
                 assert top == list(zip(ids[order].tolist(), e[order].tolist()))
@@ -431,8 +452,9 @@ def test_a_screen_that_is_not_finite_is_kept_and_never_moves_the_threshold(scree
     finite = np.delete(np.arange(1000), 500)
     with mock.patch.object(scorer, "BLOCK_ELEMENTS", block), np.errstate(invalid="ignore", over="ignore"):
         (kept, _), = shortlist_rows(iq, rows, norms, 3)
-        top = rank_rows(iq, rows, norms, ids, 3)
-        top_finite = rank_rows(iq, rows[finite], norms[finite], [ids[i] for i in finite], 3)
+        top = _named(rank_rows(iq, rows, norms, ids, 3), ids)
+        finite_ids = [ids[i] for i in finite]
+        top_finite = _named(rank_rows(iq, rows[finite], norms[finite], finite_ids, 3), finite_ids)
     assert 500 in kept.tolist() and len(kept) < 20
     assert {int(fid[1:]) for fid, _ in top_finite[0]} <= set(kept.tolist())
     if screen == "nan":  # its exact score is NaN too, and ranks last
@@ -456,7 +478,7 @@ def test_from_rows_and_rank_rows_never_allocate_a_copy_of_the_rows():
     ids = [f"f{i:05d}" for i in range(len(rows))]
     tracemalloc.start()
     try:
-        fm = FactMatrix.from_rows(ids, rows)
+        fm = from_rows(ids, rows)
         _, built = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, 3)

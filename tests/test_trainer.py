@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from factrank.dataio import load_dataset
 from factrank.errors import DataError, DegenerateInputError, UsageError
 from factrank.kb import Fact, KnowledgeBase, Relation
-from factrank.numerics import Tape, constant
+from factrank.numerics import Tape, constant, cosines, row_norms
 from factrank import encoders, optim, scorer, trainer
 from factrank.scorer import Variant, embed_batch, rank_candidates, score
 from factrank.synth import SyntheticConfig, generate_synthetic
@@ -23,6 +23,7 @@ from factrank.trainer import (
     train_scorer,
 )
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
+from conftest import from_rows
 
 TINY_SYNTH = dict(
     seed=21,
@@ -221,7 +222,7 @@ def _twinned_matrix(facts, dim, seed):
             rows[i] = rows[rng.integers(i)]
         elif i % 7 == 0:
             rows[i] = 2.0 * rows[rng.integers(i)]
-    return FactMatrix.from_rows([f"f{i:03d}" for i in rng.permutation(facts)], rows)
+    return from_rows([f"f{i:03d}" for i in rng.permutation(facts)], rows)
 
 
 @pytest.mark.parametrize("negatives", [12, 700])
@@ -248,12 +249,62 @@ def test_mining_matches_the_whole_kb_oracle(data):
     vectors = st.lists(st.integers(-1, 2), min_size=3, max_size=3)
     rows = np.array(data.draw(st.lists(vectors, min_size=facts, max_size=facts), label="rows"), dtype=np.float64)
     order = data.draw(st.permutations(range(facts)), label="ids")
-    fm = FactMatrix.from_rows([f"f{i}" for i in order], rows)
+    fm = from_rows([f"f{i}" for i in order], rows)
     iq = np.array(data.draw(st.lists(vectors, min_size=1, max_size=4), label="iq"), dtype=np.float64)
     gt = data.draw(st.lists(st.sampled_from(fm.fact_ids), min_size=len(iq), max_size=len(iq)), label="gt")
     n = min(data.draw(st.integers(1, 12), label="negatives"), facts - 1)
     margin = data.draw(st.sampled_from([0.05, 1.0]), label="margin")
     assert mined_ids(iq, gt, fm, n, margin) == oracle_mine(iq, gt, fm, n, margin)
+
+
+def _near_tie_mining_case(seed, facts=400, dim=8, n=20):
+    """Float32 rows under shuffled ids: a group of four twins, other repeats,
+    rows scaled by 2 (exact ties that are not twins) and zero rows, and 40
+    rows, the twin group among them, whose exact cosines with the first
+    query lie within half the screen's slack of the n-th best of the rows
+    they replace. Eight
+    questions: the first with a twin as groundtruth; the group's own row,
+    which its twins tie at the top; then random and zero queries."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((facts, dim))
+    for i in range(1, facts):
+        kind = rng.integers(10)
+        if kind == 0:
+            rows[i] = rows[rng.integers(i)]
+        elif kind == 1:
+            rows[i] = 2.0 * rows[rng.integers(i)]
+        elif kind == 2:
+            rows[i] = 0.0
+    rows = rows.astype(np.float32)
+    iq = rng.standard_normal((8, dim))
+    iq[7] = 0.0
+    unit = iq[0] / np.linalg.norm(iq[0])
+    exact = cosines(rows.astype(np.float64), row_norms(rows.astype(np.float64)), iq[0], row_norms(iq[0]))
+    nth = np.sort(exact)[-n]
+    slack = 4 * ((dim + 4) * 2.0**-24 + (dim + 2) * 2.0**-90)
+    band = rng.choice(facts, size=40, replace=False)
+    for i in band:
+        c = nth + rng.uniform(-0.5, 0.5) * slack
+        w = rng.standard_normal(dim)
+        w -= (w @ unit) * unit
+        rows[i] = c * unit + np.sqrt(1.0 - c * c) * w / np.linalg.norm(w)
+    group = band[:4]
+    rows[group[1:]] = rows[group[0]]
+    iq[1] = rows[group[0]]
+    fm = from_rows([f"f{i:03d}" for i in rng.permutation(facts)], rows)
+    gt = [fm.fact_ids[group[1]], fm.fact_ids[group[2]], *(fm.fact_ids[r] for r in rng.integers(facts, size=6))]
+    return fm, iq, gt, n
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 50])
+def test_mining_over_many_blocks_with_near_ties_matches_the_oracle(monkeypatch, block_rows):
+    fm, iq, gt, n = _near_tie_mining_case(41)
+    twins = np.bincount(fm.twin_groups)[fm.twin_groups[[fm.row_of[f] for f in gt]]] - 1
+    k = n + 1 + int(twins.max())  # the mining cut
+    assert twins[:2].tolist() == [3, 3]
+    monkeypatch.setattr(scorer, "BLOCK_ELEMENTS", block_rows * len(iq))
+    assert max(len(r) for r, _ in scorer.shortlist_rows(iq, fm.rows, fm.norms, k)) > k
+    assert mined_ids(iq, gt, fm, n, margin=0.05) == oracle_mine(iq, gt, fm, n, margin=0.05)
 
 
 def test_mining_ranks_relation_twins_after_every_other_wrong_fact():
@@ -280,7 +331,7 @@ def test_mining_ranks_relation_twins_after_every_other_wrong_fact():
 def test_mining_breaks_ties_by_fact_id_not_kb_position():
     # ten parallel rows score the same cosine, 1, against the query; ids run
     # against row order, and the groundtruth sits mid-KB
-    fm = FactMatrix.from_rows([f"f{9 - i}" for i in range(10)], np.outer(np.arange(1.0, 11.0), [1.0, 0.0]))
+    fm = from_rows([f"f{9 - i}" for i in range(10)], np.outer(np.arange(1.0, 11.0), [1.0, 0.0]))
     assert mined_ids([[1.0, 0.0]], ["f4"], fm, 9, 1.0)[0] == [["f4", *(f"f{i}" for i in range(10) if i != 4)]]
 
 
@@ -377,20 +428,34 @@ def test_train_scorer_single_example_loss_nonincreasing(tiny_synth):
     result = train_scorer(instances[:1], kb, store, table, cfg)
     losses = [m["loss"] for m in result.metrics if m["type"] == "epoch"]
     fm = FactMatrix.build(kb, table)
-    gt, *negatives = as_ids(result.candidate_history[0], fm.fact_ids)[0]
+    # the mining period outlasts the iteration: every epoch trains on the sampled set
+    gt, *negatives = as_ids(build_initial_dataset(instances[:1], kb, cfg.negatives, cfg.seed), kb.fact_ids())[0]
     floor = hinge_floor(fm.row(gt), [fm.row(fid) for fid in negatives], cfg.margin)
     assert all(loss >= floor - 1e-9 for loss in losses)
     assert losses[-1] - floor <= 0.25 * (losses[0] - floor)
 
 
-def test_train_scorer_structural_invariants(tiny_synth):
+def recording_mining(monkeypatch):
+    """The list that each later :func:`mine_hard_negatives` call's candidate sets are appended to."""
+    mined = []
+
+    def recording_mine(*args, real=trainer.mine_hard_negatives):
+        mined.append(real(*args))
+        return mined[-1]
+
+    monkeypatch.setattr(trainer, "mine_hard_negatives", recording_mine)
+    return mined
+
+
+def test_train_scorer_structural_invariants(tiny_synth, monkeypatch):
     instances, store, kb, table = tiny_synth
+    mined = recording_mining(monkeypatch)
     cfg = MarginConfig(iterations=2, epochs_per_iteration=2, mining_period=1,
                        negatives=15, batch_size=5, seed=4)
     result = train_scorer(instances, kb, store, table, cfg)
     fm = FactMatrix.build(kb, table)
-    assert len(result.candidate_history) == 3
-    for sets in result.candidate_history:
+    assert len(mined) == 5  # before epoch 2 of iteration 0, and before both epochs of the others
+    for sets in mined:
         assert sets.shape == (len(instances), 16)
         for row, inst in zip(as_ids(sets, fm.fact_ids), instances):
             assert row[0] == inst.fact_id
@@ -449,20 +514,23 @@ def test_train_scorer_re_mines_every_period_epochs(tiny_synth, monkeypatch, peri
     assert [s["hard_pool_total"] > 0 for s in result.metrics if s["type"] == "iteration"] == [period < 3, True]
 
 
-def test_train_scorer_bitwise_deterministic(tiny_synth):
+def test_train_scorer_bitwise_deterministic(tiny_synth, monkeypatch):
     instances, store, kb, table = tiny_synth
+    mined = recording_mining(monkeypatch)
     cfg = MarginConfig(iterations=1, epochs_per_iteration=2, mining_period=1,
                        negatives=10, batch_size=5, seed=7)
     a = train_scorer(instances, kb, store, table, cfg, heldout=instances)
+    mined_a = mined[:]
     b = train_scorer(instances, kb, store, table, cfg, heldout=instances)
     assert a.metrics == b.metrics
     for (name, pa), pb in zip(a.params.tensors.items(), b.params.tensors.values()):
         np.testing.assert_array_equal(pa.values, pb.values, err_msg=name)
-    for sa, sb in zip(a.candidate_history, b.candidate_history, strict=True):
+    assert len(mined_a) == 3
+    for sa, sb in zip(mined_a, mined[len(mined_a):], strict=True):
         np.testing.assert_array_equal(sa, sb)
 
 
-def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkeypatch):
+def test_train_scorer_candidate_sets_match_the_id_oracle(tiny_synth, monkeypatch):
     # Replays each mining step of a run through the brute-force oracle, on
     # the embeddings the run mines from, and checks that each batch scored
     # the fact-matrix rows of the oracle's candidates and that each
@@ -477,6 +545,7 @@ def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkey
                        seed=12, margin=0.01, lr=0.05)
     current = {"sets": oracle_ids(oracle_initial_dataset(instances, kb, cfg.negatives, cfg.seed))}
     steps = {}  # iteration -> the oracle (sets, hard total, fallbacks) of its last mining step
+    mined = {}  # iteration -> the candidate sets of its last mining step
     scored = []  # each batch's candidate rows and their norms, in call order
 
     def recording_cosine_rows(tape, x, rows, norms, real=Tape.cosine_rows):
@@ -489,7 +558,8 @@ def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkey
         assert [fm.fact_ids[g] for g in gt] == [i.fact_id for i in instances]
         steps[state.iteration] = oracle_mine(iq, [i.fact_id for i in instances], fm, n, margin)
         current["sets"] = steps[state.iteration][0]
-        return real(iq, gt, fact_matrix, n, margin, state)
+        mined[state.iteration] = real(iq, gt, fact_matrix, n, margin, state)
+        return mined[state.iteration]
 
     def replaying_fit(params, encoded, opt, rng, epochs, batch_size, batch_loss, epoch_record, where,
                       real=trainer.fit):
@@ -516,7 +586,7 @@ def test_train_scorer_candidate_history_matches_the_id_oracle(tiny_synth, monkey
     result = train_scorer(instances, kb, store, table, cfg)
     # iteration 0 mines before epoch 2, the others before both epochs
     last = [steps[t] for t in range(3)]
-    assert [as_ids(sets, fm.fact_ids) for sets in result.candidate_history] == [sets for sets, _, _ in last]
+    assert [as_ids(mined[t], fm.fact_ids) for t in range(3)] == [sets for sets, _, _ in last]
     summaries = [m for m in result.metrics if m["type"] == "iteration"]
     assert [(m["hard_pool_total"], m["empty_pool_fallbacks"]) for m in summaries] == [s[1:] for s in last]
     # the run exercises partly hard sets and questions with no hard negative
@@ -660,7 +730,7 @@ def test_fact_precision_holds_no_dense_matrix(tiny_synth, monkeypatch):
     # ~0.3 MB the embedding network peaks at for these questions
     n = 20_000
     ids = [*kb.fact_ids(), *(f"x{i:05d}" for i in range(n - len(kb)))]
-    fm = FactMatrix.from_rows(ids, np.random.default_rng(10).standard_normal((n, 16)))
+    fm = from_rows(ids, np.random.default_rng(10).standard_normal((n, 16)))
     monkeypatch.setattr(scorer, "BLOCK_ELEMENTS", 2000)  # 200 rows per block: 100 blocks
     dense_bytes = len(instances) * n * 8
     tracemalloc.start()

@@ -11,6 +11,7 @@ from factrank.errors import DegenerateInputError, LoadError
 from factrank.kb import Fact, KnowledgeBase, Relation, parse_kb
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors, tokenize
+from conftest import from_rows
 
 
 def _per_fact_rows(facts, table):
@@ -131,9 +132,9 @@ def test_load_vectors_component_beyond_float32_is_load_error_naming_the_line(tmp
 @pytest.mark.parametrize("norm", [2.0**-61, 2.0**61, 1e-45, 1e39])
 def test_from_rows_rejects_a_nonzero_row_norm_outside_the_screen_range_naming_the_fact(norm):
     fine = [[0.0, 0.0], [2.0**-60, 0.0], [0.0, 2.0**60]]  # a zero row and both ends of the range
-    assert FactMatrix.from_rows(["a", "b", "c"], fine).norms.tolist() == [0.0, 2.0**-60, 2.0**60]
+    assert from_rows(["a", "b", "c"], fine).norms.tolist() == [0.0, 2.0**-60, 2.0**60]
     with np.errstate(over="ignore"), pytest.raises(DegenerateInputError, match="fact 'b': row norm .* outside"):
-        FactMatrix.from_rows(["a", "b", "c"], [[1.0, 0.0], [norm, 0.0], [0.0, 1.0]])
+        from_rows(["a", "b", "c"], [[1.0, 0.0], [norm, 0.0], [0.0, 1.0]])
 
 
 def test_load_vectors_duplicate_last_write_wins(tmp_path):
@@ -192,7 +193,7 @@ def test_fact_matrix_norms_are_the_per_row_norm_loop_on_the_desk_kb(tmp_path):
 
 def test_twin_groups_join_bitwise_equal_rows_once_per_matrix():
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-0.0, 1.0], [0.0, 1.0]])
-    fm = FactMatrix.from_rows(["a", "b", "c", "d", "e"], rows)
+    fm = from_rows(["a", "b", "c", "d", "e"], rows)
     assert fm.twin_groups.tolist() == [0, 1, 0, 2, 1]
     assert fm.twin_groups is fm.twin_groups
 
