@@ -9,7 +9,10 @@ positioned against a label file, packed into one (images, labels) 0/1
 matrix that hands out float64 copies. Referential integrity (fact ids,
 features, label consistency) is checked at load, never assumed downstream.
 The parsed features are cached beside their file, as the knowledge base
-is, by the one checksum-keyed helper :func:`text.cached`.
+is, by the one checksum-keyed helper :func:`text.cached`: the feature rows
+are built from the cache's arrays on a hit and after a parse alike. The
+converter builds its knowledge base as :func:`kb.parse_kb` does, through a
+:class:`kb.KBBuilder` into the one ``KnowledgeBase`` constructor.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, LoadError, UsageError
-from .kb import RELATIONS, AnswerSource, Fact, KnowledgeBase, Relation, parse_fact, parse_kb
+from .kb import RELATIONS, AnswerSource, KBBuilder, KnowledgeBase, Relation, parse_fact, parse_kb
 from .text import cached, normalize_phrase, read_lines, tokenize, write_lines
 
 logger = logging.getLogger(__name__)
@@ -85,21 +88,21 @@ def load_concept_labels(path: str | Path) -> list[str]:
     return labels
 
 
-def _read_only_rows(ids: list[str], matrix: Array) -> dict[str, Array]:
-    matrix.flags.writeable = False
-    return dict(zip(ids, matrix))
-
-
 def load_features(path: str | Path) -> dict[str, Array]:
     """Parse ``image_id dim v1..v_dim`` rows into read-only float32 rows of one
     matrix, through the checksum-keyed cache of :func:`text.cached` for fast
     reloads. Each value is its text's float64 rounded to float32; a value that
     is not finite or beyond float32's finite range is a load error."""
-    return cached(Path(path), "feature", _parse_features,
-                  lambda data: _read_only_rows([str(s) for s in data["ids"]], data["matrix"]))
+    return cached(Path(path), "feature", _parse_features, _feature_rows)
 
 
-def _parse_features(path: Path) -> tuple[dict[str, Array], dict[str, Array]]:
+def _feature_rows(arrays) -> dict[str, Array]:
+    matrix = arrays["matrix"]
+    matrix.flags.writeable = False
+    return dict(zip([str(s) for s in arrays["ids"]], matrix))
+
+
+def _parse_features(path: Path) -> dict[str, Array]:
     out: dict[str, Array] = {}
     dim = None
     for lineno, raw in read_lines(path):
@@ -129,8 +132,7 @@ def _parse_features(path: Path) -> tuple[dict[str, Array], dict[str, Array]]:
         out[head] = values.astype(np.float32)
     if not out:
         raise LoadError(f"{path}: no feature rows")
-    ids, matrix = list(out), np.stack(list(out.values()))
-    return _read_only_rows(ids, matrix), {"ids": np.array(ids), "matrix": matrix}
+    return {"ids": np.array(list(out)), "matrix": np.stack(list(out.values()))}
 
 
 def load_concepts(path: str | Path, n_labels: int) -> tuple[dict[str, int], Array]:
@@ -184,7 +186,7 @@ def load_qa(path: str | Path) -> list[QAInstance]:
         except UsageError as exc:
             raise LoadError(f"{path}:{lineno}: {exc}") from None
         fold = rec["fold"]
-        if not isinstance(fold, int) or fold not in FOLDS:
+        if type(fold) is not int or fold not in FOLDS:  # not isinstance: True is an int
             raise DataError(f"{path}:{lineno}: fold must be in {list(FOLDS)}, got {fold!r}")
         qid = str(rec["question_id"])
         if qid in seen:
@@ -305,8 +307,7 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     assigned round-robin by image id so all questions about one image share
     a fold.
     """
-    facts_raw = _read_json_object(facts_path)
-    kb_lines, facts = [], []
+    facts_raw, builder, kb_lines = _read_json_object(facts_path), KBBuilder(), []
     for fid in sorted(facts_raw):
         rec = _json_record(facts_raw, fid, facts_path)
         where = f"{facts_path}: fact {fid!r}"
@@ -317,14 +318,11 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
         if fid.lstrip().startswith("#"):
             raise LoadError(f"{where}: a fact id starting with '#' would be read back as a comment line")
         try:
-            facts.append(Fact(*parse_fact(fields)))
+            builder.add(*parse_fact(fields))
         except LoadError as exc:
             raise LoadError(f"{where}: {exc}") from None
         kb_lines.append("\t".join(fields))
-    try:
-        kb = KnowledgeBase(facts)
-    except UsageError as exc:  # two ids equal once stripped
-        raise LoadError(f"{facts_path}: {exc}") from None
+    kb = KnowledgeBase(builder.arrays())
     questions_raw = _read_json_object(questions_path)
     image_fold: dict[str, int] = {}
     qa_lines = []
@@ -359,7 +357,7 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
             skipped += 1
             continue
         fold = rec.get("fold")
-        if not isinstance(fold, int) or fold not in FOLDS:
+        if type(fold) is not int or fold not in FOLDS:
             if image_id not in image_fold:
                 image_fold[image_id] = len(image_fold) % len(FOLDS) + 1
             fold = image_fold[image_id]

@@ -346,7 +346,7 @@ def train_classifier(
     """Train a ``kind`` classifier on (question, label) pairs.
 
     Returns the classifier and a per-epoch loss trace, with the kind's
-    held-out top-1 accuracy when ``heldout`` is given. Deterministic for a
+    held-out top-1 accuracy when ``heldout`` is non-empty. Deterministic for a
     fixed config seed.
     """
     spec = KINDS[kind]
@@ -371,7 +371,7 @@ def train_classifier(
 
     def epoch_record(epoch, loss):
         record = {"epoch": epoch, "loss": loss}
-        if heldout is not None:
+        if heldout:
             record[spec.metric] = accuracy(clf, heldout)
         return record
 

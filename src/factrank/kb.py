@@ -7,9 +7,14 @@ Subjects and objects are codes into one list of distinct phrases, each
 tokenized once into codes of one list of distinct tokens. A :class:`Fact`
 is made only when one is asked for: the ranking names rows, and
 :meth:`KnowledgeBase.answer` reads a row's answer, its subject or object by
-the answer source, the one place that rule is written. :func:`parse_kb`
-caches the columns beside the file, as the feature loader does
-(:func:`text.cached`).
+the answer source, the one place that rule is written.
+
+There is one way to build a KB: a :class:`KBBuilder` takes facts in load
+order and lays them out as the arrays of the KB's cache, and the
+:class:`KnowledgeBase` constructor takes only those arrays. A fresh parse,
+a cache hit (:func:`parse_kb` caches the arrays beside the file through
+:func:`text.cached`, as the feature loader does) and the converter all
+run that one constructor.
 """
 
 from __future__ import annotations
@@ -18,11 +23,11 @@ import enum
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Mapping
 
 import numpy as np
 
-from .errors import DegenerateInputError, LoadError, UsageError
+from .errors import LoadError, UsageError
 from .text import cached, read_lines, tokenize
 
 
@@ -92,96 +97,84 @@ _COLUMNS = ("relations", "subjects", "objects", "phrase_starts", "phrase_tokens"
 _STRINGS = ("ids", "phrases", "tokens")
 
 
-class _Phrases(dict):
-    """Distinct phrase -> code, in first-seen order. A new phrase is
-    tokenized once, as it is first looked up; one with no tokens looks up
-    None. Phrase ``p``'s tokens are ``tokens[starts[p]:starts[p + 1]]``,
-    each the one string of its ``distinct`` token."""
+class KBBuilder:
+    """Facts taken one at a time, in load order, laid out by :meth:`arrays` as a KnowledgeBase's cache. Each
+    distinct phrase is tokenized once, as it is first added; a phrase with no tokens or a repeated fact id is
+    a LoadError naming the field."""
 
     def __init__(self):
-        super().__init__()
-        self.distinct: dict[str, str] = {}
-        self.tokens: list[str] = []
-        self.starts = array("q", [0])
+        self.ids: dict[str, None] = {}  # in load order
+        self.phrases: dict[str, int] = {}  # phrase -> code, in first-seen order
+        self.tokens: dict[str, str] = {}  # each distinct token, in first-seen order
+        self.phrase_tokens, self.phrase_starts = [], array("q", [0])  # phrase p's are [starts[p]:starts[p + 1]]
+        self.columns = array("i"), array("i"), array("i")  # relation, subject and object codes
 
-    def __missing__(self, phrase: str) -> int | None:
-        tokens = tokenize(phrase)
-        if not tokens:
-            return None
-        self.tokens += map(self.distinct.setdefault, tokens, tokens)
-        self.starts.append(len(self.tokens))
-        code = self[phrase] = len(self)
+    def add(self, fact_id: str, subject: str, relation: Relation, obj: str) -> None:
+        if fact_id in self.ids:
+            raise LoadError(f"duplicate fact id {fact_id!r}")
+        codes = RELATIONS.index(relation), self._code(subject, "subject"), self._code(obj, "object")
+        self.ids[fact_id] = None
+        for column, code in zip(self.columns, codes):
+            column.append(code)
+
+    def _code(self, phrase: str, field: str) -> int:
+        code = self.phrases.get(phrase)
+        if code is None:
+            if not (tokens := tokenize(phrase)):
+                raise LoadError(f"{field} has no tokens")
+            code = self.phrases[phrase] = len(self.phrases)
+            self.phrase_tokens += map(self.tokens.setdefault, tokens, tokens)  # one string per distinct token
+            self.phrase_starts.append(len(self.phrase_tokens))
         return code
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The cache's arrays: the columns in bucket order (each bucket in load order), then the ids in that
+        row order, the phrases and the tokens, each list UTF-8 joined on line breaks."""
+        relations, subjects, objects = (np.frombuffer(column, dtype=np.int32) for column in self.columns)
+        order = np.argsort(relations, kind="stable")  # row -> load index
+        ids, code = np.array(list(self.ids), dtype=object)[order], dict(zip(self.tokens, range(len(self.tokens))))
+        phrase_tokens = np.fromiter(map(code.__getitem__, self.phrase_tokens), np.int32, len(self.phrase_tokens))
+        columns = (relations[order], subjects[order], objects[order], np.array(self.phrase_starts), phrase_tokens,
+                   np.argsort(order))
+        return {**dict(zip(_COLUMNS, columns)),
+                **{name: np.frombuffer("\n".join(strings).encode(), np.uint8)
+                   for name, strings in zip(_STRINGS, (ids, self.phrases, self.tokens))}}
 
 
 class KnowledgeBase:
     """Immutable columnar fact store. Row ``r`` is fact ``ids[r]``, of relation ``RELATIONS[relations[r]]``,
     subject ``phrases[subjects[r]]`` and object ``phrases[objects[r]]``; ``position`` maps an id to its row,
     ``buckets`` a relation to its rows, and ``load_order[i]`` is the row of the ``i``-th fact loaded. Phrase
-    ``p``'s tokens are ``tokens[c]`` for ``c`` in ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``."""
+    ``p``'s tokens are ``tokens[c]`` for ``c`` in ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``.
 
-    def __init__(self, facts: Iterable[Fact]):
-        phrases, position, columns = _Phrases(), {}, [array("i") for _ in range(3)]
-        for f in facts:
-            if f.fact_id in position:
-                raise UsageError(f"duplicate fact id {f.fact_id!r}")
-            codes = RELATIONS.index(f.relation), phrases[f.subject], phrases[f.obj]
-            if None in codes:
-                raise DegenerateInputError(f"phrase {f.subject if codes[1] is None else f.obj!r} has no tokens")
-            position[f.fact_id] = None
-            for column, code in zip(columns, codes):
-                column.append(code)
-        self._fill(position, columns, phrases)
+    Every KB is made from the arrays of its cache, as :meth:`KBBuilder.arrays` lays them out: a fresh parse,
+    a cache hit and the converter all end here. Arrays that fail the vectorized checks of their structure are
+    a ValueError naming them; arrays that pass them index as the parse that wrote them did."""
 
-    def _fill(self, position: dict[str, None], columns: list[array], phrases: _Phrases) -> None:
-        """Lay out the facts whose ids ``position`` holds in load order, with
-        their relation, subject and object ``columns`` of codes, bucket after
-        bucket; ``position`` comes to map each id to its row."""
-        self.phrases, self.tokens, self.phrase_starts = list(phrases), list(phrases.distinct), np.array(phrases.starts)
-        code = dict(zip(self.tokens, range(len(self.tokens))))
-        self.phrase_tokens = np.fromiter(map(code.__getitem__, phrases.tokens), np.int32, len(phrases.tokens))
-        phrases.clear()  # its codes' memory then holds the row numbers below
-        relations, subjects, objects = (np.frombuffer(column, dtype=np.int32) for column in columns)
-        order = np.argsort(relations, kind="stable")  # row -> load index
-        loaded = list(position)
-        self.ids = [loaded[i] for i in order.tolist()]
-        position.update(zip(self.ids, range(len(self.ids))))
-        self.position, self.load_order = position, np.argsort(order)
-        self.relations, self.subjects, self.objects = relations[order], subjects[order], objects[order]
-        self._bucket()
-
-    def _bucket(self) -> None:
-        ends = np.cumsum(np.bincount(self.relations, minlength=len(RELATIONS))).tolist()
-        self.buckets = {r: slice(start, end) for r, start, end in zip(RELATIONS, [0, *ends], ends)}
-
-    @classmethod
-    def _from_arrays(cls, arrays) -> "KnowledgeBase":
-        """The KB whose cache holds ``arrays``, or a ValueError naming the vectorized checks of their structure
-        that they fail; arrays that pass them index as the parse that wrote them did."""
-        kb = cls.__new__(cls)
-        kb.__dict__.update((name, arrays[name]) for name in _COLUMNS)
+    def __init__(self, arrays: Mapping[str, np.ndarray]):
+        self.__dict__.update((name, arrays[name]) for name in _COLUMNS)
         for name in _STRINGS:  # str.split, as splitlines() would also split at U+2028 or U+0085 within a field
-            setattr(kb, name, text.split("\n") if (text := str(arrays[name], "utf-8")) else [])
-        n, starts, phrases = len(kb.ids), kb.phrase_starts, len(kb.phrases)
-        if len({n, len(kb.relations), len(kb.subjects), len(kb.objects), len(kb.load_order)}) > 1 \
+            setattr(self, name, text.split("\n") if (text := str(arrays[name], "utf-8")) else [])
+        n, starts, phrases = len(self.ids), self.phrase_starts, len(self.phrases)
+        if len({n, len(self.relations), len(self.subjects), len(self.objects), len(self.load_order)}) > 1 \
                 or len(starts) != phrases + 1:
             raise ValueError("column lengths differ")
-        codes = [(kb.relations, len(RELATIONS)), (kb.subjects, phrases), (kb.objects, phrases),
-                 (kb.phrase_tokens, len(kb.tokens))]
+        codes = [(self.relations, len(RELATIONS)), (self.subjects, phrases), (self.objects, phrases),
+                 (self.phrase_tokens, len(self.tokens))]
         failed = {
             "a code is out of range": not all(((0 <= c) & (c < bound)).all() for c, bound in codes),
-            "relations are out of bucket order": (np.diff(kb.relations) < 0).any(),
+            "relations are out of bucket order": (np.diff(self.relations) < 0).any(),
             "phrase starts do not rise from 0 to the token count":
-                starts[0] != 0 or starts[-1] != len(kb.phrase_tokens) or (np.diff(starts) <= 0).any(),
-            "load order is not a permutation": not np.array_equal(np.sort(kb.load_order), np.arange(n)),
+                starts[0] != 0 or starts[-1] != len(self.phrase_tokens) or (np.diff(starts) <= 0).any(),
+            "load order is not a permutation": not np.array_equal(np.sort(self.load_order), np.arange(n)),
         }
         if problems := [problem for problem, fails in failed.items() if fails]:
             raise ValueError(", ".join(problems))
-        kb.position = dict(zip(kb.fact_ids(), kb.load_order.tolist()))
-        if len(kb.position) != n:
+        self.position = dict(zip(self.fact_ids(), self.load_order.tolist()))
+        if len(self.position) != n:
             raise ValueError("fact ids repeat")
-        kb._bucket()
-        return kb
+        ends = np.cumsum(np.bincount(self.relations, minlength=len(RELATIONS))).tolist()
+        self.buckets = {r: slice(start, end) for r, start, end in zip(RELATIONS, [0, *ends], ends)}
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -222,16 +215,15 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
 
     One fact per line: ``fact_id<TAB>subject<TAB>relation<TAB>object``.
     ``#``-prefixed lines and blank lines are ignored; each line is read by
-    :func:`parse_fact`, and each distinct phrase is tokenized once, the first
-    time a line names it. While the file is unchanged, its cache stands in
-    for the parse.
+    :func:`parse_fact` into a :class:`KBBuilder`. While the file is
+    unchanged, its cache stands in for the parse; either way the KB is
+    built from the cache's arrays.
     """
-    return cached(Path(path), "knowledge base", _parse, KnowledgeBase._from_arrays)
+    return cached(Path(path), "knowledge base", _parse, KnowledgeBase)
 
 
-def _parse(path: Path) -> tuple[KnowledgeBase, dict[str, np.ndarray]]:
-    phrases, position, columns = _Phrases(), {}, [array("i") for _ in range(3)]
-    code, (relations, subjects, objects) = phrases.__getitem__, columns
+def _parse(path: Path) -> dict[str, np.ndarray]:
+    builder = KBBuilder()
     for lineno, line in read_lines(path):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -239,27 +231,17 @@ def _parse(path: Path) -> tuple[KnowledgeBase, dict[str, np.ndarray]]:
         if len(parts) != 4:
             raise LoadError(f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}")
         try:
-            fact_id, subject, relation, obj = parse_fact(parts, code)
+            builder.add(*parse_fact(parts))
         except LoadError as exc:
             raise LoadError(f"{path}:{lineno}: {exc}") from None
-        if fact_id in position:
-            raise LoadError(f"{path}:{lineno}: duplicate fact id {fact_id!r}")
-        position[fact_id] = None
-        relations.append(RELATIONS.index(relation))
-        subjects.append(subject)
-        objects.append(obj)
-    kb = KnowledgeBase.__new__(KnowledgeBase)
-    kb._fill(position, columns, phrases)
-    return kb, {**{name: getattr(kb, name) for name in _COLUMNS},
-                **{name: np.frombuffer("\n".join(getattr(kb, name)).encode(), np.uint8) for name in _STRINGS}}
+    return builder.arrays()
 
 
-def parse_fact(fields: list[str], phrase: Callable[[str], object] = lambda p: p if tokenize(p) else None) -> tuple:
+def parse_fact(fields: list[str]) -> tuple[str, str, Relation, str]:
     """The fact id, subject, relation and object of a line's four fields, or
     a LoadError saying which is invalid. A ``Comparative-X`` relation token
-    maps to the Comparative relation and prepends ``X`` to the object. The
-    subject and object come back through ``phrase``, None for a phrase with
-    no tokens; by default each is itself."""
+    maps to the Comparative relation and prepends ``X`` to the object.
+    Whether a phrase has tokens is :meth:`KBBuilder.add`'s check."""
     fact_id, subject, rel_token, obj = fields
     fact_id, subject, rel_token, obj = fact_id.strip(), subject.strip(), rel_token.strip(), obj.strip()
     if not fact_id:
@@ -270,10 +252,6 @@ def parse_fact(fields: list[str], phrase: Callable[[str], object] = lambda p: p 
         raise LoadError(str(exc)) from None
     if suffix:
         obj = f"{suffix} {obj}".strip()
-    if (subject := phrase(subject)) is None:
-        raise LoadError("subject has no tokens")
-    if (obj := phrase(obj)) is None:
-        raise LoadError("object has no tokens")
     return fact_id, subject, relation, obj
 
 

@@ -2,8 +2,9 @@
 where a byte that is not UTF-8 is a load error naming its line;
 :func:`write_atomic`, the one writer of every file the package writes, so
 no reader sees a partial one; and :func:`cached`, the one checksum-keyed
-cache beside an input file of what its loader parsed, which the feature
-and knowledge-base loaders share."""
+cache beside an input file of the arrays its loader parsed, which the
+feature and knowledge-base loaders share: each builds its value from
+those arrays by one function, on a cache hit and after a parse alike."""
 
 from __future__ import annotations
 
@@ -69,11 +70,12 @@ def write_lines(path: str | Path, lines: list[str]) -> None:
     write_atomic(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
 
 
-def cached(path: Path, what: str, parse: Callable, rebuild: Callable):
-    """``parse(path)``'s value, or ``rebuild`` of the arrays that ``parse`` returns with it, read from the cache
-    ``<name>.cache.npz`` beside the file at ``path``. The key is the file's SHA-256 and ``CACHE_FORMAT``. A
-    cache that is stale, unreadable or that ``rebuild`` rejects by raising is named in a warning, and the
-    file is parsed and the cache rewritten through :func:`write_atomic`."""
+def cached(path: Path, what: str, parse: Callable, build: Callable):
+    """``build`` of the arrays that ``parse(path)`` returns, read from the cache ``<name>.cache.npz`` beside
+    the file at ``path`` while it holds them. The key is the file's SHA-256 and ``CACHE_FORMAT``. ``build``
+    runs on a cache hit and after a parse alike, so both make their value by the same code. A cache that is
+    stale, unreadable or that ``build`` rejects by raising is named in a warning, and the file is parsed and
+    the cache rewritten through :func:`write_atomic`."""
     cache, digest = path.with_name(path.name + ".cache.npz"), hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(1 << 20):
@@ -83,13 +85,13 @@ def cached(path: Path, what: str, parse: Callable, rebuild: Callable):
         try:
             with np.load(cache, allow_pickle=False) as data:
                 if str(data["checksum"]) == key:
-                    return rebuild(data)
+                    return build(data)
             logger.warning("rebuilding stale %s cache %s", what, cache)
         except Exception as exc:  # corrupt bytes or failed checks
             logger.warning("ignoring unreadable %s cache %s (%s)", what, cache, exc)
-    value, arrays = parse(path)
+    arrays = parse(path)
     try:
         write_atomic(cache, lambda fh: np.savez(fh, checksum=np.str_(key), **arrays))
     except OSError:
         logger.warning("could not write %s cache %s", what, cache)
-    return value
+    return build(arrays)

@@ -171,6 +171,8 @@ def fact_precision(
     """Precision@1/@3 of groundtruth-fact retrieval over the whole KB,
     ranked exactly (ties by fact id) in row blocks by ``scorer.rank_rows``:
     no (questions x KB) score matrix is built."""
+    if not instances:
+        raise UsageError("fact_precision needs at least one instance")
     feats, cons = store.stack([i.image_id for i in instances])
     iq = embed_batch(params, feats, cons, [i.question for i in instances])
     if np.any(np.linalg.norm(iq, axis=1) == 0.0):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from factrank.dataio import load_dataset, split_fold
-from factrank.kb import Fact, KnowledgeBase, Relation
+from factrank.kb import Fact, KBBuilder, KnowledgeBase, Relation
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
 
@@ -24,6 +24,14 @@ def from_rows(fact_ids, rows) -> FactMatrix:
     """A fact matrix of ``rows``, stored as float32, whose row ``i`` is fact ``fact_ids[i]``: no KB needed."""
     fact_ids = list(fact_ids)
     return FactMatrix(fact_ids, np.asarray(rows, dtype=np.float32), dict(zip(fact_ids, range(len(fact_ids)))))
+
+
+def from_facts(facts) -> KnowledgeBase:
+    """A knowledge base of ``facts``, in load order, built as a parse of their lines builds one."""
+    builder = KBBuilder()
+    for f in facts:
+        builder.add(f.fact_id, f.subject, f.relation, f.obj)
+    return KnowledgeBase(builder.arrays())
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +59,7 @@ def small_split(small_synth):
 
 @pytest.fixture()
 def tiny_kb():
-    return KnowledgeBase(
+    return from_facts(
         [
             Fact("f1", "Umbrella", Relation.USED_FOR, "Shade"),
             Fact("f2", "Beach", Relation.HAS_PROPERTY, "Sandy"),

@@ -234,3 +234,44 @@ def test_concept_labels_break_only_at_newlines(tmp_path):
     path = tmp_path / "labels.txt"
     path.write_bytes("dog\u2028house\r\n\ncat\x85s\nfork\x0cknife\n   \nlast".encode())
     assert load_concept_labels(path) == ["dog\u2028house", "cat\x85s", "fork\x0cknife", "last"]
+
+
+def _release_json(kb_path, qa_path, out_dir):
+    """A synth set's KB and QA files rewritten as the release's JSON objects keyed by id, in reverse order:
+    facts with ``e1_label``/``r``/``e2_label``, questions with ``question``, ``answer``, ``img_file``, a
+    ``fact`` list, ``answer_source`` and ``fold``. Returns the facts and the questions file."""
+    facts = {}
+    for line in reversed(kb_path.read_text(encoding="utf-8").splitlines()):
+        fact_id, subject, relation, obj = line.split("\t")
+        facts[fact_id] = {"e1_label": subject, "r": relation, "e2_label": obj}
+    questions = {}
+    for line in reversed(qa_path.read_text(encoding="utf-8").splitlines()):
+        r = json.loads(line)
+        questions[r["question_id"]] = {"question": r["question"], "answer": r["answer"], "img_file": r["image_id"],
+                                       "fact": [r["fact_id"]], "answer_source": r["answer_source"], "fold": r["fold"]}
+    paths = out_dir / "facts.json", out_dir / "questions.json"
+    for path, records in zip(paths, (facts, questions)):
+        _write_text(path, json.dumps(records))
+    return paths
+
+
+def test_the_converter_round_trips_a_synth_set_byte_for_byte(small_synth_dir, tmp_path):
+    facts, questions = _release_json(small_synth_dir / "kb.tsv", small_synth_dir / "qa.jsonl", tmp_path)
+    written = dataio.convert_fvqa(questions, facts, tmp_path / "out")
+    for path in written.values():
+        assert path.read_bytes() == (small_synth_dir / path.name).read_bytes(), path.name
+
+
+def test_a_boolean_fold_is_not_fold_1(tmp_path):
+    record = {"question_id": "q1", "image_id": "img1", "question": "what is it used for", "answer": "shade",
+              "fact_id": "f1", "relation": "UsedFor", "answer_source": "KnowledgeBase", "fold": True}
+    with pytest.raises(DataError, match=r":1: fold must be in \[1, 2, 3, 4, 5\], got True$"):
+        load_qa(_write_text(tmp_path / "qa.jsonl", json.dumps(record) + "\n"))
+    # the converter gives such a question a fold by its image, as one with no fold
+    facts = _write_text(tmp_path / "facts.json", json.dumps({"f1": {"e1_label": "umbrella", "r": "UsedFor",
+                                                                    "e2_label": "shade"}}))
+    questions = _write_text(tmp_path / "questions.json", json.dumps({
+        "q1": {"question": "what gives shade", "answer": "umbrella", "img_file": "a.jpg", "fact": ["f1"],
+               "answer_source": "Image", "fold": True}}))
+    written = dataio.convert_fvqa(questions, facts, tmp_path / "out")
+    assert [i.fold for i in load_qa(written["qa"])] == [1]  # load_qa raises on a written ``true``

@@ -375,6 +375,15 @@ def test_epoch_records_report_pre_clip_gradient_norms(monkeypatch):
     assert [r["clipped_fraction"] for r in clipped] == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("kind", ["relation", "source"])
+def test_an_empty_heldout_list_is_no_heldout_set(kind):
+    pairs = _planted_relation_pairs(2, 0) if kind == "relation" else _planted_source_pairs(6, 0)
+    cfg = EncoderTrainConfig(epochs=2, seed=3)
+    _, history = encoders.train_classifier(kind, pairs, cfg, heldout=[])
+    assert history == encoders.train_classifier(kind, pairs, cfg)[1]
+    assert encoders.KINDS[kind].metric not in history[0]
+
+
 def test_relation_training_rejects_bad_labels():
     with pytest.raises(DataError):
         train_relation_classifier([("what", "UsedFor")], EncoderTrainConfig(epochs=1))

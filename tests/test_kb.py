@@ -14,13 +14,13 @@ from factrank.errors import LoadError, UsageError
 from factrank.kb import (
     AnswerSource,
     Fact,
-    KnowledgeBase,
     Relation,
     kb_stats,
     parse_kb,
 )
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.text import CACHE_FORMAT
+from conftest import from_facts
 
 
 def test_relation_set_has_13_members():
@@ -149,14 +149,14 @@ def test_serialize_parse_round_trip(tmp_path, tiny_kb):
 
 
 def test_kb_stats_empty():
-    stats = kb_stats(KnowledgeBase([]))
+    stats = kb_stats(from_facts([]))
     assert stats.total_facts == 0
     assert stats.vocabulary_size == 0
     assert all(c == 0 for c in stats.relation_counts.values())
 
 
 def test_kb_stats_two_distinct_relations():
-    kb = KnowledgeBase([Fact("f1", "A", Relation.IS_A, "B"), Fact("f2", "C", Relation.HAS_A, "D")])
+    kb = from_facts([Fact("f1", "A", Relation.IS_A, "B"), Fact("f2", "C", Relation.HAS_A, "D")])
     stats = kb_stats(kb)
     assert stats.relation_counts[Relation.IS_A] == 1
     assert stats.relation_counts[Relation.HAS_A] == 1
@@ -183,7 +183,7 @@ _relation_strategy = st.sampled_from(list(Relation))
 @settings(max_examples=30, deadline=None)
 @given(st.lists(_relation_strategy, min_size=0, max_size=40))
 def test_property_buckets_partition(relations):
-    kb = KnowledgeBase([Fact(f"f{i}", f"s{i}", r, f"o{i}") for i, r in enumerate(relations)])
+    kb = from_facts([Fact(f"f{i}", f"s{i}", r, f"o{i}") for i, r in enumerate(relations)])
     total = 0
     for r in Relation:
         bucket = kb.ids_with_relation(r)

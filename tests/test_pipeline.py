@@ -9,6 +9,7 @@ from factrank.pipeline import PipelineModels, answer_question, evaluate
 from factrank.scorer import embed_batch, rank_candidates
 from factrank.trainer import MarginConfig, train_scorer
 from factrank.wordvec import FactMatrix
+from conftest import from_facts
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,7 @@ def test_empty_bucket_is_no_fact_on_both_paths(models, small_synth, small_split)
     _, test = small_split
     store, inst = small_synth["store"], test[0]
     [predicted] = evaluate(models, small_synth["kb"], [inst], store)[1]
-    kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.relation is not predicted.relation])
+    kb = from_facts([f for f in small_synth["kb"].facts() if f.relation is not predicted.relation])
     models = dataclasses.replace(models, fact_matrix=FactMatrix.build(kb, small_synth["table"]))
     answered = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id),
                                inst.question, question_id=inst.question_id, image_id=inst.image_id)
@@ -70,7 +71,7 @@ def test_a_bucket_the_fact_matrix_sizes_differently_from_the_kb_is_a_data_error(
     _, test = small_split
     store, inst = small_synth["store"], test[0]
     dropped = small_synth["kb"].ids_with_relation(inst.relation)[0]
-    kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.fact_id != dropped])
+    kb = from_facts([f for f in small_synth["kb"].facts() if f.fact_id != dropped])
     match = r"the fact matrix \(104 rows\) was not built from this knowledge base \(103 facts\)"
     with pytest.raises(DataError, match=match):
         evaluate(models, kb, [inst], store, oracle_relation=True, oracle_source=True)
@@ -102,7 +103,7 @@ def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_sp
     _, test = small_split
     store = small_synth["store"]
     dropped = evaluate(models, small_synth["kb"], test[:1], store)[1][0].relation
-    kb = KnowledgeBase([f for f in small_synth["kb"].facts() if f.relation is not dropped])
+    kb = from_facts([f for f in small_synth["kb"].facts() if f.relation is not dropped])
     models = dataclasses.replace(models, fact_matrix=FactMatrix.build(kb, small_synth["table"]))
     metrics, evaluated = evaluate(models, kb, test, store, k=3)
     assert len({p.relation for p in evaluated if p.status == "ok"}) > 1

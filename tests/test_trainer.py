@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from factrank.dataio import load_dataset
 from factrank.errors import DataError, DegenerateInputError, UsageError
-from factrank.kb import Fact, KnowledgeBase, Relation
+from factrank.kb import Fact, Relation
 from factrank.numerics import Tape, constant, cosines, row_norms
 from factrank import encoders, optim, scorer, trainer
 from factrank.scorer import Variant, embed_batch, rank_candidates, score
@@ -23,7 +23,7 @@ from factrank.trainer import (
     train_scorer,
 )
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
-from conftest import from_rows
+from conftest import from_facts, from_rows
 
 TINY_SYNTH = dict(
     seed=21,
@@ -153,7 +153,7 @@ def oracle_ids(sets):
 
 
 def _chain_kb(n):
-    return KnowledgeBase([Fact(f"f{i:03d}", f"s{i}", Relation.IS_A, f"o{i}") for i in range(n)])
+    return from_facts([Fact(f"f{i:03d}", f"s{i}", Relation.IS_A, f"o{i}") for i in range(n)])
 
 
 def _interleaved_kb(n, seed=0):
@@ -162,7 +162,7 @@ def _interleaved_kb(n, seed=0):
     go bucket by bucket) nor the id order."""
     relations = list(Relation)
     names = np.random.default_rng(seed).permutation(n)
-    return KnowledgeBase([Fact(f"f{names[i]:03d}", f"s{i}", relations[i % len(relations)], f"o{i}")
+    return from_facts([Fact(f"f{names[i]:03d}", f"s{i}", relations[i % len(relations)], f"o{i}")
                           for i in range(n)])
 
 
@@ -310,7 +310,7 @@ def test_mining_over_many_blocks_with_near_ties_matches_the_oracle(monkeypatch, 
 def test_mining_ranks_relation_twins_after_every_other_wrong_fact():
     table = WordVectorTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
                                 "c": np.array([1.0, 1.0]), "d": np.array([-1.0, 0.5])})
-    kb = KnowledgeBase([
+    kb = from_facts([
         Fact("f5", "a", Relation.IS_A, "b"),  # the groundtruth
         Fact("f0", "a", Relation.RELATED_TO, "b"),  # its twins: the relation does not embed
         Fact("f1", "a", Relation.AT_LOCATION, "b"),
@@ -539,7 +539,7 @@ def test_train_scorer_candidate_sets_match_the_id_oracle(tiny_synth, monkeypatch
     # fact-matrix row fails the row check.
     instances, store, kb, table = tiny_synth
     facts = kb.facts()
-    kb = KnowledgeBase([facts[i] for i in np.random.default_rng(13).permutation(len(facts))])
+    kb = from_facts([facts[i] for i in np.random.default_rng(13).permutation(len(facts))])
     fm = FactMatrix.build(kb, table)
     cfg = MarginConfig(iterations=2, epochs_per_iteration=2, mining_period=1, negatives=15, batch_size=4,
                        seed=12, margin=0.01, lr=0.05)
@@ -694,6 +694,12 @@ def test_fact_precision_is_deterministic(tiny_synth):
     a = fact_precision(params, instances, store, fm)
     b = fact_precision(params, instances, store, fm)
     assert a == b
+
+
+def test_fact_precision_of_no_instances_is_a_usage_error(tiny_synth):
+    instances, store, kb, table = tiny_synth
+    with pytest.raises(UsageError, match="fact_precision needs at least one instance"):
+        fact_precision(_untrained_scorer(instances), [], store, FactMatrix.build(kb, table))
 
 
 def _untrained_scorer(instances, seed=9):

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from factrank import wordvec
 from factrank.errors import DegenerateInputError, LoadError
-from factrank.kb import Fact, KnowledgeBase, Relation, parse_kb
+from factrank.kb import Fact, Relation, parse_kb
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors, tokenize
-from conftest import from_rows
+from conftest import from_facts, from_rows
 
 
 def _per_fact_rows(facts, table):
@@ -31,7 +31,7 @@ def _per_fact_rows(facts, table):
 
 def _build(table, *pairs):
     """FactMatrix.build of a KB with one IsA fact per (subject, object) pair."""
-    kb = KnowledgeBase([Fact(f"f{i}", s, Relation.IS_A, o) for i, (s, o) in enumerate(pairs)])
+    kb = from_facts([Fact(f"f{i}", s, Relation.IS_A, o) for i, (s, o) in enumerate(pairs)])
     return FactMatrix.build(kb, table)
 
 
@@ -75,8 +75,8 @@ def test_phrase_embedding_skips_oov_tokens(tiny_table):
 
 
 def test_phrase_embedding_empty_phrase_rejected(tiny_table):
-    for pair in (("!!!", "pet"), ("pet", "!!!")):
-        with pytest.raises(DegenerateInputError):
+    for pair, field in ((("!!!", "pet"), "subject"), (("pet", "!!!"), "object")):
+        with pytest.raises(LoadError, match=f"^{field} has no tokens$"):
             _build(tiny_table, pair)
 
 
@@ -94,7 +94,7 @@ def test_fact_embedding_length_is_twice_dim():
 def test_fact_embedding_ignores_relation(tiny_table):
     a = Fact("f1", "Dog", Relation.IS_A, "Pet")
     b = Fact("f2", "Dog", Relation.DESIRES, "Pet")
-    fm = FactMatrix.build(KnowledgeBase([a, b]), tiny_table)
+    fm = FactMatrix.build(from_facts([a, b]), tiny_table)
     np.testing.assert_array_equal(fm.row("f1"), fm.row("f2"))
 
 
@@ -233,7 +233,7 @@ def _tables_and_kbs(draw):
     pool = draw(st.lists(phrase, min_size=1, max_size=5))
     fact = st.tuples(st.sampled_from(pool), st.sampled_from(list(Relation)), st.sampled_from(pool))
     triples = draw(st.lists(fact, min_size=1, max_size=9))
-    return table, KnowledgeBase([Fact(f"f{i}", s, r, o) for i, (s, r, o) in enumerate(triples)])
+    return table, from_facts([Fact(f"f{i}", s, r, o) for i, (s, r, o) in enumerate(triples)])
 
 
 # dim 1 with nine known tokens whose pairwise sum differs from the running
@@ -241,7 +241,7 @@ def _tables_and_kbs(draw):
 # phrases and a relation twin
 _EDGES = (
     WordVectorTable(1, {"a": np.array([1e16]), "b": np.array([1.0]), "c": np.array([-1e16]), "d": np.array([-0.0])}),
-    KnowledgeBase([
+    from_facts([
         Fact("f1", "a b c b b b b b b", Relation.IS_A, "d"),
         Fact("f2", "d d oov", Relation.HAS_A, "oov"),
         Fact("f3", "a b c b b b b b b", Relation.DESIRES, "d"),
@@ -251,7 +251,7 @@ _EDGES = (
 
 
 # a row whose float32 norm is nonzero but below wordvec.NORM_RANGE
-_TINY = (WordVectorTable(1, {"a": np.array([1e-30])}), KnowledgeBase([Fact("f1", "a", Relation.IS_A, "a")]))
+_TINY = (WordVectorTable(1, {"a": np.array([1e-30])}), from_facts([Fact("f1", "a", Relation.IS_A, "a")]))
 
 
 def _written(kb, path, seed):
@@ -311,7 +311,7 @@ def test_build_holds_no_per_fact_container_of_its_own():
     # ids, id -> row and buckets are the KB's; an id list and an id dict of
     # the 50,000 facts alone would hold over 2 MB
     relations = list(Relation)
-    kb = KnowledgeBase([Fact(f"f{i:05d}", f"s{i % 997} t{i % 13}", relations[i % 13], f"o{i % 101}")
+    kb = from_facts([Fact(f"f{i:05d}", f"s{i % 997} t{i % 13}", relations[i % 13], f"o{i % 101}")
                         for i in range(50_000)])
     rng = np.random.default_rng(3)
     table = WordVectorTable(8, {f"{t}{i}": rng.standard_normal(8) for t, n in (("s", 997), ("t", 13), ("o", 101))
@@ -327,13 +327,13 @@ def test_build_holds_no_per_fact_container_of_its_own():
 
 
 def test_build_rejects_a_tokenless_subject_naming_it_and_counts_nothing(tiny_table, monkeypatch, caplog):
-    # the KnowledgeBase that build embeds rejects a tokenless phrase, as parse_fact rejects a tokenless field
+    # the KnowledgeBase that build embeds cannot hold a tokenless phrase: the builder of its arrays rejects it
     monkeypatch.setattr(wordvec, "BUILD_CHUNK", 1)
     with caplog.at_level(logging.WARNING, logger="factrank.wordvec"), pytest.raises(
-        DegenerateInputError, match=r"phrase '\?!' has no tokens"
+        LoadError, match="^subject has no tokens$"
     ):
         facts = [Fact("f1", "zyzzyva", Relation.IS_A, "pet"), Fact("f2", "?!", Relation.IS_A, "pet")]
-        FactMatrix.build(KnowledgeBase(facts), tiny_table)
+        FactMatrix.build(from_facts(facts), tiny_table)
     assert tiny_table.oov_phrase_count == 0 and not caplog.records
 
 
@@ -348,7 +348,7 @@ def test_build_warns_once_with_the_count_and_the_first_fully_oov_phrase(tiny_kb,
     ]
     assert tiny_table.oov_phrase_count == 3
     # first in row order: the Category bucket comes before the IsA one loaded first
-    kb = KnowledgeBase([Fact("f1", "xyst", Relation.IS_A, "pet"), Fact("f2", "zyzzyva", Relation.CATEGORY, "pet")])
+    kb = from_facts([Fact("f1", "xyst", Relation.IS_A, "pet"), Fact("f2", "zyzzyva", Relation.CATEGORY, "pet")])
     with caplog.at_level(logging.WARNING, logger="factrank.wordvec"):
         FactMatrix.build(kb, tiny_table)
     assert caplog.records[-1].getMessage() == "2 fully out-of-vocabulary phrases embed as zero, the first 'zyzzyva'"
