@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import logging
 import math
 import os
 import sys
@@ -41,6 +42,7 @@ from pathlib import Path
 from . import __version__
 from .errors import FactrankError, UsageError
 
+logger = logging.getLogger(__name__)
 _TYPES = {"str": str, "int": int, "float": float}
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _KINDS = ("relation", "source", "scorer")  # the train subcommands
@@ -331,7 +333,7 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
 
 
 def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
-    from .encoders import load_classifier
+    from .encoders import UNK_ID, load_classifier
     from .pipeline import PipelineModels, answer_question
     from .scorer import load_scorer
     from .wordvec import FactMatrix
@@ -347,6 +349,8 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
         relation=load_classifier(relation),
         source=load_classifier(source),
     )
+    if set(models.scorer.vocab.encode(question, models.scorer.max_tokens)) == {UNK_ID}:
+        logger.warning("every token of the question %r is unknown to the scorer's vocabulary", question)
     prediction = answer_question(
         models, kb, store.feature(image_id), store.concept(image_id), question, k=cfg.k, question_id="cli",
         image_id=image_id)

@@ -210,9 +210,8 @@ def load_qa(path: str | Path) -> list[QAInstance]:
 def validate_dataset(instances: list[QAInstance], store: FeatureStore, kb: KnowledgeBase) -> None:
     """Referential integrity: fact ids resolve, labels agree with the fact,
     every image has features and concepts, questions tokenize non-empty."""
-    for inst in instances:
-        row = kb.position.get(inst.fact_id)
-        if row is None:
+    for inst, row in zip(instances, kb.ids.rows([inst.fact_id for inst in instances]).tolist()):
+        if row < 0:
             raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
         relation = RELATIONS[kb.relations[row]]
         if relation is not inst.relation:
@@ -324,19 +323,19 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
         kb_lines.append("\t".join(fields))
     kb = KnowledgeBase(builder.arrays())
     questions_raw = _read_json_object(questions_path)
+    records = {qid: _json_record(questions_raw, qid, questions_path) for qid in sorted(questions_raw)}
+    fact_refs = [rec.get("fact", rec.get("fact_id")) for rec in records.values()]
+    fact_refs = [(ref[0] if ref else None) if isinstance(ref, list) else ref for ref in fact_refs]
     image_fold: dict[str, int] = {}
     qa_lines = []
     skipped = 0
-    for qid in sorted(questions_raw):
-        rec = _json_record(questions_raw, qid, questions_path)
-        fact_ref = rec.get("fact", rec.get("fact_id"))
-        if isinstance(fact_ref, list):
-            fact_ref = fact_ref[0] if fact_ref else None
-        if not fact_ref or str(fact_ref) not in kb:
+    # an empty id is never a fact's, so a missing reference resolves to no row
+    rows = kb.ids.rows([str(ref) if ref else "" for ref in fact_refs]).tolist()
+    for (qid, rec), fact_ref, row in zip(records.items(), fact_refs, rows):
+        if row < 0:
             logger.warning("question %s: unresolved fact %r, skipped", qid, fact_ref)
             skipped += 1
             continue
-        row = kb.position[str(fact_ref)]
         answer = str(rec.get("answer", ""))
         source_token = rec.get("answer_source", rec.get("ans_source"))
         if source_token:

@@ -3,11 +3,15 @@
 A knowledge base is a set of (subject, relation, object) triplets loaded
 from a tab-separated file, held as columns in the row order of
 ``wordvec.FactMatrix``: relation bucket after bucket, each in load order.
-Subjects and objects are codes into one list of distinct phrases, each
-tokenized once into codes of one list of distinct tokens. A :class:`Fact`
-is made only when one is asked for: the ranking names rows, and
-:meth:`KnowledgeBase.answer` reads a row's answer, its subject or object by
-the answer source, the one place that rule is written.
+Subjects and objects are codes into the distinct phrases, each tokenized
+once into codes of one list of distinct tokens. No Python object is held
+per fact: the fact ids are a byte column (:class:`FactIds`) and the
+phrases one UTF-8 text with offsets, and each stays bytes until a fact is
+named. Ranking breaks ties on the integer id-rank column, each row's place
+in sorted-id order, and an id is found by a binary search in it. A
+:class:`Fact` is made only when one is asked for: the ranking names rows,
+and :meth:`KnowledgeBase.answer` reads a row's answer, its subject or
+object by the answer source, the one place that rule is written.
 
 There is one way to build a KB: a :class:`KBBuilder` takes facts in load
 order and lays them out as the arrays of the KB's cache, and the
@@ -21,9 +25,9 @@ from __future__ import annotations
 
 import enum
 from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -92,26 +96,73 @@ class Fact:
 
 RELATIONS = list(Relation)  # a relation's code is its index here (list.index, not Enum's Python-level hash)
 
-# the arrays of a KnowledgeBase's cache: its columns, and its lists of strings as UTF-8 joined on line breaks
-_COLUMNS = ("relations", "subjects", "objects", "phrase_starts", "phrase_tokens", "load_order")
-_STRINGS = ("ids", "phrases", "tokens")
+# the integer columns of a KnowledgeBase's cache; beside them it holds the ids as a byte column, the phrases as
+# one UTF-8 text (whose offsets are text_starts) and the tokens UTF-8 joined on line breaks
+_COLUMNS = ("relations", "subjects", "objects", "load_order", "id_rank", "phrase_starts", "phrase_tokens",
+            "text_starts")
+
+
+class FactIds(Sequence[str]):
+    """Fact ids as one byte column in row order: ``column[r]`` is row ``r``'s id, UTF-8 encoded, and ``rank[r]``
+    its place in sorted-id order, an int32. UTF-8 byte order is code-point order, so ordering rows by ``rank``
+    orders them by id as Python's ``sorted`` does. An id is decoded only as it is named: an int names one row, a
+    slice or an array of rows a list of them. :meth:`rows` finds ids' rows by one binary search in the column,
+    read in rank order. A numpy ``S`` array drops trailing NUL bytes, so an id may hold no NUL."""
+
+    def __init__(self, column: np.ndarray, rank: np.ndarray):
+        self.column, self.rank = column, rank
+        self.sorted_rows = np.empty(len(rank), dtype=np.intp)  # place in sorted-id order -> row
+        self.sorted_rows[rank] = np.arange(len(rank))
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def __getitem__(self, rows):
+        names = self.column[rows]
+        return str(names, "utf-8") if isinstance(names, bytes) else [str(name, "utf-8") for name in names.tolist()]
+
+    def rows(self, fact_ids: Sequence[str]) -> np.ndarray:
+        """Each id's row, or -1 for an id not here."""
+        keys = [fact_id.encode() for fact_id in fact_ids]
+        if not len(self):
+            return np.full(len(keys), -1, dtype=np.intp)
+        column = np.array(keys, dtype=bytes)  # the width of the longest key, so none is cut short
+        at = np.searchsorted(self.column, column, sorter=self.sorted_rows)
+        rows = self.sorted_rows[np.minimum(at, len(self) - 1)]
+        found = (self.column[rows] == column) & np.array([b"\0" not in key for key in keys], dtype=bool)
+        return np.where(found, rows, -1)
+
+
+class RowOf:
+    """``row_of[fact_id]``: the row of one id of a :class:`FactIds`, or a KeyError; a lookup, not a dict."""
+
+    def __init__(self, ids: FactIds):
+        self.ids = ids
+
+    def __getitem__(self, fact_id: str) -> int:
+        [row] = self.ids.rows([fact_id]).tolist()
+        if row < 0:
+            raise KeyError(fact_id)
+        return row
 
 
 class KBBuilder:
     """Facts taken one at a time, in load order, laid out by :meth:`arrays` as a KnowledgeBase's cache. Each
-    distinct phrase is tokenized once, as it is first added; a phrase with no tokens or a repeated fact id is
-    a LoadError naming the field."""
+    distinct phrase is tokenized once, as it is first added; a phrase with no tokens, a repeated fact id or one
+    holding a NUL byte (see :class:`FactIds`) is a LoadError naming the field."""
 
     def __init__(self):
         self.ids: dict[str, None] = {}  # in load order
         self.phrases: dict[str, int] = {}  # phrase -> code, in first-seen order
         self.tokens: dict[str, str] = {}  # each distinct token, in first-seen order
-        self.phrase_tokens, self.phrase_starts = [], array("q", [0])  # phrase p's are [starts[p]:starts[p + 1]]
+        self.phrase_tokens, self.phrase_starts = [], array("i", [0])  # phrase p's are [starts[p]:starts[p + 1]]
         self.columns = array("i"), array("i"), array("i")  # relation, subject and object codes
 
     def add(self, fact_id: str, subject: str, relation: Relation, obj: str) -> None:
         if fact_id in self.ids:
             raise LoadError(f"duplicate fact id {fact_id!r}")
+        if "\0" in fact_id:
+            raise LoadError(f"fact id {fact_id!r} holds a NUL byte")
         codes = RELATIONS.index(relation), self._code(subject, "subject"), self._code(obj, "object")
         self.ids[fact_id] = None
         for column, code in zip(self.columns, codes):
@@ -128,24 +179,34 @@ class KBBuilder:
         return code
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The cache's arrays: the columns in bucket order (each bucket in load order), then the ids in that
-        row order, the phrases and the tokens, each list UTF-8 joined on line breaks."""
+        """The cache's arrays: the columns in bucket order (each bucket in load order), the ids in that row
+        order and ranked, the phrases' text and offsets, and the tokens. Nothing encoded here is decoded."""
         relations, subjects, objects = (np.frombuffer(column, dtype=np.int32) for column in self.columns)
         order = np.argsort(relations, kind="stable")  # row -> load index
-        ids, code = np.array(list(self.ids), dtype=object)[order], dict(zip(self.tokens, range(len(self.tokens))))
+        width = max(map(len, map(str.encode, self.ids)), default=1)  # fromiter holds no list of encoded ids
+        ids = np.fromiter(map(str.encode, self.ids), f"S{width}", len(self.ids))[order]
+        id_rank = np.empty(len(ids), dtype=np.int32)
+        id_rank[np.argsort(ids, kind="stable")] = np.arange(len(ids), dtype=np.int32)
+        text_starts = np.zeros(len(self.phrases) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, map(str.encode, self.phrases)), np.int64, len(self.phrases)),
+                  out=text_starts[1:])
+        code = dict(zip(self.tokens, range(len(self.tokens))))
         phrase_tokens = np.fromiter(map(code.__getitem__, self.phrase_tokens), np.int32, len(self.phrase_tokens))
-        columns = (relations[order], subjects[order], objects[order], np.array(self.phrase_starts), phrase_tokens,
-                   np.argsort(order))
-        return {**dict(zip(_COLUMNS, columns)),
-                **{name: np.frombuffer("\n".join(strings).encode(), np.uint8)
-                   for name, strings in zip(_STRINGS, (ids, self.phrases, self.tokens))}}
+        columns = (relations[order], subjects[order], objects[order], np.argsort(order).astype(np.int32), id_rank,
+                   np.frombuffer(self.phrase_starts, dtype=np.int32), phrase_tokens, text_starts)
+        return {**dict(zip(_COLUMNS, columns)), "ids": ids,
+                "phrase_text": np.frombuffer("".join(self.phrases).encode(), np.uint8),
+                "tokens": np.frombuffer("\n".join(self.tokens).encode(), np.uint8)}
 
 
 class KnowledgeBase:
     """Immutable columnar fact store. Row ``r`` is fact ``ids[r]``, of relation ``RELATIONS[relations[r]]``,
-    subject ``phrases[subjects[r]]`` and object ``phrases[objects[r]]``; ``position`` maps an id to its row,
-    ``buckets`` a relation to its rows, and ``load_order[i]`` is the row of the ``i``-th fact loaded. Phrase
-    ``p``'s tokens are ``tokens[c]`` for ``c`` in ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``.
+    subject :meth:`phrase` ``(subjects[r])`` and object :meth:`phrase` ``(objects[r])``; ``ids`` is a
+    :class:`FactIds` and ``position`` its id -> row :class:`RowOf`, ``buckets`` maps a relation to its rows,
+    and ``load_order[i]`` is the row of the ``i``-th fact loaded. Phrase ``p`` is the UTF-8 text
+    ``phrase_text[text_starts[p]:text_starts[p + 1]]``, and its tokens are ``tokens[c]`` for ``c`` in
+    ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``. Ids and phrases stay bytes until a fact is
+    named; no Python object is held per fact.
 
     Every KB is made from the arrays of its cache, as :meth:`KBBuilder.arrays` lays them out: a fresh parse,
     a cache hit and the converter all end here. Arrays that fail the vectorized checks of their structure are
@@ -153,11 +214,13 @@ class KnowledgeBase:
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         self.__dict__.update((name, arrays[name]) for name in _COLUMNS)
-        for name in _STRINGS:  # str.split, as splitlines() would also split at U+2028 or U+0085 within a field
-            setattr(self, name, text.split("\n") if (text := str(arrays[name], "utf-8")) else [])
-        n, starts, phrases = len(self.ids), self.phrase_starts, len(self.phrases)
-        if len({n, len(self.relations), len(self.subjects), len(self.objects), len(self.load_order)}) > 1 \
-                or len(starts) != phrases + 1:
+        ids, self.phrase_text = arrays["ids"], arrays["phrase_text"]
+        self.tokens = text.split("\n") if (text := str(arrays["tokens"], "utf-8")) else []
+        for utf8 in (ids, self.phrase_text):  # a byte that does not decode fails here, not as a fact is named
+            str(utf8, "utf-8")
+        n, starts, text_starts, phrases = len(ids), self.phrase_starts, self.text_starts, len(self.phrase_starts) - 1
+        if len({n, len(self.relations), len(self.subjects), len(self.objects), len(self.load_order),
+                len(self.id_rank)}) > 1 or len(text_starts) != phrases + 1:
             raise ValueError("column lengths differ")
         codes = [(self.relations, len(RELATIONS)), (self.subjects, phrases), (self.objects, phrases),
                  (self.phrase_tokens, len(self.tokens))]
@@ -166,13 +229,17 @@ class KnowledgeBase:
             "relations are out of bucket order": (np.diff(self.relations) < 0).any(),
             "phrase starts do not rise from 0 to the token count":
                 starts[0] != 0 or starts[-1] != len(self.phrase_tokens) or (np.diff(starts) <= 0).any(),
+            "text starts do not rise from 0 to the text length":
+                text_starts[0] != 0 or text_starts[-1] != len(self.phrase_text) or (np.diff(text_starts) <= 0).any(),
             "load order is not a permutation": not np.array_equal(np.sort(self.load_order), np.arange(n)),
+            "id ranks are not a permutation": not np.array_equal(np.sort(self.id_rank), np.arange(n)),
         }
         if problems := [problem for problem, fails in failed.items() if fails]:
             raise ValueError(", ".join(problems))
-        self.position = dict(zip(self.fact_ids(), self.load_order.tolist()))
-        if len(self.position) != n:
-            raise ValueError("fact ids repeat")
+        self.ids = FactIds(ids, self.id_rank)
+        if ((in_order := ids[self.ids.sorted_rows])[1:] <= in_order[:-1]).any():
+            raise ValueError("fact ids repeat, or their ranks do not sort them")
+        self.position = RowOf(self.ids)
         ends = np.cumsum(np.bincount(self.relations, minlength=len(RELATIONS))).tolist()
         self.buckets = {r: slice(start, end) for r, start, end in zip(RELATIONS, [0, *ends], ends)}
 
@@ -180,31 +247,42 @@ class KnowledgeBase:
         return len(self.ids)
 
     def __contains__(self, fact_id: str) -> bool:
-        return fact_id in self.position
+        return self.ids.rows([fact_id])[0] >= 0
+
+    def phrase(self, code: int) -> str:
+        """Phrase ``code``, decoded."""
+        return str(self.phrase_text[self.text_starts[code]:self.text_starts[code + 1]], "utf-8")
 
     def fact(self, fact_id: str) -> Fact:
         try:
             row = self.position[fact_id]
         except KeyError:
             raise UsageError(f"unknown fact id {fact_id!r}") from None
-        return Fact(fact_id, self.phrases[self.subjects[row]], RELATIONS[self.relations[row]],
-                    self.phrases[self.objects[row]])
+        return self._facts([row])[0]
+
+    def _facts(self, rows) -> list[Fact]:
+        # each distinct phrase of the rows is decoded once, and its facts share the string
+        subjects, objects = self.subjects[rows].tolist(), self.objects[rows].tolist()
+        phrases = {code: self.phrase(code) for code in {*subjects, *objects}}
+        return [Fact(fact_id, phrases[s], RELATIONS[r], phrases[o])
+                for fact_id, s, r, o in zip(self.ids[rows], subjects, self.relations[rows].tolist(), objects)]
 
     def answer(self, row: int, source: AnswerSource) -> str:
         """Row ``row``'s verbatim subject for an Image answer, its object otherwise."""
-        return self.phrases[(self.subjects if source is AnswerSource.IMAGE else self.objects)[row]]
+        return self.phrase((self.subjects if source is AnswerSource.IMAGE else self.objects)[row])
 
     def facts(self) -> list[Fact]:
         """All facts in load order."""
-        return [self.fact(fact_id) for fact_id in self.fact_ids()]
+        return self._facts(self.load_order)
 
     def fact_ids(self) -> list[str]:
         """All fact ids in load order."""
-        return [self.ids[row] for row in self.load_order.tolist()]
+        return self.ids[self.load_order]
 
     def facts_with_relation(self, relation: Relation) -> list[Fact]:
         """Facts whose relation is ``relation``, in stable load order."""
-        return [self.fact(fact_id) for fact_id in self.ids_with_relation(relation)]
+        bucket = self.buckets[relation]
+        return self._facts(np.arange(bucket.start, bucket.stop))
 
     def ids_with_relation(self, relation: Relation) -> list[str]:
         return self.ids[self.buckets[relation]]

@@ -9,13 +9,14 @@ crash, and counts as wrong during evaluation.
 
 One private core, :func:`_predict`, runs this for a batch of questions,
 ranking each bucket's questions in one ``scorer.rank_rows`` call, ties by
-fact id, so a prediction is a pure function of its inputs:
+fact id (on the KB's integer id ranks), so a prediction is a pure function
+of its inputs:
 :func:`evaluate` calls it on a dataset fold and tallies the metrics, and
 :func:`answer_question` calls it on a batch of one. The columnar KB's
 bucket slices are the fact matrix's row blocks, so the matrix must be the
 one built from that KB. Ranking returns KB rows, and they stay rows until
-output: a prediction names only the rows it lists, by the KB's ids in
-place, without a copy, and every answer is read from a row by
+output: a prediction names only the rows it lists, decoding their ids
+from the KB's byte column, and every answer is read from a row by
 ``KnowledgeBase.answer``. It takes the relation order and the source rule
 from ``encoders.ranked_relations`` and ``encoders.answer_source``. The
 fields of :class:`Metrics` are the one list of metric names, for records,
@@ -156,7 +157,7 @@ def _predict(
     for relation in dict.fromkeys(top_relation):
         members = [i for i, r in enumerate(top_relation) if r is relation]
         bucket = kb.buckets[relation]  # empty for a relation the KB lacks: no_fact
-        tops.update(zip(members, rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], kb.ids,
+        tops.update(zip(members, rank_rows(iq_mat[members], fm.rows[bucket], fm.norms[bucket], kb.ids.rank,
                                            max(k, 3), bucket.start)))
 
     out = []

@@ -20,8 +20,10 @@ It keeps every row within a derived rounding bound of the query's running
 k-th best screen score, and rescores only that shortlist, in float64, by
 the exact ``numerics.cosines`` of :func:`score`.
 :func:`rank_rows` orders each shortlist by one ``np.lexsort`` on ``(-score,
-fact id)``, so the top k is bitwise that of an exhaustive float64 sort of
-the stored rows. It is the one top-k order of the package, and the one
+id rank)``, the integer rank of each row's fact id in sorted-id order
+(``kb.FactIds.rank``), so the top k is bitwise that of an exhaustive
+float64 sort of the stored rows on ``(-score, fact id)``, and no id is
+decoded to rank. It is the one top-k order of the package, and the one
 caller of :func:`shortlist_rows`: inference, held-out precision and
 hard-negative mining all rank through it, and it returns rows of the fact
 matrix with their scores, which its callers name only as they need.
@@ -218,7 +220,8 @@ def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: Fa
     ids = list(candidate_ids)
     rows = [fact_matrix.row_of[fid] for fid in ids]
     iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
-    [(top, scores)] = rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows], ids, k)
+    [(top, scores)] = rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows],
+                                fact_matrix.fact_ids.rank[rows], k)
     return [(ids[i], s) for i, s in zip(top.tolist(), scores.tolist())]
 
 
@@ -314,17 +317,20 @@ def shortlist_rows(iq_block: Array, rows: Array, norms: Array, k: int) -> list[t
             for j, r in enumerate(shortlists)]
 
 
-def rank_rows(iq_block: Array, rows: Array, norms: Array, ids: Sequence[str], k: int,
+def rank_rows(iq_block: Array, rows: Array, norms: Array, id_rank: Array, k: int,
               first: int = 0) -> list[tuple[Array, Array]]:
     """Exact top ``k`` of ``rows`` (a relation bucket, the whole KB, or
     gathered candidates) for each query of ``iq_block``, as ``(rows,
-    scores)`` arrays ordered by ``(-score, ids[row])``: bitwise the head of
-    an exhaustive scalar sort. Row ``i`` is numbered ``first + i``, so a
-    bucket's rows come back as rows of the whole matrix and need no id copy."""
+    scores)`` arrays ordered by ``(-score, id_rank[row])``, where
+    ``id_rank`` is each row's integer rank in sorted fact-id order, as
+    ``kb.FactIds.rank`` holds it: bitwise the head of an exhaustive scalar
+    sort on ``(-score, fact id)``. Ties are broken on integers, so no id is
+    decoded here. Row ``i`` is numbered ``first + i``, so a bucket's rows
+    come back as rows of the whole matrix and need no copy of its ranks."""
     tops = []
     for r, s in shortlist_rows(iq_block, rows, norms, k):
         r = r + first
-        order = np.lexsort(([ids[i] for i in r.tolist()], -s))[:k]
+        order = np.lexsort((id_rank[r], -s))[:k]
         tops.append((r[order], s[order]))
     return tops
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import LoadError
 
 logger = logging.getLogger(__name__)
-CACHE_FORMAT = "factrank-cache-3"  # in every cache's key: one laid out by an older version is stale
+CACHE_FORMAT = "factrank-cache-4"  # in every cache's key: one laid out by an older version is stale
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 

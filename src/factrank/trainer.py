@@ -110,14 +110,13 @@ def build_initial_dataset(
     fixed seed.
     """
     rng = np.random.default_rng([seed, 29])
-    loaded = np.empty(len(kb), dtype=np.intp)  # row -> load position
-    loaded[kb.load_order] = np.arange(len(kb))
+    gts = kb.ids.rows([inst.fact_id for inst in instances])
+    if len(missing := np.flatnonzero(gts < 0)):
+        inst = instances[missing[0]]
+        raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
     n = min(negatives, len(kb) - 1)
     rows = []
-    for inst in instances:
-        if inst.fact_id not in kb:
-            raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
-        gt = int(loaded[kb.position[inst.fact_id]])
+    for gt in np.argsort(kb.load_order)[gts].tolist():  # each groundtruth's load position
         draw = rng.choice(len(kb) - 1, size=n, replace=False)
         rows.append([gt, *(draw + (draw >= gt))])  # skip over the groundtruth
     return np.array(rows, dtype=np.intp).reshape(len(instances), n + 1)
@@ -142,7 +141,7 @@ def mine_hard_negatives(iq: Array, gt: Array, fact_matrix: FactMatrix, n: int, m
     sets = np.empty((len(gt), 1 + n), dtype=np.intp)
     hard = np.empty(len(gt), dtype=np.intp)
     for c in range(0, len(gt), 256):  # ranking is per question: chunks bound the GEMM hits held
-        for i, (r, s) in enumerate(rank_rows(iq[c : c + 256], fm.rows, fm.norms, fm.fact_ids, k), start=c):
+        for i, (r, s) in enumerate(rank_rows(iq[c : c + 256], fm.rows, fm.norms, fm.fact_ids.rank, k), start=c):
             g = int(gt[i])
             r, s = r[r != g], s[r != g]
             wrong = np.argsort(twin_group[r] == twin_group[g], kind="stable")[:n]  # twins last
@@ -177,8 +176,8 @@ def fact_precision(
     iq = embed_batch(params, feats, cons, [i.question for i in instances])
     if np.any(np.linalg.norm(iq, axis=1) == 0.0):
         raise UsageError("fact_precision got a zero-norm embedding row")
-    tops = rank_rows(iq, fact_matrix.rows, fact_matrix.norms, fact_matrix.fact_ids, 3)
-    found = [[fact_matrix.fact_ids[r] for r in rows.tolist()] for rows, _ in tops]
+    tops = rank_rows(iq, fact_matrix.rows, fact_matrix.norms, fact_matrix.fact_ids.rank, 3)
+    found = [fact_matrix.fact_ids[rows] for rows, _ in tops]
     return {
         "precision1": float(np.mean([f[0] == i.fact_id for f, i in zip(found, instances)])),
         "precision3": float(np.mean([i.fact_id in f for f, i in zip(found, instances)])),

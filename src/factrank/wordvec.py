@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, LoadError
-from .kb import KnowledgeBase
+from .kb import FactIds, KnowledgeBase, RowOf
 from .numerics import row_norms
 from .text import read_lines, tokenize  # tokenize is re-exported: tokenization is part of this module's API
 
@@ -99,13 +99,15 @@ class FactMatrix:
 
     ``rows`` is float32; ``norms`` is float64, each the exact ``row_norms``
     of its stored row, and nonzero only inside ``NORM_RANGE``. Row ``i`` is
-    fact ``fact_ids[i]`` and ``row_of`` maps an id to its row. A matrix that
-    :meth:`build` made shares both with its KB, whose ``buckets`` then slice
-    the rows, relation by relation."""
+    fact ``fact_ids[i]``: ``fact_ids`` is a :class:`~factrank.kb.FactIds`, a
+    byte column decoded only as a fact is named, whose ``rank`` column breaks
+    ranking ties by id, and ``row_of`` maps an id to its row by a lookup in
+    it, with no dict. A matrix that :meth:`build` made shares both with its
+    KB, whose ``buckets`` then slice the rows, relation by relation."""
 
-    fact_ids: list[str]
+    fact_ids: FactIds
     rows: Array
-    row_of: dict[str, int]
+    row_of: RowOf
     norms: Array = field(init=False)
 
     def __post_init__(self):
@@ -143,14 +145,27 @@ class FactMatrix:
         table.oov_phrase_count += len(oov)
         if len(oov):
             logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov),
-                           kb.phrases[codes[oov[0]]])
+                           kb.phrase(codes[oov[0]]))
         return matrix
 
     @cached_property
     def twin_groups(self) -> Array:
-        """Each row's group number, shared by bitwise-equal rows; computed once."""
-        groups: dict[bytes, int] = {}
-        return np.array([groups.setdefault(r.tobytes(), len(groups)) for r in self.rows], dtype=np.intp)
+        """Each row's group number, shared by bitwise-equal rows and numbered in order of each group's first
+        row; computed once. Rows are hashed ``BUILD_CHUNK`` at a time and compared bytewise only within a run of
+        equal hashes, so beside the result it holds a few integers per row, never a copy of the rows."""
+        n = len(self.rows)
+        hashes = np.empty(n, dtype=np.uint64)
+        for at in range(0, n, BUILD_CHUNK):
+            hashes[at:at + BUILD_CHUNK] = _row_hashes(self.rows[at:at + BUILD_CHUNK])
+        order = np.argsort(hashes, kind="stable")  # each run of equal hashes in row order
+        new_run = np.flatnonzero(np.diff(hashes[order])) + 1
+        starts, ends = np.r_[0, new_run], np.r_[new_run, n]
+        first, shared = np.arange(n), ends - starts > 1  # each row's first bitwise-equal row
+        for start, end in zip(starts[shared].tolist(), ends[shared].tolist()):
+            seen: dict[bytes, int] = {}
+            for row in order[start:end].tolist():
+                first[row] = seen.setdefault(self.rows[row].tobytes(), row)
+        return (np.cumsum(first == np.arange(n)) - 1)[first]
 
     @property
     def dim(self) -> int:
@@ -165,3 +180,9 @@ class FactMatrix:
             raise DataError(f"the fact matrix ({len(self.fact_ids)} rows) was not built from this knowledge base "
                             f"({len(kb)} facts)")
 
+
+def _row_hashes(rows: Array) -> Array:
+    """A 64-bit hash of each float32 row's bits, so 0.0 and -0.0 differ: the sum of its 32-bit words, each
+    times an odd weight, mod 2**64."""
+    weights = np.arange(1, 2 * rows.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return (rows.view(np.uint32) * weights).sum(axis=1, dtype=np.uint64)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from factrank.dataio import load_dataset, split_fold
-from factrank.kb import Fact, KBBuilder, KnowledgeBase, Relation
+from factrank.kb import Fact, FactIds, KBBuilder, KnowledgeBase, Relation, RowOf
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
 
@@ -20,10 +20,18 @@ SMALL_SYNTH = dict(
 )
 
 
-def from_rows(fact_ids, rows) -> FactMatrix:
-    """A fact matrix of ``rows``, stored as float32, whose row ``i`` is fact ``fact_ids[i]``: no KB needed."""
-    fact_ids = list(fact_ids)
-    return FactMatrix(fact_ids, np.asarray(rows, dtype=np.float32), dict(zip(fact_ids, range(len(fact_ids)))))
+def id_column(ids) -> FactIds:
+    """The strings ``ids``, in their order, as a byte column ranked by Python's ``sorted``."""
+    ids = list(ids)
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return FactIds(np.array([fid.encode() for fid in ids], dtype=bytes), rank)
+
+
+def from_rows(ids, rows) -> FactMatrix:
+    """A fact matrix of ``rows``, stored as float32, whose row ``i`` is fact ``ids[i]``: no KB needed."""
+    ids = id_column(ids)
+    return FactMatrix(ids, np.asarray(rows, dtype=np.float32), RowOf(ids))
 
 
 def from_facts(facts) -> KnowledgeBase:

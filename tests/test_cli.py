@@ -89,6 +89,17 @@ def test_cli_answer_with_an_unknown_image_id_is_usage_error(synth_dir, trained, 
     assert "--image-id: no image feature for image id 'nope'" in capsys.readouterr().err
 
 
+def test_cli_answer_warns_when_every_question_token_is_unknown_to_the_scorer(synth_dir, trained, caplog, capsys):
+    flags = _data_flags(synth_dir, trained) + ["--fold", "1"]
+    inst = json.loads((synth_dir / "qa.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    with caplog.at_level("WARNING", logger="factrank.cli"):
+        for question in (inst["question"], "zyzzyva qwxq?"):
+            assert main(["answer", *flags, "--image-id", inst["image_id"], "--question", question]) == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "factrank.cli"] == [
+        "every token of the question 'zyzzyva qwxq?' is unknown to the scorer's vocabulary"]
+    assert "answer:" in capsys.readouterr().out
+
+
 def test_cli_evaluate_missing_checkpoint_is_usage_error(synth_dir, tmp_path, capsys):
     flags = _data_flags(synth_dir, tmp_path / "empty", tmp_path / "out") + ["--fold", "1"]
     assert main(["evaluate", *flags]) == 2

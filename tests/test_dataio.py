@@ -8,8 +8,8 @@ import pytest
 
 from factrank import dataio
 from factrank.dataio import FeatureStore, load_concept_labels, load_concepts, load_features, load_qa
-from factrank.errors import DataError, LoadError
-from factrank.kb import parse_kb
+from factrank.errors import DataError, LoadError, UsageError
+from factrank.kb import Relation, parse_kb
 from factrank.wordvec import load_vectors
 
 LABELS = [f"label{i}" for i in range(6)]
@@ -260,6 +260,43 @@ def test_the_converter_round_trips_a_synth_set_byte_for_byte(small_synth_dir, tm
     written = dataio.convert_fvqa(questions, facts, tmp_path / "out")
     for path in written.values():
         assert path.read_bytes() == (small_synth_dir / path.name).read_bytes(), path.name
+
+
+def _convert_one_fact(tmp_path, fact_id, relation_token):
+    facts = _write_text(tmp_path / "facts.json", json.dumps({fact_id: {"e1_label": "umbrella", "r": relation_token,
+                                                                       "e2_label": "shade"}}))
+    questions = _write_text(tmp_path / "questions.json", json.dumps({
+        "q1": {"question": "what gives shade", "answer": "umbrella", "img_file": "a.jpg", "fact": [fact_id],
+               "answer_source": "Image", "fold": 2}}))
+    return facts, dataio.convert_fvqa(questions, facts, tmp_path / "out")
+
+
+@pytest.mark.parametrize(("token", "relation", "obj"), [
+    *((r.value, r, "shade") for r in Relation),
+    ("Comparative-LargerThan", Relation.COMPARATIVE, "LargerThan shade"),
+])
+def test_the_release_relation_spellings_that_parse_and_convert(tmp_path, token, relation, obj):
+    assert Relation.parse(token) == (relation, "LargerThan" if "-" in token else None)
+    _, written = _convert_one_fact(tmp_path, "f1", token)
+    assert written["kb"].read_text(encoding="utf-8") == f"f1\tumbrella\t{token}\tshade\n"
+    fact = parse_kb(written["kb"]).fact("f1")
+    assert (fact.relation, fact.obj) == (relation, obj)
+    assert [(i.relation, i.answer) for i in load_qa(written["qa"])] == [(relation, "umbrella")]
+
+
+@pytest.mark.parametrize("token", ["/r/IsA", "isa", "comparative-LargerThan"])
+def test_relation_spellings_the_release_may_hold_but_the_package_rejects_name_the_fact(tmp_path, token):
+    with pytest.raises(UsageError, match=f"unknown relation {re.escape(repr(token))}"):
+        Relation.parse(token)
+    with pytest.raises(LoadError, match=re.escape(f": fact 'f1': unknown relation {token!r}")):
+        _convert_one_fact(tmp_path, "f1", token)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_nul_byte_in_a_fact_id_is_a_load_error_naming_the_fact(tmp_path):
+    with pytest.raises(LoadError, match=re.escape(": fact 'f1\\x00': fact id 'f1\\x00' holds a NUL byte")):
+        _convert_one_fact(tmp_path, "f1\x00", "IsA")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_boolean_fold_is_not_fold_1(tmp_path):

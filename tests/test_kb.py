@@ -83,6 +83,20 @@ def test_parse_kb_duplicate_id_names_line(tmp_path):
         parse_kb(path)
 
 
+def test_a_nul_byte_in_a_fact_id_is_a_load_error_naming_the_line(tmp_path):
+    # ids are held as a numpy bytes column, which would drop a trailing NUL and read "f2\0" as "f2"
+    path = tmp_path / "kb.tsv"
+    path.write_text("f1\tA\tIsA\tB\nf2\x00\tC\tIsA\tD\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=re.escape(f"{path}:2: fact id 'f2\\x00' holds a NUL byte")):
+        parse_kb(path)
+
+
+def test_an_id_lookup_finds_no_row_for_an_id_with_a_nul_or_an_id_of_another_width(tiny_kb):
+    assert tiny_kb.ids.rows(["f1\x00", "f3", "f", "f10", "f4", "", "\xe9"]).tolist() == [-1, 3, -1, -1, 0, -1, -1]
+    assert "f1" in tiny_kb and "f1\x00" not in tiny_kb and "f10" not in tiny_kb
+    assert tiny_kb.ids.rows([]).tolist() == [] and from_facts([]).ids.rows(["f1"]).tolist() == [-1]
+
+
 def test_parse_kb_malformed_line(tmp_path):
     path = tmp_path / "kb.tsv"
     path.write_text("f1\tA\tIsA\n", encoding="utf-8")
@@ -196,7 +210,8 @@ def test_property_buckets_partition(relations):
 # the cache of parsed columns beside the file
 # ----------------------------------------------------------------------
 
-CACHED_COLUMNS = ("relations", "subjects", "objects", "phrase_starts", "phrase_tokens", "load_order")
+CACHED_COLUMNS = ("relations", "subjects", "objects", "load_order", "id_rank", "phrase_starts", "phrase_tokens",
+                  "text_starts", "phrase_text")
 
 # comments, blank lines, a qualified Comparative, relations out of bucket order, non-ASCII ids and phrases, and
 # U+2028 and U+0085 within fields, where str.splitlines() would split a line but a file's lines do not end
@@ -214,8 +229,8 @@ def _assert_same_kb(a, b):
     for name in CACHED_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    assert (a.ids, a.phrases, a.tokens, a.buckets) == (b.ids, b.phrases, b.tokens, b.buckets)
-    assert list(a.position.items()) == list(b.position.items())  # the same dict order too
+    assert a.ids.column.dtype == b.ids.column.dtype and a.ids.column.tobytes() == b.ids.column.tobytes()
+    assert (list(a.ids), a.tokens, a.buckets) == (list(b.ids), b.tokens, b.buckets)
 
 
 def _hit(path, monkeypatch):
@@ -234,7 +249,7 @@ def odd_kb_path(tmp_path):
 
 def test_a_cache_hit_is_column_for_column_a_fresh_parse(odd_kb_path, monkeypatch):
     parsed = parse_kb(odd_kb_path)
-    assert parsed.ids == ["f3", "f2", "fé", "f1", "ü2", "f\u2028x"]
+    assert list(parsed.ids) == ["f3", "f2", "fé", "f1", "ü2", "f\u2028x"]
     assert parsed.fact("f\u2028x").obj == "next\x85line" and parsed.fact("f2").obj == "LargerThan Ant"
     written = _cache(odd_kb_path).stat().st_mtime_ns
     hit = _hit(odd_kb_path, monkeypatch)
@@ -256,7 +271,7 @@ def test_an_empty_kb_round_trips_through_its_cache(tmp_path, monkeypatch):
     parsed = parse_kb(path)
     hit = _hit(path, monkeypatch)
     _assert_same_kb(hit, parsed)
-    assert len(hit) == 0 and hit.phrases == hit.tokens == [] and kb_stats(hit).vocabulary_size == 0
+    assert len(hit) == 0 and len(hit.phrase_text) == 0 and hit.tokens == [] and kb_stats(hit).vocabulary_size == 0
 
 
 def test_an_edited_file_is_parsed_again_and_its_errors_name_the_line(odd_kb_path, caplog):
@@ -287,8 +302,13 @@ def _rewrite_cache(path, **changes):
      "phrase starts do not rise from 0 to the token count"),
     (lambda a: {"phrase_tokens": a["phrase_tokens"] + np.int32(1)}, "a code is out of range"),
     (lambda a: {"load_order": np.zeros_like(a["load_order"])}, "load order is not a permutation"),
-    (lambda a: {"ids": np.frombuffer("\n".join(["f1"] * 6).encode(), np.uint8)}, "fact ids repeat"),
-    (lambda a: {"ids": np.frombuffer(b"\xff", np.uint8)}, "can't decode byte"),
+    (lambda a: {"text_starts": a["text_starts"] + 1}, "text starts do not rise from 0 to the text length"),
+    (lambda a: {"id_rank": np.zeros_like(a["id_rank"])}, "id ranks are not a permutation"),
+    (lambda a: {"id_rank": a["id_rank"][::-1].copy()}, "their ranks do not sort them"),
+    (lambda a: {"ids": np.array([b"f1"] * 6)}, "fact ids repeat"),
+    (lambda a: {"ids": np.array([b"\xff"] * 6)}, "can't decode byte"),
+    (lambda a: {"phrase_text": np.where(a["phrase_text"] == ord("D"), 0xFF, a["phrase_text"]).astype(np.uint8)},
+     "can't decode byte"),
 ])
 def test_a_stale_or_unsound_cache_warns_and_the_file_is_parsed_again(odd_kb_path, caplog, change, warning):
     parsed = parse_kb(odd_kb_path)

@@ -4,7 +4,7 @@ import pytest
 
 from factrank.encoders import EncoderTrainConfig, train_relation_classifier, train_source_classifier
 from factrank.errors import DataError
-from factrank.kb import KnowledgeBase
+from factrank.kb import FactIds, KnowledgeBase
 from factrank.pipeline import PipelineModels, answer_question, evaluate
 from factrank.scorer import embed_batch, rank_candidates
 from factrank.trainer import MarginConfig, train_scorer
@@ -83,13 +83,13 @@ def test_ranking_names_bucket_rows_by_the_fact_matrix_ids_without_copying_the_kb
     kb, store = small_synth["kb"], small_synth["store"]
     expected = evaluate(models, kb, test, store)
 
-    class Unsliceable(list):
-        def __getitem__(self, index):
-            if isinstance(index, slice):
+    class Unsliceable(FactIds):
+        def __getitem__(self, rows):
+            if isinstance(rows, slice):
                 pytest.fail("copied bucket ids")
-            return super().__getitem__(index)
+            return super().__getitem__(rows)
 
-    ids = Unsliceable(kb.ids)
+    ids = Unsliceable(kb.ids.column, kb.ids.rank)
     monkeypatch.setattr(kb, "ids", ids)
     monkeypatch.setattr(models.fact_matrix, "fact_ids", ids)
     monkeypatch.setattr(KnowledgeBase, "ids_with_relation", lambda self, relation: pytest.fail("copied bucket ids"))

@@ -1,15 +1,18 @@
+import itertools
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factrank.checkpoint import save_checkpoint
 from factrank.encoders import Vocabulary, encode_batch
 from factrank.errors import LoadError, ShapeError, UsageError
 from factrank import scorer
+from factrank.kb import Fact, Relation
+from factrank.wordvec import FactMatrix
 from factrank.numerics import Tape, cosines, row_norms
 from factrank.scorer import (
     NEG_INF,
@@ -27,7 +30,7 @@ from factrank.scorer import (
     score_matrix,
     shortlist_rows,
 )
-from conftest import from_rows
+from conftest import from_facts, from_rows, id_column
 from gradcheck import check_grads, total
 from spoil import rewrite_header
 
@@ -242,6 +245,25 @@ def test_rank_ties_resolve_by_fact_id():
     assert [fid for fid, _ in ranked] == ["fa", "fb", "fc"]
 
 
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(st.text(st.sampled_from("f1z0\xe9\xff\u2028\ufffd\U0001d11e"), min_size=1, max_size=4),
+                    min_size=1, max_size=12, unique=True), data=st.data())
+@example(ids=["z", "f1\xe9", "f10", "\xe9", "f1"], data=None)
+def test_tied_scores_go_by_python_string_order_of_the_ids(ids, data):
+    # ids that are prefixes of each other, non-ASCII ones, and U+FFFD against a
+    # 4-byte character, where UTF-8 byte order and UTF-16 order differ; every
+    # fact embeds alike, so every score ties and the KB's id rank alone orders them
+    kb = from_facts([Fact(fid, "dog", relation, "pet") for fid, relation in zip(ids, itertools.cycle(Relation))])
+    assert [kb.ids[r] for r in np.argsort(kb.ids.rank)] == sorted(ids)
+    fm = FactMatrix(kb.ids, np.ones((len(ids), 3), dtype=np.float32), kb.position)
+    candidates = ids if data is None else data.draw(st.permutations(ids), label="candidates")
+    k = len(ids) if data is None else data.draw(st.integers(1, len(ids)), label="k")
+    ranked = rank_candidates(np.array([1.0, 2.0, 3.0]), candidates, fm, k)
+    assert [fid for fid, _ in ranked] == sorted(ids)[:k]
+    [(rows, _)] = rank_rows(np.array([[1.0, 2.0, 3.0]]), fm.rows, fm.norms, kb.ids.rank, k)
+    assert kb.ids[rows] == sorted(ids)[:k]
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), scale=st.floats(1e-3, 1e3))
 def test_property_positive_rescaling_preserves_ordering(seed, scale):
@@ -297,7 +319,7 @@ def test_property_rank_rows_is_the_exact_sort(seed, n, dim, block):
     fm, queries = _planted_block(seed, n, dim)
     with mock.patch.object(scorer, "BLOCK_ELEMENTS", block):
         for k in (1, 3, n):
-            got = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k), fm.fact_ids)
+            got = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids.rank, k), fm.fact_ids)
             for iq, top in zip(queries, got):
                 brute = sorted(zip(fm.fact_ids, _brute_force_scores(fm, iq)), key=lambda e: (-e[1], e[0]))
                 assert top == brute[:k]
@@ -308,11 +330,11 @@ def test_rank_rows_numbers_a_block_s_rows_from_first():
     fm = _random_fact_matrix(30, 5, seed=34)
     iq = np.random.default_rng(35).standard_normal((4, 5))
     iq[1] = fm.rows[12]
-    ids = fm.fact_ids[::-1]  # id order runs against row order
+    ranks = id_column(fm.fact_ids[::-1]).rank  # id order runs against row order
     for start, stop in ((0, 30), (7, 19), (29, 30)):
         block = slice(start, stop)
-        tops = rank_rows(iq, fm.rows[block], fm.norms[block], ids, 5, start)
-        alone = rank_rows(iq, fm.rows[block], fm.norms[block], ids[block], 5)
+        tops = rank_rows(iq, fm.rows[block], fm.norms[block], ranks, 5, start)
+        alone = rank_rows(iq, fm.rows[block], fm.norms[block], ranks[block], 5)
         for (rows, scores), (rows_alone, scores_alone) in zip(tops, alone):
             assert rows.dtype == np.intp and len(rows) == min(5, stop - start)
             assert rows.tolist() == (rows_alone + start).tolist()
@@ -343,7 +365,7 @@ def _screen_case(seed, n, dim, scale, k):
         elif kind == 3 and rows[src].any():
             rows[i] = np.nextafter(rows[src], np.float32(np.inf))
         else:
-            exact = sorted(_brute_force_scores(from_rows(range(n), rows), query), reverse=True)
+            exact = sorted(_brute_force_scores(from_rows([f"f{i}" for i in range(n)], rows), query), reverse=True)
             kth = exact[min(k, n) - 1]
             near = kth + rng.uniform(-slack, slack) * 2.0 ** -rng.integers(12)
             c = float(np.clip(near, -1.0, 1.0)) if kth > NEG_INF else 0.5
@@ -362,7 +384,7 @@ def _screen_case(seed, n, dim, scale, k):
 def test_property_float32_screen_keeps_the_exact_float64_top_k(seed, n, dim, scale, k, block):
     fm, queries = _screen_case(seed, n, dim, scale, k)
     with mock.patch.object(scorer, "BLOCK_ELEMENTS", block):
-        got = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k), fm.fact_ids)
+        got = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids.rank, k), fm.fact_ids)
     for iq, top in zip(queries, got):
         brute = sorted(zip(fm.fact_ids, _brute_force_scores(fm, iq)), key=lambda e: (-e[1], e[0]))
         assert top == brute[:k]
@@ -422,7 +444,7 @@ def test_ranking_over_many_blocks_is_the_exact_sort_and_shortlists_a_slack_brack
     with mock.patch.object(scorer, "BLOCK_ELEMENTS", 400 * q):  # 400 rows a block: 13 blocks, the first all zero
         for k in (1, 3, 100):
             shortlists = shortlist_rows(queries, fm.rows, fm.norms, k)
-            tops = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, k), fm.fact_ids)
+            tops = _named(rank_rows(queries, fm.rows, fm.norms, fm.fact_ids.rank, k), fm.fact_ids)
             for e, (r, s), top in zip(exact, shortlists, tops):
                 order = np.lexsort((ids, -e))[:k]
                 assert top == list(zip(ids[order].tolist(), e[order].tolist()))
@@ -452,9 +474,9 @@ def test_a_screen_that_is_not_finite_is_kept_and_never_moves_the_threshold(scree
     finite = np.delete(np.arange(1000), 500)
     with mock.patch.object(scorer, "BLOCK_ELEMENTS", block), np.errstate(invalid="ignore", over="ignore"):
         (kept, _), = shortlist_rows(iq, rows, norms, 3)
-        top = _named(rank_rows(iq, rows, norms, ids, 3), ids)
+        top = _named(rank_rows(iq, rows, norms, id_column(ids).rank, 3), ids)
         finite_ids = [ids[i] for i in finite]
-        top_finite = _named(rank_rows(iq, rows[finite], norms[finite], finite_ids, 3), finite_ids)
+        top_finite = _named(rank_rows(iq, rows[finite], norms[finite], id_column(finite_ids).rank, 3), finite_ids)
     assert 500 in kept.tolist() and len(kept) < 20
     assert {int(fid[1:]) for fid, _ in top_finite[0]} <= set(kept.tolist())
     if screen == "nan":  # its exact score is NaN too, and ranks last
@@ -466,7 +488,7 @@ def test_k_below_one_is_a_usage_error(k):
     fm = _random_fact_matrix(3, 4, seed=32)
     iq = np.random.default_rng(33).standard_normal((2, 4))
     for call in (lambda: shortlist_rows(iq, fm.rows, fm.norms, k),
-                 lambda: rank_rows(iq, fm.rows, fm.norms, fm.fact_ids, k),
+                 lambda: rank_rows(iq, fm.rows, fm.norms, fm.fact_ids.rank, k),
                  lambda: rank_candidates(iq[0], fm.fact_ids, fm, k)):
         with pytest.raises(UsageError, match=f"k must be >= 1, got {k}"):
             call()
@@ -481,7 +503,7 @@ def test_from_rows_and_rank_rows_never_allocate_a_copy_of_the_rows():
         fm = from_rows(ids, rows)
         _, built = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        rank_rows(queries, fm.rows, fm.norms, fm.fact_ids, 3)
+        rank_rows(queries, fm.rows, fm.norms, fm.fact_ids.rank, 3)
         _, ranked = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -172,7 +172,7 @@ def test_fact_matrix_rows_match_fact_embeddings(tiny_kb, tiny_table, tiny_fact_m
 def test_fact_matrix_lays_out_relation_buckets_as_views(tiny_kb, tiny_fact_matrix):
     fm = tiny_fact_matrix
     # Relation order, KB load order within a relation
-    assert fm.fact_ids == ["f4", "f2", "f1", "f3"]
+    assert list(fm.fact_ids) == ["f4", "f2", "f1", "f3"]
     for relation in Relation:
         bucket = tiny_kb.buckets[relation]
         assert fm.fact_ids[bucket] == tiny_kb.ids_with_relation(relation)
@@ -189,6 +189,42 @@ def test_fact_matrix_norms_are_the_per_row_norm_loop_on_the_desk_kb(tmp_path):
     fm = FactMatrix.build(parse_kb(paths["kb"]), load_vectors(paths["wordvec"]))
     assert fm.rows.shape == (598, 200)
     assert fm.norms.tobytes() == np.array([np.linalg.norm(r.astype(np.float64)) for r in fm.rows]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 40), chunk=st.sampled_from([1, 3, 7, 2048]),
+       hashes=st.sampled_from(["row", "all equal", "by first word"]))
+def test_twin_groups_are_the_dict_of_row_bytes_across_chunk_edges_and_hash_collisions(seed, n, chunk, hashes):
+    # rows drawn from a few that differ only in the sign of a zero, and unique ones; a hash that puts every
+    # row, or rows of different bits, in one run must still group by bytes
+    rng = np.random.default_rng(seed)
+    pool = np.array([[1.0, 0.0, 2.0], [1.0, -0.0, 2.0], [-0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.0, 0.0]])
+    rows = np.where(rng.random((n, 1)) < 0.7, pool[rng.integers(len(pool), size=n)], rng.standard_normal((n, 3)))
+    fm = from_rows([f"f{i}" for i in range(n)], rows)
+    oracle: dict[bytes, int] = {}
+    expected = [oracle.setdefault(r.tobytes(), len(oracle)) for r in fm.rows]
+    real = wordvec._row_hashes
+    patched = {"row": real, "all equal": lambda r: np.zeros(len(r), dtype=np.uint64),
+               "by first word": lambda r: r.view(np.uint32)[:, 0].astype(np.uint64) % np.uint64(2)}[hashes]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordvec, "BUILD_CHUNK", chunk)
+        mp.setattr(wordvec, "_row_hashes", patched)
+        groups = fm.twin_groups
+    assert groups.dtype == np.intp and groups.tolist() == expected
+
+
+def test_twin_groups_hold_no_copy_of_the_rows():
+    rows = np.random.default_rng(36).standard_normal((50_000, 200), dtype=np.float32)
+    rows[1::2] = rows[::2]  # every row has a twin
+    fm = from_rows([f"f{i:05d}" for i in range(len(rows))], rows)
+    tracemalloc.start()
+    try:
+        groups = fm.twin_groups
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert groups.tolist() == np.repeat(np.arange(25_000), 2).tolist()
+    assert peak < rows.nbytes / 4
 
 
 def test_twin_groups_join_bitwise_equal_rows_once_per_matrix():
@@ -300,7 +336,7 @@ def test_build_is_the_per_fact_loop_bitwise_across_chunk_edges(tmp_path_factory,
             assert table.oov_phrase_count == before
             return
         fm = FactMatrix.build(kb, table)
-    assert fm.fact_ids == [f.fact_id for f in facts]
+    assert list(fm.fact_ids) == [f.fact_id for f in facts]
     assert fm.rows.tobytes() == rows.tobytes()
     assert fm.norms.tobytes() == norms.tobytes()
     assert kb.buckets == {r: slice(start, end) for r, start, end in zip(Relation, [0, *ends], ends)}
