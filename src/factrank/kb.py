@@ -183,7 +183,7 @@ class KBBuilder:
         order and ranked, the phrases' text and offsets, and the tokens. Nothing encoded here is decoded."""
         relations, subjects, objects = (np.frombuffer(column, dtype=np.int32) for column in self.columns)
         order = np.argsort(relations, kind="stable")  # row -> load index
-        width = max(map(len, map(str.encode, self.ids)), default=1)  # fromiter holds no list of encoded ids
+        width = max(map(len, map(str.encode, self.ids)), default=0) or 1  # fromiter holds no list of encoded ids
         ids = np.fromiter(map(str.encode, self.ids), f"S{width}", len(self.ids))[order]
         id_rank = np.empty(len(ids), dtype=np.int32)
         id_rank[np.argsort(ids, kind="stable")] = np.arange(len(ids), dtype=np.int32)
