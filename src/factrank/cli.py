@@ -73,7 +73,6 @@ class RunConfig:
     variant: str = _opt("q+i+vc", "scorer", choices=("q+i", "q+vc", "q+i+vc"))
     threads: int | None = None
     k: int = _opt(3, "evaluate", "answer")
-    max_question_tokens: int = _opt(30, *_KINDS)
     # relation classifier
     relation_epochs: int = _opt(50, "relation")
     relation_batch_size: int = _opt(100, "relation")
@@ -226,7 +225,7 @@ def cmd_train(cfg: RunConfig, kind: str) -> int:
 
     instances, store, kb, table = _load_bundle(cfg)
     train_set, heldout = (instances, None) if cfg.fold is None else split_fold(instances, cfg.fold)
-    knobs = dict(_knobs(cfg, kind), seed=cfg.seed, max_question_tokens=cfg.max_question_tokens)
+    knobs = dict(_knobs(cfg, kind), seed=cfg.seed)
 
     if kind == "scorer":
         knobs["variant"] = Variant(knobs["variant"])
@@ -349,7 +348,7 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
         relation=load_classifier(relation),
         source=load_classifier(source),
     )
-    if set(models.scorer.vocab.encode(question, models.scorer.max_tokens)) == {UNK_ID}:
+    if set(models.scorer.vocab.encode(question)) == {UNK_ID}:
         logger.warning("every token of the question %r is unknown to the scorer's vocabulary", question)
     prediction = answer_question(
         models, kb, store.feature(image_id), store.concept(image_id), question, k=cfg.k, question_id="cli",

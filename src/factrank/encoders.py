@@ -8,7 +8,10 @@ holds all that differs: labels and head width (a 13-way softmax for the
 relation, one sigmoid logit for the answer source), default sizes and
 dropout, the loss and the held-out metric. Every model keeps its tensors in
 one dict named and shaped by one ``shapes`` table, which initialization,
-checkpoints and their loaders follow.
+checkpoints and their loaders follow. Every question that the classifiers
+and the scorer read, in training and at inference, is cut to its first
+:data:`MAX_QUESTION_TOKENS` tokens by :meth:`Vocabulary.encode`, the one
+place that bound is applied.
 
 :func:`fit` is the training loop of every model, these classifiers and
 the fact scorer alike: per epoch it permutes the examples, pads each
@@ -41,6 +44,7 @@ INIT_SCALE = 0.08  # uniform weight init range shared by all trainable layers
 LSTM_PREFIX = "lstm."  # names of a model's LSTM tensors start with this
 CLIP_NORM = 5.0  # every training step clips the global gradient norm to this
 EVAL_CHUNK = 512  # questions per evaluation-mode forward pass
+MAX_QUESTION_TOKENS = 30  # a question's tokens past this many are dropped, in training and at inference alike
 
 
 @dataclass
@@ -65,9 +69,9 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def encode(self, text: str, max_tokens: int = 30) -> list[int]:
-        """Token ids, unknown tokens mapped to UNK, truncated to ``max_tokens``."""
-        return [self.index.get(t, UNK_ID) for t in tokenize(text)[:max_tokens]]
+    def encode(self, text: str) -> list[int]:
+        """Token ids, unknown tokens mapped to UNK, truncated to :data:`MAX_QUESTION_TOKENS`."""
+        return [self.index.get(t, UNK_ID) for t in tokenize(text)[:MAX_QUESTION_TOKENS]]
 
 
 def _pad(encoded: Sequence[Sequence[int]]) -> tuple[Array, Array]:
@@ -79,9 +83,9 @@ def _pad(encoded: Sequence[Sequence[int]]) -> tuple[Array, Array]:
     return ids, lengths
 
 
-def encode_batch(vocab: Vocabulary, questions: Sequence[str], max_tokens: int) -> tuple[Array, Array]:
+def encode_batch(vocab: Vocabulary, questions: Sequence[str]) -> tuple[Array, Array]:
     """Right-padded id matrix plus true lengths; an empty question is an error."""
-    encoded = [vocab.encode(q, max_tokens) for q in questions]
+    encoded = [vocab.encode(q) for q in questions]
     for q, ids in zip(questions, encoded):
         if not ids:
             raise UsageError(f"question {q!r} has no tokens")
@@ -179,7 +183,6 @@ class Classifier:
     hidden_dim: int
     tensors: dict[str, Tensor]
     dropout: float
-    max_tokens: int = 30
 
     @staticmethod
     def shapes(kind: str, vocab_size: int, embed_dim: int, hidden_dim: int) -> dict[str, tuple[int, ...]]:
@@ -198,14 +201,13 @@ class Classifier:
         embed_dim: int | None = None,
         hidden_dim: int | None = None,
         dropout: float | None = None,
-        max_tokens: int = 30,
     ) -> "Classifier":
         """A fresh classifier; sizes and dropout left None take the kind's defaults."""
         spec = KINDS[kind]
         embed_dim, hidden_dim = embed_dim or spec.embed_dim, hidden_dim or spec.hidden_dim
         tensors = init_tensors(rng, cls.shapes(kind, len(vocab), embed_dim, hidden_dim))
         dropout = spec.dropout if dropout is None else dropout
-        return cls(kind, vocab, embed_dim, hidden_dim, tensors, dropout, max_tokens)
+        return cls(kind, vocab, embed_dim, hidden_dim, tensors, dropout)
 
 
 def _head_logits(tape, clf, ids, lengths, rng) -> Tensor:
@@ -222,7 +224,7 @@ def _eval_logits(clf: Classifier, kind: str, questions: Sequence[str]) -> Array:
         raise UsageError(f"expected a {kind} classifier, got a {clf.kind} one")
     out = np.zeros((len(questions), KINDS[kind].width))
     for start in range(0, len(questions), EVAL_CHUNK):
-        ids, lengths = encode_batch(clf.vocab, questions[start : start + EVAL_CHUNK], clf.max_tokens)
+        ids, lengths = encode_batch(clf.vocab, questions[start : start + EVAL_CHUNK])
         out[start : start + len(ids)] = _head_logits(Tape(record=False), clf, ids, lengths, None).values
     return out
 
@@ -276,7 +278,6 @@ class EncoderTrainConfig:
     lr: float = 1e-3
     seed: int = 0
     dropout: float | None = None  # None -> the classifier kind's default
-    max_question_tokens: int = 30
 
 
 def fit(
@@ -351,8 +352,6 @@ def train_classifier(
     """
     spec = KINDS[kind]
     cfg = config or EncoderTrainConfig()
-    if cfg.max_question_tokens < 1:
-        raise UsageError(f"{kind} classifier: max_question_tokens must be >= 1, got {cfg.max_question_tokens}")
     if not pairs:
         raise DataError(f"{kind} training needs at least one example")
     for q, label in pairs:
@@ -361,8 +360,7 @@ def train_classifier(
         if not tokenize(q):
             raise DataError(f"question {q!r} has no tokens")
     vocab = Vocabulary.build(q for q, _ in pairs)
-    clf = Classifier.init(kind, vocab, np.random.default_rng([cfg.seed, 11]), dropout=cfg.dropout,
-                          max_tokens=cfg.max_question_tokens)
+    clf = Classifier.init(kind, vocab, np.random.default_rng([cfg.seed, 11]), dropout=cfg.dropout)
     targets = np.array([spec.labels.index(label) for _, label in pairs], dtype=np.intp)
     rng = np.random.default_rng([cfg.seed, 13])
 
@@ -375,7 +373,7 @@ def train_classifier(
             record[spec.metric] = accuracy(clf, heldout)
         return record
 
-    encoded = [vocab.encode(q, clf.max_tokens) for q, _ in pairs]
+    encoded = [vocab.encode(q) for q, _ in pairs]
     history = fit(clf.tensors, encoded, make_optimizer(cfg.lr), rng, range(1, cfg.epochs + 1), cfg.batch_size,
                   batch_loss, epoch_record, f"{kind} classifier: ")
     return clf, history
@@ -416,7 +414,7 @@ def read_model_checkpoint(path, kinds: Sequence[str]) -> tuple[ckpt.Checkpoint, 
 
 
 def save_classifier(path, clf: Classifier, meta: dict | None = None) -> None:
-    dims = dict(embed_dim=clf.embed_dim, hidden_dim=clf.hidden_dim, dropout=clf.dropout, max_tokens=clf.max_tokens)
+    dims = dict(embed_dim=clf.embed_dim, hidden_dim=clf.hidden_dim, dropout=clf.dropout)
     tensors = {name: t.values for name, t in clf.tensors.items()}
     ckpt.save_checkpoint(path, clf.kind, dims, clf.vocab.tokens, tensors, meta)
 
@@ -426,5 +424,4 @@ def load_classifier(path) -> Classifier:
     embed_dim, hidden_dim = data.dim("embed_dim"), data.dim("hidden_dim")
     arrays = data.checked_tensors(Classifier.shapes(data.kind, len(vocab), embed_dim, hidden_dim))
     tensors = {name: parameter(arr) for name, arr in arrays.items()}
-    return Classifier(data.kind, vocab, embed_dim, hidden_dim, tensors, data.dim("dropout", float),
-                      data.dim("max_tokens"))
+    return Classifier(data.kind, vocab, embed_dim, hidden_dim, tensors, data.dim("dropout", float))

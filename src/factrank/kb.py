@@ -3,6 +3,8 @@
 A knowledge base is a set of (subject, relation, object) triplets loaded
 from a tab-separated file, held as columns in the row order of
 ``wordvec.FactMatrix``: relation bucket after bucket, each in load order.
+A fact's row is the one number it has: every list of facts, every
+candidate set and every ranking is in rows or row order.
 Subjects and objects are codes into the distinct phrases, each tokenized
 once into codes of one list of distinct tokens. No Python object is held
 per fact: the fact ids are a byte column (:class:`FactIds`) and the
@@ -98,8 +100,7 @@ RELATIONS = list(Relation)  # a relation's code is its index here (list.index, n
 
 # the integer columns of a KnowledgeBase's cache; beside them it holds the ids as a byte column, the phrases as
 # one UTF-8 text (whose offsets are text_starts) and the tokens UTF-8 joined on line breaks
-_COLUMNS = ("relations", "subjects", "objects", "load_order", "id_rank", "phrase_starts", "phrase_tokens",
-            "text_starts")
+_COLUMNS = ("relations", "subjects", "objects", "id_rank", "phrase_starts", "phrase_tokens", "text_starts")
 
 
 class FactIds(Sequence[str]):
@@ -192,7 +193,7 @@ class KBBuilder:
                   out=text_starts[1:])
         code = dict(zip(self.tokens, range(len(self.tokens))))
         phrase_tokens = np.fromiter(map(code.__getitem__, self.phrase_tokens), np.int32, len(self.phrase_tokens))
-        columns = (relations[order], subjects[order], objects[order], np.argsort(order).astype(np.int32), id_rank,
+        columns = (relations[order], subjects[order], objects[order], id_rank,
                    np.frombuffer(self.phrase_starts, dtype=np.int32), phrase_tokens, text_starts)
         return {**dict(zip(_COLUMNS, columns)), "ids": ids,
                 "phrase_text": np.frombuffer("".join(self.phrases).encode(), np.uint8),
@@ -202,8 +203,8 @@ class KBBuilder:
 class KnowledgeBase:
     """Immutable columnar fact store. Row ``r`` is fact ``ids[r]``, of relation ``RELATIONS[relations[r]]``,
     subject :meth:`phrase` ``(subjects[r])`` and object :meth:`phrase` ``(objects[r])``; ``ids`` is a
-    :class:`FactIds` and ``position`` its id -> row :class:`RowOf`, ``buckets`` maps a relation to its rows,
-    and ``load_order[i]`` is the row of the ``i``-th fact loaded. Phrase ``p`` is the UTF-8 text
+    :class:`FactIds` and ``position`` its id -> row :class:`RowOf`, and ``buckets`` maps a relation to its
+    rows. Phrase ``p`` is the UTF-8 text
     ``phrase_text[text_starts[p]:text_starts[p + 1]]``, and its tokens are ``tokens[c]`` for ``c`` in
     ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``. Ids and phrases stay bytes until a fact is
     named; no Python object is held per fact.
@@ -219,8 +220,8 @@ class KnowledgeBase:
         for utf8 in (ids, self.phrase_text):  # a byte that does not decode fails here, not as a fact is named
             str(utf8, "utf-8")
         n, starts, text_starts, phrases = len(ids), self.phrase_starts, self.text_starts, len(self.phrase_starts) - 1
-        if len({n, len(self.relations), len(self.subjects), len(self.objects), len(self.load_order),
-                len(self.id_rank)}) > 1 or len(text_starts) != phrases + 1:
+        lengths = {n, len(self.relations), len(self.subjects), len(self.objects), len(self.id_rank)}
+        if len(lengths) > 1 or len(text_starts) != phrases + 1:
             raise ValueError("column lengths differ")
         codes = [(self.relations, len(RELATIONS)), (self.subjects, phrases), (self.objects, phrases),
                  (self.phrase_tokens, len(self.tokens))]
@@ -231,7 +232,6 @@ class KnowledgeBase:
                 starts[0] != 0 or starts[-1] != len(self.phrase_tokens) or (np.diff(starts) <= 0).any(),
             "text starts do not rise from 0 to the text length":
                 text_starts[0] != 0 or text_starts[-1] != len(self.phrase_text) or (np.diff(text_starts) <= 0).any(),
-            "load order is not a permutation": not np.array_equal(np.sort(self.load_order), np.arange(n)),
             "id ranks are not a permutation": not np.array_equal(np.sort(self.id_rank), np.arange(n)),
         }
         if problems := [problem for problem, fails in failed.items() if fails]:
@@ -272,17 +272,12 @@ class KnowledgeBase:
         return self.phrase((self.subjects if source is AnswerSource.IMAGE else self.objects)[row])
 
     def facts(self) -> list[Fact]:
-        """All facts in load order."""
-        return self._facts(self.load_order)
-
-    def fact_ids(self) -> list[str]:
-        """All fact ids in load order."""
-        return self.ids[self.load_order]
+        """All facts in row order: bucket after bucket, each bucket in load order."""
+        return self._facts(slice(None))
 
     def facts_with_relation(self, relation: Relation) -> list[Fact]:
-        """Facts whose relation is ``relation``, in stable load order."""
-        bucket = self.buckets[relation]
-        return self._facts(np.arange(bucket.start, bucket.stop))
+        """Facts whose relation is ``relation``, in row order, which is their load order."""
+        return self._facts(self.buckets[relation])
 
     def ids_with_relation(self, relation: Relation) -> list[str]:
         return self.ids[self.buckets[relation]]

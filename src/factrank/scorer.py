@@ -91,7 +91,6 @@ class ScorerParams:
     tensors: dict[str, Tensor]
     dropout: float = 0.5
     variant: Variant = Variant.Q_I_VC
-    max_tokens: int = 30
 
     @staticmethod
     def shapes(dims: ScorerDims, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -119,10 +118,9 @@ class ScorerParams:
         dims: ScorerDims | None = None,
         dropout: float = 0.5,
         variant: Variant = Variant.Q_I_VC,
-        max_tokens: int = 30,
     ) -> "ScorerParams":
         d = dims or ScorerDims()
-        return cls(d, vocab, init_tensors(rng, cls.shapes(d, len(vocab))), dropout, variant, max_tokens)
+        return cls(d, vocab, init_tensors(rng, cls.shapes(d, len(vocab))), dropout, variant)
 
 
 def _masked_inputs(params: ScorerParams, feats: Array, concepts: Array) -> tuple[Array, Array]:
@@ -176,7 +174,7 @@ def embed_batch(params: ScorerParams, feats: Array, concepts: Array, questions: 
     out = np.zeros((n, params.dims.output_dim))
     for start in range(0, n, EMBED_CHUNK):
         stop = min(start + EMBED_CHUNK, n)
-        ids, lengths = encode_batch(params.vocab, list(questions[start:stop]), params.max_tokens)
+        ids, lengths = encode_batch(params.vocab, list(questions[start:stop]))
         tape = Tape(record=False)
         out[start:stop] = iq_embedding_batch(tape, params, feats[start:stop], concepts[start:stop], ids, lengths).values
     bad = np.flatnonzero(~np.isfinite(np.linalg.norm(out, axis=1)))
@@ -342,7 +340,7 @@ def rank_rows(iq_block: Array, rows: Array, norms: Array, id_rank: Array, k: int
 
 def save_scorer(path, params: ScorerParams, meta: dict | None = None) -> None:
     dims = params.dims.as_dict()
-    dims.update(dropout=params.dropout, variant=params.variant.value, max_tokens=params.max_tokens)
+    dims.update(dropout=params.dropout, variant=params.variant.value)
     tensors = {name: t.values for name, t in params.tensors.items()}
     ckpt.save_checkpoint(path, "scorer", dims, params.vocab.tokens, tensors, meta)
 
@@ -352,5 +350,4 @@ def load_scorer(path) -> ScorerParams:
     dims = ScorerDims(**{f.name: data.dim(f.name) for f in fields(ScorerDims)})
     arrays = data.checked_tensors(ScorerParams.shapes(dims, len(vocab)))
     tensors = {name: parameter(arr) for name, arr in arrays.items()}
-    return ScorerParams(dims, vocab, tensors, data.dim("dropout", float), data.dim("variant", Variant),
-                        data.dim("max_tokens"))
+    return ScorerParams(dims, vocab, tensors, data.dim("dropout", float), data.dim("variant", Variant))

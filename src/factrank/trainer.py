@@ -66,14 +66,12 @@ class MarginConfig:
     seed: int = 0
     dropout: float = 0.5
     variant: Variant = Variant.Q_I_VC
-    max_question_tokens: int = 30
 
     def validate(self) -> None:
         for name in ("margin", "lr"):
             if not getattr(self, name) > 0:  # NaN too
                 raise UsageError(f"{name} must be positive, got {getattr(self, name)}")
-        lows = dict(weight_decay=0, negatives=1, iterations=0, epochs_per_iteration=1, mining_period=1,
-                    max_question_tokens=1)
+        lows = dict(weight_decay=0, negatives=1, iterations=0, epochs_per_iteration=1, mining_period=1)
         for name, low in lows.items():
             if not getattr(self, name) >= low:
                 raise UsageError(f"{name} must be >= {low}, got {getattr(self, name)}")
@@ -99,13 +97,12 @@ def build_initial_dataset(
     negatives: int = 99,
     seed: int = 0,
 ) -> Array:
-    """Iteration-0 candidate sets: an (instances, 1 + n) array of KB load
-    positions (indices into ``kb.fact_ids()``; ``kb.load_order`` maps them
-    to rows), the groundtruth in column 0 and ``n = min(negatives, len(kb) -
-    1)`` uniform negatives after it.
+    """Iteration-0 candidate sets: an (instances, 1 + n) array of KB rows,
+    which are fact-matrix rows, the groundtruth's in column 0 and ``n =
+    min(negatives, len(kb) - 1)`` uniform negatives after it.
 
-    Negatives are drawn without replacement from the whole knowledge base
-    excluding the groundtruth, in KB load order; a KB smaller than
+    Negatives are drawn without replacement from the rows of the whole
+    knowledge base other than the groundtruth's; a KB smaller than
     ``negatives + 1`` yields every non-groundtruth fact. Deterministic for a
     fixed seed.
     """
@@ -116,7 +113,7 @@ def build_initial_dataset(
         raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
     n = min(negatives, len(kb) - 1)
     rows = []
-    for gt in np.argsort(kb.load_order)[gts].tolist():  # each groundtruth's load position
+    for gt in gts.tolist():
         draw = rng.choice(len(kb) - 1, size=n, replace=False)
         rows.append([gt, *(draw + (draw >= gt))])  # skip over the groundtruth
     return np.array(rows, dtype=np.intp).reshape(len(instances), n + 1)
@@ -216,18 +213,18 @@ def train_scorer(
     vocab = Vocabulary.build(i.question for i in train_instances)
     rng_train = np.random.default_rng([config.seed, 19])
     params = ScorerParams.init(vocab, np.random.default_rng([config.seed, 17]), dims, dropout=config.dropout,
-                               variant=config.variant, max_tokens=config.max_question_tokens)
+                               variant=config.variant)
 
     feats, cons = store.stack([i.image_id for i in train_instances])
     questions = [i.question for i in train_instances]
-    encoded = [vocab.encode(q, config.max_question_tokens) for q in questions]
+    encoded = [vocab.encode(q) for q in questions]
     for inst, ids in zip(train_instances, encoded):
         if not ids:
             raise DataError(f"question {inst.question_id}: question has no tokens")
 
     metrics: list[dict] = []
     mining_states: list[MiningState] = []
-    cand = kb.load_order[build_initial_dataset(train_instances, kb, config.negatives, config.seed)]
+    cand = build_initial_dataset(train_instances, kb, config.negatives, config.seed)
 
     def batch_loss(tape, epoch, batch, ids, lengths):
         iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, rng_train)

@@ -162,7 +162,7 @@ def test_k_below_1_or_a_non_finite_float_is_usage_error_by_flag_and_by_config_fi
 
 COMMON = ["-h", "--help", "--config", "--threads"]
 DATA = ["--kb", "--qa", "--features", "--concepts", "--concept-labels", "--wordvec", "--checkpoints", "--fold"]
-TRAIN = COMMON + DATA + ["--seed", "--out", "--max-question-tokens"]
+TRAIN = COMMON + DATA + ["--seed", "--out"]
 OPTIONS = {
     "train relation": TRAIN + ["--relation-epochs", "--relation-batch-size", "--relation-lr", "--relation-dropout"],
     "train source": TRAIN + ["--source-epochs", "--source-batch-size", "--source-lr", "--source-dropout"],
@@ -287,7 +287,7 @@ def test_table_defaults_are_the_library_defaults():
     # each config built as the handlers build it, so a misnamed table field fails here
     cfg = RunConfig()
     assert [len(cli._knobs(cfg, c)) for c in ("relation", "source", "scorer", "synth")] == [4, 4, 10, 9]
-    shared = dict(seed=cfg.seed, max_question_tokens=cfg.max_question_tokens)
+    shared = dict(seed=cfg.seed)
     for kind in ("relation", "source"):
         # the library's dropout None stands for the kind's default, which the table spells out
         assert EncoderTrainConfig(**cli._knobs(cfg, kind), **shared) == EncoderTrainConfig(dropout=KINDS[kind].dropout)
@@ -312,17 +312,6 @@ def test_cli_train_scorer_with_zero_epochs_per_iteration_is_usage_error(synth_di
     assert main(["train", "scorer", *flags, "--epochs-per-iteration", "0"]) == 2
     assert "epochs_per_iteration must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "ckpt" / "scorer.ckpt").exists()
-
-
-@pytest.mark.parametrize("kind", ["relation", "source", "scorer"])
-@pytest.mark.parametrize("tokens", ["0", "-1"])
-def test_cli_train_with_fewer_than_one_question_token_is_usage_error(synth_dir, tmp_path, capsys, kind, tokens):
-    # -1 would otherwise train on every question but its last token
-    flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")
-    scorer = ["--iterations", "0"] if kind == "scorer" else []
-    assert main(["train", kind, *flags, f"--max-question-tokens={tokens}", *scorer]) == 2
-    assert f"max_question_tokens must be >= 1, got {tokens}" in capsys.readouterr().err
-    assert not (tmp_path / "ckpt" / f"{kind}.ckpt").exists()
 
 
 # ----------------------------------------------------------------------

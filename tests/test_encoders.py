@@ -11,6 +11,7 @@ from factrank.encoders import (
     UNK_ID,
     _head_logits,
     EncoderTrainConfig,
+    MAX_QUESTION_TOKENS,
     Classifier,
     Vocabulary,
     accuracy,
@@ -79,13 +80,20 @@ def test_vocabulary_unknown_maps_to_unk():
 
 
 def test_vocabulary_truncates_at_max_tokens():
-    vocab = Vocabulary.build(["a b c d e"])
-    assert len(vocab.encode("a b c d e", max_tokens=3)) == 3
+    # every question is cut to its first 30 tokens, in training and at inference alike
+    words = [f"w{i}" for i in range(45)]
+    vocab = Vocabulary.build([" ".join(words)])
+    assert MAX_QUESTION_TOKENS == 30
+    for count in (29, 30, 31, 45):
+        ids = vocab.encode(" ".join(words[:count]))
+        assert ids == [vocab.index[w] for w in words[: min(count, 30)]]
+    ids, lengths = encode_batch(vocab, [" ".join(words[:31]), "w0"])
+    assert ids.shape == (2, 30) and lengths.tolist() == [30, 1]
 
 
 def test_encode_batch_pads_and_reports_lengths():
     vocab = Vocabulary.build(["a b", "c"])
-    ids, lengths = encode_batch(vocab, ["a b", "c"], 30)
+    ids, lengths = encode_batch(vocab, ["a b", "c"])
     assert ids.shape == (2, 2)
     assert list(lengths) == [2, 1]
     assert ids[1, 1] == PAD_ID
@@ -94,7 +102,7 @@ def test_encode_batch_pads_and_reports_lengths():
 def test_encode_batch_empty_question_rejected():
     vocab = Vocabulary.build(["a"])
     with pytest.raises(UsageError):
-        encode_batch(vocab, ["..."], 30)
+        encode_batch(vocab, ["..."])
 
 
 # ----------------------------------------------------------------------
@@ -325,7 +333,7 @@ def test_eval_predictions_are_deterministic():
 def test_inference_tape_records_nothing():
     vocab = Vocabulary.build(["what is this thing used for"])
     clf = Classifier.init("relation", vocab, np.random.default_rng(7), 4, 5)
-    ids, lengths = encode_batch(vocab, ["what is this thing used for", "what is it"], clf.max_tokens)
+    ids, lengths = encode_batch(vocab, ["what is this thing used for", "what is it"])
     recorded = _head_logits(Tape(), clf, ids, lengths, None)
     tape = Tape(record=False)
     logits = _head_logits(tape, clf, ids, lengths, None)
@@ -456,6 +464,21 @@ def test_classifier_checkpoint_round_trip(tmp_path):
     questions = [q for q, _ in pairs]
     np.testing.assert_array_equal(
         predict_relation_batch(clf, questions), predict_relation_batch(loaded, questions)
+    )
+
+
+def test_classifier_checkpoint_with_an_older_max_tokens_key_loads(tmp_path):
+    # checkpoints written while the token bound was a setting hold it in their dims; the loader ignores it
+    pairs = _planted_relation_pairs(2, seed=8)
+    clf, _ = train_relation_classifier(pairs, EncoderTrainConfig(epochs=2, seed=8))
+    path = tmp_path / "relation.ckpt"
+    save_classifier(path, clf)
+    assert "max_tokens" not in load_checkpoint(path).dims
+    rewrite_header(path, dims={**load_checkpoint(path).dims, "max_tokens": 30})
+    assert load_checkpoint(path).dims["max_tokens"] == 30
+    questions = [q for q, _ in pairs] + [" ".join(pairs[0][0].split() * 12)]  # the last is cut to 30 tokens
+    np.testing.assert_array_equal(
+        predict_relation_batch(clf, questions), predict_relation_batch(load_classifier(path), questions)
     )
 
 

@@ -147,7 +147,7 @@ def test_relation_buckets_partition_facts(tiny_kb):
     seen = []
     for r in Relation:
         seen.extend(f.fact_id for f in tiny_kb.facts_with_relation(r))
-    assert sorted(seen) == sorted(tiny_kb.fact_ids())
+    assert sorted(seen) == sorted(tiny_kb.ids)
     assert len(seen) == len(set(seen))
 
 
@@ -156,8 +156,8 @@ def test_serialize_parse_round_trip(tmp_path, tiny_kb):
     path.write_text("".join(f"{f.fact_id}\t{f.subject}\t{f.relation.value}\t{f.obj}\n" for f in tiny_kb.facts()),
                     encoding="utf-8")
     loaded = parse_kb(path)
-    assert loaded.fact_ids() == tiny_kb.fact_ids()
-    for fid in tiny_kb.fact_ids():
+    assert list(loaded.ids) == list(tiny_kb.ids)
+    for fid in tiny_kb.ids:
         a, b = tiny_kb.fact(fid), loaded.fact(fid)
         assert (a.subject, a.relation, a.obj) == (b.subject, b.relation, b.obj)
 
@@ -210,8 +210,8 @@ def test_property_buckets_partition(relations):
 # the cache of parsed columns beside the file
 # ----------------------------------------------------------------------
 
-CACHED_COLUMNS = ("relations", "subjects", "objects", "load_order", "id_rank", "phrase_starts", "phrase_tokens",
-                  "text_starts", "phrase_text")
+CACHED_COLUMNS = ("relations", "subjects", "objects", "id_rank", "phrase_starts", "phrase_tokens", "text_starts",
+                  "phrase_text")
 
 # comments, blank lines, a qualified Comparative, relations out of bucket order, non-ASCII ids and phrases, and
 # U+2028 and U+0085 within fields, where str.splitlines() would split a line but a file's lines do not end
@@ -301,7 +301,6 @@ def _rewrite_cache(path, **changes):
     (lambda a: {"phrase_starts": a["phrase_starts"][[0, 2, 1, *range(3, len(a["phrase_starts"]))]]},
      "phrase starts do not rise from 0 to the token count"),
     (lambda a: {"phrase_tokens": a["phrase_tokens"] + np.int32(1)}, "a code is out of range"),
-    (lambda a: {"load_order": np.zeros_like(a["load_order"])}, "load order is not a permutation"),
     (lambda a: {"text_starts": a["text_starts"] + 1}, "text starts do not rise from 0 to the text length"),
     (lambda a: {"id_rank": np.zeros_like(a["id_rank"])}, "id ranks are not a permutation"),
     (lambda a: {"id_rank": a["id_rank"][::-1].copy()}, "their ranks do not sort them"),

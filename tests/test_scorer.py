@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factrank.checkpoint import save_checkpoint
+from factrank.checkpoint import load_checkpoint, save_checkpoint
 from factrank.encoders import Vocabulary, encode_batch
 from factrank.errors import LoadError, ShapeError, UsageError
 from factrank import scorer
@@ -115,7 +115,7 @@ def test_full_network_grad_matches_finite_differences():
     feat, concepts = _toy_inputs(seed=3)
     rng = np.random.default_rng(4)
     fact_rows = rng.standard_normal((1, 3, TOY_DIMS.output_dim))
-    ids, lengths = encode_batch(params.vocab, ["what is the thing shown"], 30)
+    ids, lengths = encode_batch(params.vocab, ["what is the thing shown"])
 
     def forward():
         t = Tape()
@@ -129,7 +129,7 @@ def test_inference_tape_records_nothing():
     params = _toy_scorer(seed=5)
     feat, concepts = _toy_inputs(seed=6)
     feats, cons = np.stack([feat, -feat]), np.stack([concepts, concepts])
-    ids, lengths = encode_batch(params.vocab, ["what is the thing shown", "what is here"], params.max_tokens)
+    ids, lengths = encode_batch(params.vocab, ["what is the thing shown", "what is here"])
     recorded = iq_embedding_batch(Tape(), params, feats, cons, ids, lengths)
     tape = Tape(record=False)
     out = iq_embedding_batch(tape, params, feats, cons, ids, lengths)
@@ -539,7 +539,7 @@ def test_rank_facts_end_to_end(tiny_fact_matrix, tiny_kb):
     iq = embed_image_question(
         params, rng.standard_normal(8), (rng.random(6) < 0.5).astype(float), "what is shade used for"
     )
-    top = rank_candidates(iq, tiny_kb.fact_ids(), tiny_fact_matrix, k=3)
+    top = rank_candidates(iq, list(tiny_kb.ids), tiny_fact_matrix, k=3)
     assert len(top) == 3
     assert top[0][1] >= top[1][1] >= top[2][1]
 
@@ -559,6 +559,21 @@ def test_scorer_checkpoint_round_trip(tmp_path):
     assert loaded.variant is Variant.Q_VC
     after = embed_image_question(loaded, feat, concepts, "what is shown here")
     np.testing.assert_array_equal(before, after)
+
+
+def test_scorer_checkpoint_with_an_older_max_tokens_key_loads(tmp_path):
+    # checkpoints written while the token bound was a setting hold it in their dims; the loader ignores it
+    params = _toy_scorer(seed=25)
+    feat, concepts = _toy_inputs(seed=26)
+    path = tmp_path / "scorer.ckpt"
+    save_scorer(path, params)
+    assert "max_tokens" not in load_checkpoint(path).dims
+    rewrite_header(path, dims={**load_checkpoint(path).dims, "max_tokens": 30})
+    assert load_checkpoint(path).dims["max_tokens"] == 30
+    loaded = load_scorer(path)
+    for question in ("what is shown here", " ".join(["what is the thing shown here"] * 7)):  # 42 tokens, cut to 30
+        before = embed_image_question(params, feat, concepts, question)
+        np.testing.assert_array_equal(before, embed_image_question(loaded, feat, concepts, question))
 
 
 def _spoil_truncate(path, dims, vocab, tensors):
@@ -625,7 +640,7 @@ def test_malformed_scorer_checkpoint_raises_load_error_naming_file(tmp_path, spo
     path = tmp_path / "scorer.ckpt"
     save_scorer(path, params)
     dims = params.dims.as_dict()
-    dims.update(dropout=params.dropout, variant=params.variant.value, max_tokens=params.max_tokens)
+    dims.update(dropout=params.dropout, variant=params.variant.value)
     spoil(path, dims, params.vocab.tokens, {name: t.values for name, t in params.tensors.items()})
     with pytest.raises(LoadError) as err:
         load_scorer(path)

@@ -92,7 +92,7 @@ def test_property_hinge_nonnegative_and_zero_iff_margin(seed, n):
 
 
 # The id-based initial sampler, kept as the oracle of build_initial_dataset's
-# KB-position arrays: candidate sets as fact-id lists.
+# row arrays: candidate sets as fact-id lists, drawn over the ids in row order.
 
 
 @dataclasses.dataclass
@@ -104,7 +104,7 @@ class OracleSet:
 
 def oracle_initial_dataset(instances, kb, negatives, seed):
     rng = np.random.default_rng([seed, 29])
-    all_ids = kb.fact_ids()
+    all_ids = list(kb.ids)
     index_of = {fid: i for i, fid in enumerate(all_ids)}
     sets = []
     for inst in instances:
@@ -143,8 +143,7 @@ def mined_ids(iq, gt_ids, fm, n, margin):
 
 def as_ids(sets, ids):
     """Candidate-array rows as fact-id lists, groundtruth first; ``ids``
-    names each index: ``kb.fact_ids()`` for the KB positions of
-    :func:`build_initial_dataset`, ``fm.fact_ids`` for fact-matrix rows."""
+    names each row: ``kb.ids`` or ``fm.fact_ids``, which are one column."""
     return [[ids[p] for p in row] for row in sets]
 
 
@@ -158,8 +157,8 @@ def _chain_kb(n):
 
 def _interleaved_kb(n, seed=0):
     """``n`` facts whose load order cycles through the relations and whose
-    ids are shuffled, so a KB position is neither a fact-matrix row (those
-    go bucket by bucket) nor the id order."""
+    ids are shuffled, so a row (rows go bucket by bucket) is neither a load
+    position nor a place in id order."""
     relations = list(Relation)
     names = np.random.default_rng(seed).permutation(n)
     return from_facts([Fact(f"f{names[i]:03d}", f"s{i}", relations[i % len(relations)], f"o{i}")
@@ -167,7 +166,7 @@ def _interleaved_kb(n, seed=0):
 
 
 def _questions(kb, count, seed=0):
-    ids = kb.fact_ids()
+    ids = list(kb.ids)
     picks = np.random.default_rng(seed).integers(len(ids), size=count)
     return [SimpleNamespace(question_id=f"q{i}", image_id=f"i{i}", fact_id=ids[p]) for i, p in enumerate(picks)]
 
@@ -176,7 +175,7 @@ def test_initial_dataset_sizes(tiny_synth):
     instances, _, kb, _ = tiny_synth
     sets = build_initial_dataset(instances, kb, negatives=30, seed=0)
     assert sets.shape == (len(instances), 31)
-    for row, inst in zip(as_ids(sets, kb.fact_ids()), instances):
+    for row, inst in zip(as_ids(sets, kb.ids), instances):
         assert row[0] == inst.fact_id
         assert inst.fact_id not in row[1:]
         assert len(set(row)) == 31
@@ -187,7 +186,7 @@ def test_initial_dataset_kb_exhaustion():
     sets = build_initial_dataset(_questions(kb, 3), kb, negatives=700, seed=1)
     assert sets.shape == (3, 8)
     assert all(sorted(row) == list(range(8)) for row in sets)
-    assert as_ids(sets, kb.fact_ids()) == oracle_ids(oracle_initial_dataset(_questions(kb, 3), kb, 700, 1))
+    assert as_ids(sets, kb.ids) == oracle_ids(oracle_initial_dataset(_questions(kb, 3), kb, 700, 1))
 
 
 def test_initial_dataset_deterministic(tiny_synth):
@@ -201,7 +200,7 @@ def test_initial_dataset_matches_the_id_oracle_on_an_interleaved_kb():
     kb = _interleaved_kb(60)
     questions = _questions(kb, 25)
     sets = build_initial_dataset(questions, kb, negatives=12, seed=3)
-    assert as_ids(sets, kb.fact_ids()) == oracle_ids(oracle_initial_dataset(questions, kb, 12, 3))
+    assert as_ids(sets, kb.ids) == oracle_ids(oracle_initial_dataset(questions, kb, 12, 3))
 
 
 def test_initial_dataset_missing_fact_is_data_error():
@@ -429,7 +428,7 @@ def test_train_scorer_single_example_loss_nonincreasing(tiny_synth):
     losses = [m["loss"] for m in result.metrics if m["type"] == "epoch"]
     fm = FactMatrix.build(kb, table)
     # the mining period outlasts the iteration: every epoch trains on the sampled set
-    gt, *negatives = as_ids(build_initial_dataset(instances[:1], kb, cfg.negatives, cfg.seed), kb.fact_ids())[0]
+    gt, *negatives = as_ids(build_initial_dataset(instances[:1], kb, cfg.negatives, cfg.seed), kb.ids)[0]
     floor = hinge_floor(fm.row(gt), [fm.row(fid) for fid in negatives], cfg.margin)
     assert all(loss >= floor - 1e-9 for loss in losses)
     assert losses[-1] - floor <= 0.25 * (losses[0] - floor)
@@ -535,8 +534,8 @@ def test_train_scorer_candidate_sets_match_the_id_oracle(tiny_synth, monkeypatch
     # the embeddings the run mines from, and checks that each batch scored
     # the fact-matrix rows of the oracle's candidates and that each
     # iteration reports the counts and the sets of its last step. The KB's
-    # load order interleaves relations, so a KB position taken for a
-    # fact-matrix row fails the row check.
+    # load order interleaves relations, so negatives drawn over load
+    # positions rather than rows fail the oracle.
     instances, store, kb, table = tiny_synth
     facts = kb.facts()
     kb = from_facts([facts[i] for i in np.random.default_rng(13).permutation(len(facts))])
@@ -717,7 +716,7 @@ def test_fact_precision_equals_an_exact_dense_reference(tiny_synth):
     feats, cons = store.stack([i.image_id for i in instances])
     iq = embed_batch(params, feats, cons, [i.question for i in instances])
     # every (question, fact) scalar cosine, each question's facts sorted by (-score, fact id)
-    ranked = [sorted(kb.fact_ids(), key=lambda f: (-score(fm.row(f), v), f)) for v in iq]
+    ranked = [sorted(kb.ids, key=lambda f: (-score(fm.row(f), v), f)) for v in iq]
     # groundtruths placed at ranks 1-4 and 40, so both rates are strictly between 0 and 1
     placed = [dataclasses.replace(inst, fact_id=r[[0, 1, 2, 3, 39][i % 5]])
               for i, (inst, r) in enumerate(zip(instances, ranked))]
@@ -735,7 +734,7 @@ def test_fact_precision_holds_no_dense_matrix(tiny_synth, monkeypatch):
     # a dense (10 x 20,000) score matrix is 1.6 MB, over five times the
     # ~0.3 MB the embedding network peaks at for these questions
     n = 20_000
-    ids = [*kb.fact_ids(), *(f"x{i:05d}" for i in range(n - len(kb)))]
+    ids = [*kb.ids, *(f"x{i:05d}" for i in range(n - len(kb)))]
     fm = from_rows(ids, np.random.default_rng(10).standard_normal((n, 16)))
     monkeypatch.setattr(scorer, "BLOCK_ELEMENTS", 2000)  # 200 rows per block: 100 blocks
     dense_bytes = len(instances) * n * 8
