@@ -113,7 +113,7 @@ class RunConfig:
             if not path.exists():
                 raise UsageError(f"--config: file not found: {path}")
             try:
-                loaded = json.loads(path.read_text(encoding="utf-8"))
+                loaded = json.loads(path.read_text(encoding="utf-8-sig"))
             except json.JSONDecodeError as exc:
                 raise UsageError(f"--config: {path} is not valid JSON: {exc}") from None
             except UnicodeDecodeError as exc:

@@ -35,6 +35,9 @@ Array = np.ndarray
 FOLDS = (1, 2, 3, 4, 5)
 
 QA_FIELDS = ("question_id", "image_id", "question", "answer", "fact_id", "relation", "answer_source", "fold")
+# the JSON types a QA record's text and id fields may have, checked by type(), not isinstance: True is an int
+_TEXT, _ID = ((str,), "a string"), ((str, int), "a string or an integer")
+_QA_TYPES = {"question_id": _ID, "image_id": _ID, "question": _TEXT, "answer": _TEXT, "fact_id": _ID}
 
 
 @dataclass
@@ -175,9 +178,14 @@ def load_qa(path: str | Path) -> list[QAInstance]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise LoadError(f"{path}:{lineno}: bad JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise LoadError(f"{path}:{lineno}: expected a JSON object, got {rec!r}")
         missing = [f for f in QA_FIELDS if f not in rec]
         if missing:
             raise LoadError(f"{path}:{lineno}: missing fields {missing}")
+        for name, (types, kind) in _QA_TYPES.items():
+            if type(rec[name]) not in types:
+                raise LoadError(f"{path}:{lineno}: {name} must be {kind}, got {rec[name]!r}")
         try:
             relation, suffix = Relation.parse(str(rec["relation"]))
             if suffix:
@@ -196,8 +204,8 @@ def load_qa(path: str | Path) -> list[QAInstance]:
             QAInstance(
                 question_id=qid,
                 image_id=str(rec["image_id"]),
-                question=str(rec["question"]),
-                answer=str(rec["answer"]),
+                question=rec["question"],
+                answer=rec["answer"],
                 fact_id=str(rec["fact_id"]),
                 relation=relation,
                 source=source,
@@ -283,7 +291,7 @@ def _json_record(records: dict, record_id: str, path: str | Path) -> dict:
 
 def _read_json_object(path: str | Path) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise LoadError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):

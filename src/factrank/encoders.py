@@ -257,7 +257,9 @@ def answer_source(p: float) -> AnswerSource:
 
 def accuracy(clf: Classifier, pairs: Sequence[tuple[str, Relation | AnswerSource]], k: int = 1) -> float:
     """Fraction of (question, label) pairs whose label is among the top-k
-    predictions; a source classifier predicts a single label."""
+    predictions; a source classifier predicts a single label. No pairs is a UsageError."""
+    if not pairs:
+        raise UsageError("accuracy needs at least one (question, label) pair")
     questions = [q for q, _ in pairs]
     if clf.kind == "relation":
         top = [[r for r, _ in ranked_relations(row)[:k]] for row in predict_relation_batch(clf, questions)]

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import LoadError
 
 logger = logging.getLogger(__name__)
-CACHE_FORMAT = "factrank-cache-4"  # in every cache's key: one laid out by an older version is stale
+CACHE_FORMAT = "factrank-cache-5"  # in every cache's key: one laid out by an older version is stale
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -40,8 +40,9 @@ def normalize_phrase(phrase: str) -> str:
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` of a UTF-8 text file, numbered from 1; a byte
-    that does not decode is a LoadError naming ``path:line``."""
-    with open(path, encoding="utf-8") as fh:
+    order mark that starts the file is dropped, so it is no part of the first
+    line, and a byte that does not decode is a LoadError naming ``path:line``."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield from enumerate(fh, 1)
         except UnicodeDecodeError as exc:

@@ -27,14 +27,7 @@ import numpy as np
 from .errors import DataError, DegenerateInputError, LoadError
 from .kb import FactIds, KnowledgeBase, RowOf
 from .numerics import row_norms
-from .text import read_lines, tokenize  # tokenize is re-exported: tokenization is part of this module's API
-
-__all__ = [
-    "tokenize",
-    "WordVectorTable",
-    "load_vectors",
-    "FactMatrix",
-]
+from .text import read_lines
 
 logger = logging.getLogger(__name__)
 

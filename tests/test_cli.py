@@ -262,6 +262,13 @@ def test_flags_override_the_config_file_and_ints_stand_for_floats(captured, tmp_
     assert cfg.relation_lr == 1.0 and type(cfg.relation_lr) is float
 
 
+def test_a_byte_order_mark_is_no_part_of_the_config_file(tmp_path):
+    text = json.dumps({"seed": 4, "relation_lr": 0.5, "variant": "q+i"})
+    (tmp_path / "plain.json").write_text(text, encoding="utf-8")
+    (tmp_path / "marked.json").write_text("\ufeff" + text, encoding="utf-8")
+    assert RunConfig.load(str(tmp_path / "marked.json"), {}) == RunConfig.load(str(tmp_path / "plain.json"), {})
+
+
 @pytest.mark.parametrize("payload, key", [({"seed": "abc"}, "seed"), ({"relation_epochs": "2"}, "relation_epochs"),
                                           ({"k": None}, "k"), ({"variant": "coin"}, "variant")])
 def test_config_value_of_the_wrong_type_is_usage_error(tmp_path, capsys, payload, key):

@@ -9,8 +9,8 @@ import pytest
 from factrank import dataio
 from factrank.dataio import FeatureStore, load_concept_labels, load_concepts, load_features, load_qa
 from factrank.errors import DataError, LoadError, UsageError
-from factrank.kb import Relation, parse_kb
-from factrank.wordvec import load_vectors
+from factrank.kb import KnowledgeBase, Relation, parse_kb
+from factrank.wordvec import WordVectorTable, load_vectors
 
 LABELS = [f"label{i}" for i in range(6)]
 CONCEPTS = {"img1": [0, 5], "img2": [], "img3": [3, 3], "img4": [2, 4, 1]}
@@ -229,6 +229,46 @@ def test_an_undecodable_byte_is_a_load_error_naming_the_line(tmp_path, kind):
         loader(path)
 
 
+def _plain(value):
+    """A loader's result as plain Python values, so that two loads compare with ``==``."""
+    if isinstance(value, KnowledgeBase):
+        return value.facts()
+    if isinstance(value, WordVectorTable):
+        return value.dim, _plain(value.vectors)
+    if isinstance(value, np.ndarray):
+        return value.dtype, value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value
+
+
+@pytest.mark.parametrize("kind", list(_VALID_LINES))
+def test_a_byte_order_mark_is_no_part_of_the_first_record(tmp_path, kind):
+    # the mark would otherwise begin the first id, word or label, or make the first QA line bad JSON
+    loader, line = _VALID_LINES[kind]
+    text = "".join(line(i) + "\n" for i in range(3))
+    plain, marked = tmp_path / "plain" / "input.txt", tmp_path / "marked" / "input.txt"
+    _write_text(plain, text)
+    _write_text(marked, "\ufeff" + text)
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    expected = _plain(loader(plain))
+    assert _plain(loader(marked)) == expected
+    assert _plain(loader(marked)) == expected  # from the cache, for the loaders that keep one
+
+
+def test_a_byte_order_mark_is_no_part_of_a_release_json_file(tmp_path):
+    facts, written = _convert_one_fact(tmp_path / "plain", "f1", "UsedFor")
+    questions = facts.with_name("questions.json")
+    for path in (facts, questions):
+        _write_text(tmp_path / "marked" / path.name, "\ufeff" + path.read_text(encoding="utf-8"))
+    marked = dataio.convert_fvqa(tmp_path / "marked" / "questions.json", tmp_path / "marked" / "facts.json",
+                                 tmp_path / "marked" / "out")
+    for name, path in written.items():
+        assert marked[name].read_bytes() == path.read_bytes(), name
+
+
 def test_concept_labels_break_only_at_newlines(tmp_path):
     # U+2028, U+0085 and a form feed stay inside a label, where str.splitlines would split; CR LF ends a line
     path = tmp_path / "labels.txt"
@@ -297,6 +337,44 @@ def test_a_nul_byte_in_a_fact_id_is_a_load_error_naming_the_fact(tmp_path):
     with pytest.raises(LoadError, match=re.escape(": fact 'f1\\x00': fact id 'f1\\x00' holds a NUL byte")):
         _convert_one_fact(tmp_path, "f1\x00", "IsA")
     assert not (tmp_path / "out").exists()
+
+
+_QA_RECORD = {"question_id": "q1", "image_id": "img1", "question": "what is it used for", "answer": "shade",
+              "fact_id": "f1", "relation": "UsedFor", "answer_source": "KnowledgeBase", "fold": 1}
+
+
+@pytest.mark.parametrize(("field", "value", "kind"), [
+    ("question", None, "a string"),
+    ("question", 7, "a string"),
+    ("answer", None, "a string"),
+    ("answer", ["shade"], "a string"),
+    ("question_id", None, "a string or an integer"),
+    ("question_id", True, "a string or an integer"),
+    ("image_id", 1.5, "a string or an integer"),
+    ("image_id", {"id": 1}, "a string or an integer"),
+    ("fact_id", None, "a string or an integer"),
+    ("fact_id", False, "a string or an integer"),
+])
+def test_a_qa_field_of_the_wrong_json_type_is_a_load_error_naming_it(tmp_path, field, value, kind):
+    # a null question once loaded as the one-token question "none"
+    lines = [json.dumps(_QA_RECORD), json.dumps({**_QA_RECORD, "question_id": "q2", field: value})]
+    path = _write_text(tmp_path / "qa.jsonl", "\n".join(lines) + "\n")
+    message = f"{path}:2: {field} must be {kind}, got {value!r}"
+    with pytest.raises(LoadError, match=f"^{re.escape(message)}$"):
+        load_qa(path)
+
+
+def test_qa_ids_may_be_json_integers(tmp_path):
+    record = {**_QA_RECORD, "question_id": 5, "image_id": 12, "fact_id": 0}
+    [inst] = load_qa(_write_text(tmp_path / "qa.jsonl", json.dumps(record) + "\n"))
+    assert (inst.question_id, inst.image_id, inst.fact_id) == ("5", "12", "0")
+
+
+@pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+def test_a_qa_line_that_is_not_a_json_object_is_a_load_error(tmp_path, line):
+    path = _write_text(tmp_path / "qa.jsonl", line + "\n")
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}:1: expected a JSON object, got "):
+        load_qa(path)
 
 
 def test_a_boolean_fold_is_not_fold_1(tmp_path):

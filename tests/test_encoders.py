@@ -482,6 +482,12 @@ def test_classifier_checkpoint_with_an_older_max_tokens_key_loads(tmp_path):
     )
 
 
+def test_accuracy_on_no_pairs_is_a_usage_error():
+    clf = Classifier.init("relation", Vocabulary.build(["what is it"]), np.random.default_rng(7), 4, 5)
+    with pytest.raises(UsageError, match="accuracy needs at least one"):
+        accuracy(clf, [])
+
+
 def test_source_checkpoint_round_trip(tmp_path):
     pairs = _planted_source_pairs(10, seed=9)
     clf, _ = train_source_classifier(pairs, EncoderTrainConfig(epochs=2, seed=9))

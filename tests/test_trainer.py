@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 from types import SimpleNamespace
 
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factrank.dataio import load_dataset
+from factrank.dataio import load_dataset, load_qa
 from factrank.errors import DataError, DegenerateInputError, UsageError
-from factrank.kb import Fact, Relation
+from factrank.kb import Fact, Relation, parse_kb
 from factrank.numerics import Tape, constant, cosines, row_norms
 from factrank import encoders, optim, scorer, trainer
 from factrank.scorer import Variant, embed_batch, rank_candidates, score
 from factrank.synth import SyntheticConfig, generate_synthetic
+from factrank.text import tokenize
 from factrank.trainer import (
     MarginConfig,
     MiningState,
@@ -23,7 +25,7 @@ from factrank.trainer import (
     train_scorer,
 )
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
-from conftest import from_facts, from_rows
+from conftest import SMALL_SYNTH, from_facts, from_rows
 
 TINY_SYNTH = dict(
     seed=21,
@@ -201,6 +203,25 @@ def test_initial_dataset_matches_the_id_oracle_on_an_interleaved_kb():
     questions = _questions(kb, 25)
     sets = build_initial_dataset(questions, kb, negatives=12, seed=3)
     assert as_ids(sets, kb.ids) == oracle_ids(oracle_initial_dataset(questions, kb, 12, 3))
+
+
+def test_initial_dataset_on_the_small_synth_set_is_pinned(small_synth):
+    # sha256 of the sets as int64 rows, computed before facts were numbered by KB row alone: the
+    # synth KB lists its facts bucket by bucket, so its load positions were its rows
+    sets = build_initial_dataset(small_synth["instances"], small_synth["kb"], negatives=99, seed=0)
+    assert sets.shape == (60, 100)
+    digest = hashlib.sha256(sets.astype(np.int64).tobytes()).hexdigest()
+    assert digest == "87d842986496c16e20a469c2bf42547e8f7fe4dfd7135d857d77c6470c604519"
+
+
+@pytest.mark.parametrize("config", [SyntheticConfig(seed=0), SyntheticConfig(**SMALL_SYNTH)], ids=["desk", "small"])
+def test_synthetic_questions_are_short_and_facts_come_bucket_by_bucket(tmp_path, config):
+    # the traffic that the token bound and the row numbering rest on: no synthetic question reaches
+    # MAX_QUESTION_TOKENS, so the bound cuts none, and the KB file lists its facts in row order
+    paths = generate_synthetic(config, tmp_path)
+    assert max(len(tokenize(inst.question)) for inst in load_qa(paths["qa"])) <= 8 < encoders.MAX_QUESTION_TOKENS
+    lines = paths["kb"].read_text(encoding="utf-8").splitlines()
+    assert list(parse_kb(paths["kb"]).ids) == [line.split("\t")[0] for line in lines]
 
 
 def test_initial_dataset_missing_fact_is_data_error():

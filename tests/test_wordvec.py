@@ -10,7 +10,8 @@ from factrank import wordvec
 from factrank.errors import DegenerateInputError, LoadError
 from factrank.kb import Fact, Relation, parse_kb
 from factrank.synth import SyntheticConfig, generate_synthetic
-from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors, tokenize
+from factrank.text import tokenize
+from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
 from conftest import from_facts, from_rows
 
 
