@@ -204,10 +204,9 @@ class KnowledgeBase:
     """Immutable columnar fact store. Row ``r`` is fact ``ids[r]``, of relation ``RELATIONS[relations[r]]``,
     subject :meth:`phrase` ``(subjects[r])`` and object :meth:`phrase` ``(objects[r])``; ``ids`` is a
     :class:`FactIds` and ``position`` its id -> row :class:`RowOf`, and ``buckets`` maps a relation to its
-    rows. Phrase ``p`` is the UTF-8 text
-    ``phrase_text[text_starts[p]:text_starts[p + 1]]``, and its tokens are ``tokens[c]`` for ``c`` in
-    ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``. Ids and phrases stay bytes until a fact is
-    named; no Python object is held per fact.
+    rows. Phrase ``p`` is the UTF-8 text ``phrase_text[text_starts[p]:text_starts[p + 1]]``, and its tokens
+    are ``tokens[c]`` for ``c`` in ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``. Ids and phrases
+    stay bytes until a fact is named; no Python object is held per fact.
 
     Every KB is made from the arrays of its cache, as :meth:`KBBuilder.arrays` lays them out: a fresh parse,
     a cache hit and the converter all end here. Arrays that fail the vectorized checks of their structure are
