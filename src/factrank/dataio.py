@@ -274,11 +274,16 @@ _FVQA_FIELD_KEYS = (("e1_label", "e1", "subject", "arg1"), ("r", "rel", "relatio
                     ("e2_label", "e2", "object", "arg2"))
 
 
-def _first_key(record: dict, keys, where: str):
-    for k in keys:
-        if k in record:
-            return record[k]
-    raise LoadError(f"{where}: none of the keys {keys} present")
+def _first_key(record: dict, keys, where: str, rule=_TEXT, default: str | None = None) -> str:
+    """The first of ``keys`` in ``record`` as a string, or ``default`` when none is there (with no default, a
+    LoadError naming ``where``); a LoadError unless its JSON type is one ``rule`` allows, as in :func:`load_qa`."""
+    key = next((k for k in keys if k in record), None)
+    if key is None and default is None:
+        raise LoadError(f"{where}: none of the keys {keys} present")
+    value = default if key is None else record[key]
+    if type(value) not in rule[0]:
+        raise LoadError(f"{where}: {key} must be {rule[1]}, got {value!r}")
+    return str(value)
 
 
 def _json_record(records: dict, record_id: str, path: str | Path) -> dict:
@@ -312,13 +317,14 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     matching the answer against the fact's entities; entries whose answer
     matches neither entity are skipped with a warning. Missing folds are
     assigned round-robin by image id so all questions about one image share
-    a fold.
+    a fold. A field whose JSON type :func:`load_qa` would reject is a
+    LoadError naming the fact or the question.
     """
     facts_raw, builder, kb_lines = _read_json_object(facts_path), KBBuilder(), []
     for fid in sorted(facts_raw):
         rec = _json_record(facts_raw, fid, facts_path)
         where = f"{facts_path}: fact {fid!r}"
-        fields = [fid, *(str(_first_key(rec, keys, where)) for keys in _FVQA_FIELD_KEYS)]
+        fields = [fid, *(_first_key(rec, keys, where) for keys in _FVQA_FIELD_KEYS)]
         for name, value in zip(("fact id", "subject", "relation", "object"), fields):
             if any(c in value for c in "\t\n\r"):
                 raise LoadError(f"{where}: {name} {value!r} contains a tab or a line break")
@@ -340,17 +346,19 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
     # an empty id is never a fact's, so a missing reference resolves to no row
     rows = kb.ids.rows([str(ref) if ref else "" for ref in fact_refs]).tolist()
     for (qid, rec), fact_ref, row in zip(records.items(), fact_refs, rows):
+        where = f"{questions_path}: question {qid!r}"
+        question, answer = (_first_key(rec, (name,), where, default="") for name in ("question", "answer"))
+        image_id = _first_key(rec, ("image_id", "img_file"), where, _ID, "")
         if row < 0:
             logger.warning("question %s: unresolved fact %r, skipped", qid, fact_ref)
             skipped += 1
             continue
-        answer = str(rec.get("answer", ""))
         source_token = rec.get("answer_source", rec.get("ans_source"))
         if source_token:
             try:
                 source = AnswerSource.parse(str(source_token))
             except UsageError as exc:
-                raise LoadError(f"{questions_path}: question {qid!r}: {exc}") from None
+                raise LoadError(f"{where}: {exc}") from None
         else:  # the first source whose entity the answer names: the subject, then the object
             wanted = normalize_phrase(answer)
             source = next((s for s in AnswerSource if normalize_phrase(kb.answer(row, s)) == wanted), None)
@@ -358,7 +366,6 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
             logger.warning("question %s: answer %r matches neither entity, skipped", qid, answer)
             skipped += 1
             continue
-        image_id = str(rec.get("image_id", rec.get("img_file", "")))
         if not image_id:
             logger.warning("question %s: no image id, skipped", qid)
             skipped += 1
@@ -373,7 +380,7 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
                 {
                     "question_id": qid,
                     "image_id": image_id,
-                    "question": str(rec.get("question", "")),
+                    "question": question,
                     "answer": kb.answer(row, source),
                     "fact_id": kb.ids[row],
                     "relation": RELATIONS[kb.relations[row]].value,

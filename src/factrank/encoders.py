@@ -16,7 +16,10 @@ place that bound is applied.
 :func:`fit` is the training loop of every model, these classifiers and
 the fact scorer alike: per epoch it permutes the examples, pads each
 minibatch of token ids, asks a loss callback for the batch loss on a fresh
-tape, then back-propagates, clips and takes one optimizer step.
+tape, then back-propagates, clips and takes one optimizer step. It alone
+changes precision: it trains in float32 (Micikevicius et al.,
+arXiv:1710.03740) and hands back exact float64 upcasts, the dtype in which
+models are made, mined with, ranked and saved.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .errors import DataError, DegenerateInputError, FactrankError, LoadError, UsageError
 from .kb import AnswerSource, Relation
-from .numerics import Tape, Tensor, parameter, stable_sigmoid
+from .numerics import Tape, Tensor, constant, parameter, stable_sigmoid
 from .optim import OptimizerState, clip_gradients, make_optimizer, step
 from .text import tokenize
 
@@ -134,9 +137,9 @@ def lstm_hidden(
     """Final hidden state for each padded row of the LSTM named by
     :func:`lstm_shapes` in a model's ``tensors``, computed by one
     :meth:`~factrank.numerics.Tape.lstm_sequence` record. Padding never
-    alters a row's state because finished rows are frozen by a 0/1 mask,
-    not by content; given a generator, dropout hits each step's word
-    embeddings."""
+    alters a row's state because a step runs only on the rows whose
+    sequences it has not passed; given a generator, dropout hits each
+    step's word embeddings."""
     if ids.ndim != 2:
         raise UsageError(f"ids must be (batch, steps), got shape {ids.shape}")
     if ids.shape[1] == 0 or np.any(lengths < 1):
@@ -310,34 +313,44 @@ def fit(
     A non-finite loss raises :class:`FactrankError` before any step on it;
     its message, and that of a :class:`DegenerateInputError` from the loss,
     names the epoch and the batch (batches from 1) after the ``where`` prefix.
+
+    The callbacks see float32 parameters and gradients; on any exit each
+    parameter is the float64 upcast of its float32 value, with no gradient.
     """
     if not epochs or batch_size < 1:
         raise UsageError(f"{where}epochs and batch_size must be >= 1, got {len(epochs)} and {batch_size}")
-    n = len(encoded)
-    history: list[dict] = []
-    for epoch in epochs:
-        order = rng.permutation(n)
-        losses, norms = [], []
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            ids, lengths = _pad([encoded[i] for i in batch])
-            tape = Tape()
-            at = f"{where}epoch {epoch}, batch {start // batch_size + 1}"
-            try:
-                loss = batch_loss(tape, epoch, batch, ids, lengths)
-            except DegenerateInputError as exc:  # such as a diverged model's non-finite scores
-                raise DegenerateInputError(f"{at}: {exc}") from None
-            if not np.isfinite(loss.item()):
-                raise FactrankError(f"{at}: non-finite loss {loss.item()}")
-            tape.backward(loss)
-            norms.append(clip_gradients(params, CLIP_NORM))
-            step(params, opt)
-            losses.append(loss.item())
-        record = epoch_record(epoch, float(np.mean(losses)))
-        record.update(grad_norm_mean=float(np.mean(norms)), grad_norm_max=max(norms),
-                      clipped_fraction=float(np.mean([g > CLIP_NORM for g in norms])))
-        history.append(record)
-    return history
+    for p in params.values():
+        p.values = p.values.astype(np.float32)
+        p.grad = np.zeros_like(p.values)
+    try:
+        n = len(encoded)
+        history: list[dict] = []
+        for epoch in epochs:
+            order = rng.permutation(n)
+            losses, norms = [], []
+            for start in range(0, n, batch_size):
+                batch = order[start : start + batch_size]
+                ids, lengths = _pad([encoded[i] for i in batch])
+                tape = Tape()
+                at = f"{where}epoch {epoch}, batch {start // batch_size + 1}"
+                try:
+                    loss = batch_loss(tape, epoch, batch, ids, lengths)
+                except DegenerateInputError as exc:  # such as a diverged model's non-finite scores
+                    raise DegenerateInputError(f"{at}: {exc}") from None
+                if not np.isfinite(loss.item()):
+                    raise FactrankError(f"{at}: non-finite loss {loss.item()}")
+                tape.backward(loss)
+                norms.append(clip_gradients(params, CLIP_NORM))
+                step(params, opt)
+                losses.append(loss.item())
+            record = epoch_record(epoch, float(np.mean(losses)))
+            record.update(grad_norm_mean=float(np.mean(norms)), grad_norm_max=max(norms),
+                          clipped_fraction=float(np.mean([g > CLIP_NORM for g in norms])))
+            history.append(record)
+        return history
+    finally:
+        for p in params.values():
+            p.values, p.grad = p.values.astype(np.float64), None
 
 
 def train_classifier(
@@ -425,5 +438,5 @@ def load_classifier(path) -> Classifier:
     data, vocab = read_model_checkpoint(path, tuple(KINDS))
     embed_dim, hidden_dim = data.dim("embed_dim"), data.dim("hidden_dim")
     arrays = data.checked_tensors(Classifier.shapes(data.kind, len(vocab), embed_dim, hidden_dim))
-    tensors = {name: parameter(arr) for name, arr in arrays.items()}
+    tensors = {name: constant(arr) for name, arr in arrays.items()}
     return Classifier(data.kind, vocab, embed_dim, hidden_dim, tensors, data.dim("dropout", float))

@@ -96,6 +96,7 @@ class Fact:
     obj: str
 
 
+MAX_FACT_ID_BYTES = 255  # the id column is as wide as its longest id, so one long id would widen every row
 RELATIONS = list(Relation)  # a relation's code is its index here (list.index, not Enum's Python-level hash)
 
 # the integer columns of a KnowledgeBase's cache; beside them it holds the ids as a byte column, the phrases as
@@ -149,8 +150,8 @@ class RowOf:
 
 class KBBuilder:
     """Facts taken one at a time, in load order, laid out by :meth:`arrays` as a KnowledgeBase's cache. Each
-    distinct phrase is tokenized once, as it is first added; a phrase with no tokens, a repeated fact id or one
-    holding a NUL byte (see :class:`FactIds`) is a LoadError naming the field."""
+    distinct phrase is tokenized once, as it is first added; a phrase with no tokens, a repeated fact id, or one
+    with a NUL byte (see :class:`FactIds`) or over :data:`MAX_FACT_ID_BYTES` UTF-8 bytes is a LoadError naming it."""
 
     def __init__(self):
         self.ids: dict[str, None] = {}  # in load order
@@ -164,6 +165,8 @@ class KBBuilder:
             raise LoadError(f"duplicate fact id {fact_id!r}")
         if "\0" in fact_id:
             raise LoadError(f"fact id {fact_id!r} holds a NUL byte")
+        if len(fact_id.encode()) > MAX_FACT_ID_BYTES:
+            raise LoadError(f"fact id {fact_id[:20]!r}... is longer than {MAX_FACT_ID_BYTES} UTF-8 bytes")
         codes = RELATIONS.index(relation), self._code(subject, "subject"), self._code(obj, "object")
         self.ids[fact_id] = None
         for column, code in zip(self.columns, codes):

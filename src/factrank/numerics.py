@@ -1,4 +1,4 @@
-"""Define-by-run reverse-mode differentiation on 64-bit numpy arrays.
+"""Define-by-run reverse-mode differentiation on float32 or float64 numpy arrays.
 
 A :class:`Tape` records every primitive applied to tensors that
 (transitively) require gradients. ``Tape.backward`` walks the records once,
@@ -18,10 +18,15 @@ embedding-row gather have no library caller: the benchmark's trace names
 them, and the tests compose them into the per-step LSTM that
 ``lstm_sequence`` must match within rounding. There is no sum primitive: a
 loss reaches a scalar through the hinge or a cross-entropy.
+
+Every primitive computes in its inputs' dtype: its output, gradients and
+the buffers, masks and constant blocks it makes follow them, so float32
+parameters train with no upcast, and float64 ones check gradients and infer.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +37,8 @@ Array = np.ndarray
 
 
 class Tensor:
-    """A shaped float64 array with an optional gradient buffer.
+    """A shaped array, float32 kept and anything else as float64, with an
+    optional gradient buffer of the same dtype.
 
     Leaf tensors created with ``requires_grad=True`` own a zero-filled
     gradient buffer from the start, so parameters untouched by a forward
@@ -42,7 +48,8 @@ class Tensor:
     __slots__ = ("values", "requires_grad", "grad", "tape")
 
     def __init__(self, values, requires_grad: bool = False, tape: "Tape | None" = None):
-        self.values: Array = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        self.values: Array = values.astype(np.float32 if values.dtype == np.float32 else np.float64, copy=False)
         self.requires_grad = requires_grad
         self.grad: Array | None = (
             np.zeros_like(self.values) if requires_grad and tape is None else None
@@ -76,10 +83,14 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def _accumulate(t: Tensor, g: Array) -> None:
+def _accumulate(t: Tensor, g: Array, at=None) -> None:
+    """Add ``g`` into ``t``'s gradient, or into its distinct entries ``at``, making the buffer on first use."""
     if t.grad is None:
         t.grad = np.zeros_like(t.values)
-    t.grad += g
+    if at is None:
+        t.grad += g
+    else:
+        t.grad[at] += g
 
 
 def _sum_to_shape(g: Array, shape: tuple[int, ...]) -> Array:
@@ -94,13 +105,13 @@ def _sum_to_shape(g: Array, shape: tuple[int, ...]) -> Array:
 
 
 def stable_sigmoid(z: Array) -> Array:
-    """Numerically stable logistic function, branch-free.
+    """Numerically stable logistic function of a float array, branch-free, in its dtype.
 
     ``exp`` sees only ``minimum(z, -z)``, which is ``-|z|`` but keeps a
     NaN's sign, so it never overflows and each element gets the bits of
     ``1 / (1 + exp(-z))`` for ``z >= 0`` and ``exp(z) / (1 + exp(z))`` below.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z)
     e = np.empty_like(z)
     np.exp(np.minimum(z, np.negative(z, out=e), out=e), out=e)
     out = np.where(z >= 0, 1.0, e)
@@ -122,14 +133,15 @@ def cosines(rows: Array, norms: Array, iq: Array, nq) -> Array:
     return np.divide(dots, norms * nq, out=np.full(np.shape(dots), -np.inf), where=(norms != 0.0) & (nq != 0.0))
 
 
-def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None) -> Array | None:
-    """Inverted-dropout mask drawn from ``rng``, survivors scaled by
-    1/(1-rate); None, with no draw, when no generator is given or the rate is 0."""
+def _dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator | None, dtype) -> Array | None:
+    """Inverted-dropout mask of ``dtype`` drawn from ``rng`` (one float64
+    draw whatever the dtype), survivors scaled by 1/(1-rate); None, with no
+    draw, when no generator is given or the rate is 0."""
     if not 0.0 <= rate < 1.0:
         raise UsageError(f"dropout rate must be in [0, 1), got {rate}")
     if rng is None or rate == 0.0:
         return None
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    return np.divide(rng.random(shape) >= rate, 1.0 - rate, dtype=dtype)
 
 
 class Tape:
@@ -230,9 +242,7 @@ class Tape:
 
         def backward(g: Array) -> None:
             if x.requires_grad:
-                if x.grad is None:
-                    x.grad = np.zeros_like(x.values)
-                x.grad[:, start:stop] += g
+                _accumulate(x, g, (slice(None), slice(start, stop)))
 
         return self._emit(values, (x,), backward)
 
@@ -291,7 +301,7 @@ class Tape:
     def dropout(self, x: Tensor, rate: float, rng: np.random.Generator | None = None) -> Tensor:
         """Inverted dropout given a generator: survivors scaled by
         1/(1-rate); the identity without one."""
-        mask = _dropout_mask(x.shape, rate, rng)
+        mask = _dropout_mask(x.shape, rate, rng, x.values.dtype)
         if mask is None:
             return x
         values = x.values * mask
@@ -306,17 +316,21 @@ class Tape:
                       rate: float, rng: np.random.Generator | None = None) -> Tensor:
         """Final hidden state of an LSTM over right-padded ``ids`` (batch, steps), as one record.
 
-        Step t gathers rows of ``embed``, applies inverted dropout given a
-        generator (one draw for all steps, which yields the numbers of one
-        draw a step), computes ``concat([x, h]) @ w_gates + b_gates`` (gate
-        blocks: input, forget, candidate, output) and freezes rows with
-        ``lengths <= t`` by a 0/1 mask. The input half, ``x @ w_gates[:d] +
-        b_gates``, is one GEMM over all steps, so a step multiplies only ``h``
+        Rows are sorted by length once, stably and longest first, so step t
+        runs, forward and backward, on the prefix of rows it has not passed
+        (their positions packed time-major); each row's state after its last
+        token is output in the batch's own row order. Step t gathers rows of ``embed``, applies inverted dropout given a
+        generator (one ``(steps, batch, d)`` draw in the batch's row order,
+        which yields the numbers of one draw a step) and computes
+        ``concat([x, h]) @ w_gates + b_gates`` (gate blocks: input, forget,
+        candidate, output). The input half, ``x @ w_gates[:d] + b_gates``, is
+        one GEMM over all live positions, so a step multiplies only ``h``
         (Appleyard et al., arXiv:1604.01946). Backward is one reverse loop
         through time that pops each step's cache; after it, the weight
         gradient, the input gradient and the input gradient's sorted scatter
-        into ``embed`` are each one pass over all steps. Values and gradients
-        are within rounding of the per-step composition of primitives.
+        into ``embed`` are each one pass over all live positions. Values and
+        gradients are within rounding of the per-step composition of
+        primitives, and of the same call on the rows in any order.
         """
         b, steps = ids.shape
         d, hdim = embed.shape[1], b_gates.shape[0] // 4
@@ -325,76 +339,72 @@ class Tape:
         if ids.size and (ids.min() < 0 or ids.max() >= embed.shape[0]):
             raise UsageError("embedding id out of range")
         tracked = self._tracks((embed, w_gates, b_gates))
+        dtype = embed.values.dtype
         w_x, w_h = w_gates.values[:d], w_gates.values[d:]
-        xh = np.empty((steps, b, d + hdim))  # step t's input and the hidden state it reads, time-major
-        xh[..., :d] = embed.values[ids.T]
-        mask = _dropout_mask((steps, b, d), rate, rng)
+        order = np.argsort(-lengths, kind="stable")
+        live = lengths[order] > np.arange(steps)[:, None]  # (steps, batch): step t's live rows, a sorted prefix
+        n = [*live.sum(axis=1).tolist(), 0]  # live rows at each step, and none after the last
+        at = (0, *itertools.accumulate(n))  # step t's rows of the packed positions start at at[t]
+        tokens = ids[order].T[live]
+        xh = np.empty((len(tokens), d + hdim), dtype)  # each live position's input and the hidden state it reads
+        xh[:, :d] = embed.values[tokens]
+        mask = _dropout_mask((steps, b, d), rate, rng, dtype)
         if mask is not None:
-            xh[..., :d] *= mask
-        gates_x = xh.reshape(steps * b, d + hdim)[:, :d] @ w_x
+            mask = mask[:, order][live]
+            xh[:, :d] *= mask
+        gates_x = xh[:, :d] @ w_x
         gates_x += b_gates.values
-        gates_x = gates_x.reshape(steps, b, 4 * hdim)
         cache = []
-        h = c = np.zeros((b, hdim))
+        last = np.empty((b, hdim), dtype)  # each row's state after its last token, in sorted order
+        h = c = np.zeros((b, hdim), dtype)
         for t in range(steps):
-            xh[t, :, d:] = h
-            gates = gates_x[t]
+            k, done = n[t], n[t + 1]  # rows done..k end at this step
+            h, c_prev = h[:k], c[:k]
+            xh[at[t] : at[t + 1], d:] = h
+            gates = gates_x[at[t] : at[t + 1]]
             gates += h @ w_h
             gif, go = stable_sigmoid(gates[:, : 2 * hdim]), stable_sigmoid(gates[:, 3 * hdim :])
             gi, gf = gif[:, :hdim], gif[:, hdim:]
             gg = np.tanh(gates[:, 2 * hdim : 3 * hdim])
-            c_new = gf * c + gi * gg
-            tc = np.tanh(c_new)
-            h_new = go * tc
-            live = lengths > t
-            keep = None if live.all() else (live.astype(np.float64)[:, None], (~live).astype(np.float64)[:, None])
+            c = gf * c_prev + gi * gg
+            tc = np.tanh(c)
+            h = go * tc
+            if done < k:
+                last[done:k] = h[done:]
             if tracked:
-                cache.append((gi, gf, gg, go, c, tc, keep))
-            if keep is None:
-                h, c = h_new, c_new
-            else:
-                c = keep[0] * c_new + keep[1] * c
-                h = keep[0] * h_new + keep[1] * h
+                cache.append((gi, gf, gg, go, c_prev, tc))
 
-        def backward(dh: Array) -> None:
-            dgates = np.empty((steps, b, 4 * hdim))
-            dc = None  # the last cell state feeds nothing
+        def backward(g: Array) -> None:
+            dgates = np.empty((len(tokens), 4 * hdim), dtype)
+            dh = g[order]  # a row's gradient on its last state, read at the step it ends
+            dc = np.zeros_like(dh)
             for t in range(steps - 1, -1, -1):
-                gi, gf, gg, go, c_prev, tc, keep = cache.pop()
-                dh_prev = dc_prev = None
-                if keep is not None:
-                    dh, dh_prev = dh * keep[0], dh * keep[1]
-                    if dc is not None:
-                        dc, dc_prev = dc * keep[0], dc * keep[1]
-                dc_tanh = dh * go * (1.0 - tc * tc)
-                dc = dc_tanh if dc is None else dc + dc_tanh
-                dgates[t, :, :hdim] = dc * gg * gi * (1.0 - gi)
-                dgates[t, :, hdim : 2 * hdim] = dc * c_prev * gf * (1.0 - gf)
-                dgates[t, :, 2 * hdim : 3 * hdim] = dc * gi * (1.0 - gg * gg)
-                dgates[t, :, 3 * hdim :] = dh * tc * go * (1.0 - go)
+                gi, gf, gg, go, c_prev, tc = cache.pop()
+                k = len(gi)
+                dhk, dck = dh[:k], dc[:k]
+                dck += dhk * go * (1.0 - tc * tc)
+                dg = dgates[at[t] : at[t + 1]]
+                dg[:, :hdim] = dck * gg * gi * (1.0 - gi)
+                dg[:, hdim : 2 * hdim] = dck * c_prev * gf * (1.0 - gf)
+                dg[:, 2 * hdim : 3 * hdim] = dck * gi * (1.0 - gg * gg)
+                dg[:, 3 * hdim :] = dhk * tc * go * (1.0 - go)
                 if t:
-                    dh = dgates[t] @ w_h.T
-                    if dh_prev is not None:
-                        dh += dh_prev
-                    dc = dc * gf if dc_prev is None else dc_prev + dc * gf
-            dgates = dgates.reshape(steps * b, 4 * hdim)
+                    dhk[...] = dg @ w_h.T
+                    dck *= gf
             if b_gates.requires_grad:
                 _accumulate(b_gates, dgates.sum(axis=0))
             if w_gates.requires_grad:
-                _accumulate(w_gates, xh.reshape(steps * b, d + hdim).T @ dgates)
+                _accumulate(w_gates, xh.T @ dgates)
             if embed.requires_grad:
                 dx = dgates @ w_x.T
                 if mask is not None:
-                    dx *= mask.reshape(steps * b, d)
-                # one scatter: sort the (time-major) ids, sum each id's run of rows, add each sum once
-                flat = ids.T.ravel()
-                order = np.argsort(flat, kind="stable")
-                starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
-                if embed.grad is None:
-                    embed.grad = np.zeros_like(embed.values)
-                embed.grad[flat[order[starts]]] += np.add.reduceat(dx[order], starts, axis=0)
+                    dx *= mask
+                # one scatter: sort the ids, sum each id's run of rows, add each sum once
+                by_id = np.argsort(tokens, kind="stable")
+                starts = np.flatnonzero(np.diff(tokens[by_id], prepend=-1))
+                _accumulate(embed, np.add.reduceat(dx[by_id], starts, axis=0), tokens[by_id[starts]])
 
-        return self._emit(h, (embed, w_gates, b_gates), backward)
+        return self._emit(last[np.argsort(order)], (embed, w_gates, b_gates), backward)
 
     def softmax_cross_entropy(self, logits: Tensor, labels) -> Tensor:
         """Mean negative log-likelihood of integer class labels."""
@@ -423,8 +433,8 @@ class Tape:
 
     def binary_cross_entropy(self, logits: Tensor, labels) -> Tensor:
         """Mean stabilized sigmoid cross-entropy over 0/1 labels."""
-        y = np.asarray(labels, dtype=np.float64).reshape(-1)
         z = logits.values.reshape(-1)
+        y = np.asarray(labels, dtype=z.dtype).reshape(-1)
         if y.shape != z.shape:
             raise ShapeError(f"labels shape {y.shape} does not match logits {z.shape}")
         if y.size and not np.all((y == 0.0) | (y == 1.0)):
@@ -444,11 +454,12 @@ class Tape:
 
         ``rows`` has shape (batch, candidates, dim), carries no gradient, and
         comes with its stored row norms, shape (batch, candidates), such as
-        the gathered ``FactMatrix.norms``; a zero-norm candidate row scores
-        ``-inf`` and receives no gradient flow.
+        the gathered ``FactMatrix.norms``; both are taken in the dtype of
+        ``x``. A zero-norm candidate row scores ``-inf`` and receives no
+        gradient flow.
         """
-        rows = np.asarray(rows, dtype=np.float64)
-        rnorm = np.asarray(norms, dtype=np.float64)
+        rows = np.asarray(rows, dtype=x.values.dtype)
+        rnorm = np.asarray(norms, dtype=x.values.dtype)
         if x.ndim != 2 or rows.ndim != 3:
             raise ShapeError(f"cosine_rows needs (b,d) x (b,c,d), got {x.shape}, {rows.shape}")
         if rows.shape[0] != x.shape[0] or rows.shape[2] != x.shape[1] or rnorm.shape != rows.shape[:2]:

@@ -43,7 +43,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .encoders import Vocabulary, encode_batch, init_tensors, lstm_hidden, lstm_shapes, read_model_checkpoint
 from .errors import DegenerateInputError, ShapeError, UsageError
-from .numerics import Tape, Tensor, constant, cosines, parameter, row_norms
+from .numerics import Tape, Tensor, constant, cosines, row_norms
 from .wordvec import BUILD_CHUNK, FactMatrix
 
 Array = np.ndarray
@@ -124,9 +124,9 @@ class ScorerParams:
 
 
 def _masked_inputs(params: ScorerParams, feats: Array, concepts: Array) -> tuple[Array, Array]:
-    # the one upcast of the store's float32 features, a stacked batch at a time
-    feats = np.asarray(feats, dtype=np.float64)
-    concepts = np.asarray(concepts, dtype=np.float64)
+    # the store's float32 features in the parameters' dtype, a stacked batch at a time: as they are in
+    # training, which runs in float32 (encoders.fit), and upcast once for float64 inference
+    feats, concepts = (np.asarray(a, dtype=params.tensors["w_img"].values.dtype) for a in (feats, concepts))
     if feats.shape[-1] != params.dims.image_dim:
         raise ShapeError(f"image feature length {feats.shape[-1]} != {params.dims.image_dim}")
     if concepts.shape[-1] != params.dims.concept_dim:
@@ -349,5 +349,5 @@ def load_scorer(path) -> ScorerParams:
     data, vocab = read_model_checkpoint(path, ("scorer",))
     dims = ScorerDims(**{f.name: data.dim(f.name) for f in fields(ScorerDims)})
     arrays = data.checked_tensors(ScorerParams.shapes(dims, len(vocab)))
-    tensors = {name: parameter(arr) for name, arr in arrays.items()}
+    tensors = {name: constant(arr) for name, arr in arrays.items()}
     return ScorerParams(dims, vocab, tensors, data.dim("dropout", float), data.dim("variant", Variant))

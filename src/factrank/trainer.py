@@ -228,9 +228,7 @@ def train_scorer(
 
     def batch_loss(tape, epoch, batch, ids, lengths):
         iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, rng_train)
-        rows = np.empty((len(batch), cand.shape[1], fact_matrix.dim))  # float64: no float32 gather beside it
-        for i, b in enumerate(batch):
-            rows[i] = fact_matrix.rows[cand[b]]
+        rows = fact_matrix.rows[cand[batch]]  # float32, the dtype ``fit`` trains in: no upcast
         scores = tape.cosine_rows(iq, rows, fact_matrix.norms[cand[batch]])
         return tape.hinge_mean(scores, np.zeros(len(batch), dtype=np.intp), config.margin)
 

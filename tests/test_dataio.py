@@ -9,7 +9,7 @@ import pytest
 from factrank import dataio
 from factrank.dataio import FeatureStore, load_concept_labels, load_concepts, load_features, load_qa
 from factrank.errors import DataError, LoadError, UsageError
-from factrank.kb import KnowledgeBase, Relation, parse_kb
+from factrank.kb import MAX_FACT_ID_BYTES, KnowledgeBase, Relation, parse_kb
 from factrank.wordvec import WordVectorTable, load_vectors
 
 LABELS = [f"label{i}" for i in range(6)]
@@ -302,12 +302,13 @@ def test_the_converter_round_trips_a_synth_set_byte_for_byte(small_synth_dir, tm
         assert path.read_bytes() == (small_synth_dir / path.name).read_bytes(), path.name
 
 
-def _convert_one_fact(tmp_path, fact_id, relation_token):
+def _convert_one_fact(tmp_path, fact_id, relation_token, fact=None, question=None):
+    """Convert one fact and one question about it; ``fact`` and ``question`` override their records' fields."""
     facts = _write_text(tmp_path / "facts.json", json.dumps({fact_id: {"e1_label": "umbrella", "r": relation_token,
-                                                                       "e2_label": "shade"}}))
+                                                                       "e2_label": "shade", **(fact or {})}}))
     questions = _write_text(tmp_path / "questions.json", json.dumps({
         "q1": {"question": "what gives shade", "answer": "umbrella", "img_file": "a.jpg", "fact": [fact_id],
-               "answer_source": "Image", "fold": 2}}))
+               "answer_source": "Image", "fold": 2, **(question or {})}}))
     return facts, dataio.convert_fvqa(questions, facts, tmp_path / "out")
 
 
@@ -337,6 +338,40 @@ def test_a_nul_byte_in_a_fact_id_is_a_load_error_naming_the_fact(tmp_path):
     with pytest.raises(LoadError, match=re.escape(": fact 'f1\\x00': fact id 'f1\\x00' holds a NUL byte")):
         _convert_one_fact(tmp_path, "f1\x00", "IsA")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_fact_id_longer_than_the_bound_is_a_load_error_naming_the_fact(tmp_path):
+    long_id = "f" * 1000
+    message = f": fact {long_id!r}: fact id {long_id[:20]!r}... is longer than {MAX_FACT_ID_BYTES} UTF-8 bytes"
+    with pytest.raises(LoadError, match=re.escape(message) + "$"):
+        _convert_one_fact(tmp_path, long_id, "IsA")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(("record", "field", "value", "kind"), [
+    ("question", "question", None, "a string"),
+    ("question", "answer", None, "a string"),
+    ("question", "answer", 7, "a string"),
+    ("question", "img_file", None, "a string or an integer"),
+    ("question", "image_id", True, "a string or an integer"),
+    ("question", "image_id", 1.5, "a string or an integer"),
+    ("fact", "e1_label", None, "a string"),
+    ("fact", "r", ["IsA"], "a string"),
+    ("fact", "e2_label", 3, "a string"),
+])
+def test_a_release_field_of_the_wrong_json_type_is_a_load_error_naming_its_record(tmp_path, record, field, value,
+                                                                                   kind):
+    # str() once wrote a null question as the question "None", which load_qa then read as a string
+    name = "question 'q1'" if record == "question" else "fact 'f1'"
+    message = f": {name}: {field} must be {kind}, got {value!r}"
+    with pytest.raises(LoadError, match=re.escape(message) + "$"):
+        _convert_one_fact(tmp_path, "f1", "IsA", **{record: {field: value}})
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_release_image_id_may_be_a_json_integer(tmp_path):
+    _, written = _convert_one_fact(tmp_path, "f1", "IsA", question={"img_file": 12})
+    assert [i.image_id for i in load_qa(written["qa"])] == ["12"]
 
 
 _QA_RECORD = {"question_id": "q1", "image_id": "img1", "question": "what is it used for", "answer": "shade",

@@ -193,6 +193,32 @@ def test_lstm_dropout_leaves_the_generator_where_the_per_step_composition_does(d
         states.append(rng.bit_generator.state)
     assert states[0] == states[1]
     assert (states[0] == np.random.default_rng(10).bit_generator.state) == (dropout_rate == 0.0)
+    # one (steps, batch, d) draw in the batch's own row order, though the rows are stepped sorted by length: the
+    # oracle test above sees the same masks on the same rows
+    draw = np.random.default_rng(10)
+    if dropout_rate:
+        draw.random((7, 20, 16))
+    assert states[0] == draw.bit_generator.state
+
+
+def test_lstm_values_and_gradients_do_not_depend_on_the_row_order():
+    params, ids, lengths = _oracle_case(20, 7, 16, 24)
+    head = constant(np.random.default_rng(11).standard_normal((24, 3)))
+
+    def run(rows):
+        tape = Tape()
+        h = lstm_hidden(tape, params, ids[rows], lengths[rows])
+        tape.backward(total(tape, tape.tanh(tape.matmul(h, head))))
+        out = [h.values[np.argsort(rows)]] + [t.grad.copy() for t in params.values()]
+        for t in params.values():
+            t.grad[...] = 0.0
+        return out
+
+    reference = run(np.arange(20))
+    # shortest first reverses the length sort's work; equal lengths keep their relative order
+    for rows in (np.argsort(lengths, kind="stable"), np.arange(20)[::-1], np.random.default_rng(12).permutation(20)):
+        for got, want in zip(run(rows), reference):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
 
 def test_lstm_zero_weights_gives_zero_hidden():
@@ -439,6 +465,23 @@ def test_fit_stops_on_a_non_finite_loss_before_stepping_on_it():
         _toy_fit(w, batch_loss)
     assert len(seen) == 7 and not np.array_equal(seen[-2], seen[-1])  # six steps were taken
     np.testing.assert_array_equal(w.values, seen[-1])  # and none on the non-finite loss
+    assert w.values.dtype == np.float64 and w.grad is None  # handed back as after a finished run
+
+
+def test_fit_trains_in_float32_and_hands_back_its_exact_float64_upcast():
+    w = parameter(np.full((1, 2), 0.1))  # no float32 holds 0.1, so the first cast rounds
+    seen = []
+
+    def batch_loss(tape, epoch, batch, ids, lengths):
+        seen.append((w.values.dtype, w.grad.dtype))
+        x = constant(np.ones((len(batch), 1), dtype=np.float32))
+        return tape.softmax_cross_entropy(tape.matmul(x, w), np.zeros(len(batch), dtype=np.intp))
+
+    _toy_fit(w, batch_loss)
+    assert set(seen) == {(np.dtype(np.float32),) * 2} and len(seen) == 12
+    assert w.values.dtype == np.float64 and w.grad is None
+    np.testing.assert_array_equal(w.values.astype(np.float32).astype(np.float64), w.values)
+    assert not np.array_equal(w.values, np.full((1, 2), 0.1))
 
 
 @pytest.mark.parametrize("epochs, batch_size", [(0, 3), (-1, 3), (2, 0)])
@@ -461,6 +504,12 @@ def test_classifier_checkpoint_round_trip(tmp_path):
     save_classifier(path, clf, meta={"note": "test"})
     loaded = load_classifier(path)
     assert loaded.kind == "relation"
+    # inference never differentiates: no tensor of a loaded model holds a gradient buffer
+    assert all(not t.requires_grad and t.grad is None for t in loaded.tensors.values())
+    # trained in float32 and handed back as float64, so the checkpoint's float64 members are exact upcasts
+    for t in loaded.tensors.values():
+        assert t.values.dtype == np.float64
+        np.testing.assert_array_equal(t.values.astype(np.float32).astype(np.float64), t.values)
     questions = [q for q, _ in pairs]
     np.testing.assert_array_equal(
         predict_relation_batch(clf, questions), predict_relation_batch(loaded, questions)

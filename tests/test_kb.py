@@ -91,6 +91,21 @@ def test_a_nul_byte_in_a_fact_id_is_a_load_error_naming_the_line(tmp_path):
         parse_kb(path)
 
 
+def test_a_fact_id_longer_than_the_bound_is_a_load_error_naming_the_line(tmp_path):
+    # the id column is as wide as its longest id: one 1,000-byte id would make every row 1,000 bytes
+    path = tmp_path / "kb.tsv"
+    long_id = "\xe9" * 128  # 256 UTF-8 bytes, 128 characters
+    path.write_text(f"f1\tA\tIsA\tB\n{'f' * 1000}\tC\tIsA\tD\n{long_id}\tE\tIsA\tF\n", encoding="utf-8")
+    message = f"{path}:2: fact id {'f' * 20!r}... is longer than {kb_module.MAX_FACT_ID_BYTES} UTF-8 bytes"
+    with pytest.raises(LoadError, match=f"^{re.escape(message)}$"):
+        parse_kb(path)
+    path.write_text(f"f1\tA\tIsA\tB\n{'f' * 255}\tC\tIsA\tD\n{long_id}\tE\tIsA\tF\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}:3: fact id "):
+        parse_kb(path)
+    path.write_text(f"f1\tA\tIsA\tB\n{'f' * 255}\tC\tIsA\tD\n", encoding="utf-8")
+    assert parse_kb(path).ids.column.dtype == np.dtype("S255")
+
+
 def test_an_id_lookup_finds_no_row_for_an_id_with_a_nul_or_an_id_of_another_width(tiny_kb):
     assert tiny_kb.ids.rows(["f1\x00", "f3", "f", "f10", "f4", "", "\xe9"]).tolist() == [-1, 3, -1, -1, 0, -1, -1]
     assert "f1" in tiny_kb and "f1\x00" not in tiny_kb and "f10" not in tiny_kb

@@ -387,8 +387,8 @@ def test_spent_lstm_tape_holds_no_step_cache():
     [cache] = [c for c in cells if isinstance(c, list)]
     alive = [[weakref.ref(a) for a in step if isinstance(a, np.ndarray)] for step in cache]
     assert len(alive) == steps and all(len(refs) >= 6 for refs in alive)
-    # the (steps, batch, width) inputs and dropout masks that the passes over all steps read
-    whole = [weakref.ref(c) for c in cells if isinstance(c, np.ndarray) and c.shape[:2] == (steps, len(ids))]
+    # the (live positions, width) inputs and dropout masks that the passes over all steps read
+    whole = [weakref.ref(c) for c in cells if isinstance(c, np.ndarray) and c.ndim == 2 and c.shape[0] == lengths.sum()]
     assert len(whole) == 2
     del backward, cache, cells
     # the walk pops each step's cache, last step first, and then scatters
@@ -402,6 +402,19 @@ def test_spent_lstm_tape_holds_no_step_cache():
     assert live_steps == [1]
     assert all(r() is None for refs in [*alive, whole] for r in refs)
     assert len(tape) == 3  # the sequence and two matmuls of the sum
+
+
+def test_a_float32_lstm_sequence_makes_only_float32_buffers():
+    tensors, ids, lengths = _lstm_case(23, batch=6, steps=5)
+    for t in tensors.values():
+        t.values, t.grad = t.values.astype(np.float32), None
+    tape = Tape()
+    h = tape.lstm_sequence(*tensors.values(), ids, lengths, 0.4, np.random.default_rng(24))
+    [(_, backward)] = tape._records
+    cells = [cell.cell_contents for cell in backward.__closure__]
+    [cache] = [c for c in cells if isinstance(c, list)]
+    arrays = [h.values, *cells, *(a for step in cache for a in step)]
+    assert {a.dtype for a in arrays if isinstance(a, np.ndarray) and a.dtype.kind == "f"} == {np.dtype(np.float32)}
 
 
 def test_untracked_lstm_sequence_keeps_nothing():

@@ -557,6 +557,7 @@ def test_scorer_checkpoint_round_trip(tmp_path):
     save_scorer(path, params, meta={"seed": 25})
     loaded = load_scorer(path)
     assert loaded.variant is Variant.Q_VC
+    assert all(not t.requires_grad and t.grad is None for t in loaded.tensors.values())
     after = embed_image_question(loaded, feat, concepts, "what is shown here")
     np.testing.assert_array_equal(before, after)
 

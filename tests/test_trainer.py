@@ -12,7 +12,7 @@ from factrank.dataio import load_dataset, load_qa
 from factrank.errors import DataError, DegenerateInputError, UsageError
 from factrank.kb import Fact, Relation, parse_kb
 from factrank.numerics import Tape, constant, cosines, row_norms
-from factrank import encoders, optim, scorer, trainer
+from factrank import encoders, numerics, optim, scorer, trainer
 from factrank.scorer import Variant, embed_batch, rank_candidates, score
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.text import tokenize
@@ -369,6 +369,39 @@ def test_mining_never_inserts_groundtruth():
 # ----------------------------------------------------------------------
 # training runs
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["relation", "source", "scorer"])
+def test_every_training_loss_and_gradient_is_float32(monkeypatch, tiny_synth, kind):
+    # a float64 constant, mask or candidate block in a loss would upcast it silently, the float32 gradient buffers
+    # hiding the float64 arithmetic: see the dtype of each loss, parameter and gradient that reaches a tensor
+    instances, store, kb, table = tiny_synth
+    seen = set()
+    accumulate, fit = numerics._accumulate, encoders.fit
+
+    def spy(t, g, at=None):
+        seen.add(("gradient", g.dtype))
+        accumulate(t, g, at)
+
+    def checked_fit(params, encoded, opt, rng, epochs, batch_size, batch_loss, *rest):
+        def checked_loss(tape, *args):
+            loss = batch_loss(tape, *args)
+            seen.update([("loss", loss.values.dtype), *(("parameter", p.values.dtype) for p in params.values())])
+            return loss
+
+        return fit(params, encoded, opt, rng, epochs, batch_size, checked_loss, *rest)
+
+    monkeypatch.setattr(numerics, "_accumulate", spy)
+    monkeypatch.setattr(encoders, "fit", checked_fit)
+    monkeypatch.setattr(trainer, "fit", checked_fit)
+    if kind == "scorer":
+        cfg = MarginConfig(iterations=1, epochs_per_iteration=2, mining_period=1, negatives=5, batch_size=4)
+        params = train_scorer(instances, kb, store, table, cfg).params
+    else:
+        pairs = [(i.question, i.relation if kind == "relation" else i.source) for i in instances]
+        params = encoders.train_classifier(kind, pairs, encoders.EncoderTrainConfig(epochs=2, batch_size=4))[0]
+    assert seen == {(what, np.dtype(np.float32)) for what in ("loss", "parameter", "gradient")}
+    assert {t.values.dtype for t in params.tensors.values()} == {np.dtype(np.float64)}
 
 
 def test_train_scorer_memorizes_tiny_dataset(tiny_synth):
