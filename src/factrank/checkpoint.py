@@ -55,6 +55,13 @@ class Checkpoint:
         return {name: self.tensors[name] for name in shapes}
 
 
+def rate(value) -> float:
+    """``value`` as a float in [0, 1), a dropout rate's range; a ValueError otherwise, NaN too."""
+    if not 0.0 <= (value := float(value)) < 1.0:
+        raise ValueError(f"{value} is not in [0, 1)")
+    return value
+
+
 def save_checkpoint(
     path: str | Path,
     kind: str,

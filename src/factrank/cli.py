@@ -380,15 +380,15 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_kb_stats(cfg: RunConfig) -> int:
-    from .kb import kb_stats, parse_kb
+    from .kb import parse_kb
 
     _require(cfg, "kb")
-    stats = kb_stats(parse_kb(cfg.kb))
-    width = max(len(r.value) for r in stats.relation_counts)
-    for relation, count in stats.relation_counts.items():
-        print(f"{relation.value:<{width}} {count}")
-    print(f"total facts: {stats.total_facts}")
-    print(f"vocabulary size: {stats.vocabulary_size}")
+    kb = parse_kb(cfg.kb)
+    width = max(len(r.value) for r in kb.buckets)
+    for relation, bucket in kb.buckets.items():
+        print(f"{relation.value:<{width}} {bucket.stop - bucket.start}")
+    print(f"total facts: {len(kb)}")
+    print(f"vocabulary size: {len(kb.tokens)}")
     return 0
 
 

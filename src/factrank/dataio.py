@@ -141,7 +141,7 @@ def _parse_features(path: Path) -> dict[str, Array]:
 def load_concepts(path: str | Path, n_labels: int) -> tuple[dict[str, int], Array]:
     """Parse ``image_id i1,i2,...`` hot-index rows into an image id -> row index and a read-only 0/1 matrix."""
     path = Path(path)
-    row_of: dict[str, int] = {}
+    image_rows: dict[str, int] = {}
     hot: list[int] = []  # flat positions in the (images, n_labels) matrix
     for lineno, raw in read_lines(path):
         line = raw.strip()
@@ -156,14 +156,14 @@ def load_concepts(path: str | Path, n_labels: int) -> tuple[dict[str, int], Arra
                     raise LoadError(f"{path}:{lineno}: bad concept index {tok!r}") from None
                 if not 0 <= idx < n_labels:
                     raise LoadError(f"{path}:{lineno}: concept index {idx} out of range [0, {n_labels})")
-                hot.append(len(row_of) * n_labels + idx)
-        if head in row_of:
+                hot.append(len(image_rows) * n_labels + idx)
+        if head in image_rows:
             raise LoadError(f"{path}:{lineno}: duplicate image id {head!r}")
-        row_of[head] = len(row_of)
-    matrix = np.zeros(len(row_of) * n_labels, dtype=bool)
+        image_rows[head] = len(image_rows)
+    matrix = np.zeros(len(image_rows) * n_labels, dtype=bool)
     matrix[hot] = True
     matrix.flags.writeable = False
-    return row_of, matrix.reshape(len(row_of), n_labels)
+    return image_rows, matrix.reshape(len(image_rows), n_labels)
 
 
 def load_qa(path: str | Path) -> list[QAInstance]:

@@ -439,4 +439,4 @@ def load_classifier(path) -> Classifier:
     embed_dim, hidden_dim = data.dim("embed_dim"), data.dim("hidden_dim")
     arrays = data.checked_tensors(Classifier.shapes(data.kind, len(vocab), embed_dim, hidden_dim))
     tensors = {name: constant(arr) for name, arr in arrays.items()}
-    return Classifier(data.kind, vocab, embed_dim, hidden_dim, tensors, data.dim("dropout", float))
+    return Classifier(data.kind, vocab, embed_dim, hidden_dim, tensors, data.dim("dropout", ckpt.rate))

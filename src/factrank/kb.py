@@ -109,7 +109,8 @@ class FactIds(Sequence[str]):
     its place in sorted-id order, an int32. UTF-8 byte order is code-point order, so ordering rows by ``rank``
     orders them by id as Python's ``sorted`` does. An id is decoded only as it is named: an int names one row, a
     slice or an array of rows a list of them. :meth:`rows` finds ids' rows by one binary search in the column,
-    read in rank order. A numpy ``S`` array drops trailing NUL bytes, so an id may hold no NUL."""
+    read in rank order, and :meth:`row` one id's. A numpy ``S`` array drops trailing NUL bytes, so an id may
+    hold no NUL."""
 
     def __init__(self, column: np.ndarray, rank: np.ndarray):
         self.column, self.rank = column, rank
@@ -134,17 +135,11 @@ class FactIds(Sequence[str]):
         found = (self.column[rows] == column) & np.array([b"\0" not in key for key in keys], dtype=bool)
         return np.where(found, rows, -1)
 
-
-class RowOf:
-    """``row_of[fact_id]``: the row of one id of a :class:`FactIds`, or a KeyError; a lookup, not a dict."""
-
-    def __init__(self, ids: FactIds):
-        self.ids = ids
-
-    def __getitem__(self, fact_id: str) -> int:
-        [row] = self.ids.rows([fact_id]).tolist()
+    def row(self, fact_id: str) -> int:
+        """One id's row; a UsageError naming an id not here."""
+        [row] = self.rows([fact_id]).tolist()
         if row < 0:
-            raise KeyError(fact_id)
+            raise UsageError(f"unknown fact id {fact_id!r}")
         return row
 
 
@@ -206,10 +201,10 @@ class KBBuilder:
 class KnowledgeBase:
     """Immutable columnar fact store. Row ``r`` is fact ``ids[r]``, of relation ``RELATIONS[relations[r]]``,
     subject :meth:`phrase` ``(subjects[r])`` and object :meth:`phrase` ``(objects[r])``; ``ids`` is a
-    :class:`FactIds` and ``position`` its id -> row :class:`RowOf`, and ``buckets`` maps a relation to its
-    rows. Phrase ``p`` is the UTF-8 text ``phrase_text[text_starts[p]:text_starts[p + 1]]``, and its tokens
-    are ``tokens[c]`` for ``c`` in ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``. Ids and phrases
-    stay bytes until a fact is named; no Python object is held per fact.
+    :class:`FactIds`, the one id -> row lookup, and ``buckets`` maps a relation to its rows. Phrase ``p`` is
+    the UTF-8 text ``phrase_text[text_starts[p]:text_starts[p + 1]]``, and its tokens are ``tokens[c]`` for
+    ``c`` in ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``. Ids and phrases stay bytes until a fact
+    is named; no Python object is held per fact.
 
     Every KB is made from the arrays of its cache, as :meth:`KBBuilder.arrays` lays them out: a fresh parse,
     a cache hit and the converter all end here. Arrays that fail the vectorized checks of their structure are
@@ -241,26 +236,18 @@ class KnowledgeBase:
         self.ids = FactIds(ids, self.id_rank)
         if ((in_order := ids[self.ids.sorted_rows])[1:] <= in_order[:-1]).any():
             raise ValueError("fact ids repeat, or their ranks do not sort them")
-        self.position = RowOf(self.ids)
         ends = np.cumsum(np.bincount(self.relations, minlength=len(RELATIONS))).tolist()
         self.buckets = {r: slice(start, end) for r, start, end in zip(RELATIONS, [0, *ends], ends)}
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, fact_id: str) -> bool:
-        return self.ids.rows([fact_id])[0] >= 0
-
     def phrase(self, code: int) -> str:
         """Phrase ``code``, decoded."""
         return str(self.phrase_text[self.text_starts[code]:self.text_starts[code + 1]], "utf-8")
 
     def fact(self, fact_id: str) -> Fact:
-        try:
-            row = self.position[fact_id]
-        except KeyError:
-            raise UsageError(f"unknown fact id {fact_id!r}") from None
-        return self._facts([row])[0]
+        return self._facts([self.ids.row(fact_id)])[0]
 
     def _facts(self, rows) -> list[Fact]:
         # each distinct phrase of the rows is decoded once, and its facts share the string
@@ -328,16 +315,3 @@ def parse_fact(fields: list[str]) -> tuple[str, str, Relation, str]:
     if suffix:
         obj = f"{suffix} {obj}".strip()
     return fact_id, subject, relation, obj
-
-
-@dataclass
-class KBStats:
-    relation_counts: dict[Relation, int]
-    total_facts: int
-    vocabulary_size: int
-
-
-def kb_stats(kb: KnowledgeBase) -> KBStats:
-    """Per-relation counts, total size, and token vocabulary size."""
-    counts = {r: bucket.stop - bucket.start for r, bucket in kb.buckets.items()}
-    return KBStats(relation_counts=counts, total_facts=len(kb), vocabulary_size=len(kb.tokens))

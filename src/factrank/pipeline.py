@@ -35,6 +35,7 @@ from .encoders import Classifier, answer_source, predict_relation_batch, predict
 from .errors import UsageError
 from .kb import AnswerSource, KnowledgeBase, Relation
 from .scorer import ScorerParams, embed_batch, rank_rows
+from .text import normalize_phrase
 from .wordvec import FactMatrix
 
 Array = np.ndarray
@@ -111,10 +112,9 @@ RATE_FIELDS = [f for f in fields(Metrics) if "label" in f.metadata]
 
 
 def answers_match(predicted: str | None, expected: str) -> bool:
-    """Exact string match after casefold and whitespace trim."""
-    if predicted is None:
-        return False
-    return predicted.strip().casefold() == expected.strip().casefold()
+    """Whether the phrases' ``text.normalize_phrase`` forms are equal, the rule by which
+    ``dataio.validate_dataset`` accepts an answer; no prediction is a miss."""
+    return predicted is not None and normalize_phrase(predicted) == normalize_phrase(expected)
 
 
 def _predict(
@@ -247,7 +247,8 @@ def evaluate(
         k,
     )
     ans1 = ans3 = fact1 = fact3 = rel1 = rel3 = src = no_fact = 0
-    for inst, (p, rows) in zip(instances, results):
+    gts = kb.ids.rows([i.fact_id for i in instances]).tolist()  # -1, a miss, for a groundtruth the KB lacks
+    for inst, gt, (p, rows) in zip(instances, gts, results):
         rel1 += p.relation is inst.relation
         rel3 += inst.relation in [r for r, _ in p.relation_probs]
         src += p.source is inst.source
@@ -255,10 +256,9 @@ def evaluate(
             no_fact += 1
             continue
         top3 = rows[:3].tolist()
-        found = [kb.ids[r] for r in top3]  # by id: a groundtruth missing from the KB is a miss
         answers = [kb.answer(r, p.source) for r in top3]
-        fact1 += found[0] == inst.fact_id
-        fact3 += inst.fact_id in found
+        fact1 += top3[0] == gt
+        fact3 += gt in top3
         ans1 += answers_match(answers[0], inst.answer)
         ans3 += any(answers_match(a, inst.answer) for a in answers)
     n = len(instances)

@@ -28,14 +28,15 @@ caller of :func:`shortlist_rows`: inference, held-out precision and
 hard-negative mining all rank through it, and it returns rows of the fact
 matrix with their scores, which its callers name only as they need.
 No path upcasts a bucket or the whole matrix. :func:`rank_candidates`,
-:func:`candidate_scores` and :func:`score_matrix` are thin entry points over
-the same arithmetic.
+:func:`candidate_scores` and :func:`score_matrix` run the same arithmetic
+but have no caller in the package: they stay only as the benchmark's
+traced calls and its exhaustive oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -79,9 +80,6 @@ class ScorerDims:
     concept_dim: int = 1176
     concept_proj: int = 128
     output_dim: int = 200
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -204,7 +202,7 @@ def score(fact_emb: Array, iq_emb: Array) -> float:
 def candidate_scores(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: FactMatrix) -> Array:
     """Per-candidate cosine scores, by the arithmetic of :func:`score`, so
     exhaustive and ranked paths agree bitwise."""
-    rows = [fact_matrix.row_of[fid] for fid in candidate_ids]
+    rows = [fact_matrix.fact_ids.row(fid) for fid in candidate_ids]
     iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
     return _exact_cosines(iq, fact_matrix.rows[rows], fact_matrix.norms[rows])[0]
 
@@ -216,7 +214,7 @@ def rank_candidates(iq_emb: Array, candidate_ids: Sequence[str], fact_matrix: Fa
     if not candidate_ids:
         raise UsageError("rank needs at least one candidate")
     ids = list(candidate_ids)
-    rows = [fact_matrix.row_of[fid] for fid in ids]
+    rows = [fact_matrix.fact_ids.row(fid) for fid in ids]
     iq = np.asarray(iq_emb, dtype=np.float64)[None, :]
     [(top, scores)] = rank_rows(iq, fact_matrix.rows[rows], fact_matrix.norms[rows],
                                 fact_matrix.fact_ids.rank[rows], k)
@@ -339,7 +337,7 @@ def rank_rows(iq_block: Array, rows: Array, norms: Array, id_rank: Array, k: int
 
 
 def save_scorer(path, params: ScorerParams, meta: dict | None = None) -> None:
-    dims = params.dims.as_dict()
+    dims = asdict(params.dims)
     dims.update(dropout=params.dropout, variant=params.variant.value)
     tensors = {name: t.values for name, t in params.tensors.items()}
     ckpt.save_checkpoint(path, "scorer", dims, params.vocab.tokens, tensors, meta)
@@ -350,4 +348,4 @@ def load_scorer(path) -> ScorerParams:
     dims = ScorerDims(**{f.name: data.dim(f.name) for f in fields(ScorerDims)})
     arrays = data.checked_tensors(ScorerParams.shapes(dims, len(vocab)))
     tensors = {name: constant(arr) for name, arr in arrays.items()}
-    return ScorerParams(dims, vocab, tensors, data.dim("dropout", float), data.dim("variant", Variant))
+    return ScorerParams(dims, vocab, tensors, data.dim("dropout", ckpt.rate), data.dim("variant", Variant))

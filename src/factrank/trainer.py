@@ -174,10 +174,11 @@ def fact_precision(
     if np.any(np.linalg.norm(iq, axis=1) == 0.0):
         raise UsageError("fact_precision got a zero-norm embedding row")
     tops = rank_rows(iq, fact_matrix.rows, fact_matrix.norms, fact_matrix.fact_ids.rank, 3)
-    found = [fact_matrix.fact_ids[rows] for rows, _ in tops]
+    gts = fact_matrix.fact_ids.rows([i.fact_id for i in instances]).tolist()  # -1, a miss, for one not in the KB
+    top3 = [rows.tolist() for rows, _ in tops]
     return {
-        "precision1": float(np.mean([f[0] == i.fact_id for f, i in zip(found, instances)])),
-        "precision3": float(np.mean([i.fact_id in f for f, i in zip(found, instances)])),
+        "precision1": float(np.mean([rows[0] == gt for rows, gt in zip(top3, gts)])),
+        "precision3": float(np.mean([gt in rows for rows, gt in zip(top3, gts)])),
     }
 
 

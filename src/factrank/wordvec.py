@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, LoadError
-from .kb import FactIds, KnowledgeBase, RowOf
+from .kb import FactIds, KnowledgeBase
 from .numerics import row_norms
 from .text import read_lines
 
@@ -45,12 +45,6 @@ class WordVectorTable:
         self.vectors: dict[str, Array] = vectors or {}
         self.duplicate_count = 0
         self.oov_phrase_count = 0  # diagnostic: phrase occurrences that embedded to zero
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def __getitem__(self, token: str) -> Array:
-        return self.vectors[token]
 
 
 def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
@@ -94,13 +88,12 @@ class FactMatrix:
     of its stored row, and nonzero only inside ``NORM_RANGE``. Row ``i`` is
     fact ``fact_ids[i]``: ``fact_ids`` is a :class:`~factrank.kb.FactIds`, a
     byte column decoded only as a fact is named, whose ``rank`` column breaks
-    ranking ties by id, and ``row_of`` maps an id to its row by a lookup in
-    it, with no dict. A matrix that :meth:`build` made shares both with its
-    KB, whose ``buckets`` then slice the rows, relation by relation."""
+    ranking ties by id, and whose :meth:`~factrank.kb.FactIds.row` finds an
+    id's row, with no dict. A matrix that :meth:`build` made shares its ids
+    with its KB, whose ``buckets`` then slice the rows, relation by relation."""
 
     fact_ids: FactIds
     rows: Array
-    row_of: RowOf
     norms: Array = field(init=False)
 
     def __post_init__(self):
@@ -134,7 +127,7 @@ class FactMatrix:
                 means[group] = vecs[vec_of[first[phrases[group]][:, None] + np.arange(n)]].mean(axis=1)
             halves[at:at + 2 * BUILD_CHUNK] = means[where]
         oov = np.flatnonzero(count[codes] == 0)
-        matrix = cls(kb.ids, rows, kb.position)  # a rejected row norm counts nothing
+        matrix = cls(kb.ids, rows)  # a rejected row norm counts nothing
         table.oov_phrase_count += len(oov)
         if len(oov):
             logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov),
@@ -165,7 +158,7 @@ class FactMatrix:
         return self.rows.shape[1]
 
     def row(self, fact_id: str) -> Array:
-        return self.rows[self.row_of[fact_id]]
+        return self.rows[self.fact_ids.row(fact_id)]
 
     def check_built_from(self, kb: KnowledgeBase) -> None:
         """A DataError unless :meth:`build` made this matrix from ``kb``, so its rows are ``kb``'s rows."""

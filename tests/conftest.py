@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from factrank.dataio import load_dataset, split_fold
-from factrank.kb import Fact, FactIds, KBBuilder, KnowledgeBase, Relation, RowOf
+from factrank.kb import Fact, FactIds, KBBuilder, KnowledgeBase, Relation
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
 
@@ -30,8 +30,7 @@ def id_column(ids) -> FactIds:
 
 def from_rows(ids, rows) -> FactMatrix:
     """A fact matrix of ``rows``, stored as float32, whose row ``i`` is fact ``ids[i]``: no KB needed."""
-    ids = id_column(ids)
-    return FactMatrix(ids, np.asarray(rows, dtype=np.float32), RowOf(ids))
+    return FactMatrix(id_column(ids), np.asarray(rows, dtype=np.float32))
 
 
 def from_facts(facts) -> KnowledgeBase:

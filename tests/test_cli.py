@@ -11,7 +11,9 @@ import pytest
 
 from factrank import cli
 from factrank.cli import RunConfig, build_parser, main
+from factrank.kb import Relation
 from factrank.scorer import load_scorer, save_scorer
+from conftest import SMALL_SYNTH
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,28 @@ def test_cli_synth_train_evaluate_answer(synth_dir, tmp_path, capsys):
     inst = json.loads((synth_dir / "qa.jsonl").read_text().splitlines()[0])
     assert main(["answer", *flags, "--image-id", inst["image_id"], "--question", inst["question"]]) == 0
     assert "answer:" in capsys.readouterr().out
+
+
+def _kb_stats(path, capsys) -> list[str]:
+    assert main(["kb-stats", "--kb", str(path)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_cli_kb_stats_prints_each_relation_count_the_total_and_the_vocabulary_size(tmp_path, small_synth_dir,
+                                                                                  capsys):
+    width = max(len(r.value) for r in Relation)
+    path = tmp_path / "empty.tsv"
+    path.write_text("# nothing but a comment\n", encoding="utf-8")
+    assert _kb_stats(path, capsys) == [f"{r.value:<{width}} 0" for r in Relation] + [
+        "total facts: 0", "vocabulary size: 0"]
+    path = tmp_path / "two.tsv"  # five distinct tokens: "d" is in two phrases
+    path.write_text("f1\tA\tIsA\tB d\nf2\tC d\tHasA\tE\n", encoding="utf-8")
+    counts = {Relation.IS_A: 1, Relation.HAS_A: 1}
+    assert _kb_stats(path, capsys) == [f"{r.value:<{width}} {counts.get(r, 0)}" for r in Relation] + [
+        "total facts: 2", "vocabulary size: 5"]
+    per_relation = SMALL_SYNTH["facts_per_relation"]
+    assert _kb_stats(small_synth_dir / "kb.tsv", capsys)[:-1] == [
+        f"{r.value:<{width}} {per_relation}" for r in Relation] + [f"total facts: {per_relation * len(Relation)}"]
 
 
 @pytest.mark.parametrize("command", [["synth"], ["train", "relation"], ["train", "scorer"]],

@@ -575,6 +575,10 @@ def _missing_dim(data):
     del data.dims["hidden_dim"]
 
 
+def _dropout_out_of_range(data):
+    data.dims["dropout"] = 1.5
+
+
 # header faults that save_checkpoint would reject: each returns the raw
 # header fields to write over the saved file
 def _token_not_a_string(data):
@@ -592,6 +596,7 @@ def _vocab_not_a_list(data):
         (_no_pad_unk_head, "vocabulary must start with the PAD and UNK tokens"),
         (_duplicate_token, "vocabulary tokens must be unique"),
         (_missing_dim, "'hidden_dim'"),
+        (_dropout_out_of_range, "'dropout'"),
         (_token_not_a_string, "header vocab is not a list of strings"),
         (_vocab_not_a_list, "header vocab is not a list of strings"),
     ],

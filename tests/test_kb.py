@@ -15,7 +15,6 @@ from factrank.kb import (
     AnswerSource,
     Fact,
     Relation,
-    kb_stats,
     parse_kb,
 )
 from factrank.synth import SyntheticConfig, generate_synthetic
@@ -108,7 +107,6 @@ def test_a_fact_id_longer_than_the_bound_is_a_load_error_naming_the_line(tmp_pat
 
 def test_an_id_lookup_finds_no_row_for_an_id_with_a_nul_or_an_id_of_another_width(tiny_kb):
     assert tiny_kb.ids.rows(["f1\x00", "f3", "f", "f10", "f4", "", "\xe9"]).tolist() == [-1, 3, -1, -1, 0, -1, -1]
-    assert "f1" in tiny_kb and "f1\x00" not in tiny_kb and "f10" not in tiny_kb
     assert tiny_kb.ids.rows([]).tolist() == [] and from_facts([]).ids.rows(["f1"]).tolist() == [-1]
 
 
@@ -177,33 +175,12 @@ def test_serialize_parse_round_trip(tmp_path, tiny_kb):
         assert (a.subject, a.relation, a.obj) == (b.subject, b.relation, b.obj)
 
 
-def test_kb_stats_empty():
-    stats = kb_stats(from_facts([]))
-    assert stats.total_facts == 0
-    assert stats.vocabulary_size == 0
-    assert all(c == 0 for c in stats.relation_counts.values())
-
-
-def test_kb_stats_two_distinct_relations():
-    kb = from_facts([Fact("f1", "A", Relation.IS_A, "B"), Fact("f2", "C", Relation.HAS_A, "D")])
-    stats = kb_stats(kb)
-    assert stats.relation_counts[Relation.IS_A] == 1
-    assert stats.relation_counts[Relation.HAS_A] == 1
-    assert stats.total_facts == 2
-
-
-def test_kb_stats_matches_generator_config(small_synth):
-    from conftest import SMALL_SYNTH
-
-    stats = kb_stats(small_synth["kb"])
-    assert stats.total_facts == SMALL_SYNTH["facts_per_relation"] * len(Relation)
-    for r in Relation:
-        assert stats.relation_counts[r] == SMALL_SYNTH["facts_per_relation"]
-
-
 def test_unknown_fact_id_rejected(tiny_kb):
-    with pytest.raises(UsageError):
-        tiny_kb.fact("nope")
+    assert tiny_kb.ids.row("f3") == 3 and tiny_kb.fact("f3").obj == "eat with"
+    for lookup in (tiny_kb.ids.row, tiny_kb.fact):
+        for fact_id in ("nope", "f1\x00", "f10"):
+            with pytest.raises(UsageError, match=f"^unknown fact id {re.escape(repr(fact_id))}$"):
+                lookup(fact_id)
 
 
 _relation_strategy = st.sampled_from(list(Relation))
@@ -286,7 +263,7 @@ def test_an_empty_kb_round_trips_through_its_cache(tmp_path, monkeypatch):
     parsed = parse_kb(path)
     hit = _hit(path, monkeypatch)
     _assert_same_kb(hit, parsed)
-    assert len(hit) == 0 and len(hit.phrase_text) == 0 and hit.tokens == [] and kb_stats(hit).vocabulary_size == 0
+    assert len(hit) == 0 and len(hit.phrase_text) == 0 and hit.tokens == []
 
 
 def test_an_edited_file_is_parsed_again_and_its_errors_name_the_line(odd_kb_path, caplog):

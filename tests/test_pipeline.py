@@ -2,10 +2,11 @@ import dataclasses
 
 import pytest
 
+from factrank.dataio import validate_dataset
 from factrank.encoders import EncoderTrainConfig, train_relation_classifier, train_source_classifier
 from factrank.errors import DataError
 from factrank.kb import FactIds, KnowledgeBase
-from factrank.pipeline import PipelineModels, answer_question, evaluate
+from factrank.pipeline import PipelineModels, answer_question, answers_match, evaluate
 from factrank.scorer import embed_batch, rank_candidates
 from factrank.trainer import MarginConfig, train_scorer
 from factrank.wordvec import FactMatrix
@@ -35,6 +36,18 @@ def test_evaluate_metrics_do_not_depend_on_k(models, small_synth, small_split):
     assert m3.fact_at3 > m3.fact_at1
     assert m1 == m3
     assert all(len(a.top_facts) == 1 and a.top_facts == b.top_facts[:1] for a, b in zip(p1, p3))
+
+
+def test_an_answer_the_dataset_check_accepts_scores_as_the_kb_phrase_it_names(models, small_synth, small_split):
+    # validate_dataset matches an answer to its fact by normalize_phrase form, and so does every answer metric
+    _, test = small_split
+    kb, store = small_synth["kb"], small_synth["store"]
+    respelled = [dataclasses.replace(i, answer=i.answer.upper().replace(" ", "-")) for i in test]
+    validate_dataset(respelled, store, kb)
+    metrics, predicted = evaluate(models, kb, test, store, oracle_relation=True, oracle_source=True)
+    assert any(p.answer == i.answer and " " in i.answer for i, p in zip(test, predicted))  # so a hyphen is tried
+    assert evaluate(models, kb, respelled, store, oracle_relation=True, oracle_source=True)[0] == metrics
+    assert answers_match("hot dog", "Hot-Dog") and not answers_match(None, "hot dog")
 
 
 def test_answer_question_is_evaluate_on_one_question(models, small_synth, small_split):
@@ -109,7 +122,8 @@ def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_sp
     assert len({p.relation for p in evaluated if p.status == "ok"}) > 1
     assert {p.relation for p in evaluated if p.status == "no_fact"} == {dropped}
     # a groundtruth that the KB lacks is a miss, not a lookup error
-    assert any(p.status == "ok" and i.fact_id not in kb for i, p in zip(test, evaluated))
+    gts = kb.ids.rows([i.fact_id for i in test]).tolist()
+    assert any(p.status == "ok" and gt < 0 for gt, p in zip(gts, evaluated))
     hits = sum(i.fact_id in [f for f, _ in p.top_facts] for i, p in zip(test, evaluated))
     assert metrics.fact_at3 == hits / len(test) > 0
     feats, cons = store.stack([i.image_id for i in test])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from unittest import mock
@@ -200,6 +201,16 @@ def test_rank_empty_candidates_rejected(tiny_fact_matrix):
         rank_candidates(np.ones(8), [], tiny_fact_matrix, k=1)
 
 
+@pytest.mark.parametrize("lookup", [
+    lambda fm, fid: fm.row(fid),
+    lambda fm, fid: candidate_scores(np.ones(8), ["f1", fid], fm),
+    lambda fm, fid: rank_candidates(np.ones(8), ["f1", fid], fm, k=1),
+], ids=["FactMatrix.row", "candidate_scores", "rank_candidates"])
+def test_an_unknown_candidate_id_is_a_usage_error_naming_it(tiny_fact_matrix, lookup):
+    with pytest.raises(UsageError, match="^unknown fact id 'nope'$"):
+        lookup(tiny_fact_matrix, "nope")
+
+
 def test_rank_matches_brute_force_bitwise():
     fm = _random_fact_matrix(100, 12, seed=11)
     rng = np.random.default_rng(12)
@@ -209,7 +220,7 @@ def test_rank_matches_brute_force_bitwise():
     nq = float(np.linalg.norm(iq))
     brute = []
     for fid in fm.fact_ids:
-        row = fm.rows[fm.row_of[fid]].astype(np.float64)  # the stored float32 row, upcast
+        row = fm.rows[fm.fact_ids.row(fid)].astype(np.float64)  # the stored float32 row, upcast
         brute.append((fid, float(np.dot(row, iq) / (np.linalg.norm(row) * nq))))
     brute.sort(key=lambda e: (-e[1], e[0]))
     assert ranked == brute
@@ -255,7 +266,7 @@ def test_tied_scores_go_by_python_string_order_of_the_ids(ids, data):
     # fact embeds alike, so every score ties and the KB's id rank alone orders them
     kb = from_facts([Fact(fid, "dog", relation, "pet") for fid, relation in zip(ids, itertools.cycle(Relation))])
     assert [kb.ids[r] for r in np.argsort(kb.ids.rank)] == sorted(ids)
-    fm = FactMatrix(kb.ids, np.ones((len(ids), 3), dtype=np.float32), kb.position)
+    fm = FactMatrix(kb.ids, np.ones((len(ids), 3), dtype=np.float32))
     candidates = ids if data is None else data.draw(st.permutations(ids), label="candidates")
     k = len(ids) if data is None else data.draw(st.integers(1, len(ids)), label="k")
     ranked = rank_candidates(np.array([1.0, 2.0, 3.0]), candidates, fm, k)
@@ -596,6 +607,11 @@ def _spoil_drop_dim(path, dims, vocab, tensors):
     save_checkpoint(path, "scorer", dims, vocab, tensors)
 
 
+def _spoil_dropout(path, dims, vocab, tensors):
+    dims["dropout"] = float("nan")
+    save_checkpoint(path, "scorer", dims, vocab, tensors)
+
+
 def _spoil_variant(path, dims, vocab, tensors):
     dims["variant"] = "zz"
     save_checkpoint(path, "scorer", dims, vocab, tensors)
@@ -628,6 +644,7 @@ def _spoil_vocab_type(path, dims, vocab, tensors):
         (_spoil_drop_w_fuse, "missing tensors ['w_fuse']"),
         (_spoil_reshape_w_fuse, "tensor 'w_fuse' has shape (8, 6), expected (9, 6)"),
         (_spoil_drop_dim, "'output_dim'"),
+        (_spoil_dropout, "'dropout'"),
         (_spoil_variant, "'variant'"),
         (_spoil_vocab_head, "vocabulary must start with the PAD and UNK tokens"),
         (_spoil_duplicate_token, "vocabulary tokens must be unique"),
@@ -640,7 +657,7 @@ def test_malformed_scorer_checkpoint_raises_load_error_naming_file(tmp_path, spo
     params = _toy_scorer(seed=27)
     path = tmp_path / "scorer.ckpt"
     save_scorer(path, params)
-    dims = params.dims.as_dict()
+    dims = dataclasses.asdict(params.dims)
     dims.update(dropout=params.dropout, variant=params.variant.value)
     spoil(path, dims, params.vocab.tokens, {name: t.values for name, t in params.tensors.items()})
     with pytest.raises(LoadError) as err:

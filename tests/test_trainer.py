@@ -137,7 +137,7 @@ def oracle_mine(iq, gt_ids, fm, n, margin):
 def mined_ids(iq, gt_ids, fm, n, margin):
     """:func:`mine_hard_negatives` in the oracle's terms."""
     state = MiningState(iteration=1)
-    gt = np.array([fm.row_of[f] for f in gt_ids], dtype=np.intp)
+    gt = np.array([fm.fact_ids.row(f) for f in gt_ids], dtype=np.intp)
     sets = mine_hard_negatives(np.asarray(iq, dtype=np.float64), gt, fm, n, margin, state)
     assert sets.shape == (len(gt_ids), 1 + n)
     return [[fm.fact_ids[r] for r in row] for row in sets], state.hard_pool_total, state.empty_pool_fallbacks
@@ -319,7 +319,7 @@ def _near_tie_mining_case(seed, facts=400, dim=8, n=20):
 @pytest.mark.parametrize("block_rows", [1, 7, 50])
 def test_mining_over_many_blocks_with_near_ties_matches_the_oracle(monkeypatch, block_rows):
     fm, iq, gt, n = _near_tie_mining_case(41)
-    twins = np.bincount(fm.twin_groups)[fm.twin_groups[[fm.row_of[f] for f in gt]]] - 1
+    twins = np.bincount(fm.twin_groups)[fm.twin_groups[[fm.fact_ids.row(f) for f in gt]]] - 1
     k = n + 1 + int(twins.max())  # the mining cut
     assert twins[:2].tolist() == [3, 3]
     monkeypatch.setattr(scorer, "BLOCK_ELEMENTS", block_rows * len(iq))
@@ -618,7 +618,7 @@ def test_train_scorer_candidate_sets_match_the_id_oracle(tiny_synth, monkeypatch
                       real=trainer.fit):
         def checked_loss(tape, epoch, batch, ids, lengths):
             loss = batch_loss(tape, epoch, batch, ids, lengths)
-            rows_of = np.array([[fm.row_of[f] for f in current["sets"][i]] for i in batch])
+            rows_of = np.array([[fm.fact_ids.row(f) for f in current["sets"][i]] for i in batch])
             rows, norms = scored.pop()
             np.testing.assert_array_equal(rows, fm.rows[rows_of])
             np.testing.assert_array_equal(norms, fm.norms[rows_of])

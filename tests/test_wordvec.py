@@ -54,7 +54,7 @@ def test_tokenize_keeps_numbers_drops_punctuation():
 
 def test_phrase_embedding_single_token(tiny_table):
     row = _build(tiny_table, ("Shade", "pet")).rows[0, :4]
-    np.testing.assert_array_equal(row, tiny_table["shade"].astype(np.float32))
+    np.testing.assert_array_equal(row, tiny_table.vectors["shade"].astype(np.float32))
 
 
 def test_phrase_embedding_is_mean():
@@ -71,7 +71,7 @@ def test_phrase_embedding_all_oov_is_zero_and_counted(tiny_table):
 
 def test_phrase_embedding_skips_oov_tokens(tiny_table):
     np.testing.assert_array_equal(
-        _build(tiny_table, ("shade zyzzyva", "pet")).rows[0, :4], tiny_table["shade"].astype(np.float32)
+        _build(tiny_table, ("shade zyzzyva", "pet")).rows[0, :4], tiny_table.vectors["shade"].astype(np.float32)
     )
 
 
@@ -103,8 +103,8 @@ def test_load_vectors_basic(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("shade 0.1 0.2\n", encoding="utf-8")
     table = load_vectors(path, 2)
-    assert len(table) == 1
-    np.testing.assert_array_equal(table["shade"], [0.1, 0.2])
+    assert len(table.vectors) == 1
+    np.testing.assert_array_equal(table.vectors["shade"], [0.1, 0.2])
 
 
 def test_load_vectors_wrong_arity(tmp_path):
@@ -142,7 +142,7 @@ def test_load_vectors_duplicate_last_write_wins(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("a 1 2\na 3 4\n", encoding="utf-8")
     table = load_vectors(path, 2)
-    np.testing.assert_array_equal(table["a"], [3.0, 4.0])
+    np.testing.assert_array_equal(table.vectors["a"], [3.0, 4.0])
     assert table.duplicate_count == 1
 
 
@@ -150,7 +150,7 @@ def test_load_vectors_takes_the_dimension_from_the_first_non_blank_row(tmp_path)
     path = tmp_path / "vec.txt"
     path.write_text("\n  \nshade 0.1 0.2 0.3\nsun 1 2 3\n", encoding="utf-8")
     table = load_vectors(path)
-    assert table.dim == 3 and len(table) == 2
+    assert table.dim == 3 and len(table.vectors) == 2
     path.write_text("\nshade\n", encoding="utf-8")
     with pytest.raises(LoadError, match=":2: expected 2 fields, got 1"):
         load_vectors(path)
@@ -178,9 +178,9 @@ def test_fact_matrix_lays_out_relation_buckets_as_views(tiny_kb, tiny_fact_matri
         bucket = tiny_kb.buckets[relation]
         assert fm.fact_ids[bucket] == tiny_kb.ids_with_relation(relation)
         assert fm.rows[bucket].base is fm.rows
-    assert [fm.row_of[fid] for fid in fm.fact_ids] == [0, 1, 2, 3]
-    # the KB's own order and index, not copies of them
-    assert fm.fact_ids is tiny_kb.ids and fm.row_of is tiny_kb.position
+    assert [fm.fact_ids.row(fid) for fid in fm.fact_ids] == [0, 1, 2, 3]
+    # the KB's own ids and their lookup, not a copy of them
+    assert fm.fact_ids is tiny_kb.ids
 
 
 def test_fact_matrix_norms_are_the_per_row_norm_loop_on_the_desk_kb(tmp_path):
@@ -242,8 +242,8 @@ def test_property_phrase_norm_bounded_by_max_token_norm(n_tokens, seed):
     tokens = [f"t{i}" for i in range(n_tokens)]
     table = WordVectorTable(5, {t: rng.standard_normal(5) for t in tokens})
     phrase = " ".join(tokens)
-    mean = np.mean([table[t] for t in tokens], axis=0)
-    max_norm = max(np.linalg.norm(table[t]) for t in tokens)
+    mean = np.mean([table.vectors[t] for t in tokens], axis=0)
+    max_norm = max(np.linalg.norm(table.vectors[t]) for t in tokens)
     assert np.linalg.norm(mean) <= max_norm + 1e-12
     assert _build(table, (phrase, "t0")).rows[0, :5].tobytes() == mean.astype(np.float32).tobytes()
 
