@@ -299,7 +299,8 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
     fact_matrix = FactMatrix.build(kb, table)
 
     per_fold, predictions = {}, {}
-    records: list[dict] = [{"type": "meta", **cfg.meta(), "gt_relation": gt_relation, "gt_source": gt_source}]
+    records: list[dict] = [{"type": "meta", **cfg.meta(), "gt_relation": gt_relation, "gt_source": gt_source,
+                            "duplicate_count": table.duplicate_count, "oov_phrase_count": table.oov_phrase_count}]
     for fold, (scorer_path, rel_path, src_path) in paths.items():
         scorer = load_scorer(scorer_path)
         relation = load_classifier(rel_path) if rel_path else None

@@ -96,7 +96,8 @@ def load_features(path: str | Path) -> dict[str, Array]:
     matrix, through the checksum-keyed cache of :func:`text.cached` for fast
     reloads. Each value is its text's float64 rounded to float32; a value that
     is not finite or beyond float32's finite range is a load error."""
-    return cached(Path(path), "feature", _parse_features, _feature_rows)
+    path = Path(path)
+    return cached(path, "feature", lambda: _parse_features(path), _feature_rows)
 
 
 def _feature_rows(arrays) -> dict[str, Array]:

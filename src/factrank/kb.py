@@ -212,6 +212,7 @@ class KnowledgeBase:
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         self.__dict__.update((name, arrays[name]) for name in _COLUMNS)
+        self.path: Path | None = None  # the file it was parsed from, if any
         ids, self.phrase_text = arrays["ids"], arrays["phrase_text"]
         self.tokens = text.split("\n") if (text := str(arrays["tokens"], "utf-8")) else []
         for utf8 in (ids, self.phrase_text):  # a byte that does not decode fails here, not as a fact is named
@@ -279,9 +280,13 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
     ``#``-prefixed lines and blank lines are ignored; each line is read by
     :func:`parse_fact` into a :class:`KBBuilder`. While the file is
     unchanged, its cache stands in for the parse; either way the KB is
-    built from the cache's arrays.
+    built from the cache's arrays. The KB records ``path``, beside which
+    ``FactMatrix.build`` caches its rows.
     """
-    return cached(Path(path), "knowledge base", _parse, KnowledgeBase)
+    path = Path(path)
+    kb = cached(path, "knowledge base", lambda: _parse(path), KnowledgeBase)
+    kb.path = path
+    return kb
 
 
 def _parse(path: Path) -> dict[str, np.ndarray]:

@@ -256,11 +256,11 @@ def evaluate(
             no_fact += 1
             continue
         top3 = rows[:3].tolist()
-        answers = [kb.answer(r, p.source) for r in top3]
+        answers, expected = [normalize_phrase(kb.answer(r, p.source)) for r in top3], normalize_phrase(inst.answer)
         fact1 += top3[0] == gt
         fact3 += gt in top3
-        ans1 += answers_match(answers[0], inst.answer)
-        ans3 += any(answers_match(a, inst.answer) for a in answers)
+        ans1 += answers[0] == expected  # answers_match, each phrase normalized once
+        ans3 += expected in answers
     n = len(instances)
     metrics = Metrics(
         answer_at1=ans1 / n,

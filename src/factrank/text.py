@@ -2,25 +2,33 @@
 where a byte that is not UTF-8 is a load error naming its line;
 :func:`write_atomic`, the one writer of every file the package writes, so
 no reader sees a partial one; and :func:`cached`, the one checksum-keyed
-cache beside an input file of the arrays its loader parsed, which the
-feature and knowledge-base loaders share: each builds its value from
-those arrays by one function, on a cache hit and after a parse alike."""
+cache of computed arrays beside a file. The feature and knowledge-base
+loaders key theirs by the input file, which a load whose size and mtime
+match the cache's does not hash again; the fact matrix keys its cache by
+the arrays it is computed from. Each caller builds its value from the
+arrays by one function, on a cache hit and after a parse alike."""
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
+import mmap
 import os
 import re
+import struct
+import time
+import zipfile
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
 from .errors import LoadError
 
 logger = logging.getLogger(__name__)
-CACHE_FORMAT = "factrank-cache-5"  # in every cache's key: one laid out by an older version is stale
+CACHE_FORMAT = "factrank-cache-6"  # in every cache's key: one laid out by an older version is stale
+STAMP_AGE_NS = 2 * 10**9  # a file this recently modified may be rewritten within the same mtime tick
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
@@ -71,28 +79,94 @@ def write_lines(path: str | Path, lines: list[str]) -> None:
     write_atomic(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
 
 
-def cached(path: Path, what: str, parse: Callable, build: Callable):
-    """``build`` of the arrays that ``parse(path)`` returns, read from the cache ``<name>.cache.npz`` beside
-    the file at ``path`` while it holds them. The key is the file's SHA-256 and ``CACHE_FORMAT``. ``build``
-    runs on a cache hit and after a parse alike, so both make their value by the same code. A cache that is
-    stale, unreadable or that ``build`` rejects by raising is named in a warning, and the file is parsed and
-    the cache rewritten through :func:`write_atomic`."""
-    cache, digest = path.with_name(path.name + ".cache.npz"), hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    key = f"{digest.hexdigest()} {CACHE_FORMAT}"
+def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequence[np.ndarray] | None = None,
+           mapped: Collection[str] = ()):
+    """``build`` of the arrays that ``parse()`` returns, read from the cache ``<path>.cache.npz`` while it holds
+    them. It is keyed by ``CACHE_FORMAT`` and the SHA-256 of the arrays in ``key``, all that ``parse`` computes
+    from, or else of the file at ``path``. A file's cache also holds its size and, once a hash has vouched for
+    it ``STAMP_AGE_NS`` after the file's mtime, bears that mtime as its own: a load that finds both unchanged
+    does not hash the file. A hit maps the members named in ``mapped`` read-only and reads the rest. ``build``
+    runs on a hit and after a parse alike, so both make their value by the same code. A cache that is stale,
+    unreadable or that ``build`` rejects by raising is named in a warning, and ``parse`` runs and the cache is
+    rewritten."""
+    cache, source = path.with_name(path.name + ".cache.npz"), None if key is not None else path.stat()
+    digest, value = _digest(key) if source is None else _stamped_digest(cache, source), None
+    # a same-size rewrite within one mtime tick keeps the mtime, so a cache never bears one that recent
+    stamp = digest is None and time.time_ns() - source.st_mtime_ns >= STAMP_AGE_NS
+    checksum = f"{digest or _digest(path)} {CACHE_FORMAT}"
     if cache.exists():
         try:
             with np.load(cache, allow_pickle=False) as data:
-                if str(data["checksum"]) == key:
-                    return build(data)
-            logger.warning("rebuilding stale %s cache %s", what, cache)
+                if str(data["checksum"]) != checksum:
+                    logger.warning("rebuilding stale %s cache %s", what, cache)
+                else:
+                    value = build({name: _mapped(cache, data, name) if name in mapped else data[name]
+                                   for name in data.files})
         except Exception as exc:  # corrupt bytes or failed checks
             logger.warning("ignoring unreadable %s cache %s (%s)", what, cache, exc)
-    arrays = parse(path)
+    if value is None:
+        arrays = {**parse(), "checksum": np.str_(checksum)}
+        if source is not None:
+            arrays["size"] = np.int64(source.st_size)
+        try:
+            write_atomic(cache, lambda fh: _savez(fh, arrays))
+        except OSError:
+            logger.warning("could not write %s cache %s", what, cache)
+            stamp = False
+        value = build(arrays)
+    if stamp:
+        os.utime(cache, ns=(source.st_atime_ns, source.st_mtime_ns))
+    return value
+
+
+def _digest(source: Path | Sequence[np.ndarray]) -> str:
+    """The SHA-256 of a file's bytes, or of arrays' dtypes, shapes and bytes."""
+    digest = hashlib.sha256()
+    if isinstance(source, Path):
+        with open(source, "rb") as fh:
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
+    else:
+        for part in map(np.ascontiguousarray, source):
+            digest.update(f"{part.dtype.str}{part.shape}".encode())
+            digest.update(part)
+    return digest.hexdigest()
+
+
+def _stamped_digest(cache: Path, source: os.stat_result) -> str | None:
+    """The file digest in ``cache``'s key if the cache bears ``source``'s mtime and holds its size, else None."""
     try:
-        write_atomic(cache, lambda fh: np.savez(fh, checksum=np.str_(key), **arrays))
-    except OSError:
-        logger.warning("could not write %s cache %s", what, cache)
-    return build(arrays)
+        with np.load(cache, allow_pickle=False) as data:
+            if (cache.stat().st_mtime_ns, int(data["size"])) == (source.st_mtime_ns, source.st_size):
+                return str(data["checksum"]).split()[0]
+    except Exception:  # no cache, or one that the load proper names
+        return None
+
+
+def _savez(fh: BinaryIO, arrays: dict[str, np.ndarray]) -> None:
+    """``np.savez`` of ``arrays`` (uncompressed, each member dated 1980-01-01), but with each member's data aligned
+    in the file as .npy aligns it in its own, by padding in its zip header (zipalign's field), so it can be mapped."""
+    with zipfile.ZipFile(fh, "w") as archive:
+        for name, value in arrays.items():
+            info = zipfile.ZipInfo(f"{name}.npy")
+            # the local header: 30 bytes, the name, the padding field, then the 20-byte zip64 field
+            pad = -(fh.tell() + 30 + len(info.filename) + 4 + 20) % np.lib.format.ARRAY_ALIGN
+            info.extra = struct.pack("<HH", 0xD935, pad) + bytes(pad)
+            with archive.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
+
+
+def _mapped(cache: Path, data, name: str) -> np.ndarray:
+    """Member ``name`` of ``data``, the open npz of ``cache``, mapped read-only when it is stored uncompressed at its
+    dtype's alignment, as :func:`_savez` stores it, so a run reads only the pages it touches (unchecked by CRC)."""
+    info = data.zip.getinfo(f"{name}.npy")
+    with open(cache, "rb") as fh:
+        fh.seek(info.header_offset + 26)  # the local header's name and extra-field lengths
+        fh.seek(sum(struct.unpack("<HH", fh.read(4))), os.SEEK_CUR)
+        if info.compress_type != zipfile.ZIP_STORED or np.lib.format.read_magic(fh) != (1, 0):
+            return data[name]
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        if fortran_order or dtype.hasobject or fh.tell() % dtype.alignment:
+            return data[name]
+        buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return np.frombuffer(buffer, dtype, math.prod(shape), fh.tell()).reshape(shape)

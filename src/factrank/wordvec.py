@@ -3,10 +3,14 @@
 A fact embeds as the concatenation of the averaged known-token word vectors
 of its subject and of its object (zero if none is known; not the relation),
 a vector of length ``2 * dim`` that never changes during training. The whole
-knowledge base is embedded once into a dense :class:`FactMatrix`, from its
+knowledge base is embedded into a dense :class:`FactMatrix`, from its
 columns: the KB's token list is mapped to word vectors once, and each pass
 of ``BUILD_CHUNK`` facts takes the mean of each of its distinct phrases'
-known tokens, one gather per known-token count. Rows are in the KB's own
+known tokens, one gather per known-token count. A KB parsed from a file
+keeps the rows and their norms in a cache beside it (:func:`text.cached`),
+keyed by the KB's codes and tokens and the known tokens' vectors, so a
+later run with the same inputs maps the rows read-only instead of
+embedding them again. Rows are in the KB's own
 relation-bucket order, so ranking a bucket reads one contiguous block of
 rows, and a ranked row is the KB's row of the same number: the matrix
 shares the KB's ids, without a copy, and the KB reads a row's answer. Rows
@@ -17,7 +21,7 @@ bytes each ranking pass reads; their norms are float64.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
@@ -27,7 +31,7 @@ import numpy as np
 from .errors import DataError, DegenerateInputError, LoadError
 from .kb import FactIds, KnowledgeBase
 from .numerics import row_norms
-from .text import read_lines
+from .text import cached, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +89,9 @@ class FactMatrix:
     """Dense (num_facts x 2*dim) embedding of a whole knowledge base.
 
     ``rows`` is float32; ``norms`` is float64, each the exact ``row_norms``
-    of its stored row, and nonzero only inside ``NORM_RANGE``. Row ``i`` is
+    of its stored row (computed unless given, as a cache hit gives the ones
+    stored with the rows), and nonzero only inside ``NORM_RANGE``, which is
+    checked either way. Row ``i`` is
     fact ``fact_ids[i]``: ``fact_ids`` is a :class:`~factrank.kb.FactIds`, a
     byte column decoded only as a fact is named, whose ``rank`` column breaks
     ranking ties by id, and whose :meth:`~factrank.kb.FactIds.row` finds an
@@ -94,12 +100,13 @@ class FactMatrix:
 
     fact_ids: FactIds
     rows: Array
-    norms: Array = field(init=False)
+    norms: Array | None = None
 
     def __post_init__(self):
-        self.norms = np.empty(len(self.rows))  # numerics.cosines' norms, upcasting a chunk of rows at a time
-        for at in range(0, len(self.rows), BUILD_CHUNK):
-            self.norms[at:at + BUILD_CHUNK] = row_norms(self.rows[at:at + BUILD_CHUNK])
+        if self.norms is None:
+            self.norms = np.empty(len(self.rows))  # numerics.cosines' norms, upcasting a chunk of rows at a time
+            for at in range(0, len(self.rows), BUILD_CHUNK):
+                self.norms[at:at + BUILD_CHUNK] = row_norms(self.rows[at:at + BUILD_CHUNK])
         lo, hi = NORM_RANGE
         bad = np.flatnonzero((self.norms != 0.0) & ~((lo <= self.norms) & (self.norms <= hi)))
         if len(bad):
@@ -109,30 +116,48 @@ class FactMatrix:
     @classmethod
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":
         """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32.
-        Fully out-of-vocabulary occurrences are counted and logged once."""
+        A KB parsed from a file caches the rows and norms beside it, keyed by all they are computed from, and a
+        hit maps the rows read-only. Fully out-of-vocabulary occurrences are counted and logged once."""
         known = np.array([t in table.vectors for t in kb.tokens], dtype=bool)
         vecs = np.array([table.vectors[t] for t in compress(kb.tokens, known)]).reshape(-1, table.dim)
         keep = known[kb.phrase_tokens]
-        vec_of = (np.cumsum(known) - 1)[kb.phrase_tokens[keep]]  # each phrase's known tokens' rows of vecs, in turn
         at_known = np.concatenate(([0], np.cumsum(keep)))[kb.phrase_starts]
         first, count = at_known[:-1], np.diff(at_known)  # per phrase: its first entry of vec_of, and how many
         codes = np.stack([kb.subjects, kb.objects], axis=1).ravel()  # fact i's subject at 2i, its object at 2i + 1
-        rows = np.zeros((len(kb), 2 * table.dim), dtype=np.float32)
-        halves = rows.reshape(len(codes), table.dim)  # a view, in the order of codes
-        for at in range(0, len(codes), 2 * BUILD_CHUNK):
-            phrases, where = np.unique(codes[at:at + 2 * BUILD_CHUNK], return_inverse=True)
-            means, known_count = np.zeros((len(phrases), table.dim)), count[phrases]
-            for n in np.unique(known_count[known_count > 0]).tolist():
-                group = known_count == n
-                means[group] = vecs[vec_of[first[phrases[group]][:, None] + np.arange(n)]].mean(axis=1)
-            halves[at:at + 2 * BUILD_CHUNK] = means[where]
+
+        def embed() -> dict[str, Array]:
+            vec_of = (np.cumsum(known) - 1)[kb.phrase_tokens[keep]]  # each phrase's known tokens' rows of vecs
+            rows = np.zeros((len(kb), 2 * table.dim), dtype=np.float32)
+            halves = rows.reshape(len(codes), table.dim)  # a view, in the order of codes
+            for at in range(0, len(codes), 2 * BUILD_CHUNK):
+                phrases, where = np.unique(codes[at:at + 2 * BUILD_CHUNK], return_inverse=True)
+                means, known_count = np.zeros((len(phrases), table.dim)), count[phrases]
+                for n in np.unique(known_count[known_count > 0]).tolist():
+                    group = known_count == n
+                    means[group] = vecs[vec_of[first[phrases[group]][:, None] + np.arange(n)]].mean(axis=1)
+                halves[at:at + 2 * BUILD_CHUNK] = means[where]
+            return {"rows": rows, "norms": cls(kb.ids, rows).norms}
+
+        def matrix(arrays) -> FactMatrix:
+            rows, norms = arrays["rows"], arrays["norms"]
+            if (rows.dtype, rows.shape, norms.dtype, norms.shape) != (np.float32, (len(kb), 2 * table.dim),
+                                                                      np.float64, (len(kb),)):
+                raise ValueError("rows or norms of the wrong type or shape")
+            return cls(kb.ids, rows, norms)
+
+        if kb.path is None:
+            fm = matrix(embed())
+        else:
+            tokens = np.frombuffer("\n".join(kb.tokens).encode(), np.uint8)
+            key = (kb.subjects, kb.objects, kb.phrase_starts, kb.phrase_tokens, tokens, known, vecs,
+                   np.int64(table.dim))
+            fm = cached(kb.path.with_name(kb.path.name + ".facts"), "fact matrix", embed, matrix, key, ("rows",))
         oov = np.flatnonzero(count[codes] == 0)
-        matrix = cls(kb.ids, rows)  # a rejected row norm counts nothing
-        table.oov_phrase_count += len(oov)
+        table.oov_phrase_count += len(oov)  # after the matrix: a rejected row norm counts nothing
         if len(oov):
             logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov),
                            kb.phrase(codes[oov[0]]))
-        return matrix
+        return fm
 
     @cached_property
     def twin_groups(self) -> Array:

@@ -107,6 +107,26 @@ def test_a_run_that_exits_2_leaves_no_directory(synth_dir, trained, tmp_path, ca
     assert not any(tmp_path.iterdir())
 
 
+def test_the_evaluate_meta_record_counts_read_the_same_on_a_fact_matrix_cache_hit(synth_dir, trained, tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("kb.tsv", "qa.jsonl", "features.txt", "concepts.txt", "concept_labels.txt", "wordvec.txt"):
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+    with open(data / "kb.tsv", "a", encoding="utf-8") as fh:
+        fh.write("fx\tzyzzyva\tIsA\tqwxq\n")  # two fully out-of-vocabulary phrases
+    with open(data / "wordvec.txt", "a", encoding="utf-8") as fh:
+        fh.write((synth_dir / "wordvec.txt").read_text(encoding="utf-8").splitlines()[0] + "\n")  # a duplicate
+    cache = data / "kb.tsv.facts.cache.npz"
+    metas = []
+    for out in ("built", "hit"):
+        if out == "hit":  # an old mtime, which a rewrite would replace
+            os.utime(cache, ns=(0, 0))
+        assert main(["evaluate", *_data_flags(data, trained, tmp_path / out), "--fold", "1"]) == 0
+        metas.append(json.loads((tmp_path / out / "evaluate_metrics.jsonl").read_text().splitlines()[0]))
+    assert cache.stat().st_mtime_ns == 0
+    assert [(m["type"], m["duplicate_count"], m["oov_phrase_count"]) for m in metas] == [("meta", 1, 2)] * 2
+
+
 def test_cli_answer_with_an_unknown_image_id_is_usage_error(synth_dir, trained, capsys):
     flags = _data_flags(synth_dir, trained) + ["--fold", "1"]
     assert main(["answer", *flags, "--image-id", "nope", "--question", "what is this"]) == 2

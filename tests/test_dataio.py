@@ -1,12 +1,14 @@
 import hashlib
 import json
 import logging
+import os
 import re
+import time
 
 import numpy as np
 import pytest
 
-from factrank import dataio
+from factrank import dataio, text
 from factrank.dataio import FeatureStore, load_concept_labels, load_concepts, load_features, load_qa
 from factrank.errors import DataError, LoadError, UsageError
 from factrank.kb import MAX_FACT_ID_BYTES, KnowledgeBase, Relation, parse_kb
@@ -165,7 +167,7 @@ def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypa
         file.write(b"PK\x03\x04 half an archive")
         raise OSError("disk full")
 
-    monkeypatch.setattr(dataio.np, "savez", refuse)
+    monkeypatch.setattr(np.lib.format, "write_array", refuse)  # what text.cached writes each cache member by
     features = _write_features(tmp_path / "features.txt", FEATURES)
     kb = _write_text(tmp_path / "kb" / "kb.tsv", "f1\tA\tIsA\tB\n")
     with caplog.at_level(logging.WARNING, logger="factrank.dataio"):
@@ -177,6 +179,101 @@ def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypa
     assert "could not write knowledge base cache" in caplog.text
     # neither a cache nor its temporary file is left beside either source
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["features.txt", "kb", "kb.tsv"]
+
+
+# each loader that caches beside its file, a writer of a file that holds a one-digit variant, so that two
+# variants are two contents of the same size, and a reader of the variant from what the loader returns
+SOURCES = {
+    "features": (load_features, lambda path, v: _write_features(path, {**FEATURES, "img2": [v, "0", "-0.0"]}),
+                 lambda rows: format(rows["img2"][0], "g")),
+    "kb": (parse_kb, lambda path, v: _write_text(path, f"f1\tDog\tIsA\tPet{v}\n"),
+           lambda kb: kb.fact("f1").obj.removeprefix("Pet")),
+}
+
+
+def _age(path, seconds):
+    """Set ``path``'s mtime ``seconds`` into the past, as ``touch -d`` does."""
+    ns = time.time_ns() - seconds * 10**9
+    os.utime(path, ns=(ns, ns))
+
+
+def _count_hashes(monkeypatch) -> list:
+    """A list that gains an entry each time ``text`` starts a SHA-256."""
+    calls, sha256 = [], hashlib.sha256
+    monkeypatch.setattr(text.hashlib, "sha256", lambda *args: calls.append(args) or sha256(*args))
+    return calls
+
+
+def _stamped(path):
+    cache = path.with_name(path.name + ".cache.npz")
+    return cache.stat().st_mtime_ns == path.stat().st_mtime_ns
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_same_size_rewrite_with_a_new_mtime_is_parsed_again(tmp_path, source):
+    load, write, read = SOURCES[source]
+    path = write(tmp_path / "source.txt", "1")
+    _age(path, 10)
+    assert read(load(path)) == "1" and _stamped(path)
+    size = path.stat().st_size
+    write(path, "2")
+    _age(path, 5)
+    assert path.stat().st_size == size and read(load(path)) == "2"
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_rewrite_of_another_size_is_parsed_again_under_the_old_mtime(tmp_path, source):
+    load, write, read = SOURCES[source]
+    path = write(tmp_path / "source.txt", "1")
+    _age(path, 10)
+    load(path)
+    mtime = path.stat().st_mtime_ns
+    write(path, "23")
+    os.utime(path, ns=(mtime, mtime))  # as a tool that restores mtimes leaves it
+    assert read(load(path)) == "23"
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_touched_unchanged_file_is_hashed_once_and_its_cache_restamped(tmp_path, monkeypatch, source):
+    load, write, read = SOURCES[source]
+    path = write(tmp_path / "source.txt", "1")
+    _age(path, 10)
+    load(path)
+    cache, hashes = path.with_name(path.name + ".cache.npz"), _count_hashes(monkeypatch)
+    written = cache.read_bytes()
+    assert read(load(path)) == "1" and not hashes
+    _age(path, 5)  # a new mtime, the same bytes
+    assert not _stamped(path)
+    assert read(load(path)) == "1" and len(hashes) == 1 and _stamped(path)
+    assert read(load(path)) == "1" and len(hashes) == 1
+    assert cache.read_bytes() == written
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_file_modified_within_the_stamp_age_is_hashed_at_each_load(tmp_path, monkeypatch, source):
+    # a same-size rewrite in the same mtime tick would look unchanged, so a cache bears no mtime that recent
+    load, write, read = SOURCES[source]
+    path = write(tmp_path / "source.txt", "1")
+    hashes = _count_hashes(monkeypatch)
+    for count in (1, 2, 3):
+        assert read(load(path)) == "1" and len(hashes) == count and not _stamped(path)
+    _age(path, 10)  # once old enough, one more hash vouches for the cache that the first load wrote
+    assert read(load(path)) == "1" and len(hashes) == 4 and _stamped(path)
+    assert read(load(path)) == "1" and len(hashes) == 4
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_caches_written_from_one_file_under_two_mtimes_are_byte_identical(tmp_path, source):
+    load, write, _ = SOURCES[source]
+    path = write(tmp_path / "source.txt", "1")
+    cache = path.with_name(path.name + ".cache.npz")
+    _age(path, 10)
+    load(path)
+    first = cache.read_bytes()
+    cache.unlink()
+    _age(path, 5)
+    load(path)
+    assert cache.read_bytes() == first and _stamped(path)
 
 
 def test_a_question_that_disagrees_with_its_fact_is_a_data_error_naming_both(store, tmp_path):

@@ -139,3 +139,18 @@ def test_evaluate_equals_a_loop_of_answer_question(models, small_synth, small_sp
         assert [f for f, _ in a.top_facts] == [f for f, _ in e.top_facts]
         assert [s for _, s in a.top_facts] == pytest.approx([s for _, s in e.top_facts], abs=1e-12)
         assert a.source_prob == pytest.approx(e.source_prob, abs=1e-12)
+
+
+def test_answer_rates_are_a_loop_of_answers_match(models, small_synth, small_split):
+    # answers respelled as validate_dataset still accepts them, so each rate compares normalized phrases
+    _, test = small_split
+    kb, store = small_synth["kb"], small_synth["store"]
+    respelled = [dataclasses.replace(i, answer=i.answer.upper().replace(" ", "-")) for i in test]
+    metrics, predicted = evaluate(models, kb, respelled, store, k=3)
+    at1 = at3 = 0
+    for inst, p in zip(respelled, predicted):
+        answers = [kb.answer(kb.ids.row(fact_id), p.source) for fact_id, _ in p.top_facts]
+        at1 += answers_match(answers[0] if answers else None, inst.answer)
+        at3 += any(answers_match(a, inst.answer) for a in answers)
+    assert (metrics.answer_at1, metrics.answer_at3) == (at1 / len(test), at3 / len(test))
+    assert 0 < at1 < at3

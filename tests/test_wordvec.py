@@ -1,16 +1,19 @@
 import logging
+import mmap
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factrank import wordvec
+from factrank import text, wordvec
 from factrank.errors import DegenerateInputError, LoadError
 from factrank.kb import Fact, Relation, parse_kb
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.text import tokenize
+from factrank.scorer import rank_rows
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
 from conftest import from_facts, from_rows
 
@@ -389,3 +392,160 @@ def test_build_warns_once_with_the_count_and_the_first_fully_oov_phrase(tiny_kb,
     with caplog.at_level(logging.WARNING, logger="factrank.wordvec"):
         FactMatrix.build(kb, tiny_table)
     assert caplog.records[-1].getMessage() == "2 fully out-of-vocabulary phrases embed as zero, the first 'zyzzyva'"
+
+
+# two facts that differ only in relation (twin rows), a phrase with one unknown token, and two unknown phrases
+CACHED_KB = ("f1\tDog\tIsA\tPet\nf2\tDog\tHasA\tPet\nf3\tZebra crossing\tUsedFor\tSafety\n"
+             "f4\tQuux\tIsA\tBlorp\nf5\tcat dog\tAtLocation\thouse\n")
+CACHED_WORDS = ["dog", "pet", "zebra", "safety", "cat", "house"]
+
+
+def _table(dim=3):
+    rng = np.random.default_rng(8)
+    return WordVectorTable(dim, {t: rng.standard_normal(dim) for t in CACHED_WORDS})
+
+
+def _facts_cache(kb_path):
+    return kb_path.with_name(kb_path.name + ".facts.cache.npz")
+
+
+def _mapping(array):
+    """What ``array``'s bytes live in, at the end of its chain of bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+def _in_memory(kb, table):
+    """FactMatrix.build of ``kb`` as if it had no file, so no cache is read or written."""
+    path, kb.path = kb.path, None
+    try:
+        return FactMatrix.build(kb, table)
+    finally:
+        kb.path = path
+
+
+def _cache_warnings(caplog):
+    return [r for r in caplog.records if r.name == "factrank.text"]
+
+
+def _assert_same_matrix(fm, built):
+    assert fm.rows.dtype == np.float32 and fm.rows.tobytes() == built.rows.tobytes()
+    assert fm.rows.shape == built.rows.shape and fm.norms.tobytes() == built.norms.tobytes()
+    assert fm.twin_groups.tolist() == built.twin_groups.tolist()
+
+
+@pytest.fixture()
+def kb_path(tmp_path):
+    path = tmp_path / "kb.tsv"
+    path.write_text(CACHED_KB, encoding="utf-8")
+    return path
+
+
+def test_a_fact_matrix_cache_hit_is_bitwise_the_build(kb_path, caplog):
+    kb, tables = parse_kb(kb_path), [_table() for _ in range(3)]
+    with caplog.at_level(logging.WARNING):
+        built = _in_memory(kb, tables[0])
+        written, hit = FactMatrix.build(kb, tables[1]), FactMatrix.build(kb, tables[2])
+    assert not isinstance(_mapping(written.rows), mmap.mmap) and isinstance(_mapping(hit.rows), mmap.mmap)
+    for fm in (written, hit):
+        _assert_same_matrix(fm, built)
+        assert fm.fact_ids is kb.ids
+        fm.check_built_from(kb)
+    assert built.twin_groups.tolist() == [0, 0, 1, 2, 3]  # the twins f2 (HasA) and f1 (IsA), then the rest
+    assert [table.oov_phrase_count for table in tables] == [2, 2, 2]
+    assert [r.getMessage() for r in caplog.records] == [
+        "2 fully out-of-vocabulary phrases embed as zero, the first 'Quux'"] * 3
+
+
+def _change_vector(kb_path, table, monkeypatch):
+    table.vectors["pet"] = table.vectors["pet"].copy()
+    table.vectors["pet"][0] = np.nextafter(table.vectors["pet"][0], np.inf)  # below float32's resolution
+
+
+@pytest.mark.parametrize("change", [
+    lambda kb_path, table, monkeypatch: kb_path.write_text(CACHED_KB.replace("Safety", "Pet"), encoding="utf-8"),
+    _change_vector,
+    lambda kb_path, table, monkeypatch: table.__init__(4, _table(4).vectors),
+    lambda kb_path, table, monkeypatch: monkeypatch.setattr(text, "CACHE_FORMAT", "factrank-cache-next"),
+], ids=["kb-phrase", "word-vector", "dim", "cache-format"])
+def test_a_change_to_what_the_rows_are_computed_from_misses_and_rewrites_the_cache(kb_path, caplog, monkeypatch,
+                                                                                   change):
+    FactMatrix.build(parse_kb(kb_path), _table())
+    before, table = _facts_cache(kb_path).read_bytes(), _table()
+    change(kb_path, table, monkeypatch)
+    kb = parse_kb(kb_path)
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        rebuilt = FactMatrix.build(kb, table)
+    assert f"rebuilding stale fact matrix cache {_facts_cache(kb_path)}" in caplog.text
+    assert _facts_cache(kb_path).read_bytes() != before
+    _assert_same_matrix(rebuilt, _in_memory(kb, table))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        hit = FactMatrix.build(kb, table)
+    assert not _cache_warnings(caplog) and isinstance(_mapping(hit.rows), mmap.mmap)
+    _assert_same_matrix(hit, rebuilt)
+
+
+def _spoil_member(cache, name, spoil):
+    with np.load(cache) as data:
+        arrays = {member: data[member] for member in data.files}
+    np.savez(cache, **{**arrays, name: spoil(arrays[name])})
+
+
+def _flip_last_norm_byte(cache):
+    # the last byte of the norms member's data is the one before the next member's header
+    with zipfile.ZipFile(cache) as archive:
+        at = archive.getinfo("checksum.npy").header_offset - 1
+    data = bytearray(cache.read_bytes())
+    data[at] ^= 0xFF
+    cache.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize(("spoil", "message"), [
+    (lambda cache: cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2]), "File is not a zip file"),
+    (lambda cache: cache.write_bytes(b"not an npz archive"), "pickled"),
+    (_flip_last_norm_byte, "Bad CRC-32"),
+    (lambda cache: _spoil_member(cache, "norms", lambda norms: norms * 1e30), "outside"),
+    (lambda cache: _spoil_member(cache, "rows", lambda rows: rows[:-1]), "rows or norms of the wrong type or shape"),
+    (lambda cache: _spoil_member(cache, "norms", lambda norms: norms.astype(np.float32)),
+     "rows or norms of the wrong type or shape"),
+], ids=["truncated", "not-an-archive", "bad-crc", "norm-out-of-range", "rows-short", "float32-norms"])
+def test_a_truncated_or_corrupt_fact_matrix_cache_warns_and_is_rebuilt(kb_path, caplog, spoil, message):
+    kb, table = parse_kb(kb_path), _table()
+    built = FactMatrix.build(kb, table)
+    spoil(_facts_cache(kb_path))
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        rebuilt = FactMatrix.build(kb, table)
+    assert f"ignoring unreadable fact matrix cache {_facts_cache(kb_path)}" in caplog.text and message in caplog.text
+    _assert_same_matrix(rebuilt, built)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        _assert_same_matrix(FactMatrix.build(kb, table), built)
+    assert not _cache_warnings(caplog)
+
+
+def test_mapped_rows_are_read_only_aligned_and_rank_as_the_built_ones(tmp_path):
+    paths = generate_synthetic(SyntheticConfig(qa_pairs=1, feature_dim=1), tmp_path)  # the desk KB, 598 facts
+    kb, table = parse_kb(paths["kb"]), load_vectors(paths["wordvec"])
+    built, hit = FactMatrix.build(kb, table), FactMatrix.build(kb, table)
+    assert isinstance(_mapping(hit.rows), mmap.mmap)
+    assert hit.rows.flags.aligned and not hit.rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        hit.rows[0, 0] = 1.0
+    iq = np.random.default_rng(3).standard_normal((7, hit.dim))
+    for (rows, scores), (want_rows, want_scores) in zip(rank_rows(iq, hit.rows, hit.norms, kb.ids.rank, 5),
+                                                        rank_rows(iq, built.rows, built.norms, kb.ids.rank, 5)):
+        assert rows.tolist() == want_rows.tolist() and scores.tobytes() == want_scores.tobytes()
+    # a cache that np.savez laid out, whose rows sit at no float32 boundary, is read, not mapped
+    _spoil_member(_facts_cache(paths["kb"]), "rows", lambda rows: rows)
+    read = FactMatrix.build(kb, table)
+    assert not isinstance(_mapping(read.rows), mmap.mmap)
+    _assert_same_matrix(read, built)
+
+
+def test_a_kb_held_in_memory_writes_no_cache(tiny_kb, tiny_table, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert tiny_kb.path is None
+    FactMatrix.build(tiny_kb, tiny_table)
+    assert not any(tmp_path.iterdir())
