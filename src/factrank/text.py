@@ -83,39 +83,46 @@ def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequenc
            mapped: Collection[str] = ()):
     """``build`` of the arrays that ``parse()`` returns, read from the cache ``<path>.cache.npz`` while it holds
     them. It is keyed by ``CACHE_FORMAT`` and the SHA-256 of the arrays in ``key``, all that ``parse`` computes
-    from, or else of the file at ``path``. A file's cache also holds its size and, once a hash has vouched for
-    it ``STAMP_AGE_NS`` after the file's mtime, bears that mtime as its own: a load that finds both unchanged
-    does not hash the file. A hit maps the members named in ``mapped`` read-only and reads the rest. ``build``
-    runs on a hit and after a parse alike, so both make their value by the same code. A cache that is stale,
-    unreadable or that ``build`` rejects by raising is named in a warning, and ``parse`` runs and the cache is
-    rewritten."""
+    from, or else of the file at ``path`` and its size. Once a hash has vouched for a file's cache
+    ``STAMP_AGE_NS`` after the file's mtime, the cache bears that mtime as its own: a load that finds the size
+    and mtime unchanged, and the cache's ctime (the stamp's time) past that mtime by as much, does not hash it.
+    A hit maps the members named in ``mapped`` read-only and reads the rest, all through one open file. ``build``
+    runs on a hit and after a parse alike, so both make their value by the same code, and a value it rejects by
+    raising is not cached. A cache that is stale, unreadable or that ``build`` rejects is named in a warning, and
+    ``parse`` runs and the cache is rewritten; a cache that cannot be written or stamped is named in one too."""
     cache, source = path.with_name(path.name + ".cache.npz"), None if key is not None else path.stat()
-    digest, value = _digest(key) if source is None else _stamped_digest(cache, source), None
-    # a same-size rewrite within one mtime tick keeps the mtime, so a cache never bears one that recent
-    stamp = digest is None and time.time_ns() - source.st_mtime_ns >= STAMP_AGE_NS
-    checksum = f"{digest or _digest(path)} {CACHE_FORMAT}"
-    if cache.exists():
-        try:
-            with np.load(cache, allow_pickle=False) as data:
-                if str(data["checksum"]) != checksum:
-                    logger.warning("rebuilding stale %s cache %s", what, cache)
-                else:
-                    value = build({name: _mapped(cache, data, name) if name in mapped else data[name]
-                                   for name in data.files})
-        except Exception as exc:  # corrupt bytes or failed checks
-            logger.warning("ignoring unreadable %s cache %s (%s)", what, cache, exc)
+    suffix = CACHE_FORMAT if source is None else f"{source.st_size} {CACHE_FORMAT}"  # a file's size is in its key
+    checksum, value, trusted = None if key is None else f"{_digest(key)} {suffix}", None, False
+    try:
+        with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as data:  # one inode for every member
+            stored, stat = str(data["checksum"]), os.fstat(fh.fileno())
+            # a cache just written bears its own write time, which a source written in the same tick shares
+            trusted = (source is not None and stored.endswith(f" {suffix}") and stat.st_mtime_ns == source.st_mtime_ns
+                       and stat.st_ctime_ns - stat.st_mtime_ns >= STAMP_AGE_NS)
+            checksum = checksum or (stored if trusted else f"{_digest(path)} {suffix}")
+            if stored != checksum:
+                logger.warning("rebuilding stale %s cache %s", what, cache)
+            else:
+                value = build({name: _mapped(fh, data, name) if name in mapped else data[name]
+                               for name in data.files})
+    except FileNotFoundError:
+        pass
+    except Exception as exc:  # corrupt bytes or failed checks
+        logger.warning("ignoring unreadable %s cache %s (%s)", what, cache, exc)
     if value is None:
-        arrays = {**parse(), "checksum": np.str_(checksum)}
-        if source is not None:
-            arrays["size"] = np.int64(source.st_size)
+        arrays = {**parse(), "checksum": np.str_(checksum or f"{_digest(path)} {suffix}")}
+        value, trusted = build(arrays), False
         try:
             write_atomic(cache, lambda fh: _savez(fh, arrays))
         except OSError:
             logger.warning("could not write %s cache %s", what, cache)
-            stamp = False
-        value = build(arrays)
-    if stamp:
-        os.utime(cache, ns=(source.st_atime_ns, source.st_mtime_ns))
+            return value
+    # a same-size rewrite within one mtime tick keeps the mtime, so a cache never bears one that recent
+    if source is not None and not trusted and time.time_ns() - source.st_mtime_ns >= STAMP_AGE_NS:
+        try:
+            os.utime(cache, ns=(source.st_atime_ns, source.st_mtime_ns))
+        except OSError as exc:  # a cache of another owner, or on a read-only mount, is still read
+            logger.warning("could not stamp %s cache %s (%s)", what, cache, exc)
     return value
 
 
@@ -133,16 +140,6 @@ def _digest(source: Path | Sequence[np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _stamped_digest(cache: Path, source: os.stat_result) -> str | None:
-    """The file digest in ``cache``'s key if the cache bears ``source``'s mtime and holds its size, else None."""
-    try:
-        with np.load(cache, allow_pickle=False) as data:
-            if (cache.stat().st_mtime_ns, int(data["size"])) == (source.st_mtime_ns, source.st_size):
-                return str(data["checksum"]).split()[0]
-    except Exception:  # no cache, or one that the load proper names
-        return None
-
-
 def _savez(fh: BinaryIO, arrays: dict[str, np.ndarray]) -> None:
     """``np.savez`` of ``arrays`` (uncompressed, each member dated 1980-01-01), but with each member's data aligned
     in the file as .npy aligns it in its own, by padding in its zip header (zipalign's field), so it can be mapped."""
@@ -156,17 +153,16 @@ def _savez(fh: BinaryIO, arrays: dict[str, np.ndarray]) -> None:
                 np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
 
 
-def _mapped(cache: Path, data, name: str) -> np.ndarray:
-    """Member ``name`` of ``data``, the open npz of ``cache``, mapped read-only when it is stored uncompressed at its
-    dtype's alignment, as :func:`_savez` stores it, so a run reads only the pages it touches (unchecked by CRC)."""
+def _mapped(fh: BinaryIO, data, name: str) -> np.ndarray:
+    """Member ``name`` of ``data``, the npz open on ``fh``, mapped read-only from ``fh``, so a run reads only the
+    pages it touches (unchecked by CRC). A member not stored uncompressed at its dtype's alignment, as
+    :func:`_savez` stores it, is a ValueError, so its cache is rebuilt."""
     info = data.zip.getinfo(f"{name}.npy")
-    with open(cache, "rb") as fh:
-        fh.seek(info.header_offset + 26)  # the local header's name and extra-field lengths
-        fh.seek(sum(struct.unpack("<HH", fh.read(4))), os.SEEK_CUR)
-        if info.compress_type != zipfile.ZIP_STORED or np.lib.format.read_magic(fh) != (1, 0):
-            return data[name]
+    fh.seek(info.header_offset + 26)  # the local header's name and extra-field lengths
+    fh.seek(sum(struct.unpack("<HH", fh.read(4))), os.SEEK_CUR)
+    if info.compress_type == zipfile.ZIP_STORED and np.lib.format.read_magic(fh) == (1, 0):
         shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        if fortran_order or dtype.hasobject or fh.tell() % dtype.alignment:
-            return data[name]
-        buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        return np.frombuffer(buffer, dtype, math.prod(shape), fh.tell()).reshape(shape)
+        if not (fortran_order or dtype.hasobject or fh.tell() % dtype.alignment):
+            buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            return np.frombuffer(buffer, dtype, math.prod(shape), fh.tell()).reshape(shape)
+    raise ValueError(f"member {name} is not stored uncompressed and aligned")

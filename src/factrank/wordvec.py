@@ -84,6 +84,14 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
     return table
 
 
+def _chunked_norms(rows: Array) -> Array:
+    """numerics.cosines' norms of ``rows``, upcasting ``BUILD_CHUNK`` rows at a time."""
+    norms = np.empty(len(rows))
+    for at in range(0, len(rows), BUILD_CHUNK):
+        norms[at:at + BUILD_CHUNK] = row_norms(rows[at:at + BUILD_CHUNK])
+    return norms
+
+
 @dataclass
 class FactMatrix:
     """Dense (num_facts x 2*dim) embedding of a whole knowledge base.
@@ -104,9 +112,7 @@ class FactMatrix:
 
     def __post_init__(self):
         if self.norms is None:
-            self.norms = np.empty(len(self.rows))  # numerics.cosines' norms, upcasting a chunk of rows at a time
-            for at in range(0, len(self.rows), BUILD_CHUNK):
-                self.norms[at:at + BUILD_CHUNK] = row_norms(self.rows[at:at + BUILD_CHUNK])
+            self.norms = _chunked_norms(self.rows)
         lo, hi = NORM_RANGE
         bad = np.flatnonzero((self.norms != 0.0) & ~((lo <= self.norms) & (self.norms <= hi)))
         if len(bad):
@@ -136,7 +142,7 @@ class FactMatrix:
                     group = known_count == n
                     means[group] = vecs[vec_of[first[phrases[group]][:, None] + np.arange(n)]].mean(axis=1)
                 halves[at:at + 2 * BUILD_CHUNK] = means[where]
-            return {"rows": rows, "norms": cls(kb.ids, rows).norms}
+            return {"rows": rows, "norms": _chunked_norms(rows)}
 
         def matrix(arrays) -> FactMatrix:
             rows, norms = arrays["rows"], arrays["norms"]

@@ -205,8 +205,9 @@ def _count_hashes(monkeypatch) -> list:
 
 
 def _stamped(path):
-    cache = path.with_name(path.name + ".cache.npz")
-    return cache.stat().st_mtime_ns == path.stat().st_mtime_ns
+    """Whether ``path``'s cache bears its mtime, set by a stamp (the ctime) ``STAMP_AGE_NS`` after it."""
+    cache = path.with_name(path.name + ".cache.npz").stat()
+    return cache.st_mtime_ns == path.stat().st_mtime_ns and cache.st_ctime_ns - cache.st_mtime_ns >= text.STAMP_AGE_NS
 
 
 @pytest.mark.parametrize("source", SOURCES)
@@ -260,6 +261,39 @@ def test_a_file_modified_within_the_stamp_age_is_hashed_at_each_load(tmp_path, m
     _age(path, 10)  # once old enough, one more hash vouches for the cache that the first load wrote
     assert read(load(path)) == "1" and len(hashes) == 4 and _stamped(path)
     assert read(load(path)) == "1" and len(hashes) == 4
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_cache_written_in_its_files_mtime_tick_is_not_trusted_by_its_mtime(tmp_path, source):
+    load, write, read = SOURCES[source]
+    path = write(tmp_path / "source.txt", "1")
+    load(path)
+    mtime = path.stat().st_mtime_ns
+    os.utime(path.with_name(path.name + ".cache.npz"), ns=(mtime, mtime))  # written in the file's tick
+    write(path, "2")
+    os.utime(path, ns=(mtime, mtime))  # a same-size rewrite in that tick
+    assert read(load(path)) == "2"
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_a_cache_that_cannot_be_restamped_is_still_read(tmp_path, monkeypatch, caplog, source):
+    # a cache of another owner, or on a read-only mount, whose file was touched
+    load, write, read = SOURCES[source]
+    path = write(tmp_path / "source.txt", "1")
+    _age(path, 10)
+    load(path)
+    _age(path, 5)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(text.os, "utime", refuse)
+    hashes = _count_hashes(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        assert read(load(path)) == "1" and len(hashes) == 1
+    assert [r.getMessage().split(" (")[0] for r in caplog.records if r.name == "factrank.text"] == [
+        f"could not stamp {'knowledge base' if source == 'kb' else 'feature'} cache "
+        f"{path.with_name(path.name + '.cache.npz')}"]
 
 
 @pytest.mark.parametrize("source", SOURCES)

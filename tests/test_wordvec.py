@@ -487,10 +487,12 @@ def test_a_change_to_what_the_rows_are_computed_from_misses_and_rewrites_the_cac
     _assert_same_matrix(hit, rebuilt)
 
 
-def _spoil_member(cache, name, spoil):
+def _spoil_member(cache, name, spoil, save=text._savez):
+    """Rewrite ``cache`` with member ``name`` passed through ``spoil``, laid out by ``save``."""
     with np.load(cache) as data:
         arrays = {member: data[member] for member in data.files}
-    np.savez(cache, **{**arrays, name: spoil(arrays[name])})
+    with open(cache, "wb") as fh:
+        save(fh, {**arrays, name: spoil(arrays[name])})
 
 
 def _flip_last_norm_byte(cache):
@@ -537,11 +539,42 @@ def test_mapped_rows_are_read_only_aligned_and_rank_as_the_built_ones(tmp_path):
     for (rows, scores), (want_rows, want_scores) in zip(rank_rows(iq, hit.rows, hit.norms, kb.ids.rank, 5),
                                                         rank_rows(iq, built.rows, built.norms, kb.ids.rank, 5)):
         assert rows.tolist() == want_rows.tolist() and scores.tobytes() == want_scores.tobytes()
-    # a cache that np.savez laid out, whose rows sit at no float32 boundary, is read, not mapped
-    _spoil_member(_facts_cache(paths["kb"]), "rows", lambda rows: rows)
-    read = FactMatrix.build(kb, table)
-    assert not isinstance(_mapping(read.rows), mmap.mmap)
-    _assert_same_matrix(read, built)
+
+
+
+@pytest.mark.parametrize("save", [np.savez, np.savez_compressed])
+def test_a_cache_whose_rows_cannot_be_mapped_is_rebuilt_once_then_mapped(kb_path, caplog, save):
+    # np.savez puts the rows at no float32 boundary, and np.savez_compressed deflates them
+    kb, table = parse_kb(kb_path), _table()
+    built = FactMatrix.build(kb, table)
+    _spoil_member(_facts_cache(kb_path), "rows", lambda rows: rows, lambda fh, arrays: save(fh, **arrays))
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        _assert_same_matrix(FactMatrix.build(kb, table), built)
+    assert "member rows is not stored uncompressed and aligned" in caplog.text
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        hit = FactMatrix.build(kb, table)
+    assert not _cache_warnings(caplog) and isinstance(_mapping(hit.rows), mmap.mmap)
+    _assert_same_matrix(hit, built)
+
+
+def test_a_hit_maps_the_rows_of_the_cache_it_checked_though_another_replaces_it(kb_path, monkeypatch):
+    # one KB with two word-vector files writes two caches of one layout to the same path
+    kb, table = parse_kb(kb_path), _table()
+    cache, load = _facts_cache(kb_path), np.load
+    FactMatrix.build(kb, WordVectorTable(3, {t: 2 * v for t, v in table.vectors.items()}))
+    other = cache.read_bytes()
+    FactMatrix.build(kb, table)
+
+    def load_then_replace(file, *args, **kwargs):
+        data = load(file, *args, **kwargs)
+        text.write_atomic(cache, lambda fh: fh.write(other))  # as a concurrent run renames its cache in
+        return data
+
+    monkeypatch.setattr(np, "load", load_then_replace)
+    hit = FactMatrix.build(kb, table)
+    assert cache.read_bytes() == other and isinstance(_mapping(hit.rows), mmap.mmap)
+    _assert_same_matrix(hit, _in_memory(kb, table))
 
 
 def test_a_kb_held_in_memory_writes_no_cache(tiny_kb, tiny_table, tmp_path, monkeypatch):
