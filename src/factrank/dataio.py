@@ -6,11 +6,15 @@ features are text rows ``image_id dim v1 .. v_dim``, held as read-only
 float32 rows of one matrix (the scorer upcasts a stacked batch, never the
 store); concept vectors are ``image_id i1,i2,...`` hot-index rows
 positioned against a label file, packed into one (images, labels) 0/1
-matrix that hands out float64 copies. Referential integrity (fact ids,
-features, label consistency) is checked at load, never assumed downstream.
-The parsed features are cached beside their file, as the knowledge base
-is, by the one checksum-keyed helper :func:`text.cached`: the feature rows
-are built from the cache's arrays on a hit and after a parse alike. The
+matrix that hands out float64 copies. Each record's own checks, and
+whether its question has tokens, are :func:`load_qa`'s; whether it agrees
+with the knowledge base and the feature store (fact id, relation, answer,
+features, concepts) is :func:`validate_dataset`'s, run at load, so nothing
+downstream assumes it. The QA records, the features and the concept rows
+are cached beside their files, as the knowledge base is, by the one
+checksum-keyed helper :func:`text.cached`: each value is built from the
+cache's arrays on a hit and after a parse alike, and the QA fields and
+concept image ids are stored as :func:`text.join_strings` columns. The
 converter builds its knowledge base as :func:`kb.parse_kb` does, through a
 :class:`kb.KBBuilder` into the one ``KnowledgeBase`` constructor.
 """
@@ -26,7 +30,7 @@ import numpy as np
 
 from .errors import DataError, LoadError, UsageError
 from .kb import RELATIONS, AnswerSource, KBBuilder, KnowledgeBase, Relation, parse_fact, parse_kb
-from .text import cached, normalize_phrase, read_lines, tokenize, write_lines
+from .text import cached, join_strings, normalize_phrase, read_lines, split_strings, tokenize, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -140,36 +144,75 @@ def _parse_features(path: Path) -> dict[str, Array]:
 
 
 def load_concepts(path: str | Path, n_labels: int) -> tuple[dict[str, int], Array]:
-    """Parse ``image_id i1,i2,...`` hot-index rows into an image id -> row index and a read-only 0/1 matrix."""
+    """Parse ``image_id i1,i2,...`` hot-index rows into an image id -> row index and a read-only 0/1 matrix,
+    through the file-keyed cache of :func:`text.cached`. The cache holds the indices whatever ``n_labels`` is; a
+    hit with one out of range is rejected, so the parse runs and names its line."""
     path = Path(path)
-    image_rows: dict[str, int] = {}
-    hot: list[int] = []  # flat positions in the (images, n_labels) matrix
+    return cached(path, "concept", lambda: _parse_concepts(path, n_labels),
+                  lambda arrays: _concept_rows(arrays, n_labels))
+
+
+def _concept_rows(arrays, n_labels: int) -> tuple[dict[str, int], Array]:
+    images, labels = split_strings(arrays), arrays["labels"]
+    if not ((0 <= labels) & (labels < n_labels)).all():
+        raise ValueError(f"a concept index is out of range [0, {n_labels})")
+    matrix = np.zeros((len(images), n_labels), dtype=bool)
+    matrix[np.repeat(np.arange(len(images)), arrays["counts"]), labels] = True
+    matrix.flags.writeable = False
+    return dict(zip(images, range(len(images)))), matrix
+
+
+def _parse_concepts(path: Path, n_labels: int) -> dict[str, Array]:
+    images: dict[str, None] = {}
+    counts, labels = [], []  # each image's count of hot indices, and the indices in file order
     for lineno, raw in read_lines(path):
         line = raw.strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        if rest.strip():
-            for tok in rest.strip().split(","):
-                try:
-                    idx = int(tok)
-                except ValueError:
-                    raise LoadError(f"{path}:{lineno}: bad concept index {tok!r}") from None
-                if not 0 <= idx < n_labels:
-                    raise LoadError(f"{path}:{lineno}: concept index {idx} out of range [0, {n_labels})")
-                hot.append(len(image_rows) * n_labels + idx)
-        if head in image_rows:
+        hot = rest.strip().split(",") if rest.strip() else []
+        for tok in hot:
+            try:
+                idx = int(tok)
+            except ValueError:
+                raise LoadError(f"{path}:{lineno}: bad concept index {tok!r}") from None
+            if not 0 <= idx < n_labels:
+                raise LoadError(f"{path}:{lineno}: concept index {idx} out of range [0, {n_labels})")
+            labels.append(idx)
+        if head in images:
             raise LoadError(f"{path}:{lineno}: duplicate image id {head!r}")
-        image_rows[head] = len(image_rows)
-    matrix = np.zeros(len(image_rows) * n_labels, dtype=bool)
-    matrix[hot] = True
-    matrix.flags.writeable = False
-    return image_rows, matrix.reshape(len(image_rows), n_labels)
+        images[head] = None
+        counts.append(len(hot))
+    return {**join_strings(list(images)), "counts": np.array(counts, dtype=np.int32),
+            "labels": np.array(labels, dtype=np.int32)}
+
+
+# a QA cache's string fields, one column after another in one join_strings text, and its integer codes
+_QA_TEXT = ("question_id", "image_id", "question", "answer", "fact_id")
+_SOURCES = list(AnswerSource)
 
 
 def load_qa(path: str | Path) -> list[QAInstance]:
+    """Parse the line-delimited JSON QA records, through the file-keyed cache of :func:`text.cached`. A record's
+    faults are a LoadError naming ``path:line``, a fold outside :data:`FOLDS` a DataError naming it; once every
+    record is read, a question with no tokens is a DataError naming the first. So only a file that passes every
+    check has a cache. The cache holds the string fields as one text and relation, source and fold as codes."""
     path = Path(path)
-    instances: list[QAInstance] = []
+    return cached(path, "QA", lambda: _parse_qa(path), _qa_instances)
+
+
+def _qa_instances(arrays) -> list[QAInstance]:
+    strings, n = split_strings(arrays), len(arrays["folds"])
+    codes = [(arrays["relations"], RELATIONS), (arrays["sources"], _SOURCES)]  # a code indexes its list
+    if len(strings) != len(_QA_TEXT) * n or not np.isin(arrays["folds"], FOLDS).all() or not all(
+            len(column) == n and ((0 <= column) & (column < len(values))).all() for column, values in codes):
+        raise ValueError("the QA columns differ in length, or hold a code out of range")
+    return list(map(QAInstance, *(strings[i * n:(i + 1) * n] for i in range(len(_QA_TEXT))),
+                    *(map(values.__getitem__, column.tolist()) for column, values in codes), arrays["folds"].tolist()))
+
+
+def _parse_qa(path: Path) -> dict[str, Array]:
+    columns: dict[str, list] = {name: [] for name in (*_QA_TEXT, "relations", "sources", "folds")}
     seen: set[str] = set()
     for lineno, raw in read_lines(path):
         line = raw.strip()
@@ -201,44 +244,65 @@ def load_qa(path: str | Path) -> list[QAInstance]:
         if qid in seen:
             raise LoadError(f"{path}:{lineno}: duplicate question id {qid!r}")
         seen.add(qid)
-        instances.append(
-            QAInstance(
-                question_id=qid,
-                image_id=str(rec["image_id"]),
-                question=rec["question"],
-                answer=rec["answer"],
-                fact_id=str(rec["fact_id"]),
-                relation=relation,
-                source=source,
-                fold=fold,
-            )
-        )
-    return instances
+        for name in _QA_TEXT:
+            columns[name].append(str(rec[name]))
+        columns["relations"].append(RELATIONS.index(relation))
+        columns["sources"].append(_SOURCES.index(source))
+        columns["folds"].append(fold)
+    for qid, question in zip(columns["question_id"], columns["question"]):
+        if not tokenize(question):
+            raise DataError(f"question {qid}: question has no tokens")
+    return {**join_strings([s for name in _QA_TEXT for s in columns[name]]),
+            **{name: np.array(columns[name], dtype=np.int8) for name in ("relations", "sources", "folds")}}
 
 
 def validate_dataset(instances: list[QAInstance], store: FeatureStore, kb: KnowledgeBase) -> None:
-    """Referential integrity: fact ids resolve, labels agree with the fact,
-    every image has features and concepts, questions tokenize non-empty."""
-    for inst, row in zip(instances, kb.ids.rows([inst.fact_id for inst in instances]).tolist()):
-        if row < 0:
-            raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
-        relation = RELATIONS[kb.relations[row]]
-        if relation is not inst.relation:
-            raise DataError(
-                f"question {inst.question_id}: relation label {inst.relation.value} "
-                f"does not match fact relation {relation.value}"
-            )
-        expected = kb.answer(row, inst.source)
-        if normalize_phrase(inst.answer) != normalize_phrase(expected):
-            raise DataError(
-                f"question {inst.question_id}: answer {inst.answer!r} does not match "
-                f"the fact's {inst.source.value} entity {expected!r}"
-            )
-        if not tokenize(inst.question):
-            raise DataError(f"question {inst.question_id}: question has no tokens")
-        store.feature(inst.image_id)
-        if inst.image_id not in store.concept_rows:
-            raise DataError(f"no concept vector for image id {inst.image_id!r}")
+    """Referential integrity of the questions against the knowledge base and the feature store: a question's fact
+    id resolves, its relation label is the fact's, its answer is the fact's entity by its answer source (compared
+    in :func:`text.normalize_phrase` form), and its image has features and concepts. Each check runs over all
+    questions at once; a failure is a DataError on the first failing question, for the first check it fails in
+    that order. Whether a question has tokens is :func:`load_qa`'s check, as are the records' own."""
+    rows = kb.ids.rows([inst.fact_id for inst in instances])
+    known = int(np.argmin(rows >= 0)) if (rows < 0).any() else len(rows)  # no later question is reached
+    reached, at, image = instances[:known], rows[:known], AnswerSource.IMAGE
+    entity = np.where([inst.source is image for inst in reached], kb.subjects[at], kb.objects[at])
+    entities = _normalized_phrases(kb, entity)
+    answers = {answer: normalize_phrase(answer) for answer in {inst.answer for inst in reached}}
+    failed = np.zeros((5, len(instances)), dtype=bool)
+    failed[0] = rows < 0
+    failed[1, :known] = [RELATIONS[code] is not inst.relation for code, inst in zip(kb.relations[at].tolist(), reached)]
+    failed[2, :known] = [answers[inst.answer] != entities[code] for inst, code in zip(reached, entity.tolist())]
+    failed[3] = [inst.image_id not in store.features for inst in instances]
+    failed[4] = [inst.image_id not in store.concept_rows for inst in instances]
+    if not len(bad := np.flatnonzero(failed.any(axis=0))):
+        return
+    inst, row = instances[bad[0]], int(rows[bad[0]])
+    check = int(failed[:, bad[0]].argmax())
+    if check == 0:
+        raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
+    if check == 1:
+        raise DataError(
+            f"question {inst.question_id}: relation label {inst.relation.value} "
+            f"does not match fact relation {RELATIONS[kb.relations[row]].value}"
+        )
+    if check == 2:
+        raise DataError(
+            f"question {inst.question_id}: answer {inst.answer!r} does not match "
+            f"the fact's {inst.source.value} entity {kb.answer(row, inst.source)!r}"
+        )
+    store.feature(inst.image_id)  # a DataError for an image with no features
+    raise DataError(f"no concept vector for image id {inst.image_id!r}")
+
+
+def _normalized_phrases(kb: KnowledgeBase, codes: Array) -> dict[int, str]:
+    """:func:`text.normalize_phrase` of each distinct KB phrase in ``codes``: its tokens joined by spaces, the
+    tokens of all gathered at once."""
+    codes = np.unique(codes)
+    first, counts = kb.phrase_starts[codes], kb.phrase_starts[codes + 1] - kb.phrase_starts[codes]
+    ends = np.cumsum(counts)
+    words = kb.phrase_tokens[np.repeat(first - ends + counts, counts) + np.arange(counts.sum())].tolist()
+    words, bounds = list(map(kb.tokens.__getitem__, words)), [0, *ends.tolist()]
+    return dict(zip(codes.tolist(), (" ".join(words[a:b]) for a, b in zip(bounds, bounds[1:]))))
 
 
 def load_dataset(

@@ -1,12 +1,13 @@
 """Shared file handling: phrase tokenization; reading input files' lines,
 where a byte that is not UTF-8 is a load error naming its line;
 :func:`write_atomic`, the one writer of every file the package writes, so
-no reader sees a partial one; and :func:`cached`, the one checksum-keyed
-cache of computed arrays beside a file. The feature and knowledge-base
-loaders key theirs by the input file, which a load whose size and mtime
-match the cache's does not hash again; the fact matrix keys its cache by
-the arrays it is computed from. Each caller builds its value from the
-arrays by one function, on a cache hit and after a parse alike."""
+no reader sees a partial one; :func:`cached`, the one checksum-keyed
+cache of computed arrays beside a file; and :func:`join_strings`, the
+cache's string column. The knowledge-base, QA, feature and concept loaders
+key theirs by the input file, which a load whose size and mtime match the
+cache's does not hash again; the fact matrix keys its cache by the arrays
+it is computed from. Each caller builds its value from the arrays by one
+function, on a cache hit and after a parse alike."""
 
 from __future__ import annotations
 
@@ -77,6 +78,23 @@ def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
 def write_lines(path: str | Path, lines: list[str]) -> None:
     """Write ``lines`` as UTF-8 text, each ended by a newline, through :func:`write_atomic`."""
     write_atomic(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode("utf-8")))
+
+
+def join_strings(strings: Sequence[str]) -> dict[str, np.ndarray]:
+    """``strings`` as a cache's string column: ``text``, their UTF-8 concatenation (a lone surrogate, which a
+    JSON escape may give, is kept), and ``starts``, the code-point offset of each and the total."""
+    starts = np.zeros(len(strings) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=starts[1:])
+    return {"text": np.frombuffer("".join(strings).encode("utf-8", "surrogatepass"), np.uint8), "starts": starts}
+
+
+def split_strings(arrays) -> list[str]:
+    """The strings of a :func:`join_strings` column, decoded at once; a ValueError unless the offsets rise from 0
+    to the text's length."""
+    text, starts = str(arrays["text"], "utf-8", "surrogatepass"), arrays["starts"].tolist()
+    if starts[0] != 0 or starts[-1] != len(text) or (np.diff(arrays["starts"]) < 0).any():
+        raise ValueError("string offsets do not rise from 0 to the text length")
+    return [text[start:end] for start, end in zip(starts, starts[1:])]
 
 
 def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequence[np.ndarray] | None = None,

@@ -169,16 +169,22 @@ def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypa
 
     monkeypatch.setattr(np.lib.format, "write_array", refuse)  # what text.cached writes each cache member by
     features = _write_features(tmp_path / "features.txt", FEATURES)
+    concepts = _write_concepts(tmp_path / "concepts.txt", CONCEPTS)
+    qa = _write_text(tmp_path / "qa.jsonl", json.dumps(_QA_RECORD) + "\n")
     kb = _write_text(tmp_path / "kb" / "kb.tsv", "f1\tA\tIsA\tB\n")
     with caplog.at_level(logging.WARNING, logger="factrank.dataio"):
         rows = load_features(features)
-    assert "could not write feature cache" in caplog.text
+        image_rows, matrix = load_concepts(concepts, len(LABELS))
+        [instance] = load_qa(qa)
     assert [rows[i].tobytes() for i in FEATURES] == [_float32(v).tobytes() for v in FEATURES.values()]
+    assert [matrix[image_rows[i]].tolist() for i in CONCEPTS] == [_dense(hot).tolist() for hot in CONCEPTS.values()]
+    assert (instance.question_id, instance.answer, instance.fold) == ("q1", "shade", 1)
     with caplog.at_level(logging.WARNING, logger="factrank.kb"):
         assert parse_kb(kb).fact("f1").obj == "B"
-    assert "could not write knowledge base cache" in caplog.text
-    # neither a cache nor its temporary file is left beside either source
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["features.txt", "kb", "kb.tsv"]
+    for what in ("feature", "concept", "QA", "knowledge base"):
+        assert f"could not write {what} cache" in caplog.text
+    # neither a cache nor its temporary file is left beside any source
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["concepts.txt", "features.txt", "kb", "kb.tsv", "qa.jsonl"]
 
 
 # each loader that caches beside its file, a writer of a file that holds a one-digit variant, so that two
@@ -188,7 +194,12 @@ SOURCES = {
                  lambda rows: format(rows["img2"][0], "g")),
     "kb": (parse_kb, lambda path, v: _write_text(path, f"f1\tDog\tIsA\tPet{v}\n"),
            lambda kb: kb.fact("f1").obj.removeprefix("Pet")),
+    "qa": (load_qa, lambda path, v: _write_text(path, json.dumps({**_QA_RECORD, "answer": f"shade{v}"}) + "\n"),
+           lambda qa: qa[0].answer.removeprefix("shade")),
+    "concepts": (lambda path: load_concepts(path, 30), lambda path, v: _write_concepts(path, {**CONCEPTS, "img2": [v]}),
+                 lambda concepts: str(np.flatnonzero(concepts[1][concepts[0]["img2"]])[0])),
 }
+WHAT = {"features": "feature", "kb": "knowledge base", "qa": "QA", "concepts": "concept"}  # as a warning names it
 
 
 def _age(path, seconds):
@@ -292,7 +303,7 @@ def test_a_cache_that_cannot_be_restamped_is_still_read(tmp_path, monkeypatch, c
     with caplog.at_level(logging.WARNING, logger="factrank.text"):
         assert read(load(path)) == "1" and len(hashes) == 1
     assert [r.getMessage().split(" (")[0] for r in caplog.records if r.name == "factrank.text"] == [
-        f"could not stamp {'knowledge base' if source == 'kb' else 'feature'} cache "
+        f"could not stamp {WHAT[source]} cache "
         f"{path.with_name(path.name + '.cache.npz')}"]
 
 
@@ -534,6 +545,81 @@ def test_qa_ids_may_be_json_integers(tmp_path):
     record = {**_QA_RECORD, "question_id": 5, "image_id": 12, "fact_id": 0}
     [inst] = load_qa(_write_text(tmp_path / "qa.jsonl", json.dumps(record) + "\n"))
     assert (inst.question_id, inst.image_id, inst.fact_id) == ("5", "12", "0")
+
+
+def test_a_qa_cache_hit_is_the_parsed_instances(tmp_path, monkeypatch):
+    # non-ASCII text, a NUL, a lone surrogate and an empty answer round-trip; ids may be JSON integers
+    records = [{**_QA_RECORD, "question_id": 5, "image_id": 12, "fact_id": 0, "fold": 3},
+               {**_QA_RECORD, "question_id": "q\u00e9", "question": "caf\u00e9 \u2028 na\u00efve \u0000 \U0001f600?",
+                "answer": "", "relation": "Comparative", "answer_source": "Image"},
+               {**_QA_RECORD, "question_id": "q\ud800", "image_id": "", "question": "x\u0000", "answer": "\udc00"}]
+    path = _write_text(tmp_path / "qa.jsonl", "\n\n".join(map(json.dumps, records)) + "\n")
+    parsed = load_qa(path)
+    assert [(i.question_id, i.image_id, i.fact_id, i.relation, i.source, i.fold) for i in parsed] == [
+        ("5", "12", "0", Relation.USED_FOR, dataio.AnswerSource.KNOWLEDGE_BASE, 3),
+        ("q\u00e9", "img1", "f1", Relation.COMPARATIVE, dataio.AnswerSource.IMAGE, 1),
+        ("q\ud800", "", "f1", Relation.USED_FOR, dataio.AnswerSource.KNOWLEDGE_BASE, 1)]
+    assert [i.question for i in parsed] == [r["question"] for r in records]
+    monkeypatch.setattr(dataio, "_parse_qa", None)  # what follows is read from the cache
+    assert load_qa(path) == parsed
+
+
+def test_a_question_with_no_tokens_is_a_data_error_and_leaves_no_cache(tmp_path):
+    lines = [json.dumps(_QA_RECORD), json.dumps({**_QA_RECORD, "question_id": "q2", "question": "?!"})]
+    path = _write_text(tmp_path / "qa.jsonl", "\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="^question q2: question has no tokens$"):
+        load_qa(path)
+    # every record is read first, so a later record's fault is reported before it
+    _write_text(path, "\n".join([*lines, "{bad"]) + "\n")
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}:3: bad JSON"):
+        load_qa(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["qa.jsonl"]
+
+
+def test_a_concept_cache_hit_checks_its_indices_against_the_label_count(tmp_path, caplog):
+    path = _write_concepts(tmp_path / "concepts.txt", CONCEPTS)
+    parsed = load_concepts(path, len(LABELS))
+    # img1's index 5 is in range of six labels, out of range of five: the parse runs again to name its line
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        with pytest.raises(LoadError, match=rf"^{re.escape(str(path))}:1: concept index 5 out of range \[0, 5\)$"):
+            load_concepts(path, 5)
+    assert f"ignoring unreadable concept cache {path}.cache.npz (a concept index is out of range [0, 5))" in caplog.text
+    wider = load_concepts(path, 8)
+    assert wider[0] == parsed[0] == {image: row for row, image in enumerate(CONCEPTS)}
+    assert wider[1].shape == (4, 8) and not wider[1].flags.writeable
+    assert wider[1][:, :len(LABELS)].tolist() == parsed[1].tolist() and not wider[1][:, len(LABELS):].any()
+
+
+@pytest.mark.parametrize(("changes", "message"), [
+    ({}, None),
+    # the first failing question in file order, by the first check it fails: fact id, relation, answer, image
+    ({1: {"answer": "pet"}, 2: {"fact_id": "f9"}}, "question q1: answer 'pet' does not match the fact's "
+                                                    "KnowledgeBase entity 'Shade  tree'"),
+    ({1: {"fact_id": "f9", "image_id": "img9"}, 2: {"answer": "pet"}},
+     "question q1: fact id 'f9' not in knowledge base"),
+    ({0: {"image_id": "img9"}, 1: {"fact_id": "f9"}}, "no image feature for image id 'img9'"),
+    ({2: {"relation": "UsedFor", "answer": "pet", "image_id": "img9"}},
+     "question q2: relation label UsedFor does not match fact relation IsA"),
+    ({2: {"answer": "pet", "image_id": "img9"}},
+     "question q2: answer 'pet' does not match the fact's Image entity 'Dog'"),
+    ({2: {"image_id": "img5"}}, "no concept vector for image id 'img5'"),
+])
+def test_validate_dataset_names_the_first_failing_question_and_check(tmp_path, changes, message):
+    features = _write_features(tmp_path / "features.txt", {**FEATURES, "img5": ["1", "2", "3"]})
+    store = FeatureStore(load_features(features),
+                         load_concepts(_write_concepts(tmp_path / "concepts.txt", CONCEPTS), len(LABELS)))
+    kb = parse_kb(_write_text(tmp_path / "kb.tsv", "f1\tUmbrella\tUsedFor\tShade  tree\nf2\tDog\tIsA\tPet\n"))
+    records = [{**_QA_RECORD, "question_id": "q0", "answer": "SHADE-tree!"}, {**_QA_RECORD, "answer": "shade tree"},
+               {**_QA_RECORD, "question_id": "q2", "fact_id": "f2", "relation": "IsA", "answer": "dog",
+                "answer_source": "Image"}]
+    instances = load_qa(_write_text(tmp_path / "qa.jsonl", "".join(
+        json.dumps({**record, **changes.get(i, {})}) + "\n" for i, record in enumerate(records))))
+    if message is None:
+        dataio.validate_dataset(instances, store, kb)
+        return
+    with pytest.raises(DataError) as raised:
+        dataio.validate_dataset(instances, store, kb)
+    assert str(raised.value) == message
 
 
 @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
