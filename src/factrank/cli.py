@@ -300,7 +300,7 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
 
     per_fold, predictions = {}, {}
     records: list[dict] = [{"type": "meta", **cfg.meta(), "gt_relation": gt_relation, "gt_source": gt_source,
-                            "duplicate_count": table.duplicate_count, "oov_phrase_count": table.oov_phrase_count}]
+                            "duplicate_count": table.duplicate_count, "oov_phrase_count": fact_matrix.oov_phrase_count}]
     for fold, (scorer_path, rel_path, src_path) in paths.items():
         scorer = load_scorer(scorer_path)
         relation = load_classifier(rel_path) if rel_path else None
@@ -339,7 +339,7 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     from .wordvec import FactMatrix
 
     instances, store, kb, table = _load_bundle(cfg)
-    if image_id not in store.features:
+    if image_id not in store.feature_rows:
         raise UsageError(f"--image-id: no image feature for image id {image_id!r}")
     ckpt_dir = Path(cfg.checkpoints)
     scorer, relation, source = (_checkpoint(ckpt_dir, name, cfg.fold) for name in ("scorer", "relation", "source"))

@@ -2,13 +2,13 @@
 
 The QA file is line-delimited JSON with the fields question_id, image_id,
 question, answer, fact_id, relation, answer_source, and fold. Image
-features are text rows ``image_id dim v1 .. v_dim``, held as read-only
-float32 rows of one matrix (the scorer upcasts a stacked batch, never the
-store); concept vectors are ``image_id i1,i2,...`` hot-index rows
-positioned against a label file, packed into one (images, labels) 0/1
-matrix that hands out float64 copies. Each record's own checks, and
+features are text rows ``image_id dim v1 .. v_dim`` and concept vectors
+``image_id i1,i2,...`` hot-index rows positioned against a label file; each
+loads as one table, an image id -> row index beside a read-only matrix of
+float32 features (the scorer upcasts a stacked batch, never the store) or
+of 0/1 concepts handed out as float64 copies. Each record's own checks, and
 whether its question has tokens, are :func:`load_qa`'s; whether it agrees
-with the knowledge base and the feature store (fact id, relation, answer,
+with the knowledge base and the two tables (fact id, relation, answer,
 features, concepts) is :func:`validate_dataset`'s, run at load, so nothing
 downstream assumes it. The QA records, the features and the concept rows
 are cached beside their files, as the knowledge base is, by the one
@@ -57,32 +57,31 @@ class QAInstance:
 
 
 class FeatureStore:
-    """Image id -> feature vector and concept vector, immutable after load: features
-    are read-only float32 rows of one matrix, concepts float64 copies of a packed
-    0/1 matrix's rows."""
+    """Image id -> feature vector and concept vector, immutable after load: two tables, each an image id -> row
+    index beside a read-only matrix, read through one lookup. A feature is a float32 row, a concept a float64 copy
+    of a 0/1 row; :meth:`stack` gathers both for many images, looking up all their features before any concepts."""
 
-    def __init__(self, features: dict[str, Array], concepts: tuple[dict[str, int], Array]):
-        self.features = features
-        self.concept_rows, self.concept_matrix = concepts
-        self.feature_dim = len(next(iter(features.values()))) if features else 0
-        self.concept_dim = self.concept_matrix.shape[1]
+    def __init__(self, features: tuple[dict[str, int], Array], concepts: tuple[dict[str, int], Array]):
+        (self.feature_rows, self.feature_matrix), (self.concept_rows, self.concept_matrix) = features, concepts
+        self.feature_dim, self.concept_dim = self.feature_matrix.shape[1], self.concept_matrix.shape[1]
+
+    @staticmethod
+    def _rows(index: dict[str, int], image_ids, what: str) -> list[int]:
+        """Each image's row in ``index``; a DataError names the first image it lacks."""
+        try:
+            return [index[image_id] for image_id in image_ids]
+        except KeyError as exc:
+            raise DataError(f"no {what} for image id {exc.args[0]!r}") from None
 
     def feature(self, image_id: str) -> Array:
-        try:
-            return self.features[image_id]
-        except KeyError:
-            raise DataError(f"no image feature for image id {image_id!r}") from None
+        return self.feature_matrix[self._rows(self.feature_rows, [image_id], "image feature")[0]]
 
     def concept(self, image_id: str) -> Array:
-        try:
-            return self.concept_matrix[self.concept_rows[image_id]].astype(np.float64)
-        except KeyError:
-            raise DataError(f"no concept vector for image id {image_id!r}") from None
+        return self.concept_matrix[self._rows(self.concept_rows, [image_id], "concept vector")[0]].astype(np.float64)
 
-    def stack(self, image_ids) -> tuple[Array, Array]:
-        feats = np.stack([self.feature(i) for i in image_ids])
-        cons = np.stack([self.concept(i) for i in image_ids])
-        return feats, cons
+    def stack(self, image_ids: list[str]) -> tuple[Array, Array]:
+        feats = self.feature_matrix[self._rows(self.feature_rows, image_ids, "image feature")]
+        return feats, self.concept_matrix[self._rows(self.concept_rows, image_ids, "concept vector")].astype(np.float64)
 
 
 def load_concept_labels(path: str | Path) -> list[str]:
@@ -95,19 +94,20 @@ def load_concept_labels(path: str | Path) -> list[str]:
     return labels
 
 
-def load_features(path: str | Path) -> dict[str, Array]:
-    """Parse ``image_id dim v1..v_dim`` rows into read-only float32 rows of one
-    matrix, through the checksum-keyed cache of :func:`text.cached` for fast
-    reloads. Each value is its text's float64 rounded to float32; a value that
-    is not finite or beyond float32's finite range is a load error."""
+def load_features(path: str | Path) -> tuple[dict[str, int], Array]:
+    """Parse ``image_id dim v1..v_dim`` rows into an image id -> row index and a read-only float32 matrix,
+    through the checksum-keyed cache of :func:`text.cached` for fast reloads. Each value is its text's float64
+    rounded to float32; a value that is not finite or beyond float32's finite range is a load error."""
     path = Path(path)
     return cached(path, "feature", lambda: _parse_features(path), _feature_rows)
 
 
-def _feature_rows(arrays) -> dict[str, Array]:
-    matrix = arrays["matrix"]
+def _feature_rows(arrays) -> tuple[dict[str, int], Array]:
+    ids, matrix = arrays["ids"], arrays["matrix"]
+    if ids.ndim != 1 or matrix.ndim != 2 or matrix.dtype != np.float32 or len(ids) != len(matrix):
+        raise ValueError("the feature matrix is not 2-d float32 with a row for each id")
     matrix.flags.writeable = False
-    return dict(zip([str(s) for s in arrays["ids"]], matrix))
+    return dict(zip(ids.tolist(), range(len(ids)))), matrix
 
 
 def _parse_features(path: Path) -> dict[str, Array]:
@@ -259,39 +259,29 @@ def _parse_qa(path: Path) -> dict[str, Array]:
 def validate_dataset(instances: list[QAInstance], store: FeatureStore, kb: KnowledgeBase) -> None:
     """Referential integrity of the questions against the knowledge base and the feature store: a question's fact
     id resolves, its relation label is the fact's, its answer is the fact's entity by its answer source (compared
-    in :func:`text.normalize_phrase` form), and its image has features and concepts. Each check runs over all
-    questions at once; a failure is a DataError on the first failing question, for the first check it fails in
-    that order. Whether a question has tokens is :func:`load_qa`'s check, as are the records' own."""
+    in :func:`text.normalize_phrase` form), and its image has features and concepts. Facts, entities and answers
+    are gathered once, then one pass in question order raises a DataError at the first failing question, for the
+    first check it fails in that order. A record's own checks, and whether it has tokens, are :func:`load_qa`'s."""
     rows = kb.ids.rows([inst.fact_id for inst in instances])
     known = int(np.argmin(rows >= 0)) if (rows < 0).any() else len(rows)  # no later question is reached
     reached, at, image = instances[:known], rows[:known], AnswerSource.IMAGE
     entity = np.where([inst.source is image for inst in reached], kb.subjects[at], kb.objects[at])
     entities = _normalized_phrases(kb, entity)
     answers = {answer: normalize_phrase(answer) for answer in {inst.answer for inst in reached}}
-    failed = np.zeros((5, len(instances)), dtype=bool)
-    failed[0] = rows < 0
-    failed[1, :known] = [RELATIONS[code] is not inst.relation for code, inst in zip(kb.relations[at].tolist(), reached)]
-    failed[2, :known] = [answers[inst.answer] != entities[code] for inst, code in zip(reached, entity.tolist())]
-    failed[3] = [inst.image_id not in store.features for inst in instances]
-    failed[4] = [inst.image_id not in store.concept_rows for inst in instances]
-    if not len(bad := np.flatnonzero(failed.any(axis=0))):
-        return
-    inst, row = instances[bad[0]], int(rows[bad[0]])
-    check = int(failed[:, bad[0]].argmax())
-    if check == 0:
+    features, concepts = store.feature_rows, store.concept_rows
+    relations = map(RELATIONS.__getitem__, kb.relations[at].tolist())
+    for inst, relation, phrase in zip(reached, relations, map(entities.__getitem__, entity.tolist())):
+        if relation is not inst.relation:
+            raise DataError(f"question {inst.question_id}: relation label {inst.relation.value} "
+                            f"does not match fact relation {relation.value}")
+        if answers[inst.answer] != phrase:
+            raise DataError(f"question {inst.question_id}: answer {inst.answer!r} does not match the fact's "
+                            f"{inst.source.value} entity {kb.answer(kb.ids.row(inst.fact_id), inst.source)!r}")
+        if inst.image_id not in features or inst.image_id not in concepts:
+            store.stack([inst.image_id])  # the DataError of the first table that lacks it
+    if known < len(instances):
+        inst = instances[known]
         raise DataError(f"question {inst.question_id}: fact id {inst.fact_id!r} not in knowledge base")
-    if check == 1:
-        raise DataError(
-            f"question {inst.question_id}: relation label {inst.relation.value} "
-            f"does not match fact relation {RELATIONS[kb.relations[row]].value}"
-        )
-    if check == 2:
-        raise DataError(
-            f"question {inst.question_id}: answer {inst.answer!r} does not match "
-            f"the fact's {inst.source.value} entity {kb.answer(row, inst.source)!r}"
-        )
-    store.feature(inst.image_id)  # a DataError for an image with no features
-    raise DataError(f"no concept vector for image id {inst.image_id!r}")
 
 
 def _normalized_phrases(kb: KnowledgeBase, codes: Array) -> dict[int, str]:

@@ -48,7 +48,6 @@ class WordVectorTable:
         self.dim = int(dim)
         self.vectors: dict[str, Array] = vectors or {}
         self.duplicate_count = 0
-        self.oov_phrase_count = 0  # diagnostic: phrase occurrences that embedded to zero
 
 
 def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
@@ -104,11 +103,13 @@ class FactMatrix:
     byte column decoded only as a fact is named, whose ``rank`` column breaks
     ranking ties by id, and whose :meth:`~factrank.kb.FactIds.row` finds an
     id's row, with no dict. A matrix that :meth:`build` made shares its ids
-    with its KB, whose ``buckets`` then slice the rows, relation by relation."""
+    with its KB, whose ``buckets`` then slice the rows, relation by relation,
+    and ``oov_phrase_count`` counts its phrase occurrences that embed as zero."""
 
     fact_ids: FactIds
     rows: Array
     norms: Array | None = None
+    oov_phrase_count: int = 0
 
     def __post_init__(self):
         if self.norms is None:
@@ -123,13 +124,14 @@ class FactMatrix:
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":
         """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32.
         A KB parsed from a file caches the rows and norms beside it, keyed by all they are computed from, and a
-        hit maps the rows read-only. Fully out-of-vocabulary occurrences are counted and logged once."""
+        hit maps the rows read-only. The matrix counts fully out-of-vocabulary occurrences, logged once."""
         known = np.array([t in table.vectors for t in kb.tokens], dtype=bool)
         vecs = np.array([table.vectors[t] for t in compress(kb.tokens, known)]).reshape(-1, table.dim)
         keep = known[kb.phrase_tokens]
         at_known = np.concatenate(([0], np.cumsum(keep)))[kb.phrase_starts]
         first, count = at_known[:-1], np.diff(at_known)  # per phrase: its first entry of vec_of, and how many
         codes = np.stack([kb.subjects, kb.objects], axis=1).ravel()  # fact i's subject at 2i, its object at 2i + 1
+        oov = np.flatnonzero(count[codes] == 0)
 
         def embed() -> dict[str, Array]:
             vec_of = (np.cumsum(known) - 1)[kb.phrase_tokens[keep]]  # each phrase's known tokens' rows of vecs
@@ -149,7 +151,7 @@ class FactMatrix:
             if (rows.dtype, rows.shape, norms.dtype, norms.shape) != (np.float32, (len(kb), 2 * table.dim),
                                                                       np.float64, (len(kb),)):
                 raise ValueError("rows or norms of the wrong type or shape")
-            return cls(kb.ids, rows, norms)
+            return cls(kb.ids, rows, norms, len(oov))
 
         if kb.path is None:
             fm = matrix(embed())
@@ -158,8 +160,6 @@ class FactMatrix:
             key = (kb.subjects, kb.objects, kb.phrase_starts, kb.phrase_tokens, tokens, known, vecs,
                    np.int64(table.dim))
             fm = cached(kb.path.with_name(kb.path.name + ".facts"), "fact matrix", embed, matrix, key, ("rows",))
-        oov = np.flatnonzero(count[codes] == 0)
-        table.oov_phrase_count += len(oov)  # after the matrix: a rejected row norm counts nothing
         if len(oov):
             logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov),
                            kb.phrase(codes[oov[0]]))

@@ -14,6 +14,8 @@ from factrank.errors import DataError, LoadError, UsageError
 from factrank.kb import MAX_FACT_ID_BYTES, KnowledgeBase, Relation, parse_kb
 from factrank.wordvec import WordVectorTable, load_vectors
 
+from conftest import from_facts
+
 LABELS = [f"label{i}" for i in range(6)]
 CONCEPTS = {"img1": [0, 5], "img2": [], "img3": [3, 3], "img4": [2, 4, 1]}
 FEATURES = {"img1": ["0.1", "-2.5e-3", "3e38"], "img2": ["1", "0", "-0.0"], "img3": ["3.3", "7", "1e-320"],
@@ -36,6 +38,12 @@ def _dense(indices):
 def _write_concepts(path, rows):
     path.write_text("".join(f"{image} {','.join(map(str, hot))}\n" for image, hot in rows.items()), encoding="utf-8")
     return path
+
+
+def _by_image(table):
+    """A feature or concept table, an image id -> row index and a matrix, as image id -> row."""
+    index, matrix = table
+    return {image: matrix[row] for image, row in index.items()}
 
 
 def _write_features(path, rows):
@@ -86,9 +94,20 @@ def test_an_unknown_image_is_a_data_error(store):
         store.concept("img9")
 
 
+def test_stack_looks_up_every_image_s_features_before_any_concepts(tmp_path):
+    features = _write_features(tmp_path / "features.txt", {**FEATURES, "img5": ["1", "2", "3"]})
+    store = FeatureStore(load_features(features),
+                         load_concepts(_write_concepts(tmp_path / "concepts.txt", CONCEPTS), len(LABELS)))
+    assert store.feature("img5").tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(DataError, match="^no concept vector for image id 'img5'$"):
+        store.stack(["img1", "img5"])
+    with pytest.raises(DataError, match="^no image feature for image id 'img9'$"):
+        store.stack(["img5", "img9"])
+
+
 def test_the_store_cannot_be_written_through_what_it_hands_out(tmp_path, store):
     # the first load parsed the text; this one reads the cache
-    cached = load_features(tmp_path / "features.txt")
+    cached = _by_image(load_features(tmp_path / "features.txt"))
     for feature in (store.feature("img1"), cached["img1"]):
         with pytest.raises(ValueError, match="read-only"):
             feature[0] = 5.0
@@ -99,10 +118,10 @@ def test_the_store_cannot_be_written_through_what_it_hands_out(tmp_path, store):
 
 def test_a_cache_hit_is_bitwise_the_parsed_rows(tmp_path):
     path = _write_features(tmp_path / "features.txt", FEATURES)
-    parsed = load_features(path)
+    parsed = _by_image(load_features(path))
     cache = path.with_name("features.txt.cache.npz")
     written = cache.stat().st_mtime_ns
-    hit = load_features(path)
+    hit = _by_image(load_features(path))
     assert cache.stat().st_mtime_ns == written
     assert list(hit) == list(parsed) == list(FEATURES)
     for image, values in FEATURES.items():
@@ -116,9 +135,9 @@ def test_the_cache_is_read_while_its_checksum_matches_and_rebuilt_once_the_sourc
     with np.load(cache) as data:
         checksum, ids, matrix = data["checksum"], data["ids"], data["matrix"]
     np.savez(cache, checksum=checksum, ids=ids, matrix=matrix + 1.0)
-    assert load_features(path)["img2"].tolist() == [2.0, 1.0, 1.0]
+    assert _by_image(load_features(path))["img2"].tolist() == [2.0, 1.0, 1.0]
     _write_features(path, {**FEATURES, "img2": ["4", "5", "6"]})
-    assert load_features(path)["img2"].tolist() == [4.0, 5.0, 6.0]
+    assert _by_image(load_features(path))["img2"].tolist() == [4.0, 5.0, 6.0]
     with np.load(cache) as data:
         assert data["matrix"][1].tolist() == [4.0, 5.0, 6.0]
 
@@ -139,9 +158,9 @@ def test_a_float64_cache_of_the_previous_format_is_rebuilt_once_with_a_warning(t
     np.savez(cache, checksum=np.str_(key), ids=np.array(list(FEATURES)),
              matrix=np.array([[float(v) for v in values] for values in FEATURES.values()]))
     with caplog.at_level(logging.WARNING, logger="factrank.text"):
-        rebuilt = load_features(path)
+        rebuilt = _by_image(load_features(path))
         written = cache.stat().st_mtime_ns
-        hit = load_features(path)
+        hit = _by_image(load_features(path))
     assert caplog.text.count("rebuilding stale feature cache") == 1
     assert cache.stat().st_mtime_ns == written
     for image, values in FEATURES.items():
@@ -155,11 +174,31 @@ def test_a_corrupt_cache_warns_and_is_rebuilt(tmp_path, caplog):
     cache = path.with_name("features.txt.cache.npz")
     cache.write_bytes(b"not an npz archive")
     with caplog.at_level(logging.WARNING, logger="factrank.dataio"):
-        rows = load_features(path)
+        rows = _by_image(load_features(path))
     assert "ignoring unreadable feature cache" in caplog.text
     assert rows["img1"].tobytes() == _float32(FEATURES["img1"]).tobytes()
     with np.load(cache) as data:
         assert data["matrix"].tobytes() == np.stack(list(rows.values())).tobytes()
+
+
+@pytest.mark.parametrize(("ids", "matrix"), [
+    (["img1", "img2"], np.ones((3, 3), np.float32)),  # fewer ids than rows
+    (["img1", "img2", "img3", "img4"], np.ones((3, 3), np.float32)),
+    (["img1", "img2", "img3"], np.ones(3, np.float32)),
+    (["img1", "img2", "img3"], np.ones((3, 3))),  # float64
+])
+def test_a_feature_cache_whose_ids_and_rows_disagree_warns_and_is_parsed_again(tmp_path, caplog, ids, matrix):
+    path = _write_features(tmp_path / "features.txt", FEATURES)
+    load_features(path)
+    cache = path.with_name("features.txt.cache.npz")
+    with np.load(cache) as data:
+        checksum = data["checksum"]
+    with open(cache, "wb") as fh:  # a valid archive under the current key
+        text._savez(fh, {"ids": np.array(ids), "matrix": matrix, "checksum": checksum})
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        rows = _by_image(load_features(path))
+    assert f"ignoring unreadable feature cache {cache} (" in caplog.text
+    assert [rows[image].tobytes() for image in FEATURES] == [_float32(v).tobytes() for v in FEATURES.values()]
 
 
 def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypatch):
@@ -173,7 +212,7 @@ def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypa
     qa = _write_text(tmp_path / "qa.jsonl", json.dumps(_QA_RECORD) + "\n")
     kb = _write_text(tmp_path / "kb" / "kb.tsv", "f1\tA\tIsA\tB\n")
     with caplog.at_level(logging.WARNING, logger="factrank.dataio"):
-        rows = load_features(features)
+        rows = _by_image(load_features(features))
         image_rows, matrix = load_concepts(concepts, len(LABELS))
         [instance] = load_qa(qa)
     assert [rows[i].tobytes() for i in FEATURES] == [_float32(v).tobytes() for v in FEATURES.values()]
@@ -191,7 +230,7 @@ def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypa
 # variants are two contents of the same size, and a reader of the variant from what the loader returns
 SOURCES = {
     "features": (load_features, lambda path, v: _write_features(path, {**FEATURES, "img2": [v, "0", "-0.0"]}),
-                 lambda rows: format(rows["img2"][0], "g")),
+                 lambda rows: format(_by_image(rows)["img2"][0], "g")),
     "kb": (parse_kb, lambda path, v: _write_text(path, f"f1\tDog\tIsA\tPet{v}\n"),
            lambda kb: kb.fact("f1").obj.removeprefix("Pet")),
     "qa": (load_qa, lambda path, v: _write_text(path, json.dumps({**_QA_RECORD, "answer": f"shade{v}"}) + "\n"),
@@ -620,6 +659,17 @@ def test_validate_dataset_names_the_first_failing_question_and_check(tmp_path, c
     with pytest.raises(DataError) as raised:
         dataio.validate_dataset(instances, store, kb)
     assert str(raised.value) == message
+
+
+def test_validate_dataset_passes_no_questions_and_names_the_first_against_a_kb_with_no_facts(store, tmp_path):
+    kb = parse_kb(_write_text(tmp_path / "kb.tsv", "f1\tUmbrella\tUsedFor\tShade\n"))
+    dataio.validate_dataset([], store, kb)
+    dataio.validate_dataset([], store, from_facts([]))
+    instances = load_qa(_write_text(tmp_path / "qa.jsonl", "".join(
+        json.dumps({**_QA_RECORD, "question_id": f"q{i}", "fact_id": f"f{i}"}) + "\n" for i in (1, 2))))
+    with pytest.raises(DataError) as raised:
+        dataio.validate_dataset(instances, store, from_facts([]))
+    assert str(raised.value) == "question q1: fact id 'f1' not in knowledge base"
 
 
 @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])

@@ -66,10 +66,9 @@ def test_phrase_embedding_is_mean():
 
 
 def test_phrase_embedding_all_oov_is_zero_and_counted(tiny_table):
-    before = tiny_table.oov_phrase_count
-    out = _build(tiny_table, ("zyzzyva", "shade")).rows[0, :4]
-    np.testing.assert_array_equal(out, np.zeros(4))
-    assert tiny_table.oov_phrase_count == before + 1
+    fm = _build(tiny_table, ("zyzzyva", "shade"))
+    np.testing.assert_array_equal(fm.rows[0, :4], np.zeros(4))
+    assert fm.oov_phrase_count == 1
 
 
 def test_phrase_embedding_skips_oov_tokens(tiny_table):
@@ -323,7 +322,6 @@ def _written(kb, path, seed):
 def test_build_is_the_per_fact_loop_bitwise_across_chunk_edges(tmp_path_factory, case, chunk, layout):
     # layout None embeds the KB as given, a seed the KB that _written reads back from its file
     table, kb = case
-    before = table.oov_phrase_count
     facts = [f for relation in Relation for f in kb.facts_with_relation(relation)]
     if layout is not None:
         kb = _written(kb, tmp_path_factory.getbasetemp() / "written_kb.tsv", layout)
@@ -337,14 +335,13 @@ def test_build_is_the_per_fact_loop_bitwise_across_chunk_edges(tmp_path_factory,
         if np.any((norms != 0.0) & ((norms < lo) | (norms > hi))):
             with pytest.raises(DegenerateInputError, match="row norm .* outside"):
                 FactMatrix.build(kb, table)
-            assert table.oov_phrase_count == before
             return
         fm = FactMatrix.build(kb, table)
     assert list(fm.fact_ids) == [f.fact_id for f in facts]
     assert fm.rows.tobytes() == rows.tobytes()
     assert fm.norms.tobytes() == norms.tobytes()
     assert kb.buckets == {r: slice(start, end) for r, start, end in zip(Relation, [0, *ends], ends)}
-    assert table.oov_phrase_count - before == oov
+    assert fm.oov_phrase_count == oov
 
 
 def test_build_holds_no_per_fact_container_of_its_own():
@@ -374,7 +371,7 @@ def test_build_rejects_a_tokenless_subject_naming_it_and_counts_nothing(tiny_tab
     ):
         facts = [Fact("f1", "zyzzyva", Relation.IS_A, "pet"), Fact("f2", "?!", Relation.IS_A, "pet")]
         FactMatrix.build(from_facts(facts), tiny_table)
-    assert tiny_table.oov_phrase_count == 0 and not caplog.records
+    assert not caplog.records
 
 
 def test_build_warns_once_with_the_count_and_the_first_fully_oov_phrase(tiny_kb, tiny_table, monkeypatch, caplog):
@@ -382,11 +379,11 @@ def test_build_warns_once_with_the_count_and_the_first_fully_oov_phrase(tiny_kb,
     with caplog.at_level(logging.WARNING, logger="factrank.wordvec"):
         FactMatrix.build(tiny_kb, tiny_table)
         assert not caplog.records
-        _build(tiny_table, ("zyzzyva", "pet"), ("dog", "xyst"), ("zyzzyva", "pet"))
+        fm = _build(tiny_table, ("zyzzyva", "pet"), ("dog", "xyst"), ("zyzzyva", "pet"))
     assert [r.getMessage() for r in caplog.records] == [
         "3 fully out-of-vocabulary phrases embed as zero, the first 'zyzzyva'"
     ]
-    assert tiny_table.oov_phrase_count == 3
+    assert fm.oov_phrase_count == 3
     # first in row order: the Category bucket comes before the IsA one loaded first
     kb = from_facts([Fact("f1", "xyst", Relation.IS_A, "pet"), Fact("f2", "zyzzyva", Relation.CATEGORY, "pet")])
     with caplog.at_level(logging.WARNING, logger="factrank.wordvec"):
@@ -443,17 +440,17 @@ def kb_path(tmp_path):
 
 
 def test_a_fact_matrix_cache_hit_is_bitwise_the_build(kb_path, caplog):
-    kb, tables = parse_kb(kb_path), [_table() for _ in range(3)]
+    kb, table = parse_kb(kb_path), _table()  # one table for all three: each count is its own matrix's
     with caplog.at_level(logging.WARNING):
-        built = _in_memory(kb, tables[0])
-        written, hit = FactMatrix.build(kb, tables[1]), FactMatrix.build(kb, tables[2])
+        built = _in_memory(kb, table)
+        written, hit = FactMatrix.build(kb, table), FactMatrix.build(kb, table)
     assert not isinstance(_mapping(written.rows), mmap.mmap) and isinstance(_mapping(hit.rows), mmap.mmap)
     for fm in (written, hit):
         _assert_same_matrix(fm, built)
         assert fm.fact_ids is kb.ids
         fm.check_built_from(kb)
     assert built.twin_groups.tolist() == [0, 0, 1, 2, 3]  # the twins f2 (HasA) and f1 (IsA), then the rest
-    assert [table.oov_phrase_count for table in tables] == [2, 2, 2]
+    assert [fm.oov_phrase_count for fm in (built, written, hit)] == [2, 2, 2]
     assert [r.getMessage() for r in caplog.records] == [
         "2 fully out-of-vocabulary phrases embed as zero, the first 'Quux'"] * 3
 
