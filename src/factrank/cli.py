@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import FactrankError, UsageError
+from .errors import DataError, FactrankError, UsageError
 
 logger = logging.getLogger(__name__)
 _TYPES = {"str": str, "int": int, "float": float}
@@ -339,8 +339,10 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     from .wordvec import FactMatrix
 
     instances, store, kb, table = _load_bundle(cfg)
-    if image_id not in store.feature_rows:
-        raise UsageError(f"--image-id: no image feature for image id {image_id!r}")
+    try:
+        [feat], [concepts] = store.stack([image_id])
+    except DataError as exc:
+        raise UsageError(f"--image-id: {exc}") from None
     ckpt_dir = Path(cfg.checkpoints)
     scorer, relation, source = (_checkpoint(ckpt_dir, name, cfg.fold) for name in ("scorer", "relation", "source"))
     models = PipelineModels(
@@ -352,8 +354,7 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     if set(models.scorer.vocab.encode(question)) == {UNK_ID}:
         logger.warning("every token of the question %r is unknown to the scorer's vocabulary", question)
     prediction = answer_question(
-        models, kb, store.feature(image_id), store.concept(image_id), question, k=cfg.k, question_id="cli",
-        image_id=image_id)
+        models, kb, feat, concepts, question, k=cfg.k, question_id="cli", image_id=image_id)
     print(f"status: {prediction.status}")
     print(f"relation: {prediction.relation.value}")
     print(f"source: {prediction.source.value} (p={prediction.source_prob:.4f})")

@@ -5,18 +5,22 @@ question, answer, fact_id, relation, answer_source, and fold. Image
 features are text rows ``image_id dim v1 .. v_dim`` and concept vectors
 ``image_id i1,i2,...`` hot-index rows positioned against a label file; each
 loads as one table, an image id -> row index beside a read-only matrix of
-float32 features (the scorer upcasts a stacked batch, never the store) or
-of 0/1 concepts handed out as float64 copies. Each record's own checks, and
-whether its question has tokens, are :func:`load_qa`'s; whether it agrees
-with the knowledge base and the two tables (fact id, relation, answer,
-features, concepts) is :func:`validate_dataset`'s, run at load, so nothing
-downstream assumes it. The QA records, the features and the concept rows
-are cached beside their files, as the knowledge base is, by the one
-checksum-keyed helper :func:`text.cached`: each value is built from the
-cache's arrays on a hit and after a parse alike, and the QA fields and
-concept image ids are stored as :func:`text.join_strings` columns. The
-converter builds its knowledge base as :func:`kb.parse_kb` does, through a
-:class:`kb.KBBuilder` into the one ``KnowledgeBase`` constructor.
+float32 features or of 0/1 bool concepts. The store hands out the rows it
+holds; the scorer casts a batch of them to its weights' dtype. Each
+record's own checks, and whether its question has tokens, are
+:func:`load_qa`'s; whether it agrees with the knowledge base and the two
+tables (fact id, relation, answer, features, concepts) is
+:func:`validate_dataset`'s, run at load, so nothing downstream assumes it.
+The QA records, the features and the concept rows are cached beside their
+files, as the knowledge base is, by the one checksum-keyed helper
+:func:`text.cached`: each value is built from the cache's arrays on a hit
+and after a parse alike, and the QA fields and both tables' image ids are
+stored as :func:`text.join_strings` columns, which keep a trailing NUL.
+The converter builds its knowledge base as :func:`kb.parse_kb` does,
+through a :class:`kb.KBBuilder` into the one ``KnowledgeBase``
+constructor, and writes its files through the writers that synth uses
+too, each kept beside its format's reader: :func:`kb.fact_line` for a KB
+line and :meth:`QAInstance.line` for a QA record.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, LoadError, UsageError
-from .kb import RELATIONS, AnswerSource, KBBuilder, KnowledgeBase, Relation, parse_fact, parse_kb
+from .kb import RELATIONS, AnswerSource, KBBuilder, KnowledgeBase, Relation, fact_line, parse_fact, parse_kb
 from .text import cached, join_strings, normalize_phrase, read_lines, split_strings, tokenize, write_lines
 
 logger = logging.getLogger(__name__)
@@ -38,10 +42,11 @@ Array = np.ndarray
 
 FOLDS = (1, 2, 3, 4, 5)
 
-QA_FIELDS = ("question_id", "image_id", "question", "answer", "fact_id", "relation", "answer_source", "fold")
 # the JSON types a QA record's text and id fields may have, checked by type(), not isinstance: True is an int
 _TEXT, _ID = ((str,), "a string"), ((str, int), "a string or an integer")
 _QA_TYPES = {"question_id": _ID, "image_id": _ID, "question": _TEXT, "answer": _TEXT, "fact_id": _ID}
+_QA_TEXT = tuple(_QA_TYPES)  # the string fields, which a QAInstance holds under the same names
+QA_FIELDS = (*_QA_TEXT, "relation", "answer_source", "fold")
 
 
 @dataclass
@@ -55,11 +60,17 @@ class QAInstance:
     source: AnswerSource
     fold: int
 
+    def line(self) -> str:
+        """The record as a line of a QA file, as :func:`load_qa` reads it back: the one writer of the format."""
+        return json.dumps({**{name: getattr(self, name) for name in _QA_TEXT}, "relation": self.relation.value,
+                           "answer_source": self.source.value, "fold": self.fold}, sort_keys=True)
+
 
 class FeatureStore:
     """Image id -> feature vector and concept vector, immutable after load: two tables, each an image id -> row
-    index beside a read-only matrix, read through one lookup. A feature is a float32 row, a concept a float64 copy
-    of a 0/1 row; :meth:`stack` gathers both for many images, looking up all their features before any concepts."""
+    index beside a read-only matrix, read through one lookup. It hands out the rows it holds, a feature as a
+    read-only float32 row and a concept as a read-only bool row, and :meth:`stack` gathers both for many images,
+    looking up all their features before any concepts; the scorer casts them to its weights' dtype."""
 
     def __init__(self, features: tuple[dict[str, int], Array], concepts: tuple[dict[str, int], Array]):
         (self.feature_rows, self.feature_matrix), (self.concept_rows, self.concept_matrix) = features, concepts
@@ -77,11 +88,11 @@ class FeatureStore:
         return self.feature_matrix[self._rows(self.feature_rows, [image_id], "image feature")[0]]
 
     def concept(self, image_id: str) -> Array:
-        return self.concept_matrix[self._rows(self.concept_rows, [image_id], "concept vector")[0]].astype(np.float64)
+        return self.concept_matrix[self._rows(self.concept_rows, [image_id], "concept vector")[0]]
 
     def stack(self, image_ids: list[str]) -> tuple[Array, Array]:
         feats = self.feature_matrix[self._rows(self.feature_rows, image_ids, "image feature")]
-        return feats, self.concept_matrix[self._rows(self.concept_rows, image_ids, "concept vector")].astype(np.float64)
+        return feats, self.concept_matrix[self._rows(self.concept_rows, image_ids, "concept vector")]
 
 
 def load_concept_labels(path: str | Path) -> list[str]:
@@ -103,11 +114,11 @@ def load_features(path: str | Path) -> tuple[dict[str, int], Array]:
 
 
 def _feature_rows(arrays) -> tuple[dict[str, int], Array]:
-    ids, matrix = arrays["ids"], arrays["matrix"]
-    if ids.ndim != 1 or matrix.ndim != 2 or matrix.dtype != np.float32 or len(ids) != len(matrix):
+    ids, matrix = split_strings(arrays), arrays["matrix"]
+    if matrix.ndim != 2 or matrix.dtype != np.float32 or len(ids) != len(matrix):
         raise ValueError("the feature matrix is not 2-d float32 with a row for each id")
     matrix.flags.writeable = False
-    return dict(zip(ids.tolist(), range(len(ids)))), matrix
+    return dict(zip(ids, range(len(ids)))), matrix
 
 
 def _parse_features(path: Path) -> dict[str, Array]:
@@ -140,7 +151,7 @@ def _parse_features(path: Path) -> dict[str, Array]:
         out[head] = values.astype(np.float32)
     if not out:
         raise LoadError(f"{path}: no feature rows")
-    return {"ids": np.array(list(out)), "matrix": np.stack(list(out.values()))}
+    return {**join_strings(list(out)), "matrix": np.stack(list(out.values()))}
 
 
 def load_concepts(path: str | Path, n_labels: int) -> tuple[dict[str, int], Array]:
@@ -187,9 +198,7 @@ def _parse_concepts(path: Path, n_labels: int) -> dict[str, Array]:
             "labels": np.array(labels, dtype=np.int32)}
 
 
-# a QA cache's string fields, one column after another in one join_strings text, and its integer codes
-_QA_TEXT = ("question_id", "image_id", "question", "answer", "fact_id")
-_SOURCES = list(AnswerSource)
+_SOURCES = list(AnswerSource)  # a QA cache's source code indexes this, as its relation code indexes RELATIONS
 
 
 def load_qa(path: str | Path) -> list[QAInstance]:
@@ -380,16 +389,11 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
         rec = _json_record(facts_raw, fid, facts_path)
         where = f"{facts_path}: fact {fid!r}"
         fields = [fid, *(_first_key(rec, keys, where) for keys in _FVQA_FIELD_KEYS)]
-        for name, value in zip(("fact id", "subject", "relation", "object"), fields):
-            if any(c in value for c in "\t\n\r"):
-                raise LoadError(f"{where}: {name} {value!r} contains a tab or a line break")
-        if fid.lstrip().startswith("#"):
-            raise LoadError(f"{where}: a fact id starting with '#' would be read back as a comment line")
         try:
+            kb_lines.append(fact_line(fields))
             builder.add(*parse_fact(fields))
         except LoadError as exc:
             raise LoadError(f"{where}: {exc}") from None
-        kb_lines.append("\t".join(fields))
     kb = KnowledgeBase(builder.arrays())
     questions_raw = _read_json_object(questions_path)
     records = {qid: _json_record(questions_raw, qid, questions_path) for qid in sorted(questions_raw)}
@@ -430,21 +434,8 @@ def convert_fvqa(questions_path: str | Path, facts_path: str | Path, out_dir: st
             if image_id not in image_fold:
                 image_fold[image_id] = len(image_fold) % len(FOLDS) + 1
             fold = image_fold[image_id]
-        qa_lines.append(
-            json.dumps(
-                {
-                    "question_id": qid,
-                    "image_id": image_id,
-                    "question": question,
-                    "answer": kb.answer(row, source),
-                    "fact_id": kb.ids[row],
-                    "relation": RELATIONS[kb.relations[row]].value,
-                    "answer_source": source.value,
-                    "fold": fold,
-                },
-                sort_keys=True,
-            )
-        )
+        qa_lines.append(QAInstance(qid, image_id, question, kb.answer(row, source), kb.ids[row],
+                                   RELATIONS[kb.relations[row]], source, fold).line())
     if skipped:
         logger.warning("converter skipped %d questions", skipped)
     # both inputs are read and checked, so a failed conversion writes nothing

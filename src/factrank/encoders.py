@@ -292,7 +292,7 @@ def fit(
     rng: np.random.Generator,
     epochs: range,
     batch_size: int,
-    batch_loss: Callable[[Tape, int, Array, Array, Array], Tensor],
+    batch_loss: Callable[[Tape, Array, Array, Array], Tensor],
     epoch_record: Callable[[int, float], dict],
     where: str,
 ) -> list[dict]:
@@ -300,7 +300,7 @@ def fit(
     epoch for each number in ``epochs``.
 
     Per epoch: draw a permutation from ``rng``, then for each batch pad its
-    ids and call ``batch_loss(tape, epoch, batch, ids, lengths)``, where
+    ids and call ``batch_loss(tape, batch, ids, lengths)``, where
     ``batch`` indexes ``encoded``; back-propagate the returned scalar, clip
     the global gradient norm to :data:`CLIP_NORM` and step ``opt``.
     ``epoch_record(epoch, mean_loss)`` gives the epoch's history record, to
@@ -334,7 +334,7 @@ def fit(
                 tape = Tape()
                 at = f"{where}epoch {epoch}, batch {start // batch_size + 1}"
                 try:
-                    loss = batch_loss(tape, epoch, batch, ids, lengths)
+                    loss = batch_loss(tape, batch, ids, lengths)
                 except DegenerateInputError as exc:  # such as a diverged model's non-finite scores
                     raise DegenerateInputError(f"{at}: {exc}") from None
                 if not np.isfinite(loss.item()):
@@ -379,7 +379,7 @@ def train_classifier(
     targets = np.array([spec.labels.index(label) for _, label in pairs], dtype=np.intp)
     rng = np.random.default_rng([cfg.seed, 13])
 
-    def batch_loss(tape, epoch, batch, ids, lengths):
+    def batch_loss(tape, batch, ids, lengths):
         return getattr(tape, spec.loss)(_head_logits(tape, clf, ids, lengths, rng), targets[batch])
 
     def epoch_record(epoch, loss):

@@ -20,7 +20,9 @@ order and lays them out as the arrays of the KB's cache, and the
 :class:`KnowledgeBase` constructor takes only those arrays. A fresh parse,
 a cache hit (:func:`parse_kb` caches the arrays beside the file through
 :func:`text.cached`, as the feature loader does) and the converter all
-run that one constructor.
+run that one constructor. There is one way to write a KB line, too:
+:func:`fact_line`, which refuses a fact that the parse would not read
+back as it was written; the synthetic set and the converter both use it.
 """
 
 from __future__ import annotations
@@ -302,6 +304,19 @@ def _parse(path: Path) -> dict[str, np.ndarray]:
         except LoadError as exc:
             raise LoadError(f"{path}:{lineno}: {exc}") from None
     return builder.arrays()
+
+
+def fact_line(fields: Sequence[str]) -> str:
+    """A fact's four fields joined by tabs: the one writer of a KB line, which :func:`_parse` reads back as
+    :func:`parse_fact` reads the fields. A field holding a tab or a line break, or a fact id that would start a
+    comment line, is a LoadError naming it; each line is checked by a few C-level scans, not field by field."""
+    line = "\t".join(fields)
+    if line.count("\t") == 3 and "\n" not in line and "\r" not in line and not fields[0].lstrip().startswith("#"):
+        return line
+    for name, value in zip(("fact id", "subject", "relation", "object"), fields):
+        if any(c in value for c in "\t\n\r"):
+            raise LoadError(f"{name} {value!r} contains a tab or a line break")
+    raise LoadError("a fact id starting with '#' would be read back as a comment line")
 
 
 def parse_fact(fields: list[str]) -> tuple[str, str, Relation, str]:

@@ -122,8 +122,8 @@ class ScorerParams:
 
 
 def _masked_inputs(params: ScorerParams, feats: Array, concepts: Array) -> tuple[Array, Array]:
-    # the store's float32 features in the parameters' dtype, a stacked batch at a time: as they are in
-    # training, which runs in float32 (encoders.fit), and upcast once for float64 inference
+    # the one cast of the rows the store holds, its float32 features and 0/1 bool concepts, to the parameters'
+    # dtype a stacked batch at a time: float32 in training (encoders.fit), float64 for inference
     feats, concepts = (np.asarray(a, dtype=params.tensors["w_img"].values.dtype) for a in (feats, concepts))
     if feats.shape[-1] != params.dims.image_dim:
         raise ShapeError(f"image feature length {feats.shape[-1]} != {params.dims.image_dim}")

@@ -17,21 +17,22 @@ image data. Per QA pair it plants:
 Subject phrases are distinct across facts, so the hot concept bits plus
 the question tokens identify the groundtruth fact; a bag-of-words reading
 of the planted keyword recovers the relation exactly. Generation is a
-pure function of the config, including its seed.
+pure function of the config, including its seed. Its KB lines and QA
+records are written through the readers' own writers, :func:`kb.fact_line`
+and :meth:`dataio.QAInstance.line`, as the converter's are.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataio import FOLDS
+from .dataio import FOLDS, QAInstance
 from .errors import UsageError
-from .kb import Relation
+from .kb import AnswerSource, Relation, fact_line
 from .text import write_lines
 
 RELATION_KEYWORDS: dict[Relation, str] = {r: r.value.lower() for r in Relation}
@@ -129,7 +130,7 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> dict[str
         obj = _OBJECTS[int(rng.integers(len(_OBJECTS)))]
         fact_id = f"f{idx:04d}"
         facts.append((fact_id, subject, relation, obj, (a, b)))
-        kb_lines.append("\t".join([fact_id, subject, relation.value, obj]))
+        kb_lines.append(fact_line([fact_id, subject, relation.value, obj]))
 
     # concept labels: subject tokens first, filler labels after
     labels = subjects + [f"c{i:04d}" for i in range(config.concept_labels - len(subjects))]
@@ -148,22 +149,9 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> dict[str
         tokens += [_FILLERS[int(rng.integers(len(_FILLERS)))] for _ in range(n_fill)]
         order = rng.permutation(len(tokens))
         question = " ".join(tokens[i] for i in order)
-        answer = subject if from_image else obj
-        qa_lines.append(
-            json.dumps(
-                {
-                    "question_id": f"q{q_idx:04d}",
-                    "image_id": image_id,
-                    "question": question,
-                    "answer": answer,
-                    "fact_id": fact_id,
-                    "relation": relation.value,
-                    "answer_source": "Image" if from_image else "KnowledgeBase",
-                    "fold": q_idx % config.folds + 1,
-                },
-                sort_keys=True,
-            )
-        )
+        source, answer = (AnswerSource.IMAGE, subject) if from_image else (AnswerSource.KNOWLEDGE_BASE, obj)
+        qa_lines.append(QAInstance(f"q{q_idx:04d}", image_id, question, answer, fact_id, relation, source,
+                                   q_idx % config.folds + 1).line())
         feat = rng.standard_normal(config.feature_dim)
         feature_lines.append(
             f"{image_id} {config.feature_dim} " + " ".join(f"{v:.6f}" for v in feat)
@@ -176,16 +164,8 @@ def generate_synthetic(config: SyntheticConfig, out_dir: str | Path) -> dict[str
             hot.update(int(d) for d in distractors)
         concept_lines.append(image_id + " " + ",".join(str(i) for i in sorted(hot)))
 
-    paths = {
-        "kb": out_dir / "kb.tsv",
-        "qa": out_dir / "qa.jsonl",
-        "features": out_dir / "features.txt",
-        "concepts": out_dir / "concepts.txt",
-        "concept_labels": out_dir / "concept_labels.txt",
-        "wordvec": out_dir / "wordvec.txt",
-    }
-    texts = {"kb": kb_lines, "qa": qa_lines, "features": feature_lines, "concepts": concept_lines,
-             "concept_labels": labels, "wordvec": wordvec_lines}
+    texts = {"kb.tsv": kb_lines, "qa.jsonl": qa_lines, "features.txt": feature_lines, "concepts.txt": concept_lines,
+             "concept_labels.txt": labels, "wordvec.txt": wordvec_lines}
     for name, lines in texts.items():
-        write_lines(paths[name], lines)
-    return paths
+        write_lines(out_dir / name, lines)
+    return {name.split(".")[0]: out_dir / name for name in texts}

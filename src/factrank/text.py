@@ -28,7 +28,7 @@ import numpy as np
 from .errors import LoadError
 
 logger = logging.getLogger(__name__)
-CACHE_FORMAT = "factrank-cache-6"  # in every cache's key: one laid out by an older version is stale
+CACHE_FORMAT = "factrank-cache-7"  # in every cache's key: one laid out by an older version is stale
 STAMP_AGE_NS = 2 * 10**9  # a file this recently modified may be rewritten within the same mtime tick
 
 _TOKEN = re.compile(r"[a-z0-9]+")

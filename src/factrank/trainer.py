@@ -227,7 +227,7 @@ def train_scorer(
     mining_states: list[MiningState] = []
     cand = build_initial_dataset(train_instances, kb, config.negatives, config.seed)
 
-    def batch_loss(tape, epoch, batch, ids, lengths):
+    def batch_loss(tape, batch, ids, lengths):
         iq = iq_embedding_batch(tape, params, feats[batch], cons[batch], ids, lengths, rng_train)
         rows = fact_matrix.rows[cand[batch]]  # float32, the dtype ``fit`` trains in: no upcast
         scores = tape.cosine_rows(iq, rows, fact_matrix.norms[cand[batch]])

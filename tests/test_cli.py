@@ -133,6 +133,19 @@ def test_cli_answer_with_an_unknown_image_id_is_usage_error(synth_dir, trained, 
     assert "--image-id: no image feature for image id 'nope'" in capsys.readouterr().err
 
 
+def test_cli_answer_with_an_image_that_has_no_concept_vector_is_usage_error(synth_dir, trained, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("kb.tsv", "qa.jsonl", "features.txt", "concepts.txt", "concept_labels.txt", "wordvec.txt"):
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+    first = (synth_dir / "features.txt").read_text(encoding="utf-8").splitlines()[0]
+    with open(data / "features.txt", "a", encoding="utf-8") as fh:  # features, but no concept row
+        fh.write("extra " + first.split(" ", 1)[1] + "\n")
+    flags = _data_flags(data, trained) + ["--fold", "1"]
+    assert main(["answer", *flags, "--image-id", "extra", "--question", "what is this"]) == 2
+    assert "error: --image-id: no concept vector for image id 'extra'" in capsys.readouterr().err
+
+
 def test_cli_answer_warns_when_every_question_token_is_unknown_to_the_scorer(synth_dir, trained, caplog, capsys):
     flags = _data_flags(synth_dir, trained) + ["--fold", "1"]
     inst = json.loads((synth_dir / "qa.jsonl").read_text(encoding="utf-8").splitlines()[0])

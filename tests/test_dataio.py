@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from factrank import dataio, text
-from factrank.dataio import FeatureStore, load_concept_labels, load_concepts, load_features, load_qa
+from factrank.dataio import FeatureStore, QAInstance, load_concept_labels, load_concepts, load_features, load_qa
 from factrank.errors import DataError, LoadError, UsageError
-from factrank.kb import MAX_FACT_ID_BYTES, KnowledgeBase, Relation, parse_kb
+from factrank.kb import MAX_FACT_ID_BYTES, AnswerSource, KnowledgeBase, Relation, parse_kb
 from factrank.wordvec import WordVectorTable, load_vectors
 
 from conftest import from_facts
@@ -70,19 +70,19 @@ def test_a_bad_concept_row_is_a_load_error_naming_the_line(tmp_path, line, messa
         load_concepts(path, len(LABELS))
 
 
-def test_concept_rows_are_bitwise_the_dense_float64_vectors(store):
+def test_concept_rows_are_the_held_0_1_bool_rows(store):
     for image, hot in CONCEPTS.items():
         row = store.concept(image)
-        assert row.dtype == np.float64
-        assert row.tobytes() == _dense(hot).tobytes()
+        assert row.dtype == np.bool_
+        assert row.astype(np.float64).tobytes() == _dense(hot).tobytes()
     assert store.concept_dim == len(LABELS)
     assert store.concept_matrix.sum() == 6  # img3's repeated index sets one bit
 
 
-def test_stack_stacks_float32_features_and_float64_concepts(store):
+def test_stack_stacks_float32_features_and_bool_concepts(store):
     images = ["img3", "img1", "img3", "img2"]
     feats, cons = store.stack(images)
-    assert (feats.dtype, cons.dtype) == (np.float32, np.float64)
+    assert (feats.dtype, cons.dtype) == (np.float32, np.bool_)
     assert feats.tobytes() == np.stack([store.feature(i) for i in images]).tobytes()
     assert cons.tobytes() == np.stack([store.concept(i) for i in images]).tobytes()
 
@@ -108,12 +108,11 @@ def test_stack_looks_up_every_image_s_features_before_any_concepts(tmp_path):
 def test_the_store_cannot_be_written_through_what_it_hands_out(tmp_path, store):
     # the first load parsed the text; this one reads the cache
     cached = _by_image(load_features(tmp_path / "features.txt"))
-    for feature in (store.feature("img1"), cached["img1"]):
+    for row in (store.feature("img1"), cached["img1"], store.concept("img2")):
         with pytest.raises(ValueError, match="read-only"):
-            feature[0] = 5.0
-    store.concept("img2")[:] = 1.0
-    store.stack(["img2"])[1][:] = 1.0
-    assert store.concept("img2").tobytes() == _dense([]).tobytes()
+            row[0] = 1
+    store.stack(["img2"])[1][:] = True  # a gather is a copy
+    assert not store.concept("img2").any()
 
 
 def test_a_cache_hit_is_bitwise_the_parsed_rows(tmp_path):
@@ -133,13 +132,21 @@ def test_the_cache_is_read_while_its_checksum_matches_and_rebuilt_once_the_sourc
     load_features(path)
     cache = path.with_name("features.txt.cache.npz")
     with np.load(cache) as data:
-        checksum, ids, matrix = data["checksum"], data["ids"], data["matrix"]
-    np.savez(cache, checksum=checksum, ids=ids, matrix=matrix + 1.0)
+        arrays = {name: data[name] for name in data.files}
+    np.savez(cache, **{**arrays, "matrix": arrays["matrix"] + 1.0})
     assert _by_image(load_features(path))["img2"].tolist() == [2.0, 1.0, 1.0]
     _write_features(path, {**FEATURES, "img2": ["4", "5", "6"]})
     assert _by_image(load_features(path))["img2"].tolist() == [4.0, 5.0, 6.0]
     with np.load(cache) as data:
         assert data["matrix"][1].tolist() == [4.0, 5.0, 6.0]
+
+
+def test_feature_image_ids_that_differ_by_a_trailing_nul_keep_their_own_rows(tmp_path):
+    path = _write_features(tmp_path / "features.txt", {"img": ["1", "2", "3"], "img\0": ["4", "5", "6"]})
+    for _ in ("parsed", "cache hit"):
+        index, matrix = load_features(path)
+        assert index == {"img": 0, "img\0": 1}
+        assert matrix.tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "-3.5e38"])
@@ -448,6 +455,20 @@ def test_a_byte_order_mark_is_no_part_of_a_release_json_file(tmp_path):
                                  tmp_path / "marked" / "out")
     for name, path in written.items():
         assert marked[name].read_bytes() == path.read_bytes(), name
+
+
+def test_a_qa_record_line_reads_back_as_its_instance_parsed_and_from_the_cache(tmp_path):
+    image, kb, words = AnswerSource.IMAGE, AnswerSource.KNOWLEDGE_BASE, "caf\u00e9 \u65e5\u672c"
+    instances = [
+        QAInstance("q1", "img1", f"what is {words}", words, "f1", Relation.IS_A, image, 1),
+        QAInstance("q\0", "img\0", "what\0 is it", "it\0", "f\0", Relation.HAS_A, kb, 2),
+        QAInstance("q\udc80", "\udc80", "what is \udc80 this", "\udc80", "f\ud800", Relation.USED_FOR, image, 3),
+        QAInstance("12", "007", "what is 3", "3", "0042", Relation.COMPARATIVE, kb, 5),
+    ]
+    path = _write_text(tmp_path / "qa.jsonl", "".join(inst.line() + "\n" for inst in instances))
+    for _ in ("parsed", "cache hit"):
+        assert load_qa(path) == instances
+    assert path.with_name("qa.jsonl.cache.npz").exists()
 
 
 def test_concept_labels_break_only_at_newlines(tmp_path):

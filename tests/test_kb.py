@@ -15,6 +15,8 @@ from factrank.kb import (
     AnswerSource,
     Fact,
     Relation,
+    fact_line,
+    parse_fact,
     parse_kb,
 )
 from factrank.synth import SyntheticConfig, generate_synthetic
@@ -173,6 +175,36 @@ def test_serialize_parse_round_trip(tmp_path, tiny_kb):
     for fid in tiny_kb.ids:
         a, b = tiny_kb.fact(fid), loaded.fact(fid)
         assert (a.subject, a.relation, a.obj) == (b.subject, b.relation, b.obj)
+
+
+@pytest.mark.parametrize("fields", [
+    ["f1", "dog", "IsA", "pet"],
+    [" f2 ", "  big dog ", " HasA ", "tail  "],
+    ["f3", "elephant", "Comparative-LargerThan", "mouse"],
+    ["\u0444 4", "#caf\u00e9\0 au lait", "RelatedTo", "\u2028drink\x85 \x0c"],
+])
+def test_a_fact_line_reads_back_as_parse_fact_reads_its_fields(tmp_path, fields):
+    path = tmp_path / "kb.tsv"
+    path.write_text(fact_line(fields) + "\n", encoding="utf-8")
+    assert parse_kb(path).facts() == [Fact(*parse_fact(fields))]
+
+
+@pytest.mark.parametrize(("fields", "at"), [
+    (["f\t1", "dog", "IsA", "pet"], 0),
+    (["f1", "big\ndog", "IsA", "pet"], 1),
+    (["f1", "dog", "IsA\r", "pet"], 2),
+    (["f1", "dog", "IsA", "pet\r\n"], 3),
+    (["f1\n", "dog\t", "IsA", "pet"], 0),
+    ([" #f1", "dog", "IsA", "pet"], None),
+    (["#f1", "dog", "IsA", "pet\n"], 3),
+])
+def test_a_fact_line_refuses_a_field_its_parse_would_not_read_back(fields, at):
+    if at is None:
+        message = "a fact id starting with '#' would be read back as a comment line"
+    else:
+        message = f"{('fact id', 'subject', 'relation', 'object')[at]} {fields[at]!r} contains a tab or a line break"
+    with pytest.raises(LoadError, match=f"^{re.escape(message)}$"):
+        fact_line(fields)
 
 
 def test_unknown_fact_id_rejected(tiny_kb):

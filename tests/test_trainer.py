@@ -616,8 +616,8 @@ def test_train_scorer_candidate_sets_match_the_id_oracle(tiny_synth, monkeypatch
 
     def replaying_fit(params, encoded, opt, rng, epochs, batch_size, batch_loss, epoch_record, where,
                       real=trainer.fit):
-        def checked_loss(tape, epoch, batch, ids, lengths):
-            loss = batch_loss(tape, epoch, batch, ids, lengths)
+        def checked_loss(tape, batch, ids, lengths):
+            loss = batch_loss(tape, batch, ids, lengths)
             rows_of = np.array([[fm.fact_ids.row(f) for f in current["sets"][i]] for i in batch])
             rows, norms = scored.pop()
             np.testing.assert_array_equal(rows, fm.rows[rows_of])
