@@ -14,12 +14,13 @@ and the scorer read, in training and at inference, is cut to its first
 place that bound is applied.
 
 :func:`fit` is the training loop of every model, these classifiers and
-the fact scorer alike: per epoch it permutes the examples, pads each
-minibatch of token ids, asks a loss callback for the batch loss on a fresh
-tape, then back-propagates, clips and takes one optimizer step. It alone
-changes precision: it trains in float32 (Micikevicius et al.,
-arXiv:1710.03740) and hands back exact float64 upcasts, the dtype in which
-models are made, mined with, ranked and saved.
+the fact scorer alike: given the ids that :func:`encode_batch` made of
+the whole training set, per epoch it permutes the examples, cuts each
+minibatch's rows to its longest question, asks a loss callback for the
+batch loss on a fresh tape, then back-propagates, clips and takes one
+optimizer step. It alone changes precision: it trains in float32
+(Micikevicius et al., arXiv:1710.03740) and hands back exact float64
+upcasts, the dtype in which models are made, mined with, ranked and saved.
 """
 
 from __future__ import annotations
@@ -77,22 +78,28 @@ class Vocabulary:
         return [self.index.get(t, UNK_ID) for t in tokenize(text)[:MAX_QUESTION_TOKENS]]
 
 
-def _pad(encoded: Sequence[Sequence[int]]) -> tuple[Array, Array]:
-    """Right-padded id matrix plus true lengths."""
+def encode_batch(vocab: Vocabulary, questions: Sequence[str]) -> tuple[Array, Array]:
+    """The one way questions become model input, in training and at inference: their ids right-padded
+    with ``PAD_ID`` to the longest question, plus true lengths. A question with no tokens is a UsageError."""
+    encoded = [vocab.encode(q) for q in questions]
     lengths = np.array([len(e) for e in encoded], dtype=np.intp)
-    ids = np.full((len(encoded), int(lengths.max())), PAD_ID, dtype=np.intp)
-    for i, e in enumerate(encoded):
-        ids[i, : len(e)] = e
+    if len(empty := np.flatnonzero(lengths == 0)):
+        raise UsageError(f"question {questions[empty[0]]!r} has no tokens")
+    ids = np.full((len(encoded), int(lengths.max(initial=0))), PAD_ID, dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = [i for e in encoded for i in e]
     return ids, lengths
 
 
-def encode_batch(vocab: Vocabulary, questions: Sequence[str]) -> tuple[Array, Array]:
-    """Right-padded id matrix plus true lengths; an empty question is an error."""
-    encoded = [vocab.encode(q) for q in questions]
-    for q, ids in zip(questions, encoded):
-        if not ids:
-            raise UsageError(f"question {q!r} has no tokens")
-    return _pad(encoded)
+def eval_rows(vocab: Vocabulary, questions: Sequence[str], chunk: int, width: int,
+              forward: Callable[[Tape, slice, Array, Array], Tensor]) -> Array:
+    """(questions, width) evaluation-mode outputs: each slice ``rows`` of ``chunk`` questions gives its rows
+    as ``forward(Tape(record=False), rows, *encode_batch(vocab, questions[rows]))``, so a row's rounding
+    can depend on its chunk."""
+    out = np.zeros((len(questions), width))
+    for start in range(0, len(questions), chunk):
+        rows = slice(start, start + chunk)
+        out[rows] = forward(Tape(record=False), rows, *encode_batch(vocab, questions[rows])).values
+    return out
 
 
 def init_tensors(rng: np.random.Generator, shapes: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
@@ -222,14 +229,11 @@ def _head_logits(tape, clf, ids, lengths, rng) -> Tensor:
 
 
 def _eval_logits(clf: Classifier, kind: str, questions: Sequence[str]) -> Array:
-    """(batch, head width) evaluation-mode logits of a ``kind`` classifier, computed in chunks."""
+    """(batch, head width) evaluation-mode logits of a ``kind`` classifier, by :func:`eval_rows`."""
     if clf.kind != kind:
         raise UsageError(f"expected a {kind} classifier, got a {clf.kind} one")
-    out = np.zeros((len(questions), KINDS[kind].width))
-    for start in range(0, len(questions), EVAL_CHUNK):
-        ids, lengths = encode_batch(clf.vocab, questions[start : start + EVAL_CHUNK])
-        out[start : start + len(ids)] = _head_logits(Tape(record=False), clf, ids, lengths, None).values
-    return out
+    return eval_rows(clf.vocab, questions, EVAL_CHUNK, KINDS[kind].width,
+                     lambda tape, rows, ids, lengths: _head_logits(tape, clf, ids, lengths, None))
 
 
 def predict_relation_batch(clf: Classifier, questions: Sequence[str]) -> Array:
@@ -287,7 +291,8 @@ class EncoderTrainConfig:
 
 def fit(
     params: dict[str, Tensor],
-    encoded: Sequence[Sequence[int]],
+    ids: Array,
+    lengths: Array,
     opt: OptimizerState,
     rng: np.random.Generator,
     epochs: range,
@@ -296,13 +301,14 @@ def fit(
     epoch_record: Callable[[int, float], dict],
     where: str,
 ) -> list[dict]:
-    """Minibatch training over the token-id sequences ``encoded``, one
-    epoch for each number in ``epochs``.
+    """Minibatch training over the questions :func:`encode_batch` made
+    ``ids`` and ``lengths`` of, one epoch for each number in ``epochs``.
 
-    Per epoch: draw a permutation from ``rng``, then for each batch pad its
-    ids and call ``batch_loss(tape, batch, ids, lengths)``, where
-    ``batch`` indexes ``encoded``; back-propagate the returned scalar, clip
-    the global gradient norm to :data:`CLIP_NORM` and step ``opt``.
+    Per epoch: draw a permutation from ``rng``; for each batch of question
+    indices, call ``batch_loss(tape, batch, ids[batch, :width],
+    lengths[batch])``, ``width`` the batch's longest length, so the ids are
+    ``encode_batch`` of its questions; back-propagate the returned scalar,
+    clip the global gradient norm to :data:`CLIP_NORM` and step ``opt``.
     ``epoch_record(epoch, mean_loss)`` gives the epoch's history record, to
     which ``fit`` adds the mean and the largest pre-clip global gradient
     norm of the epoch's batches and the fraction of them that were clipped.
@@ -323,18 +329,16 @@ def fit(
         p.values = p.values.astype(np.float32)
         p.grad = np.zeros_like(p.values)
     try:
-        n = len(encoded)
         history: list[dict] = []
         for epoch in epochs:
-            order = rng.permutation(n)
+            order = rng.permutation(len(ids))
             losses, norms = [], []
-            for start in range(0, n, batch_size):
+            for start in range(0, len(ids), batch_size):
                 batch = order[start : start + batch_size]
-                ids, lengths = _pad([encoded[i] for i in batch])
                 tape = Tape()
                 at = f"{where}epoch {epoch}, batch {start // batch_size + 1}"
                 try:
-                    loss = batch_loss(tape, batch, ids, lengths)
+                    loss = batch_loss(tape, batch, ids[batch, : lengths[batch].max()], lengths[batch])
                 except DegenerateInputError as exc:  # such as a diverged model's non-finite scores
                     raise DegenerateInputError(f"{at}: {exc}") from None
                 if not np.isfinite(loss.item()):
@@ -369,11 +373,8 @@ def train_classifier(
     cfg = config or EncoderTrainConfig()
     if not pairs:
         raise DataError(f"{kind} training needs at least one example")
-    for q, label in pairs:
-        if label not in spec.labels:
-            raise DataError(f"unknown {kind} label {label!r}")
-        if not tokenize(q):
-            raise DataError(f"question {q!r} has no tokens")
+    if unknown := [label for _, label in pairs if label not in spec.labels]:
+        raise DataError(f"unknown {kind} label {unknown[0]!r}")
     vocab = Vocabulary.build(q for q, _ in pairs)
     clf = Classifier.init(kind, vocab, np.random.default_rng([cfg.seed, 11]), dropout=cfg.dropout)
     targets = np.array([spec.labels.index(label) for _, label in pairs], dtype=np.intp)
@@ -388,8 +389,8 @@ def train_classifier(
             record[spec.metric] = accuracy(clf, heldout)
         return record
 
-    encoded = [vocab.encode(q) for q, _ in pairs]
-    history = fit(clf.tensors, encoded, make_optimizer(cfg.lr), rng, range(1, cfg.epochs + 1), cfg.batch_size,
+    ids, lengths = encode_batch(vocab, [q for q, _ in pairs])
+    history = fit(clf.tensors, ids, lengths, make_optimizer(cfg.lr), rng, range(1, cfg.epochs + 1), cfg.batch_size,
                   batch_loss, epoch_record, f"{kind} classifier: ")
     return clf, history
 

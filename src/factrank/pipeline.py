@@ -9,10 +9,10 @@ crash, and counts as wrong during evaluation.
 
 One private core, :func:`_predict`, runs this for a batch of questions,
 ranking each bucket's questions in one ``scorer.rank_rows`` call, ties by
-fact id (on the KB's integer id ranks), so a prediction is a pure function
-of its inputs:
-:func:`evaluate` calls it on a dataset fold and tallies the metrics, and
-:func:`answer_question` calls it on a batch of one. The columnar KB's
+fact id (on the KB's integer id ranks): :func:`evaluate` calls it on a
+dataset fold and tallies the metrics, and :func:`answer_question` calls it
+on a batch of one. The ranking is exact for the embeddings computed, which
+depend on their batch at rounding level. The columnar KB's
 bucket slices are the fact matrix's row blocks, so the matrix must be the
 one built from that KB. Ranking returns KB rows, and they stay rows until
 output: a prediction names only the rows it lists, decoding their ids
@@ -32,7 +32,7 @@ import numpy as np
 
 from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .kb import AnswerSource, KnowledgeBase, Relation
 from .scorer import ScorerParams, embed_batch, rank_rows
 from .text import normalize_phrase
@@ -137,6 +137,10 @@ def _predict(
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
+    fm, width = models.fact_matrix, models.scorer.dims.output_dim
+    fm.check_built_from(kb)
+    if width != fm.dim:
+        raise DataError(f"scorer output width {width} != fact matrix width {fm.dim} (set by the word vectors)")
     if oracle_relations is not None:
         relations = [[(r, 1.0)] for r in oracle_relations]
     else:
@@ -151,8 +155,7 @@ def _predict(
         sources = [(answer_source(p), float(p)) for p in predict_source_batch(models.source, questions)]
     iq_mat = embed_batch(models.scorer, feats, concepts, questions)
 
-    fm, top_relation = models.fact_matrix, [ranked[0][0] for ranked in relations]
-    fm.check_built_from(kb)
+    top_relation = [ranked[0][0] for ranked in relations]
     tops = {}
     for relation in dict.fromkeys(top_relation):
         members = [i for i, r in enumerate(top_relation) if r is relation]
@@ -222,8 +225,9 @@ def evaluate(
     of each relation bucket, a contiguous block of fact-matrix rows, are
     scored by one GEMM; only each question's shortlist within rounding of
     its third-best score is rescored by the exact cosine, so the ranking
-    is bitwise the exhaustive one, ties by fact id: each prediction is the
-    one :func:`answer_question` gives for that question alone. Oracle
+    is bitwise the exhaustive one for the embeddings computed, ties by fact
+    id. An embedding depends on its batch at rounding level, so scores can
+    differ in the last bits from those of :func:`answer_question`. Oracle
     switches feed the groundtruth relation and/or source through the
     pipeline instead of the classifier predictions.
 

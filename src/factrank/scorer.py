@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import checkpoint as ckpt
-from .encoders import Vocabulary, encode_batch, init_tensors, lstm_hidden, lstm_shapes, read_model_checkpoint
+from .encoders import Vocabulary, eval_rows, init_tensors, lstm_hidden, lstm_shapes, read_model_checkpoint
 from .errors import DegenerateInputError, ShapeError, UsageError
 from .numerics import Tape, Tensor, constant, cosines, row_norms
 from .wordvec import BUILD_CHUNK, FactMatrix
@@ -165,19 +165,13 @@ def embed_image_question(params: ScorerParams, feat: Array, concepts: Array, que
 
 
 def embed_batch(params: ScorerParams, feats: Array, concepts: Array, questions: Sequence[str]) -> Array:
-    """Evaluation-mode embeddings for many pairs, computed in chunks. A row
-    with a non-finite norm, such as a diverged scorer gives, cannot be
-    ranked and is an error."""
-    n = len(questions)
-    out = np.zeros((n, params.dims.output_dim))
-    for start in range(0, n, EMBED_CHUNK):
-        stop = min(start + EMBED_CHUNK, n)
-        ids, lengths = encode_batch(params.vocab, list(questions[start:stop]))
-        tape = Tape(record=False)
-        out[start:stop] = iq_embedding_batch(tape, params, feats[start:stop], concepts[start:stop], ids, lengths).values
-    bad = np.flatnonzero(~np.isfinite(np.linalg.norm(out, axis=1)))
-    if len(bad):
-        raise DegenerateInputError(f"the scorer gave a non-finite embedding for pair {bad[0]} of {n}")
+    """Evaluation-mode embeddings for many pairs, by ``encoders.eval_rows``, so
+    a row's rounding can depend on its chunk. A row with a non-finite norm,
+    such as a diverged scorer gives, cannot be ranked and is an error."""
+    out = eval_rows(params.vocab, questions, EMBED_CHUNK, params.dims.output_dim, lambda tape, rows, ids, lengths:
+                    iq_embedding_batch(tape, params, feats[rows], concepts[rows], ids, lengths))
+    if len(bad := np.flatnonzero(~np.isfinite(np.linalg.norm(out, axis=1)))):
+        raise DegenerateInputError(f"the scorer gave a non-finite embedding for pair {bad[0]} of {len(out)}")
     return out
 
 

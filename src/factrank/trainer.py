@@ -47,7 +47,7 @@ from .kb import KnowledgeBase
 from .numerics import cosines, row_norms
 from .optim import make_optimizer
 from .scorer import ScorerDims, ScorerParams, Variant, embed_batch, iq_embedding_batch, rank_rows
-from .encoders import Vocabulary, fit
+from .encoders import Vocabulary, encode_batch, fit
 from .wordvec import FactMatrix, WordVectorTable
 
 Array = np.ndarray
@@ -218,10 +218,7 @@ def train_scorer(
 
     feats, cons = store.stack([i.image_id for i in train_instances])
     questions = [i.question for i in train_instances]
-    encoded = [vocab.encode(q) for q in questions]
-    for inst, ids in zip(train_instances, encoded):
-        if not ids:
-            raise DataError(f"question {inst.question_id}: question has no tokens")
+    ids, lengths = encode_batch(vocab, questions)
 
     metrics: list[dict] = []
     mining_states: list[MiningState] = []
@@ -248,7 +245,7 @@ def train_scorer(
                 iq = embed_batch(params, feats, cons, questions)
                 cand = mine_hard_negatives(iq, cand[:, 0], fact_matrix, cand.shape[1] - 1, config.margin, state)
             epochs = range(start + 1, min(start + config.mining_period, config.epochs_per_iteration) + 1)
-            metrics += fit(params.tensors, encoded, opt, rng_train, epochs, config.batch_size, batch_loss,
+            metrics += fit(params.tensors, ids, lengths, opt, rng_train, epochs, config.batch_size, batch_loss,
                            epoch_record, f"scorer iteration {t}: ")
         summary = {"type": "iteration", "iteration": t, "hard_pool_total": state.hard_pool_total,
                    "empty_pool_fallbacks": state.empty_pool_fallbacks, "candidate_set_size": int(cand.shape[1])}

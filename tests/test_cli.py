@@ -452,6 +452,29 @@ def test_cli_evaluate_with_a_non_finite_word_vector_is_load_error(synth_dir, tmp
     assert f"{wordvec}:{len(rows)}: non-finite vector component" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "answer"])
+def test_cli_word_vectors_of_another_width_than_the_scorer_are_a_data_error(synth_dir, trained, tmp_path, capsys,
+                                                                           command):
+    # a fact row is twice as wide as the word vectors, and the scorer's output as the rows it was trained on
+    # (16 here); ranking the one against the other would fail in a matmul
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("kb.tsv", "qa.jsonl", "features.txt", "concepts.txt", "concept_labels.txt"):
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+    rows = (synth_dir / "wordvec.txt").read_text(encoding="utf-8").splitlines()
+    (data / "wordvec.txt").write_text("".join(" ".join(row.split(" ")[:5]) + "\n" for row in rows), encoding="utf-8")
+    inst = json.loads((synth_dir / "qa.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    if command == "evaluate":
+        extra = ["--out", str(tmp_path / "out")]
+    else:
+        extra = ["--image-id", inst["image_id"], "--question", inst["question"]]
+    assert main([command, *_data_flags(data, trained), "--fold", "1", *extra]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: scorer output width 16 != fact matrix width 8 (set by the word vectors)"]
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_cli_train_scorer_with_negative_weight_decay_is_usage_error(synth_dir, tmp_path, capsys):
     # the optimizer applies decay only above 0, so -5 would train with none
     flags = _data_flags(synth_dir, tmp_path / "ckpt", tmp_path / "out")

@@ -448,8 +448,9 @@ def test_training_deterministic_under_seed():
 
 def _toy_fit(w, batch_loss, epochs=3, batch_size=3):
     """``fit`` of the weights ``w`` over ten one-token sequences, four batches an epoch."""
-    return fit({"w": w}, [[1]] * 10, make_optimizer(0.1), np.random.default_rng(0), range(1, epochs + 1), batch_size,
-               batch_loss, lambda epoch, loss: {"loss": loss}, "toy: ")
+    ids, lengths = np.ones((10, 1), dtype=np.intp), np.ones(10, dtype=np.intp)
+    return fit({"w": w}, ids, lengths, make_optimizer(0.1), np.random.default_rng(0), range(1, epochs + 1),
+               batch_size, batch_loss, lambda epoch, loss: {"loss": loss}, "toy: ")
 
 
 def test_fit_stops_on_a_non_finite_loss_before_stepping_on_it():
@@ -482,6 +483,29 @@ def test_fit_trains_in_float32_and_hands_back_its_exact_float64_upcast():
     assert w.values.dtype == np.float64 and w.grad is None
     np.testing.assert_array_equal(w.values.astype(np.float32).astype(np.float64), w.values)
     assert not np.array_equal(w.values, np.full((1, 2), 0.1))
+
+
+def test_fit_hands_each_batch_the_ids_encode_batch_gives_its_questions():
+    # a batch is as wide as its own longest question, not the training set's, and padded with PAD_ID
+    questions = [" ".join(f"w{j}" for j in range(n)) for n in (1, 5, 2, 9, 3, 1, 4, 2, 7, 1)]
+    vocab = Vocabulary.build(questions)
+    ids, lengths = encode_batch(vocab, questions)
+    w = parameter(np.ones((1, 2)))
+    seen = []
+
+    def batch_loss(tape, batch, batch_ids, batch_lengths):
+        seen.append((batch.copy(), batch_ids, batch_lengths))
+        x = constant(np.ones((len(batch), 1), dtype=np.float32))
+        return tape.softmax_cross_entropy(tape.matmul(x, w), np.zeros(len(batch), dtype=np.intp))
+
+    fit({"w": w}, ids, lengths, make_optimizer(0.1), np.random.default_rng(0), range(1, 4), 3, batch_loss,
+        lambda epoch, loss: {"loss": loss}, "toy: ")
+    assert len(seen) == 12
+    for batch, batch_ids, batch_lengths in seen:
+        expected_ids, expected_lengths = encode_batch(vocab, [questions[i] for i in batch])
+        np.testing.assert_array_equal(batch_ids, expected_ids, strict=True)
+        np.testing.assert_array_equal(batch_lengths, expected_lengths, strict=True)
+    assert min(batch_ids.shape[1] for _, batch_ids, _ in seen) < ids.shape[1]  # some batch is cut narrower
 
 
 @pytest.mark.parametrize("epochs, batch_size", [(0, 3), (-1, 3), (2, 0)])

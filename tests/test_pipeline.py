@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from factrank.dataio import validate_dataset
@@ -59,6 +60,22 @@ def test_answer_question_is_evaluate_on_one_question(models, small_synth, small_
         evaluated = evaluate(models, kb, [inst], store, k=2)[1][0]
         assert answered.status == "ok"
         assert answered == evaluated
+
+
+def test_evaluate_over_a_fold_agrees_with_answer_question_up_to_the_rounding_of_its_batch(models, small_synth,
+                                                                                           small_split):
+    # an embedding's rounding depends on the batch it is computed in, so a fold's scores can differ in the last
+    # bits from those of one question alone, but its relation, source, facts and answer may not
+    _, test = small_split
+    kb, store = small_synth["kb"], small_synth["store"]
+    evaluated = evaluate(models, kb, test, store)[1]
+    assert len(evaluated) > 1
+    for inst, e in zip(test, evaluated):
+        a = answer_question(models, kb, store.feature(inst.image_id), store.concept(inst.image_id), inst.question,
+                            question_id=inst.question_id, image_id=inst.image_id)
+        assert (a.relation, a.source, [f for f, _ in a.top_facts], a.answer) == \
+            (e.relation, e.source, [f for f, _ in e.top_facts], e.answer)
+        np.testing.assert_allclose([s for _, s in a.top_facts], [s for _, s in e.top_facts], rtol=0, atol=1e-12)
 
 
 def test_empty_bucket_is_no_fact_on_both_paths(models, small_synth, small_split):

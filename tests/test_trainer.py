@@ -383,13 +383,13 @@ def test_every_training_loss_and_gradient_is_float32(monkeypatch, tiny_synth, ki
         seen.add(("gradient", g.dtype))
         accumulate(t, g, at)
 
-    def checked_fit(params, encoded, opt, rng, epochs, batch_size, batch_loss, *rest):
+    def checked_fit(params, ids, lengths, opt, rng, epochs, batch_size, batch_loss, *rest):
         def checked_loss(tape, *args):
             loss = batch_loss(tape, *args)
             seen.update([("loss", loss.values.dtype), *(("parameter", p.values.dtype) for p in params.values())])
             return loss
 
-        return fit(params, encoded, opt, rng, epochs, batch_size, checked_loss, *rest)
+        return fit(params, ids, lengths, opt, rng, epochs, batch_size, checked_loss, *rest)
 
     monkeypatch.setattr(numerics, "_accumulate", spy)
     monkeypatch.setattr(encoders, "fit", checked_fit)
@@ -614,7 +614,7 @@ def test_train_scorer_candidate_sets_match_the_id_oracle(tiny_synth, monkeypatch
         mined[state.iteration] = real(iq, gt, fact_matrix, n, margin, state)
         return mined[state.iteration]
 
-    def replaying_fit(params, encoded, opt, rng, epochs, batch_size, batch_loss, epoch_record, where,
+    def replaying_fit(params, ids, lengths, opt, rng, epochs, batch_size, batch_loss, epoch_record, where,
                       real=trainer.fit):
         def checked_loss(tape, batch, ids, lengths):
             loss = batch_loss(tape, batch, ids, lengths)
@@ -624,7 +624,7 @@ def test_train_scorer_candidate_sets_match_the_id_oracle(tiny_synth, monkeypatch
             np.testing.assert_array_equal(norms, fm.norms[rows_of])
             return loss
 
-        return real(params, encoded, opt, rng, epochs, batch_size, checked_loss, epoch_record, where)
+        return real(params, ids, lengths, opt, rng, epochs, batch_size, checked_loss, epoch_record, where)
 
     real_init = trainer.ScorerParams.init
 
