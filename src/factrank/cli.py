@@ -278,7 +278,7 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
     from .dataio import FOLDS, split_fold
     from .encoders import load_classifier
     from .pipeline import FVQA_REFERENCE, FVQA_REFERENCE_TOLERANCE, PipelineModels, average_metrics, evaluate
-    from .scorer import load_scorer
+    from .scorer import check_width, load_scorer
     from .wordvec import FactMatrix
 
     instances, store, kb, table = _load_bundle(cfg)
@@ -288,21 +288,22 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
     if cfg.fold is None and not folds:
         # single un-folded checkpoint evaluated on the whole dataset
         folds = [None]
-    paths = {
+    saved = {  # each fold's scorer, and the paths of its classifiers
         fold: (
-            _checkpoint(ckpt_dir, "scorer", fold),
+            load_scorer(_checkpoint(ckpt_dir, "scorer", fold)),
             None if gt_relation else _checkpoint(ckpt_dir, "relation", fold),
             None if gt_source else _checkpoint(ckpt_dir, "source", fold),
         )
         for fold in folds
     }
+    for scorer, _, _ in saved.values():  # before the build, so a run that stops on the width keeps its cache
+        check_width(scorer, 2 * table.dim)
     fact_matrix = FactMatrix.build(kb, table)
 
     per_fold, predictions = {}, {}
     records: list[dict] = [{"type": "meta", **cfg.meta(), "gt_relation": gt_relation, "gt_source": gt_source,
                             "duplicate_count": table.duplicate_count, "oov_phrase_count": fact_matrix.oov_phrase_count}]
-    for fold, (scorer_path, rel_path, src_path) in paths.items():
-        scorer = load_scorer(scorer_path)
+    for fold, (scorer, rel_path, src_path) in saved.items():
         relation = load_classifier(rel_path) if rel_path else None
         source = load_classifier(src_path) if src_path else None
         models = PipelineModels(scorer=scorer, fact_matrix=fact_matrix, relation=relation, source=source)
@@ -335,7 +336,7 @@ def cmd_evaluate(cfg: RunConfig, gt_relation: bool, gt_source: bool, reference: 
 def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     from .encoders import UNK_ID, load_classifier
     from .pipeline import PipelineModels, answer_question
-    from .scorer import load_scorer
+    from .scorer import check_width, load_scorer
     from .wordvec import FactMatrix
 
     instances, store, kb, table = _load_bundle(cfg)
@@ -344,9 +345,11 @@ def cmd_answer(cfg: RunConfig, image_id: str, question: str) -> int:
     except DataError as exc:
         raise UsageError(f"--image-id: {exc}") from None
     ckpt_dir = Path(cfg.checkpoints)
-    scorer, relation, source = (_checkpoint(ckpt_dir, name, cfg.fold) for name in ("scorer", "relation", "source"))
+    scorer_path, relation, source = (_checkpoint(ckpt_dir, name, cfg.fold) for name in ("scorer", "relation", "source"))
+    scorer = load_scorer(scorer_path)
+    check_width(scorer, 2 * table.dim)  # before the build, as evaluate checks it
     models = PipelineModels(
-        scorer=load_scorer(scorer),
+        scorer=scorer,
         fact_matrix=FactMatrix.build(kb, table),
         relation=load_classifier(relation),
         source=load_classifier(source),

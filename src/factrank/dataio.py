@@ -68,9 +68,9 @@ class QAInstance:
 
 class FeatureStore:
     """Image id -> feature vector and concept vector, immutable after load: two tables, each an image id -> row
-    index beside a read-only matrix, read through one lookup. It hands out the rows it holds, a feature as a
-    read-only float32 row and a concept as a read-only bool row, and :meth:`stack` gathers both for many images,
-    looking up all their features before any concepts; the scorer casts them to its weights' dtype."""
+    index beside a read-only matrix (the features' mapped from their cache, as the fact matrix is), read through
+    one lookup. It hands out the rows it holds, a feature as a read-only float32 row and a concept as a read-only
+    bool row, and :meth:`stack` gathers both for many images, all their features before any concepts."""
 
     def __init__(self, features: tuple[dict[str, int], Array], concepts: tuple[dict[str, int], Array]):
         (self.feature_rows, self.feature_matrix), (self.concept_rows, self.concept_matrix) = features, concepts
@@ -107,10 +107,10 @@ def load_concept_labels(path: str | Path) -> list[str]:
 
 def load_features(path: str | Path) -> tuple[dict[str, int], Array]:
     """Parse ``image_id dim v1..v_dim`` rows into an image id -> row index and a read-only float32 matrix,
-    through the checksum-keyed cache of :func:`text.cached` for fast reloads. Each value is its text's float64
-    rounded to float32; a value that is not finite or beyond float32's finite range is a load error."""
+    through the checksum-keyed cache of :func:`text.cached`, whose hit maps it (unchecked by CRC, as the fact
+    matrix). Each value is its text's float64 rounded to float32; one not finite or beyond float32's is a load error."""
     path = Path(path)
-    return cached(path, "feature", lambda: _parse_features(path), _feature_rows)
+    return cached(path, "feature", lambda: _parse_features(path), _feature_rows, mapped=("matrix",))
 
 
 def _feature_rows(arrays) -> tuple[dict[str, int], Array]:

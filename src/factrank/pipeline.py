@@ -32,9 +32,9 @@ import numpy as np
 
 from .dataio import FeatureStore, QAInstance
 from .encoders import Classifier, answer_source, predict_relation_batch, predict_source_batch, ranked_relations
-from .errors import DataError, UsageError
+from .errors import UsageError
 from .kb import AnswerSource, KnowledgeBase, Relation
-from .scorer import ScorerParams, embed_batch, rank_rows
+from .scorer import ScorerParams, check_width, embed_batch, rank_rows
 from .text import normalize_phrase
 from .wordvec import FactMatrix
 
@@ -137,10 +137,9 @@ def _predict(
     """
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
-    fm, width = models.fact_matrix, models.scorer.dims.output_dim
+    fm = models.fact_matrix
     fm.check_built_from(kb)
-    if width != fm.dim:
-        raise DataError(f"scorer output width {width} != fact matrix width {fm.dim} (set by the word vectors)")
+    check_width(models.scorer, fm.dim)
     if oracle_relations is not None:
         relations = [[(r, 1.0)] for r in oracle_relations]
     else:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .encoders import Vocabulary, eval_rows, init_tensors, lstm_hidden, lstm_shapes, read_model_checkpoint
-from .errors import DegenerateInputError, ShapeError, UsageError
+from .errors import DataError, DegenerateInputError, ShapeError, UsageError
 from .numerics import Tape, Tensor, constant, cosines, row_norms
 from .wordvec import BUILD_CHUNK, FactMatrix
 
@@ -335,6 +335,12 @@ def save_scorer(path, params: ScorerParams, meta: dict | None = None) -> None:
     dims.update(dropout=params.dropout, variant=params.variant.value)
     tensors = {name: t.values for name, t in params.tensors.items()}
     ckpt.save_checkpoint(path, "scorer", dims, params.vocab.tokens, tensors, meta)
+
+
+def check_width(scorer: ScorerParams, width: int) -> None:
+    """A DataError unless ``scorer`` ranks fact rows ``width`` wide, twice the word vectors' width."""
+    if (out := scorer.dims.output_dim) != width:
+        raise DataError(f"scorer output width {out} != fact matrix width {width} (set by the word vectors)")
 
 
 def load_scorer(path) -> ScorerParams:

@@ -1,13 +1,14 @@
-"""Shared file handling: phrase tokenization; reading input files' lines,
-where a byte that is not UTF-8 is a load error naming its line;
-:func:`write_atomic`, the one writer of every file the package writes, so
-no reader sees a partial one; :func:`cached`, the one checksum-keyed
-cache of computed arrays beside a file; and :func:`join_strings`, the
-cache's string column. The knowledge-base, QA, feature and concept loaders
-key theirs by the input file, which a load whose size and mtime match the
-cache's does not hash again; the fact matrix keys its cache by the arrays
-it is computed from. Each caller builds its value from the arrays by one
-function, on a cache hit and after a parse alike."""
+"""Shared file handling: phrase tokenization; reading input files' lines, where
+a byte that is not UTF-8 is a load error naming its line;
+:func:`write_atomic`, the one writer of every file the package writes, so no
+reader sees a partial one; :func:`cached`, the one checksum-keyed cache of
+computed arrays beside a file; and :func:`join_strings`, the cache's string
+column. The knowledge-base, QA, feature, concept and word-vector loaders key
+theirs by the input file, which a load whose size and mtime match the
+cache's does not hash again; the fact matrix keys its cache by the arrays it
+is computed from. A feature, word-vector or fact-matrix hit maps its matrix.
+Each caller builds its value from the arrays by one function, on a cache hit
+and after a parse alike."""
 
 from __future__ import annotations
 

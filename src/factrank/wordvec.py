@@ -1,29 +1,31 @@
 """Pretrained word vectors and the fixed (non-trainable) fact embedding.
 
-A fact embeds as the concatenation of the averaged known-token word vectors
-of its subject and of its object (zero if none is known; not the relation),
-a vector of length ``2 * dim`` that never changes during training. The whole
-knowledge base is embedded into a dense :class:`FactMatrix`, from its
-columns: the KB's token list is mapped to word vectors once, and each pass
-of ``BUILD_CHUNK`` facts takes the mean of each of its distinct phrases'
-known tokens, one gather per known-token count. A KB parsed from a file
-keeps the rows and their norms in a cache beside it (:func:`text.cached`),
-keyed by the KB's codes and tokens and the known tokens' vectors, so a
-later run with the same inputs maps the rows read-only instead of
-embedding them again. Rows are in the KB's own
-relation-bucket order, so ranking a bucket reads one contiguous block of
-rows, and a ranked row is the KB's row of the same number: the matrix
-shares the KB's ids, without a copy, and the KB reads a row's answer. Rows
-are float32, the precision word vectors are published in, which halves the
-bytes each ranking pass reads; their norms are float64.
+A :class:`WordVectorTable` is columns, as the KB is: a sorted byte column of
+tokens beside one float64 matrix, cached beside its file, so a later run
+maps the matrix read-only and reads only the rows it looks up. A fact embeds
+as the concatenation of the averaged known-token word vectors of its subject
+and of its object (zero if none is known; not the relation), a vector of
+length ``2 * dim`` that never changes during training. The whole knowledge
+base is embedded into a dense :class:`FactMatrix`, from its columns: the
+KB's token list is mapped to word vectors once, and each pass of
+``BUILD_CHUNK`` facts takes the mean of each of its distinct phrases' known
+tokens, one gather per known-token count. A KB parsed from a file keeps the
+rows and their norms in a cache beside it (:func:`text.cached`), keyed by
+the KB's codes and tokens and the known tokens' vectors, so a later run with
+the same inputs maps the rows read-only instead of embedding them again.
+Rows are in the KB's own relation-bucket order, so ranking a bucket reads
+one contiguous block of rows, and a ranked row is the KB's row of the same
+number: the matrix shares the KB's ids, without a copy, and the KB reads a
+row's answer. Rows are float32, the precision word vectors are published in,
+which halves the bytes each ranking pass reads; their norms are float64.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -42,45 +44,71 @@ Array = np.ndarray
 
 
 class WordVectorTable:
-    """token -> fixed dense vector, all of one dimension."""
+    """token -> fixed dense vector, all of one dimension: ``tokens`` sorted (UTF-8, no NUL: an ``S`` column drops
+    it), ``rows`` each one's row of the float64 ``matrix``; :meth:`lookup` finds tokens as ``FactIds`` finds ids."""
 
-    def __init__(self, dim: int, vectors: dict[str, Array] | None = None):
-        self.dim = int(dim)
-        self.vectors: dict[str, Array] = vectors or {}
-        self.duplicate_count = 0
+    def __init__(self, tokens: Array, rows: Array, matrix: Array, duplicate_count: int = 0):
+        self.tokens, self.rows, self.matrix, self.duplicate_count = tokens, rows, matrix, duplicate_count
+        self.dim = matrix.shape[1]
+
+    def lookup(self, tokens: list[str]) -> Array:
+        """Each token's row of ``matrix``, or -1 for a token not here."""
+        keys = np.array([token.encode() for token in tokens], dtype=bytes)
+        at = np.minimum(np.searchsorted(self.tokens, keys), len(self.tokens) - 1)
+        return np.where(self.tokens[at] == keys, self.rows[at], -1)
+
+
+def vector_columns(tokens: list[str], matrix: Array) -> dict[str, Array]:
+    """The columns of a :class:`WordVectorTable` of the distinct ``tokens``, token ``i``'s vector ``matrix[i]``."""
+    column = np.array([token.encode() for token in tokens], dtype=bytes)
+    order = np.argsort(column)
+    return {"tokens": column[order], "rows": order, "matrix": matrix}
 
 
 def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
-    """Load ``token v1 ... v_dim`` rows; wrong arity, a non-finite component or
-    one beyond float32's finite range (fact rows are stored as float32), and
-    a file with no rows are load errors. ``dim`` defaults to the first row's.
-
-    A repeated token overwrites the earlier row (last write wins) and is
-    counted on the returned table.
-    """
+    """Load ``token v1 ... v_dim`` rows; wrong arity, a token holding a NUL byte, a non-finite component or one
+    beyond float32's finite range (fact rows are float32), and a file with no rows are load errors. ``dim``
+    defaults to the first row's. A repeated token overwrites the earlier row (last write wins) and is counted. A
+    hit of the cache beside the file maps the matrix read-only; one of another width than ``dim`` parses again."""
     path = Path(path)
-    table = WordVectorTable(dim or 0)
-    for lineno, raw in read_lines(path):
-        parts = raw.split()
-        if not parts:
-            continue
-        table.dim = table.dim or max(len(parts) - 1, 1)
-        if len(parts) != table.dim + 1:
-            raise LoadError(f"{path}:{lineno}: expected {table.dim + 1} fields, got {len(parts)}")
-        token = parts[0]
-        if token in table.vectors:
-            table.duplicate_count += 1
-            logger.warning("%s:%d: duplicate token %r, keeping the later row", path, lineno, token)
-        try:
-            vec = np.array(parts[1:], dtype=np.float64)
-        except ValueError:
-            raise LoadError(f"{path}:{lineno}: non-numeric vector component") from None
-        if not (np.abs(vec) <= np.finfo(np.float32).max).all():  # NaN too
-            raise LoadError(f"{path}:{lineno}: non-finite vector component, or one beyond float32's range")
-        table.vectors[token] = vec
-    if not table.vectors:
-        raise LoadError(f"{path}: no word vectors")
-    return table
+
+    def parse(dim=dim) -> dict[str, Array]:
+        at: dict[str, int] = {}  # each distinct token's row of the values, in first-seen order
+        values, duplicates = array("d"), 0
+        for lineno, raw in read_lines(path):
+            parts = raw.split()
+            if not parts:
+                continue
+            dim = dim or max(len(parts) - 1, 1)
+            if len(parts) != dim + 1:
+                raise LoadError(f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}")
+            token = parts[0]
+            if "\0" in token:
+                raise LoadError(f"{path}:{lineno}: token {token!r} holds a NUL byte")
+            if token in at:
+                duplicates += 1
+                logger.warning("%s:%d: duplicate token %r, keeping the later row", path, lineno, token)
+            try:
+                vec = np.array(parts[1:], dtype=np.float64)
+            except ValueError:
+                raise LoadError(f"{path}:{lineno}: non-numeric vector component") from None
+            if not (np.abs(vec) <= np.finfo(np.float32).max).all():  # NaN too
+                raise LoadError(f"{path}:{lineno}: non-finite vector component, or one beyond float32's range")
+            row = at.setdefault(token, len(at))
+            values[row * dim:(row + 1) * dim] = array("d", vec.tobytes())
+        if not at:
+            raise LoadError(f"{path}: no word vectors")
+        matrix = np.frombuffer(values).reshape(len(at), dim)
+        return {**vector_columns(list(at), matrix), "duplicate_count": np.int64(duplicates)}
+
+    def table(arrays) -> WordVectorTable:
+        tokens, rows, matrix = arrays["tokens"], arrays["rows"], arrays["matrix"]
+        if (tokens.dtype.kind, rows.dtype, matrix.dtype, matrix.ndim, dim or matrix.shape[1]) != (
+                "S", np.intp, np.float64, 2, matrix.shape[1]) or not len(tokens) == len(rows) == len(matrix):
+            raise ValueError(f"the word vectors are not {dim or 'n'}-d float64 rows, one for each token")
+        return WordVectorTable(tokens, rows, matrix, int(arrays["duplicate_count"]))
+
+    return cached(path, "word vector", parse, table, mapped=("matrix",))
 
 
 def _chunked_norms(rows: Array) -> Array:
@@ -125,8 +153,8 @@ class FactMatrix:
         """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32.
         A KB parsed from a file caches the rows and norms beside it, keyed by all they are computed from, and a
         hit maps the rows read-only. The matrix counts fully out-of-vocabulary occurrences, logged once."""
-        known = np.array([t in table.vectors for t in kb.tokens], dtype=bool)
-        vecs = np.array([table.vectors[t] for t in compress(kb.tokens, known)]).reshape(-1, table.dim)
+        known = (found := table.lookup(kb.tokens)) >= 0
+        vecs = table.matrix[found[known]]
         keep = known[kb.phrase_tokens]
         at_known = np.concatenate(([0], np.cumsum(keep)))[kb.phrase_starts]
         first, count = at_known[:-1], np.diff(at_known)  # per phrase: its first entry of vec_of, and how many

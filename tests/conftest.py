@@ -1,10 +1,12 @@
+import mmap
+
 import numpy as np
 import pytest
 
 from factrank.dataio import load_dataset, split_fold
 from factrank.kb import Fact, FactIds, KBBuilder, KnowledgeBase, Relation
 from factrank.synth import SyntheticConfig, generate_synthetic
-from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
+from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors, vector_columns
 
 # desk-size generator settings shared by the mid-weight tests: 104 facts
 # (>= 100 so the 99-negative scheme still fills whole candidate sets) and
@@ -31,6 +33,25 @@ def id_column(ids) -> FactIds:
 def from_rows(ids, rows) -> FactMatrix:
     """A fact matrix of ``rows``, stored as float32, whose row ``i`` is fact ``ids[i]``: no KB needed."""
     return FactMatrix(id_column(ids), np.asarray(rows, dtype=np.float32))
+
+
+def table_of(dim, vectors) -> WordVectorTable:
+    """A word-vector table of the dict ``vectors``, laid out in the columns that ``load_vectors`` gives a file."""
+    matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
+    return WordVectorTable(**vector_columns(list(vectors), matrix))
+
+
+def is_mapped(array) -> bool:
+    """Whether ``array``'s bytes live in a memory map, at the end of its chain of bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array.obj if isinstance(array, memoryview) else array, mmap.mmap)
+
+
+def vector_of(table, token):
+    """``token``'s vector in ``table``, or None."""
+    [row] = table.lookup([token]).tolist()
+    return None if row < 0 else table.matrix[row]
 
 
 def from_facts(facts) -> KnowledgeBase:
@@ -80,7 +101,7 @@ def tiny_kb():
 def tiny_table():
     rng = np.random.default_rng(5)
     tokens = ["umbrella", "shade", "beach", "sandy", "fork", "eat", "with", "dog", "pet"]
-    return WordVectorTable(4, {t: rng.standard_normal(4) for t in tokens})
+    return table_of(4, {t: rng.standard_normal(4) for t in tokens})
 
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import re
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 
 from factrank import cli
 from factrank.cli import RunConfig, build_parser, main
-from factrank.kb import Relation
+from factrank.kb import Relation, parse_kb
 from factrank.scorer import load_scorer, save_scorer
+from factrank.wordvec import FactMatrix, load_vectors
 from conftest import SMALL_SYNTH
 
 
@@ -461,6 +463,9 @@ def test_cli_word_vectors_of_another_width_than_the_scorer_are_a_data_error(synt
     data.mkdir()
     for name in ("kb.tsv", "qa.jsonl", "features.txt", "concepts.txt", "concept_labels.txt"):
         (data / name).write_bytes((synth_dir / name).read_bytes())
+    facts_cache = data / "kb.tsv.facts.cache.npz"
+    FactMatrix.build(parse_kb(data / "kb.tsv"), load_vectors(synth_dir / "wordvec.txt"))  # the scorer's width
+    written = facts_cache.read_bytes()
     rows = (synth_dir / "wordvec.txt").read_text(encoding="utf-8").splitlines()
     (data / "wordvec.txt").write_text("".join(" ".join(row.split(" ")[:5]) + "\n" for row in rows), encoding="utf-8")
     inst = json.loads((synth_dir / "qa.jsonl").read_text(encoding="utf-8").splitlines()[0])
@@ -473,6 +478,27 @@ def test_cli_word_vectors_of_another_width_than_the_scorer_are_a_data_error(synt
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: scorer output width 16 != fact matrix width 8 (set by the word vectors)"]
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+    assert facts_cache.read_bytes() == written  # the width is checked before the matrix is built
+
+
+def test_a_warm_evaluate_writes_no_cache_and_warns_of_none(synth_dir, trained, tmp_path, caplog):
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("kb.tsv", "qa.jsonl", "features.txt", "concepts.txt", "concept_labels.txt", "wordvec.txt"):
+        (data / name).write_bytes((synth_dir / name).read_bytes())
+        os.utime(data / name, ns=(0, 0))  # old enough that the first run stamps each cache it writes
+    assert main(["evaluate", *_data_flags(data, trained, tmp_path / "cold"), "--fold", "1"]) == 0
+    caches = sorted(data.glob("*.cache.npz"))
+    assert [cache.name for cache in caches] == ["concepts.txt.cache.npz", "features.txt.cache.npz", "kb.tsv.cache.npz",
+                                                "kb.tsv.facts.cache.npz", "qa.jsonl.cache.npz", "wordvec.txt.cache.npz"]
+    written = [(cache.read_bytes(), cache.stat().st_mtime_ns) for cache in caches]
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        assert main(["evaluate", *_data_flags(data, trained, tmp_path / "warm"), "--fold", "1"]) == 0
+    assert not caplog.records
+    assert sorted(data.glob("*.cache.npz")) == caches
+    assert [(cache.read_bytes(), cache.stat().st_mtime_ns) for cache in caches] == written
+    assert (tmp_path / "warm" / "predictions_fold1.jsonl").read_bytes() == (
+        tmp_path / "cold" / "predictions_fold1.jsonl").read_bytes()
 
 
 def test_cli_train_scorer_with_negative_weight_decay_is_usage_error(synth_dir, tmp_path, capsys):

@@ -14,7 +14,7 @@ from factrank.errors import DataError, LoadError, UsageError
 from factrank.kb import MAX_FACT_ID_BYTES, AnswerSource, KnowledgeBase, Relation, parse_kb
 from factrank.wordvec import WordVectorTable, load_vectors
 
-from conftest import from_facts
+from conftest import from_facts, is_mapped, vector_of
 
 LABELS = [f"label{i}" for i in range(6)]
 CONCEPTS = {"img1": [0, 5], "img2": [], "img3": [3, 3], "img4": [2, 4, 1]}
@@ -133,12 +133,44 @@ def test_the_cache_is_read_while_its_checksum_matches_and_rebuilt_once_the_sourc
     cache = path.with_name("features.txt.cache.npz")
     with np.load(cache) as data:
         arrays = {name: data[name] for name in data.files}
-    np.savez(cache, **{**arrays, "matrix": arrays["matrix"] + 1.0})
+    with open(cache, "wb") as fh:  # laid out as text.cached writes a cache, so that its matrix maps
+        text._savez(fh, {**arrays, "matrix": arrays["matrix"] + 1.0})
     assert _by_image(load_features(path))["img2"].tolist() == [2.0, 1.0, 1.0]
     _write_features(path, {**FEATURES, "img2": ["4", "5", "6"]})
     assert _by_image(load_features(path))["img2"].tolist() == [4.0, 5.0, 6.0]
     with np.load(cache) as data:
         assert data["matrix"][1].tolist() == [4.0, 5.0, 6.0]
+
+
+def test_a_feature_cache_hit_maps_the_matrix_and_hands_out_read_only_rows(tmp_path):
+    path = _write_features(tmp_path / "features.txt", FEATURES)
+    parsed, hit = load_features(path), load_features(path)
+    assert not is_mapped(parsed[1]) and is_mapped(hit[1])
+    assert hit[0] == parsed[0] and hit[1].tobytes() == parsed[1].tobytes()
+    store = FeatureStore(hit, load_concepts(_write_concepts(tmp_path / "concepts.txt", CONCEPTS), len(LABELS)))
+    for row in (hit[1][0], store.feature("img2")):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+
+
+@pytest.mark.parametrize("save", [np.savez, np.savez_compressed])
+def test_a_feature_cache_whose_matrix_cannot_be_mapped_is_rebuilt_once_then_mapped(tmp_path, caplog, save):
+    # np.savez puts the matrix at no float32 boundary here, and np.savez_compressed deflates it
+    path = _write_features(tmp_path / "features.txt", FEATURES)
+    parsed = load_features(path)
+    cache = path.with_name("features.txt.cache.npz")
+    with np.load(cache) as data:
+        arrays = {name: data[name] for name in data.files}
+    save(cache, **arrays)
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        rebuilt = load_features(path)
+    assert caplog.text.count(f"ignoring unreadable feature cache {cache} "
+                             "(member matrix is not stored uncompressed and aligned)") == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        hit = load_features(path)
+    assert not caplog.records and is_mapped(hit[1])
+    assert hit[0] == rebuilt[0] == parsed[0] and hit[1].tobytes() == rebuilt[1].tobytes() == parsed[1].tobytes()
 
 
 def test_feature_image_ids_that_differ_by_a_trailing_nul_keep_their_own_rows(tmp_path):
@@ -218,19 +250,22 @@ def test_a_failing_cache_write_still_returns_the_rows(tmp_path, caplog, monkeypa
     concepts = _write_concepts(tmp_path / "concepts.txt", CONCEPTS)
     qa = _write_text(tmp_path / "qa.jsonl", json.dumps(_QA_RECORD) + "\n")
     kb = _write_text(tmp_path / "kb" / "kb.tsv", "f1\tA\tIsA\tB\n")
+    wordvec = _write_text(tmp_path / "wordvec.txt", "dog 1 2\n")
     with caplog.at_level(logging.WARNING, logger="factrank.dataio"):
         rows = _by_image(load_features(features))
         image_rows, matrix = load_concepts(concepts, len(LABELS))
         [instance] = load_qa(qa)
+        assert vector_of(load_vectors(wordvec), "dog").tolist() == [1.0, 2.0]
     assert [rows[i].tobytes() for i in FEATURES] == [_float32(v).tobytes() for v in FEATURES.values()]
     assert [matrix[image_rows[i]].tolist() for i in CONCEPTS] == [_dense(hot).tolist() for hot in CONCEPTS.values()]
     assert (instance.question_id, instance.answer, instance.fold) == ("q1", "shade", 1)
     with caplog.at_level(logging.WARNING, logger="factrank.kb"):
         assert parse_kb(kb).fact("f1").obj == "B"
-    for what in ("feature", "concept", "QA", "knowledge base"):
+    for what in ("feature", "concept", "QA", "knowledge base", "word vector"):
         assert f"could not write {what} cache" in caplog.text
     # neither a cache nor its temporary file is left beside any source
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["concepts.txt", "features.txt", "kb", "kb.tsv", "qa.jsonl"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["concepts.txt", "features.txt", "kb", "kb.tsv", "qa.jsonl",
+                                                         "wordvec.txt"]
 
 
 # each loader that caches beside its file, a writer of a file that holds a one-digit variant, so that two
@@ -244,8 +279,11 @@ SOURCES = {
            lambda qa: qa[0].answer.removeprefix("shade")),
     "concepts": (lambda path: load_concepts(path, 30), lambda path, v: _write_concepts(path, {**CONCEPTS, "img2": [v]}),
                  lambda concepts: str(np.flatnonzero(concepts[1][concepts[0]["img2"]])[0])),
+    "wordvec": (load_vectors, lambda path, v: _write_text(path, f"dog 1 {v}\npet 2 3\n"),
+                lambda table: format(vector_of(table, "dog")[1], "g")),
 }
-WHAT = {"features": "feature", "kb": "knowledge base", "qa": "QA", "concepts": "concept"}  # as a warning names it
+WHAT = {"features": "feature", "kb": "knowledge base", "qa": "QA", "concepts": "concept",
+        "wordvec": "word vector"}  # as a warning names it
 
 
 def _age(path, seconds):
@@ -422,7 +460,7 @@ def _plain(value):
     if isinstance(value, KnowledgeBase):
         return value.facts()
     if isinstance(value, WordVectorTable):
-        return value.dim, _plain(value.vectors)
+        return value.duplicate_count, *map(_plain, (value.tokens, value.rows, value.matrix))
     if isinstance(value, np.ndarray):
         return value.dtype, value.tolist()
     if isinstance(value, dict):

@@ -24,8 +24,8 @@ from factrank.trainer import (
     mine_hard_negatives,
     train_scorer,
 )
-from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
-from conftest import SMALL_SYNTH, from_facts, from_rows
+from factrank.wordvec import FactMatrix, load_vectors
+from conftest import SMALL_SYNTH, from_facts, from_rows, table_of
 
 TINY_SYNTH = dict(
     seed=21,
@@ -328,8 +328,8 @@ def test_mining_over_many_blocks_with_near_ties_matches_the_oracle(monkeypatch, 
 
 
 def test_mining_ranks_relation_twins_after_every_other_wrong_fact():
-    table = WordVectorTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
-                                "c": np.array([1.0, 1.0]), "d": np.array([-1.0, 0.5])})
+    table = table_of(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
+                         "c": np.array([1.0, 1.0]), "d": np.array([-1.0, 0.5])})
     kb = from_facts([
         Fact("f5", "a", Relation.IS_A, "b"),  # the groundtruth
         Fact("f0", "a", Relation.RELATED_TO, "b"),  # its twins: the relation does not embed

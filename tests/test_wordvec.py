@@ -1,5 +1,5 @@
 import logging
-import mmap
+import re
 import tracemalloc
 import zipfile
 
@@ -15,7 +15,7 @@ from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.text import tokenize
 from factrank.scorer import rank_rows
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
-from conftest import from_facts, from_rows
+from conftest import from_facts, from_rows, is_mapped, table_of, vector_of
 
 
 def _per_fact_rows(facts, table):
@@ -26,7 +26,7 @@ def _per_fact_rows(facts, table):
     for fact in facts:
         halves = []
         for phrase in (fact.subject, fact.obj):
-            known = [table.vectors[t] for t in tokenize(phrase) if t in table.vectors]
+            known = [vec for t in tokenize(phrase) if (vec := vector_of(table, t)) is not None]
             oov += not known
             halves.append(np.mean(known, axis=0) if known else np.zeros(table.dim))
         rows.append(np.concatenate(halves))
@@ -57,11 +57,11 @@ def test_tokenize_keeps_numbers_drops_punctuation():
 
 def test_phrase_embedding_single_token(tiny_table):
     row = _build(tiny_table, ("Shade", "pet")).rows[0, :4]
-    np.testing.assert_array_equal(row, tiny_table.vectors["shade"].astype(np.float32))
+    np.testing.assert_array_equal(row, vector_of(tiny_table, "shade").astype(np.float32))
 
 
 def test_phrase_embedding_is_mean():
-    table = WordVectorTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    table = table_of(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
     np.testing.assert_array_equal(_build(table, ("a b", "a")).rows[0, :2], [0.5, 0.5])
 
 
@@ -73,7 +73,7 @@ def test_phrase_embedding_all_oov_is_zero_and_counted(tiny_table):
 
 def test_phrase_embedding_skips_oov_tokens(tiny_table):
     np.testing.assert_array_equal(
-        _build(tiny_table, ("shade zyzzyva", "pet")).rows[0, :4], tiny_table.vectors["shade"].astype(np.float32)
+        _build(tiny_table, ("shade zyzzyva", "pet")).rows[0, :4], vector_of(tiny_table, "shade").astype(np.float32)
     )
 
 
@@ -84,13 +84,13 @@ def test_phrase_embedding_empty_phrase_rejected(tiny_table):
 
 
 def test_fact_embedding_is_concat_of_halves():
-    table = WordVectorTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    table = table_of(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
     np.testing.assert_array_equal(_build(table, ("a", "b")).rows[0], [1.0, 0.0, 0.0, 1.0])
 
 
 def test_fact_embedding_length_is_twice_dim():
     rng = np.random.default_rng(0)
-    table = WordVectorTable(100, {"cat": rng.standard_normal(100), "pet": rng.standard_normal(100)})
+    table = table_of(100, {"cat": rng.standard_normal(100), "pet": rng.standard_normal(100)})
     assert _build(table, ("cat", "pet")).rows.shape == (1, 200)
 
 
@@ -105,8 +105,8 @@ def test_load_vectors_basic(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("shade 0.1 0.2\n", encoding="utf-8")
     table = load_vectors(path, 2)
-    assert len(table.vectors) == 1
-    np.testing.assert_array_equal(table.vectors["shade"], [0.1, 0.2])
+    assert len(table.tokens) == 1
+    np.testing.assert_array_equal(vector_of(table, "shade"), [0.1, 0.2])
 
 
 def test_load_vectors_wrong_arity(tmp_path):
@@ -144,7 +144,7 @@ def test_load_vectors_duplicate_last_write_wins(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("a 1 2\na 3 4\n", encoding="utf-8")
     table = load_vectors(path, 2)
-    np.testing.assert_array_equal(table.vectors["a"], [3.0, 4.0])
+    np.testing.assert_array_equal(vector_of(table, "a"), [3.0, 4.0])
     assert table.duplicate_count == 1
 
 
@@ -152,7 +152,7 @@ def test_load_vectors_takes_the_dimension_from_the_first_non_blank_row(tmp_path)
     path = tmp_path / "vec.txt"
     path.write_text("\n  \nshade 0.1 0.2 0.3\nsun 1 2 3\n", encoding="utf-8")
     table = load_vectors(path)
-    assert table.dim == 3 and len(table.vectors) == 2
+    assert table.dim == 3 and len(table.tokens) == 2
     path.write_text("\nshade\n", encoding="utf-8")
     with pytest.raises(LoadError, match=":2: expected 2 fields, got 1"):
         load_vectors(path)
@@ -164,6 +164,63 @@ def test_load_vectors_without_rows_is_load_error_naming_the_file(tmp_path, text)
     path.write_text(text, encoding="utf-8")
     with pytest.raises(LoadError, match=f"{path}: no word vectors"):
         load_vectors(path)
+
+
+def test_load_vectors_token_holding_a_nul_byte_is_load_error_naming_the_line(tmp_path):
+    # a numpy S column drops a trailing NUL, so "b\0" would be found as "b"
+    path = tmp_path / "vec.txt"
+    path.write_text("a 1 2\nb\0 3 4\n", encoding="utf-8")
+    with pytest.raises(LoadError, match=f"^{re.escape(str(path))}:2: token 'b\\\\x00' holds a NUL byte$"):
+        load_vectors(path)
+
+
+def test_a_word_vector_cache_hit_maps_the_matrix_and_reads_as_the_parse(tmp_path, caplog):
+    path = tmp_path / "vec.txt"
+    path.write_text("b 1 2\n\u00e9t\u00e9 7 8\na 3 4\nb 5 6\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        parsed, hit = load_vectors(path), load_vectors(path)
+    assert [r.getMessage() for r in caplog.records] == [f"{path}:4: duplicate token 'b', keeping the later row"]
+    assert not is_mapped(parsed.matrix) and is_mapped(hit.matrix) and not hit.matrix.flags.writeable
+    for table in (parsed, hit):
+        assert (table.dim, table.duplicate_count, table.tokens.tolist()) == (2, 1, [b"a", b"b", "\u00e9t\u00e9".encode()])
+        assert table.lookup(["b", "\u00e9t\u00e9", "a", "c", "", "\u00e9"]).tolist() == [0, 1, 2, -1, -1, -1]
+        assert table.matrix.tolist() == [[5.0, 6.0], [7.0, 8.0], [3.0, 4.0]]
+
+
+def test_a_word_vector_cache_hit_of_another_width_is_the_load_error_of_a_parse(tmp_path):
+    path = tmp_path / "vec.txt"
+    path.write_text("\nshade 0.1 0.2\nsun 1 2\n", encoding="utf-8")
+    cache = path.with_name("vec.txt.cache.npz")
+    assert load_vectors(path).dim == 2 and load_vectors(path, 2).dim == 2
+    written = cache.read_bytes()
+    with pytest.raises(LoadError) as hit:
+        load_vectors(path, 3)
+    assert cache.read_bytes() == written  # the parse that the hit fell back to failed, so it wrote nothing
+    cache.unlink()
+    with pytest.raises(LoadError) as parse:
+        load_vectors(path, 3)
+    assert str(hit.value) == str(parse.value) == f"{path}:2: expected 4 fields, got 3" and not cache.exists()
+
+
+def test_a_table_of_tens_of_thousands_of_tokens_looks_up_as_a_dict_from_its_cache(tmp_path):
+    rng = np.random.default_rng(15)
+    alphabet = np.array(list("abcdefghz09\u00e9\u00df\u0416\u65e5"))  # one- to three-byte UTF-8
+    tokens = ["".join(alphabet[rng.integers(len(alphabet), size=n)]) for n in rng.integers(3, 11, 40_000).tolist()]
+    values = rng.standard_normal((len(tokens), 3))
+    path = tmp_path / "vec.txt"
+    path.write_text("".join(f"{t} {' '.join(map(repr, v))}\n" for t, v in zip(tokens, values.tolist())),
+                    encoding="utf-8")
+    oracle = dict(zip(tokens, values))  # last write wins
+    unknown = {t[:-1] for t in tokens} | {t + "a" for t in tokens} | {t.upper() for t in tokens} | {"", "\u00e9"}
+    queries = list(oracle) + sorted(unknown - set(oracle))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wordvec.logger, "disabled", True)  # a warning for each of the ~2,000 repeated tokens
+        load_vectors(path)
+        table = load_vectors(path)
+    assert is_mapped(table.matrix) and table.duplicate_count == len(tokens) - len(oracle) > 1000
+    found = table.lookup(queries)
+    assert (found[len(oracle):] == -1).all() and len(queries) - len(oracle) > 100_000
+    assert table.matrix[found[:len(oracle)]].tobytes() == np.array(list(oracle.values())).tobytes()
 
 
 def test_fact_matrix_rows_match_fact_embeddings(tiny_kb, tiny_table, tiny_fact_matrix):
@@ -242,10 +299,10 @@ def test_twin_groups_join_bitwise_equal_rows_once_per_matrix():
 def test_property_phrase_norm_bounded_by_max_token_norm(n_tokens, seed):
     rng = np.random.default_rng(seed)
     tokens = [f"t{i}" for i in range(n_tokens)]
-    table = WordVectorTable(5, {t: rng.standard_normal(5) for t in tokens})
+    table = table_of(5, {t: rng.standard_normal(5) for t in tokens})
     phrase = " ".join(tokens)
-    mean = np.mean([table.vectors[t] for t in tokens], axis=0)
-    max_norm = max(np.linalg.norm(table.vectors[t]) for t in tokens)
+    mean = np.mean([vector_of(table, t) for t in tokens], axis=0)
+    max_norm = max(np.linalg.norm(vector_of(table, t)) for t in tokens)
     assert np.linalg.norm(mean) <= max_norm + 1e-12
     assert _build(table, (phrase, "t0")).rows[0, :5].tobytes() == mean.astype(np.float32).tobytes()
 
@@ -265,7 +322,7 @@ def _tables_and_kbs(draw):
     dim = draw(st.integers(1, 3))
     component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_nan=False))
     vocab = [f"w{i}" for i in range(draw(st.integers(1, 5)))]
-    table = WordVectorTable(dim, {t: np.array(draw(st.lists(component, min_size=dim, max_size=dim))) for t in vocab})
+    table = table_of(dim, {t: np.array(draw(st.lists(component, min_size=dim, max_size=dim))) for t in vocab})
     padding = st.sampled_from(["", " ", "  "])
     words = st.lists(st.sampled_from(vocab + ["oov1", "oov2"]), min_size=1, max_size=12).map(" ".join)
     phrase = st.tuples(padding, words, padding).map("".join)
@@ -279,7 +336,7 @@ def _tables_and_kbs(draw):
 # sum, -0.0 components, an unknown token, a fully unknown phrase, repeated
 # phrases and a relation twin
 _EDGES = (
-    WordVectorTable(1, {"a": np.array([1e16]), "b": np.array([1.0]), "c": np.array([-1e16]), "d": np.array([-0.0])}),
+    table_of(1, {"a": np.array([1e16]), "b": np.array([1.0]), "c": np.array([-1e16]), "d": np.array([-0.0])}),
     from_facts([
         Fact("f1", "a b c b b b b b b", Relation.IS_A, "d"),
         Fact("f2", "d d oov", Relation.HAS_A, "oov"),
@@ -290,7 +347,7 @@ _EDGES = (
 
 
 # a row whose float32 norm is nonzero but below wordvec.NORM_RANGE
-_TINY = (WordVectorTable(1, {"a": np.array([1e-30])}), from_facts([Fact("f1", "a", Relation.IS_A, "a")]))
+_TINY = (table_of(1, {"a": np.array([1e-30])}), from_facts([Fact("f1", "a", Relation.IS_A, "a")]))
 
 
 def _written(kb, path, seed):
@@ -351,8 +408,8 @@ def test_build_holds_no_per_fact_container_of_its_own():
     kb = from_facts([Fact(f"f{i:05d}", f"s{i % 997} t{i % 13}", relations[i % 13], f"o{i % 101}")
                         for i in range(50_000)])
     rng = np.random.default_rng(3)
-    table = WordVectorTable(8, {f"{t}{i}": rng.standard_normal(8) for t, n in (("s", 997), ("t", 13), ("o", 101))
-                                for i in range(n)})
+    table = table_of(8, {f"{t}{i}": rng.standard_normal(8) for t, n in (("s", 997), ("t", 13), ("o", 101))
+                         for i in range(n)})
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -399,18 +456,11 @@ CACHED_WORDS = ["dog", "pet", "zebra", "safety", "cat", "house"]
 
 def _table(dim=3):
     rng = np.random.default_rng(8)
-    return WordVectorTable(dim, {t: rng.standard_normal(dim) for t in CACHED_WORDS})
+    return table_of(dim, {t: rng.standard_normal(dim) for t in CACHED_WORDS})
 
 
 def _facts_cache(kb_path):
     return kb_path.with_name(kb_path.name + ".facts.cache.npz")
-
-
-def _mapping(array):
-    """What ``array``'s bytes live in, at the end of its chain of bases."""
-    while isinstance(array, np.ndarray):
-        array = array.base
-    return array.obj if isinstance(array, memoryview) else array
 
 
 def _in_memory(kb, table):
@@ -444,7 +494,7 @@ def test_a_fact_matrix_cache_hit_is_bitwise_the_build(kb_path, caplog):
     with caplog.at_level(logging.WARNING):
         built = _in_memory(kb, table)
         written, hit = FactMatrix.build(kb, table), FactMatrix.build(kb, table)
-    assert not isinstance(_mapping(written.rows), mmap.mmap) and isinstance(_mapping(hit.rows), mmap.mmap)
+    assert not is_mapped(written.rows) and is_mapped(hit.rows)
     for fm in (written, hit):
         _assert_same_matrix(fm, built)
         assert fm.fact_ids is kb.ids
@@ -456,14 +506,15 @@ def test_a_fact_matrix_cache_hit_is_bitwise_the_build(kb_path, caplog):
 
 
 def _change_vector(kb_path, table, monkeypatch):
-    table.vectors["pet"] = table.vectors["pet"].copy()
-    table.vectors["pet"][0] = np.nextafter(table.vectors["pet"][0], np.inf)  # below float32's resolution
+    [row] = table.lookup(["pet"]).tolist()
+    table.matrix = table.matrix.copy()
+    table.matrix[row, 0] = np.nextafter(table.matrix[row, 0], np.inf)  # below float32's resolution
 
 
 @pytest.mark.parametrize("change", [
     lambda kb_path, table, monkeypatch: kb_path.write_text(CACHED_KB.replace("Safety", "Pet"), encoding="utf-8"),
     _change_vector,
-    lambda kb_path, table, monkeypatch: table.__init__(4, _table(4).vectors),
+    lambda kb_path, table, monkeypatch: vars(table).update(vars(_table(4))),
     lambda kb_path, table, monkeypatch: monkeypatch.setattr(text, "CACHE_FORMAT", "factrank-cache-next"),
 ], ids=["kb-phrase", "word-vector", "dim", "cache-format"])
 def test_a_change_to_what_the_rows_are_computed_from_misses_and_rewrites_the_cache(kb_path, caplog, monkeypatch,
@@ -480,7 +531,7 @@ def test_a_change_to_what_the_rows_are_computed_from_misses_and_rewrites_the_cac
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factrank.text"):
         hit = FactMatrix.build(kb, table)
-    assert not _cache_warnings(caplog) and isinstance(_mapping(hit.rows), mmap.mmap)
+    assert not _cache_warnings(caplog) and is_mapped(hit.rows)
     _assert_same_matrix(hit, rebuilt)
 
 
@@ -528,7 +579,7 @@ def test_mapped_rows_are_read_only_aligned_and_rank_as_the_built_ones(tmp_path):
     paths = generate_synthetic(SyntheticConfig(qa_pairs=1, feature_dim=1), tmp_path)  # the desk KB, 598 facts
     kb, table = parse_kb(paths["kb"]), load_vectors(paths["wordvec"])
     built, hit = FactMatrix.build(kb, table), FactMatrix.build(kb, table)
-    assert isinstance(_mapping(hit.rows), mmap.mmap)
+    assert is_mapped(hit.rows)
     assert hit.rows.flags.aligned and not hit.rows.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         hit.rows[0, 0] = 1.0
@@ -551,7 +602,7 @@ def test_a_cache_whose_rows_cannot_be_mapped_is_rebuilt_once_then_mapped(kb_path
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factrank.text"):
         hit = FactMatrix.build(kb, table)
-    assert not _cache_warnings(caplog) and isinstance(_mapping(hit.rows), mmap.mmap)
+    assert not _cache_warnings(caplog) and is_mapped(hit.rows)
     _assert_same_matrix(hit, built)
 
 
@@ -559,7 +610,7 @@ def test_a_hit_maps_the_rows_of_the_cache_it_checked_though_another_replaces_it(
     # one KB with two word-vector files writes two caches of one layout to the same path
     kb, table = parse_kb(kb_path), _table()
     cache, load = _facts_cache(kb_path), np.load
-    FactMatrix.build(kb, WordVectorTable(3, {t: 2 * v for t, v in table.vectors.items()}))
+    FactMatrix.build(kb, WordVectorTable(table.tokens, table.rows, 2 * table.matrix))
     other = cache.read_bytes()
     FactMatrix.build(kb, table)
 
@@ -570,7 +621,7 @@ def test_a_hit_maps_the_rows_of_the_cache_it_checked_though_another_replaces_it(
 
     monkeypatch.setattr(np, "load", load_then_replace)
     hit = FactMatrix.build(kb, table)
-    assert cache.read_bytes() == other and isinstance(_mapping(hit.rows), mmap.mmap)
+    assert cache.read_bytes() == other and is_mapped(hit.rows)
     _assert_same_matrix(hit, _in_memory(kb, table))
 
 
