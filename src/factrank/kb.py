@@ -7,10 +7,11 @@ A fact's row is the one number it has: every list of facts, every
 candidate set and every ranking is in rows or row order.
 Subjects and objects are codes into the distinct phrases, each tokenized
 once into codes of one list of distinct tokens. No Python object is held
-per fact: the fact ids are a byte column (:class:`FactIds`) and the
-phrases one UTF-8 text with offsets, and each stays bytes until a fact is
-named. Ranking breaks ties on the integer id-rank column, each row's place
-in sorted-id order, and an id is found by a binary search in it. A
+per fact: the fact ids are a sorted byte column (:class:`text.Names`, the
+word-vector tokens' lookup too) and the phrases one UTF-8 text with
+offsets, and each stays bytes until a fact is named. Ranking breaks ties
+on the ids' integer ranks, each row's place in sorted-id order, and an id
+is found by a binary search of the column. A
 :class:`Fact` is made only when one is asked for: the ranking names rows,
 and :meth:`KnowledgeBase.answer` reads a row's answer, its subject or
 object by the answer source, the one place that rule is written.
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import LoadError, UsageError
-from .text import cached, read_lines, tokenize
+from .text import Names, cached, read_lines, sort_names, tokenize
 
 
 class Relation(enum.Enum):
@@ -101,54 +102,15 @@ class Fact:
 MAX_FACT_ID_BYTES = 255  # the id column is as wide as its longest id, so one long id would widen every row
 RELATIONS = list(Relation)  # a relation's code is its index here (list.index, not Enum's Python-level hash)
 
-# the integer columns of a KnowledgeBase's cache; beside them it holds the ids as a byte column, the phrases as
-# one UTF-8 text (whose offsets are text_starts) and the tokens UTF-8 joined on line breaks
-_COLUMNS = ("relations", "subjects", "objects", "id_rank", "phrase_starts", "phrase_tokens", "text_starts")
-
-
-class FactIds(Sequence[str]):
-    """Fact ids as one byte column in row order: ``column[r]`` is row ``r``'s id, UTF-8 encoded, and ``rank[r]``
-    its place in sorted-id order, an int32. UTF-8 byte order is code-point order, so ordering rows by ``rank``
-    orders them by id as Python's ``sorted`` does. An id is decoded only as it is named: an int names one row, a
-    slice or an array of rows a list of them. :meth:`rows` finds ids' rows by one binary search in the column,
-    read in rank order, and :meth:`row` one id's. A numpy ``S`` array drops trailing NUL bytes, so an id may
-    hold no NUL."""
-
-    def __init__(self, column: np.ndarray, rank: np.ndarray):
-        self.column, self.rank = column, rank
-        self.sorted_rows = np.empty(len(rank), dtype=np.intp)  # place in sorted-id order -> row
-        self.sorted_rows[rank] = np.arange(len(rank))
-
-    def __len__(self) -> int:
-        return len(self.column)
-
-    def __getitem__(self, rows):
-        names = self.column[rows]
-        return str(names, "utf-8") if isinstance(names, bytes) else [str(name, "utf-8") for name in names.tolist()]
-
-    def rows(self, fact_ids: Sequence[str]) -> np.ndarray:
-        """Each id's row, or -1 for an id not here."""
-        keys = [fact_id.encode() for fact_id in fact_ids]
-        if not len(self):
-            return np.full(len(keys), -1, dtype=np.intp)
-        column = np.array(keys, dtype=bytes)  # the width of the longest key, so none is cut short
-        at = np.searchsorted(self.column, column, sorter=self.sorted_rows)
-        rows = self.sorted_rows[np.minimum(at, len(self) - 1)]
-        found = (self.column[rows] == column) & np.array([b"\0" not in key for key in keys], dtype=bool)
-        return np.where(found, rows, -1)
-
-    def row(self, fact_id: str) -> int:
-        """One id's row; a UsageError naming an id not here."""
-        [row] = self.rows([fact_id]).tolist()
-        if row < 0:
-            raise UsageError(f"unknown fact id {fact_id!r}")
-        return row
+# the integer columns of a KnowledgeBase's cache; beside them it holds the ids as the arrays of a Names, the
+# phrases as one UTF-8 text (whose offsets are text_starts) and the tokens UTF-8 joined on line breaks
+_COLUMNS = ("relations", "subjects", "objects", "phrase_starts", "phrase_tokens", "text_starts")
 
 
 class KBBuilder:
     """Facts taken one at a time, in load order, laid out by :meth:`arrays` as a KnowledgeBase's cache. Each
     distinct phrase is tokenized once, as it is first added; a phrase with no tokens, a repeated fact id, or one
-    with a NUL byte (see :class:`FactIds`) or over :data:`MAX_FACT_ID_BYTES` UTF-8 bytes is a LoadError naming it."""
+    with a NUL byte (see :class:`text.Names`) or over :data:`MAX_FACT_ID_BYTES` UTF-8 bytes is a LoadError naming it."""
 
     def __init__(self):
         self.ids: dict[str, None] = {}  # in load order
@@ -180,22 +142,19 @@ class KBBuilder:
         return code
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """The cache's arrays: the columns in bucket order (each bucket in load order), the ids in that row
-        order and ranked, the phrases' text and offsets, and the tokens. Nothing encoded here is decoded."""
+        """The cache's arrays: the columns in bucket order (each bucket in load order), the ids sorted with each
+        one's row, the phrases' text and offsets, and the tokens. Nothing encoded here is decoded."""
         relations, subjects, objects = (np.frombuffer(column, dtype=np.int32) for column in self.columns)
         order = np.argsort(relations, kind="stable")  # row -> load index
-        width = max(map(len, map(str.encode, self.ids)), default=0) or 1  # fromiter holds no list of encoded ids
-        ids = np.fromiter(map(str.encode, self.ids), f"S{width}", len(self.ids))[order]
-        id_rank = np.empty(len(ids), dtype=np.int32)
-        id_rank[np.argsort(ids, kind="stable")] = np.arange(len(ids), dtype=np.int32)
+        ids, loaded_at = sort_names(self.ids)  # each sorted id's load index; argsort(order) is load index -> row
         text_starts = np.zeros(len(self.phrases) + 1, dtype=np.int64)
         np.cumsum(np.fromiter(map(len, map(str.encode, self.phrases)), np.int64, len(self.phrases)),
                   out=text_starts[1:])
         code = dict(zip(self.tokens, range(len(self.tokens))))
         phrase_tokens = np.fromiter(map(code.__getitem__, self.phrase_tokens), np.int32, len(self.phrase_tokens))
-        columns = (relations[order], subjects[order], objects[order], id_rank,
+        columns = (relations[order], subjects[order], objects[order],
                    np.frombuffer(self.phrase_starts, dtype=np.int32), phrase_tokens, text_starts)
-        return {**dict(zip(_COLUMNS, columns)), "ids": ids,
+        return {**dict(zip(_COLUMNS, columns)), "ids": ids, "id_rows": np.argsort(order)[loaded_at],
                 "phrase_text": np.frombuffer("".join(self.phrases).encode(), np.uint8),
                 "tokens": np.frombuffer("\n".join(self.tokens).encode(), np.uint8)}
 
@@ -203,7 +162,7 @@ class KBBuilder:
 class KnowledgeBase:
     """Immutable columnar fact store. Row ``r`` is fact ``ids[r]``, of relation ``RELATIONS[relations[r]]``,
     subject :meth:`phrase` ``(subjects[r])`` and object :meth:`phrase` ``(objects[r])``; ``ids`` is a
-    :class:`FactIds`, the one id -> row lookup, and ``buckets`` maps a relation to its rows. Phrase ``p`` is
+    :class:`text.Names`, the one id -> row lookup, and ``buckets`` maps a relation to its rows. Phrase ``p`` is
     the UTF-8 text ``phrase_text[text_starts[p]:text_starts[p + 1]]``, and its tokens are ``tokens[c]`` for
     ``c`` in ``phrase_tokens[phrase_starts[p]:phrase_starts[p + 1]]``. Ids and phrases stay bytes until a fact
     is named; no Python object is held per fact.
@@ -215,12 +174,13 @@ class KnowledgeBase:
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         self.__dict__.update((name, arrays[name]) for name in _COLUMNS)
         self.path: Path | None = None  # the file it was parsed from, if any
-        ids, self.phrase_text = arrays["ids"], arrays["phrase_text"]
+        self.phrase_text = arrays["phrase_text"]
         self.tokens = text.split("\n") if (text := str(arrays["tokens"], "utf-8")) else []
-        for utf8 in (ids, self.phrase_text):  # a byte that does not decode fails here, not as a fact is named
+        for utf8 in (arrays["ids"], self.phrase_text):  # a byte that does not decode fails here, not as a fact is named
             str(utf8, "utf-8")
-        n, starts, text_starts, phrases = len(ids), self.phrase_starts, self.text_starts, len(self.phrase_starts) - 1
-        lengths = {n, len(self.relations), len(self.subjects), len(self.objects), len(self.id_rank)}
+        self.ids = Names(arrays["ids"], arrays["id_rows"], "fact id")
+        starts, text_starts, phrases = self.phrase_starts, self.text_starts, len(self.phrase_starts) - 1
+        lengths = {len(self.ids), len(self.relations), len(self.subjects), len(self.objects)}
         if len(lengths) > 1 or len(text_starts) != phrases + 1:
             raise ValueError("column lengths differ")
         codes = [(self.relations, len(RELATIONS)), (self.subjects, phrases), (self.objects, phrases),
@@ -232,13 +192,9 @@ class KnowledgeBase:
                 starts[0] != 0 or starts[-1] != len(self.phrase_tokens) or (np.diff(starts) <= 0).any(),
             "text starts do not rise from 0 to the text length":
                 text_starts[0] != 0 or text_starts[-1] != len(self.phrase_text) or (np.diff(text_starts) <= 0).any(),
-            "id ranks are not a permutation": not np.array_equal(np.sort(self.id_rank), np.arange(n)),
         }
         if problems := [problem for problem, fails in failed.items() if fails]:
             raise ValueError(", ".join(problems))
-        self.ids = FactIds(ids, self.id_rank)
-        if ((in_order := ids[self.ids.sorted_rows])[1:] <= in_order[:-1]).any():
-            raise ValueError("fact ids repeat, or their ranks do not sort them")
         ends = np.cumsum(np.bincount(self.relations, minlength=len(RELATIONS))).tolist()
         self.buckets = {r: slice(start, end) for r, start, end in zip(RELATIONS, [0, *ends], ends)}
 

@@ -16,11 +16,11 @@ depend on their batch at rounding level. The columnar KB's
 bucket slices are the fact matrix's row blocks, so the matrix must be the
 one built from that KB. Ranking returns KB rows, and they stay rows until
 output: a prediction names only the rows it lists, decoding their ids
-from the KB's byte column, and every answer is read from a row by
-``KnowledgeBase.answer``. It takes the relation order and the source rule
-from ``encoders.ranked_relations`` and ``encoders.answer_source``. The
-fields of :class:`Metrics` are the one list of metric names, for records,
-fold averages and the CLI table.
+from the KB's sorted id column (a ``text.Names``), and every answer is
+read from a row by ``KnowledgeBase.answer``. It takes the relation order
+and the source rule from ``encoders.ranked_relations`` and
+``encoders.answer_source``. The fields of :class:`Metrics` are the one list
+of metric names, for records, fold averages and the CLI table.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ k-th best screen score, and rescores only that shortlist, in float64, by
 the exact ``numerics.cosines`` of :func:`score`.
 :func:`rank_rows` orders each shortlist by one ``np.lexsort`` on ``(-score,
 id rank)``, the integer rank of each row's fact id in sorted-id order
-(``kb.FactIds.rank``), so the top k is bitwise that of an exhaustive
+(``text.Names.rank``), so the top k is bitwise that of an exhaustive
 float64 sort of the stored rows on ``(-score, fact id)``, and no id is
 decoded to rank. It is the one top-k order of the package, and the one
 caller of :func:`shortlist_rows`: inference, held-out precision and
@@ -313,7 +313,7 @@ def rank_rows(iq_block: Array, rows: Array, norms: Array, id_rank: Array, k: int
     gathered candidates) for each query of ``iq_block``, as ``(rows,
     scores)`` arrays ordered by ``(-score, id_rank[row])``, where
     ``id_rank`` is each row's integer rank in sorted fact-id order, as
-    ``kb.FactIds.rank`` holds it: bitwise the head of an exhaustive scalar
+    ``text.Names.rank`` holds it: bitwise the head of an exhaustive scalar
     sort on ``(-score, fact id)``. Ties are broken on integers, so no id is
     decoded here. Row ``i`` is numbered ``first + i``, so a bucket's rows
     come back as rows of the whole matrix and need no copy of its ranks."""

@@ -2,13 +2,15 @@
 a byte that is not UTF-8 is a load error naming its line;
 :func:`write_atomic`, the one writer of every file the package writes, so no
 reader sees a partial one; :func:`cached`, the one checksum-keyed cache of
-computed arrays beside a file; and :func:`join_strings`, the cache's string
-column. The knowledge-base, QA, feature, concept and word-vector loaders key
-theirs by the input file, which a load whose size and mtime match the
-cache's does not hash again; the fact matrix keys its cache by the arrays it
-is computed from. A feature, word-vector or fact-matrix hit maps its matrix.
-Each caller builds its value from the arrays by one function, on a cache hit
-and after a parse alike."""
+computed arrays beside a file; :func:`join_strings`, the cache's string
+column; and :class:`Names`, its sorted name column, the one name -> row
+lookup of the fact ids and of the word-vector tokens. The knowledge-base,
+QA, feature, concept and word-vector loaders key theirs by the input file,
+which a load whose size and mtime match the cache's does not hash again;
+the fact matrix keys its cache by the arrays it is computed from. A
+feature, word-vector or fact-matrix hit maps its matrix. Each caller builds
+its value from the arrays by one function, on a cache hit and after a parse
+alike."""
 
 from __future__ import annotations
 
@@ -26,10 +28,10 @@ from typing import BinaryIO, Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
-from .errors import LoadError
+from .errors import LoadError, UsageError
 
 logger = logging.getLogger(__name__)
-CACHE_FORMAT = "factrank-cache-7"  # in every cache's key: one laid out by an older version is stale
+CACHE_FORMAT = "factrank-cache-8"  # in every cache's key: one laid out by an older version is stale
 STAMP_AGE_NS = 2 * 10**9  # a file this recently modified may be rewritten within the same mtime tick
 
 _TOKEN = re.compile(r"[a-z0-9]+")
@@ -96,6 +98,58 @@ def split_strings(arrays) -> list[str]:
     if starts[0] != 0 or starts[-1] != len(text) or (np.diff(arrays["starts"]) < 0).any():
         raise ValueError("string offsets do not rise from 0 to the text length")
     return [text[start:end] for start, end in zip(starts, starts[1:])]
+
+
+class Names(Sequence[str]):
+    """Distinct names as one byte column: ``column`` their UTF-8 bytes sorted (code-point order, as Python's
+    ``sorted`` orders strings), ``sorted_rows[i]`` the row of the ``i``-th, and ``rank[r]`` row ``r``'s place in
+    sorted order. A name is decoded only as it is named: a row names one, a slice or an array of rows a list of
+    them. :meth:`rows` finds names' rows by one binary search. An ``S`` column drops trailing NUL bytes, so a name
+    may hold none, and a key that holds one is found nowhere. A column that is not strictly increasing, or
+    ``sorted_rows`` that are not a permutation, are a ValueError."""
+
+    def __init__(self, column: np.ndarray, sorted_rows: np.ndarray, what: str):
+        self.column, self.sorted_rows, self.what, n = column, sorted_rows, what, len(sorted_rows)
+        if column.dtype.kind != "S" or (column[1:] <= column[:-1]).any():
+            raise ValueError(f"the {what}s repeat or are out of order")
+        self.rank = np.full(n, -1, dtype=np.int32)  # half the bytes of intp; no column nears 2**31 names
+        if len(column) == n and sorted_rows.dtype.kind in "iu" and ((0 <= sorted_rows) & (sorted_rows < n)).all():
+            self.rank[sorted_rows] = np.arange(n)  # n rows in range that miss one repeat one
+        if len(column) != n or (self.rank < 0).any():
+            raise ValueError(f"the {what} rows are not a permutation")
+
+    def __len__(self) -> int:
+        return len(self.column)
+
+    def __getitem__(self, rows):
+        names = self.column[self.rank[rows]]
+        return str(names, "utf-8") if isinstance(names, bytes) else [str(name, "utf-8") for name in names.tolist()]
+
+    def rows(self, names: Sequence[str]) -> np.ndarray:
+        """Each name's row, or -1 for a name not here."""
+        keys = [name.encode() for name in names]
+        if not len(self):
+            return np.full(len(keys), -1, dtype=np.intp)
+        column = np.array(keys, dtype=bytes)  # the width of the longest key, so none is cut short
+        at = np.minimum(np.searchsorted(self.column, column), len(self) - 1)
+        found = (self.column[at] == column) & np.array([b"\0" not in key for key in keys], dtype=bool)
+        return np.where(found, self.sorted_rows[at], -1)
+
+    def row(self, name: str) -> int:
+        """One name's row; a UsageError naming ``what`` and a name not here."""
+        [row] = self.rows([name]).tolist()
+        if row < 0:
+            raise UsageError(f"unknown {self.what} {name!r}")
+        return row
+
+
+def sort_names(names: Collection[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of a :class:`Names` of the distinct ``names``: their UTF-8 bytes sorted, and each one's index
+    in ``names``."""
+    width = max(map(len, map(str.encode, names)), default=0) or 1  # fromiter holds no list of encoded names
+    column = np.fromiter(map(str.encode, names), f"S{width}", len(names))
+    order = np.argsort(column)
+    return column[order], order
 
 
 def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequence[np.ndarray] | None = None,

@@ -1,8 +1,9 @@
 """Pretrained word vectors and the fixed (non-trainable) fact embedding.
 
-A :class:`WordVectorTable` is columns, as the KB is: a sorted byte column of
-tokens beside one float64 matrix, cached beside its file, so a later run
-maps the matrix read-only and reads only the rows it looks up. A fact embeds
+A :class:`WordVectorTable` is columns, as the KB is: its tokens are a
+:class:`text.Names`, the sorted byte column that holds the KB's fact ids too,
+beside one float64 matrix, cached beside its file, so a later run maps the
+matrix read-only and reads only the rows it looks up. A fact embeds
 as the concatenation of the averaged known-token word vectors of its subject
 and of its object (zero if none is known; not the relation), a vector of
 length ``2 * dim`` that never changes during training. The whole knowledge
@@ -31,9 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, DegenerateInputError, LoadError
-from .kb import FactIds, KnowledgeBase
+from .kb import KnowledgeBase
 from .numerics import row_norms
-from .text import cached, read_lines
+from .text import Names, cached, read_lines, sort_names
 
 logger = logging.getLogger(__name__)
 
@@ -44,25 +45,12 @@ Array = np.ndarray
 
 
 class WordVectorTable:
-    """token -> fixed dense vector, all of one dimension: ``tokens`` sorted (UTF-8, no NUL: an ``S`` column drops
-    it), ``rows`` each one's row of the float64 ``matrix``; :meth:`lookup` finds tokens as ``FactIds`` finds ids."""
+    """token -> fixed dense vector, all of one dimension: ``tokens`` a :class:`text.Names` (UTF-8, no NUL) whose
+    rows are the rows of the float64 ``matrix``, so ``tokens.rows`` finds tokens' vectors, -1 for one not here."""
 
-    def __init__(self, tokens: Array, rows: Array, matrix: Array, duplicate_count: int = 0):
-        self.tokens, self.rows, self.matrix, self.duplicate_count = tokens, rows, matrix, duplicate_count
+    def __init__(self, tokens: Names, matrix: Array, duplicate_count: int = 0):
+        self.tokens, self.matrix, self.duplicate_count = tokens, matrix, duplicate_count
         self.dim = matrix.shape[1]
-
-    def lookup(self, tokens: list[str]) -> Array:
-        """Each token's row of ``matrix``, or -1 for a token not here."""
-        keys = np.array([token.encode() for token in tokens], dtype=bytes)
-        at = np.minimum(np.searchsorted(self.tokens, keys), len(self.tokens) - 1)
-        return np.where(self.tokens[at] == keys, self.rows[at], -1)
-
-
-def vector_columns(tokens: list[str], matrix: Array) -> dict[str, Array]:
-    """The columns of a :class:`WordVectorTable` of the distinct ``tokens``, token ``i``'s vector ``matrix[i]``."""
-    column = np.array([token.encode() for token in tokens], dtype=bytes)
-    order = np.argsort(column)
-    return {"tokens": column[order], "rows": order, "matrix": matrix}
 
 
 def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
@@ -98,15 +86,16 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
             values[row * dim:(row + 1) * dim] = array("d", vec.tobytes())
         if not at:
             raise LoadError(f"{path}: no word vectors")
-        matrix = np.frombuffer(values).reshape(len(at), dim)
-        return {**vector_columns(list(at), matrix), "duplicate_count": np.int64(duplicates)}
+        tokens, rows = sort_names(at)
+        return {"tokens": tokens, "rows": rows, "matrix": np.frombuffer(values).reshape(len(at), dim),
+                "duplicate_count": np.int64(duplicates)}
 
     def table(arrays) -> WordVectorTable:
-        tokens, rows, matrix = arrays["tokens"], arrays["rows"], arrays["matrix"]
-        if (tokens.dtype.kind, rows.dtype, matrix.dtype, matrix.ndim, dim or matrix.shape[1]) != (
-                "S", np.intp, np.float64, 2, matrix.shape[1]) or not len(tokens) == len(rows) == len(matrix):
+        tokens, matrix = Names(arrays["tokens"], arrays["rows"], "token"), arrays["matrix"]
+        if (matrix.dtype, matrix.ndim, len(matrix), dim or matrix.shape[1]) != (
+                np.float64, 2, len(tokens), matrix.shape[1]):
             raise ValueError(f"the word vectors are not {dim or 'n'}-d float64 rows, one for each token")
-        return WordVectorTable(tokens, rows, matrix, int(arrays["duplicate_count"]))
+        return WordVectorTable(tokens, matrix, int(arrays["duplicate_count"]))
 
     return cached(path, "word vector", parse, table, mapped=("matrix",))
 
@@ -127,14 +116,14 @@ class FactMatrix:
     of its stored row (computed unless given, as a cache hit gives the ones
     stored with the rows), and nonzero only inside ``NORM_RANGE``, which is
     checked either way. Row ``i`` is
-    fact ``fact_ids[i]``: ``fact_ids`` is a :class:`~factrank.kb.FactIds`, a
-    byte column decoded only as a fact is named, whose ``rank`` column breaks
-    ranking ties by id, and whose :meth:`~factrank.kb.FactIds.row` finds an
+    fact ``fact_ids[i]``: ``fact_ids`` is a :class:`~factrank.text.Names`, a
+    sorted byte column decoded only as a fact is named, whose ``rank`` breaks
+    ranking ties by id, and whose :meth:`~factrank.text.Names.row` finds an
     id's row, with no dict. A matrix that :meth:`build` made shares its ids
     with its KB, whose ``buckets`` then slice the rows, relation by relation,
     and ``oov_phrase_count`` counts its phrase occurrences that embed as zero."""
 
-    fact_ids: FactIds
+    fact_ids: Names
     rows: Array
     norms: Array | None = None
     oov_phrase_count: int = 0
@@ -153,7 +142,7 @@ class FactMatrix:
         """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32.
         A KB parsed from a file caches the rows and norms beside it, keyed by all they are computed from, and a
         hit maps the rows read-only. The matrix counts fully out-of-vocabulary occurrences, logged once."""
-        known = (found := table.lookup(kb.tokens)) >= 0
+        known = (found := table.tokens.rows(kb.tokens)) >= 0
         vecs = table.matrix[found[known]]
         keep = known[kb.phrase_tokens]
         at_known = np.concatenate(([0], np.cumsum(keep)))[kb.phrase_starts]

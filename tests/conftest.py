@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from factrank.dataio import load_dataset, split_fold
-from factrank.kb import Fact, FactIds, KBBuilder, KnowledgeBase, Relation
+from factrank.kb import Fact, KBBuilder, KnowledgeBase, Relation
 from factrank.synth import SyntheticConfig, generate_synthetic
-from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors, vector_columns
+from factrank.text import Names, sort_names
+from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
 
 # desk-size generator settings shared by the mid-weight tests: 104 facts
 # (>= 100 so the 99-negative scheme still fills whole candidate sets) and
@@ -22,12 +23,9 @@ SMALL_SYNTH = dict(
 )
 
 
-def id_column(ids) -> FactIds:
-    """The strings ``ids``, in their order, as a byte column ranked by Python's ``sorted``."""
-    ids = list(ids)
-    rank = np.empty(len(ids), dtype=np.int32)
-    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return FactIds(np.array([fid.encode() for fid in ids], dtype=bytes), rank)
+def id_column(ids) -> Names:
+    """The distinct strings ``ids`` as a fact-id column, ``ids[i]`` at row ``i``, as a KB lays its ids out."""
+    return Names(*sort_names(list(ids)), "fact id")
 
 
 def from_rows(ids, rows) -> FactMatrix:
@@ -38,7 +36,7 @@ def from_rows(ids, rows) -> FactMatrix:
 def table_of(dim, vectors) -> WordVectorTable:
     """A word-vector table of the dict ``vectors``, laid out in the columns that ``load_vectors`` gives a file."""
     matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
-    return WordVectorTable(**vector_columns(list(vectors), matrix))
+    return WordVectorTable(Names(*sort_names(vectors), "token"), matrix)
 
 
 def is_mapped(array) -> bool:
@@ -50,7 +48,7 @@ def is_mapped(array) -> bool:
 
 def vector_of(table, token):
     """``token``'s vector in ``table``, or None."""
-    [row] = table.lookup([token]).tolist()
+    [row] = table.tokens.rows([token]).tolist()
     return None if row < 0 else table.matrix[row]
 
 

@@ -460,7 +460,7 @@ def _plain(value):
     if isinstance(value, KnowledgeBase):
         return value.facts()
     if isinstance(value, WordVectorTable):
-        return value.duplicate_count, *map(_plain, (value.tokens, value.rows, value.matrix))
+        return value.duplicate_count, *map(_plain, (value.tokens.column, value.tokens.sorted_rows, value.matrix))
     if isinstance(value, np.ndarray):
         return value.dtype, value.tolist()
     if isinstance(value, dict):

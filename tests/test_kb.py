@@ -21,7 +21,7 @@ from factrank.kb import (
 )
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.text import CACHE_FORMAT
-from conftest import from_facts
+from conftest import from_facts, table_of
 
 
 def test_relation_set_has_13_members():
@@ -107,9 +107,15 @@ def test_a_fact_id_longer_than_the_bound_is_a_load_error_naming_the_line(tmp_pat
     assert parse_kb(path).ids.column.dtype == np.dtype("S255")
 
 
-def test_an_id_lookup_finds_no_row_for_an_id_with_a_nul_or_an_id_of_another_width(tiny_kb):
-    assert tiny_kb.ids.rows(["f1\x00", "f3", "f", "f10", "f4", "", "\xe9"]).tolist() == [-1, 3, -1, -1, 0, -1, -1]
-    assert tiny_kb.ids.rows([]).tolist() == [] and from_facts([]).ids.rows(["f1"]).tolist() == [-1]
+@pytest.mark.parametrize("names_of", [
+    lambda kb: kb.ids,
+    lambda kb: table_of(1, {fid: np.zeros(1) for fid in kb.ids}).tokens,  # token i at row i, as id i is
+], ids=["fact ids", "word-vector tokens"])
+def test_an_id_lookup_finds_no_row_for_an_id_with_a_nul_or_an_id_of_another_width(tiny_kb, names_of):
+    # an S column drops a trailing NUL, so "f1\0" compares equal to "f1"
+    names, empty = names_of(tiny_kb), names_of(from_facts([]))
+    assert names.rows(["f1\x00", "f3", "f", "f10", "f4", "", "\xe9"]).tolist() == [-1, 3, -1, -1, 0, -1, -1]
+    assert names.rows([]).tolist() == [] and empty.rows(["f1"]).tolist() == [-1]
 
 
 def test_parse_kb_malformed_line(tmp_path):
@@ -234,8 +240,7 @@ def test_property_buckets_partition(relations):
 # the cache of parsed columns beside the file
 # ----------------------------------------------------------------------
 
-CACHED_COLUMNS = ("relations", "subjects", "objects", "id_rank", "phrase_starts", "phrase_tokens", "text_starts",
-                  "phrase_text")
+CACHED_COLUMNS = ("relations", "subjects", "objects", "phrase_starts", "phrase_tokens", "text_starts", "phrase_text")
 
 # comments, blank lines, a qualified Comparative, relations out of bucket order, non-ASCII ids and phrases, and
 # U+2028 and U+0085 within fields, where str.splitlines() would split a line but a file's lines do not end
@@ -253,7 +258,8 @@ def _assert_same_kb(a, b):
     for name in CACHED_COLUMNS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    assert a.ids.column.dtype == b.ids.column.dtype and a.ids.column.tobytes() == b.ids.column.tobytes()
+    for x, y in ((a.ids.column, b.ids.column), (a.ids.sorted_rows, b.ids.sorted_rows)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     assert (list(a.ids), a.tokens, a.buckets) == (list(b.ids), b.tokens, b.buckets)
 
 
@@ -326,9 +332,10 @@ def _rewrite_cache(path, **changes):
      "phrase starts do not rise from 0 to the token count"),
     (lambda a: {"phrase_tokens": a["phrase_tokens"] + np.int32(1)}, "a code is out of range"),
     (lambda a: {"text_starts": a["text_starts"] + 1}, "text starts do not rise from 0 to the text length"),
-    (lambda a: {"id_rank": np.zeros_like(a["id_rank"])}, "id ranks are not a permutation"),
-    (lambda a: {"id_rank": a["id_rank"][::-1].copy()}, "their ranks do not sort them"),
-    (lambda a: {"ids": np.array([b"f1"] * 6)}, "fact ids repeat"),
+    (lambda a: {"id_rows": np.zeros_like(a["id_rows"])}, "the fact id rows are not a permutation"),
+    (lambda a: {"id_rows": a["id_rows"] + 1}, "id rows are not a permutation"),  # one row out of range
+    (lambda a: {"ids": a["ids"][::-1].copy()}, "the fact ids repeat or are out of order"),
+    (lambda a: {"ids": np.array([b"f1"] * 6)}, "the fact ids repeat"),
     (lambda a: {"ids": np.array([b"\xff"] * 6)}, "can't decode byte"),
     (lambda a: {"phrase_text": np.where(a["phrase_text"] == ord("D"), 0xFF, a["phrase_text"]).astype(np.uint8)},
      "can't decode byte"),

@@ -6,9 +6,10 @@ import pytest
 from factrank.dataio import validate_dataset
 from factrank.encoders import EncoderTrainConfig, train_relation_classifier, train_source_classifier
 from factrank.errors import DataError
-from factrank.kb import FactIds, KnowledgeBase
+from factrank.kb import KnowledgeBase
 from factrank.pipeline import PipelineModels, answer_question, answers_match, evaluate
 from factrank.scorer import embed_batch, rank_candidates
+from factrank.text import Names
 from factrank.trainer import MarginConfig, train_scorer
 from factrank.wordvec import FactMatrix
 from conftest import from_facts
@@ -113,13 +114,13 @@ def test_ranking_names_bucket_rows_by_the_fact_matrix_ids_without_copying_the_kb
     kb, store = small_synth["kb"], small_synth["store"]
     expected = evaluate(models, kb, test, store)
 
-    class Unsliceable(FactIds):
+    class Unsliceable(Names):
         def __getitem__(self, rows):
             if isinstance(rows, slice):
                 pytest.fail("copied bucket ids")
             return super().__getitem__(rows)
 
-    ids = Unsliceable(kb.ids.column, kb.ids.rank)
+    ids = Unsliceable(kb.ids.column, kb.ids.sorted_rows, kb.ids.what)
     monkeypatch.setattr(kb, "ids", ids)
     monkeypatch.setattr(models.fact_matrix, "fact_ids", ids)
     monkeypatch.setattr(KnowledgeBase, "ids_with_relation", lambda self, relation: pytest.fail("copied bucket ids"))

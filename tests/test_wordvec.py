@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factrank import text, wordvec
+from factrank import kb as kb_module, text, wordvec
 from factrank.errors import DegenerateInputError, LoadError
-from factrank.kb import Fact, Relation, parse_kb
+from factrank.kb import RELATIONS, Fact, Relation, fact_line, parse_kb
 from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.text import tokenize
 from factrank.scorer import rank_rows
@@ -182,9 +182,35 @@ def test_a_word_vector_cache_hit_maps_the_matrix_and_reads_as_the_parse(tmp_path
     assert [r.getMessage() for r in caplog.records] == [f"{path}:4: duplicate token 'b', keeping the later row"]
     assert not is_mapped(parsed.matrix) and is_mapped(hit.matrix) and not hit.matrix.flags.writeable
     for table in (parsed, hit):
-        assert (table.dim, table.duplicate_count, table.tokens.tolist()) == (2, 1, [b"a", b"b", "\u00e9t\u00e9".encode()])
-        assert table.lookup(["b", "\u00e9t\u00e9", "a", "c", "", "\u00e9"]).tolist() == [0, 1, 2, -1, -1, -1]
+        assert (table.dim, table.duplicate_count, table.tokens.column.tolist()) == (
+            2, 1, [b"a", b"b", "\u00e9t\u00e9".encode()])
+        assert table.tokens.rows(["b", "\u00e9t\u00e9", "a", "c", "", "\u00e9"]).tolist() == [0, 1, 2, -1, -1, -1]
         assert table.matrix.tolist() == [[5.0, 6.0], [7.0, 8.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("change", [
+    lambda a: {"tokens": a["tokens"][::-1].copy()},
+    lambda a: {"tokens": np.concatenate([a["tokens"][:1], a["tokens"][:-1]])},
+    lambda a: {"rows": np.zeros_like(a["rows"])},
+    lambda a: {"rows": a["rows"] + len(a["rows"])},
+], ids=["reversed tokens", "a repeated token", "rows not a permutation", "rows out of range"])
+def test_a_stale_or_unsound_word_vector_cache_warns_and_the_file_is_parsed_again(tmp_path, caplog, change):
+    path = tmp_path / "wordvec.txt"
+    path.write_text("b 1 2\n\u00e9t\u00e9 7 8\na 3 4\nc 5 6\n", encoding="utf-8")
+    parsed, cache = load_vectors(path), tmp_path / "wordvec.txt.cache.npz"
+    with np.load(cache) as data:
+        arrays = {name: data[name] for name in data.files}
+    text.write_atomic(cache, lambda fh: text._savez(fh, {**arrays, **change(arrays)}))  # the matrix stays mappable
+    with caplog.at_level(logging.WARNING):
+        reparsed = load_vectors(path)
+        assert f"ignoring unreadable word vector cache {cache}" in caplog.text
+        caplog.clear()
+        rewritten = load_vectors(path)
+    assert not caplog.records and is_mapped(rewritten.matrix)
+    queries = ["a", "b", "c", "\u00e9t\u00e9", "d", "", "b\0"]
+    for table in (parsed, reparsed, rewritten):
+        assert table.tokens.rows(queries).tolist() == [2, 0, 3, 1, -1, -1, -1]
+        assert table.matrix.tolist() == [[1.0, 2.0], [7.0, 8.0], [3.0, 4.0], [5.0, 6.0]]
 
 
 def test_a_word_vector_cache_hit_of_another_width_is_the_load_error_of_a_parse(tmp_path):
@@ -202,25 +228,48 @@ def test_a_word_vector_cache_hit_of_another_width_is_the_load_error_of_a_parse(t
     assert str(hit.value) == str(parse.value) == f"{path}:2: expected 4 fields, got 3" and not cache.exists()
 
 
-def test_a_table_of_tens_of_thousands_of_tokens_looks_up_as_a_dict_from_its_cache(tmp_path):
-    rng = np.random.default_rng(15)
-    alphabet = np.array(list("abcdefghz09\u00e9\u00df\u0416\u65e5"))  # one- to three-byte UTF-8
-    tokens = ["".join(alphabet[rng.integers(len(alphabet), size=n)]) for n in rng.integers(3, 11, 40_000).tolist()]
-    values = rng.standard_normal((len(tokens), 3))
+def _word_vectors(tmp_path, names, rng):
+    """A word-vector file of ``names``, which may repeat, read from its cache: the table's tokens, the vectors of
+    rows, and a dict of each token's vector, the one written last."""
+    values = rng.standard_normal((len(names), 3))
     path = tmp_path / "vec.txt"
-    path.write_text("".join(f"{t} {' '.join(map(repr, v))}\n" for t, v in zip(tokens, values.tolist())),
+    path.write_text("".join(f"{t} {' '.join(map(repr, v))}\n" for t, v in zip(names, values.tolist())),
                     encoding="utf-8")
-    oracle = dict(zip(tokens, values))  # last write wins
-    unknown = {t[:-1] for t in tokens} | {t + "a" for t in tokens} | {t.upper() for t in tokens} | {"", "\u00e9"}
-    queries = list(oracle) + sorted(unknown - set(oracle))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wordvec.logger, "disabled", True)  # a warning for each of the ~2,000 repeated tokens
         load_vectors(path)
         table = load_vectors(path)
-    assert is_mapped(table.matrix) and table.duplicate_count == len(tokens) - len(oracle) > 1000
-    found = table.lookup(queries)
+    assert is_mapped(table.matrix) and table.duplicate_count == len(names) - len(set(names)) > 1000
+    return table.tokens, table.matrix.__getitem__, dict(zip(names, values))  # last write wins
+
+
+def _fact_ids(tmp_path, names, rng):
+    """A KB of the distinct ``names`` as fact ids, written by ``fact_line`` in load order, fact ``i`` of a random
+    relation and of the phrase ``s<i>``, whose code is ``i``; read from its cache: the KB's ids, the subject codes
+    of rows, and a dict of each id's load index."""
+    ids = list(dict.fromkeys(names))
+    lines = [fact_line([fid, f"s{i}", RELATIONS[r].value, f"s{i}"])
+             for i, (fid, r) in enumerate(zip(ids, rng.integers(len(RELATIONS), size=len(ids)).tolist()))]
+    path = tmp_path / "kb.tsv"
+    text.write_lines(path, lines)
+    parse_kb(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kb_module, "_parse", lambda path: pytest.fail(f"{path} was parsed, not read from its cache"))
+        kb = parse_kb(path)
+    return kb.ids, kb.subjects.__getitem__, {fid: i for i, fid in enumerate(ids)}
+
+
+@pytest.mark.parametrize("load", [_word_vectors, _fact_ids], ids=["word-vector tokens", "fact ids"])
+def test_a_table_of_tens_of_thousands_of_tokens_looks_up_as_a_dict_from_its_cache(tmp_path, load):
+    rng = np.random.default_rng(15)
+    alphabet = np.array(list("abcdefghz09\u00e9\u00df\u0416\u65e5"))  # one- to three-byte UTF-8
+    tokens = ["".join(alphabet[rng.integers(len(alphabet), size=n)]) for n in rng.integers(3, 11, 40_000).tolist()]
+    names, value_of, oracle = load(tmp_path, tokens, rng)
+    unknown = {t[:-1] for t in tokens} | {t + "a" for t in tokens} | {t.upper() for t in tokens} | {"", "\u00e9"}
+    queries = list(oracle) + sorted(unknown - set(oracle))
+    found = names.rows(queries)
     assert (found[len(oracle):] == -1).all() and len(queries) - len(oracle) > 100_000
-    assert table.matrix[found[:len(oracle)]].tobytes() == np.array(list(oracle.values())).tobytes()
+    assert value_of(found[:len(oracle)]).tolist() == np.array(list(oracle.values())).tolist()
 
 
 def test_fact_matrix_rows_match_fact_embeddings(tiny_kb, tiny_table, tiny_fact_matrix):
@@ -506,7 +555,7 @@ def test_a_fact_matrix_cache_hit_is_bitwise_the_build(kb_path, caplog):
 
 
 def _change_vector(kb_path, table, monkeypatch):
-    [row] = table.lookup(["pet"]).tolist()
+    [row] = table.tokens.rows(["pet"]).tolist()
     table.matrix = table.matrix.copy()
     table.matrix[row, 0] = np.nextafter(table.matrix[row, 0], np.inf)  # below float32's resolution
 
@@ -610,7 +659,7 @@ def test_a_hit_maps_the_rows_of_the_cache_it_checked_though_another_replaces_it(
     # one KB with two word-vector files writes two caches of one layout to the same path
     kb, table = parse_kb(kb_path), _table()
     cache, load = _facts_cache(kb_path), np.load
-    FactMatrix.build(kb, WordVectorTable(table.tokens, table.rows, 2 * table.matrix))
+    FactMatrix.build(kb, WordVectorTable(table.tokens, 2 * table.matrix))
     other = cache.read_bytes()
     FactMatrix.build(kb, table)
 
