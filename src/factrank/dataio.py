@@ -5,8 +5,9 @@ question, answer, fact_id, relation, answer_source, and fold. Image
 features are text rows ``image_id dim v1 .. v_dim`` and concept vectors
 ``image_id i1,i2,...`` hot-index rows positioned against a label file; each
 loads as one table, an image id -> row index beside a read-only matrix of
-float32 features or of 0/1 bool concepts. The store hands out the rows it
-holds; the scorer casts a batch of them to its weights' dtype. Each
+float32 features (read by row from their cache on a hit, as a run reads
+only its questions' images) or of 0/1 bool concepts. The store hands out the
+rows it holds; the scorer casts a batch of them to its weights' dtype. Each
 record's own checks, and whether its question has tokens, are
 :func:`load_qa`'s; whether it agrees with the knowledge base and the two
 tables (fact id, relation, answer, features, concepts) is
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import DataError, LoadError, UsageError
 from .kb import RELATIONS, AnswerSource, KBBuilder, KnowledgeBase, Relation, fact_line, parse_fact, parse_kb
-from .text import cached, join_strings, normalize_phrase, read_lines, split_strings, tokenize, write_lines
+from .text import RowReader, cached, join_strings, normalize_phrase, read_lines, split_strings, tokenize, write_lines
 
 logger = logging.getLogger(__name__)
 
@@ -68,9 +69,9 @@ class QAInstance:
 
 class FeatureStore:
     """Image id -> feature vector and concept vector, immutable after load: two tables, each an image id -> row
-    index beside a read-only matrix (the features' mapped from their cache, as the fact matrix is), read through
-    one lookup. It hands out the rows it holds, a feature as a read-only float32 row and a concept as a read-only
-    bool row, and :meth:`stack` gathers both for many images, all their features before any concepts."""
+    index beside a read-only matrix (the features' a :class:`text.RowReader` of their cache on a hit), read
+    through one lookup. It hands out the rows it holds, a feature as a read-only float32 row and a concept as a
+    read-only bool row, and :meth:`stack` gathers both for many images, all their features before any concepts."""
 
     def __init__(self, features: tuple[dict[str, int], Array], concepts: tuple[dict[str, int], Array]):
         (self.feature_rows, self.feature_matrix), (self.concept_rows, self.concept_matrix) = features, concepts
@@ -107,17 +108,18 @@ def load_concept_labels(path: str | Path) -> list[str]:
 
 def load_features(path: str | Path) -> tuple[dict[str, int], Array]:
     """Parse ``image_id dim v1..v_dim`` rows into an image id -> row index and a read-only float32 matrix,
-    through the checksum-keyed cache of :func:`text.cached`, whose hit maps it (unchecked by CRC, as the fact
-    matrix). Each value is its text's float64 rounded to float32; one not finite or beyond float32's is a load error."""
+    through the checksum-keyed cache of :func:`text.cached`, whose hit is a :class:`text.RowReader` of it. Each
+    value is its text's float64 rounded to float32; one not finite or beyond float32's is a load error."""
     path = Path(path)
-    return cached(path, "feature", lambda: _parse_features(path), _feature_rows, mapped=("matrix",))
+    return cached(path, "feature", lambda: _parse_features(path), _feature_rows, by_row=("matrix",))
 
 
-def _feature_rows(arrays) -> tuple[dict[str, int], Array]:
+def _feature_rows(arrays) -> tuple[dict[str, int], Array | RowReader]:
     ids, matrix = split_strings(arrays), arrays["matrix"]
-    if matrix.ndim != 2 or matrix.dtype != np.float32 or len(ids) != len(matrix):
+    if len(matrix.shape) != 2 or matrix.dtype != np.float32 or len(ids) != len(matrix):
         raise ValueError("the feature matrix is not 2-d float32 with a row for each id")
-    matrix.flags.writeable = False
+    if isinstance(matrix, np.ndarray):  # a parse's; a hit's reader hands out read-only rows
+        matrix.flags.writeable = False
     return dict(zip(ids, range(len(ids)))), matrix
 
 

@@ -7,10 +7,11 @@ column; and :class:`Names`, its sorted name column, the one name -> row
 lookup of the fact ids and of the word-vector tokens. The knowledge-base,
 QA, feature, concept and word-vector loaders key theirs by the input file,
 which a load whose size and mtime match the cache's does not hash again;
-the fact matrix keys its cache by the arrays it is computed from. A
-feature, word-vector or fact-matrix hit maps its matrix. Each caller builds
-its value from the arrays by one function, on a cache hit and after a parse
-alike."""
+the fact matrix keys its cache by the arrays it is computed from. A hit
+maps the fact rows, which a run scans whole, and reads the feature and
+word-vector matrices by row (:class:`RowReader`), as a run only looks rows
+up in them. Each caller builds its value from the arrays by one function, on
+a cache hit and after a parse alike."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ import os
 import re
 import struct
 import time
+import weakref
 import zipfile
 from pathlib import Path
 from typing import BinaryIO, Callable, Collection, Iterator, Sequence
@@ -132,7 +134,9 @@ class Names(Sequence[str]):
             return np.full(len(keys), -1, dtype=np.intp)
         column = np.array(keys, dtype=bytes)  # the width of the longest key, so none is cut short
         at = np.minimum(np.searchsorted(self.column, column), len(self) - 1)
-        found = (self.column[at] == column) & np.array([b"\0" not in key for key in keys], dtype=bool)
+        # a key is stored NUL-padded, so one ending in NUL matches its stem: its length tells them apart
+        found = (self.column[at] == column) & (np.fromiter(map(len, keys), np.intp, len(keys))
+                                                == np.char.str_len(self.column[at]))
         return np.where(found, self.sorted_rows[at], -1)
 
     def row(self, name: str) -> int:
@@ -153,37 +157,39 @@ def sort_names(names: Collection[str]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequence[np.ndarray] | None = None,
-           mapped: Collection[str] = ()):
+           mapped: Collection[str] = (), by_row: Collection[str] = ()):
     """``build`` of the arrays that ``parse()`` returns, read from the cache ``<path>.cache.npz`` while it holds
     them. It is keyed by ``CACHE_FORMAT`` and the SHA-256 of the arrays in ``key``, all that ``parse`` computes
     from, or else of the file at ``path`` and its size. Once a hash has vouched for a file's cache
     ``STAMP_AGE_NS`` after the file's mtime, the cache bears that mtime as its own: a load that finds the size
     and mtime unchanged, and the cache's ctime (the stamp's time) past that mtime by as much, does not hash it.
-    A hit maps the members named in ``mapped`` read-only and reads the rest, all through one open file. ``build``
+    A hit maps the members named in ``mapped`` read-only, opens a :class:`RowReader` of each one named in
+    ``by_row``, and reads the rest, all through one open file (``build`` gets ``checksum`` too). ``build``
     runs on a hit and after a parse alike, so both make their value by the same code, and a value it rejects by
     raising is not cached. A cache that is stale, unreadable or that ``build`` rejects is named in a warning, and
     ``parse`` runs and the cache is rewritten; a cache that cannot be written or stamped is named in one too."""
     cache, source = path.with_name(path.name + ".cache.npz"), None if key is not None else path.stat()
     suffix = CACHE_FORMAT if source is None else f"{source.st_size} {CACHE_FORMAT}"  # a file's size is in its key
-    checksum, value, trusted = None if key is None else f"{_digest(key)} {suffix}", None, False
+    checksum, value, trusted = None if key is None else f"{digest(key)} {suffix}", None, False
     try:
         with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as data:  # one inode for every member
             stored, stat = str(data["checksum"]), os.fstat(fh.fileno())
             # a cache just written bears its own write time, which a source written in the same tick shares
             trusted = (source is not None and stored.endswith(f" {suffix}") and stat.st_mtime_ns == source.st_mtime_ns
                        and stat.st_ctime_ns - stat.st_mtime_ns >= STAMP_AGE_NS)
-            checksum = checksum or (stored if trusted else f"{_digest(path)} {suffix}")
+            checksum = checksum or (stored if trusted else f"{digest(path)} {suffix}")
             if stored != checksum:
                 logger.warning("rebuilding stale %s cache %s", what, cache)
             else:
-                value = build({name: _mapped(fh, data, name) if name in mapped else data[name]
+                value = build({name: _mapped(fh, data, name) if name in mapped else
+                               RowReader(fh, *_member(fh, data, name)) if name in by_row else data[name]
                                for name in data.files})
     except FileNotFoundError:
         pass
     except Exception as exc:  # corrupt bytes or failed checks
         logger.warning("ignoring unreadable %s cache %s (%s)", what, cache, exc)
     if value is None:
-        arrays = {**parse(), "checksum": np.str_(checksum or f"{_digest(path)} {suffix}")}
+        arrays = {**parse(), "checksum": np.str_(checksum or f"{digest(path)} {suffix}")}
         value, trusted = build(arrays), False
         try:
             write_atomic(cache, lambda fh: _savez(fh, arrays))
@@ -199,23 +205,24 @@ def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequenc
     return value
 
 
-def _digest(source: Path | Sequence[np.ndarray]) -> str:
+def digest(source: Path | Sequence[np.ndarray]) -> str:
     """The SHA-256 of a file's bytes, or of arrays' dtypes, shapes and bytes."""
-    digest = hashlib.sha256()
+    sha = hashlib.sha256()
     if isinstance(source, Path):
         with open(source, "rb") as fh:
             while chunk := fh.read(1 << 20):
-                digest.update(chunk)
+                sha.update(chunk)
     else:
         for part in map(np.ascontiguousarray, source):
-            digest.update(f"{part.dtype.str}{part.shape}".encode())
-            digest.update(part)
-    return digest.hexdigest()
+            sha.update(f"{part.dtype.str}{part.shape}".encode())
+            sha.update(part)
+    return sha.hexdigest()
 
 
 def _savez(fh: BinaryIO, arrays: dict[str, np.ndarray]) -> None:
     """``np.savez`` of ``arrays`` (uncompressed, each member dated 1980-01-01), but with each member's data aligned
-    in the file as .npy aligns it in its own, by padding in its zip header (zipalign's field), so it can be mapped."""
+    in the file as .npy aligns it in its own, by padding in its zip header (zipalign's field), so it can be mapped
+    or read by row."""
     with zipfile.ZipFile(fh, "w") as archive:
         for name, value in arrays.items():
             info = zipfile.ZipInfo(f"{name}.npy")
@@ -226,16 +233,51 @@ def _savez(fh: BinaryIO, arrays: dict[str, np.ndarray]) -> None:
                 np.lib.format.write_array(member, np.asanyarray(value), allow_pickle=False)
 
 
-def _mapped(fh: BinaryIO, data, name: str) -> np.ndarray:
-    """Member ``name`` of ``data``, the npz open on ``fh``, mapped read-only from ``fh``, so a run reads only the
-    pages it touches (unchecked by CRC). A member not stored uncompressed at its dtype's alignment, as
-    :func:`_savez` stores it, is a ValueError, so its cache is rebuilt."""
+def _member(fh: BinaryIO, data, name: str) -> tuple[int, tuple[int, ...], np.dtype]:
+    """The file offset, shape and dtype of the data of member ``name`` of ``data``, the npz open on ``fh``. A
+    member not stored as :func:`_savez` stores it (uncompressed, at its dtype's alignment, in C order, of no
+    object dtype) is a ValueError, so its cache is rebuilt."""
     info = data.zip.getinfo(f"{name}.npy")
     fh.seek(info.header_offset + 26)  # the local header's name and extra-field lengths
     fh.seek(sum(struct.unpack("<HH", fh.read(4))), os.SEEK_CUR)
     if info.compress_type == zipfile.ZIP_STORED and np.lib.format.read_magic(fh) == (1, 0):
         shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
         if not (fortran_order or dtype.hasobject or fh.tell() % dtype.alignment):
-            buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            return np.frombuffer(buffer, dtype, math.prod(shape), fh.tell()).reshape(shape)
+            return fh.tell(), shape, dtype
     raise ValueError(f"member {name} is not stored uncompressed and aligned")
+
+
+def _mapped(fh: BinaryIO, data, name: str) -> np.ndarray:
+    """Member ``name`` of ``data``, the npz open on ``fh``, mapped read-only from ``fh`` (unchecked by CRC): for
+    a matrix that a run scans whole."""
+    offset, shape, dtype = _member(fh, data, name)
+    buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape)
+
+
+class RowReader:
+    """A cache member of ``shape`` and ``dtype`` at ``offset`` in the file open on ``fh``, read a row at a time
+    (unchecked by CRC), for a matrix that a run only looks rows up in: a page fault maps a whole large folio, so
+    a mapping of it would grow resident far past the rows read. It reads through its own duplicate of ``fh``'s
+    descriptor, closed once the reader is collected, so it keeps reading the file it was opened on though
+    another replaces it. A row index gives a read-only row, a sequence of them a fresh array of those rows, one
+    read each; a read that the file ends short of is a LoadError naming it."""
+
+    def __init__(self, fh: BinaryIO, offset: int, shape: tuple[int, ...], dtype: np.dtype):
+        self.shape, self.dtype, self.path, self._offset = shape, dtype, fh.name, offset
+        self._row_bytes, self._fd = dtype.itemsize * math.prod(shape[1:]), os.dup(fh.fileno())
+        weakref.finalize(self, os.close, self._fd)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        at = np.asarray(rows, dtype=np.intp)
+        if ((at < -len(self)) | (at >= len(self))).any():
+            raise IndexError(f"a row index is out of range for {len(self)} rows")
+        out = np.empty(at.shape + self.shape[1:], self.dtype)
+        for row, buffer in zip((at % len(self)).ravel().tolist(), out.reshape(at.size, *self.shape[1:])):
+            if os.preadv(self._fd, [buffer], self._offset + row * self._row_bytes) != self._row_bytes:
+                raise LoadError(f"{self.path}: the cache ends inside row {row} of a {self.shape} matrix")
+        out.flags.writeable = at.ndim > 0
+        return out

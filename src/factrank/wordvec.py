@@ -2,8 +2,9 @@
 
 A :class:`WordVectorTable` is columns, as the KB is: its tokens are a
 :class:`text.Names`, the sorted byte column that holds the KB's fact ids too,
-beside one float64 matrix, cached beside its file, so a later run maps the
-matrix read-only and reads only the rows it looks up. A fact embeds
+beside one float64 matrix, cached beside its file. A later run reads the
+matrix's rows from that cache (:class:`text.RowReader`), and only to embed
+a KB whose fact matrix is not cached. A fact embeds
 as the concatenation of the averaged known-token word vectors of its subject
 and of its object (zero if none is known; not the relation), a vector of
 length ``2 * dim`` that never changes during training. The whole knowledge
@@ -12,8 +13,9 @@ KB's token list is mapped to word vectors once, and each pass of
 ``BUILD_CHUNK`` facts takes the mean of each of its distinct phrases' known
 tokens, one gather per known-token count. A KB parsed from a file keeps the
 rows and their norms in a cache beside it (:func:`text.cached`), keyed by
-the KB's codes and tokens and the known tokens' vectors, so a later run with
-the same inputs maps the rows read-only instead of embedding them again.
+the KB's codes and tokens, each token's row of the table and the table's
+checksum, so a later run with the same inputs maps the rows read-only
+instead of embedding them again, and reads no word vector.
 Rows are in the KB's own relation-bucket order, so ranking a bucket reads
 one contiguous block of rows, and a ranked row is the KB's row of the same
 number: the matrix shares the KB's ids, without a copy, and the KB reads a
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import DataError, DegenerateInputError, LoadError
 from .kb import KnowledgeBase
 from .numerics import row_norms
-from .text import Names, cached, read_lines, sort_names
+from .text import Names, RowReader, cached, digest, read_lines, sort_names
 
 logger = logging.getLogger(__name__)
 
@@ -46,18 +48,26 @@ Array = np.ndarray
 
 class WordVectorTable:
     """token -> fixed dense vector, all of one dimension: ``tokens`` a :class:`text.Names` (UTF-8, no NUL) whose
-    rows are the rows of the float64 ``matrix``, so ``tokens.rows`` finds tokens' vectors, -1 for one not here."""
+    rows are the rows of the float64 ``matrix`` (an array, or a :class:`text.RowReader` of a cache), so
+    ``tokens.rows`` finds tokens' vectors, -1 for one not here. ``checksum`` names the vectors: a loaded table's is
+    its cache's key, and one built in memory digests its columns on first use, so they are not to change after."""
 
-    def __init__(self, tokens: Names, matrix: Array, duplicate_count: int = 0):
+    def __init__(self, tokens: Names, matrix: Array | RowReader, duplicate_count: int = 0, checksum: str = ""):
         self.tokens, self.matrix, self.duplicate_count = tokens, matrix, duplicate_count
         self.dim = matrix.shape[1]
+        if checksum:
+            self.checksum = checksum
+
+    @cached_property
+    def checksum(self) -> str:
+        return digest((self.tokens.column, self.tokens.sorted_rows, self.matrix))
 
 
 def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
     """Load ``token v1 ... v_dim`` rows; wrong arity, a token holding a NUL byte, a non-finite component or one
     beyond float32's finite range (fact rows are float32), and a file with no rows are load errors. ``dim``
     defaults to the first row's. A repeated token overwrites the earlier row (last write wins) and is counted. A
-    hit of the cache beside the file maps the matrix read-only; one of another width than ``dim`` parses again."""
+    hit of the cache beside the file reads the matrix by row; one of another width than ``dim`` parses again."""
     path = Path(path)
 
     def parse(dim=dim) -> dict[str, Array]:
@@ -92,12 +102,12 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
 
     def table(arrays) -> WordVectorTable:
         tokens, matrix = Names(arrays["tokens"], arrays["rows"], "token"), arrays["matrix"]
-        if (matrix.dtype, matrix.ndim, len(matrix), dim or matrix.shape[1]) != (
+        if (matrix.dtype, len(matrix.shape), len(matrix), dim or matrix.shape[1]) != (
                 np.float64, 2, len(tokens), matrix.shape[1]):
             raise ValueError(f"the word vectors are not {dim or 'n'}-d float64 rows, one for each token")
-        return WordVectorTable(tokens, matrix, int(arrays["duplicate_count"]))
+        return WordVectorTable(tokens, matrix, int(arrays["duplicate_count"]), str(arrays["checksum"]))
 
-    return cached(path, "word vector", parse, table, mapped=("matrix",))
+    return cached(path, "word vector", parse, table, by_row=("matrix",))
 
 
 def _chunked_norms(rows: Array) -> Array:
@@ -141,9 +151,9 @@ class FactMatrix:
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":
         """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32.
         A KB parsed from a file caches the rows and norms beside it, keyed by all they are computed from, and a
-        hit maps the rows read-only. The matrix counts fully out-of-vocabulary occurrences, logged once."""
+        hit maps the rows read-only, reading no word vector. The matrix counts fully out-of-vocabulary
+        occurrences, logged once."""
         known = (found := table.tokens.rows(kb.tokens)) >= 0
-        vecs = table.matrix[found[known]]
         keep = known[kb.phrase_tokens]
         at_known = np.concatenate(([0], np.cumsum(keep)))[kb.phrase_starts]
         first, count = at_known[:-1], np.diff(at_known)  # per phrase: its first entry of vec_of, and how many
@@ -151,6 +161,7 @@ class FactMatrix:
         oov = np.flatnonzero(count[codes] == 0)
 
         def embed() -> dict[str, Array]:
+            vecs = table.matrix[found[known]]  # each known token's vector, read once
             vec_of = (np.cumsum(known) - 1)[kb.phrase_tokens[keep]]  # each phrase's known tokens' rows of vecs
             rows = np.zeros((len(kb), 2 * table.dim), dtype=np.float32)
             halves = rows.reshape(len(codes), table.dim)  # a view, in the order of codes
@@ -174,8 +185,8 @@ class FactMatrix:
             fm = matrix(embed())
         else:
             tokens = np.frombuffer("\n".join(kb.tokens).encode(), np.uint8)
-            key = (kb.subjects, kb.objects, kb.phrase_starts, kb.phrase_tokens, tokens, known, vecs,
-                   np.int64(table.dim))
+            key = (kb.subjects, kb.objects, kb.phrase_starts, kb.phrase_tokens, tokens, found,
+                   np.str_(table.checksum), np.int64(table.dim))
             fm = cached(kb.path.with_name(kb.path.name + ".facts"), "fact matrix", embed, matrix, key, ("rows",))
         if len(oov):
             logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov),

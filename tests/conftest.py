@@ -46,6 +46,11 @@ def is_mapped(array) -> bool:
     return isinstance(array.obj if isinstance(array, memoryview) else array, mmap.mmap)
 
 
+def all_rows(matrix) -> np.ndarray:
+    """Every row of ``matrix``, an array or a :class:`text.RowReader`, as one fresh array."""
+    return matrix[np.arange(len(matrix))]
+
+
 def vector_of(table, token):
     """``token``'s vector in ``table``, or None."""
     [row] = table.tokens.rows([token]).tolist()

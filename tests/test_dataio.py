@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import logging
 import os
 import re
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from factrank.errors import DataError, LoadError, UsageError
 from factrank.kb import MAX_FACT_ID_BYTES, AnswerSource, KnowledgeBase, Relation, parse_kb
 from factrank.wordvec import WordVectorTable, load_vectors
 
-from conftest import from_facts, is_mapped, vector_of
+from conftest import all_rows, from_facts, is_mapped, vector_of
 
 LABELS = [f"label{i}" for i in range(6)]
 CONCEPTS = {"img1": [0, 5], "img2": [], "img3": [3, 3], "img4": [2, 4, 1]}
@@ -133,7 +135,7 @@ def test_the_cache_is_read_while_its_checksum_matches_and_rebuilt_once_the_sourc
     cache = path.with_name("features.txt.cache.npz")
     with np.load(cache) as data:
         arrays = {name: data[name] for name in data.files}
-    with open(cache, "wb") as fh:  # laid out as text.cached writes a cache, so that its matrix maps
+    with open(cache, "wb") as fh:  # laid out as text.cached writes a cache, so that its matrix reads by row
         text._savez(fh, {**arrays, "matrix": arrays["matrix"] + 1.0})
     assert _by_image(load_features(path))["img2"].tolist() == [2.0, 1.0, 1.0]
     _write_features(path, {**FEATURES, "img2": ["4", "5", "6"]})
@@ -142,11 +144,12 @@ def test_the_cache_is_read_while_its_checksum_matches_and_rebuilt_once_the_sourc
         assert data["matrix"][1].tolist() == [4.0, 5.0, 6.0]
 
 
-def test_a_feature_cache_hit_maps_the_matrix_and_hands_out_read_only_rows(tmp_path):
+def test_a_feature_cache_hit_reads_the_matrix_by_row_and_hands_out_read_only_rows(tmp_path):
     path = _write_features(tmp_path / "features.txt", FEATURES)
     parsed, hit = load_features(path), load_features(path)
-    assert not is_mapped(parsed[1]) and is_mapped(hit[1])
-    assert hit[0] == parsed[0] and hit[1].tobytes() == parsed[1].tobytes()
+    assert isinstance(parsed[1], np.ndarray) and isinstance(hit[1], text.RowReader) and not is_mapped(hit[1][0])
+    assert (hit[1].shape, hit[1].dtype) == (parsed[1].shape, parsed[1].dtype) == ((4, 3), np.float32)
+    assert hit[0] == parsed[0] and all_rows(hit[1]).tobytes() == parsed[1].tobytes()
     store = FeatureStore(hit, load_concepts(_write_concepts(tmp_path / "concepts.txt", CONCEPTS), len(LABELS)))
     for row in (hit[1][0], store.feature("img2")):
         with pytest.raises(ValueError, match="read-only"):
@@ -154,7 +157,7 @@ def test_a_feature_cache_hit_maps_the_matrix_and_hands_out_read_only_rows(tmp_pa
 
 
 @pytest.mark.parametrize("save", [np.savez, np.savez_compressed])
-def test_a_feature_cache_whose_matrix_cannot_be_mapped_is_rebuilt_once_then_mapped(tmp_path, caplog, save):
+def test_a_feature_cache_whose_matrix_cannot_be_read_by_row_is_rebuilt_once_then_read_by_row(tmp_path, caplog, save):
     # np.savez puts the matrix at no float32 boundary here, and np.savez_compressed deflates it
     path = _write_features(tmp_path / "features.txt", FEATURES)
     parsed = load_features(path)
@@ -169,8 +172,83 @@ def test_a_feature_cache_whose_matrix_cannot_be_mapped_is_rebuilt_once_then_mapp
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factrank.text"):
         hit = load_features(path)
-    assert not caplog.records and is_mapped(hit[1])
-    assert hit[0] == rebuilt[0] == parsed[0] and hit[1].tobytes() == rebuilt[1].tobytes() == parsed[1].tobytes()
+    assert not caplog.records and isinstance(hit[1], text.RowReader)
+    assert hit[0] == rebuilt[0] == parsed[0]
+    assert all_rows(hit[1]).tobytes() == rebuilt[1].tobytes() == parsed[1].tobytes()
+
+
+def _feature_hit(path):
+    """The features of ``path`` as a cache hit gives them: the cache written by a parse, then read."""
+    load_features(path)
+    return load_features(path)
+
+
+def test_a_feature_reader_reads_each_row_it_is_asked_for_once(tmp_path, monkeypatch):
+    _, matrix = _feature_hit(_write_features(tmp_path / "features.txt", FEATURES))
+    reads, preadv = [], os.preadv
+    monkeypatch.setattr(os, "preadv", lambda fd, buffers, offset: reads.append(offset) or preadv(fd, buffers, offset))
+    rows = [3, 0, 3, -3]
+    gathered = matrix[np.array(rows)]
+    assert len(reads) == len(rows) and len(set(reads)) == 3
+    want = np.stack([_float32(values) for values in FEATURES.values()])
+    assert gathered.dtype == np.float32 and gathered.tobytes() == want[rows].tobytes() and gathered.flags.writeable
+    reads.clear()
+    assert matrix[[]].shape == (0, 3) and not reads
+    for row in (5, -5):
+        with pytest.raises(IndexError):
+            matrix[[0, row]]
+    assert not reads
+
+
+def test_a_feature_reader_hands_out_one_row_read_only(tmp_path):
+    _, matrix = _feature_hit(_write_features(tmp_path / "features.txt", FEATURES))
+    row = matrix[1]
+    assert row.shape == (3,) and row.tobytes() == _float32(FEATURES["img2"]).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 1.0
+
+
+def test_a_store_keeps_reading_the_cache_it_loaded_though_another_replaces_it(tmp_path):
+    path = _write_features(tmp_path / "features.txt", FEATURES)
+    store = FeatureStore(_feature_hit(path), load_concepts(_write_concepts(tmp_path / "concepts.txt", CONCEPTS),
+                                                           len(LABELS)))
+    other = {image: [str(-float(v)) for v in values] for image, values in FEATURES.items()}
+    (tmp_path / "other").mkdir()
+    other_cache = _write_features(tmp_path / "other" / "features.txt", other).with_name("features.txt.cache.npz")
+    load_features(other_cache.with_name("features.txt"))
+    cache = path.with_name("features.txt.cache.npz")
+    text.write_atomic(cache, lambda fh: fh.write(other_cache.read_bytes()))  # as a concurrent run renames its in
+    assert cache.read_bytes() == other_cache.read_bytes()
+    feats, _ = store.stack(list(FEATURES))
+    assert feats.tobytes() == np.stack([_float32(values) for values in FEATURES.values()]).tobytes()
+    assert store.feature("img4").tobytes() == _float32(FEATURES["img4"]).tobytes()
+
+
+def test_a_feature_cache_cut_short_after_its_load_is_a_load_error_naming_it_on_read(tmp_path):
+    path = _write_features(tmp_path / "features.txt", FEATURES)
+    _, matrix = _feature_hit(path)
+    cache = path.with_name("features.txt.cache.npz")
+    with zipfile.ZipFile(cache) as archive:  # the matrix is the member before the checksum
+        end = archive.getinfo("checksum.npy").header_offset
+    os.truncate(cache, end - 2)  # in place: the reader's file, cut inside its last row
+    assert matrix[0].tobytes() == _float32(FEATURES["img1"]).tobytes()
+    for rows in (3, [0, 3]):
+        with pytest.raises(LoadError, match=f"^{re.escape(str(cache))}: the cache ends inside row 3 "):
+            matrix[rows]
+
+
+def test_a_hundred_loads_hold_no_more_descriptors_open_than_one(tmp_path):
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        pytest.skip(f"no {fds} to count open descriptors in")
+    path = _write_features(tmp_path / "features.txt", FEATURES)
+    kept = _feature_hit(path)
+    gc.collect()
+    one = len(os.listdir(fds))
+    for _ in range(100):
+        assert load_features(path)[1][0].tobytes() == kept[1][0].tobytes()
+    gc.collect()
+    assert len(os.listdir(fds)) <= one
 
 
 def test_feature_image_ids_that_differ_by_a_trailing_nul_keep_their_own_rows(tmp_path):
@@ -178,7 +256,7 @@ def test_feature_image_ids_that_differ_by_a_trailing_nul_keep_their_own_rows(tmp
     for _ in ("parsed", "cache hit"):
         index, matrix = load_features(path)
         assert index == {"img": 0, "img\0": 1}
-        assert matrix.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert all_rows(matrix).tolist() == [[1, 2, 3], [4, 5, 6]]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "-3.5e38"])
@@ -461,6 +539,8 @@ def _plain(value):
         return value.facts()
     if isinstance(value, WordVectorTable):
         return value.duplicate_count, *map(_plain, (value.tokens.column, value.tokens.sorted_rows, value.matrix))
+    if isinstance(value, text.RowReader):
+        return _plain(all_rows(value))
     if isinstance(value, np.ndarray):
         return value.dtype, value.tolist()
     if isinstance(value, dict):

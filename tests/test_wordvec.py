@@ -1,4 +1,5 @@
 import logging
+import os
 import re
 import tracemalloc
 import zipfile
@@ -15,7 +16,7 @@ from factrank.synth import SyntheticConfig, generate_synthetic
 from factrank.text import tokenize
 from factrank.scorer import rank_rows
 from factrank.wordvec import FactMatrix, WordVectorTable, load_vectors
-from conftest import from_facts, from_rows, is_mapped, table_of, vector_of
+from conftest import all_rows, from_facts, from_rows, is_mapped, table_of, vector_of
 
 
 def _per_fact_rows(facts, table):
@@ -174,18 +175,19 @@ def test_load_vectors_token_holding_a_nul_byte_is_load_error_naming_the_line(tmp
         load_vectors(path)
 
 
-def test_a_word_vector_cache_hit_maps_the_matrix_and_reads_as_the_parse(tmp_path, caplog):
+def test_a_word_vector_cache_hit_reads_the_matrix_by_row_as_the_parse(tmp_path, caplog):
     path = tmp_path / "vec.txt"
     path.write_text("b 1 2\n\u00e9t\u00e9 7 8\na 3 4\nb 5 6\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING):
         parsed, hit = load_vectors(path), load_vectors(path)
     assert [r.getMessage() for r in caplog.records] == [f"{path}:4: duplicate token 'b', keeping the later row"]
-    assert not is_mapped(parsed.matrix) and is_mapped(hit.matrix) and not hit.matrix.flags.writeable
+    assert isinstance(parsed.matrix, np.ndarray) and isinstance(hit.matrix, text.RowReader)
+    assert not hit.matrix[0].flags.writeable and not is_mapped(hit.matrix[0])
     for table in (parsed, hit):
         assert (table.dim, table.duplicate_count, table.tokens.column.tolist()) == (
             2, 1, [b"a", b"b", "\u00e9t\u00e9".encode()])
         assert table.tokens.rows(["b", "\u00e9t\u00e9", "a", "c", "", "\u00e9"]).tolist() == [0, 1, 2, -1, -1, -1]
-        assert table.matrix.tolist() == [[5.0, 6.0], [7.0, 8.0], [3.0, 4.0]]
+        assert all_rows(table.matrix).tolist() == [[5.0, 6.0], [7.0, 8.0], [3.0, 4.0]]
 
 
 @pytest.mark.parametrize("change", [
@@ -200,17 +202,18 @@ def test_a_stale_or_unsound_word_vector_cache_warns_and_the_file_is_parsed_again
     parsed, cache = load_vectors(path), tmp_path / "wordvec.txt.cache.npz"
     with np.load(cache) as data:
         arrays = {name: data[name] for name in data.files}
-    text.write_atomic(cache, lambda fh: text._savez(fh, {**arrays, **change(arrays)}))  # the matrix stays mappable
+    # laid out by text._savez, so the matrix stays readable by row
+    text.write_atomic(cache, lambda fh: text._savez(fh, {**arrays, **change(arrays)}))
     with caplog.at_level(logging.WARNING):
         reparsed = load_vectors(path)
         assert f"ignoring unreadable word vector cache {cache}" in caplog.text
         caplog.clear()
         rewritten = load_vectors(path)
-    assert not caplog.records and is_mapped(rewritten.matrix)
+    assert not caplog.records and isinstance(rewritten.matrix, text.RowReader)
     queries = ["a", "b", "c", "\u00e9t\u00e9", "d", "", "b\0"]
     for table in (parsed, reparsed, rewritten):
         assert table.tokens.rows(queries).tolist() == [2, 0, 3, 1, -1, -1, -1]
-        assert table.matrix.tolist() == [[1.0, 2.0], [7.0, 8.0], [3.0, 4.0], [5.0, 6.0]]
+        assert all_rows(table.matrix).tolist() == [[1.0, 2.0], [7.0, 8.0], [3.0, 4.0], [5.0, 6.0]]
 
 
 def test_a_word_vector_cache_hit_of_another_width_is_the_load_error_of_a_parse(tmp_path):
@@ -239,7 +242,7 @@ def _word_vectors(tmp_path, names, rng):
         mp.setattr(wordvec.logger, "disabled", True)  # a warning for each of the ~2,000 repeated tokens
         load_vectors(path)
         table = load_vectors(path)
-    assert is_mapped(table.matrix) and table.duplicate_count == len(names) - len(set(names)) > 1000
+    assert isinstance(table.matrix, text.RowReader) and table.duplicate_count == len(names) - len(set(names)) > 1000
     return table.tokens, table.matrix.__getitem__, dict(zip(names, values))  # last write wins
 
 
@@ -582,6 +585,50 @@ def test_a_change_to_what_the_rows_are_computed_from_misses_and_rewrites_the_cac
         hit = FactMatrix.build(kb, table)
     assert not _cache_warnings(caplog) and is_mapped(hit.rows)
     _assert_same_matrix(hit, rebuilt)
+
+
+def _word_vector_file(path, changed=""):
+    """``CACHED_WORDS`` and two tokens the KB lacks as a word-vector file, loaded twice, so the table that is
+    returned reads its matrix from the cache; ``changed``'s first component alone is another."""
+    path.write_text("".join(f"{t} {i}.5 -{i}.25 {'0.75' if t == changed else '0.125'}\n"
+                            for i, t in enumerate([*CACHED_WORDS, "zzz", "aaa"])), encoding="utf-8")
+    load_vectors(path)
+    table = load_vectors(path)
+    assert isinstance(table.matrix, text.RowReader)
+    return table
+
+
+def test_a_warm_build_reads_no_word_vector_and_a_cold_one_reads_each_known_token_once(kb_path, caplog,
+                                                                                      monkeypatch):
+    kb, table = parse_kb(kb_path), _word_vector_file(kb_path.with_name("wordvec.txt"))
+    reads, preadv = [], os.preadv
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "preadv", lambda fd, buffers, offset: reads.append(offset) or preadv(fd, buffers, offset))
+        built = FactMatrix.build(kb, table)
+    assert len(reads) == len(set(reads)) == len(CACHED_WORDS)  # the KB's six known tokens
+    monkeypatch.setattr(text.RowReader, "__getitem__", lambda self, rows: pytest.fail("read a word vector"))
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        hit = FactMatrix.build(kb, table)
+    assert not _cache_warnings(caplog) and is_mapped(hit.rows)
+    _assert_same_matrix(hit, built)
+    monkeypatch.undo()
+    _assert_same_matrix(built, _in_memory(kb, table_of(3, {t: vector_of(table, t) for t in CACHED_WORDS})))
+
+
+def test_one_changed_vector_in_the_word_vector_file_misses_and_rewrites_the_fact_cache(kb_path, caplog):
+    kb, words = parse_kb(kb_path), kb_path.with_name("wordvec.txt")
+    FactMatrix.build(kb, _word_vector_file(words))
+    before = _facts_cache(kb_path).read_bytes()
+    table = _word_vector_file(words, changed="pet")
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        rebuilt = FactMatrix.build(kb, table)
+    assert f"rebuilding stale fact matrix cache {_facts_cache(kb_path)}" in caplog.text
+    assert _facts_cache(kb_path).read_bytes() != before
+    _assert_same_matrix(rebuilt, _in_memory(kb, table))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+        _assert_same_matrix(FactMatrix.build(kb, table), rebuilt)
+    assert not _cache_warnings(caplog)
 
 
 def _spoil_member(cache, name, spoil, save=text._savez):
