@@ -174,6 +174,7 @@ class KnowledgeBase:
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         self.__dict__.update((name, arrays[name]) for name in _COLUMNS)
         self.path: Path | None = None  # the file it was parsed from, if any
+        self.checksum = str(arrays["checksum"]) if "checksum" in arrays else None  # that file's cache key
         self.phrase_text = arrays["phrase_text"]
         self.tokens = text.split("\n") if (text := str(arrays["tokens"], "utf-8")) else []
         for utf8 in (arrays["ids"], self.phrase_text):  # a byte that does not decode fails here, not as a fact is named
@@ -238,8 +239,8 @@ def parse_kb(path: str | Path) -> KnowledgeBase:
     ``#``-prefixed lines and blank lines are ignored; each line is read by
     :func:`parse_fact` into a :class:`KBBuilder`. While the file is
     unchanged, its cache stands in for the parse; either way the KB is
-    built from the cache's arrays. The KB records ``path``, beside which
-    ``FactMatrix.build`` caches its rows.
+    built from the cache's arrays. The KB records ``path`` and the cache's
+    ``checksum``, by which ``FactMatrix.build`` caches its rows beside it.
     """
     path = Path(path)
     kb = cached(path, "knowledge base", lambda: _parse(path), KnowledgeBase)

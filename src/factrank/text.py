@@ -7,11 +7,11 @@ column; and :class:`Names`, its sorted name column, the one name -> row
 lookup of the fact ids and of the word-vector tokens. The knowledge-base,
 QA, feature, concept and word-vector loaders key theirs by the input file,
 which a load whose size and mtime match the cache's does not hash again;
-the fact matrix keys its cache by the arrays it is computed from. A hit
-maps the fact rows, which a run scans whole, and reads the feature and
-word-vector matrices by row (:class:`RowReader`), as a run only looks rows
-up in them. Each caller builds its value from the arrays by one function, on
-a cache hit and after a parse alike."""
+the fact matrix keys its cache by the KB's and the word vectors' cache keys,
+so its hit hashes nothing. A hit maps the fact rows, which a run scans
+whole, and reads the feature and word-vector matrices by row
+(:class:`RowReader`), as a run only looks rows up in them. Each caller
+builds its value from the arrays by one function, on a hit and a parse."""
 
 from __future__ import annotations
 
@@ -156,11 +156,11 @@ def sort_names(names: Collection[str]) -> tuple[np.ndarray, np.ndarray]:
     return column[order], order
 
 
-def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequence[np.ndarray] | None = None,
+def cached(path: Path, what: str, parse: Callable, build: Callable, key: str | None = None,
            mapped: Collection[str] = (), by_row: Collection[str] = ()):
     """``build`` of the arrays that ``parse()`` returns, read from the cache ``<path>.cache.npz`` while it holds
-    them. It is keyed by ``CACHE_FORMAT`` and the SHA-256 of the arrays in ``key``, all that ``parse`` computes
-    from, or else of the file at ``path`` and its size. Once a hash has vouched for a file's cache
+    them. It is keyed by ``CACHE_FORMAT`` and ``key``, a string naming all that ``parse`` reads (other caches'
+    keys), or else by the SHA-256 of the file at ``path`` and its size. Once a hash has vouched for a file's cache
     ``STAMP_AGE_NS`` after the file's mtime, the cache bears that mtime as its own: a load that finds the size
     and mtime unchanged, and the cache's ctime (the stamp's time) past that mtime by as much, does not hash it.
     A hit maps the members named in ``mapped`` read-only, opens a :class:`RowReader` of each one named in
@@ -170,7 +170,7 @@ def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequenc
     ``parse`` runs and the cache is rewritten; a cache that cannot be written or stamped is named in one too."""
     cache, source = path.with_name(path.name + ".cache.npz"), None if key is not None else path.stat()
     suffix = CACHE_FORMAT if source is None else f"{source.st_size} {CACHE_FORMAT}"  # a file's size is in its key
-    checksum, value, trusted = None if key is None else f"{digest(key)} {suffix}", None, False
+    checksum, value, trusted = None if key is None else f"{key} {suffix}", None, False
     try:
         with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as data:  # one inode for every member
             stored, stat = str(data["checksum"]), os.fstat(fh.fileno())
@@ -206,7 +206,7 @@ def cached(path: Path, what: str, parse: Callable, build: Callable, key: Sequenc
 
 
 def digest(source: Path | Sequence[np.ndarray]) -> str:
-    """The SHA-256 of a file's bytes, or of arrays' dtypes, shapes and bytes."""
+    """The SHA-256 of a file's bytes, or of arrays' dtypes, shapes and bytes (a table made in memory's checksum)."""
     sha = hashlib.sha256()
     if isinstance(source, Path):
         with open(source, "rb") as fh:

@@ -11,11 +11,11 @@ length ``2 * dim`` that never changes during training. The whole knowledge
 base is embedded into a dense :class:`FactMatrix`, from its columns: the
 KB's token list is mapped to word vectors once, and each pass of
 ``BUILD_CHUNK`` facts takes the mean of each of its distinct phrases' known
-tokens, one gather per known-token count. A KB parsed from a file keeps the
-rows and their norms in a cache beside it (:func:`text.cached`), keyed by
-the KB's codes and tokens, each token's row of the table and the table's
-checksum, so a later run with the same inputs maps the rows read-only
-instead of embedding them again, and reads no word vector.
+tokens, one gather per known-token count. A KB parsed from a file caches
+the rows, their norms and its fully out-of-vocabulary phrase codes beside it
+(:func:`text.cached`), keyed by its own cache's and the table's checksums,
+so a later run with the same inputs maps the rows read-only instead of
+embedding them again, and reads no word vector and no KB token.
 Rows are in the KB's own relation-bucket order, so ranking a bucket reads
 one contiguous block of rows, and a ranked row is the KB's row of the same
 number: the matrix shares the KB's ids, without a copy, and the KB reads a
@@ -53,8 +53,7 @@ class WordVectorTable:
     its cache's key, and one built in memory digests its columns on first use, so they are not to change after."""
 
     def __init__(self, tokens: Names, matrix: Array | RowReader, duplicate_count: int = 0, checksum: str = ""):
-        self.tokens, self.matrix, self.duplicate_count = tokens, matrix, duplicate_count
-        self.dim = matrix.shape[1]
+        self.tokens, self.matrix, self.duplicate_count, self.dim = tokens, matrix, duplicate_count, matrix.shape[1]
         if checksum:
             self.checksum = checksum
 
@@ -67,7 +66,7 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
     """Load ``token v1 ... v_dim`` rows; wrong arity, a token holding a NUL byte, a non-finite component or one
     beyond float32's finite range (fact rows are float32), and a file with no rows are load errors. ``dim``
     defaults to the first row's. A repeated token overwrites the earlier row (last write wins) and is counted. A
-    hit of the cache beside the file reads the matrix by row; one of another width than ``dim`` parses again."""
+    hit of the cache beside the file reads the matrix by row; one not ``dim`` wide raises the parse's LoadError."""
     path = Path(path)
 
     def parse(dim=dim) -> dict[str, Array]:
@@ -102,12 +101,14 @@ def load_vectors(path: str | Path, dim: int | None = None) -> WordVectorTable:
 
     def table(arrays) -> WordVectorTable:
         tokens, matrix = Names(arrays["tokens"], arrays["rows"], "token"), arrays["matrix"]
-        if (matrix.dtype, len(matrix.shape), len(matrix), dim or matrix.shape[1]) != (
-                np.float64, 2, len(tokens), matrix.shape[1]):
-            raise ValueError(f"the word vectors are not {dim or 'n'}-d float64 rows, one for each token")
+        if (matrix.dtype, len(matrix.shape), len(matrix)) != (np.float64, 2, len(tokens)):
+            raise ValueError("the word vectors are not float64 rows, one for each token")
         return WordVectorTable(tokens, matrix, int(arrays["duplicate_count"]), str(arrays["checksum"]))
 
-    return cached(path, "word vector", parse, table, by_row=("matrix",))
+    vectors = cached(path, "word vector", parse, table, by_row=("matrix",))
+    if dim and dim != vectors.dim:  # only a hit can be of another width: the parse names the first such row
+        parse()
+    return vectors
 
 
 def _chunked_norms(rows: Array) -> Array:
@@ -150,17 +151,16 @@ class FactMatrix:
     @classmethod
     def build(cls, kb: KnowledgeBase, table: WordVectorTable) -> "FactMatrix":
         """Embed ``kb`` in passes of ``BUILD_CHUNK`` facts, bitwise the per-phrase ``np.mean`` cast to float32.
-        A KB parsed from a file caches the rows and norms beside it, keyed by all they are computed from, and a
-        hit maps the rows read-only, reading no word vector. The matrix counts fully out-of-vocabulary
-        occurrences, logged once."""
-        known = (found := table.tokens.rows(kb.tokens)) >= 0
-        keep = known[kb.phrase_tokens]
-        at_known = np.concatenate(([0], np.cumsum(keep)))[kb.phrase_starts]
-        first, count = at_known[:-1], np.diff(at_known)  # per phrase: its first entry of vec_of, and how many
-        codes = np.stack([kb.subjects, kb.objects], axis=1).ravel()  # fact i's subject at 2i, its object at 2i + 1
-        oov = np.flatnonzero(count[codes] == 0)
+        A KB parsed from a file caches the rows, the norms and the phrase codes of the fully out-of-vocabulary
+        fact halves beside it, keyed by its own cache's checksum and the table's, and a hit maps the rows
+        read-only, reading no word vector and looking up no token. The matrix counts those halves, logged once."""
 
         def embed() -> dict[str, Array]:
+            known = (found := table.tokens.rows(kb.tokens)) >= 0
+            keep = known[kb.phrase_tokens]
+            at_known = np.concatenate(([0], np.cumsum(keep)))[kb.phrase_starts]
+            first, count = at_known[:-1], np.diff(at_known)  # per phrase: its first entry of vec_of, and how many
+            codes = np.stack([kb.subjects, kb.objects], axis=1).ravel()  # fact i's subject at 2i, object at 2i + 1
             vecs = table.matrix[found[known]]  # each known token's vector, read once
             vec_of = (np.cumsum(known) - 1)[kb.phrase_tokens[keep]]  # each phrase's known tokens' rows of vecs
             rows = np.zeros((len(kb), 2 * table.dim), dtype=np.float32)
@@ -172,26 +172,25 @@ class FactMatrix:
                     group = known_count == n
                     means[group] = vecs[vec_of[first[phrases[group]][:, None] + np.arange(n)]].mean(axis=1)
                 halves[at:at + 2 * BUILD_CHUNK] = means[where]
-            return {"rows": rows, "norms": _chunked_norms(rows)}
+            return {"rows": rows, "oov": codes[count[codes] == 0], "norms": _chunked_norms(rows)}
 
         def matrix(arrays) -> FactMatrix:
-            rows, norms = arrays["rows"], arrays["norms"]
+            rows, norms, oov = arrays["rows"], arrays["norms"], arrays["oov"]
             if (rows.dtype, rows.shape, norms.dtype, norms.shape) != (np.float32, (len(kb), 2 * table.dim),
                                                                       np.float64, (len(kb),)):
                 raise ValueError("rows or norms of the wrong type or shape")
-            return cls(kb.ids, rows, norms, len(oov))
+            if oov.ndim != 1 or oov.dtype.kind not in "iu" or not ((0 <= oov) & (oov < len(kb.text_starts) - 1)).all():
+                raise ValueError("out-of-vocabulary codes that are not phrase codes of this knowledge base")
+            fm = cls(kb.ids, rows, norms, len(oov))
+            if len(oov):
+                logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov),
+                               kb.phrase(oov[0]))
+            return fm
 
         if kb.path is None:
-            fm = matrix(embed())
-        else:
-            tokens = np.frombuffer("\n".join(kb.tokens).encode(), np.uint8)
-            key = (kb.subjects, kb.objects, kb.phrase_starts, kb.phrase_tokens, tokens, found,
-                   np.str_(table.checksum), np.int64(table.dim))
-            fm = cached(kb.path.with_name(kb.path.name + ".facts"), "fact matrix", embed, matrix, key, ("rows",))
-        if len(oov):
-            logger.warning("%d fully out-of-vocabulary phrases embed as zero, the first %r", len(oov),
-                           kb.phrase(codes[oov[0]]))
-        return fm
+            return matrix(embed())
+        return cached(kb.path.with_name(kb.path.name + ".facts"), "fact matrix", embed, matrix,
+                      f"{kb.checksum} {table.checksum}", ("rows",))
 
     @cached_property
     def twin_groups(self) -> Array:

@@ -216,15 +216,16 @@ def test_a_stale_or_unsound_word_vector_cache_warns_and_the_file_is_parsed_again
         assert all_rows(table.matrix).tolist() == [[1.0, 2.0], [7.0, 8.0], [3.0, 4.0], [5.0, 6.0]]
 
 
-def test_a_word_vector_cache_hit_of_another_width_is_the_load_error_of_a_parse(tmp_path):
+def test_a_word_vector_cache_hit_of_another_width_is_the_load_error_of_a_parse(tmp_path, caplog):
     path = tmp_path / "vec.txt"
     path.write_text("\nshade 0.1 0.2\nsun 1 2\n", encoding="utf-8")
     cache = path.with_name("vec.txt.cache.npz")
     assert load_vectors(path).dim == 2 and load_vectors(path, 2).dim == 2
     written = cache.read_bytes()
-    with pytest.raises(LoadError) as hit:
+    with caplog.at_level(logging.WARNING), pytest.raises(LoadError) as hit:
         load_vectors(path, 3)
-    assert cache.read_bytes() == written  # the parse that the hit fell back to failed, so it wrote nothing
+    assert not _cache_warnings(caplog)  # the cache is sound: the file's rows are of another width
+    assert cache.read_bytes() == written
     cache.unlink()
     with pytest.raises(LoadError) as parse:
         load_vectors(path, 3)
@@ -568,7 +569,9 @@ def _change_vector(kb_path, table, monkeypatch):
     _change_vector,
     lambda kb_path, table, monkeypatch: vars(table).update(vars(_table(4))),
     lambda kb_path, table, monkeypatch: monkeypatch.setattr(text, "CACHE_FORMAT", "factrank-cache-next"),
-], ids=["kb-phrase", "word-vector", "dim", "cache-format"])
+    # the same arrays from another file: the key names the file, not the arrays parsed from it
+    lambda kb_path, table, monkeypatch: kb_path.write_text(CACHED_KB + "# a comment\n", encoding="utf-8"),
+], ids=["kb-phrase", "word-vector", "dim", "cache-format", "kb-comment"])
 def test_a_change_to_what_the_rows_are_computed_from_misses_and_rewrites_the_cache(kb_path, caplog, monkeypatch,
                                                                                    change):
     FactMatrix.build(parse_kb(kb_path), _table())
@@ -585,6 +588,24 @@ def test_a_change_to_what_the_rows_are_computed_from_misses_and_rewrites_the_cac
         hit = FactMatrix.build(kb, table)
     assert not _cache_warnings(caplog) and is_mapped(hit.rows)
     _assert_same_matrix(hit, rebuilt)
+
+
+def test_the_fact_cache_is_keyed_by_the_kb_and_word_vector_cache_keys_so_a_kb_parsed_again_hits_it(kb_path,
+                                                                                                    caplog):
+    table = _word_vector_file(kb_path.with_name("wordvec.txt"))
+    built = FactMatrix.build(parse_kb(kb_path), table)
+    kb_cache = kb_path.with_name(kb_path.name + ".cache.npz")
+    with np.load(kb_cache) as data:
+        kb_key = str(data["checksum"])
+    kb_cache.unlink()
+    kb = parse_kb(kb_path)  # parsed again, which rewrites the KB's cache under the same key
+    with np.load(_facts_cache(kb_path)) as data:
+        assert str(data["checksum"]) == f"{kb.checksum} {table.checksum} {text.CACHE_FORMAT}"
+    assert kb.checksum == kb_key and kb_key.startswith(text.digest(kb_path))
+    with caplog.at_level(logging.WARNING):
+        hit = FactMatrix.build(kb, table)
+    assert not _cache_warnings(caplog) and is_mapped(hit.rows)
+    _assert_same_matrix(hit, built)
 
 
 def _word_vector_file(path, changed=""):
@@ -607,6 +628,7 @@ def test_a_warm_build_reads_no_word_vector_and_a_cold_one_reads_each_known_token
         built = FactMatrix.build(kb, table)
     assert len(reads) == len(set(reads)) == len(CACHED_WORDS)  # the KB's six known tokens
     monkeypatch.setattr(text.RowReader, "__getitem__", lambda self, rows: pytest.fail("read a word vector"))
+    monkeypatch.setattr(table.tokens, "rows", lambda names: pytest.fail("looked up a token"))
     with caplog.at_level(logging.WARNING, logger="factrank.text"):
         hit = FactMatrix.build(kb, table)
     assert not _cache_warnings(caplog) and is_mapped(hit.rows)
@@ -656,15 +678,23 @@ def _flip_last_norm_byte(cache):
     (lambda cache: _spoil_member(cache, "rows", lambda rows: rows[:-1]), "rows or norms of the wrong type or shape"),
     (lambda cache: _spoil_member(cache, "norms", lambda norms: norms.astype(np.float32)),
      "rows or norms of the wrong type or shape"),
-], ids=["truncated", "not-an-archive", "bad-crc", "norm-out-of-range", "rows-short", "float32-norms"])
+    (lambda cache: _spoil_member(cache, "oov", lambda oov: oov + 1000), "not phrase codes of this knowledge base"),
+    (lambda cache: _spoil_member(cache, "oov", lambda oov: oov.astype(np.float64)),
+     "not phrase codes of this knowledge base"),
+], ids=["truncated", "not-an-archive", "bad-crc", "norm-out-of-range", "rows-short", "float32-norms",
+        "oov-code-out-of-range", "float64-oov-codes"])
 def test_a_truncated_or_corrupt_fact_matrix_cache_warns_and_is_rebuilt(kb_path, caplog, spoil, message):
     kb, table = parse_kb(kb_path), _table()
     built = FactMatrix.build(kb, table)
     spoil(_facts_cache(kb_path))
-    with caplog.at_level(logging.WARNING, logger="factrank.text"):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
         rebuilt = FactMatrix.build(kb, table)
     assert f"ignoring unreadable fact matrix cache {_facts_cache(kb_path)}" in caplog.text and message in caplog.text
+    assert [r.getMessage() for r in caplog.records if r.name == "factrank.wordvec"] == [
+        "2 fully out-of-vocabulary phrases embed as zero, the first 'Quux'"]  # by the rebuild, not the rejected hit
     _assert_same_matrix(rebuilt, built)
+    assert rebuilt.oov_phrase_count == 2
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="factrank.text"):
         _assert_same_matrix(FactMatrix.build(kb, table), built)
